@@ -119,15 +119,11 @@ def compare_reports(current: Dict, baseline: Dict) -> List[str]:
     """Print a delta-vs-baseline summary; return regression messages.
 
     Every benchmark present in both reports gets a value-delta line.  The
-    returned list holds one message per :data:`ENFORCED_RATIOS` entry that
-    fell below :data:`REGRESSION_FLOOR` × its baseline — empty means the
-    gate passes.
-
-    A baseline written before a benchmark (or its ratio key) existed
-    simply lacks the entry — the gate *skips* that pair with a printed
-    note instead of failing, so adding a benchmark never requires
-    rewriting history.  The pair starts gating with the first baseline
-    that records it.
+    returned list holds one message per :data:`ENFORCED_RATIOS` entry of
+    the current report that fell below :data:`REGRESSION_FLOOR` × its
+    baseline, or that either report lacks — empty means the gate passes.
+    A gate that cannot compare does not pass: a PR adding an enforced
+    ratio regenerates the baseline with it.
     """
     base_benches = baseline.get("benchmarks", {})
     for name, body in sorted(current.get("benchmarks", {}).items()):
@@ -153,9 +149,9 @@ def compare_reports(current: Dict, baseline: Dict) -> List[str]:
         now = body.get("extra", {}).get(key)
         then = (base or {}).get("extra", {}).get(key)
         if now is None or then is None or then <= 0:
-            print(
-                f"gate skip: {name}.{key} has no baseline value "
-                f"(added after the baseline was recorded)"
+            regressions.append(
+                f"{name}.{key} cannot be gated: missing from the "
+                f"{'current report' if now is None else 'baseline'}"
             )
             continue
         if now < REGRESSION_FLOOR * then:

@@ -18,17 +18,18 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from repro.dot15d4.channels import channel_for_frequency, channel_frequency_hz
-from repro.dot15d4.fcs import verify_fcs
 from repro.dot15d4.frames import MacFrame
 from repro.dsp.oqpsk import OqpskDemodulator, OqpskModulator
 from repro.dsp.signal import IQSignal
-from repro.phy.ieee802154 import (
-    CHIPS_PER_SYMBOL,
-    MAX_PSDU_SIZE,
-    PN_SEQUENCES,
-    Ppdu,
-    despread_chips,
+from repro.errors import DecodeError
+from repro.phy.batch import (
+    MAX_FRAME_CHIPS,
+    RESYNC_ATTEMPTS,
+    SYNC_CHIPS,
+    SYNC_START_INDEX,
+    frame_tail,
 )
+from repro.phy.ieee802154 import CHIPS_PER_SYMBOL, Ppdu, despread_chips
 from repro.radio.medium import RfMedium, Transmission
 from repro.radio.transceiver import Transceiver
 
@@ -50,12 +51,6 @@ class ReceivedPsdu:
 
 
 PsduHandler = Callable[[ReceivedPsdu], None]
-
-#: Chip-timing sync pattern: two preamble symbols (the ``0000`` PN sequence
-#: twice).  Starting the pattern at stream index 32 keeps parity identical
-#: to index 0 while acknowledging the correlator never locks on symbol 0.
-_SYNC_CHIPS = np.concatenate([PN_SEQUENCES[0], PN_SEQUENCES[0]])
-_SYNC_START_INDEX = CHIPS_PER_SYMBOL
 
 
 class Dot15d4Radio:
@@ -135,62 +130,50 @@ class Dot15d4Radio:
             # The listener may have powered the node down (battery death).
             if self._handler is None:
                 return
-        psdu = self._decode_capture(capture)
-        if psdu is not None:
-            self._handler(psdu)
-
-    #: How many times the receiver re-arms its correlator after a sync that
-    #: produced no frame (false lock on preamble-like payload content or on
-    #: non-802.15.4 bits preceding an embedded frame).
-    RESYNC_ATTEMPTS = 4
-
-    def _decode_capture(self, capture: IQSignal) -> Optional[ReceivedPsdu]:
-        max_chips = CHIPS_PER_SYMBOL * (10 + 2 * (1 + MAX_PSDU_SIZE))
+        # One-row run of the receive engine (repro.phy.batch): the front
+        # end runs once; each lock that yields no frame re-arms the
+        # correlator one symbol further on.
+        demodulator = self._demodulator
+        front_end = demodulator.front_end(capture)
         search_start = 0
-        # Discriminate (and lazily compute power) once; every re-arm
-        # reuses the same front-end output.
-        front_end = self._demodulator.front_end(capture)
-        for _attempt in range(self.RESYNC_ATTEMPTS):
-            result = self._demodulator.receive_chips(
+        for _attempt in range(RESYNC_ATTEMPTS):
+            result = demodulator.receive_chips(
                 capture,
-                sync_chips=_SYNC_CHIPS,
-                sync_start_index=_SYNC_START_INDEX,
-                max_chips=max_chips,
+                sync_chips=SYNC_CHIPS,
+                sync_start_index=SYNC_START_INDEX,
+                max_chips=MAX_FRAME_CHIPS,
                 threshold=self.sync_threshold,
                 search_start=search_start,
                 front_end=front_end,
             )
             if result is None:
-                return None
+                return
             chips, info = result
-            decoded = self._decode_chips(chips)
-            if decoded is not None:
-                return decoded
-            # Re-arm one symbol past the failed lock.
+            psdu = self._decode_chips(chips)
+            if psdu is not None:
+                self._handler(psdu)
+                return
             search_start = (
-                info.sync.start + CHIPS_PER_SYMBOL * self._demodulator.samples_per_chip
+                info.sync.start + CHIPS_PER_SYMBOL * demodulator.samples_per_chip
             )
-        return None
 
     def _decode_chips(self, chips: np.ndarray) -> Optional[ReceivedPsdu]:
-        symbols, distances = despread_chips(chips)
-        sfd_index = Ppdu.find_sfd(symbols)
-        if sfd_index is None:
-            return None
-        ppdu = Ppdu.parse_symbols(symbols[sfd_index:])
-        if ppdu is None:
-            return None
-        frame_symbols = 4 + 2 * len(ppdu.psdu)
-        frame_distances = distances[sfd_index : sfd_index + frame_symbols]
-        mean_distance = float(np.mean(frame_distances)) if frame_distances else 0.0
-        if self.max_chip_distance and mean_distance > self.max_chip_distance:
+        """Despread and frame-tail one chip stream."""
+        symbols, distances, _llrs = despread_chips(chips)
+        try:
+            frame = frame_tail(
+                symbols.tolist(),
+                distances.tolist(),
+                max_mean_distance=self.max_chip_distance or None,
+            )
+        except DecodeError:
             return None
         return ReceivedPsdu(
-            psdu=ppdu.psdu,
-            fcs_ok=verify_fcs(ppdu.psdu),
+            psdu=frame.psdu,
+            fcs_ok=frame.fcs_ok,
             channel=self._channel,
             timestamp=self.transceiver.medium.scheduler.now,
-            mean_chip_distance=mean_distance,
+            mean_chip_distance=frame.mean_distance,
         )
 
 

@@ -17,7 +17,6 @@ requested.  The demodulated bit stream is then decoded here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -28,52 +27,18 @@ from repro.core.encoding import MSK_STRIDE, wazabee_access_address
 from repro.core.radio_api import LowLevelRadio
 from repro.core.tables import CorrespondenceTable, default_table
 from repro.dot15d4.channels import channel_frequency_hz
-from repro.dot15d4.fcs import verify_fcs
 from repro.errors import DecodeError
 from repro.obs import RX_CAPTURE, RX_DECODE, RX_FCS
 from repro.obs import metrics as _current_metrics
 from repro.obs import sim_now
 from repro.obs import trace_bus as _current_bus
-from repro.phy.ieee802154 import MAX_PSDU_SIZE, Ppdu, symbol_confidences
+from repro.phy.batch import MAX_FRAME_CHIPS, DecodedFrame, frame_tail
 
 __all__ = ["DecodedFrame", "decode_payload_bits", "WazaBeeReceiver"]
 
-#: Payload bits to request from the radio: enough for the SHR remainder,
-#: PHR and a maximum-size PSDU.
-MAX_CAPTURE_BITS = MSK_STRIDE * (10 + 2 * (1 + MAX_PSDU_SIZE))
-
-
-@dataclass
-class DecodedFrame:
-    """Outcome of decoding one captured bit stream."""
-
-    psdu: bytes
-    fcs_ok: bool
-    sfd_index: int
-    symbols: List[int] = field(default_factory=list)
-    distances: List[int] = field(default_factory=list)
-
-    @property
-    def mean_distance(self) -> float:
-        """Average Hamming distance of the matched blocks (decode quality)."""
-        if not self.distances:
-            return 0.0
-        return float(np.mean(self.distances))
-
-    @property
-    def confidences(self) -> List[float]:
-        """Per-symbol decode confidence in [0, 1].
-
-        Each DSSS block is 31 bits; a perfect match (distance 0) scores
-        1.0, the worst credible match (distance 15, half the minimum
-        inter-sequence distance away from everything) scores ~0.5.  The
-        FCS-failed salvage path uses these to point at the corrupted
-        region of a frame.  The mapping itself is
-        :func:`repro.phy.ieee802154.symbol_confidences`, shared with the
-        batched wideband pipeline so soft decisions from either receive
-        path are directly comparable.
-        """
-        return symbol_confidences(self.distances)
+#: Payload bits to request from the radio: one MSK bit per chip period of
+#: the SHR remainder, PHR and a maximum-size PSDU.
+MAX_CAPTURE_BITS = MAX_FRAME_CHIPS
 
 
 def decode_payload_bits(
@@ -96,47 +61,32 @@ def decode_payload_bits(
     table = table or default_table()
     arr = np.asarray(bits, dtype=np.uint8)
     num_strides = arr.size // MSK_STRIDE
-    if num_strides < 3:
-        return _decode_failure("truncated", strict)
-    # Stride layout: [symbol-boundary transition, 31 intra bits].  Reshape
-    # the capture into an (N, 31) block matrix and despread all symbols in
-    # one vectorised pass (scalar reference: CorrespondenceTable.decode_block).
-    blocks = arr[: num_strides * MSK_STRIDE].reshape(num_strides, MSK_STRIDE)[
-        :, 1:
-    ]
-    symbol_arr, distance_arr = table.decode_blocks(blocks)
-    symbols: List[int] = symbol_arr.tolist()
-    distances: List[int] = distance_arr.tolist()
-    sfd_index = Ppdu.find_sfd(symbols, search_limit=sfd_search_limit)
-    if sfd_index is None:
-        return _decode_failure("no-sfd", strict)
-    ppdu = Ppdu.parse_symbols(symbols[sfd_index:])
-    if ppdu is None:
-        return _decode_failure("truncated", strict)
-    used = sfd_index + 4 + 2 * len(ppdu.psdu)
-    frame = DecodedFrame(
-        psdu=ppdu.psdu,
-        fcs_ok=verify_fcs(ppdu.psdu),
-        sfd_index=sfd_index,
-        symbols=symbols[:used],
-        distances=distances[:used],
-    )
-    if (
-        max_mean_distance is not None
-        and frame.mean_distance > max_mean_distance
-    ):
-        return _decode_failure(
-            "low-confidence", strict, mean_distance=frame.mean_distance
+    try:
+        if num_strides < 3:
+            raise DecodeError("truncated")
+        # Stride layout: [symbol-boundary transition, 31 intra bits].
+        # Reshape the capture into an (N, 31) block matrix and despread all
+        # symbols in one vectorised pass (scalar reference:
+        # CorrespondenceTable.decode_block).
+        blocks = arr[: num_strides * MSK_STRIDE].reshape(
+            num_strides, MSK_STRIDE
+        )[:, 1:]
+        symbol_arr, distance_arr = table.decode_blocks(blocks)
+        symbols: List[int] = symbol_arr.tolist()
+        distances: List[int] = distance_arr.tolist()
+        # The correlator locked on the preamble, so the frame's leading
+        # preamble symbols count towards its mean distance.
+        return frame_tail(
+            symbols,
+            distances,
+            max_mean_distance=max_mean_distance,
+            search_limit=sfd_search_limit,
+            include_preamble=True,
         )
-    return frame
-
-
-def _decode_failure(
-    reason: str, strict: bool, mean_distance: float = 0.0
-) -> Optional[DecodedFrame]:
-    if strict:
-        raise DecodeError(reason, mean_distance=mean_distance)
-    return None
+    except DecodeError:
+        if strict:
+            raise
+        return None
 
 
 FrameHandler = Callable[[DecodedFrame], None]

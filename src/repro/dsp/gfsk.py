@@ -19,6 +19,7 @@ waveform, including 802.15.4's O-QPSK with half-sine shaping.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple, Union
@@ -39,7 +40,11 @@ __all__ = [
     "WaveformCache",
     "waveform_cache",
     "clear_waveform_caches",
+    "SyncSearch",
+    "SyncTemplate",
+    "sync_template",
     "lazy_capture_power",
+    "CLIP_LEVEL",
     "FFT_SYNC_MIN_PRODUCT",
 ]
 
@@ -382,67 +387,189 @@ FFT_SYNC_MIN_PRODUCT = 1 << 21
 #: measured against BLAS-backed ``np.correlate`` on frame-sized captures).
 FFT_COST_FACTOR = 20.0
 
+#: Discriminator limiter: nominal modulation sits at ±1; noise-only
+#: input would otherwise swing to ±(sample_rate / 2·deviation).
+CLIP_LEVEL = 1.5
+
 PowerInput = Union[np.ndarray, Callable[[], np.ndarray]]
+Capture = Union[IQSignal, np.ndarray]
 
 
-def lazy_capture_power(sig: IQSignal) -> Callable[[], np.ndarray]:
-    """Memoised supplier of the capture's per-sample power profile.
+def lazy_capture_power(capture: Capture) -> Callable[[], np.ndarray]:
+    """Memoised supplier of a capture's per-sample power profile |x|².
 
-    The |x|² vector feeds :meth:`FskDemodulator.find_sync`'s RSSI gate but
-    is only needed once a correlation candidate exists; wrapping it keeps
+    *capture* is an :class:`IQSignal` or samples ``(N,)`` / ``(F, N)``.
+    The profile feeds the RSSI gate of :class:`SyncSearch` but is only
+    needed once a correlation candidate exists; wrapping it keeps
     sync-less captures free of the extra pass, and re-armed sync searches
-    over the same capture share the single materialised array.
+    share the single materialised array.
     """
+    samples = capture.samples if isinstance(capture, IQSignal) else capture
     cache: list = []
 
     def supplier() -> np.ndarray:
         if not cache:
-            cache.append(np.abs(sig.samples[:-1]) ** 2)
+            cache.append(np.abs(samples[..., :-1]) ** 2)
         return cache[0]
 
     return supplier
 
 
-def _correlate_valid(
-    haystack: np.ndarray, template: np.ndarray, force: Optional[str] = None
-) -> np.ndarray:
-    """``np.correlate(haystack, template, mode="valid")``, FFT above a size
-    threshold.
+@dataclass(frozen=True, eq=False)
+class SyncTemplate:
+    """An NRZ sync template plus the statics every search reuses."""
 
-    *force* pins the implementation (``"fft"`` / ``"direct"``) for tests
-    and benchmarks; the default compares the two cost models (O(N·M)
-    multiply-adds vs O(N·log N) transform work).  Both paths return the
-    same values up to float rounding (~1e-12 relative).
+    samples: np.ndarray
+    #: Mean-removed template, in the discriminator's precision.
+    centered: np.ndarray
+    mean: float
+    #: Energy of :attr:`centered`, the correlation's normaliser.
+    norm: float
+    samples_per_symbol: int
+
+
+@functools.lru_cache(maxsize=64)
+def _template(bits: bytes, sps: int, dtype: str) -> SyncTemplate:
+    nrz = np.frombuffer(bits, dtype=np.uint8).astype(np.float64) * 2.0 - 1.0
+    samples = np.repeat(nrz, sps)
+    mean = samples.mean()
+    centered = (samples - mean).astype(dtype)
+    norm = float(np.dot(centered, centered))
+    if norm == 0.0:
+        raise ValueError("sync word must not be constant")
+    samples.setflags(write=False)  # shared by every caller
+    centered.setflags(write=False)
+    return SyncTemplate(samples, centered, float(mean), norm, sps)
+
+
+def sync_template(
+    sync_bits, samples_per_symbol: int, dtype=np.float64
+) -> SyncTemplate:
+    """The :class:`SyncTemplate` of *sync_bits*, built once per process."""
+    bits = as_bit_array(sync_bits).tobytes()
+    return _template(bits, samples_per_symbol, np.dtype(dtype).str)
+
+
+def _correlate_direct(haystack: np.ndarray, template: np.ndarray) -> np.ndarray:
+    """``np.correlate(row, template, "valid")`` for every row of *haystack*."""
+    return np.stack([np.correlate(row, template, "valid") for row in haystack])
+
+
+def _correlate_fft(haystack: np.ndarray, template: np.ndarray) -> np.ndarray:
+    """The same correlation as one batched real-FFT product.
+
+    corr[k] = IFFT(FFT(h)·conj(FFT(t)))[k].  Zero-padding to a
+    2/3/5-smooth length avoids slow prime-size transforms without touching
+    the valid (wraparound-free) region.  scipy's pocketfft keeps float32
+    input in single precision (numpy's upcasts), which the wideband
+    sweep's float32 raster relies on.
     """
-    if haystack.size < template.size:
-        return np.zeros(0)
-    n = int(haystack.size)
+    n = haystack.shape[-1]
     n_fft = sp_fft.next_fast_len(n)
-    if force is not None:
-        use_fft = force == "fft"
-    else:
-        # Direct costs N·M multiply-adds; the three transforms cost
-        # ~FFT_COST_FACTOR·N_fft·log2(N_fft) equivalent operations
-        # (calibrated empirically — BLAS-backed np.correlate is far faster
-        # per multiply-add than a transform butterfly).  Short templates
-        # therefore stay time-domain however long the capture gets.
-        direct_cost = n * template.size
-        fft_cost = FFT_COST_FACTOR * n_fft * math.log2(n_fft)
-        use_fft = (
-            direct_cost >= FFT_SYNC_MIN_PRODUCT and direct_cost > fft_cost
-        )
-    if not use_fft:
-        return np.correlate(haystack, template, mode="valid")
-    # Cross-correlation via the convolution theorem on real FFTs:
-    # corr[k] = Σ_i haystack[k+i]·template[i] = IFFT(FFT(h)·conj(FFT(t))).
-    # Zero-padding to a 2/3/5-smooth length sidesteps the slow prime-size
-    # FFT cases an arbitrary capture length can land on; the valid region
-    # (no circular wraparound) is unaffected.
-    full = np.fft.irfft(
-        np.fft.rfft(haystack, n_fft) * np.conj(np.fft.rfft(template, n_fft)),
-        n_fft,
-    )
-    return full[: n - template.size + 1]
+    spec = sp_fft.rfft(haystack, n_fft, axis=-1, workers=2)
+    spec *= np.conj(sp_fft.rfft(template, n_fft))
+    full = sp_fft.irfft(spec, n_fft, axis=-1, workers=2)
+    return full[..., : n - template.size + 1]
+
+
+def _correlate_valid(haystack: np.ndarray, template: np.ndarray) -> np.ndarray:
+    """Valid-mode correlation of every row, FFT above a size threshold.
+
+    Direct costs N·M multiply-adds per row; the transforms cost
+    ~FFT_COST_FACTOR·N_fft·log2(N_fft) (calibrated against BLAS-backed
+    ``np.correlate``), so short templates stay direct however long the
+    capture gets.
+    """
+    n = haystack.shape[-1]
+    n_fft = sp_fft.next_fast_len(n)
+    direct_cost = n * template.size
+    if direct_cost >= FFT_SYNC_MIN_PRODUCT and (
+        direct_cost > FFT_COST_FACTOR * n_fft * math.log2(n_fft)
+    ):
+        return _correlate_fft(haystack, template)
+    return _correlate_direct(haystack, template)
+
+
+class SyncSearch:
+    """Sync-word acquisition over the rows of a discriminator stack.
+
+    *disc* is ``(F, M)``; *power* (per-sample |x|² aligned with it, or a
+    zero-argument callable returning it) enables an RSSI gate that rejects
+    alignments whose windowed power falls well below the strongest part
+    of their row, so clipped noise in a pre-frame margin cannot trigger a
+    false sync.  For each template and threshold the correlation and the
+    gate are computed once — they do not depend on where a search starts
+    — and every :meth:`lock`, including the re-armed searches after a lock
+    that yielded no frame, reuses them.
+    """
+
+    def __init__(self, disc: np.ndarray, power: Optional[PowerInput] = None):
+        self.disc = disc
+        self.power = power
+        self._memo: Dict[Tuple[SyncTemplate, float], Tuple] = {}
+
+    def _candidates(
+        self, template: SyncTemplate, threshold: float
+    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+        """``(corr, valid)``: the normalised correlation of every row with
+        the mean-removed template — a static carrier offset then neither
+        masquerades as nor masks a match — and the alignments that clear
+        *threshold* and the RSSI gate.  ``(None, None)`` when the rows are
+        shorter than the template."""
+        key = (template, threshold)
+        if key in self._memo:
+            return self._memo[key]
+        disc, width = self.disc, template.samples.size
+        corr = valid = None
+        n = disc.shape[-1]
+        if n >= width:
+            corr = _correlate_valid(disc, template.centered) / template.norm
+            valid = corr >= threshold
+            power = self.power
+            if power is not None and valid.any():
+                power = np.atleast_2d(power() if callable(power) else power)
+                if power.shape[-1] >= n:
+                    valid &= _rssi_gate(power[..., :n], width)
+        self._memo[key] = corr, valid
+        return corr, valid
+
+    def lock(
+        self,
+        template: SyncTemplate,
+        threshold: float,
+        row: int = 0,
+        search_start: int = 0,
+    ) -> Optional[Tuple[int, float, float]]:
+        """First candidate of *row* at or after *search_start*.
+
+        Locks onto the **first** alignment that clears the threshold — the
+        way hardware sync detectors fire, and essential here because DSSS
+        payloads can repeat the preamble pattern later in the frame — and
+        refines it to the local correlation maximum within two symbols.
+        Returns ``(start, score, dc)`` or ``None``; *dc* is the mean of the
+        locked discriminator window minus the template mean: the static
+        carrier offset in units of the nominal deviation.
+        """
+        corr, valid = self._candidates(template, threshold)
+        if valid is None or search_start >= valid.shape[-1]:
+            return None
+        first = search_start + int(valid[row, search_start:].argmax())
+        if not valid[row, first]:
+            return None
+        span = 2 * template.samples_per_symbol
+        best = first + int(corr[row, first : first + span].argmax())
+        window = self.disc[row, best : best + template.samples.size]
+        return best, float(corr[row, best]), float(window.mean() - template.mean)
+
+
+def _rssi_gate(power: np.ndarray, window: int) -> np.ndarray:
+    """Alignments whose windowed mean power reaches a quarter of their
+    row's 90th percentile."""
+    zeros = np.zeros(power.shape[:-1] + (1,), dtype=power.dtype)
+    cumulative = np.concatenate([zeros, np.cumsum(power, axis=-1)], axis=-1)
+    windowed = (cumulative[..., window:] - cumulative[..., :-window]) / window
+    gate = 0.25 * np.percentile(windowed, 90, axis=-1, keepdims=True)
+    return windowed >= gate
 
 
 class FskDemodulator:
@@ -456,25 +583,28 @@ class FskDemodulator:
         self.sample_rate = symbol_rate * config.samples_per_symbol
         self.frequency_deviation = config.modulation_index * symbol_rate / 2.0
 
-    #: Discriminator limiter: nominal modulation sits at ±1; noise-only
-    #: input would otherwise swing to ±(sample_rate / 2·deviation).
-    CLIP_LEVEL = 1.5
-
     # -- front end -------------------------------------------------------
-    def discriminate(self, sig: IQSignal) -> np.ndarray:
+    def discriminate(self, capture: Capture) -> np.ndarray:
         """Instantaneous frequency normalised to ±1 at nominal deviation.
 
-        Output is clipped at :data:`CLIP_LEVEL`, like a hardware limiter —
-        essential so that noise-only stretches of a capture cannot produce
-        arbitrarily large correlation values during sync search.
+        The phase of the one-sample lag product, clipped at
+        :data:`CLIP_LEVEL` like a hardware limiter — essential so that
+        noise-only stretches of a capture cannot produce arbitrarily large
+        correlation values during sync search.  *capture* is an
+        :class:`IQSignal` at this demodulator's rate, or samples ``(N,)`` /
+        ``(F, N)``; the output is one sample shorter along the last axis
+        and keeps the input's precision.
         """
-        if sig.sample_rate != self.sample_rate:
-            raise ValueError(
-                f"sample rate mismatch: signal {sig.sample_rate}, "
-                f"demodulator {self.sample_rate}"
-            )
-        raw = sig.instantaneous_frequency() / self.frequency_deviation
-        return np.clip(raw, -self.CLIP_LEVEL, self.CLIP_LEVEL)
+        if isinstance(capture, IQSignal):
+            if capture.sample_rate != self.sample_rate:
+                raise ValueError(
+                    f"sample rate mismatch: signal {capture.sample_rate}, "
+                    f"demodulator {self.sample_rate}"
+                )
+            capture = capture.samples
+        lag = capture[..., 1:] * np.conj(capture[..., :-1])
+        freq = np.angle(lag) * self.sample_rate / (2.0 * np.pi)
+        return np.clip(freq / self.frequency_deviation, -CLIP_LEVEL, CLIP_LEVEL)
 
     # -- timing acquisition -------------------------------------------------
     def find_sync(
@@ -484,76 +614,26 @@ class FskDemodulator:
         threshold: float = 0.45,
         power: Optional[PowerInput] = None,
         search_start: int = 0,
-        correlator: Optional[str] = None,
     ) -> Optional[SyncResult]:
         """Search the discriminator output for a sync word.
 
-        Correlates an NRZ template of *sync_bits* against *disc* and locks
-        onto the **first** alignment whose normalised score clears
-        *threshold* (refined to the local maximum within two symbols) — the
-        way hardware sync detectors fire, and essential here because DSSS
-        payloads can repeat the preamble pattern later in the frame.
-        The correlation is performed against a mean-removed template so a
-        static carrier-frequency offset does not masquerade as (or mask) a
-        match; the removed mean is then used to estimate that offset.
-        Above :data:`FFT_SYNC_MIN_PRODUCT` multiply-adds the correlation
-        runs as an FFT product instead of in the time domain (*correlator*
-        pins one implementation: ``"fft"`` / ``"direct"``).
-
-        *power* (per-sample |x|², aligned with *disc*) enables an RSSI gate:
-        candidate alignments whose windowed power falls well below the
-        strongest part of the capture are rejected, so clipped noise in the
-        pre-frame margin cannot trigger a false sync.  It may be given as a
-        zero-argument callable, evaluated only when at least one candidate
-        clears *threshold* — captures with no correlation peak never pay
-        for the power profile.
-
-        *search_start* skips the beginning of the capture — receivers use it
-        to re-arm the correlator after a sync that failed to yield a frame.
+        The one-row :class:`SyncSearch`: the first alignment of an NRZ
+        template of *sync_bits* whose normalised score clears *threshold*
+        (and the RSSI gate, when *power* is given), refined within two
+        symbols.  *search_start* skips the beginning of the capture —
+        receivers use it to re-arm the correlator after a sync that failed
+        to yield a frame.
         """
-        template = self._template(sync_bits)
-        if disc.size < template.size:
-            return None
-        template_centered = template - template.mean()
-        norm = float(np.dot(template_centered, template_centered))
-        if norm == 0.0:
-            raise ValueError("sync word must not be constant")
-        corr = _correlate_valid(disc, template_centered, force=correlator) / norm
-        valid = corr >= threshold
-        if search_start > 0:
-            valid[: min(search_start, valid.size)] = False
-        if not valid.any():
-            return None
-        power_arr = power() if callable(power) else power
-        if power_arr is not None and power_arr.size >= disc.size:
-            window = template.size
-            cumulative = np.concatenate(
-                [[0.0], np.cumsum(power_arr[: disc.size])]
-            )
-            windowed = (cumulative[window:] - cumulative[:-window]) / window
-            windowed = windowed[: corr.size]
-            gate = 0.25 * float(np.percentile(windowed, 90))
-            valid &= windowed >= gate
-        above = np.nonzero(valid)[0]
-        if above.size == 0:
-            return None
-        first = int(above[0])
-        window_end = min(first + 2 * self.config.samples_per_symbol, corr.size)
-        best = first + int(np.argmax(corr[first:window_end]))
-        score = float(corr[best])
-        window = disc[best : best + template.size]
-        dc_norm = float(window.mean() - template.mean())
-        return SyncResult(
-            start=best,
-            score=score,
-            dc_offset=dc_norm * self.frequency_deviation,
+        template = sync_template(
+            sync_bits, self.config.samples_per_symbol, disc.dtype
         )
-
-    def _template(self, sync_bits) -> np.ndarray:
-        arr = as_bit_array(sync_bits)
-        sps = self.config.samples_per_symbol
-        nrz = arr.astype(np.float64) * 2.0 - 1.0
-        return np.repeat(nrz, sps)
+        lock = SyncSearch(disc[None], power).lock(
+            template, threshold, 0, search_start
+        )
+        if lock is None:
+            return None
+        start, score, dc = lock
+        return SyncResult(start, score, dc * self.frequency_deviation)
 
     # -- decisions --------------------------------------------------------
     def soft_symbols(

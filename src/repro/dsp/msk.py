@@ -21,6 +21,7 @@ phase state preceding the sequence, which only affects its first output bit).
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 import numpy as np
@@ -65,6 +66,14 @@ def chips_to_transitions(
     return (arr[1:] ^ arr[:-1] ^ parity).astype(np.uint8)
 
 
+@functools.lru_cache(maxsize=256)
+def _chip_parity(first: int, length: int) -> np.ndarray:
+    """I/Q rail parity ``(first + k) & 1`` of *length* consecutive chips."""
+    parity = ((np.arange(length) + first) & 1).astype(np.uint8)
+    parity.setflags(write=False)  # shared by every caller
+    return parity
+
+
 def transitions_to_chips(
     transitions,
     start_index: int,
@@ -76,7 +85,8 @@ def transitions_to_chips(
     ----------
     transitions:
         Rotation bits ``t_k`` covering chip periods
-        ``start_index .. start_index + N - 1``.
+        ``start_index .. start_index + N - 1`` — one stream, or a stack
+        ``(F, N)`` of streams that share *start_index* and *previous_chip*.
     start_index:
         Absolute stream index of the chip period of ``transitions[0]``.
     previous_chip:
@@ -86,13 +96,13 @@ def transitions_to_chips(
     -------
     The recovered chips ``c_{start_index} .. c_{start_index + N - 1}``.
     """
-    arr = as_bit_array(transitions)
-    if arr.size == 0:
-        return np.zeros(0, dtype=np.uint8)
+    if np.ndim(transitions) > 1:
+        arr = np.asarray(transitions, dtype=np.uint8)
+    else:
+        arr = as_bit_array(transitions)
     # Unrolling the recurrence c_k = t_k ^ c_{k-1} ^ p_k gives the closed
     # form c_k = previous_chip ^ XOR_{j<=k}(t_j ^ p_j) — a prefix XOR.
-    indices = np.arange(start_index, start_index + arr.size)
-    parity = (indices & 1).astype(np.uint8)
-    chips = np.bitwise_xor.accumulate(arr ^ parity)
+    parity = _chip_parity(start_index & 1, arr.shape[-1])
+    chips = np.bitwise_xor.accumulate(arr ^ parity, axis=-1)
     chips ^= np.uint8(previous_chip & 1)
     return chips

@@ -10,30 +10,44 @@ MSK waveform.
 The demodulator exploits that equivalence (as practical low-IF 802.15.4
 receivers do): a quadrature discriminator recovers the per-chip rotation
 bits, a correlator finds chip timing from a known chip pattern, and
-:mod:`repro.dsp.msk` converts rotations back to chips.  DSSS despreading to
-symbols is deliberately *not* done here — that belongs to the PHY layer
-(:mod:`repro.phy.ieee802154`), which owns the PN table.
+:mod:`repro.dsp.msk` converts rotations back to chips.  These are the
+front-end, sync and slicing stages of the one receive engine
+(:mod:`repro.phy.batch`): each works on a stack of captures ``(F, N)``,
+and the single-capture :meth:`OqpskDemodulator.front_end` /
+:meth:`OqpskDemodulator.receive_chips` calls are its ``F = 1`` case.
+DSSS despreading to symbols is deliberately *not* done here — that
+belongs to the PHY layer (:mod:`repro.phy.ieee802154`), which owns the PN
+table.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.dsp.filters import half_sine_pulse
 from repro.dsp.gfsk import (
+    Capture,
     FskDemodulator,
     GfskConfig,
     SyncResult,
+    SyncSearch,
     lazy_capture_power,
+    sync_template,
 )
 from repro.dsp.msk import chips_to_transitions, transitions_to_chips
 from repro.dsp.signal import IQSignal
 from repro.utils.bits import as_bit_array
 
-__all__ = ["OqpskModulator", "OqpskDemodulator", "ChipSyncResult"]
+__all__ = [
+    "OqpskModulator",
+    "OqpskDemodulator",
+    "ChipRows",
+    "ChipSyncResult",
+]
 
 
 class OqpskModulator:
@@ -95,11 +109,35 @@ class ChipSyncResult:
     """Chip-timing acquisition outcome.
 
     ``chip_index`` is the absolute stream index (parity!) of the first chip
-    of the matched pattern; ``sync`` carries the correlation details.
+    recovered after the matched pattern; ``sync`` carries the correlation
+    details.
     """
 
     chip_index: int
     sync: SyncResult
+
+
+class ChipRows(NamedTuple):
+    """Chips recovered from the capture rows that acquired sync.
+
+    Row ``rows[i]`` locked at ``syncs[i]``; its chips are
+    ``chips[i, :counts[i]]`` (``counts[i]`` is 0 when the pattern ends the
+    capture).  ``chip_index`` is the absolute stream index of each row's
+    first recovered chip.
+    """
+
+    rows: List[int]
+    syncs: List[SyncResult]
+    counts: List[int]
+    chips: np.ndarray
+    chip_index: int
+
+
+@functools.lru_cache(maxsize=64)
+def _chip_template(chips: bytes, start_index: int, spc: int, dtype: str):
+    pattern = np.frombuffer(chips, dtype=np.uint8)
+    transitions = chips_to_transitions(pattern, start_index=start_index)
+    return sync_template(transitions, spc, dtype)
 
 
 class OqpskDemodulator:
@@ -119,15 +157,69 @@ class OqpskDemodulator:
         )
         self._fsk = FskDemodulator(config, chip_rate)
 
-    def front_end(self, sig: IQSignal) -> Tuple[np.ndarray, object]:
-        """Run the analogue front end once: ``(disc, power)``.
+    def front_end(self, capture: Capture) -> SyncSearch:
+        """Run the analogue front end once, for one capture or a stack.
 
-        *disc* is the discriminator output and *power* a lazy,
-        memoised instantaneous-power supplier.  Pass the pair to
-        :meth:`receive_chips` via ``front_end=`` to reuse it across
-        re-armed sync searches instead of recomputing per attempt.
+        *capture* is an :class:`IQSignal` or equal-length basebands
+        ``(F, N)``.  Pass the result to :meth:`receive_chips` /
+        :meth:`receive_chip_rows`: every re-armed search then reuses its
+        discriminator output, lazily computed power and sync correlation.
         """
-        return self._fsk.discriminate(sig), lazy_capture_power(sig)
+        disc = np.atleast_2d(self._fsk.discriminate(capture))
+        return SyncSearch(disc, lazy_capture_power(capture))
+
+    def receive_chip_rows(
+        self,
+        front: SyncSearch,
+        rows: Sequence[int],
+        search_starts: Sequence[int],
+        sync_chips,
+        sync_start_index: int,
+        max_chips: int,
+        threshold: float = 0.45,
+    ) -> ChipRows:
+        """Acquire *sync_chips* in each of *rows*; slice the chips after it.
+
+        Each row's search resumes at its entry of *search_starts*.  A
+        locked row's chips are its integrate-and-dump rotation decisions
+        after the pattern — less the row's DC estimate, up to *max_chips*
+        and the capture end — inverted to chips by prefix XOR.
+        """
+        sync_arr = as_bit_array(sync_chips)
+        if sync_arr.size < 8:
+            raise ValueError("sync pattern too short for reliable correlation")
+        spc = self.samples_per_chip
+        disc = front.disc
+        template = _chip_template(
+            sync_arr.tobytes(), sync_start_index, spc, disc.dtype.str
+        )
+        deviation = self._fsk.frequency_deviation
+        locked: List[int] = []
+        syncs: List[SyncResult] = []
+        decisions: List[np.ndarray] = []
+        for row, search_start in zip(rows, search_starts):
+            lock = front.lock(template, threshold, row, search_start)
+            if lock is None:
+                continue
+            start, score, dc = lock
+            payload = start + template.samples.size
+            count = min(max_chips, (disc.shape[-1] - payload) // spc)
+            soft = self._fsk.soft_symbols(disc[row], payload, count, dc)
+            locked.append(row)
+            syncs.append(SyncResult(start, score, dc * deviation))
+            decisions.append(soft > 0)
+        counts = [d.size for d in decisions]
+        transitions = np.zeros((len(counts), max(counts, default=0)), np.uint8)
+        for i, d in enumerate(decisions):
+            transitions[i, : d.size] = d
+        # The template covers transitions into chips
+        # sync_start_index+1 .. sync_start_index+len(sync)-1; the next
+        # rotation period is the first recovered chip.
+        first_chip_index = sync_start_index + sync_arr.size
+        chips = transitions_to_chips(
+            transitions, first_chip_index, previous_chip=int(sync_arr[-1])
+        )
+        return ChipRows(locked, syncs, counts, chips, first_chip_index)
 
     def receive_chips(
         self,
@@ -137,9 +229,11 @@ class OqpskDemodulator:
         max_chips: int,
         threshold: float = 0.45,
         search_start: int = 0,
-        front_end: Optional[Tuple[np.ndarray, object]] = None,
+        front_end: Optional[SyncSearch] = None,
     ) -> Optional[Tuple[np.ndarray, ChipSyncResult]]:
         """Acquire *sync_chips* and decode the chips that follow.
+
+        The one-row call of :meth:`receive_chip_rows`.
 
         Parameters
         ----------
@@ -158,7 +252,8 @@ class OqpskDemodulator:
             (used to re-arm after a sync that produced no frame).
         front_end:
             A previously computed :meth:`front_end` result for *sig*;
-            when given, the discriminator and power are not recomputed.
+            when given, the discriminator, power and sync correlation are
+            not recomputed.
 
         Returns
         -------
@@ -166,41 +261,18 @@ class OqpskDemodulator:
         where *chips* are the decoded chips following the pattern (up to
         *max_chips*, limited by the capture length).
         """
-        sync_arr = as_bit_array(sync_chips)
-        if sync_arr.size < 8:
-            raise ValueError("sync pattern too short for reliable correlation")
-        template = chips_to_transitions(sync_arr, start_index=sync_start_index)
         if front_end is None:
             front_end = self.front_end(sig)
-        disc, power = front_end
-        sync = self._fsk.find_sync(
-            disc,
-            template,
-            threshold=threshold,
-            power=power,
-            search_start=search_start,
+        found = self.receive_chip_rows(
+            front_end,
+            [0],
+            [search_start],
+            sync_chips,
+            sync_start_index,
+            max_chips,
+            threshold,
         )
-        if sync is None:
+        if not found.rows or not found.counts[0]:
             return None
-        spc = self.samples_per_chip
-        payload_start = sync.start + template.size * spc
-        dc_norm = sync.dc_offset / self._fsk.frequency_deviation
-        count = min(max_chips, self._fsk.available_bits(disc, payload_start))
-        if count <= 0:
-            return None
-        transitions = self._fsk.decide_bits(disc, payload_start, count, dc=dc_norm)
-        # The template covers transitions into chips
-        # sync_start_index+1 .. sync_start_index+len(sync)-1; the next
-        # rotation period is chip index sync_start_index + len(sync).
-        first_chip_index = sync_start_index + sync_arr.size
-        chips = transitions_to_chips(
-            transitions,
-            start_index=first_chip_index,
-            previous_chip=int(sync_arr[-1]),
-        )
-        info = ChipSyncResult(chip_index=first_chip_index, sync=sync)
-        return chips, info
-
-    def discriminate(self, sig: IQSignal) -> np.ndarray:
-        """Normalised instantaneous frequency (±1 at nominal deviation)."""
-        return self._fsk.discriminate(sig)
+        chips = found.chips[0, : found.counts[0]]
+        return chips, ChipSyncResult(found.chip_index, found.syncs[0])

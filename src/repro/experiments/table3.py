@@ -527,7 +527,7 @@ def _run_wideband_pair(
         )
         for s in range(num_slots):
             for j, channel in enumerate(channels):
-                frame = decoded.frames[s * num_channels + j]
+                frame = decoded[s * num_channels + j]
                 outcomes = (
                     [(frame.psdu, frame.fcs_ok)] if frame is not None else []
                 )

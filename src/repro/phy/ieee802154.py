@@ -130,54 +130,57 @@ def despread_symbol(chips: np.ndarray) -> Tuple[int, int]:
     return best, int(distances[best])
 
 
+#: PN table as int32 rows plus each row's weight, for the despread matmul.
+_PN_INT32 = PN_MATRIX.astype(np.int32)
+_PN_WEIGHTS = _PN_INT32.sum(axis=1)
+
+
 def despread_chips(
-    chips: np.ndarray, max_distance: Optional[int] = None
-) -> Tuple[List[int], List[int]]:
-    """Despread a chip stream into symbols.
+    chips: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Despread chip streams into symbols, with soft output.
 
-    Trailing chips that do not fill a 32-chip block are ignored.  If
-    *max_distance* is given, despreading stops at the first block whose best
-    match exceeds it (signal lost / end of frame).
-
-    Returns ``(symbols, distances)``.
+    *chips* is one stream ``(N,)`` or a stack ``(..., N)``; each stream is
+    cut into 32-chip blocks (trailing chips that do not fill a block are
+    ignored) and every block is matched to the nearest PN sequence by
+    Hamming distance.  Returns ``(symbols, distances, llrs)``, each of
+    shape ``(..., N // 32)``.  *llrs* is the per-symbol margin ``d₂ − d₁``
+    between the two best PN matches (0 = ambiguous, 12+ = clean: distinct
+    PN sequences are ≥16 chips apart within each cyclic-shift family and
+    ≥12 across the conjugate family) — the soft input that codeword-level
+    decisions build on.
     """
     arr = np.asarray(chips, dtype=np.uint8)
-    num_blocks = arr.size // CHIPS_PER_SYMBOL
-    if num_blocks == 0:
-        return [], []
-    blocks = arr[: num_blocks * CHIPS_PER_SYMBOL].reshape(
-        num_blocks, CHIPS_PER_SYMBOL
-    ).astype(np.int32)
-    # Hamming distance via the identity |p ^ c| = |p| + |c| - 2·p·c — one
-    # (N, 32)×(32, 16) matmul instead of a Python loop over blocks.
-    pn = PN_MATRIX.astype(np.int32)
-    dists = pn.sum(axis=1)[None, :] + blocks.sum(axis=1)[:, None]
-    dists -= 2 * (blocks @ pn.T)
-    best = np.argmin(dists, axis=1)
-    best_dist = dists[np.arange(num_blocks), best]
-    stop = num_blocks
-    if max_distance is not None:
-        over = np.flatnonzero(best_dist > max_distance)
-        if over.size:
-            stop = int(over[0])
+    num_blocks = arr.shape[-1] // CHIPS_PER_SYMBOL
+    shape = arr.shape[:-1] + (num_blocks,)
+    blocks = (
+        arr[..., : num_blocks * CHIPS_PER_SYMBOL]
+        .reshape(-1, CHIPS_PER_SYMBOL)
+        .astype(np.int32)
+    )
+    # |p ^ c| = |p| + |c| − 2·p·c: one (N, 32) × (32, 16) matmul.
+    dists = _PN_WEIGHTS[None, :] + blocks.sum(axis=1)[:, None]
+    dists -= 2 * (blocks @ _PN_INT32.T)
+    symbols = dists.argmin(axis=1)
+    two_best = np.partition(dists, 1, axis=1)
     return (
-        [int(s) for s in best[:stop]],
-        [int(d) for d in best_dist[:stop]],
+        symbols.reshape(shape),
+        two_best[:, 0].reshape(shape),
+        (two_best[:, 1] - two_best[:, 0]).reshape(shape),
     )
 
 
 def symbol_confidences(distances: Sequence[int]) -> List[float]:
     """Per-symbol decode confidence in [0, 1] from Hamming distances.
 
-    The soft-decision convention shared by the sequential receiver
-    (``repro.core.rx.DecodedFrame``) and the batched pipeline
-    (``repro.phy.batch.BatchDecodedFrame``): a perfect match (distance
-    0) scores 1.0; the worst credible match — distance 15, half the
-    minimum pairwise separation of the sequences away from everything —
-    scores ~0.5.  Complements the LLR margin from
-    ``despread_blocks_soft``: the confidence says how well the chosen
-    symbol fit, the margin says how much better it fit than the
-    runner-up.
+    The soft-decision convention of every decoded 802.15.4 frame
+    (``repro.phy.batch.DecodedFrame``, from the receive engine and the
+    WazaBee reception primitive alike): a perfect match (distance 0)
+    scores 1.0; the worst credible match — distance 15, half the minimum
+    pairwise separation of the sequences away from everything — scores
+    ~0.5.  Complements the LLR margin from :func:`despread_chips`: the
+    confidence says how well the chosen symbol fit, the margin says how
+    much better it fit than the runner-up.
     """
     return [1.0 - float(d) / 31.0 for d in distances]
 

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dsp.gfsk import (
+    CLIP_LEVEL,
     FskDemodulator,
     FskModulator,
     GfskConfig,
     WaveformCache,
-    _correlate_valid,
+    _correlate_direct,
+    _correlate_fft,
     clear_waveform_caches,
     lazy_capture_power,
+    sync_template,
     waveform_cache,
 )
 from repro.dsp.impairments import apply_frequency_offset, awgn
@@ -167,7 +170,7 @@ class TestDemodulator:
             rng.standard_normal(1000) + 1j * rng.standard_normal(1000), 16e6
         )
         disc = dem.discriminate(noise)
-        assert np.abs(disc).max() <= dem.CLIP_LEVEL + 1e-9
+        assert np.abs(disc).max() <= CLIP_LEVEL + 1e-9
 
     def test_search_start_skips_early_match(self, rng):
         mod, dem = make_modem()
@@ -276,25 +279,32 @@ class TestFftSyncEquivalence:
     def test_correlators_agree_numerically(self, rng):
         haystack = rng.standard_normal(5000)
         template = rng.standard_normal(64)
-        direct = _correlate_valid(haystack, template, force="direct")
-        fft = _correlate_valid(haystack, template, force="fft")
-        assert direct.shape == fft.shape
+        haystack = rng.standard_normal((3, 5000))
+        template = rng.standard_normal(64)
+        direct = _correlate_direct(haystack, template)
+        fft = _correlate_fft(haystack, template)
+        assert direct.shape == fft.shape == (3, 5000 - 64 + 1)
         assert np.max(np.abs(direct - fft)) < 1e-9
 
     def test_find_sync_identical_under_noise_and_offset(self, rng):
+        """Both kernels lock a noisy, offset capture on the same sample."""
         mod, dem = make_modem()
         payload = rng.integers(0, 2, 96).astype(np.uint8)
         sig = mod.modulate(np.concatenate([SYNC, payload]))
         sig = apply_frequency_offset(sig, 40e3)
         sig = awgn(sig, snr_db=12.0, rng=rng)
         disc = dem.discriminate(sig)
-        power = np.abs(sig.samples[:-1]) ** 2
-        direct = dem.find_sync(disc, SYNC, power=power, correlator="direct")
-        fft = dem.find_sync(disc, SYNC, power=power, correlator="fft")
-        assert direct is not None and fft is not None
-        assert direct.start == fft.start
-        assert fft.score == pytest.approx(direct.score, abs=1e-9)
-        assert fft.dc_offset == pytest.approx(direct.dc_offset, abs=1e-6)
+        template = sync_template(SYNC, 8)
+        direct = _correlate_direct(disc[None], template.centered)[0]
+        fft = _correlate_fft(disc[None], template.centered)[0]
+        assert np.max(np.abs(direct - fft)) < 1e-9
+        first = {
+            int(np.argmax(corr / template.norm >= 0.45)) for corr in (direct, fft)
+        }
+        assert len(first) == 1
+        lock = dem.find_sync(disc, SYNC)
+        assert lock is not None
+        assert 0 <= lock.start - first.pop() < 2 * 8
 
     def test_lazy_power_evaluated_once(self):
         calls = []

@@ -184,7 +184,7 @@ def wideband_decisions(mode: str = "time") -> Dict:
     for s, slot_channel in enumerate(WIDEBAND_SLOT_CHANNELS):
         per_channel = {}
         for j, channel in enumerate(front.channels):
-            frame = decoded.frames[s * num_channels + j]
+            frame = decoded[s * num_channels + j]
             if frame is None:
                 per_channel[str(channel)] = {"found": False}
             else:

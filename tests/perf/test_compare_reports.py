@@ -1,9 +1,9 @@
 """Unit tests for the perf-suite baseline comparator.
 
-The regression gate must keep working when a benchmark (or one of its
-enforced ratio keys) is newer than the committed baseline: old baselines
-simply don't mention it.  That skip path is what lets a PR add a
-benchmark and its own BENCH_PR<n>.json without rewriting BASELINE.json.
+The regression gate must not pass silently when it cannot compare: an
+enforced ratio that the committed baseline lacks (a benchmark newer than
+the baseline) is a failure, so a PR that adds one regenerates
+BASELINE.json with it.
 """
 
 import pathlib
@@ -34,8 +34,8 @@ def bench(value, extra=None):
 
 
 class TestMissingBaselineEntries:
-    def test_bench_absent_from_baseline_is_skipped(self, capsys):
-        """A benchmark newer than the baseline must not trip the gate."""
+    def test_bench_absent_from_baseline_fails_the_gate(self, capsys):
+        """A benchmark newer than the baseline cannot be gated."""
         current = report(
             {
                 "table3_sweep_wideband": bench(
@@ -44,12 +44,13 @@ class TestMissingBaselineEntries:
             }
         )
         regressions = compare_reports(current, report({}))
-        assert regressions == []
-        out = capsys.readouterr().out
-        assert "(new)" in out
-        assert "gate skip: table3_sweep_wideband.speedup_vs_sequential" in out
+        assert regressions == [
+            "table3_sweep_wideband.speedup_vs_sequential cannot be gated: "
+            "missing from the baseline"
+        ]
+        assert "(new)" in capsys.readouterr().out
 
-    def test_ratio_key_absent_from_baseline_is_skipped(self, capsys):
+    def test_ratio_key_absent_from_baseline_fails_the_gate(self):
         """Baseline has the bench but predates the enforced ratio key."""
         current = report(
             {
@@ -57,24 +58,39 @@ class TestMissingBaselineEntries:
             }
         )
         baseline = report({"modulate_cached": bench(1.0, {})})
-        assert compare_reports(current, baseline) == []
-        assert "gate skip: modulate_cached.speedup_vs_direct" in (
-            capsys.readouterr().out
+        regressions = compare_reports(current, baseline)
+        assert len(regressions) == 1
+        assert "modulate_cached.speedup_vs_direct cannot be gated" in (
+            regressions[0]
         )
 
+    def test_ratio_key_absent_from_current_report_fails_the_gate(self):
+        current = report({"modulate_cached": bench(1.0, {})})
+        baseline = report(
+            {"modulate_cached": bench(1.0, {"speedup_vs_direct": 4.0})}
+        )
+        assert compare_reports(current, baseline) == [
+            "modulate_cached.speedup_vs_direct cannot be gated: missing "
+            "from the current report"
+        ]
+
     def test_baseline_entry_without_extra_block_is_tolerated(self, capsys):
-        """Hand-edited or pre-schema baselines may lack 'extra' entirely."""
+        """Hand-edited or pre-schema baselines may lack 'extra' entirely:
+        the comparator reports the missing ratio instead of crashing."""
         current = report(
             {"modulate_cached": bench(1.0, {"speedup_vs_direct": 4.0})}
         )
         baseline = report(
             {"modulate_cached": {"metric": "ms", "value": 1.0, "repeats": 3}}
         )
-        assert compare_reports(current, baseline) == []
+        regressions = compare_reports(current, baseline)
+        assert len(regressions) == 1
+        assert "missing from the baseline" in regressions[0]
 
     def test_baseline_entry_without_value_prints_new(self, capsys):
-        current = report({"modulate_cached": bench(1.0)})
-        baseline = report({"modulate_cached": {"extra": {}}})
+        ratio = {"speedup_vs_direct": 4.0}
+        current = report({"modulate_cached": bench(1.0, ratio)})
+        baseline = report({"modulate_cached": {"extra": ratio}})
         assert compare_reports(current, baseline) == []
         assert "(new)" in capsys.readouterr().out
 

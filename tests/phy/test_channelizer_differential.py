@@ -1,4 +1,4 @@
-"""Differential harness pinning the wideband receiver to the narrowband truth.
+"""Differential harness pinning the receive engine to independent truths.
 
 Three equivalences keep the 16-channel pipeline honest:
 
@@ -6,18 +6,20 @@ Three equivalences keep the 16-channel pipeline honest:
   capture must match the same frame decoded straight from its
   single-channel baseband (payload, FCS verdict, sync offsets), across
   random payloads, channels, CFO and noise.
-* **Batch/sequential bit-identity** — :func:`repro.phy.batch.
-  decode_chip_frames` must make exactly the decisions of the sequential
-  :class:`~repro.dsp.oqpsk.OqpskDemodulator` receive loop (including
-  re-arm), and a stacked decode must equal row-by-row decodes bit for
-  bit.
+* **Engine/oracle identity** — :func:`repro.phy.batch.decode_chip_frames`
+  must make exactly the decisions of :func:`oracle_decode`, a sequential
+  receiver rebuilt here from reference pieces only (the signal's
+  instantaneous frequency, ``np.correlate``, a cumulative-power gate,
+  ``transitions_to_chips`` and the scalar ``despread_symbol``), at the
+  fleet's 4 Msps (direct correlator) and at 16 Msps (FFT correlator).  A
+  stacked decode must equal row-by-row decodes bit for bit.
 * **Subsystem exactness** — compose → channelize is an identity to
   float round-off for a single block, and streaming overlap-save agrees
   with whole-capture processing away from the guard bands.
 
-Everything here runs the 16 Msps float64 configuration: the golden and
-differential contract is pinned at full precision; the sweep's
-single-precision raster is covered by the mode-parity smoke checks.
+Everything here runs in float64: the golden and differential contract is
+pinned at full precision; the sweep's single-precision raster is covered
+by the mode-parity smoke checks.
 """
 
 import numpy as np
@@ -25,42 +27,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dot15d4.fcs import append_fcs
-from repro.dsp.oqpsk import OqpskDemodulator, OqpskModulator
+from repro.dot15d4.fcs import append_fcs, verify_fcs
+from repro.dsp.msk import chips_to_transitions, transitions_to_chips
+from repro.dsp.oqpsk import OqpskModulator
 from repro.dsp.signal import IQSignal
-from repro.phy.batch import RESYNC_ATTEMPTS, decode_chip_frames
+from repro.phy.batch import (
+    MAX_FRAME_CHIPS,
+    RESYNC_ATTEMPTS,
+    SYNC_CHIPS,
+    SYNC_START_INDEX,
+    decode_chip_frames,
+)
 from repro.phy.channelizer import (
     PolyphaseChannelizer,
     WidebandGrid,
     compose_band,
 )
-from repro.phy.ieee802154 import (
-    CHIPS_PER_SYMBOL,
-    MAX_PSDU_SIZE,
-    PN_SEQUENCES,
-    Ppdu,
-    despread_chips,
-)
+from repro.phy.ieee802154 import CHIPS_PER_SYMBOL, Ppdu, despread_symbol
 
 SPC = 8
 CHIP_RATE = 2e6
 SAMPLE_RATE = SPC * CHIP_RATE
-_SYNC_CHIPS = np.concatenate([PN_SEQUENCES[0], PN_SEQUENCES[0]])
-_SYNC_START_INDEX = CHIPS_PER_SYMBOL
-_MAX_CHIPS = CHIPS_PER_SYMBOL * (10 + 2 * (1 + MAX_PSDU_SIZE))
 
 
-def make_capture(payload, cfo_hz, noise_scale, seed, margin=256):
-    """One impaired 16 Msps O-QPSK capture of *payload* (+FCS)."""
+def make_capture(payload, cfo_hz, noise_scale, seed, margin=256, spc=SPC):
+    """One impaired O-QPSK capture of *payload* (+FCS) at *spc*."""
     psdu = append_fcs(bytes(payload))
-    waveform = OqpskModulator(samples_per_chip=SPC).modulate(
+    waveform = OqpskModulator(samples_per_chip=spc).modulate(
         Ppdu(psdu).to_chips()
     )
     rng = np.random.default_rng(seed)
     n = waveform.samples.size + 2 * margin
     x = np.zeros(n, dtype=np.complex128)
     x[margin : margin + waveform.samples.size] = waveform.samples
-    t = np.arange(n) / SAMPLE_RATE
+    t = np.arange(n) / (spc * CHIP_RATE)
     x *= 0.1 * np.exp(2j * np.pi * cfo_hz * t)
     x += noise_scale * (
         rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -68,26 +68,43 @@ def make_capture(payload, cfo_hz, noise_scale, seed, margin=256):
     return psdu, x
 
 
-def sequential_decode(x):
-    """The narrowband radio's receive loop, verbatim (re-arm included)."""
-    sig = IQSignal(x, SAMPLE_RATE)
-    demod = OqpskDemodulator(samples_per_chip=SPC, chip_rate=CHIP_RATE)
-    front = demod.front_end(sig)
+def oracle_decode(x, spc=SPC):
+    """A sequential 802.15.4 receiver built only from reference pieces."""
+    disc = IQSignal(x, spc * CHIP_RATE).instantaneous_frequency()
+    disc = np.clip(disc / (CHIP_RATE / 4.0), -1.5, 1.5)
+    nrz = chips_to_transitions(SYNC_CHIPS, start_index=SYNC_START_INDEX)
+    template = np.repeat(nrz * 2.0 - 1.0, spc)
+    width = template.size
+    if disc.size < width:
+        return None
+    centered = template - template.mean()
+    corr = np.correlate(disc, centered, "valid") / np.dot(centered, centered)
+    cumulative = np.concatenate([[0.0], np.cumsum(np.abs(x[:-1]) ** 2)])
+    windowed = (cumulative[width:] - cumulative[:-width]) / width
+    valid = (corr >= 0.45) & (windowed >= 0.25 * np.percentile(windowed, 90))
     search_start = 0
     for _attempt in range(RESYNC_ATTEMPTS):
-        result = demod.receive_chips(
-            sig,
-            sync_chips=_SYNC_CHIPS,
-            sync_start_index=_SYNC_START_INDEX,
-            max_chips=_MAX_CHIPS,
-            threshold=0.45,
-            search_start=search_start,
-            front_end=front,
-        )
-        if result is None:
+        above = np.flatnonzero(valid[search_start:])
+        if above.size == 0:
             return None
-        chips, info = result
-        symbols, distances = despread_chips(chips)
+        first = search_start + int(above[0])
+        start = first + int(np.argmax(corr[first : first + 2 * spc]))
+        dc = disc[start : start + width].mean() - template.mean()
+        payload = start + width
+        count = min(MAX_FRAME_CHIPS, (disc.size - payload) // spc)
+        if count <= 0:
+            return None
+        soft = (disc[payload : payload + count * spc] - dc).reshape(count, spc)
+        chips = transitions_to_chips(
+            (soft.sum(axis=1) > 0).astype(np.uint8),
+            start_index=SYNC_START_INDEX + SYNC_CHIPS.size,
+            previous_chip=int(SYNC_CHIPS[-1]),
+        )
+        blocks = [
+            despread_symbol(chips[k : k + CHIPS_PER_SYMBOL])
+            for k in range(0, count - CHIPS_PER_SYMBOL + 1, CHIPS_PER_SYMBOL)
+        ]
+        symbols = [symbol for symbol, _ in blocks]
         sfd_index = Ppdu.find_sfd(symbols)
         ppdu = (
             Ppdu.parse_symbols(symbols[sfd_index:])
@@ -95,19 +112,17 @@ def sequential_decode(x):
             else None
         )
         if ppdu is not None:
-            frame_symbols = 4 + 2 * len(ppdu.psdu)
-            frame_distances = distances[sfd_index : sfd_index + frame_symbols]
-            mean_distance = (
-                float(np.mean(frame_distances)) if frame_distances else 0.0
-            )
-            if mean_distance <= 12:
+            frame = blocks[sfd_index : sfd_index + 4 + 2 * len(ppdu.psdu)]
+            if np.mean([distance for _, distance in frame]) <= 12:
                 return {
                     "psdu": ppdu.psdu,
+                    "fcs_ok": verify_fcs(ppdu.psdu),
                     "sfd_index": sfd_index,
-                    "sync_start": info.sync.start,
-                    "sync_score": info.sync.score,
+                    "sync_start": start,
+                    "sync_score": corr[start],
+                    "distances": [distance for _, distance in frame],
                 }
-        search_start = info.sync.start + CHIPS_PER_SYMBOL * SPC
+        search_start = start + CHIPS_PER_SYMBOL * spc
     return None
 
 
@@ -150,7 +165,7 @@ class TestChannelizerTransparency:
             np.pad(x, (0, n_out - x.size))[None, :], samples_per_chip=SPC
         )
         via_band = decode_chip_frames(rows, samples_per_chip=SPC)
-        a, b = direct.frames[0], via_band.frames[0]
+        a, b = direct[0], via_band[0]
         assert a is not None, "direct decode lost a clean frame"
         assert b is not None, "channelized decode lost a clean frame"
         assert b.psdu == a.psdu == psdu
@@ -159,25 +174,37 @@ class TestChannelizerTransparency:
         assert b.sync_score == pytest.approx(a.sync_score, abs=1e-6)
 
 
+def assert_matches_oracle(spc, payload, cfo, noise, seed):
+    psdu, x = make_capture(payload, cfo, noise, seed, spc=spc)
+    frame = decode_chip_frames(x[None, :], samples_per_chip=spc)[0]
+    ref = oracle_decode(x, spc)
+    assert (frame is None) == (ref is None)
+    if ref is None:
+        return
+    assert frame.psdu == ref["psdu"] == psdu
+    assert frame.fcs_ok is ref["fcs_ok"] is True
+    assert frame.sfd_index == ref["sfd_index"]
+    assert frame.sync_start == ref["sync_start"]
+    assert frame.sync_score == pytest.approx(ref["sync_score"], abs=1e-9)
+    assert frame.distances == ref["distances"]
+
+
 class TestBatchSequentialIdentity:
     @settings(max_examples=15, deadline=None)
     @given(payload=payloads, cfo=cfos, noise=noises, seed=seeds)
     def test_batched_matches_sequential_pipeline(
         self, payload, cfo, noise, seed
     ):
-        psdu, x = make_capture(payload, cfo, noise, seed)
-        batch = decode_chip_frames(x[None, :], samples_per_chip=SPC).frames[0]
-        ref = sequential_decode(x)
-        assert (batch is None) == (ref is None)
-        if ref is None:
-            return
-        assert batch.psdu == ref["psdu"] == psdu
-        assert batch.fcs_ok is True
-        assert batch.sfd_index == ref["sfd_index"]
-        assert batch.sync_start == ref["sync_start"]
-        assert batch.sync_score == pytest.approx(
-            ref["sync_score"], abs=1e-9
-        )
+        """16 Msps: the engine's FFT correlator against ``np.correlate``."""
+        assert_matches_oracle(8, payload, cfo, noise, seed)
+
+    @settings(max_examples=15, deadline=None)
+    @given(payload=payloads, cfo=cfos, noise=noises, seed=seeds)
+    def test_batched_matches_sequential_pipeline_at_fleet_rate(
+        self, payload, cfo, noise, seed
+    ):
+        """4 Msps, the fleet's rate: the direct correlator path."""
+        assert_matches_oracle(2, payload, cfo, noise, seed)
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -192,7 +219,7 @@ class TestBatchSequentialIdentity:
         together = decode_chip_frames(stack, samples_per_chip=SPC)
         for i, row in enumerate(stack):
             alone = decode_chip_frames(row[None, :], samples_per_chip=SPC)
-            a, b = together.frames[i], alone.frames[0]
+            a, b = together[i], alone[0]
             assert (a is None) == (b is None)
             if a is None:
                 continue
@@ -207,6 +234,29 @@ class TestBatchSequentialIdentity:
             assert a.symbols == b.symbols
             assert a.distances == b.distances
             assert a.llrs == b.llrs
+
+
+class TestShortCaptures:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), spc=st.sampled_from([2, 8]))
+    def test_rows_up_to_four_templates_never_lock(self, data, spc):
+        """Rows from empty to 4× the sync template: no raise, no frame.
+
+        Even 4× the template is shorter than the SHR and PHR of the
+        smallest frame, so no row can hold one.
+        """
+        template = (SYNC_CHIPS.size - 1) * spc
+        n = data.draw(st.integers(min_value=0, max_value=4 * template))
+        kinds = data.draw(
+            st.lists(st.sampled_from(["zero", "noise"]), min_size=1, max_size=3)
+        )
+        rng = np.random.default_rng(data.draw(seeds))
+        rows = np.zeros((len(kinds), n), dtype=np.complex128)
+        for row, kind in zip(rows, kinds):
+            if kind == "noise":
+                row[:] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        frames = decode_chip_frames(rows, samples_per_chip=spc)
+        assert frames == [None] * len(kinds)
 
 
 class TestSubsystemExactness:
@@ -244,10 +294,10 @@ class TestSubsystemExactness:
         # The residual must also be decode-transparent.
         whole_frame = decode_chip_frames(
             whole[None, :], samples_per_chip=SPC
-        ).frames[0]
+        )[0]
         blocked_frame = decode_chip_frames(
             blocked[None, :], samples_per_chip=SPC
-        ).frames[0]
+        )[0]
         assert whole_frame is not None and blocked_frame is not None
         assert blocked_frame.psdu == whole_frame.psdu
         assert blocked_frame.fcs_ok is whole_frame.fcs_ok is True

@@ -116,25 +116,28 @@ class TestSpreading:
 
     def test_despread_chips_stream(self):
         stream = spread_symbols([1, 2, 3])
-        symbols, distances = despread_chips(stream)
-        assert symbols == [1, 2, 3]
-        assert distances == [0, 0, 0]
+        symbols, distances, llrs = despread_chips(stream)
+        assert symbols.tolist() == [1, 2, 3]
+        assert distances.tolist() == [0, 0, 0]
+        assert min(llrs) >= 12
 
     def test_despread_chips_ignores_tail(self):
         stream = np.concatenate([spread_symbols([5]), np.zeros(7, dtype=np.uint8)])
-        symbols, _ = despread_chips(stream)
-        assert symbols == [5]
+        symbols, _, _ = despread_chips(stream)
+        assert symbols.tolist() == [5]
 
-    def test_despread_chips_max_distance_stops(self):
-        stream = np.concatenate(
-            [spread_symbols([5]), np.ones(32, dtype=np.uint8) ^ PN_SEQUENCES[0]]
-        )
-        symbols, _ = despread_chips(stream, max_distance=3)
-        assert symbols == [5]
+    def test_despread_chips_stack_matches_rows(self):
+        rng = np.random.default_rng(4)
+        stack = rng.integers(0, 2, (3, 100)).astype(np.uint8)
+        together = despread_chips(stack)
+        for i, row in enumerate(stack):
+            for a, b in zip(together, despread_chips(row)):
+                assert a[i].tolist() == b.tolist()
+        assert all(out.shape == (3, 3) for out in together)
 
     @given(st.binary(min_size=1, max_size=16))
     def test_spread_despread_roundtrip(self, data):
-        symbols, _ = despread_chips(spread_bytes(data))
+        symbols, _, _ = despread_chips(spread_bytes(data))
         reassembled = bytes(
             byte_for_symbols(symbols[2 * i], symbols[2 * i + 1])
             for i in range(len(data))

@@ -1,21 +1,17 @@
-"""Wideband receiver benchmarks: channelizer split and full Table III sweep.
+"""Wideband receiver benchmark: the full Table III sweep.
 
-``channelizer_16ch`` times the polyphase filterbank itself: one wideband
-capture in, sixteen per-channel basebands out.  ``table3_sweep_wideband``
-times the paper-scale deliverable — every (chip, primitive, channel)
-cell of Table III decoded from wideband band captures — against the
-narrowband single-cell pipeline measured back-to-back on the same
-machine.  The ``speedup_vs_sequential`` ratio is the PR's acceptance
-number: wall-clock of the narrowband sweep (measured per-frame cost ×
-channel-frames) over wall-clock of the wideband sweep.
+``table3_sweep_wideband`` times the paper-scale deliverable — every
+(chip, primitive, channel) cell of Table III decoded from wideband band
+captures — against the narrowband single-cell pipeline measured
+back-to-back on the same machine.  The ``speedup_vs_sequential`` ratio
+is the acceptance number: wall-clock of the narrowband sweep (measured
+per-frame cost × channel-frames) over wall-clock of the wideband sweep.
 """
 
 from __future__ import annotations
 
 import time
 from typing import List
-
-import numpy as np
 
 from benchmarks.perf.harness import BenchRecord, best_of
 
@@ -24,42 +20,8 @@ __all__ = ["bench_channelizer"]
 
 def bench_channelizer(quick: bool = False) -> List[BenchRecord]:
     from repro.experiments.table3 import run_table3_cell, run_table3_wideband
-    from repro.phy.channelizer import (
-        PolyphaseChannelizer,
-        WidebandGrid,
-        compose_band,
-    )
 
     records: List[BenchRecord] = []
-
-    # -- channelizer_16ch: one wideband capture -> 16 basebands ----------
-    grid = WidebandGrid()
-    n_out = grid.pad_length(2048 if quick else 16384)
-    rng = np.random.default_rng(7)
-    signal = rng.standard_normal(n_out) + 1j * rng.standard_normal(n_out)
-    wide = compose_band({c: signal for c in grid.channels}, grid=grid)
-    channelizer = PolyphaseChannelizer(grid)
-    repeats = 3 if quick else 5
-
-    def split() -> None:
-        channelizer.channelize(wide)
-
-    latency_s = best_of(split, repeats=repeats)
-    records.append(
-        BenchRecord(
-            name="channelizer_16ch",
-            metric="ms",
-            value=latency_s * 1e3,
-            repeats=repeats,
-            extra={
-                "channels": float(len(grid.channels)),
-                "samples_per_channel": float(n_out),
-                "msamples_per_s": len(grid.channels) * n_out / latency_s / 1e6,
-            },
-        )
-    )
-
-    # -- table3_sweep_wideband: paper-scale sweep vs narrowband ----------
     frames = 10 if quick else 100
     channels = (11, 18, 26) if quick else None
     narrow_frames = 5 if quick else 25

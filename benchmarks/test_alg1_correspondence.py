@@ -62,7 +62,7 @@ def test_alg1_decode_throughput(benchmark):
     ]
 
     def decode_all():
-        return [table.decode_block(b)[0] for b in blocks]
+        return table.decode_blocks(np.stack(blocks))[0]
 
     symbols = benchmark(decode_all)
     assert len(symbols) == 266

@@ -4,28 +4,20 @@ The narrowband testbed tunes one 2 MHz receiver per channel and runs a
 Table III cell per tuning.  This front end models the wideband variant:
 every frame slot's waveform goes on the air on all channels
 simultaneously, is superposed into one band capture spanning
-2405–2480 MHz, and the :class:`~repro.phy.channelizer.PolyphaseChannelizer`
-splits the capture back into per-channel basebands in a single pass.
+2405–2480 MHz, and is split back into per-channel basebands.
 
-Three execution modes share one impairment code path:
-
-* ``mode="spectral"`` (default) — the production sweep.  The band
-  capture lives purely in the frequency domain: the slot waveform's
-  spectrum is scattered into each channel's window of the wideband
-  raster and gathered back per channel, with the channel-selection FIR
-  folded into the extraction as zero-phase spectral weights
-  (:func:`~repro.phy.channelizer.fir_spectral_weights`).  No wide-rate
-  time samples are ever materialised, which is what makes a full
-  Table III sweep a handful of tensor ops.
-* ``mode="time"`` — the same capture through the real subsystem:
-  :func:`~repro.phy.channelizer.compose_band` synthesises wide-rate
-  time samples and :meth:`~repro.phy.channelizer.PolyphaseChannelizer.channelize`
-  splits them.  Bit-equal to ``spectral`` up to one FFT roundtrip of
-  float round-off; the golden wideband vector pins this path.
-* ``mode="sequential"`` — no band roundtrip at all: each channel's
-  baseband is the (circularly filtered) slot waveform directly.  The
-  differential reference: identical random draws, no adjacent-channel
-  leakage.
+The band capture lives purely in the frequency domain: the slot
+waveform's spectrum is scattered into each channel's window of the
+wideband raster (:func:`~repro.phy.channelizer.gather_indices`) and
+gathered back per channel, with the channel-selection FIR folded into
+the extraction as zero-phase spectral weights
+(:func:`~repro.phy.channelizer.fir_spectral_weights`).  No wide-rate
+time samples are ever materialised, which is what makes a full Table III
+sweep a handful of tensor ops.  Two references check this path from the
+test suite (``tests/phy/wideband_oracle.py``): the time-domain band
+roundtrip (compose wide-rate samples, split them with one whole-capture
+DFT) and a per-channel path with no band roundtrip at all.  Both
+override only the band step, so they draw identical random numbers.
 
 Physics parity with the narrowband medium, by construction:
 
@@ -44,8 +36,8 @@ Physics parity with the narrowband medium, by construction:
 
 Every random draw comes from a dedicated per-channel generator in a
 documented order (per chunk: CFO batch, shadowing batch, per-slot WiFi,
-noise real batch, noise imaginary batch), so all three modes consume
-identical streams and their outcomes are directly comparable.  The
+noise real batch, noise imaginary batch), so any band step consumes
+identical streams and outcomes are directly comparable.  The
 random plan therefore depends on the chunking the caller uses —
 ``run_table3_wideband``'s default ``chunk_slots`` is part of the
 reproducibility contract.
@@ -63,9 +55,7 @@ from repro.dsp.filters import fir_lowpass
 from repro.experiments.environment import TestbedProfile
 from repro.obs import metrics as _current_metrics
 from repro.phy.channelizer import (
-    PolyphaseChannelizer,
     WidebandGrid,
-    compose_band,
     fir_spectral_weights,
     gather_indices,
 )
@@ -134,7 +124,6 @@ class WidebandFrontEnd:
         self.dtype = np.dtype(dtype)
         if self.dtype not in (np.complex64, np.complex128):
             raise ValueError("dtype must be complex64 or complex128")
-        self.channelizer = PolyphaseChannelizer(self.grid)
         self._taps = fir_lowpass(
             cutoff_hz=2e6 * 0.65,
             sample_rate=self.grid.channel_rate,
@@ -181,20 +170,15 @@ class WidebandFrontEnd:
         return weights
 
     # -- capture ------------------------------------------------------------
-    def capture_slots(
-        self, signals: List[np.ndarray], mode: str = "spectral"
-    ) -> np.ndarray:
+    def capture_slots(self, signals: List[np.ndarray]) -> np.ndarray:
         """Simulate *signals* (one per frame slot) on every channel at once.
 
         Returns ``(slots, channels, n_out)`` basebands at
         :attr:`WidebandGrid.channel_rate`, channel-filtered and impaired,
-        ready for the batched decoder.  See the module docstring for the
-        three modes; all of them draw from identical random streams.
+        ready for the batched decoder.
         """
         if not signals:
             raise ValueError("capture_slots needs at least one slot waveform")
-        if mode not in ("spectral", "time", "sequential"):
-            raise ValueError(f"unknown capture mode {mode!r}")
         num_slots = len(signals)
         margin = self.margin_samples
         longest = max(s.shape[-1] for s in signals)
@@ -205,20 +189,9 @@ class WidebandFrontEnd:
         weights = self._weights(n_out).astype(
             np.float32 if self.dtype == np.complex64 else np.float64
         )
-        if mode == "sequential":
-            spectra = sp_fft.fft(base, axis=-1, workers=_FFT_WORKERS)
-            filtered = sp_fft.ifft(
-                spectra * weights, axis=-1, workers=_FFT_WORKERS
-            )
-            out = np.repeat(
-                filtered[None, :, :], len(self.channels), axis=0
-            ).astype(self.dtype)
-        elif mode == "spectral":
-            out = self._capture_spectral(base, weights, n_out)
-        else:
-            out = self._capture_time(base, weights, n_out)
         # Internal layout is channel-major (C, S, n) so the per-channel
         # impairment pass works on contiguous blocks.
+        out = self._capture_band(base, weights, n_out)
         self._impair_rows(out, n_out)
         self.metrics.counter("wideband.captures").inc()
         self.metrics.counter("wideband.slots").inc(num_slots)
@@ -252,10 +225,10 @@ class WidebandFrontEnd:
             self._overlap_cache[n_out] = pairs
         return pairs
 
-    def _capture_spectral(
+    def _capture_band(
         self, base: np.ndarray, weights: np.ndarray, n_out: int
     ) -> np.ndarray:
-        """Frequency-domain compose + split without wide-rate samples.
+        """The band step: compose and split without wide-rate samples.
 
         Every channel transmits the same slot spectrum, so scattering
         all channels into the wideband raster and gathering each window
@@ -263,6 +236,7 @@ class WidebandFrontEnd:
         spectrum + the overlapping slices of its raster neighbours'
         spectra (adjacent-channel leakage).  Identical sums to the
         wide-array formulation, with no ``oversample × n_out`` arrays.
+        Returns channel-major ``(C, S, n_out)`` filtered basebands.
         """
         spectra = sp_fft.fft(base, axis=-1, workers=_FFT_WORKERS)
         gathered = np.repeat(
@@ -275,23 +249,11 @@ class WidebandFrontEnd:
             self.dtype
         )
 
-    def _capture_time(
-        self, base: np.ndarray, weights: np.ndarray, n_out: int
-    ) -> np.ndarray:
-        """The full time-domain subsystem: compose_band → channelize."""
-        wide = compose_band(
-            {c: base for c in self.channels}, grid=self.grid, n_out=n_out
-        )
-        out = self.channelizer.channelize(
-            wide, channels=self.channels, spectral_weights=weights
-        )
-        return np.ascontiguousarray(np.swapaxes(out, 0, 1)).astype(self.dtype)
-
     def _impair_rows(self, out: np.ndarray, n_out: int) -> None:
         """Apply per-(channel, slot) CFO, path gain, WiFi and noise in place.
 
         One pass per channel from that channel's dedicated stream, in a
-        fixed draw order shared by every capture mode.  *out* is
+        fixed draw order independent of the band step.  *out* is
         channel-major ``(C, S, n_out)``.
         """
         num_slots = out.shape[1]

@@ -89,17 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--wideband",
         action="store_true",
         help="sweep all channels at once from wideband band captures "
-        "(polyphase channelizer + batched tensor decode) instead of one "
+        "(spectral band split + batched tensor decode) instead of one "
         "narrowband testbed per cell",
-    )
-    t3.add_argument(
-        "--wideband-mode",
-        choices=("spectral", "time", "sequential"),
-        default="spectral",
-        help="wideband front-end path: 'spectral' (production fast path), "
-        "'time' (compose_band + channelize through the real subsystem) or "
-        "'sequential' (per-channel differential reference); all three "
-        "draw identical random streams",
     )
     _add_obs_args(t3)
 
@@ -293,15 +284,18 @@ def _cmd_table3(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        result = run_table3_wideband(
-            frames=args.frames,
-            channels=channels,
-            chips=tuple(args.chips),
-            seed=args.seed,
-            mode=args.wideband_mode,
-            workers=args.workers,
-        )
-        print(f"wideband sweep (mode: {args.wideband_mode})")
+        try:
+            result = run_table3_wideband(
+                frames=args.frames,
+                channels=channels,
+                chips=tuple(args.chips),
+                seed=args.seed,
+                workers=args.workers,
+            )
+        except ValueError as exc:
+            print(f"table3: {exc}", file=sys.stderr)
+            return 2
+        print("wideband sweep")
         print(format_table3(result))
         if args.metrics:
             for (chip, primitive), rows in sorted(result.cells.items()):
@@ -310,15 +304,19 @@ def _cmd_table3(args) -> int:
                 for name, value in rows[first_channel].metrics.items():
                     print(f"  {name} = {value}")
         return 0
-    result = run_table3(
-        frames=args.frames,
-        channels=channels,
-        chips=tuple(args.chips),
-        seed=args.seed,
-        fault_profile=args.chaos,
-        workers=args.workers,
-        collect_trace=args.trace is not None,
-    )
+    try:
+        result = run_table3(
+            frames=args.frames,
+            channels=channels,
+            chips=tuple(args.chips),
+            seed=args.seed,
+            fault_profile=args.chaos,
+            workers=args.workers,
+            collect_trace=args.trace is not None,
+        )
+    except ValueError as exc:
+        print(f"table3: {exc}", file=sys.stderr)
+        return 2
     if args.chaos is not None:
         print(f"chaos profile: {args.chaos}")
     print(format_table3(result))

@@ -66,8 +66,7 @@ def decode_payload_bits(
             raise DecodeError("truncated")
         # Stride layout: [symbol-boundary transition, 31 intra bits].
         # Reshape the capture into an (N, 31) block matrix and despread all
-        # symbols in one vectorised pass (scalar reference:
-        # CorrespondenceTable.decode_block).
+        # symbols in one vectorised pass.
         blocks = arr[: num_strides * MSK_STRIDE].reshape(
             num_strides, MSK_STRIDE
         )[:, 1:]

@@ -19,11 +19,12 @@ absorbs boundary effects (§IV-D).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from functools import cached_property
+from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.phy.ieee802154 import CHIPS_PER_SYMBOL, PN_SEQUENCES
+from repro.phy.ieee802154 import CHIPS_PER_SYMBOL, PN_SEQUENCES, Codebook
 from repro.utils.bits import as_bit_array
 
 __all__ = ["pn_to_msk", "CorrespondenceTable", "MSK_BITS_PER_SYMBOL"]
@@ -75,37 +76,27 @@ class CorrespondenceTable:
         rows = [pn_to_msk(seq) for seq in PN_SEQUENCES]
         return cls(matrix=np.stack(rows))
 
+    @cached_property
+    def codebook(self) -> Codebook:
+        """``matrix`` prepared for the despreading kernel."""
+        return Codebook(self.matrix)
+
     def msk_sequence(self, symbol: int) -> np.ndarray:
         """MSK encoding of one DSSS symbol (31 bits)."""
         if not 0 <= symbol <= 15:
             raise ValueError(f"symbol {symbol} out of range")
         return self.matrix[symbol]
 
-    def decode_block(self, bits) -> Tuple[int, int]:
-        """Best symbol for a 31-bit received block.
-
-        Returns ``(symbol, hamming_distance)`` — "a Hamming distance is
-        calculated in order to find which PN sequence encoded in MSK fits
-        the best the received block" (§IV-D).
-        """
-        arr = as_bit_array(bits)
-        if arr.size != MSK_BITS_PER_SYMBOL:
-            raise ValueError(
-                f"expected {MSK_BITS_PER_SYMBOL} bits, got {arr.size}"
-            )
-        distances = np.count_nonzero(self.matrix != arr[None, :], axis=1)
-        best = int(np.argmin(distances))
-        return best, int(distances[best])
-
     def decode_blocks(self, blocks) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorised :meth:`decode_block` over a whole capture.
+        """Best symbol for every 31-bit received block of a capture.
 
         *blocks* is an ``(N, 31)`` array of received bits — one row per
-        DSSS symbol.  All N×16 Hamming distances are computed in a single
-        broadcast XOR/popcount, then reduced with ``argmin`` per row.
-        Returns ``(symbols, distances)`` as length-``N`` ``int64`` arrays,
-        bit-exact with calling :meth:`decode_block` on each row (ties
-        resolve to the lowest symbol index in both).
+        DSSS symbol.  "A Hamming distance is calculated in order to find
+        which PN sequence encoded in MSK fits the best the received
+        block" (§IV-D), by the same kernel that despreads 802.15.4 chips
+        (:class:`~repro.phy.ieee802154.Codebook`; ties resolve to the
+        lowest symbol index).  Returns ``(symbols, distances)`` as
+        length-``N`` integer arrays.
         """
         arr = np.asarray(blocks, dtype=np.uint8)
         if arr.ndim != 2 or arr.shape[1] != MSK_BITS_PER_SYMBOL:
@@ -113,13 +104,8 @@ class CorrespondenceTable:
                 f"expected an (N, {MSK_BITS_PER_SYMBOL}) block matrix, "
                 f"got shape {arr.shape}"
             )
-        # (N, 1, 31) vs (1, 16, 31) -> (N, 16) distance matrix in one
-        # broadcast compare-and-popcount.
-        distances = (arr[:, None, :] != self.matrix[None, :, :]).sum(
-            axis=2, dtype=np.int64
-        )
-        symbols = distances.argmin(axis=1)
-        return symbols, distances[np.arange(arr.shape[0]), symbols]
+        symbols, distances, _llrs = self.codebook.nearest(arr)
+        return symbols, distances
 
     def as_dict(self) -> Dict[int, str]:
         """Human-readable dump (used by the Table I / Algorithm 1 benches)."""

@@ -111,15 +111,14 @@ def hamming_threshold_sweep(
     rng = np.random.default_rng(seed)
     results: Dict[float, float] = {}
     for rate in chip_error_rates:
-        correct = 0
-        for _ in range(trials):
-            symbol = int(rng.integers(0, 16))
-            block = table.msk_sequence(symbol).copy()
-            flips = rng.random(block.size) < rate
-            block ^= flips.astype(np.uint8)
-            decoded, _distance = table.decode_block(block)
-            correct += int(decoded == symbol)
-        results[rate] = correct / trials
+        symbols = np.empty(trials, dtype=np.int64)
+        blocks = np.empty((trials, table.matrix.shape[1]), dtype=np.uint8)
+        for i in range(trials):
+            symbols[i] = rng.integers(0, 16)
+            flips = rng.random(blocks.shape[1]) < rate
+            blocks[i] = table.msk_sequence(symbols[i]) ^ flips
+        decoded, _distances = table.decode_blocks(blocks)
+        results[rate] = int(np.count_nonzero(decoded == symbols)) / trials
     return results
 
 

@@ -15,16 +15,16 @@ exactly this campaign: ``scheduled == delivered + skipped`` must balance
 or the medium lost a frame.  Fleet-level summary samples are re-emitted
 as ``fleet.sample`` events on the *caller's* trace bus.
 
-``workers > 1`` fans PAN groups out over a :class:`ProcessPoolExecutor`,
-one group per Zigbee channel.  Channels are 5 MHz apart — outside the
-medium's 4 MHz delivery acceptance — so PANs on different channels are
-physically independent and the split is exact: per-node results are
-identical to the serial run (the differential tests pin this).
+``workers > 1`` fans PAN groups out over a process pool
+(:func:`repro.experiments.pool.map_tasks`), one group per Zigbee
+channel.  Channels are 5 MHz apart — outside the medium's 4 MHz delivery
+acceptance — so PANs on different channels are physically independent
+and the split is exact: per-node results are identical to the serial run
+(the differential tests pin this).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -34,6 +34,7 @@ from repro.attacks.energy_depletion import FleetDepletionAttack
 from repro.chips import Nrf52832
 from repro.core.firmware import WazaBeeFirmware
 from repro.dot15d4.frames import Address
+from repro.experiments.pool import map_tasks
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import named_profile
 from repro.obs import FLEET_SAMPLE, scoped
@@ -185,18 +186,6 @@ def _make_medium(
     raise ValueError(
         f"unknown medium kind {medium_kind!r}; choose from {MEDIUM_KINDS}"
     )
-
-
-def _group_args(kwargs: Dict) -> Dict:
-    """Module-level trampoline so groups pickle cleanly to workers."""
-    return _run_group(**kwargs)
-
-
-def _warm_group_worker(sample_rate: float) -> None:
-    """Pool initializer: prebuild the process-wide TX waveform cache."""
-    from repro.experiments.table3 import _warm_worker
-
-    _warm_worker(sample_rate)
 
 
 def _run_group(
@@ -365,8 +354,6 @@ def run_fleet_campaign(
     from one global plan stream, which cannot be split across processes
     without diverging from the serial run.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     if medium_kind not in MEDIUM_KINDS:
         raise ValueError(
             f"unknown medium kind {medium_kind!r}; choose from {MEDIUM_KINDS}"
@@ -385,7 +372,7 @@ def run_fleet_campaign(
         medium_kind=medium_kind,
     )
     if workers == 1:
-        outcomes = [_group_args(dict(spec=spec, **common))]
+        groups = [dict(spec=spec, **common)]
     else:
         # One group per channel: spectrally disjoint, hence physically
         # independent, hence exactly mergeable.
@@ -396,15 +383,9 @@ def run_fleet_campaign(
             dict(spec=_subset_spec(spec, tuple(pans)), **common)
             for _channel, pans in sorted(by_channel.items())
         ]
-        if len(groups) == 1:
-            outcomes = [_group_args(groups[0])]
-        else:
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(groups)),
-                initializer=_warm_group_worker,
-                initargs=(spec.sample_rate,),
-            ) as pool:
-                outcomes = list(pool.map(_group_args, groups))
+    outcomes = map_tasks(
+        _run_group, groups, workers, warm_rate=spec.sample_rate
+    )
     return _merge_outcomes(spec, outcomes, workers=workers, **common)
 
 

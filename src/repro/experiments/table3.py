@@ -17,7 +17,6 @@ Zigbee channels 16–18 and 21–23.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from zlib import crc32
@@ -31,6 +30,7 @@ from repro.core.firmware import WazaBeeFirmware
 from repro.dot15d4.channels import ZIGBEE_CHANNELS
 from repro.dot15d4.frames import Address, build_data
 from repro.experiments.environment import Testbed, TestbedProfile, build_testbed
+from repro.experiments.pool import map_tasks
 from repro.faults import named_profile
 from repro.obs import TraceRecorder, scoped
 
@@ -239,26 +239,13 @@ class Table3Result:
         }
 
 
-def _run_cell_args(kwargs: Dict) -> ChannelResult:
-    """Module-level trampoline so cells pickle cleanly to worker processes."""
-    return run_table3_cell(**kwargs)
-
-
-def _warm_worker(sample_rate: float) -> None:
-    """Prebuild the process-wide waveform cache for the WazaBee TX modem.
-
-    Used as the pool initializer (and called once on the serial path) so
-    each worker pays cache construction once, not inside its first cell.
-    """
-    from repro.dsp.gfsk import GfskConfig, waveform_cache
-
-    spc = sample_rate / 2e6
-    if abs(spc - round(spc)) > 1e-9:
-        return
-    config = GfskConfig(
-        samples_per_symbol=int(round(spc)), modulation_index=0.5, bt=0.5
-    )
-    waveform_cache(config, 2e6)
+def _distinct_channels(channels: Sequence[int]) -> Tuple[int, ...]:
+    """*channels* as a tuple; a repeated channel would tally twice."""
+    channels = tuple(channels)
+    repeated = sorted({c for c in channels if channels.count(c) > 1})
+    if repeated:
+        raise ValueError(f"channels must be distinct; repeated: {repeated}")
+    return channels
 
 
 def run_table3(
@@ -275,16 +262,16 @@ def run_table3(
     """Regenerate Table III (or a subset of it).
 
     With ``workers > 1`` the independent (chip, primitive, channel) cells
-    fan out over a :class:`~concurrent.futures.ProcessPoolExecutor`.  Each
-    cell derives its testbed seed from ``crc32(chip/primitive/channel)``,
-    so the parallel run is bit-identical to the serial one — only faster.
+    fan out over a process pool (:func:`repro.experiments.pool.map_tasks`).
+    Each cell derives its testbed seed from
+    ``crc32(chip/primitive/channel)``, so the parallel run is
+    bit-identical to the serial one — only faster.
 
     With *collect_trace*, every cell records its trace in-process (scoped
     per cell, so parallel workers cannot interleave) and returns the
     events on :attr:`ChannelResult.trace_events` as picklable flat dicts.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    channels = _distinct_channels(channels)
     result = Table3Result(frames_per_cell=frames)
     grid = [
         (chip, primitive, channel)
@@ -305,17 +292,12 @@ def run_table3(
         )
         for chip, primitive, channel in grid
     ]
-    sample_rate = (profile or TestbedProfile()).sample_rate
-    if workers == 1:
-        _warm_worker(sample_rate)
-        cells = [_run_cell_args(kwargs) for kwargs in cell_kwargs]
-    else:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_warm_worker,
-            initargs=(sample_rate,),
-        ) as pool:
-            cells = list(pool.map(_run_cell_args, cell_kwargs))
+    cells = map_tasks(
+        run_table3_cell,
+        cell_kwargs,
+        workers,
+        warm_rate=(profile or TestbedProfile()).sample_rate,
+    )
     for (chip, primitive, _channel), cell in zip(grid, cells):
         result.cells.setdefault((chip, primitive), {})[cell.channel] = cell
     return result
@@ -365,7 +347,6 @@ def run_table3_wideband(
     profile: Optional[TestbedProfile] = None,
     seed: int = 0,
     chunk_slots: int = 8,
-    mode: str = "spectral",
     grid=None,
     dtype=None,
     workers: Optional[int] = None,
@@ -377,16 +358,12 @@ def run_table3_wideband(
     slot's waveform goes on the air on every channel simultaneously
     (independent CFO / shadowing / noise / WiFi per channel), the
     :class:`~repro.chips.wideband.WidebandFrontEnd` composes one band
-    capture and splits it back through the polyphase channelizer, and
-    the batched tensor pipeline
-    (:func:`repro.phy.batch.decode_chip_frames`) decodes all channels'
-    slots in a handful of array ops.
-
-    ``mode`` selects the front-end path — ``"spectral"`` (production
-    fast path), ``"time"`` (compose_band + channelize through the real
-    subsystem) or ``"sequential"`` (no band roundtrip; the differential
-    reference).  All three consume identical random streams; the CI
-    wideband-smoke step diffs spectral vs sequential cell by cell.
+    capture and splits it back in the frequency domain, and the batched
+    tensor pipeline (:func:`repro.phy.batch.decode_chip_frames`) decodes
+    all channels' slots in a handful of array ops.  The test suite diffs
+    this sweep cell by cell against reference band steps
+    (``tests/phy/wideband_oracle.py``) that draw identical random
+    streams.
 
     The sweep defaults to the single-precision sweep raster
     (:data:`repro.chips.wideband.SWEEP_GRID`); pass ``grid`` / ``dtype``
@@ -405,9 +382,9 @@ def run_table3_wideband(
         raise ValueError("frames must be >= 1")
     if chunk_slots < 1:
         raise ValueError("chunk_slots must be >= 1")
+    channels = _distinct_channels(channels)
     grid = grid if grid is not None else SWEEP_GRID
     dtype = np.dtype(dtype if dtype is not None else np.complex64)
-    result = Table3Result(frames_per_cell=frames)
     profile = profile or TestbedProfile()
     tasks = []
     for chip_name in chips:
@@ -417,67 +394,25 @@ def run_table3_wideband(
             if primitive not in ("rx", "tx"):
                 raise ValueError("primitive must be 'rx' or 'tx'")
             tasks.append(
-                (
-                    chip_name,
-                    primitive,
-                    tuple(channels),
-                    frames,
-                    profile,
-                    seed,
-                    chunk_slots,
-                    mode,
-                    grid,
-                    dtype,
+                dict(
+                    chip_name=chip_name,
+                    primitive=primitive,
+                    channels=channels,
+                    frames=frames,
+                    profile=profile,
+                    seed=seed,
+                    chunk_slots=chunk_slots,
+                    grid=grid,
+                    dtype=dtype,
                 )
             )
     if workers is None:
         workers = max(1, min(2, os.cpu_count() or 1, len(tasks)))
-    if workers == 1:
-        outcomes = [_wideband_pair_task(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_wideband_pair_task, tasks))
-    for chip_name, primitive, cells, metrics in outcomes:
-        for cell in cells.values():
-            cell.metrics = metrics
-        result.cells[(chip_name, primitive)] = cells
+    result = Table3Result(frames_per_cell=frames)
+    outcomes = map_tasks(_run_wideband_pair, tasks, workers)
+    for task, cells in zip(tasks, outcomes):
+        result.cells[(task["chip_name"], task["primitive"])] = cells
     return result
-
-
-def _wideband_pair_task(args: Tuple) -> Tuple[str, str, Dict, Dict]:
-    """One pooled (chip, primitive) wideband pair with a scoped registry."""
-    from repro.chips.wideband import WidebandFrontEnd
-    from repro.phy.batch import decode_chip_frames
-
-    (
-        chip_name,
-        primitive,
-        channels,
-        frames,
-        profile,
-        seed,
-        chunk_slots,
-        mode,
-        grid,
-        dtype,
-    ) = args
-    with scoped() as (_bus, registry):
-        cells = _run_wideband_pair(
-            chip_name,
-            primitive,
-            channels,
-            frames,
-            profile,
-            seed,
-            chunk_slots,
-            mode,
-            grid,
-            dtype,
-            WidebandFrontEnd,
-            decode_chip_frames,
-        )
-        metrics = registry.counter_values()
-    return chip_name, primitive, cells, metrics
 
 
 def _run_wideband_pair(
@@ -488,13 +423,20 @@ def _run_wideband_pair(
     profile: TestbedProfile,
     seed: int,
     chunk_slots: int,
-    mode: str,
     grid,
     dtype,
-    front_end_cls,
-    decode,
+    front_end_cls=None,
 ) -> Dict[int, ChannelResult]:
-    """All channels of one (chip, primitive) pair, decoded in slot chunks."""
+    """All channels of one (chip, primitive) pair, decoded in slot chunks.
+
+    Runs in its own observability scope; every cell carries the pair-wide
+    counters.  *front_end_cls* defaults to
+    :class:`~repro.chips.wideband.WidebandFrontEnd`; the test suite
+    passes its reference band steps here.
+    """
+    from repro.chips.wideband import WidebandFrontEnd
+    from repro.phy.batch import decode_chip_frames
+
     base_seed = (
         seed ^ crc32(f"{chip_name}/{primitive}/wideband".encode()) & 0x7FFFFFFF
     )
@@ -503,36 +445,42 @@ def _run_wideband_pair(
         if primitive == "rx"
         else CHIP_TX_CFO_STD_HZ[chip_name]
     )
-    front = front_end_cls(
-        profile=profile,
-        grid=grid,
-        channels=channels,
-        seed=base_seed,
-        tx_cfo_std_hz=cfo_std,
-        dtype=dtype,
-    )
-    spc = front.samples_per_chip
     cells = {c: ChannelResult(channel=c) for c in channels}
-    for lo in range(0, frames, chunk_slots):
-        slots = list(range(lo, min(lo + chunk_slots, frames)))
-        signals = [
-            _wideband_slot_waveform(primitive, i, spc) for i in slots
-        ]
-        expected = [_counter_frame(i).to_bytes() for i in slots]
-        captures = front.capture_slots(signals, mode=mode)
-        num_slots, num_channels, n_out = captures.shape
-        decoded = decode(
-            captures.reshape(num_slots * num_channels, n_out),
-            samples_per_chip=spc,
+    with scoped() as (_bus, registry):
+        front = (front_end_cls or WidebandFrontEnd)(
+            profile=profile,
+            grid=grid,
+            channels=channels,
+            seed=base_seed,
+            tx_cfo_std_hz=cfo_std,
+            dtype=dtype,
         )
-        for s in range(num_slots):
-            for j, channel in enumerate(channels):
-                frame = decoded[s * num_channels + j]
-                outcomes = (
-                    [(frame.psdu, frame.fcs_ok)] if frame is not None else []
-                )
-                valid, corrupted = _classify(outcomes, expected[s])
-                _tally(cells[channel], valid, corrupted)
+        spc = front.samples_per_chip
+        for lo in range(0, frames, chunk_slots):
+            slots = list(range(lo, min(lo + chunk_slots, frames)))
+            signals = [
+                _wideband_slot_waveform(primitive, i, spc) for i in slots
+            ]
+            expected = [_counter_frame(i).to_bytes() for i in slots]
+            captures = front.capture_slots(signals)
+            num_slots, num_channels, n_out = captures.shape
+            decoded = decode_chip_frames(
+                captures.reshape(num_slots * num_channels, n_out),
+                samples_per_chip=spc,
+            )
+            for s in range(num_slots):
+                for j, channel in enumerate(channels):
+                    frame = decoded[s * num_channels + j]
+                    outcomes = (
+                        [(frame.psdu, frame.fcs_ok)]
+                        if frame is not None
+                        else []
+                    )
+                    valid, corrupted = _classify(outcomes, expected[s])
+                    _tally(cells[channel], valid, corrupted)
+        metrics = registry.counter_values()
+    for cell in cells.values():
+        cell.metrics = metrics
     return cells
 
 

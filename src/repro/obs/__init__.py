@@ -23,8 +23,6 @@ from __future__ import annotations
 from repro.obs.bus import TraceBus, metrics, scoped, trace_bus
 from repro.obs.events import (
     ATTACK_STAGE,
-    CHANNELIZER_COMPOSE,
-    CHANNELIZER_SPLIT,
     EVENT_NAMES,
     FLEET_SAMPLE,
     FAULT_INJECTED,
@@ -70,8 +68,6 @@ __all__ = [
     "SERVE_SESSION",
     "SERVE_SHED",
     "SERVE_STAGE",
-    "CHANNELIZER_COMPOSE",
-    "CHANNELIZER_SPLIT",
     "FLEET_SAMPLE",
 ]
 

@@ -28,8 +28,6 @@ __all__ = [
     "SERVE_SESSION",
     "SERVE_SHED",
     "SERVE_STAGE",
-    "CHANNELIZER_COMPOSE",
-    "CHANNELIZER_SPLIT",
     "FLEET_SAMPLE",
     "EVENT_NAMES",
 ]
@@ -64,12 +62,6 @@ SERVE_SESSION = "serve.session"
 SERVE_SHED = "serve.shed"
 #: A supervised service pipeline stage crashed, restarted, or gave up.
 SERVE_STAGE = "serve.stage"
-#: Per-channel TX basebands were superposed into one wideband band capture
-#: (the wideband front end's compose step).
-CHANNELIZER_COMPOSE = "channelizer.compose"
-#: A wideband capture was split into per-channel basebands by the
-#: polyphase filterbank (single-block or overlap-save mode).
-CHANNELIZER_SPLIT = "channelizer.split"
 #: One periodic fleet-campaign sample: alive-node count and aggregate
 #: battery fraction at a point in simulated time.
 FLEET_SAMPLE = "fleet.sample"
@@ -89,8 +81,6 @@ EVENT_NAMES = frozenset(
         SERVE_SESSION,
         SERVE_SHED,
         SERVE_STAGE,
-        CHANNELIZER_COMPOSE,
-        CHANNELIZER_SPLIT,
         FLEET_SAMPLE,
     }
 )

@@ -12,7 +12,7 @@ from repro.phy.ieee802154 import (
     CHIPS_PER_SYMBOL,
     PN_SEQUENCES,
     Ppdu,
-    despread_symbol,
+    despread_chips,
     spread_bytes,
 )
 from repro.phy.ble_phy import ble_demodulator, ble_modulator
@@ -21,7 +21,7 @@ __all__ = [
     "PN_SEQUENCES",
     "CHIPS_PER_SYMBOL",
     "spread_bytes",
-    "despread_symbol",
+    "despread_chips",
     "Ppdu",
     "ble_modulator",
     "ble_demodulator",

@@ -1,17 +1,22 @@
-"""Wideband 16-channel polyphase channelizer (the wideband receiver's core).
+"""Wideband raster geometry for the 16-channel receiver.
 
 One 2.4 GHz capture spanning the whole Zigbee band (channels 11–26,
-2405–2480 MHz) is split into sixteen per-channel complex basebands in a
-single pass.  The implementation is an overlap-save DFT filterbank: the
-capture is transformed in (optionally overlapping) blocks, each channel's
-spectral window is gathered around its centre-frequency bin, and an
-inverse transform per channel yields its decimated baseband.  This is the
-critically-stacked polyphase filterbank evaluated in the frequency
-domain — gathering ``n`` contiguous bins of an ``L·n``-point DFT is
-algebraically identical to running the ``L``-branch polyphase
-decomposition of a Dirichlet prototype filter and applying the output
-DFT, but costs one FFT for *all* channels instead of one filter per
-channel.
+2405–2480 MHz) holds sixteen per-channel complex basebands.  The
+wideband front end (:mod:`repro.chips.wideband`) never materialises that
+capture in time: it works on spectra, scattering each channel's baseband
+spectrum into its window of the wideband DFT raster and gathering every
+window back.  Gathering ``n`` contiguous bins of an ``L·n``-point DFT is
+algebraically identical to the ``L``-branch polyphase decomposition of a
+Dirichlet prototype filter followed by the output DFT, so the gather is
+a critically-stacked polyphase channelizer evaluated in the frequency
+domain.
+
+This module holds what that spectral path needs:
+
+* :class:`WidebandGrid` — the raster geometry;
+* :func:`gather_indices` — a channel's window of the wideband DFT;
+* :func:`fir_spectral_weights` — a linear-phase FIR as zero-phase
+  per-bin weights, folded into the gather.
 
 Design constraints that make the gather exact:
 
@@ -25,32 +30,23 @@ Design constraints that make the gather exact:
   from the band centre) and its full ±8 MHz alias window away from the
   band edge.
 
-Whole-capture processing (the default, ``block_samples=None``) is a
-single-block transform and therefore *exact*: composing one channel into
-the band and channelizing it back reproduces the input to float
-round-off.  ``block_samples`` engages streaming overlap-save: blocks
-overlap by ``2·guard`` output samples, edge transients land in the
-discarded guards, and a raised-cosine spectral taper at the window edges
-bounds block-boundary leakage.
+The time-domain reference — wide-rate samples composed from per-channel
+basebands and split back by one whole-capture DFT — lives in the test
+suite as the front end's oracle (``tests/phy/wideband_oracle.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
 from repro.dot15d4.channels import ZIGBEE_CHANNELS, channel_frequency_hz
-from repro.obs import metrics as _current_metrics
-from repro.obs import trace_bus as _current_bus
-from repro.obs.events import CHANNELIZER_COMPOSE, CHANNELIZER_SPLIT
 
 __all__ = [
     "WIDEBAND_CENTER_HZ",
     "WidebandGrid",
-    "PolyphaseChannelizer",
-    "compose_band",
     "gather_indices",
     "fir_spectral_weights",
 ]
@@ -128,8 +124,16 @@ class WidebandGrid:
         return shift_int
 
 
-def _gather_indices(grid: WidebandGrid, channel: int, n_out: int) -> np.ndarray:
-    """Wideband-FFT bin indices forming *channel*'s baseband spectrum."""
+def gather_indices(
+    grid: WidebandGrid, channel: int, n_out: int
+) -> np.ndarray:
+    """Wideband-FFT bin indices forming *channel*'s baseband spectrum.
+
+    The index vector mapping an ``oversample·n_out``-point wideband FFT
+    to *channel*'s ``n_out``-point baseband spectrum (FFT bin order).
+    The wideband front end uses it to scatter/gather without
+    materialising wide-rate time samples.
+    """
     n_wide = grid.oversample * n_out
     shift = grid.bin_shift(channel, n_out)
     # Output bin k carries frequency k for k < n/2 and k − n above — the
@@ -139,29 +143,16 @@ def _gather_indices(grid: WidebandGrid, channel: int, n_out: int) -> np.ndarray:
     return (shift + offsets) % n_wide
 
 
-def gather_indices(
-    grid: WidebandGrid, channel: int, n_out: int
-) -> np.ndarray:
-    """Public accessor for a channel's wideband spectral window.
-
-    The index vector mapping an ``oversample·n_out``-point wideband FFT
-    to *channel*'s ``n_out``-point baseband spectrum (FFT bin order).
-    Spectral-domain pipelines (the wideband front end's fast path) use
-    it to scatter/gather without materialising wide-rate time samples.
-    """
-    return _gather_indices(grid, channel, n_out)
-
-
 def fir_spectral_weights(taps: np.ndarray, n_out: int) -> np.ndarray:
     """Zero-phase transfer function of a linear-phase FIR, per DFT bin.
 
     Rolling the (odd-length, symmetric) taps so the centre tap sits at
     index 0 makes the transfer purely real — multiplying these weights
     into a block's spectrum applies the filter as a *circular*
-    convolution with no group delay, exactly what
-    :meth:`PolyphaseChannelizer.channelize` expects as
-    ``spectral_weights``.  Circular wrap touches only ``len(taps)//2``
-    samples at each block edge; keep them inside a zero margin.
+    convolution with no group delay, which is how the wideband front
+    end folds its channel-selection filter into the spectral gather.
+    Circular wrap touches only ``len(taps)//2`` samples at each block
+    edge; keep them inside a zero margin.
     """
     taps = np.asarray(taps, dtype=np.float64)
     if taps.size > n_out:
@@ -171,254 +162,3 @@ def fir_spectral_weights(taps: np.ndarray, n_out: int) -> np.ndarray:
     # Symmetric taps centred at 0 have a real DFT; the imaginary residue
     # is float round-off only.
     return np.fft.fft(np.roll(padded, -(taps.size // 2))).real
-
-
-def _edge_taper(n_out: int, taper_bins: int) -> np.ndarray:
-    """Raised-cosine mask rolling off the outer *taper_bins* of a window.
-
-    Applied (in FFT bin order) only by the streaming overlap-save path,
-    where block boundaries would otherwise leak brick-wall transients
-    between blocks.  The taper lives entirely in the outer guard band
-    that the downstream 1.3 MHz channel filter removes anyway.
-    """
-    mask = np.ones(n_out)
-    if taper_bins <= 0:
-        return mask
-    ramp = 0.5 * (1.0 - np.cos(np.pi * (np.arange(taper_bins) + 0.5) / taper_bins))
-    # FFT order: positive-frequency edge is bins n/2−taper..n/2−1, the
-    # negative-frequency edge n/2..n/2+taper−1.
-    half = n_out // 2
-    mask[half - taper_bins : half] = ramp[::-1]
-    mask[half : half + taper_bins] = ramp
-    return mask
-
-
-class PolyphaseChannelizer:
-    """Split a wideband capture into per-channel basebands in one pass.
-
-    Parameters
-    ----------
-    grid:
-        The band geometry (defaults to the full 16-channel Zigbee raster
-        at 16 Msps per channel, 128 Msps wideband).
-    block_samples:
-        Per-channel samples per overlap-save block.  ``None`` (default)
-        processes the whole capture as a single exact block; a value
-        engages streaming overlap-save with ``guard``-sample overlap.
-    guard:
-        Output samples discarded at each block edge in streaming mode.
-    taper_bins:
-        Spectral-edge raised-cosine width (streaming mode only).
-    """
-
-    def __init__(
-        self,
-        grid: Optional[WidebandGrid] = None,
-        block_samples: Optional[int] = None,
-        guard: int = 128,
-        taper_bins: int = 64,
-    ):
-        self.grid = grid or WidebandGrid()
-        if block_samples is not None:
-            block_samples = self.grid.pad_length(block_samples)
-            if block_samples <= 2 * guard:
-                raise ValueError("block_samples must exceed twice the guard")
-        self.block_samples = block_samples
-        self.guard = guard
-        self.taper_bins = taper_bins
-        self._index_cache: Dict[Tuple[Tuple[int, ...], int], np.ndarray] = {}
-        self.trace = _current_bus()
-        self.metrics = _current_metrics()
-
-    # -- internals -----------------------------------------------------------
-    def _indices(self, channels: Tuple[int, ...], n_out: int) -> np.ndarray:
-        key = (channels, n_out)
-        cached = self._index_cache.get(key)
-        if cached is None:
-            cached = np.stack(
-                [_gather_indices(self.grid, c, n_out) for c in channels]
-            )
-            self._index_cache[key] = cached
-        return cached
-
-    def _split_block(
-        self,
-        wide: np.ndarray,
-        channels: Tuple[int, ...],
-        taper: Optional[np.ndarray],
-        spectral_weights: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """One block: wideband FFT → per-channel gather → inverse FFTs."""
-        n_out = wide.shape[-1] // self.grid.oversample
-        spectrum = np.fft.fft(wide, axis=-1)
-        idx = self._indices(channels, n_out)
-        # (..., n_wide) gathered to (..., C, n_out): one inverse transform
-        # per channel, batched into a single call.
-        gathered = spectrum[..., idx]
-        if taper is not None:
-            gathered = gathered * taper
-        if spectral_weights is not None:
-            gathered = gathered * spectral_weights
-        return np.fft.ifft(gathered, axis=-1) / self.grid.oversample
-
-    # -- public API ----------------------------------------------------------
-    def channelize(
-        self,
-        wide: np.ndarray,
-        channels: Optional[Sequence[int]] = None,
-        spectral_weights: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Extract per-channel basebands from wideband samples.
-
-        Parameters
-        ----------
-        wide:
-            ``(..., n_wide)`` complex wideband samples at
-            :attr:`WidebandGrid.wide_rate`, centred on
-            :attr:`WidebandGrid.center_hz`.  ``n_wide`` must be
-            ``oversample × pad_length(n)`` — compose with
-            :func:`compose_band` or pad the capture accordingly.
-        channels:
-            Channels to extract (default: every channel in the grid).
-        spectral_weights:
-            Optional ``(n_out,)`` (or broadcastable) per-bin weights
-            multiplied into every extracted window — the hook the
-            wideband front end uses to fold the receive channel filter
-            into the extraction for free.
-
-        Returns
-        -------
-        ``(..., C, n_out)`` complex basebands at
-        :attr:`WidebandGrid.channel_rate`, one leading row per requested
-        channel, in request order.
-        """
-        wide = np.asarray(wide)
-        channels = tuple(channels if channels is not None else self.grid.channels)
-        L = self.grid.oversample
-        if wide.shape[-1] % L:
-            raise ValueError(
-                f"wideband length {wide.shape[-1]} is not a multiple of the "
-                f"oversample factor {L}"
-            )
-        n_out = wide.shape[-1] // L
-        if n_out % self.grid.block_multiple:
-            raise ValueError(
-                f"per-channel length {n_out} must be a multiple of "
-                f"{self.grid.block_multiple} (pad the capture to "
-                f"oversample x pad_length)"
-            )
-        if self.block_samples is None or self.block_samples >= n_out:
-            out = self._split_block(wide, channels, None, spectral_weights)
-        else:
-            out = self._channelize_blocks(wide, channels, spectral_weights)
-        self.trace.emit(
-            CHANNELIZER_SPLIT,
-            time=0.0,
-            channels=len(channels),
-            samples_in=int(wide.shape[-1]),
-            samples_out=int(n_out),
-            mode="overlap-save" if self.block_samples else "single-block",
-        )
-        self.metrics.counter("channelizer.splits").inc()
-        self.metrics.counter("channelizer.samples_in").inc(int(np.prod(wide.shape)))
-        for channel in channels:
-            self.metrics.counter(f"channelizer.ch{channel}.extracted").inc()
-        return out
-
-    def _channelize_blocks(
-        self,
-        wide: np.ndarray,
-        channels: Tuple[int, ...],
-        spectral_weights: Optional[np.ndarray],
-    ) -> np.ndarray:
-        """Streaming overlap-save: guarded blocks, stitched outputs."""
-        L = self.grid.oversample
-        n_out = wide.shape[-1] // L
-        block = self.block_samples
-        guard = self.guard
-        hop = block - 2 * guard
-        taper = _edge_taper(block, self.taper_bins)
-        out_shape = wide.shape[:-1] + (len(channels), n_out)
-        out = np.zeros(out_shape, dtype=np.complex128)
-        # Virtually extend the capture with guard zeros on both sides so
-        # every output sample lands in some block's kept region.
-        start = -guard
-        while start + guard < n_out:
-            lo_wide, hi_wide = start * L, (start + block) * L
-            seg = np.zeros(wide.shape[:-1] + (block * L,), dtype=np.complex128)
-            src_lo, src_hi = max(lo_wide, 0), min(hi_wide, wide.shape[-1])
-            if src_hi > src_lo:
-                seg[..., src_lo - lo_wide : src_hi - lo_wide] = wide[
-                    ..., src_lo:src_hi
-                ]
-            piece = self._split_block(seg, channels, taper, spectral_weights)
-            keep_lo = start + guard
-            keep_hi = min(start + block - guard, n_out)
-            out[..., keep_lo:keep_hi] = piece[
-                ..., guard : guard + (keep_hi - keep_lo)
-            ]
-            start += hop
-        return out
-
-
-def compose_band(
-    channel_signals: Mapping[int, np.ndarray],
-    grid: Optional[WidebandGrid] = None,
-    n_out: Optional[int] = None,
-) -> np.ndarray:
-    """Superpose per-channel basebands into one wideband capture.
-
-    The exact inverse of single-block channelization: each channel's
-    spectrum is placed in its 16 MHz window of the wideband raster (the
-    windows of 5 MHz-spaced channels overlap — spectra simply add, which
-    *is* the physical superposition), and one inverse transform yields
-    the time-domain band capture.  Composing one channel and
-    channelizing it back reproduces the input to float round-off;
-    with neighbours present, each extracted baseband additionally
-    carries their true adjacent-channel leakage.
-
-    Parameters
-    ----------
-    channel_signals:
-        Mapping of Zigbee channel → complex baseband samples at
-        ``grid.channel_rate``.  Shapes must share a common trailing
-        length (shorter inputs are zero-padded to ``n_out``).
-    n_out:
-        Per-channel block length; defaults to ``pad_length`` of the
-        longest input.
-
-    Returns
-    -------
-    ``(..., oversample × n_out)`` complex wideband samples.
-    """
-    grid = grid or WidebandGrid()
-    if not channel_signals:
-        raise ValueError("compose_band needs at least one channel signal")
-    arrays = {c: np.asarray(s) for c, s in channel_signals.items()}
-    longest = max(a.shape[-1] for a in arrays.values())
-    n_out = grid.pad_length(n_out if n_out is not None else longest)
-    if longest > n_out:
-        raise ValueError(f"n_out {n_out} shorter than longest signal {longest}")
-    lead_shapes = {a.shape[:-1] for a in arrays.values()}
-    if len(lead_shapes) != 1:
-        raise ValueError("all channel signals must share leading dimensions")
-    lead = lead_shapes.pop()
-    n_wide = grid.oversample * n_out
-    spectrum = np.zeros(lead + (n_wide,), dtype=np.complex128)
-    for channel, samples in arrays.items():
-        padded = np.zeros(lead + (n_out,), dtype=np.complex128)
-        padded[..., : samples.shape[-1]] = samples
-        idx = _gather_indices(grid, channel, n_out)
-        # Within one channel the gathered bins are unique, so in-place
-        # fancy-index addition is safe; overlapping *channels* accumulate
-        # across loop iterations (spectral superposition).
-        spectrum[..., idx] += np.fft.fft(padded, axis=-1)
-    wide = np.fft.ifft(spectrum, axis=-1) * grid.oversample
-    _current_bus().emit(
-        CHANNELIZER_COMPOSE,
-        time=0.0,
-        channels=len(arrays),
-        samples=int(n_wide),
-    )
-    _current_metrics().counter("channelizer.composes").inc()
-    return wide

@@ -38,7 +38,8 @@ __all__ = [
     "byte_for_symbols",
     "spread_bytes",
     "spread_symbols",
-    "despread_symbol",
+    "Codebook",
+    "PN_CODEBOOK",
     "despread_chips",
     "symbol_confidences",
     "Ppdu",
@@ -115,24 +116,46 @@ def spread_bytes(data: bytes) -> np.ndarray:
     return spread_symbols(symbols)
 
 
-def despread_symbol(chips: np.ndarray) -> Tuple[int, int]:
-    """Best-matching symbol for one 32-chip block.
+class Codebook:
+    """Binary codewords prepared for nearest-codeword search.
 
-    Returns ``(symbol, hamming_distance)``.  Matching by minimum Hamming
-    distance copes with "bit errors caused by the approximation ... but also
-    interference due to the channel" (§IV-D).
+    The one despreading kernel of both receivers — PN sequences for
+    802.15.4 chips, their MSK encodings for WazaBee.  For bit vectors
+    ``b`` and ``c``, ``|b ^ c| = |b| + |c| − 2·b·c``, so a single
+    ``(N, L) × (L, K)`` integer product scores every block against every
+    codeword.
     """
-    arr = np.asarray(chips, dtype=np.uint8)
-    if arr.size != CHIPS_PER_SYMBOL:
-        raise ValueError(f"expected {CHIPS_PER_SYMBOL} chips, got {arr.size}")
-    distances = np.count_nonzero(PN_MATRIX != arr[None, :], axis=1)
-    best = int(np.argmin(distances))
-    return best, int(distances[best])
+
+    def __init__(self, words: np.ndarray):
+        self._words = np.asarray(words, dtype=np.int32)
+        self._weights = self._words.sum(axis=1)
+
+    def nearest(
+        self, blocks: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Match every ``(..., L)`` block to its nearest codeword.
+
+        Returns ``(symbols, distances, llrs)``, each of shape
+        ``blocks.shape[:-1]``: the index of the nearest codeword (ties go
+        to the lowest index), its Hamming distance, and the margin
+        ``d₂ − d₁`` to the runner-up.
+        """
+        arr = np.asarray(blocks)
+        shape = arr.shape[:-1]
+        rows = arr.reshape(-1, self._words.shape[1]).astype(np.int32)
+        dists = self._weights[None, :] + rows.sum(axis=1)[:, None]
+        dists -= 2 * (rows @ self._words.T)
+        symbols = dists.argmin(axis=1)
+        two_best = np.partition(dists, 1, axis=1)
+        return (
+            symbols.reshape(shape),
+            two_best[:, 0].reshape(shape),
+            (two_best[:, 1] - two_best[:, 0]).reshape(shape),
+        )
 
 
-#: PN table as int32 rows plus each row's weight, for the despread matmul.
-_PN_INT32 = PN_MATRIX.astype(np.int32)
-_PN_WEIGHTS = _PN_INT32.sum(axis=1)
+#: The 16 PN sequences as the despreading codebook.
+PN_CODEBOOK = Codebook(PN_MATRIX)
 
 
 def despread_chips(
@@ -143,8 +166,10 @@ def despread_chips(
     *chips* is one stream ``(N,)`` or a stack ``(..., N)``; each stream is
     cut into 32-chip blocks (trailing chips that do not fill a block are
     ignored) and every block is matched to the nearest PN sequence by
-    Hamming distance.  Returns ``(symbols, distances, llrs)``, each of
-    shape ``(..., N // 32)``.  *llrs* is the per-symbol margin ``d₂ − d₁``
+    Hamming distance — which copes with "bit errors caused by the
+    approximation ... but also interference due to the channel" (§IV-D).
+    Returns ``(symbols, distances, llrs)``, each of shape
+    ``(..., N // 32)``.  *llrs* is the per-symbol margin ``d₂ − d₁``
     between the two best PN matches (0 = ambiguous, 12+ = clean: distinct
     PN sequences are ≥16 chips apart within each cyclic-shift family and
     ≥12 across the conjugate family) — the soft input that codeword-level
@@ -152,22 +177,10 @@ def despread_chips(
     """
     arr = np.asarray(chips, dtype=np.uint8)
     num_blocks = arr.shape[-1] // CHIPS_PER_SYMBOL
-    shape = arr.shape[:-1] + (num_blocks,)
-    blocks = (
-        arr[..., : num_blocks * CHIPS_PER_SYMBOL]
-        .reshape(-1, CHIPS_PER_SYMBOL)
-        .astype(np.int32)
+    blocks = arr[..., : num_blocks * CHIPS_PER_SYMBOL].reshape(
+        arr.shape[:-1] + (num_blocks, CHIPS_PER_SYMBOL)
     )
-    # |p ^ c| = |p| + |c| − 2·p·c: one (N, 32) × (32, 16) matmul.
-    dists = _PN_WEIGHTS[None, :] + blocks.sum(axis=1)[:, None]
-    dists -= 2 * (blocks @ _PN_INT32.T)
-    symbols = dists.argmin(axis=1)
-    two_best = np.partition(dists, 1, axis=1)
-    return (
-        symbols.reshape(shape),
-        two_best[:, 0].reshape(shape),
-        (two_best[:, 1] - two_best[:, 0]).reshape(shape),
-    )
+    return PN_CODEBOOK.nearest(blocks)
 
 
 def symbol_confidences(distances: Sequence[int]) -> List[float]:

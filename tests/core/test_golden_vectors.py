@@ -170,8 +170,17 @@ class TestWidebandComposite:
     def test_channelized_decisions_match_sequential_reference(self):
         """The acceptance invariant: the wideband capture decodes all 16
         channels identically to the per-channel sequential pipeline."""
+        from tests.phy.wideband_oracle import SequentialFrontEnd
+
         doc = _load("wideband.json")
-        assert generate.wideband_decisions(mode="sequential") == doc["slots"]
+        assert generate.wideband_decisions(SequentialFrontEnd) == doc["slots"]
+
+    def test_production_front_end_reproduces_pinned_decisions(self):
+        """The shipped spectral band step makes the pinned decisions."""
+        from repro.chips.wideband import WidebandFrontEnd
+
+        doc = _load("wideband.json")
+        assert generate.wideband_decisions(WidebandFrontEnd) == doc["slots"]
 
 
 class TestFleetGolden:

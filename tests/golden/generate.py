@@ -16,7 +16,8 @@ encoding pipeline itself:
   PSDU byte-for-byte with the FCS intact.
 * ``wideband.json`` — the wideband composite: four golden PSDUs
   broadcast over all sixteen channels at once, composed into one band
-  capture, split by the polyphase channelizer (``mode="time"``) and
+  capture of wide-rate time samples, split back by the time-domain
+  oracle (``tests/phy/wideband_oracle.py``, ``"mode": "time"``) and
   batch-decoded.  Stores only decision-level values (payload bytes, FCS
   verdicts, sync indices, integer LLR margins) from a fixed seed, so the
   file stays byte-stable while pinning the whole wideband receive chain.
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import sys
 from typing import Dict
 
 import numpy as np
@@ -156,15 +158,18 @@ WIDEBAND_SEED = 2026
 WIDEBAND_SLOT_CHANNELS = (11, 16, 21, 26)
 
 
-def wideband_decisions(mode: str = "time") -> Dict:
+def wideband_decisions(front_end_cls=None) -> Dict:
     """Decode the composite wideband capture; return decision-level cells.
 
-    Shared by the generator (``mode="time"``, the pinned subsystem path)
-    and the golden tests, which re-run it with ``mode="sequential"`` to
-    assert the channelized decode makes exactly the decisions of the
-    per-channel reference path.
+    Shared by the generator (default: the time-domain oracle, the pinned
+    path) and the golden tests, which re-run it with the production
+    front end and the per-channel oracle to assert every band step makes
+    exactly the pinned decisions.
     """
-    from repro.chips.wideband import WidebandFrontEnd
+    if front_end_cls is None:
+        from tests.phy.wideband_oracle import TimeDomainFrontEnd
+
+        front_end_cls = TimeDomainFrontEnd
     from repro.dsp.oqpsk import OqpskModulator
     from repro.phy.batch import decode_chip_frames
 
@@ -173,8 +178,8 @@ def wideband_decisions(mode: str = "time") -> Dict:
         modulator.modulate(Ppdu(channel_psdu(c)).to_chips()).samples
         for c in WIDEBAND_SLOT_CHANNELS
     ]
-    front = WidebandFrontEnd(seed=WIDEBAND_SEED)
-    captures = front.capture_slots(signals, mode=mode)
+    front = front_end_cls(seed=WIDEBAND_SEED)
+    captures = front.capture_slots(signals)
     num_slots, num_channels, n_out = captures.shape
     decoded = decode_chip_frames(
         captures.reshape(num_slots * num_channels, n_out),
@@ -213,7 +218,7 @@ def build_wideband() -> Dict:
             "oversample": int(grid.oversample),
         },
         "slot_channels": list(WIDEBAND_SLOT_CHANNELS),
-        "slots": wideband_decisions(mode="time"),
+        "slots": wideband_decisions(),
     }
 
 
@@ -269,4 +274,7 @@ def main() -> int:
 
 
 if __name__ == "__main__":
+    # The time-domain oracle lives in the test package: put the
+    # repository root on the path when run as a script.
+    sys.path.insert(0, str(GOLDEN_DIR.parents[1]))
     raise SystemExit(main())

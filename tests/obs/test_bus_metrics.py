@@ -73,8 +73,6 @@ class TestTraceBus:
             "serve.session",
             "serve.shed",
             "serve.stage",
-            "channelizer.split",
-            "channelizer.compose",
             "fleet.sample",
         } == set(EVENT_NAMES)
 

@@ -38,7 +38,6 @@ class TestSuite:
             "sync_search",
             "compose_capture_latency",
             "table3_cell_wall_clock",
-            "channelizer_16ch",
             "table3_sweep_wideband",
             "fleet_medium_scan",
             "fleet_campaign_sharded",

@@ -10,16 +10,16 @@ Three equivalences keep the 16-channel pipeline honest:
   must make exactly the decisions of :func:`oracle_decode`, a sequential
   receiver rebuilt here from reference pieces only (the signal's
   instantaneous frequency, ``np.correlate``, a cumulative-power gate,
-  ``transitions_to_chips`` and the scalar ``despread_symbol``), at the
-  fleet's 4 Msps (direct correlator) and at 16 Msps (FFT correlator).  A
-  stacked decode must equal row-by-row decodes bit for bit.
-* **Subsystem exactness** — compose → channelize is an identity to
-  float round-off for a single block, and streaming overlap-save agrees
-  with whole-capture processing away from the guard bands.
+  ``transitions_to_chips`` and the scalar ``despread_symbol`` oracle),
+  at the fleet's 4 Msps (direct correlator) and at 16 Msps (FFT
+  correlator).  A stacked decode must equal row-by-row decodes bit for
+  bit.
+* **Subsystem exactness** — the time-domain oracle's compose →
+  channelize is an identity to float round-off.
 
 Everything here runs in float64: the golden and differential contract is
 pinned at full precision; the sweep's single-precision raster is covered
-by the mode-parity smoke checks.
+by ``tests/experiments/test_table3_wideband.py``.
 """
 
 import numpy as np
@@ -38,12 +38,11 @@ from repro.phy.batch import (
     SYNC_START_INDEX,
     decode_chip_frames,
 )
-from repro.phy.channelizer import (
-    PolyphaseChannelizer,
-    WidebandGrid,
-    compose_band,
-)
-from repro.phy.ieee802154 import CHIPS_PER_SYMBOL, Ppdu, despread_symbol
+from repro.phy.channelizer import WidebandGrid
+from repro.phy.ieee802154 import CHIPS_PER_SYMBOL, Ppdu
+
+from tests.phy.despread_oracle import despread_symbol
+from tests.phy.wideband_oracle import channelize, compose_band
 
 SPC = 8
 CHIP_RATE = 2e6
@@ -158,9 +157,7 @@ class TestChannelizerTransparency:
         grid = WidebandGrid()
         n_out = grid.pad_length(x.size)
         wide = compose_band({channel: x}, grid=grid, n_out=n_out)
-        rows = PolyphaseChannelizer(grid).channelize(
-            wide, channels=(channel,)
-        )
+        rows = channelize(wide, grid=grid, channels=(channel,))
         direct = decode_chip_frames(
             np.pad(x, (0, n_out - x.size))[None, :], samples_per_chip=SPC
         )
@@ -266,39 +263,6 @@ class TestSubsystemExactness:
         grid = WidebandGrid()
         x = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
         wide = compose_band({channel: x}, grid=grid)
-        back = PolyphaseChannelizer(grid).channelize(
-            wide, channels=(channel,)
-        )[0]
+        back = channelize(wide, grid=grid, channels=(channel,))[0]
         np.testing.assert_allclose(back[: x.size], x, atol=1e-9)
         np.testing.assert_allclose(back[x.size :], 0.0, atol=1e-9)
-
-    def test_overlap_save_matches_single_block(self):
-        """Streaming agrees with whole-capture on band-limited signals.
-
-        The block-edge taper is transparent only for signals that keep
-        their energy out of the outer guard bins — which O-QPSK at 2 MHz
-        in a 16 MHz channel does.  Measured error is ≈0.9% of signal RMS
-        (broadband noise adds its own taper leakage on top, so it is kept
-        at 0.5% of the signal here); 2% is the pinned bound.
-        """
-        _psdu, x = make_capture(b"hello world, channel", 1e3, 5e-4, 5)
-        grid = WidebandGrid()
-        n = grid.pad_length(x.size)
-        wide = compose_band({18: x}, grid=grid, n_out=n)
-        whole = PolyphaseChannelizer(grid).channelize(wide, channels=(18,))[0]
-        blocked = PolyphaseChannelizer(
-            grid, block_samples=2048, guard=128
-        ).channelize(wide, channels=(18,))[0]
-        scale = np.sqrt(np.mean(np.abs(x) ** 2))
-        assert np.max(np.abs(blocked - whole)) < 0.02 * scale
-        # The residual must also be decode-transparent.
-        whole_frame = decode_chip_frames(
-            whole[None, :], samples_per_chip=SPC
-        )[0]
-        blocked_frame = decode_chip_frames(
-            blocked[None, :], samples_per_chip=SPC
-        )[0]
-        assert whole_frame is not None and blocked_frame is not None
-        assert blocked_frame.psdu == whole_frame.psdu
-        assert blocked_frame.fcs_ok is whole_frame.fcs_ok is True
-        assert sfd_sample(blocked_frame) == sfd_sample(whole_frame)

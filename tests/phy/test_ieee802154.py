@@ -13,12 +13,13 @@ from repro.phy.ieee802154 import (
     SHR_SYMBOLS,
     byte_for_symbols,
     despread_chips,
-    despread_symbol,
     spread_bytes,
     spread_symbols,
     symbol_confidences,
     symbols_for_byte,
 )
+
+from tests.phy.despread_oracle import despread_symbol
 
 
 class TestTable1:
@@ -94,10 +95,9 @@ class TestSpreading:
             spread_symbols([16])
 
     def test_despread_exact(self):
-        for symbol in range(16):
-            decoded, distance = despread_symbol(PN_SEQUENCES[symbol])
-            assert decoded == symbol
-            assert distance == 0
+        symbols, distances, _ = despread_chips(PN_MATRIX.ravel())
+        assert symbols.tolist() == list(range(16))
+        assert distances.tolist() == [0] * 16
 
     def test_despread_with_errors(self):
         """Up to 5 chip flips must still decode (min distance >= 12)."""
@@ -106,13 +106,29 @@ class TestSpreading:
             chips = PN_SEQUENCES[symbol].copy()
             flip = rng.choice(32, size=5, replace=False)
             chips[flip] ^= 1
-            decoded, distance = despread_symbol(chips)
-            assert decoded == symbol
-            assert distance == 5
+            decoded, distance, _ = despread_chips(chips)
+            assert decoded.tolist() == [symbol]
+            assert distance.tolist() == [5]
 
     def test_despread_wrong_size(self):
-        with pytest.raises(ValueError):
-            despread_symbol(np.zeros(31, dtype=np.uint8))
+        """A block shorter than 32 chips despreads to no symbol."""
+        symbols, distances, llrs = despread_chips(np.zeros(31, dtype=np.uint8))
+        assert symbols.size == distances.size == llrs.size == 0
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+        st.floats(0.0, 0.5),
+    )
+    def test_despread_chips_matches_scalar_oracle(self, seed, count, flip_p):
+        """PN rows plus random chip noise, including ambiguous blocks
+        where tie-breaking must agree with the one-block search."""
+        rng = np.random.default_rng(seed)
+        clean = PN_MATRIX[rng.integers(0, 16, size=count)]
+        noisy = clean ^ (rng.random(clean.shape) < flip_p).astype(np.uint8)
+        symbols, distances, _ = despread_chips(noisy)
+        for row, symbol, distance in zip(noisy, symbols, distances):
+            assert (int(symbol[0]), int(distance[0])) == despread_symbol(row)
 
     def test_despread_chips_stream(self):
         stream = spread_symbols([1, 2, 3])

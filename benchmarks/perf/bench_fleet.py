@@ -123,7 +123,7 @@ def bench_fleet(quick: bool = False) -> List[BenchRecord]:
         )
 
     sharded_s = best_of(lambda: run("sharded"), repeats=repeats)
-    legacy_s = best_of(lambda: run("dense-unbounded"), repeats=1)
+    legacy_s = best_of(lambda: run("dense-unbounded"), repeats=repeats)
     records.append(
         BenchRecord(
             name="fleet_campaign_sharded",

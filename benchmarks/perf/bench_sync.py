@@ -1,10 +1,12 @@
 """Sync-correlation microbenchmark (the acquisition hot path).
 
-Times :meth:`FskDemodulator.find_sync` over a realistic frame-sized
-capture (with the correlator its size rule picks), plus the two
+Times :meth:`FskDemodulator.find_sync` on a noisy frame-sized capture,
+where the first-lock search correlates only up to the frame's sync word,
+and on noise of the same length, where it never locks and so correlates
+the whole capture (the worst case).  Also times the two whole-capture
 correlation kernels on their own — the O(N·M) time-domain
-``np.correlate`` and the FFT overlap path.  Both kernels must return the
-same correlation before anything is timed.
+``np.correlate`` and the single real-FFT product.  Both kernels must
+return the same correlation before anything is timed.
 """
 
 from __future__ import annotations
@@ -62,6 +64,11 @@ def bench_sync(quick: bool = False) -> List[BenchRecord]:
     sig, sync_bits = _capture(payload_size)
     disc = demod.discriminate(sig)
     power = np.abs(sig.samples[:-1]) ** 2
+    noise = np.random.default_rng(29).standard_normal((2, sig.samples.size))
+    noise_sig = IQSignal(noise[0] + 1j * noise[1], sig.sample_rate)
+    noise_disc = demod.discriminate(noise_sig)
+    noise_power = np.abs(noise_sig.samples[:-1]) ** 2
+    assert demod.find_sync(noise_disc, sync_bits, power=noise_power) is None
 
     rows = disc[None]
     template = sync_template(sync_bits, _CONFIG.samples_per_symbol).centered
@@ -71,7 +78,7 @@ def bench_sync(quick: bool = False) -> List[BenchRecord]:
     fft = _correlate_fft(rows, template)
     assert np.max(np.abs(direct - fft)) < 1e-9
 
-    def search() -> None:
+    def search(disc=disc, power=power) -> None:
         for _ in range(searches):
             demod.find_sync(disc, sync_bits, power=power)
 
@@ -83,6 +90,7 @@ def bench_sync(quick: bool = False) -> List[BenchRecord]:
         return run
 
     auto_s = best_of(search, repeats=repeats)
+    noise_s = best_of(lambda: search(noise_disc, noise_power), repeats=repeats)
     direct_s = best_of(kernel(_correlate_direct), repeats=repeats)
     fft_s = best_of(kernel(_correlate_fft), repeats=repeats)
     return [
@@ -94,6 +102,7 @@ def bench_sync(quick: bool = False) -> List[BenchRecord]:
             extra={
                 "capture_samples": int(disc.size),
                 "template_bits": int(np.asarray(sync_bits).size),
+                "noise_only_searches_per_s": searches / noise_s,
                 "direct_correlations_per_s": searches / direct_s,
                 "fft_correlations_per_s": searches / fft_s,
                 "fft_speedup_vs_direct": direct_s / fft_s,

@@ -46,6 +46,7 @@ __all__ = [
     "lazy_capture_power",
     "CLIP_LEVEL",
     "FFT_SYNC_MIN_PRODUCT",
+    "FIRST_LOCK_LAGS",
 ]
 
 
@@ -387,6 +388,11 @@ FFT_SYNC_MIN_PRODUCT = 1 << 21
 #: measured against BLAS-backed ``np.correlate`` on frame-sized captures).
 FFT_COST_FACTOR = 20.0
 
+#: Lags the direct correlator covers from a search start before it
+#: correlates the rest of the row: a frame-sized capture's first lock
+#: falls well inside them.
+FIRST_LOCK_LAGS = 256
+
 #: Discriminator limiter: nominal modulation sits at ±1; noise-only
 #: input would otherwise swing to ±(sample_rate / 2·deviation).
 CLIP_LEVEL = 1.5
@@ -400,9 +406,9 @@ def lazy_capture_power(capture: Capture) -> Callable[[], np.ndarray]:
 
     *capture* is an :class:`IQSignal` or samples ``(N,)`` / ``(F, N)``.
     The profile feeds the RSSI gate of :class:`SyncSearch` but is only
-    needed once a correlation candidate exists; wrapping it keeps
-    sync-less captures free of the extra pass, and re-armed sync searches
-    share the single materialised array.
+    needed once a row has a correlation candidate; wrapping it keeps
+    candidate-less captures free of the extra pass, and every row's gate
+    and every re-armed search share the single materialised array.
     """
     samples = capture.samples if isinstance(capture, IQSignal) else capture
     cache: list = []
@@ -472,22 +478,91 @@ def _correlate_fft(haystack: np.ndarray, template: np.ndarray) -> np.ndarray:
     return full[..., : n - template.size + 1]
 
 
-def _correlate_valid(haystack: np.ndarray, template: np.ndarray) -> np.ndarray:
-    """Valid-mode correlation of every row, FFT above a size threshold.
+def _fft_pays(samples: int, template_size: int) -> bool:
+    """Whether the FFT correlator beats the direct one on rows of *samples*.
 
     Direct costs N·M multiply-adds per row; the transforms cost
     ~FFT_COST_FACTOR·N_fft·log2(N_fft) (calibrated against BLAS-backed
     ``np.correlate``), so short templates stay direct however long the
     capture gets.
     """
-    n = haystack.shape[-1]
-    n_fft = sp_fft.next_fast_len(n)
-    direct_cost = n * template.size
-    if direct_cost >= FFT_SYNC_MIN_PRODUCT and (
+    n_fft = sp_fft.next_fast_len(samples)
+    direct_cost = samples * template_size
+    return direct_cost >= FFT_SYNC_MIN_PRODUCT and (
         direct_cost > FFT_COST_FACTOR * n_fft * math.log2(n_fft)
-    ):
-        return _correlate_fft(haystack, template)
-    return _correlate_direct(haystack, template)
+    )
+
+
+class _RowCorrelation:
+    """One row's normalised correlation, filled in over a run of lags.
+
+    ``values[lo:hi]`` holds the lags computed so far; :meth:`cover` extends
+    the run with ``np.correlate`` over just the missing lags, which gives
+    the same values as correlating the whole row.
+    """
+
+    def __init__(self, row: np.ndarray, template: SyncTemplate, values=None):
+        self.row = row
+        self.template = template
+        self.values = values
+        self.lo = 0
+        self.hi = 0 if values is None else values.size
+
+    def cover(self, start: int, stop: int) -> np.ndarray:
+        """The row's values, computed at least over lags ``[start, stop)``."""
+        if self.values is None:
+            self.lo = self.hi = start
+        if start < self.lo:
+            self._fill(start, self.lo)
+            self.lo = start
+        if stop > self.hi:
+            self._fill(self.hi, stop)
+            self.hi = stop
+        return self.values
+
+    def _fill(self, start: int, stop: int) -> None:
+        template = self.template
+        width = template.samples.size
+        segment = self.row[start : stop + width - 1]
+        corr = np.correlate(segment, template.centered, "valid")
+        corr = corr / template.norm
+        if self.values is None:
+            self.values = np.empty(self.row.size - width + 1, corr.dtype)
+        self.values[start:stop] = corr
+
+
+class _RssiGate:
+    """One row's RSSI gate: an alignment passes when its windowed mean
+    power reaches a quarter of the row's 90th percentile.
+
+    The percentile never exceeds the row's maximum, so reaching a quarter
+    of the maximum already passes; the percentile is computed only for a
+    candidate that falls below that.
+    """
+
+    def __init__(self, power: np.ndarray, window: int):
+        cumulative = np.empty(power.size + 1, power.dtype)
+        cumulative[0] = 0
+        np.cumsum(power, out=cumulative[1:])
+        self.windowed = (cumulative[window:] - cumulative[:-window]) / window
+        self.sufficient = 0.25 * self.windowed.max()
+        self.exact: Optional[np.ndarray] = None
+
+    def passes(self, lags: np.ndarray) -> np.ndarray:
+        """Which of *lags* (ascending, non-empty) pass the gate; exact for
+        every lag up to the first that passes."""
+        windowed = self.windowed[lags]
+        passed = windowed >= self.sufficient
+        if not passed[0]:
+            if self.exact is None:
+                self.exact = _percentile_floor(self.windowed)
+            passed = windowed >= self.exact
+        return passed
+
+
+def _percentile_floor(windowed: np.ndarray) -> np.ndarray:
+    """A quarter of the 90th percentile of one row's windowed power."""
+    return 0.25 * np.percentile(windowed, 90, keepdims=True)
 
 
 class SyncSearch:
@@ -497,41 +572,82 @@ class SyncSearch:
     zero-argument callable returning it) enables an RSSI gate that rejects
     alignments whose windowed power falls well below the strongest part
     of their row, so clipped noise in a pre-frame margin cannot trigger a
-    false sync.  For each template and threshold the correlation and the
-    gate are computed once — they do not depend on where a search starts
-    — and every :meth:`lock`, including the re-armed searches after a lock
-    that yielded no frame, reuses them.
+    false sync.
+
+    A search correlates only as far as its first lock needs.  Where the
+    size rule picks the direct correlator, a row is correlated over
+    :data:`FIRST_LOCK_LAGS` lags from the search start and, only if those
+    hold no gated candidate, over the rest of the row in one more call;
+    where it picks the FFT, the whole stack is correlated at once.  Each
+    row's correlation and gate are kept per template, so the re-armed
+    searches after a lock that yielded no frame reuse every lag already
+    computed.
     """
 
     def __init__(self, disc: np.ndarray, power: Optional[PowerInput] = None):
         self.disc = disc
         self.power = power
-        self._memo: Dict[Tuple[SyncTemplate, float], Tuple] = {}
+        self._rows: Dict[Tuple[SyncTemplate, int], _RowCorrelation] = {}
+        self._stacks: Dict[SyncTemplate, np.ndarray] = {}
+        self._gates: Dict[Tuple[int, int], Optional[_RssiGate]] = {}
+        self._profile: Optional[np.ndarray] = None
 
-    def _candidates(
-        self, template: SyncTemplate, threshold: float
-    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-        """``(corr, valid)``: the normalised correlation of every row with
-        the mean-removed template — a static carrier offset then neither
-        masquerades as nor masks a match — and the alignments that clear
-        *threshold* and the RSSI gate.  ``(None, None)`` when the rows are
-        shorter than the template."""
-        key = (template, threshold)
-        if key in self._memo:
-            return self._memo[key]
-        disc, width = self.disc, template.samples.size
-        corr = valid = None
-        n = disc.shape[-1]
-        if n >= width:
-            corr = _correlate_valid(disc, template.centered) / template.norm
-            valid = corr >= threshold
+    def _correlation(
+        self, template: SyncTemplate, row: int
+    ) -> _RowCorrelation:
+        """*row*'s normalised correlation with the mean-removed template —
+        a static carrier offset then neither masquerades as nor masks a
+        match."""
+        key = (template, row)
+        if key not in self._rows:
+            disc = self.disc
+            stack = None
+            if _fft_pays(disc.shape[-1], template.samples.size):
+                stack = self._stacks.get(template)
+                if stack is None:
+                    stack = _correlate_fft(disc, template.centered)
+                    stack = self._stacks[template] = stack / template.norm
+                stack = stack[row]
+            self._rows[key] = _RowCorrelation(disc[row], template, stack)
+        return self._rows[key]
+
+    def _gate(self, row: int, width: int) -> Optional[_RssiGate]:
+        """*row*'s RSSI gate for a *width*-sample window; ``None`` without
+        a power profile covering the row."""
+        key = (row, width)
+        if key not in self._gates:
             power = self.power
-            if power is not None and valid.any():
-                power = np.atleast_2d(power() if callable(power) else power)
-                if power.shape[-1] >= n:
-                    valid &= _rssi_gate(power[..., :n], width)
-        self._memo[key] = corr, valid
-        return corr, valid
+            if self._profile is None and power is not None:
+                power = power() if callable(power) else power
+                self._profile = np.atleast_2d(power)
+            profile, n = self._profile, self.disc.shape[-1]
+            gate = None
+            if profile is not None and profile.shape[-1] >= n:
+                # A one-row profile is shared by every row of the stack.
+                shared = len(profile) == 1
+                gate = _RssiGate(profile[0 if shared else row, :n], width)
+            self._gates[key] = gate
+        return self._gates[key]
+
+    def _first(
+        self,
+        corr: _RowCorrelation,
+        threshold: float,
+        row: int,
+        start: int,
+        stop: int,
+    ) -> Optional[int]:
+        """The first lag in ``[start, stop)`` that clears *threshold* and
+        the RSSI gate."""
+        values = corr.cover(start, stop)
+        hits = start + np.flatnonzero(values[start:stop] >= threshold)
+        if not hits.size:
+            return None
+        gate = self._gate(row, corr.template.samples.size)
+        if gate is None:
+            return int(hits[0])
+        passed = gate.passes(hits)
+        return int(hits[passed.argmax()]) if passed.any() else None
 
     def lock(
         self,
@@ -548,28 +664,27 @@ class SyncSearch:
         refines it to the local correlation maximum within two symbols.
         Returns ``(start, score, dc)`` or ``None``; *dc* is the mean of the
         locked discriminator window minus the template mean: the static
-        carrier offset in units of the nominal deviation.
+        carrier offset in units of the nominal deviation.  A negative
+        *search_start* raises :class:`ValueError`.
         """
-        corr, valid = self._candidates(template, threshold)
-        if valid is None or search_start >= valid.shape[-1]:
+        if search_start < 0:
+            raise ValueError(f"search_start must be >= 0, got {search_start}")
+        width = template.samples.size
+        lags = self.disc.shape[-1] - width + 1
+        if search_start >= lags:
             return None
-        first = search_start + int(valid[row, search_start:].argmax())
-        if not valid[row, first]:
+        corr = self._correlation(template, row)
+        early = min(search_start + FIRST_LOCK_LAGS, lags)
+        first = self._first(corr, threshold, row, search_start, early)
+        if first is None and early < lags:
+            first = self._first(corr, threshold, row, early, lags)
+        if first is None:
             return None
-        span = 2 * template.samples_per_symbol
-        best = first + int(corr[row, first : first + span].argmax())
-        window = self.disc[row, best : best + template.samples.size]
-        return best, float(corr[row, best]), float(window.mean() - template.mean)
-
-
-def _rssi_gate(power: np.ndarray, window: int) -> np.ndarray:
-    """Alignments whose windowed mean power reaches a quarter of their
-    row's 90th percentile."""
-    zeros = np.zeros(power.shape[:-1] + (1,), dtype=power.dtype)
-    cumulative = np.concatenate([zeros, np.cumsum(power, axis=-1)], axis=-1)
-    windowed = (cumulative[..., window:] - cumulative[..., :-window]) / window
-    gate = 0.25 * np.percentile(windowed, 90, axis=-1, keepdims=True)
-    return windowed >= gate
+        stop = min(first + 2 * template.samples_per_symbol, lags)
+        values = corr.cover(first, stop)
+        best = first + int(values[first:stop].argmax())
+        window = self.disc[row, best : best + width]
+        return best, float(values[best]), float(window.mean() - template.mean)
 
 
 class FskDemodulator:

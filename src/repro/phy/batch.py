@@ -4,13 +4,13 @@ Every 802.15.4 receiver in the stack — the narrowband
 :class:`~repro.chips.rzusbstick.Dot15d4Radio`, the wideband sweep and the
 differential tests — runs the same four stages, each written once over a
 *frames axis*: a stack of equal-length captures ``(F, N)``, of which a
-single capture is simply ``F = 1``.  Discrimination, correlation, the
-RSSI gate and despreading are array operations over all rows; the lock,
-slice and frame tail visit the rows that need them.
+single capture is simply ``F = 1``.  Discrimination and despreading are
+array operations over all rows; the sync search, slice and frame tail
+visit the rows that need them.
 
 * **sync** — :class:`~repro.dsp.gfsk.SyncSearch` correlates the preamble
-  template against every discriminator row, gates candidates on RSSI and
-  locks each row onto its first candidate;
+  template along each discriminator row only as far as its first
+  candidate that clears the RSSI gate, and locks the row onto it;
 * **slice** — :meth:`~repro.dsp.oqpsk.OqpskDemodulator.receive_chip_rows`
   integrates-and-dumps the rotation decisions after each lock and
   inverts them to chips by prefix XOR;
@@ -23,8 +23,8 @@ slice and frame tail visit the rows that need them.
   (:func:`repro.core.rx.decode_payload_bits`).
 
 A row whose lock yields no frame is re-armed one symbol further on, up to
-:data:`RESYNC_ATTEMPTS` locks; the correlation is computed once per stack
-and reused by every re-armed search.
+:data:`RESYNC_ATTEMPTS` locks; a re-armed search reuses every lag of the
+row's correlation already computed.
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ import numpy as np
 from benchmarks.perf.harness import BenchRecord, best_of
 from repro.dsp.signal import IQSignal
 from repro.experiments.fleet import run_fleet_campaign
+from repro.obs import scoped
 from repro.radio import RfMedium, Scheduler, ShardedRfMedium, Transceiver
 from repro.zigbee.fleet import make_fleet
 
@@ -38,35 +39,49 @@ _CLUSTER = 10  # co-located co-channel nodes per 60 m grid cell
 
 
 def _scan_world(medium_cls, num_nodes: int, txs_per_node: int) -> None:
-    """Scripted tone exchange over clustered no-op receivers."""
+    """Scripted tone exchange over clustered no-op receivers.
+
+    The queue is drained before returning, and the medium's delivery
+    ledger must balance: every scheduled delivery was delivered or skipped.
+    """
     n = np.arange(96)
     tone = np.exp(2j * np.pi * 80e3 * n / _SAMPLE_RATE) * 0.5
-    scheduler = Scheduler()
-    medium = medium_cls(
-        scheduler, sample_rate=_SAMPLE_RATE, seed=3, range_cutoff_m=15.0
-    )
-    side = math.ceil(math.sqrt(num_nodes / _CLUSTER))
-    radios = []
-    for i in range(num_nodes):
-        cluster = i // _CLUSTER
-        cx = (cluster % side) * 60.0
-        cy = (cluster // side) * 60.0
-        radio = Transceiver(
-            medium, name=f"n{i}", position=(cx + (i % _CLUSTER) * 1.0, cy)
+    with scoped() as (_, registry):
+        scheduler = Scheduler()
+        medium = medium_cls(
+            scheduler, sample_rate=_SAMPLE_RATE, seed=3, range_cutoff_m=15.0
         )
-        radio.tune(2405e6)
-        radio.start_rx(lambda cap, tx: None)
-        radios.append(radio)
-    k = 0
-    for _ in range(txs_per_node):
-        for radio in radios:
-            signal = IQSignal(tone, _SAMPLE_RATE, 2405e6)
-            scheduler.schedule_at(
-                (k % 997) * 1e-5,
-                lambda r=radio, s=signal: r.transmit(s),
+        side = math.ceil(math.sqrt(num_nodes / _CLUSTER))
+        radios = []
+        for i in range(num_nodes):
+            cluster = i // _CLUSTER
+            cx = (cluster % side) * 60.0
+            cy = (cluster // side) * 60.0
+            radio = Transceiver(
+                medium, name=f"n{i}", position=(cx + (i % _CLUSTER) * 1.0, cy)
             )
-            k += 1
-    scheduler.run(0.02)
+            radio.tune(2405e6)
+            radio.start_rx(lambda cap, tx: None)
+            radios.append(radio)
+        k = 0
+        for _ in range(txs_per_node):
+            for radio in radios:
+                signal = IQSignal(tone, _SAMPLE_RATE, 2405e6)
+                scheduler.schedule_at(
+                    (k % 997) * 1e-5,
+                    lambda r=radio, s=signal: r.transmit(s),
+                )
+                k += 1
+        scheduler.run(0.02)
+        while scheduler.step():
+            pass
+    ledger = registry.counter_values()
+    scheduled = ledger.get("medium.deliveries.scheduled", 0)
+    settled = ledger.get("medium.deliveries.delivered", 0) + ledger.get(
+        "medium.deliveries.skipped", 0
+    )
+    if scheduled != settled:
+        raise RuntimeError(f"unbalanced delivery ledger: {scheduled} != {settled}")
 
 
 def bench_fleet(quick: bool = False) -> List[BenchRecord]:

@@ -7,10 +7,12 @@
 * :func:`half_sine_pulse` — the O-QPSK chip shape mandated by IEEE 802.15.4
   (§12.2.6 of the 2015 revision).
 * :func:`fir_lowpass` — channel-selection filtering for receivers, built on
-  :func:`scipy.signal.firwin`.
+  :func:`scipy.signal.firwin` and designed once per configuration.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from scipy import signal as sp_signal
@@ -85,7 +87,12 @@ def fir_lowpass(
     """Linear-phase FIR low-pass filter taps.
 
     Used by receiver front-ends for channel selection: a 2 MHz-wide BLE or
-    Zigbee channel at 16 Msps wants a ~1.2 MHz cutoff.
+    Zigbee channel at 16 Msps wants a ~1.2 MHz cutoff.  *num_taps* must be
+    odd, so that :func:`apply_filter` can remove an integer group delay.
+
+    The design is memoised per ``(cutoff_hz, sample_rate, num_taps)``:
+    every receiver of a fleet shares one read-only taps array, and
+    :func:`repro.dsp.gfsk.clear_waveform_caches` drops it for a cold start.
     """
     if not 0 < cutoff_hz < sample_rate / 2:
         raise ValueError(
@@ -93,7 +100,16 @@ def fir_lowpass(
         )
     if num_taps < 3:
         raise ValueError("num_taps must be >= 3")
-    return sp_signal.firwin(num_taps, cutoff_hz, fs=sample_rate)
+    if num_taps % 2 == 0:
+        raise ValueError(f"num_taps must be odd (linear phase), got {num_taps}")
+    return _fir_lowpass(cutoff_hz, sample_rate, num_taps)
+
+
+@functools.lru_cache(maxsize=32)
+def _fir_lowpass(cutoff_hz: float, sample_rate: float, num_taps: int) -> np.ndarray:
+    taps = sp_signal.firwin(num_taps, cutoff_hz, fs=sample_rate)
+    taps.setflags(write=False)  # shared by every caller
+    return taps
 
 
 def apply_filter(taps: np.ndarray, samples: np.ndarray) -> np.ndarray:

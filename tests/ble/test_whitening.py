@@ -25,11 +25,25 @@ def spec_diagram_sequence(channel: int, count: int) -> np.ndarray:
 
 
 class TestSequence:
-    @pytest.mark.parametrize("channel", [0, 8, 17, 37, 39])
+    @pytest.mark.parametrize("channel", range(40))
     def test_matches_spec_diagram(self, channel):
-        assert np.array_equal(
-            whitening_sequence(channel, 200), spec_diagram_sequence(channel, 200)
-        )
+        """Lengths around one 127-bit period check the tiling."""
+        for count in (0, 1, 126, 127, 128, 200, 1000):
+            seq = whitening_sequence(channel, count)
+            assert seq.dtype == np.uint8
+            assert np.array_equal(seq, spec_diagram_sequence(channel, count))
+
+    @pytest.mark.parametrize("count", [127, 200])
+    def test_returns_fresh_writable_array(self, count):
+        first = whitening_sequence(8, count)
+        first[:] = 0
+        assert whitening_sequence(8, count).any()
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            whitening_sequence(8, -1)
+        with pytest.raises(ValueError):
+            whitening_sequence(40, 8)
 
     def test_period_127(self):
         seq = whitening_sequence(8, 254)

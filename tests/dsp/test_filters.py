@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy import signal as sp_signal
 
+from repro.dsp import filters
 from repro.dsp.filters import (
     apply_filter,
     fir_lowpass,
@@ -10,6 +12,10 @@ from repro.dsp.filters import (
     half_sine_pulse,
     rectangular_pulse,
 )
+from repro.dsp.gfsk import clear_waveform_caches
+from repro.experiments.fleet import run_fleet_campaign
+from repro.radio.transceiver import Transceiver
+from repro.zigbee.fleet import make_fleet
 
 
 class TestGaussianPulse:
@@ -100,3 +106,61 @@ class TestFirLowpass:
             fir_lowpass(9e6, 16e6)  # above Nyquist
         with pytest.raises(ValueError):
             fir_lowpass(1e6, 16e6, num_taps=2)
+
+    def test_even_taps_rejected(self):
+        """Even-length taps have a half-sample group delay that
+        apply_filter's integer trim would silently shift."""
+        with pytest.raises(ValueError, match="odd"):
+            fir_lowpass(1e6, 16e6, num_taps=48)
+
+    def test_even_taps_rejected_by_transceiver(self, quiet_medium):
+        with pytest.raises(ValueError, match="odd"):
+            Transceiver(quiet_medium, name="even", rx_filter_taps=48)
+
+
+class TestFirLowpassMemo:
+    """The design is shared per configuration, read-only and exact."""
+
+    @pytest.mark.parametrize(
+        "cutoff, fs, taps", [(1.3e6, 4e6, 49), (1.3e6, 16e6, 65), (1e6, 16e6, 33)]
+    )
+    def test_equals_fresh_design(self, cutoff, fs, taps):
+        expected = sp_signal.firwin(taps, cutoff, fs=fs)
+        assert fir_lowpass(cutoff, fs, taps).tobytes() == expected.tobytes()
+
+    def test_read_only(self):
+        taps = fir_lowpass(1.3e6, 4e6, num_taps=49)
+        with pytest.raises(ValueError):
+            taps[0] = 1.0
+
+    def test_call_style_shares_one_entry(self):
+        positional = fir_lowpass(1.3e6, 4e6, 49)
+        keyword = fir_lowpass(cutoff_hz=1.3e6, sample_rate=4e6, num_taps=49)
+        assert positional is keyword
+
+    def test_equal_transceivers_share_taps(self, quiet_medium):
+        a = Transceiver(quiet_medium, name="a")
+        b = Transceiver(quiet_medium, name="b")
+        assert a._filter is b._filter
+
+
+def test_cold_fleet_build_designs_one_filter(monkeypatch):
+    """A 24-node fleet build runs one firwin design, and the cold-start
+    reset makes the next build pay for exactly one again."""
+    calls = []
+    firwin = sp_signal.firwin
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return firwin(*args, **kwargs)
+
+    monkeypatch.setattr(filters.sp_signal, "firwin", counting)
+    spec = make_fleet(num_nodes=24, seed=0)
+    clear_waveform_caches()
+    run_fleet_campaign(spec, duration_s=0.0)
+    assert len(calls) == 1
+    run_fleet_campaign(spec, duration_s=0.0)
+    assert len(calls) == 1
+    clear_waveform_caches()
+    run_fleet_campaign(spec, duration_s=0.0)
+    assert len(calls) == 2

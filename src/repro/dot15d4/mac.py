@@ -340,7 +340,8 @@ class MacService:
             self.metrics.counter("mac.fcs_failures").inc()
             return
         try:
-            frame = MacFrame.parse(received.psdu)
+            # The PHY has already checked the FCS: check it once per frame.
+            frame = MacFrame.parse(received.psdu, check_fcs=False)
         except ValueError:
             return
         if self._sniffer is not None:

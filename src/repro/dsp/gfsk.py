@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -536,10 +536,9 @@ class _RowCorrelation:
         width = template.samples.size
         segment = self.row[start : stop + width - 1]
         corr = np.correlate(segment, template.centered, "valid")
-        corr = corr / template.norm
         if self.values is None:
             self.values = np.empty(self.row.size - width + 1, corr.dtype)
-        self.values[start:stop] = corr
+        np.divide(corr, template.norm, out=self.values[start:stop])
 
 
 class _RssiGate:
@@ -548,25 +547,29 @@ class _RssiGate:
 
     The percentile never exceeds the row's maximum, so reaching a quarter
     of the maximum already passes; the percentile is computed only for a
-    candidate that falls below that.
+    candidate that falls below that.  Window means are divided out only
+    where they are read: division by the positive window length is
+    monotone, so the maximum of the sums divided equals the maximum mean
+    exactly.
     """
 
     def __init__(self, power: np.ndarray, window: int):
         cumulative = np.empty(power.size + 1, power.dtype)
         cumulative[0] = 0
-        np.cumsum(power, out=cumulative[1:])
-        self.windowed = (cumulative[window:] - cumulative[:-window]) / window
-        self.sufficient = 0.25 * self.windowed.max()
+        np.add.accumulate(power, out=cumulative[1:])
+        self.window = window
+        self.sums = cumulative[window:] - cumulative[:-window]
+        self.sufficient = 0.25 * (self.sums.max() / window)
         self.exact: Optional[np.ndarray] = None
 
     def passes(self, lags: np.ndarray) -> np.ndarray:
         """Which of *lags* (ascending, non-empty) pass the gate; exact for
         every lag up to the first that passes."""
-        windowed = self.windowed[lags]
+        windowed = self.sums[lags] / self.window
         passed = windowed >= self.sufficient
         if not passed[0]:
             if self.exact is None:
-                self.exact = _percentile_floor(self.windowed)
+                self.exact = _percentile_floor(self.sums / self.window)
             passed = windowed >= self.exact
         return passed
 
@@ -651,14 +654,15 @@ class SyncSearch:
         """The first lag in ``[start, stop)`` that clears *threshold* and
         the RSSI gate."""
         values = corr.cover(start, stop)
-        hits = start + np.flatnonzero(values[start:stop] >= threshold)
+        hits = start + (values[start:stop] >= threshold).nonzero()[0]
         if not hits.size:
             return None
         gate = self._gate(row, corr.template.samples.size)
         if gate is None:
             return int(hits[0])
         passed = gate.passes(hits)
-        return int(hits[passed.argmax()]) if passed.any() else None
+        first = passed.argmax()
+        return int(hits[first]) if passed[first] else None
 
     def lock(
         self,
@@ -694,8 +698,59 @@ class SyncSearch:
         stop = min(first + 2 * template.samples_per_symbol, lags)
         values = corr.cover(first, stop)
         best = first + int(values[first:stop].argmax())
-        window = self.disc[row, best : best + width]
-        return best, float(values[best]), float(window.mean() - template.mean)
+        # ``window.mean()`` without its Python wrapper, in its arithmetic:
+        # the pairwise sum divided by an intp count, cast back.
+        total = np.add.reduce(self.disc[row, best : best + width])
+        mean = total.dtype.type(total / np.intp(width))
+        return best, float(values[best]), float(mean - template.mean)
+
+
+def _pairwise_sum(terms: Sequence[np.ndarray]) -> np.ndarray:
+    """Elementwise sum of equal-shape *terms* in NumPy's pairwise order.
+
+    The order in which ``np.add.reduce`` sums one contiguous run of
+    values: sequentially below 8 terms; up to 128 terms, eight running
+    partial sums folded as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` plus a
+    sequential remainder; beyond that, the two halves (the first a
+    multiple of 8 long) summed separately.  Summing the terms of a
+    reduction in the same order gives bit-identical results.  The terms
+    must be arrays the caller owns: the sums accumulate into them.
+    """
+    n = len(terms)
+    if n < 8:
+        total = terms[0]
+        for term in terms[1:]:
+            total += term
+        return total
+    if n <= 128:
+        partial = terms[:8]
+        blocked = n - n % 8
+        for i in range(8, blocked, 8):
+            for j in range(8):
+                partial[j] += terms[i + j]
+        total = (partial[0] + partial[1]) + (partial[2] + partial[3])
+        total += (partial[4] + partial[5]) + (partial[6] + partial[7])
+        for term in terms[blocked:]:
+            total += term
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+
+
+def _integrate_and_dump(
+    window: np.ndarray, sps: int, dc: float = 0.0
+) -> np.ndarray:
+    """The sum of each run of *sps* samples of a 1-D *window*, less *dc*.
+
+    Bit-identical to ``(window - dc).reshape(-1, sps).sum(axis=1)`` — the
+    same additions in the same order, starting from the reduction's +0.0
+    identity — but as *sps* strided adds over whole rows rather than one
+    tiny reduction per symbol.
+    """
+    total = _pairwise_sum([window[phase::sps] - dc for phase in range(sps)])
+    total += 0.0
+    return total
 
 
 class FskDemodulator:
@@ -728,9 +783,19 @@ class FskDemodulator:
                     f"demodulator {self.sample_rate}"
                 )
             capture = capture.samples
+        # Keep this product as one expression: NumPy evaluates it in place
+        # on the conj temporary once that reaches 256 KiB (temporary
+        # elision), which swaps the operands of the complex multiply, and
+        # the swap changes the last bit of some products.
         lag = capture[..., 1:] * np.conj(capture[..., :-1])
-        freq = np.angle(lag) * self.sample_rate / (2.0 * np.pi)
-        return np.clip(freq / self.frequency_deviation, -CLIP_LEVEL, CLIP_LEVEL)
+        # np.angle, then the scaling and limiter of the reference
+        # expression ``clip(angle · fs / 2π / deviation)`` in its order,
+        # in place on the one real output array.
+        freq = np.arctan2(lag.imag, lag.real)
+        freq *= self.sample_rate
+        freq /= 2.0 * np.pi
+        freq /= self.frequency_deviation
+        return np.clip(freq, -CLIP_LEVEL, CLIP_LEVEL, out=freq)
 
     # -- timing acquisition -------------------------------------------------
     def find_sync(
@@ -777,8 +842,7 @@ class FskDemodulator:
                 f"requested symbols [{start}:{end}] exceed discriminator "
                 f"length {disc.size}"
             )
-        window = disc[start:end] - dc
-        return window.reshape(num_symbols, sps).sum(axis=1)
+        return _integrate_and_dump(disc[start:end], sps, dc)
 
     def decide_bits(
         self, disc: np.ndarray, start: int, num_bits: int, dc: float = 0.0

@@ -120,20 +120,25 @@ class Codebook:
     """Binary codewords prepared for nearest-codeword search.
 
     The one despreading kernel of both receivers — PN sequences for
-    802.15.4 chips, their MSK encodings for WazaBee.  For bit vectors
-    ``b`` and ``c``, ``|b ^ c| = |b| + |c| − 2·b·c``, so a single
-    ``(N, L) × (L, K)`` integer product scores every block against every
-    codeword.
+    802.15.4 chips, their MSK encodings for WazaBee.  For 0/1 vectors
+    ``b`` and ``c``, ``|b ^ c| = |c| − b·(2c − 1)``, so a single
+    ``(N, L) × (L, K)`` float32 BLAS product of the blocks with the ±1
+    codewords scores every block against every codeword.  The scores are
+    exact: every partial sum is an integer of magnitude at most ``L``,
+    and float32 represents every integer below 2²⁴ exactly.
     """
 
     def __init__(self, words: np.ndarray):
-        self._words = np.asarray(words, dtype=np.int32)
-        self._weights = self._words.sum(axis=1)
+        words = np.asarray(words, dtype=np.int32)
+        self._length = words.shape[1]
+        self._weights = words.sum(axis=1).astype(np.float32)
+        self._signs = np.ascontiguousarray((2 * words - 1).T, dtype=np.float32)
 
     def nearest(
         self, blocks: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Match every ``(..., L)`` block to its nearest codeword.
+        """Match every ``(..., L)`` block of 0/1 values to its nearest
+        codeword.
 
         Returns ``(symbols, distances, llrs)``, each of shape
         ``blocks.shape[:-1]``: the index of the nearest codeword (ties go
@@ -142,9 +147,10 @@ class Codebook:
         """
         arr = np.asarray(blocks)
         shape = arr.shape[:-1]
-        rows = arr.reshape(-1, self._words.shape[1]).astype(np.int32)
-        dists = self._weights[None, :] + rows.sum(axis=1)[:, None]
-        dists -= 2 * (rows @ self._words.T)
+        rows = arr.reshape(-1, self._length).astype(np.float32)
+        scores = rows @ self._signs
+        np.subtract(self._weights, scores, out=scores)
+        dists = scores.astype(np.int64)
         symbols = dists.argmin(axis=1)
         two_best = np.partition(dists, 1, axis=1)
         return (

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -152,7 +152,8 @@ class RfMedium:
         if range_cutoff_m is not None and range_cutoff_m <= 0.0:
             raise ValueError("range_cutoff_m must be positive")
         self.range_cutoff_m = range_cutoff_m
-        self._radios: List["Transceiver"] = []
+        # Attached radios by name, in attach order.
+        self._radios: Dict[str, "Transceiver"] = {}
         self._transmissions: List[Transmission] = []
         self._next_id = 0
         # Per-receiver random streams, keyed by radio *name* (not insertion
@@ -189,17 +190,25 @@ class RfMedium:
 
     # -- attachment ---------------------------------------------------------
     def attach(self, radio: "Transceiver") -> None:
-        if radio not in self._radios:
-            self._radios.append(radio)
-            # Stream creation is idempotent per name: detach + re-attach
-            # continues the same stream rather than rewinding it.
-            self._rx_streams.setdefault(
-                radio.name, self.derive_rng(f"medium.rx:{radio.name}")
-            )
+        """Connect *radio*; re-attaching an attached radio does nothing.
+
+        Raises :class:`ValueError` when another attached radio has the same
+        name: per-receiver random streams are keyed by name, so the two
+        would draw from one stream.
+        """
+        attached = self._radios.get(radio.name)
+        if attached is radio:
+            return
+        if attached is not None:
+            raise ValueError(f"a radio named {radio.name!r} is already attached")
+        self._radios[radio.name] = radio
+        # Stream creation is idempotent per name: detach + re-attach
+        # continues the same stream rather than rewinding it.
+        self._rx_stream(radio)
 
     def detach(self, radio: "Transceiver") -> None:
-        if radio in self._radios:
-            self._radios.remove(radio)
+        if self._radios.get(radio.name) is radio:
+            del self._radios[radio.name]
 
     def radio_moved(self, radio: "Transceiver") -> None:
         """Notification hook: *radio*'s position changed.
@@ -274,7 +283,7 @@ class RfMedium:
         must preserve attach order so the scheduler's event sequence — and
         therefore every downstream tie-break — is identical across them.
         """
-        return self._radios
+        return self._radios.values()
 
     def _index_transmission(self, tx: Transmission) -> None:
         """Hook: a transmission entered the superposition list."""

@@ -8,7 +8,19 @@ from repro.dot15d4.channels import (
     channel_for_frequency,
     channel_frequency_hz,
 )
-from repro.dot15d4.fcs import append_fcs, compute_fcs, strip_fcs, verify_fcs
+from repro.dot15d4.fcs import (
+    FCS_POLY,
+    append_fcs,
+    compute_fcs,
+    strip_fcs,
+    verify_fcs,
+)
+from repro.utils.crc import CrcEngine
+
+#: The bit-serial reference engine for the FCS (CRC-16/KERMIT).
+FCS_REFERENCE = CrcEngine(
+    width=16, polynomial=FCS_POLY, init=0x0000, reflect_output=True
+)
 
 
 class TestChannels:
@@ -71,3 +83,13 @@ class TestFcs:
     def test_roundtrip_property(self, data):
         assert verify_fcs(append_fcs(data))
         assert strip_fcs(append_fcs(data)) == data
+
+    @given(st.binary(max_size=300))
+    def test_matches_bit_serial_engine(self, data):
+        assert compute_fcs(data) == FCS_REFERENCE.compute(data)
+
+    def test_matches_bit_serial_engine_on_every_byte(self):
+        for value in range(256):
+            data = bytes([value, 0xA5, value ^ 0xFF])
+            assert compute_fcs(data) == FCS_REFERENCE.compute(data)
+            assert compute_fcs(bytearray(data)) == FCS_REFERENCE.compute(data)

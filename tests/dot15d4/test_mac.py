@@ -7,6 +7,7 @@ from repro.chips.rzusbstick import Dot15d4Radio
 from repro.dot15d4.frames import (
     Address,
     FrameType,
+    MacFrame,
     build_beacon_request,
     build_data,
 )
@@ -117,6 +118,48 @@ class TestDataExchange:
         mac_a.send_data(other, b"secret", ack=False)
         sched.run(0.01)
         assert len(sniffed) == 1
+
+
+@pytest.fixture()
+def parses(monkeypatch):
+    """Every ``MacFrame.parse`` call, as ``(psdu, check_fcs)``."""
+    calls = []
+    parse = MacFrame.parse
+
+    def counted(psdu, check_fcs=True):
+        calls.append((psdu, check_fcs))
+        return parse(psdu, check_fcs)
+
+    monkeypatch.setattr(MacFrame, "parse", staticmethod(counted))
+    return calls
+
+
+class TestFcsCheckedOnce:
+    """The PHY checks the FCS; the MAC trusts its verdict."""
+
+    def test_bad_fcs_counted_and_never_parsed(self, pair, parses):
+        mac_a, mac_b, sched = pair
+        got = []
+        mac_b.on_data(got.append)
+        psdu = bytearray(build_data(ADDR_A, ADDR_B, b"bad", 9).to_bytes())
+        psdu[-1] ^= 0xFF
+        mac_a.radio.transmit_psdu(bytes(psdu))
+        sched.run(0.01)
+        assert mac_b.stats.received_frames == 1
+        assert mac_b.stats.fcs_failures == 1
+        assert mac_b.stats.acks_sent == 0
+        assert got == []
+        assert parses == []
+
+    def test_good_frame_parsed_once_without_fcs_check(self, pair, parses):
+        mac_a, mac_b, sched = pair
+        got = []
+        mac_b.on_data(got.append)
+        mac_a.send_data(ADDR_B, b"good", ack=False)
+        sched.run(0.01)
+        assert [frame.payload for frame in got] == [b"good"]
+        assert mac_b.stats.fcs_failures == 0
+        assert [check for _psdu, check in parses] == [False]
 
 
 class TestBeacons:

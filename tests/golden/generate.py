@@ -25,6 +25,14 @@ encoding pipeline itself:
   sharded medium: per-node delivery/drop/retry counters, battery curves,
   depletion times and the medium's delivery ledger.  Pins the whole fleet
   stack (topology builder, MAC, energy model, sharded delivery, merge).
+* ``fleetbench_digests.json`` — the sha256 of fleetbench's
+  ``fingerprint()`` for each benchmark workload at seed 1: every per-node
+  counter, curve and ledger entry of one benchmark campaign.  Fleetbench
+  itself only checks a change against itself and against its dense
+  replay, which shares every receive kernel; these digests pin the
+  benchmark's traffic to the committed outcome.  Written by
+  :func:`main` but kept out of :data:`CORPUS`, so the test suite runs
+  each workload once (``tests/experiments/test_fleetbench_digests.py``).
 
 Every value is derived deterministically (the wideband vector from one
 pinned PCG64 seed, everything else with no RNG at all — and never from a
@@ -39,6 +47,8 @@ Regenerate (only after an *intentional* encoding change) with::
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 import json
 import pathlib
 import sys
@@ -250,6 +260,35 @@ def build_fleet() -> Dict:
     return doc
 
 
+#: Seed of the pinned fleetbench campaigns.
+FLEETBENCH_SEED = 1
+
+
+def fleetbench_workloads():
+    """``fleetbench/workloads.py``, imported (read-only) from its path."""
+    name = "fleetbench_workloads"
+    if name not in sys.modules:
+        path = GOLDEN_DIR.parents[1] / "fleetbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+def build_fleetbench_digests() -> Dict:
+    workloads = fleetbench_workloads()
+    digests = {}
+    for name, workload in workloads.WORKLOADS.items():
+        outcome = workload.run(workload.spec(FLEETBENCH_SEED))
+        fingerprint = workloads.fingerprint(outcome).encode("utf-8")
+        digests[name] = hashlib.sha256(fingerprint).hexdigest()
+    return {"seed": FLEETBENCH_SEED, "sha256": digests}
+
+
+#: Vectors written by :func:`main` but too slow to render twice per test
+#: run; each has its own test.
+PINNED = {"fleetbench_digests.json": build_fleetbench_digests}
+
 CORPUS = {
     "table1_pn_sequences.json": build_table1,
     "algorithm1_msk.json": build_algorithm1,
@@ -262,11 +301,12 @@ CORPUS = {
 
 def render(name: str) -> str:
     """Canonical serialisation — the byte-stability contract."""
-    return json.dumps(CORPUS[name](), indent=2, sort_keys=True) + "\n"
+    build = CORPUS.get(name) or PINNED[name]
+    return json.dumps(build(), indent=2, sort_keys=True) + "\n"
 
 
 def main() -> int:
-    for name in CORPUS:
+    for name in [*CORPUS, *PINNED]:
         path = GOLDEN_DIR / name
         path.write_text(render(name), encoding="utf-8")
         print(f"wrote {path}")

@@ -159,9 +159,15 @@ class TestRobustness:
         a receiver placed between them."""
         scheduler = Scheduler()
         medium = RfMedium(scheduler, rng=np.random.default_rng(0))
-        a = RzUsbStick(medium, position=(0, 0), rng=np.random.default_rng(1))
-        b = RzUsbStick(medium, position=(0, 4), rng=np.random.default_rng(2))
-        rx = RzUsbStick(medium, position=(0, 2), rng=np.random.default_rng(3))
+        a = RzUsbStick(
+            medium, name="a", position=(0, 0), rng=np.random.default_rng(1)
+        )
+        b = RzUsbStick(
+            medium, name="b", position=(0, 4), rng=np.random.default_rng(2)
+        )
+        rx = RzUsbStick(
+            medium, name="rx", position=(0, 2), rng=np.random.default_rng(3)
+        )
         for radio in (a, b, rx):
             radio.set_channel(14)
         received = []

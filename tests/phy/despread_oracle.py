@@ -3,7 +3,9 @@
 Production despreads whole captures with one matmul kernel
 (:class:`repro.phy.ieee802154.Codebook`).  These one-block
 searches are the definitions it is tested against: count the differing
-bits to every codeword, take the first minimum.
+bits to every codeword, take the first minimum.  :func:`int32_nearest`
+is the integer matmul the float32 kernel replaced; the two must agree
+bit for bit, dtypes included.
 """
 
 from typing import Tuple
@@ -37,3 +39,24 @@ def decode_block(table: CorrespondenceTable, bits) -> Tuple[int, int]:
             f"expected {MSK_BITS_PER_SYMBOL} bits, got {arr.size}"
         )
     return _nearest(table.matrix, arr)
+
+
+def int32_nearest(
+    words: np.ndarray, blocks: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``Codebook(words).nearest(blocks)`` as one int32 product:
+    ``|b ^ c| = |b| + |c| − 2·b·c``."""
+    words = np.asarray(words, dtype=np.int32)
+    weights = words.sum(axis=1)
+    arr = np.asarray(blocks)
+    shape = arr.shape[:-1]
+    rows = arr.reshape(-1, words.shape[1]).astype(np.int32)
+    dists = weights[None, :] + rows.sum(axis=1)[:, None]
+    dists -= 2 * (rows @ words.T)
+    symbols = dists.argmin(axis=1)
+    two_best = np.partition(dists, 1, axis=1)
+    return (
+        symbols.reshape(shape),
+        two_best[:, 0].reshape(shape),
+        (two_best[:, 1] - two_best[:, 0]).reshape(shape),
+    )

@@ -9,6 +9,7 @@ from repro.phy.ieee802154 import (
     MAX_PSDU_SIZE,
     PN_MATRIX,
     PN_SEQUENCES,
+    Codebook,
     Ppdu,
     SHR_SYMBOLS,
     byte_for_symbols,
@@ -19,7 +20,7 @@ from repro.phy.ieee802154 import (
     symbols_for_byte,
 )
 
-from tests.phy.despread_oracle import despread_symbol
+from tests.phy.despread_oracle import despread_symbol, int32_nearest
 
 
 class TestTable1:
@@ -159,6 +160,75 @@ class TestSpreading:
             for i in range(len(data))
         )
         assert reassembled == data
+
+
+def _assert_same_nearest(words, blocks):
+    """Codebook(words).nearest(blocks) equals the int32 oracle exactly."""
+    got = Codebook(words).nearest(blocks)
+    want = int32_nearest(words, blocks)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert a.shape == b.shape
+        np.testing.assert_array_equal(a, b)
+
+
+class TestCodebookOracle:
+    """The float32 BLAS kernel against the int32 matmul it replaced."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_pn_blocks(self, seed):
+        rng = np.random.default_rng(seed)
+        blocks = rng.integers(0, 2, (500, CHIPS_PER_SYMBOL), dtype=np.uint8)
+        _assert_same_nearest(PN_MATRIX, blocks)
+
+    def test_random_msk_blocks(self):
+        from repro.core.tables import default_table
+
+        matrix = default_table().matrix
+        rng = np.random.default_rng(7)
+        blocks = rng.integers(0, 2, (3, 40, matrix.shape[1]), dtype=np.uint8)
+        _assert_same_nearest(matrix, blocks)
+
+    def test_noisy_pn_blocks_with_ties(self):
+        rng = np.random.default_rng(11)
+        clean = PN_MATRIX[rng.integers(0, 16, size=2000)]
+        for flip_p in (0.05, 0.25, 0.5):
+            noisy = clean ^ (rng.random(clean.shape) < flip_p).astype(np.uint8)
+            _assert_same_nearest(PN_MATRIX, noisy)
+
+    def test_real_chip_blocks(self):
+        """Chips sliced by the receive engine from noisy O-QPSK frames."""
+        from repro.dsp.impairments import awgn
+        from repro.dsp.oqpsk import OqpskDemodulator, OqpskModulator
+        from repro.phy.batch import (
+            MAX_FRAME_CHIPS,
+            SYNC_CHIPS,
+            SYNC_START_INDEX,
+        )
+
+        rng = np.random.default_rng(5)
+        chips = Ppdu(bytes(range(60))).to_chips()
+        clean = OqpskModulator(samples_per_chip=2).modulate(chips)
+        demod = OqpskDemodulator(samples_per_chip=2)
+        rows = []
+        for snr_db in (12.0, 4.0, 1.0):
+            found = demod.receive_chips(
+                awgn(clean, snr_db, rng=rng),
+                SYNC_CHIPS,
+                SYNC_START_INDEX,
+                MAX_FRAME_CHIPS,
+                threshold=0.2,
+            )
+            assert found is not None
+            got = found[0]
+            rows.append(got[: got.size // 32 * 32].reshape(-1, 32))
+        blocks = np.concatenate(rows)
+        assert int32_nearest(PN_MATRIX, blocks)[1].max() > 0
+        _assert_same_nearest(PN_MATRIX, blocks)
+
+    @pytest.mark.parametrize("shape", [(0, 32), (2, 0, 32), (0, 0, 32)])
+    def test_empty_blocks(self, shape):
+        _assert_same_nearest(PN_MATRIX, np.zeros(shape, dtype=np.uint8))
 
 
 class TestSymbolConfidences:

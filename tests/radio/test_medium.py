@@ -173,3 +173,49 @@ class TestDelivery:
         tx.transmit(tone_baseband())
         sched.run(0.01)
         assert captures == []
+
+
+class TestAttach:
+    """Per-receiver streams are keyed by name: one name, one radio."""
+
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_duplicate_name_rejected(self, sharded):
+        sched = Scheduler()
+        if sharded:
+            from repro.radio.shard import ShardedRfMedium
+
+            medium = ShardedRfMedium(sched, range_cutoff_m=10.0)
+        else:
+            medium = RfMedium(sched)
+        first = Transceiver(medium, "node", position=(0, 0))
+        with pytest.raises(ValueError, match="'node' is already attached"):
+            Transceiver(medium, "node", position=(1, 0))
+        assert list(medium._radios.values()) == [first]
+
+    def test_reattaching_the_same_radio_is_a_no_op(self):
+        _, medium = make_env()
+        radio = Transceiver(medium, "rx", position=(0, 0))
+        medium.attach(radio)
+        assert list(medium._radios.values()) == [radio]
+
+    def test_name_is_free_again_after_detach(self):
+        _, medium = make_env()
+        old = Transceiver(medium, "rx", position=(0, 0))
+        medium.detach(old)
+        new = Transceiver(medium, "rx", position=(1, 0))
+        assert list(medium._radios.values()) == [new]
+        with pytest.raises(ValueError):
+            medium.attach(old)
+
+    def test_reattach_continues_the_stream_without_new_generators(self):
+        _, medium = make_env()
+        radio = Transceiver(medium, "rx", position=(0, 0))
+        stream = medium._rx_stream(radio)
+        stream.standard_normal(3)
+        medium.detach(radio)
+        calls = []
+        derive = medium.derive_rng
+        medium.derive_rng = lambda label: calls.append(label) or derive(label)
+        medium.attach(radio)
+        assert calls == []
+        assert medium._rx_stream(radio) is stream

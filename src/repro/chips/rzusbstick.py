@@ -13,7 +13,7 @@ inside the XBee network nodes of §VI.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -27,6 +27,9 @@ from repro.phy.batch import (
     RESYNC_ATTEMPTS,
     SYNC_CHIPS,
     SYNC_START_INDEX,
+    BatchDecodedFrame,
+    DecodedFrame,
+    decode_chip_frames,
     frame_tail,
 )
 from repro.phy.ieee802154 import CHIPS_PER_SYMBOL, Ppdu, despread_chips
@@ -116,20 +119,53 @@ class Dot15d4Radio:
     # -- receive -----------------------------------------------------------------
     def start_rx(self, handler: PsduHandler) -> None:
         self._handler = handler
-        self.transceiver.start_rx(self._on_capture)
+        self.transceiver.start_rx(self._on_capture, stacked=self)
 
     def stop_rx(self) -> None:
         self._handler = None
         self.transceiver.stop_rx()
 
-    def _on_capture(self, capture: IQSignal, _tx: Transmission) -> None:
+    # The medium decodes a transmission's captures as one stack
+    # (repro.radio.transceiver.StackedReceiver); _on_capture takes the
+    # captures delivered one at a time.
+    @property
+    def stack_key(self) -> Hashable:
+        demodulator = self._demodulator
+        return (
+            demodulator.samples_per_chip,
+            demodulator.chip_rate,
+            self.sync_threshold,
+            self.max_chip_distance,
+        )
+
+    def decode_rows(self, rows: np.ndarray) -> List[Optional[BatchDecodedFrame]]:
+        """Decode filtered captures ``(F, N)`` with this radio's settings."""
+        return decode_chip_frames(
+            rows,
+            self._demodulator.samples_per_chip,
+            self._demodulator.chip_rate,
+            sync_threshold=self.sync_threshold,
+            max_chip_distance=self.max_chip_distance,
+        )
+
+    def take_row(self, frame: Optional[DecodedFrame], duration_s: float) -> None:
+        """Receive a frame (or nothing) decoded from a stacked capture."""
+        if self._powered_rx(duration_s) and frame is not None:
+            self._handler(self._received(frame))
+
+    def _powered_rx(self, duration_s: float) -> bool:
+        """Charge a reception; False when nobody (any longer) takes frames."""
         if self._handler is None:
-            return
+            return False
         if self.activity_listener is not None:
-            self.activity_listener("rx", capture.duration)
+            self.activity_listener("rx", duration_s)
             # The listener may have powered the node down (battery death).
-            if self._handler is None:
-                return
+            return self._handler is not None
+        return True
+
+    def _on_capture(self, capture: IQSignal, _tx: Transmission) -> None:
+        if not self._powered_rx(capture.duration):
+            return
         # One-row run of the receive engine (repro.phy.batch): the front
         # end runs once; each lock that yields no frame re-arms the
         # correlator one symbol further on.
@@ -168,6 +204,9 @@ class Dot15d4Radio:
             )
         except DecodeError:
             return None
+        return self._received(frame)
+
+    def _received(self, frame: DecodedFrame) -> ReceivedPsdu:
         return ReceivedPsdu(
             psdu=frame.psdu,
             fcs_ok=frame.fcs_ok,

@@ -783,11 +783,12 @@ class FskDemodulator:
                     f"demodulator {self.sample_rate}"
                 )
             capture = capture.samples
-        # Keep this product as one expression: NumPy evaluates it in place
-        # on the conj temporary once that reaches 256 KiB (temporary
-        # elision), which swaps the operands of the complex multiply, and
-        # the swap changes the last bit of some products.
-        lag = capture[..., 1:] * np.conj(capture[..., :-1])
+        # An explicit ufunc call, not the ``*`` operator: from 256 KiB on,
+        # NumPy evaluates ``a * np.conj(b)`` in place on the conj temporary
+        # (temporary elision), which swaps the complex multiply's operands
+        # and changes the last bit of some products.  A row's output would
+        # then depend on how many rows share its stack.
+        lag = np.multiply(capture[..., 1:], np.conj(capture[..., :-1]))
         # np.angle, then the scaling and limiter of the reference
         # expression ``clip(angle · fs / 2π / deviation)`` in its order,
         # in place on the one real output array.

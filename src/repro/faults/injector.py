@@ -120,8 +120,7 @@ class FaultInjector:
         """Count one applied impairment and trace it when anyone listens."""
         self.metrics.counter(f"fault.{kind}").inc()
         if self.trace.active:
-            now = self.medium.scheduler.now if self.medium is not None else 0.0
-            self.trace.emit(FAULT_INJECTED, time=now, kind=kind, **fields)
+            self.trace.emit(FAULT_INJECTED, time=self._now(), kind=kind, **fields)
 
     # -- installation --------------------------------------------------------
     def install(self, medium: "RfMedium") -> None:
@@ -173,6 +172,39 @@ class FaultInjector:
         return 1
 
     # -- capture distortion --------------------------------------------------
+    def _capture_faults(self, count: int):
+        """The sample-drop and truncation plans that hit a receiver's
+        *count*-th capture (``None`` where the plan spares it)."""
+        drops, trunc = self.plan.sample_drops, self.plan.truncation
+        if drops is not None and count % drops.every_nth:
+            drops = None
+        if trunc is not None and count % trunc.every_nth:
+            trunc = None
+        return drops, trunc
+
+    def checkpoint(self, radio: "Transceiver") -> Tuple[int, Optional[dict]]:
+        """The state :meth:`transform_capture` advances for *radio*, for
+        :meth:`rollback`."""
+        rng = self._rx_rngs.get(radio.name)
+        state = None if rng is None else rng.bit_generator.state
+        return self._capture_counters.get(radio.name, 0), state
+
+    def rollback(
+        self, radio: "Transceiver", checkpoint: Tuple[int, Optional[dict]]
+    ) -> None:
+        """Undo the one :meth:`transform_capture` of *radio*'s capture made,
+        at this same instant, since *checkpoint* was taken."""
+        count, state = checkpoint
+        drops, trunc = self._capture_faults(count + 1)
+        self.stats.captures_sample_dropped -= drops is not None
+        self.stats.captures_truncated -= trunc is not None
+        self.stats.captures_cfo_shifted -= bool(self._cfo_at(self._now()))
+        self._capture_counters[radio.name] = count
+        if state is None:
+            self._rx_rngs.pop(radio.name, None)
+        else:
+            self._rx_rngs[radio.name].bit_generator.state = state
+
     def transform_capture(
         self, radio: "Transceiver", capture: IQSignal, start_time: float
     ) -> IQSignal:
@@ -180,8 +212,8 @@ class FaultInjector:
         count = self._capture_counters.get(radio.name, 0) + 1
         self._capture_counters[radio.name] = count
         samples = capture.samples
-        drops = self.plan.sample_drops
-        if drops is not None and count % drops.every_nth == 0:
+        drops, trunc = self._capture_faults(count)
+        if drops is not None:
             samples = samples.copy()
             rng = self._rx_rng(radio.name)
             for _ in range(drops.num_gaps):
@@ -193,8 +225,7 @@ class FaultInjector:
                 )
                 samples[start : start + drops.gap_samples] = 0.0
             self.stats.captures_sample_dropped += 1
-        trunc = self.plan.truncation
-        if trunc is not None and count % trunc.every_nth == 0:
+        if trunc is not None:
             keep = int(samples.size * trunc.keep_fraction)
             samples = samples.copy()
             samples[keep:] = 0.0
@@ -205,14 +236,14 @@ class FaultInjector:
         # Evaluate the oscillator state at delivery time: the capture window
         # starts a margin *before* the transmission, which would otherwise
         # miss a step scheduled at the very same instant.
-        when = (
-            self.medium.scheduler.now if self.medium is not None else start_time
-        )
-        offset = self._cfo_at(when)
+        offset = self._cfo_at(self._now(start_time))
         if offset:
             distorted = apply_frequency_offset(distorted, offset)
             self.stats.captures_cfo_shifted += 1
         return distorted
+
+    def _now(self, default: float = 0.0) -> float:
+        return self.medium.scheduler.now if self.medium is not None else default
 
     def _cfo_at(self, time: float) -> float:
         offset = 0.0

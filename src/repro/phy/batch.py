@@ -6,7 +6,10 @@ differential tests — runs the same four stages, each written once over a
 *frames axis*: a stack of equal-length captures ``(F, N)``, of which a
 single capture is simply ``F = 1``.  Discrimination and despreading are
 array operations over all rows; the sync search, slice and frame tail
-visit the rows that need them.
+visit the rows that need them.  The medium decodes the captures of every
+radio that hears one transmission as one such stack, so each stage is
+*row-invariant*: a row's result does not depend on the other rows of its
+stack (``tests/phy/test_stack_invariance.py``).
 
 * **sync** — :class:`~repro.dsp.gfsk.SyncSearch` correlates the preamble
   template along each discriminator row only as far as its first
@@ -166,7 +169,8 @@ def decode_chip_frames(
     """Decode a stack of equal-length baseband captures in one pass.
 
     *captures* is ``(F, N)`` complex — already tuned and channel-filtered
-    basebands (e.g. one channelizer output per frame slot).  Each row is
+    basebands (one channelizer output per frame slot, or the captures of
+    one transmission's receivers).  Each row is
     taken through the full 802.15.4-over-MSK receive chain with every
     stage batched along the frames axis.  Rows whose lock yields no frame
     are re-armed, up to :data:`RESYNC_ATTEMPTS` locks per row.  A row

@@ -10,6 +10,10 @@ shadowing, plus interferer bursts and the thermal noise floor.
 Power convention: a linear sample power of 1.0 corresponds to 0 dBm, so
 ``amplitude = 10^(dBm/20)``.
 
+Delivery model: a transmission is delivered once, at its end of airtime,
+to all of its receivers together, with exactly the outcome of delivering
+to each in turn (:meth:`RfMedium._deliver`).
+
 Determinism contract: every per-capture random draw (thermal noise,
 shadowing, interferer bursts) comes from a *per-receiver* stream derived
 from the medium seed and keyed by the receiver's name — never from the
@@ -25,7 +29,17 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -38,7 +52,7 @@ from repro.radio.scheduler import Scheduler
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.injector import FaultInjector
-    from repro.radio.transceiver import Transceiver
+    from repro.radio.transceiver import StackedReceiver, Transceiver
 
 __all__ = ["PropagationModel", "Transmission", "RfMedium"]
 
@@ -93,6 +107,25 @@ class Transmission:
     @property
     def end_time(self) -> float:
         return self.start_time + self.signal.duration
+
+
+@dataclass(eq=False)
+class _Row:
+    """One delivery of a transmission, from composition to hand-out.
+
+    ``capture`` is ``None`` for a delivery composed only at its hand-out;
+    otherwise ``inputs``, ``stream`` and ``fault`` are what composing it
+    read and advanced, and ``decoded`` is its stacked receiver's result.
+    """
+
+    radio: "Transceiver"
+    capture: Optional[IQSignal] = None
+    inputs: tuple = ()
+    stream: Optional[dict] = None
+    fault: Optional[tuple] = None
+    receiver: Optional["StackedReceiver"] = None
+    key: Hashable = None
+    decoded: object = None
 
 
 class RfMedium:
@@ -232,7 +265,7 @@ class RfMedium:
     def transmit(
         self, source: "Transceiver", signal: IQSignal, power_dbm: float
     ) -> Transmission:
-        """Put *signal* on the air now; schedule deliveries at its end."""
+        """Put *signal* on the air now; schedule its delivery at its end."""
         if signal.sample_rate != self.sample_rate:
             raise ValueError(
                 f"signal sample rate {signal.sample_rate} differs from medium "
@@ -251,14 +284,9 @@ class RfMedium:
         self._transmissions.append(tx)
         self._index_transmission(tx)
         self.metrics.counter("medium.transmissions").inc()
+        receivers: List["Transceiver"] = []
         for radio in self._delivery_candidates(tx):
-            if radio is source:
-                continue
-            if not radio.is_listening:
-                continue
-            if not self._in_band(radio, signal.center_frequency):
-                continue
-            if not self._within_range(tx, radio):
+            if radio is source or not self._hears(radio, tx):
                 continue
             deliveries = 1
             if self.fault_injector is not None:
@@ -272,7 +300,11 @@ class RfMedium:
             for _ in range(deliveries):
                 self.metrics.counter("medium.deliveries.scheduled").inc()
                 self._trace_delivery(radio, tx, "scheduled")
-                self._schedule_delivery(radio, tx)
+                receivers.append(radio)
+        if receivers:
+            self.scheduler.schedule_at(
+                tx.end_time, lambda: self._deliver(tx, receivers)
+            )
         return tx
 
     def _delivery_candidates(self, tx: Transmission) -> Iterable["Transceiver"]:
@@ -301,6 +333,31 @@ class RfMedium:
                 tx_id=tx.identifier,
             )
 
+    def _hears(self, radio: "Transceiver", tx: Transmission) -> bool:
+        """Whether *radio* receives *tx* in its current state."""
+        return (
+            radio.is_listening
+            and self._in_band(radio, tx.signal.center_frequency)
+            and self._within_range(tx, radio)
+        )
+
+    def _mixes(
+        self,
+        radio: "Transceiver",
+        tx: Transmission,
+        start_time: float,
+        end_time: float,
+    ) -> bool:
+        """Whether *tx* is part of *radio*'s capture of a time window
+        (the test :meth:`compose_capture` applies to each candidate)."""
+        return (
+            tx.end_time > start_time
+            and tx.start_time < end_time
+            and tx.source is not radio
+            and self._in_band(radio, tx.signal.center_frequency)
+            and self._within_range(tx, radio)
+        )
+
     def _in_band(self, radio: "Transceiver", center_frequency: float) -> bool:
         limit = radio.bandwidth_hz / 2.0 + self.DELIVERY_MARGIN_HZ
         return abs(radio.tuned_hz - center_frequency) <= limit
@@ -310,47 +367,183 @@ class RfMedium:
             return True
         return math.dist(tx.origin, radio.position) <= self.range_cutoff_m
 
-    def _schedule_delivery(self, radio: "Transceiver", tx: Transmission) -> None:
-        def deliver() -> None:
-            # Re-check state at delivery time: the radio may have re-tuned,
-            # stopped listening, or moved out of range while the frame was
-            # in flight.
-            if (
-                not radio.is_listening
-                or not self._in_band(radio, tx.signal.center_frequency)
-                or not self._within_range(tx, radio)
-            ):
-                self.metrics.counter("medium.deliveries.skipped").inc()
-                self._trace_delivery(radio, tx, "skipped")
-                return
-            start = tx.start_time - self.capture_margin_s
-            end = tx.end_time + self.capture_margin_s
-            capture = self.compose_capture(radio, start, end)
-            raw = capture.samples
-            if self.fault_injector is not None:
-                capture = self.fault_injector.transform_capture(
-                    radio, capture, start
-                )
-            self.metrics.counter("medium.deliveries.delivered").inc()
-            self._trace_delivery(radio, tx, "delivered")
-            try:
-                radio.handle_capture(capture, tx)
-            finally:
-                # The transceiver filters into a fresh array, so the raw
-                # composition buffer can be recycled (pool-backed media).
-                self._release_capture_buffer(raw)
+    # -- delivery ---------------------------------------------------------------
+    def _deliver(self, tx: Transmission, receivers: List["Transceiver"]) -> None:
+        """Deliver *tx* to each of *receivers* (attach order, repeats kept).
 
-        self.scheduler.schedule_at(tx.end_time, deliver)
+        1. Every receiver that decodes in stacks and hears *tx* now has
+           its capture composed into a row of one pooled ``(K, N)`` block
+           and fault-transformed.
+        2. The rows are channel-filtered, and
+        3. decoded one stack per (decoder configuration, row length).
+        4. Each delivery is handed out in order, as delivering to each
+           receiver in turn would: a row whose composition still holds
+           goes to its receiver, with its ``delivered`` trace event.
+
+        A row stops holding when an earlier hand-out changed it: the
+        receiver no longer hears *tx*, was re-tuned or moved, or a new
+        transmission falls into its capture.  It is then rolled back — its
+        noise stream and fault state restored to before its composition —
+        and delivered on the one-row path, as is every other delivery (to
+        a receiver that does not stack, a repeat, or one deaf at step 1)
+        at its turn.  Events the hand-outs schedule for now run after the
+        last of them.
+        """
+        start = tx.start_time - self.capture_margin_s
+        end = tx.end_time + self.capture_margin_s
+        rows: List[_Row] = []
+        stacked: List[_Row] = []
+        seen = set()
+        for radio in receivers:
+            row = _Row(radio)
+            rows.append(row)
+            receiver = radio.stacked_receiver
+            if receiver is None or radio in seen or not self._hears(radio, tx):
+                continue
+            seen.add(radio)
+            row.receiver, row.key = receiver, receiver.stack_key
+            stacked.append(row)
+        block = None
+        if stacked:
+            num = self._window_samples(start, end)
+            block = self._acquire_capture_buffer((len(stacked), num))
+            for row, out in zip(stacked, block):
+                self._compose_row(row, start, end, out)
+            self._decode_stacked(stacked)
+        first_new = self._next_id
+        try:
+            for row in rows:
+                if row.capture is not None and self._holds(
+                    row, tx, start, end, first_new
+                ):
+                    self._hand_out(row, tx)
+                    continue
+                if row.capture is not None:
+                    self._rollback(row)
+                self._deliver_row(row.radio, tx, start, end)
+        finally:
+            # Receivers filter into fresh arrays, so the block is free.
+            if block is not None:
+                self._release_capture_buffer(block)
+
+    @staticmethod
+    def _composition_inputs(radio: "Transceiver") -> tuple:
+        """The receiver state a capture's composition reads."""
+        return (
+            radio.tuned_hz,
+            radio.position,
+            radio.bandwidth_hz,
+            radio.noise_figure_db,
+        )
+
+    def _compose_row(
+        self, row: _Row, start: float, end: float, out: np.ndarray
+    ) -> None:
+        radio = row.radio
+        row.inputs = self._composition_inputs(radio)
+        row.stream = self._rx_stream(radio).bit_generator.state
+        capture = self.compose_capture(radio, start, end, out=out)
+        if self.fault_injector is not None:
+            row.fault = self.fault_injector.checkpoint(radio)
+            capture = self.fault_injector.transform_capture(radio, capture, start)
+        row.capture = capture
+
+    @staticmethod
+    def _decode_stacked(rows: List[_Row]) -> None:
+        """Filter the rows and decode them in stacks."""
+        groups: Dict[tuple, Tuple[List[_Row], List[np.ndarray]]] = {}
+        for row in rows:
+            filtered = row.radio.filter_samples(row.capture.samples)
+            members, stack = groups.setdefault((row.key, filtered.shape), ([], []))
+            members.append(row)
+            stack.append(filtered)
+        for members, stack in groups.values():
+            # One row needs no copy: a view gives the same stack.
+            batch = stack[0][np.newaxis] if len(stack) == 1 else np.stack(stack)
+            decoded = members[0].receiver.decode_rows(batch)
+            for row, result in zip(members, decoded):
+                row.decoded = result
+
+    def _holds(
+        self,
+        row: _Row,
+        tx: Transmission,
+        start: float,
+        end: float,
+        first_new: int,
+    ) -> bool:
+        """Whether *row*'s capture is still the one its receiver would get
+        now; transmissions from *first_new* on started after composition."""
+        radio = row.radio
+        if not self._hears(radio, tx):
+            return False
+        if self._composition_inputs(radio) != row.inputs:
+            return False
+        added = self._next_id - first_new
+        return not added or not any(
+            self._mixes(radio, new, start, end)
+            for new in self._transmissions[-added:]
+        )
+
+    def _rollback(self, row: _Row) -> None:
+        """Undo composing *row*: its receiver's streams rewind."""
+        self._rx_stream(row.radio).bit_generator.state = row.stream
+        if row.fault is not None:
+            self.fault_injector.rollback(row.radio, row.fault)
+
+    def _hand_out(self, row: _Row, tx: Transmission) -> None:
+        radio = row.radio
+        self.metrics.counter("medium.deliveries.delivered").inc()
+        self._trace_delivery(radio, tx, "delivered")
+        receiver = radio.stacked_receiver
+        if receiver is row.receiver and receiver.stack_key == row.key:
+            receiver.take_row(row.decoded, row.capture.duration)
+        else:
+            radio.handle_capture(row.capture, tx)
+
+    def _deliver_row(
+        self, radio: "Transceiver", tx: Transmission, start: float, end: float
+    ) -> None:
+        """The one-row path: re-check, compose, transform, hand out."""
+        if not self._hears(radio, tx):
+            self.metrics.counter("medium.deliveries.skipped").inc()
+            self._trace_delivery(radio, tx, "skipped")
+            return
+        capture = self.compose_capture(radio, start, end)
+        raw = capture.samples
+        if self.fault_injector is not None:
+            capture = self.fault_injector.transform_capture(radio, capture, start)
+        self.metrics.counter("medium.deliveries.delivered").inc()
+        self._trace_delivery(radio, tx, "delivered")
+        try:
+            radio.handle_capture(capture, tx)
+        finally:
+            # The transceiver filters into a fresh array, so the raw
+            # composition buffer can be recycled (pool-backed media).
+            self._release_capture_buffer(raw)
 
     # -- capture composition ----------------------------------------------------
+    def _window_samples(self, start_time: float, end_time: float) -> int:
+        return max(1, int(round((end_time - start_time) * self.sample_rate)))
+
     def compose_capture(
-        self, radio: "Transceiver", start_time: float, end_time: float
+        self,
+        radio: "Transceiver",
+        start_time: float,
+        end_time: float,
+        out: Optional[np.ndarray] = None,
     ) -> IQSignal:
-        """Superpose everything a receiver hears in a time window."""
-        num = max(1, int(round((end_time - start_time) * self.sample_rate)))
-        total = self._acquire_capture_buffer(num)
+        """Superpose everything a receiver hears in a time window.
+
+        *out* (a zeroed array of the window's length, such as a row of a
+        stack) receives the capture; by default a buffer is acquired.
+        """
+        num = self._window_samples(start_time, end_time)
+        total = self._acquire_capture_buffer(num) if out is None else out
         rng = self._rx_stream(radio)
         for tx in self._compose_candidates(radio, start_time, end_time):
+            # _mixes, inlined: this loop runs for every candidate of every
+            # capture.
             if tx.end_time <= start_time or tx.start_time >= end_time:
                 continue
             if tx.source is radio:
@@ -401,12 +594,14 @@ class RfMedium:
         """
         return self._transmissions
 
-    def _acquire_capture_buffer(self, num: int) -> np.ndarray:
-        """A zeroed complex buffer of *num* samples (pool hook)."""
-        return np.zeros(num, dtype=np.complex128)
+    def _acquire_capture_buffer(
+        self, shape: Union[int, Tuple[int, ...]]
+    ) -> np.ndarray:
+        """A zeroed complex buffer: one capture or a stack (pool hook)."""
+        return np.zeros(shape, dtype=np.complex128)
 
     def _release_capture_buffer(self, samples: np.ndarray) -> None:
-        """Return a composition buffer after its delivery completed."""
+        """Return a composition buffer after its deliveries completed."""
 
     def _mixed_samples(self, tx: Transmission, tuned_hz: float) -> np.ndarray:
         """*tx*'s samples mixed to a receiver tuning, memoised per pairing.

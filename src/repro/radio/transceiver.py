@@ -9,7 +9,7 @@ medium.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Hashable, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -17,9 +17,32 @@ from repro.dsp.filters import apply_filter, fir_lowpass
 from repro.dsp.signal import IQSignal
 from repro.radio.medium import RfMedium, Transmission
 
-__all__ = ["Transceiver"]
+__all__ = ["StackedReceiver", "Transceiver"]
 
 CaptureHandler = Callable[[IQSignal, Transmission], None]
+
+
+class StackedReceiver(Protocol):
+    """A receiver that decodes its capture as one row of a stack.
+
+    The medium delivers a transmission to all of its receivers at once:
+    it filters each receiver's row, decodes the rows of receivers with
+    equal :attr:`stack_key` in one :meth:`decode_rows` call, then hands
+    each row's result to its receiver's :meth:`take_row`, in delivery
+    order.  Decoding must be pure and row-invariant — a row's result may
+    not depend on the other rows of its stack — so that it equals the
+    result of decoding the row alone at hand-out time.
+    """
+
+    @property
+    def stack_key(self) -> Hashable:
+        """The decoder configuration: rows with equal keys share a stack."""
+
+    def decode_rows(self, rows: np.ndarray) -> Sequence[object]:
+        """One result per row of equal-length filtered basebands ``(F, N)``."""
+
+    def take_row(self, result: object, duration_s: float) -> None:
+        """Receive *result*, decoded from a capture *duration_s* long."""
 
 
 class Transceiver:
@@ -70,6 +93,8 @@ class Transceiver:
         self.tuned_hz: float = 2440e6
         self._listening = False
         self._handler: Optional[CaptureHandler] = None
+        #: The receiver that takes this radio's rows of a stack, if any.
+        self.stacked_receiver: Optional[StackedReceiver] = None
         self._transmit_until: float = -1.0
         self._filter = fir_lowpass(
             cutoff_hz=bandwidth_hz * 0.65,
@@ -112,14 +137,23 @@ class Transceiver:
         """True while a transmission of ours is still on the air."""
         return self.medium.scheduler.now < self._transmit_until
 
-    def start_rx(self, handler: CaptureHandler) -> None:
-        """Enter receive mode; *handler* gets (filtered capture, transmission)."""
+    def start_rx(
+        self, handler: CaptureHandler, stacked: Optional[StackedReceiver] = None
+    ) -> None:
+        """Enter receive mode; *handler* gets (filtered capture, transmission).
+
+        With *stacked*, the medium decodes this radio's captures as rows
+        of a stack and hands the results to *stacked* instead; *handler*
+        then only takes captures delivered one at a time.
+        """
         self._handler = handler
+        self.stacked_receiver = stacked
         self._listening = True
 
     def stop_rx(self) -> None:
         self._listening = False
         self._handler = None
+        self.stacked_receiver = None
 
     # -- transmit ---------------------------------------------------------------
     def transmit(self, baseband: IQSignal) -> Transmission:
@@ -158,11 +192,15 @@ class Transceiver:
         if self._handler is None:
             return
         filtered = IQSignal(
-            apply_filter(self._filter, capture.samples),
+            self.filter_samples(capture.samples),
             capture.sample_rate,
             capture.center_frequency,
         )
         self._handler(filtered, tx)
+
+    def filter_samples(self, samples: np.ndarray) -> np.ndarray:
+        """The receive channel filter, into a fresh array."""
+        return apply_filter(self._filter, samples)
 
     def __repr__(self) -> str:
         return (

@@ -15,8 +15,13 @@ from repro.dsp.gfsk import CLIP_LEVEL
 def discriminate(
     capture: np.ndarray, sample_rate: float, deviation: float
 ) -> np.ndarray:
-    """The lag-product phase, scaled to ±1 at *deviation* and clipped."""
-    lag = capture[..., 1:] * np.conj(capture[..., :-1])
+    """The lag-product phase, scaled to ±1 at *deviation* and clipped.
+
+    The product is an explicit ufunc call so that it is the same for
+    every array size: the ``*`` operator swaps the complex multiply's
+    operands from 256 KiB on (NumPy's temporary elision).
+    """
+    lag = np.multiply(capture[..., 1:], np.conj(capture[..., :-1]))
     freq = np.angle(lag) * sample_rate / (2.0 * np.pi)
     return np.clip(freq / deviation, -CLIP_LEVEL, CLIP_LEVEL)
 

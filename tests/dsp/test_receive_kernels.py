@@ -51,10 +51,12 @@ def _capture(rng, shape, dtype):
 class TestDiscriminator:
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
     @pytest.mark.parametrize(
-        # The (12, 2947) and (20000,) cases reach 256 KiB, where NumPy
-        # evaluates the lag product in place on its conj temporary.
+        # The (12, 2947), (20, 2947) and (20000,) cases reach 256 KiB,
+        # where the ``*`` operator would evaluate the lag product in place
+        # on its conj temporary.
         "shape",
-        [(0,), (1,), (2,), (2947,), (20000,), (3, 0), (1, 2947), (12, 2947)],
+        [(0,), (1,), (2,), (2947,), (20000,), (3, 0), (1, 2947), (12, 2947),
+         (20, 2947)],
     )
     @pytest.mark.parametrize("modem", MODEMS)
     def test_matches_reference(self, modem, shape, dtype):
@@ -64,6 +66,16 @@ class TestDiscriminator:
             capture, demod.sample_rate, demod.frequency_deviation
         )
         _assert_identical(demod.discriminate(capture), want)
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    @pytest.mark.parametrize("rows", [1, 4, 6, 12, 20])
+    @pytest.mark.parametrize("modem", MODEMS)
+    def test_stack_equals_rows(self, modem, rows, dtype):
+        """A row's output does not depend on how many rows share its stack."""
+        demod = _demodulator(*modem)
+        stack = _capture(np.random.default_rng(rows), (rows, 2947), dtype)
+        alone = np.stack([demod.discriminate(row) for row in stack])
+        _assert_identical(demod.discriminate(stack), alone)
 
 
 def _disc(rng, size, dtype):

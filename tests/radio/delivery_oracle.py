@@ -1,0 +1,111 @@
+"""The per-delivery medium: the reference for transmission-major delivery.
+
+:meth:`RfMedium.transmit` schedules one event per transmission and
+delivers to all of its receivers together.  Before that, it scheduled
+one event per receiver, each of which re-checked its receiver, composed
+and transformed one capture and handed it to the receiver's
+``handle_capture`` before the next event composed the next capture.
+:func:`transmit` here is that implementation, unchanged, and
+:func:`per_delivery` installs it on every medium class for the duration
+of a block, so a test can run one world both ways and compare captures,
+trace events and outcomes exactly.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import Iterator
+
+from repro.dsp.signal import IQSignal
+from repro.radio.medium import RfMedium, Transmission
+
+__all__ = ["per_delivery", "transmit"]
+
+
+def transmit(
+    medium: RfMedium, source, signal: IQSignal, power_dbm: float
+) -> Transmission:
+    """Put *signal* on the air now; schedule one delivery per receiver."""
+    if signal.sample_rate != medium.sample_rate:
+        raise ValueError(
+            f"signal sample rate {signal.sample_rate} differs from medium "
+            f"rate {medium.sample_rate}"
+        )
+    medium._prune(medium.scheduler.now - medium.prune_horizon_s)
+    tx = Transmission(
+        source=source,
+        signal=signal,
+        start_time=medium.scheduler.now,
+        power_dbm=power_dbm,
+        identifier=medium._next_id,
+        origin=tuple(source.position),
+    )
+    medium._next_id += 1
+    medium._transmissions.append(tx)
+    medium._index_transmission(tx)
+    medium.metrics.counter("medium.transmissions").inc()
+    for radio in medium._delivery_candidates(tx):
+        if radio is source:
+            continue
+        if not radio.is_listening:
+            continue
+        if not medium._in_band(radio, signal.center_frequency):
+            continue
+        if not medium._within_range(tx, radio):
+            continue
+        deliveries = 1
+        if medium.fault_injector is not None:
+            deliveries = medium.fault_injector.delivery_count(radio, tx)
+        if deliveries == 0:
+            medium.metrics.counter("medium.deliveries.suppressed").inc()
+            medium._trace_delivery(radio, tx, "suppressed")
+            continue
+        if deliveries > 1:
+            medium.metrics.counter("medium.deliveries.duplicated").inc()
+        for _ in range(deliveries):
+            medium.metrics.counter("medium.deliveries.scheduled").inc()
+            medium._trace_delivery(radio, tx, "scheduled")
+            _schedule_delivery(medium, radio, tx)
+    return tx
+
+
+def _schedule_delivery(medium: RfMedium, radio, tx: Transmission) -> None:
+    def deliver() -> None:
+        # Re-check state at delivery time: the radio may have re-tuned,
+        # stopped listening, or moved out of range while the frame was
+        # in flight.
+        if (
+            not radio.is_listening
+            or not medium._in_band(radio, tx.signal.center_frequency)
+            or not medium._within_range(tx, radio)
+        ):
+            medium.metrics.counter("medium.deliveries.skipped").inc()
+            medium._trace_delivery(radio, tx, "skipped")
+            return
+        start = tx.start_time - medium.capture_margin_s
+        end = tx.end_time + medium.capture_margin_s
+        capture = medium.compose_capture(radio, start, end)
+        raw = capture.samples
+        if medium.fault_injector is not None:
+            capture = medium.fault_injector.transform_capture(
+                radio, capture, start
+            )
+        medium.metrics.counter("medium.deliveries.delivered").inc()
+        medium._trace_delivery(radio, tx, "delivered")
+        try:
+            radio.handle_capture(capture, tx)
+        finally:
+            medium._release_capture_buffer(raw)
+
+    medium.scheduler.schedule_at(tx.end_time, deliver)
+
+
+@contextmanager
+def per_delivery() -> Iterator[None]:
+    """Deliver one receiver per event, on every medium, inside the block."""
+    saved = RfMedium.__dict__["transmit"]
+    RfMedium.transmit = transmit
+    try:
+        yield
+    finally:
+        RfMedium.transmit = saved

@@ -96,7 +96,23 @@ class TestBufferPool:
         pool = BufferPool()
         buf = pool.acquire(16)
         pool.release(buf[2:])
+        block = pool.acquire((3, 16))
+        pool.release(block[1])
         assert pool.pooled == 0
+
+    def test_stacks_pool_by_shape(self):
+        pool = BufferPool()
+        block = pool.acquire((12, 32))
+        assert block.shape == (12, 32) and block.dtype == np.complex128
+        block[:] = 1.0
+        pool.release(block)
+        assert pool.acquire((11, 32)) is not block
+        again = pool.acquire((12, 32))
+        assert again is block and not again.any()
+        row = pool.acquire(32)
+        pool.release(row)
+        assert pool.acquire((32,)) is row
+        assert (pool.hits, pool.misses) == (2, 3)
 
 
 class TestIsolation:

@@ -33,6 +33,13 @@ encoding pipeline itself:
   benchmark's traffic to the committed outcome.  Written by
   :func:`main` but kept out of :data:`CORPUS`, so the test suite runs
   each workload once (``tests/experiments/test_fleetbench_digests.py``).
+* ``table3_digests.json`` — the sha256 of two small Table III grids (both
+  chips × rx/tx × channels 11 and 26 × 10 frames), one clean and one under
+  the ``flaky-rx`` fault profile: every cell's tallies, counters and trace
+  events, i.e. each frame's delivery, decode outcome, chip-error rate and
+  FCS verdict.  Pins the narrowband receive chain's decisions; kept out of
+  :data:`CORPUS` like the fleetbench digests
+  (``tests/experiments/test_table3_digests.py``).
 
 Every value is derived deterministically (the wideband vector from one
 pinned PCG64 seed, everything else with no RNG at all — and never from a
@@ -285,9 +292,53 @@ def build_fleetbench_digests() -> Dict:
     return {"seed": FLEETBENCH_SEED, "sha256": digests}
 
 
+#: The pinned Table III grids: fault profile by grid name.
+TABLE3_GRIDS = {"clean": None, "flaky-rx": "flaky-rx"}
+TABLE3_CHANNELS = (11, 26)
+TABLE3_FRAMES = 10
+
+
+def table3_grid_document(fault_profile) -> Dict:
+    """One pinned grid's decisions, cell by cell, before hashing."""
+    from repro.experiments.table3 import run_table3
+
+    result = run_table3(
+        frames=TABLE3_FRAMES,
+        channels=TABLE3_CHANNELS,
+        fault_profile=fault_profile,
+        collect_trace=True,
+    )
+    return {
+        f"{chip}/{primitive}/{channel}": {
+            "valid": cell.valid,
+            "corrupted": cell.corrupted,
+            "lost": cell.lost,
+            "metrics": cell.metrics,
+            "trace": cell.trace_events,
+        }
+        for (chip, primitive), rows in result.cells.items()
+        for channel, cell in rows.items()
+    }
+
+
+def build_table3_digests() -> Dict:
+    digests = {}
+    for name, fault_profile in TABLE3_GRIDS.items():
+        doc = json.dumps(table3_grid_document(fault_profile), sort_keys=True)
+        digests[name] = hashlib.sha256(doc.encode("utf-8")).hexdigest()
+    return {
+        "channels": list(TABLE3_CHANNELS),
+        "frames": TABLE3_FRAMES,
+        "sha256": digests,
+    }
+
+
 #: Vectors written by :func:`main` but too slow to render twice per test
 #: run; each has its own test.
-PINNED = {"fleetbench_digests.json": build_fleetbench_digests}
+PINNED = {
+    "fleetbench_digests.json": build_fleetbench_digests,
+    "table3_digests.json": build_table3_digests,
+}
 
 CORPUS = {
     "table1_pn_sequences.json": build_table1,

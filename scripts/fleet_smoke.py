@@ -11,9 +11,15 @@ things a broken fleet stack cannot fake:
 * the trace file carries ``fleet.sample`` JSONL records for every
   sampling instant, battery fraction monotonically non-increasing.
 
-Run locally:  PYTHONPATH=src python scripts/fleet_smoke.py
+``--chaos PROFILE`` runs the same campaign under a named fault profile
+(serially, as ``--chaos`` requires): ``harsh`` adds capture truncation,
+delivery duplication, collision bursts and dropouts, so zeroed capture
+stretches and fault-transformed stack rows go through the real CLI.
+
+Run locally:  PYTHONPATH=src python scripts/fleet_smoke.py [--chaos harsh]
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -31,6 +37,10 @@ def fail(message: str) -> None:
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--chaos", metavar="PROFILE")
+    args = parser.parse_args()
+    chaos = ["--chaos", args.chaos, "--workers", "1"] if args.chaos else []
     workdir = tempfile.mkdtemp(prefix="wazabee-fleet-")
     trace_path = os.path.join(workdir, "fleet_trace.jsonl")
     env = dict(os.environ)
@@ -54,6 +64,7 @@ def main() -> None:
             "--trace",
             trace_path,
             "--metrics",
+            *chaos,
         ],
         env=env,
         capture_output=True,
@@ -78,7 +89,9 @@ def main() -> None:
     if any(b > a + 1e-9 for a, b in zip(fractions, fractions[1:])):
         fail(f"battery fraction increased over time: {fractions}")
     print(
-        f"OK: {NODES} nodes / {PANS} PANs, {len(samples)} fleet samples, "
+        f"OK: {NODES} nodes / {PANS} PANs"
+        f"{f', chaos {args.chaos}' if args.chaos else ''}, "
+        f"{len(samples)} fleet samples, "
         f"battery {fractions[0]:.2f} -> {fractions[-1]:.2f}, ledger balanced"
     )
 

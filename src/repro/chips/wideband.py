@@ -148,7 +148,6 @@ class WidebandFrontEnd:
             )
             for c in self.channels
         }
-        self._weights_cache: Dict[int, np.ndarray] = {}
         self._overlap_cache: Dict[int, list] = {}
         self.metrics = _current_metrics()
 
@@ -161,13 +160,6 @@ class WidebandFrontEnd:
                 "chip rate"
             )
         return int(round(spc))
-
-    def _weights(self, n_out: int) -> np.ndarray:
-        weights = self._weights_cache.get(n_out)
-        if weights is None:
-            weights = fir_spectral_weights(self._taps, n_out)
-            self._weights_cache[n_out] = weights
-        return weights
 
     # -- capture ------------------------------------------------------------
     def capture_slots(self, signals: List[np.ndarray]) -> np.ndarray:
@@ -186,7 +178,7 @@ class WidebandFrontEnd:
         base = np.zeros((num_slots, n_out), dtype=self.dtype)
         for i, sig in enumerate(signals):
             base[i, margin : margin + sig.shape[-1]] = sig
-        weights = self._weights(n_out).astype(
+        weights = fir_spectral_weights(self._taps, n_out).astype(
             np.float32 if self.dtype == np.complex64 else np.float64
         )
         # Internal layout is channel-major (C, S, n) so the per-channel

@@ -8,19 +8,26 @@
   (§12.2.6 of the 2015 revision).
 * :func:`fir_lowpass` — channel-selection filtering for receivers, built on
   :func:`scipy.signal.firwin` and designed once per configuration.
+* :func:`apply_filter` — that FIR applied along the last axis of one
+  capture or a ``(K, N)`` stack of them, as one spectral product with the
+  zero-phase weights of :func:`fir_spectral_weights`.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import Optional, Sequence, Union
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy import signal as sp_signal
 
 __all__ = [
     "gaussian_pulse",
     "half_sine_pulse",
     "fir_lowpass",
+    "fir_spectral_weights",
+    "apply_filter",
     "rectangular_pulse",
 ]
 
@@ -112,12 +119,118 @@ def _fir_lowpass(cutoff_hz: float, sample_rate: float, num_taps: int) -> np.ndar
     return taps
 
 
-def apply_filter(taps: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """Filter *samples* with group-delay compensation.
+def fir_spectral_weights(taps: np.ndarray, n_out: int) -> np.ndarray:
+    """Zero-phase transfer function of a linear-phase FIR, per DFT bin.
 
-    Convolves with *taps* in 'full' mode, then trims so the output aligns
-    with the input (assumes linear-phase, odd-length taps).
+    Rolling the (odd-length, symmetric) taps so the centre tap sits at
+    index 0 makes the transfer purely real — multiplying these weights
+    into a block's spectrum applies the filter as a *circular*
+    convolution with no group delay.  Circular wrap touches only
+    ``len(taps)//2`` samples at each block edge; keep them inside a zero
+    margin (:func:`apply_filter` pads, the wideband front end places
+    every slot between zero margins).
+
+    Memoised per ``(taps, n_out)`` as a read-only array;
+    :func:`repro.dsp.gfsk.clear_waveform_caches` drops the memo.
     """
-    delay = (len(taps) - 1) // 2
-    out = np.convolve(samples, taps, mode="full")
-    return out[delay : delay + samples.size]
+    taps = np.asarray(taps, dtype=np.float64)
+    if taps.size > n_out:
+        raise ValueError("taps longer than the block they filter")
+    return _spectral_weights(taps.tobytes(), n_out)
+
+
+@functools.lru_cache(maxsize=256)
+def _spectral_weights(taps_bytes: bytes, n_out: int) -> np.ndarray:
+    taps = np.frombuffer(taps_bytes, dtype=np.float64)
+    padded = np.zeros(n_out)
+    padded[: taps.size] = taps
+    # Symmetric taps centred at 0 have a real DFT; the imaginary residue
+    # is float round-off only.
+    weights = np.fft.fft(np.roll(padded, -(taps.size // 2))).real
+    weights.setflags(write=False)  # shared by every caller
+    return weights
+
+
+def apply_filter(
+    taps: np.ndarray, samples: Union[np.ndarray, Sequence[np.ndarray]]
+) -> np.ndarray:
+    """Filter *samples* along the last axis with group-delay compensation.
+
+    *samples* is one capture ``(N,)``, a stack ``(K, N)``, or a sequence
+    of K equal-length captures (filtered as a ``(K, N)`` stack without
+    being stacked first); *taps* an odd-length linear-phase FIR.  Output
+    ``k`` is the direct form's ``convolve(samples, taps, 'full')[len(taps)
+    // 2 + k]``, computed as the input spectrum times the real zero-phase
+    weights of :func:`fir_spectral_weights` over ``n_fft ≥ N +
+    len(taps)//2`` points, so the circular wrap lands in zero padding.
+    The output dtype is ``result_type(samples, taps)``; real input stays
+    real.  The output is a view of the first N samples of each
+    ``n_fft``-sample transform row.
+
+    The spectral form is not bit-identical to the direct one (agreement
+    is to ~1e-15 of each row's peak), except where the direct form is
+    exact: every output whose whole ``len(taps)``-sample input window is
+    zero (a truncated or sample-dropped stretch) is set to ``+0.0``, as
+    the direct form gives, instead of the spectral round-off residue.
+    Each row is filtered independently: a row alone equals the same row
+    inside any stack, byte for byte.
+    """
+    taps = np.asarray(taps)
+    if taps.ndim != 1 or taps.size % 2 == 0:
+        raise ValueError(
+            f"taps must be one odd-length (linear-phase) FIR, got shape "
+            f"{taps.shape}"
+        )
+    if isinstance(samples, (list, tuple)):
+        rows = [np.asarray(row) for row in samples]
+        shape = (len(rows), rows[0].shape[-1])
+        dtype = np.result_type(taps, *rows)
+    else:
+        rows = np.asarray(samples)
+        shape = rows.shape
+        dtype = np.result_type(rows, taps)
+    real = dtype.kind != "c"
+    n = shape[-1]
+    half = taps.size // 2
+    n_fft = sp_fft.next_fast_len(max(n + half, taps.size), real)
+    x = np.zeros(shape[:-1] + (n_fft,), dtype=dtype)
+    head = x[..., :n]
+    if isinstance(rows, list):
+        for out_row, row in zip(head, rows):
+            out_row[...] = row
+    else:
+        head[...] = rows
+    dead = _dead_windows(head, half)
+    weights = fir_spectral_weights(taps, n_fft)
+    if real:
+        spectrum = sp_fft.rfft(x, axis=-1)
+        spectrum *= weights[: spectrum.shape[-1]]
+        x = sp_fft.irfft(spectrum, n_fft, axis=-1, overwrite_x=True)
+    else:
+        x = sp_fft.fft(x, axis=-1, overwrite_x=True)
+        x *= weights
+        x = sp_fft.ifft(x, axis=-1, overwrite_x=True)
+    out = x[..., :n]
+    if dead is not None:
+        out[dead] = 0
+    return out
+
+
+def _dead_windows(samples: np.ndarray, half: int) -> Optional[np.ndarray]:
+    """Mask of the outputs whose input window ``k ± half`` is all zero
+    (samples past either edge count as zero); ``None`` if there are none
+    to mask."""
+    if samples.all():  # the common case: no zero sample anywhere
+        return None
+    n = samples.shape[-1]
+    rows = samples.reshape(-1, n)
+    dead = np.zeros(rows.shape, dtype=bool)
+    width = 2 * half + 1
+    for i in np.flatnonzero(~rows.all(axis=-1)):
+        # live[j] counts into cumulative[j + half + 1]; the window sum of
+        # output k is then cumulative[k + width] - cumulative[k].
+        cumulative = np.zeros(n + width, dtype=np.intp)
+        np.cumsum(rows[i] != 0, out=cumulative[half + 1 : half + 1 + n])
+        cumulative[half + 1 + n :] = cumulative[half + n]
+        dead[i] = cumulative[width:] == cumulative[:n]
+    return dead.reshape(samples.shape)

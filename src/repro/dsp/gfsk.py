@@ -28,7 +28,12 @@ import numpy as np
 
 from scipy import fft as sp_fft
 
-from repro.dsp.filters import _fir_lowpass, gaussian_pulse, rectangular_pulse
+from repro.dsp.filters import (
+    _fir_lowpass,
+    _spectral_weights,
+    gaussian_pulse,
+    rectangular_pulse,
+)
 from repro.dsp.signal import IQSignal
 from repro.utils.bits import as_bit_array
 
@@ -256,15 +261,24 @@ def clear_waveform_caches() -> None:
     """Drop every process-wide DSP design (test isolation / cold-start runs).
 
     GFSK segment tables, sync and O-QPSK chip templates, chip parities,
-    receive channel-filter taps and BLE whitening periods: afterwards a
-    build pays for each design once, as in a fresh process.
+    receive channel-filter taps and their spectral weights, and BLE
+    whitening periods: afterwards a build pays for each design once, as
+    in a fresh process.
     """
     from repro.ble.whitening import _period
     from repro.dsp.msk import _chip_parity
     from repro.dsp.oqpsk import _chip_template
 
     _WAVEFORM_CACHES.clear()
-    for memo in (_template, _chip_template, _chip_parity, _fir_lowpass, _period):
+    memos = (
+        _template,
+        _chip_template,
+        _chip_parity,
+        _fir_lowpass,
+        _spectral_weights,
+        _period,
+    )
+    for memo in memos:
         memo.cache_clear()
 
 

@@ -26,15 +26,16 @@ or with a different set of bystander nodes attached.
 
 from __future__ import annotations
 
+import bisect
 import zlib
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.dsp.impairments import apply_frequency_offset
 from repro.dsp.signal import IQSignal
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import DropoutWindow, FaultPlan
 from repro.obs import FAULT_INJECTED
 from repro.obs import metrics as _current_metrics
 from repro.obs import trace_bus as _current_bus
@@ -86,6 +87,42 @@ class _JammerSource:
         return f"_JammerSource({self.name!r})"
 
 
+class _DropoutIndex:
+    """The plan's dropout windows, indexed for :meth:`covers` by bisection.
+
+    One index per radio-name group (``None``: every radio): the window
+    starts in sorted order plus a running maximum of their ends.  A time
+    is covered iff some window starting at or before it ends after it,
+    i.e. iff the running maximum at its bisection point exceeds it —
+    exact for overlapping windows too.
+    """
+
+    def __init__(self, windows: Sequence[DropoutWindow]):
+        groups: Dict[Optional[str], list] = {}
+        for window in windows:
+            groups.setdefault(window.radio_name, []).append(window)
+        self._groups: Dict[Optional[str], Tuple[list, list]] = {}
+        for name, members in groups.items():
+            members.sort(key=lambda w: w.start_s)
+            ends, reach = [], float("-inf")
+            for window in members:
+                reach = max(reach, window.end_s)
+                ends.append(reach)
+            self._groups[name] = ([w.start_s for w in members], ends)
+
+    def covers(self, time: float, radio_name: str) -> bool:
+        """Whether any window covers *time* for *radio_name*."""
+        for name in (None, radio_name):
+            group = self._groups.get(name)
+            if group is None:
+                continue
+            starts, ends = group
+            i = bisect.bisect_right(starts, time)
+            if i and ends[i - 1] > time:
+                return True
+        return False
+
+
 class FaultInjector:
     """Applies a :class:`FaultPlan` to one :class:`RfMedium`."""
 
@@ -102,6 +139,7 @@ class FaultInjector:
         self._delivery_counters: Dict[str, int] = {}
         self._capture_counters: Dict[str, int] = {}
         self._rx_rngs: Dict[str, np.random.Generator] = {}
+        self._dropouts = _DropoutIndex(plan.dropouts)
         self.trace = _current_bus()
         self.metrics = _current_metrics()
 
@@ -159,11 +197,10 @@ class FaultInjector:
         """How many times *tx* should be delivered to *radio* (0, 1 or 2)."""
         count = self._delivery_counters.get(radio.name, 0) + 1
         self._delivery_counters[radio.name] = count
-        for window in self.plan.dropouts:
-            if window.covers(tx.end_time, radio.name):
-                self.stats.deliveries_dropped += 1
-                self._record("delivery_drop", rx=radio.name, tx_id=tx.identifier)
-                return 0
+        if self._dropouts.covers(tx.end_time, radio.name):
+            self.stats.deliveries_dropped += 1
+            self._record("delivery_drop", rx=radio.name, tx_id=tx.identifier)
+            return 0
         dup = self.plan.duplication
         if dup is not None and count % dup.every_nth == 0:
             self.stats.deliveries_duplicated += 1

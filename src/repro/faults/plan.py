@@ -43,6 +43,13 @@ class DropoutWindow:
     end_s: float
     radio_name: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        if self.end_s < self.start_s:
+            raise ValueError(
+                f"dropout window ends ({self.end_s}) before it starts "
+                f"({self.start_s})"
+            )
+
     def covers(self, time: float, radio_name: str) -> bool:
         if not self.start_s <= time < self.end_s:
             return False
@@ -93,6 +100,13 @@ class CaptureTruncation:
     every_nth: int = 2
     keep_fraction: float = 0.5
 
+    def __post_init__(self) -> None:
+        _check_every_nth(self.every_nth)
+        if not 0.0 <= self.keep_fraction <= 1.0:
+            raise ValueError(
+                f"keep_fraction must lie in [0, 1], got {self.keep_fraction}"
+            )
+
 
 @dataclass(frozen=True)
 class SampleDrops:
@@ -106,6 +120,14 @@ class SampleDrops:
     num_gaps: int = 3
     gap_samples: int = 64
 
+    def __post_init__(self) -> None:
+        _check_every_nth(self.every_nth)
+        if self.num_gaps < 0 or self.gap_samples < 0:
+            raise ValueError(
+                f"num_gaps and gap_samples must be >= 0, got "
+                f"{self.num_gaps} and {self.gap_samples}"
+            )
+
 
 @dataclass(frozen=True)
 class DeliveryDuplication:
@@ -116,6 +138,14 @@ class DeliveryDuplication:
     """
 
     every_nth: int = 2
+
+    def __post_init__(self) -> None:
+        _check_every_nth(self.every_nth)
+
+
+def _check_every_nth(every_nth: int) -> None:
+    if every_nth < 1:
+        raise ValueError(f"every_nth must be >= 1, got {every_nth}")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,9 @@ This module holds what that spectral path needs:
 * :class:`WidebandGrid` — the raster geometry;
 * :func:`gather_indices` — a channel's window of the wideband DFT;
 * :func:`fir_spectral_weights` — a linear-phase FIR as zero-phase
-  per-bin weights, folded into the gather.
+  per-bin weights, folded into the gather (re-exported from
+  :mod:`repro.dsp.filters`, where the narrowband receivers' channel
+  filter uses the same weights).
 
 Design constraints that make the gather exact:
 
@@ -43,6 +45,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.dot15d4.channels import ZIGBEE_CHANNELS, channel_frequency_hz
+from repro.dsp.filters import fir_spectral_weights
 
 __all__ = [
     "WIDEBAND_CENTER_HZ",
@@ -141,24 +144,3 @@ def gather_indices(
     offsets = np.arange(n_out)
     offsets = np.where(offsets < n_out // 2, offsets, offsets - n_out)
     return (shift + offsets) % n_wide
-
-
-def fir_spectral_weights(taps: np.ndarray, n_out: int) -> np.ndarray:
-    """Zero-phase transfer function of a linear-phase FIR, per DFT bin.
-
-    Rolling the (odd-length, symmetric) taps so the centre tap sits at
-    index 0 makes the transfer purely real — multiplying these weights
-    into a block's spectrum applies the filter as a *circular*
-    convolution with no group delay, which is how the wideband front
-    end folds its channel-selection filter into the spectral gather.
-    Circular wrap touches only ``len(taps)//2`` samples at each block
-    edge; keep them inside a zero margin.
-    """
-    taps = np.asarray(taps, dtype=np.float64)
-    if taps.size > n_out:
-        raise ValueError("taps longer than the block they filter")
-    padded = np.zeros(n_out)
-    padded[: taps.size] = taps
-    # Symmetric taps centred at 0 have a real DFT; the imaginary residue
-    # is float round-off only.
-    return np.fft.fft(np.roll(padded, -(taps.size // 2))).real

@@ -43,6 +43,7 @@ from typing import (
 
 import numpy as np
 
+from repro.dsp.filters import apply_filter
 from repro.dsp.signal import IQSignal
 from repro.obs import MEDIUM_DELIVERY
 from repro.obs import metrics as _current_metrics
@@ -450,16 +451,18 @@ class RfMedium:
 
     @staticmethod
     def _decode_stacked(rows: List[_Row]) -> None:
-        """Filter the rows and decode them in stacks."""
-        groups: Dict[tuple, Tuple[List[_Row], List[np.ndarray]]] = {}
+        """Filter and decode the rows, one stack per (decoder
+        configuration, row length, receive filter)."""
+        groups: Dict[tuple, List[_Row]] = {}
         for row in rows:
-            filtered = row.radio.filter_samples(row.capture.samples)
-            members, stack = groups.setdefault((row.key, filtered.shape), ([], []))
-            members.append(row)
-            stack.append(filtered)
-        for members, stack in groups.values():
-            # One row needs no copy: a view gives the same stack.
-            batch = stack[0][np.newaxis] if len(stack) == 1 else np.stack(stack)
+            taps = row.radio.filter_taps
+            key = (row.key, row.capture.samples.shape, id(taps))
+            groups.setdefault(key, []).append(row)
+        for members in groups.values():
+            batch = apply_filter(
+                members[0].radio.filter_taps,
+                [row.capture.samples for row in members],
+            )
             decoded = members[0].receiver.decode_rows(batch)
             for row, result in zip(members, decoded):
                 row.decoded = result

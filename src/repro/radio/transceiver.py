@@ -198,6 +198,11 @@ class Transceiver:
         )
         self._handler(filtered, tx)
 
+    @property
+    def filter_taps(self) -> np.ndarray:
+        """The receive channel filter's (shared, read-only) taps."""
+        return self._filter
+
     def filter_samples(self, samples: np.ndarray) -> np.ndarray:
         """The receive channel filter, into a fresh array."""
         return apply_filter(self._filter, samples)

@@ -8,6 +8,7 @@ from repro.dsp import filters
 from repro.dsp.filters import (
     apply_filter,
     fir_lowpass,
+    fir_spectral_weights,
     gaussian_pulse,
     half_sine_pulse,
     rectangular_pulse,
@@ -16,6 +17,7 @@ from repro.dsp.gfsk import clear_waveform_caches
 from repro.experiments.fleet import run_fleet_campaign
 from repro.radio.transceiver import Transceiver
 from repro.zigbee.fleet import make_fleet
+from tests.dsp import filter_oracle
 
 
 class TestGaussianPulse:
@@ -116,6 +118,113 @@ class TestFirLowpass:
     def test_even_taps_rejected_by_transceiver(self, quiet_medium):
         with pytest.raises(ValueError, match="odd"):
             Transceiver(quiet_medium, name="even", rx_filter_taps=48)
+
+
+def _noise(shape, seed=0, dtype=np.complex128):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return x.astype(dtype)
+
+
+#: Receive filters in use: the fleet and Table III radios (49 taps at 4
+#: and 16 Msps) and the similarity study (65 taps).
+RX_TAPS = [(1.3e6, 4e6, 49), (1.3e6, 16e6, 49), (0.75e6, 16e6, 65)]
+
+
+class TestSpectralFilter:
+    """apply_filter against the direct-form oracle (tests/dsp/filter_oracle)."""
+
+    @pytest.mark.parametrize("design", RX_TAPS)
+    @pytest.mark.parametrize("shape", [(1539,), (5, 2947), (20, 1539), (11159,)])
+    def test_within_tolerance_of_convolve(self, design, shape):
+        taps = fir_lowpass(*design)
+        x = _noise(shape)
+        got = apply_filter(taps, x)
+        want = filter_oracle.apply_filter(taps, x)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        errors = filter_oracle.row_errors(got, want)
+        assert errors.max() <= filter_oracle.RELATIVE_TOLERANCE
+
+    def test_real_input_stays_real(self):
+        taps = fir_lowpass(1.3e6, 16e6, 49)
+        x = np.random.default_rng(1).standard_normal((3, 1000))
+        got = apply_filter(taps, x)
+        assert got.dtype == np.float64
+        errors = filter_oracle.row_errors(got, filter_oracle.apply_filter(taps, x))
+        assert errors.max() <= filter_oracle.RELATIVE_TOLERANCE
+
+    @pytest.mark.parametrize(
+        "dtype", [np.float32, np.float64, np.complex64, np.complex128, np.int16]
+    )
+    def test_output_dtype_is_the_direct_forms(self, dtype):
+        taps = fir_lowpass(1.3e6, 16e6, 49)
+        x = np.ones(300, dtype=dtype)
+        want = filter_oracle.apply_filter(taps, x).dtype
+        assert apply_filter(taps, x).dtype == want == np.result_type(x, taps)
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_zero_windows_give_positive_zero(self, real):
+        """Truncated and sample-dropped stretches filter to +0.0 exactly,
+        as the direct form gives, not to a signed round-off residue."""
+        taps = fir_lowpass(1.3e6, 4e6, 49)
+        half = taps.size // 2
+        x = _noise((3, 2947), seed=2)
+        if real:
+            x = x.real.copy()
+        x[0, 1200:] = 0.0  # truncation
+        x[1, 300:700] = 0.0  # a sample-drop gap
+        x[1, 2000:2030] = 0.0  # a gap shorter than the taps: no dead window
+        x[2, :] = 0.0  # all of it
+        got = apply_filter(taps, x)
+        want = filter_oracle.apply_filter(taps, x)
+        dead = np.zeros(x.shape, dtype=bool)
+        dead[0, 1200 + half :] = True
+        dead[1, 300 + half : 700 - half] = True
+        dead[2, :] = True
+        parts = got.view(np.float64) if not real else got
+        parts_dead = np.repeat(dead, 1 if real else 2, axis=-1)
+        assert np.all(parts[parts_dead] == 0.0)
+        assert not np.signbit(parts[parts_dead]).any()
+        # The oracle's zeros are exactly the dead windows.
+        assert np.array_equal(want == 0, dead)
+        # Outside them the filter is live and within tolerance.
+        assert np.all(got[~dead] != 0)
+        live_rows = filter_oracle.row_errors(got[:2], want[:2])
+        assert live_rows.max() <= filter_oracle.RELATIVE_TOLERANCE
+
+    def test_even_taps_rejected(self):
+        with pytest.raises(ValueError, match="odd"):
+            apply_filter(np.ones(48) / 48, np.ones(100))
+
+    @pytest.mark.parametrize("n", [1, 5, 24, 48, 49, 50])
+    def test_rows_shorter_than_taps(self, n):
+        taps = fir_lowpass(1.3e6, 4e6, 49)
+        x = _noise((2, n), seed=n)
+        got = apply_filter(taps, x)
+        want = filter_oracle.apply_filter(taps, x)
+        assert got.shape == (2, n)
+        assert filter_oracle.row_errors(got, want).max() <= (
+            filter_oracle.RELATIVE_TOLERANCE
+        )
+
+    def test_weights_memo_is_read_only_and_cleared(self):
+        taps = fir_lowpass(1.3e6, 4e6, 49)
+        weights = fir_spectral_weights(taps, 3000)
+        assert fir_spectral_weights(np.array(taps), 3000) is weights
+        with pytest.raises(ValueError):
+            weights[0] = 1.0
+        clear_waveform_caches()
+        assert fir_spectral_weights(taps, 3000) is not weights
+        assert fir_spectral_weights(taps, 3000).tobytes() == weights.tobytes()
+
+    def test_weights_reject_taps_longer_than_block(self):
+        with pytest.raises(ValueError, match="longer"):
+            fir_spectral_weights(np.ones(49), 48)
+
+    def test_channelizer_reexports_the_weights(self):
+        from repro.phy import channelizer
+
+        assert channelizer.fir_spectral_weights is fir_spectral_weights
 
 
 class TestFirLowpassMemo:

@@ -3,15 +3,21 @@
 import dataclasses
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.dot15d4.channels import channel_frequency_hz
 from repro.faults import (
+    CaptureTruncation,
     CollisionBurst,
+    DeliveryDuplication,
     DropoutWindow,
     FaultPlan,
+    SampleDrops,
     named_profile,
     profile_names,
 )
+from repro.faults.injector import _DropoutIndex
 
 
 class TestFaultPlan:
@@ -41,6 +47,82 @@ class TestDropoutWindow:
         window = DropoutWindow(start_s=0.0, end_s=1.0, radio_name="rx1")
         assert window.covers(0.5, "rx1")
         assert not window.covers(0.5, "rx2")
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: DeliveryDuplication(every_nth=0),
+            lambda: SampleDrops(every_nth=0),
+            lambda: CaptureTruncation(every_nth=0),
+            lambda: CaptureTruncation(every_nth=-2),
+        ],
+    )
+    def test_every_nth_below_one_rejected(self, build):
+        with pytest.raises(ValueError, match="every_nth"):
+            build()
+
+    def test_window_ending_before_start_rejected(self):
+        with pytest.raises(ValueError, match="before it starts"):
+            DropoutWindow(start_s=2.0, end_s=1.0)
+        # An empty window is legal: it covers nothing.
+        assert not DropoutWindow(start_s=1.0, end_s=1.0).covers(1.0, "rx")
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5])
+    def test_keep_fraction_outside_unit_interval_rejected(self, fraction):
+        with pytest.raises(ValueError, match="keep_fraction"):
+            CaptureTruncation(keep_fraction=fraction)
+
+    def test_keep_fraction_bounds_accepted(self):
+        CaptureTruncation(keep_fraction=0.0)
+        CaptureTruncation(keep_fraction=1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs", [dict(num_gaps=-1), dict(gap_samples=-1)]
+    )
+    def test_negative_gaps_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="num_gaps"):
+            SampleDrops(**kwargs)
+
+
+_RADIOS = ("rx1", "rx2", "rx3")
+
+
+@st.composite
+def _windows(draw):
+    """Overlapping, radio-specific and global windows on a coarse grid
+    (shared endpoints exercise the half-open boundaries)."""
+    windows = []
+    for _ in range(draw(st.integers(0, 12))):
+        start = draw(st.integers(0, 20)) / 4
+        length = draw(st.integers(0, 12)) / 4
+        name = draw(st.sampled_from((None, *_RADIOS)))
+        windows.append(DropoutWindow(start, start + length, radio_name=name))
+    return windows
+
+
+class TestDropoutIndex:
+    """The bisected index against the window-by-window ``covers`` scan."""
+
+    @given(
+        windows=_windows(),
+        times=st.lists(st.integers(-1, 34).map(lambda t: t / 4), max_size=20),
+        radio=st.sampled_from(_RADIOS),
+    )
+    def test_index_equals_covers_scan(self, windows, times, radio):
+        index = _DropoutIndex(windows)
+        for time in times:
+            expected = any(w.covers(time, radio) for w in windows)
+            assert index.covers(time, radio) == expected
+
+    def test_nested_windows(self):
+        # A long window followed by a short one inside it: the running
+        # maximum of the ends keeps the long one's reach.
+        windows = [DropoutWindow(0.0, 10.0), DropoutWindow(2.0, 3.0)]
+        index = _DropoutIndex(windows)
+        assert index.covers(5.0, "rx")
+        assert not index.covers(10.0, "rx")
 
 
 class TestProfiles:

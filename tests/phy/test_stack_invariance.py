@@ -3,15 +3,16 @@
 The medium decodes all of a transmission's captures as one stack
 ``(K, N)``; each receiver must get exactly what decoding its capture
 alone would give it.  These tests hold every stage of the receive engine
-to that, bytewise: the discriminator, the power profile, the FFT sync
-correlation, the soft symbols, the chips, the despread distances and
-LLRs, and the decoded frames.
+to that, bytewise: the channel filter, the discriminator, the power
+profile, the FFT sync correlation, the soft symbols, the chips, the
+despread distances and LLRs, and the decoded frames.
 """
 
 import numpy as np
 import pytest
 
 from repro.dot15d4.fcs import append_fcs
+from repro.dsp.filters import apply_filter, fir_lowpass
 from repro.dsp.gfsk import _correlate_fft, lazy_capture_power
 from repro.dsp.oqpsk import OqpskDemodulator, OqpskModulator, _chip_template
 from repro.phy.batch import (
@@ -52,6 +53,46 @@ def _stack(rows: int, spc: int) -> np.ndarray:
         rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
     )
     return stack
+
+
+#: Capture lengths the medium filters: fleet captures at 4 Msps (short and
+#: long frames) and a Table III capture at 16 Msps.
+FILTER_CASES = [(4e6, 1539), (4e6, 2947), (16e6, 11159)]
+
+
+@pytest.mark.parametrize("rate, n", FILTER_CASES)
+@pytest.mark.parametrize("rows", [1, 2, 3, 7, 12, 20])
+def test_channel_filter(rate, n, rows):
+    """A stack filtered in one spectral pass equals its rows filtered
+    alone, zeroed stretches included."""
+    taps = fir_lowpass(1.3e6, rate, 49)
+    rng = np.random.default_rng(rows)
+    stack = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    stack[rows // 2, n // 3 :] = 0.0  # a truncated row
+    stack[-1, 100:400] = 0.0  # a sample-drop gap
+    together = apply_filter(taps, stack)
+    assert apply_filter(taps, list(stack)).tobytes() == together.tobytes()
+    for i, row in enumerate(stack):
+        _same(together[i], apply_filter(taps, row))
+
+
+@pytest.mark.parametrize("spc", [2, 8])
+@pytest.mark.parametrize("rows", [1, 6, 12])
+def test_filtered_stack_decodes_as_rows(rows, spc):
+    """The filter returns a view into its transform rows; the receive
+    engine gives each strided row what it gives the row alone."""
+    taps = fir_lowpass(1.3e6, spc * 2e6, 49)
+    raw = _stack(rows, spc)
+    filtered = apply_filter(taps, list(raw))
+    demod = OqpskDemodulator(spc)
+    disc = demod.front_end(filtered).disc
+    _same(disc, demod.front_end(np.ascontiguousarray(filtered)).disc)
+    together = decode_chip_frames(filtered, spc)
+    assert sum(frame is not None for frame in together) >= rows // 2
+    for i, frame in enumerate(together):
+        alone = apply_filter(taps, raw[i])
+        _same(demod.front_end(alone).disc[0], disc[i])
+        assert decode_chip_frames(alone[None, :], spc)[0] == frame
 
 
 @pytest.mark.parametrize("spc", [2, 8])

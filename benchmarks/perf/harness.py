@@ -6,8 +6,13 @@
       "schema": "wazabee-bench/1",
       "suite": "BENCH_PR9",
       "quick": false,
-      "python": "3.12.3",
-      "numpy": "1.26.4",
+      "machine": {                # where the numbers were measured
+        "python": "3.12.3",
+        "numpy": "1.26.4",
+        "scipy": "1.13.0",
+        "cpu_count": 2,
+        "platform": "Linux-6.8.0-x86_64-with-glibc2.39"
+      },
       "benchmarks": {
         "<name>": {
           "metric": "<unit of 'value', e.g. frames_per_s | ms>",
@@ -27,17 +32,23 @@ the whole stack.
 from __future__ import annotations
 
 import json
+import os
 import platform
+import statistics
 import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
+import scipy
 
 __all__ = [
     "BenchRecord",
     "best_of",
+    "timings",
+    "spread",
+    "machine_fingerprint",
     "run_suite",
     "write_report",
     "compare_reports",
@@ -75,6 +86,16 @@ class BenchRecord:
     extra: Dict[str, float] = field(default_factory=dict)
 
 
+def timings(fn: Callable[[], None], repeats: int = 5) -> List[float]:
+    """Wall-clock of each of *repeats* runs of *fn*, in seconds."""
+    elapsed: List[float] = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        elapsed.append(time.perf_counter() - start)
+    return elapsed
+
+
 def best_of(fn: Callable[[], None], repeats: int = 5) -> float:
     """Minimum wall-clock of *repeats* runs of *fn*, in seconds.
 
@@ -82,12 +103,26 @@ def best_of(fn: Callable[[], None], repeats: int = 5) -> float:
     everything above it is scheduler noise, which a loaded CI runner has
     plenty of.
     """
-    timings: List[float] = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        timings.append(time.perf_counter() - start)
-    return min(timings)
+    return min(timings(fn, repeats))
+
+
+def spread(seconds: List[float]) -> Dict[str, float]:
+    """The median and minimum of repeated timings, in milliseconds."""
+    return {
+        "median_ms": statistics.median(seconds) * 1e3,
+        "min_ms": min(seconds) * 1e3,
+    }
+
+
+def machine_fingerprint() -> Dict:
+    """The interpreter, numeric libraries and host a report was run on."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cpu_count": os.cpu_count(),
+        "platform": platform.platform(),
+    }
 
 
 def run_suite(quick: bool = False) -> List[BenchRecord]:
@@ -178,8 +213,7 @@ def write_report(
         "schema": SCHEMA,
         "suite": SUITE,
         "quick": quick,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
+        "machine": machine_fingerprint(),
         "metrics": metrics or {},
         "benchmarks": {
             record.name: {

@@ -55,7 +55,6 @@ class BleRadioPeripheral:
     ):
         self.capabilities = capabilities
         self.name = name or capabilities.name
-        self.rng = rng if rng is not None else medium.derive_rng(self.name)
         self.transceiver = Transceiver(
             medium,
             name=self.name,
@@ -63,7 +62,7 @@ class BleRadioPeripheral:
             bandwidth_hz=2e6,
             tx_power_dbm=tx_power_dbm,
             cfo_std_hz=capabilities.cfo_std_hz,
-            rng=self.rng,
+            rng=rng,
         )
         self.sync_threshold = sync_threshold
         # Radio "registers".
@@ -78,6 +77,11 @@ class BleRadioPeripheral:
         # Modems are pure functions of (samples/symbol, symbol rate); keep
         # one of each per rate instead of rebuilding them per packet.
         self._modems: dict = {}
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The radio's one random stream: its transceiver's CFO stream."""
+        return self.transceiver.rng
 
     # ------------------------------------------------------------------
     # LowLevelRadio interface

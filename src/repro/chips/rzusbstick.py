@@ -17,9 +17,9 @@ from typing import Callable, Hashable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.dot15d4.channels import channel_for_frequency, channel_frequency_hz
+from repro.dot15d4.channels import channel_frequency_hz
 from repro.dot15d4.frames import MacFrame
-from repro.dsp.oqpsk import OqpskDemodulator, OqpskModulator
+from repro.dsp.oqpsk import oqpsk_modems
 from repro.dsp.signal import IQSignal
 from repro.errors import DecodeError
 from repro.phy.batch import (
@@ -57,7 +57,7 @@ PsduHandler = Callable[[ReceivedPsdu], None]
 
 
 class Dot15d4Radio:
-    """A native 802.15.4 2.4 GHz radio."""
+    """A native 802.15.4 2.4 GHz radio, built tuned to *channel*."""
 
     def __init__(
         self,
@@ -69,9 +69,12 @@ class Dot15d4Radio:
         cfo_std_hz: float = 10e3,
         sync_threshold: float = 0.45,
         max_chip_distance: int = 12,
+        channel: int = 11,
     ):
         self.name = name
-        self.rng = rng if rng is not None else medium.derive_rng(name)
+        spc = medium.sample_rate / 2e6
+        if abs(spc - round(spc)) > 1e-9:
+            raise ValueError("medium sample rate must be a multiple of 2 MHz")
         self.transceiver = Transceiver(
             medium,
             name=name,
@@ -79,21 +82,22 @@ class Dot15d4Radio:
             bandwidth_hz=2e6,
             tx_power_dbm=tx_power_dbm,
             cfo_std_hz=cfo_std_hz,
-            rng=self.rng,
+            rng=rng,
+            tuned_hz=channel_frequency_hz(channel),
         )
-        spc = medium.sample_rate / 2e6
-        if abs(spc - round(spc)) > 1e-9:
-            raise ValueError("medium sample rate must be a multiple of 2 MHz")
-        self._modulator = OqpskModulator(samples_per_chip=int(spc))
-        self._demodulator = OqpskDemodulator(samples_per_chip=int(spc))
+        self._modulator, self._demodulator = oqpsk_modems(int(spc))
         self.sync_threshold = sync_threshold
         self.max_chip_distance = max_chip_distance
-        self._channel = 11
+        self._channel = channel
         self._handler: Optional[PsduHandler] = None
         #: Optional hook ``(kind, duration_s)`` with kind in {"tx", "rx"} —
         #: the attachment point for node energy accounting.
         self.activity_listener: Optional[Callable[[str, float], None]] = None
-        self.transceiver.tune(channel_frequency_hz(self._channel))
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The radio's one random stream: its transceiver's CFO stream."""
+        return self.transceiver.rng
 
     # -- configuration ------------------------------------------------------
     def set_channel(self, channel: int) -> None:

@@ -138,11 +138,8 @@ class MacService:
         self.promiscuous = promiscuous
         self.security = security
         self.config = config if config is not None else MacConfig()
-        # Backoff draws come from a per-node deterministic stream (keyed by
-        # address) so simultaneous senders de-synchronise reproducibly.
-        self.rng = rng if rng is not None else np.random.default_rng(
-            (address.pan_id << 20) ^ address.address ^ 0xC5A3
-        )
+        self._rng = rng
+        self._rng_seed = (address.pan_id << 20) ^ address.address ^ 0xC5A3
         self.stats = MacStats()
         self.trace = _current_bus()
         self.metrics = _current_metrics()
@@ -157,6 +154,19 @@ class MacService:
         self._tx_busy = False
         self._ack_wait_handle = None
         self._awaiting_seq: Optional[int] = None
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The backoff stream.
+
+        A per-node deterministic stream, keyed by the address at
+        construction, so simultaneous senders de-synchronise reproducibly;
+        derived at the first backoff, so a node that never backs off pays
+        for no generator.
+        """
+        if self._rng is None:
+            self._rng = np.random.default_rng(self._rng_seed)
+        return self._rng
 
     # -- wiring ------------------------------------------------------------
     def start(self) -> None:

@@ -261,19 +261,20 @@ def clear_waveform_caches() -> None:
     """Drop every process-wide DSP design (test isolation / cold-start runs).
 
     GFSK segment tables, sync and O-QPSK chip templates, chip parities,
-    receive channel-filter taps and their spectral weights, and BLE
-    whitening periods: afterwards a build pays for each design once, as
-    in a fresh process.
+    the shared O-QPSK modems, receive channel-filter taps and their
+    spectral weights, and BLE whitening periods: afterwards a build pays
+    for each design once, as in a fresh process.
     """
     from repro.ble.whitening import _period
     from repro.dsp.msk import _chip_parity
-    from repro.dsp.oqpsk import _chip_template
+    from repro.dsp.oqpsk import _chip_template, oqpsk_modems
 
     _WAVEFORM_CACHES.clear()
     memos = (
         _template,
         _chip_template,
         _chip_parity,
+        oqpsk_modems,
         _fir_lowpass,
         _spectral_weights,
         _period,

@@ -47,6 +47,7 @@ __all__ = [
     "OqpskDemodulator",
     "ChipRows",
     "ChipSyncResult",
+    "oqpsk_modems",
 ]
 
 
@@ -276,3 +277,17 @@ class OqpskDemodulator:
             return None
         chips = found.chips[0, : found.counts[0]]
         return chips, ChipSyncResult(found.chip_index, found.syncs[0])
+
+
+@functools.lru_cache(maxsize=8)
+def oqpsk_modems(
+    samples_per_chip: int,
+) -> Tuple[OqpskModulator, OqpskDemodulator]:
+    """The 2 Mchip/s modulator and demodulator at one oversampling factor,
+    shared process-wide.
+
+    Both hold only their rate's design (the half-sine pulse, the
+    discriminator's :class:`GfskConfig`), so every radio at a rate uses
+    the same pair.
+    """
+    return OqpskModulator(samples_per_chip), OqpskDemodulator(samples_per_chip)

@@ -192,7 +192,9 @@ class RfMedium:
         self._next_id = 0
         # Per-receiver random streams, keyed by radio *name* (not insertion
         # order): each receiver's noise/shadowing/interference draws advance
-        # only with its own captures.
+        # only with its own captures.  A stream is derived at its first
+        # composed capture and kept across detach + re-attach, which
+        # continues it rather than rewinding it.
         self._rx_streams: dict = {}
         # Capture-composition scratch: mixed-signal memo (a transmission is
         # mixed to a given receiver tuning once, not once per delivery) and
@@ -236,9 +238,6 @@ class RfMedium:
         if attached is not None:
             raise ValueError(f"a radio named {radio.name!r} is already attached")
         self._radios[radio.name] = radio
-        # Stream creation is idempotent per name: detach + re-attach
-        # continues the same stream rather than rewinding it.
-        self._rx_stream(radio)
 
     def detach(self, radio: "Transceiver") -> None:
         if self._radios.get(radio.name) is radio:

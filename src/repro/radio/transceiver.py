@@ -66,6 +66,11 @@ class Transceiver:
         nRF52832's looser crystal vs the CC1352-R1).
     noise_figure_db:
         Added to the medium's thermal floor for this receiver.
+    rng:
+        The carrier-frequency-error stream.  By default it is derived
+        from the medium's seed, keyed by *name*, at the first draw.
+    tuned_hz:
+        The initial tuning; the radio is indexed by the medium at it.
     """
 
     def __init__(
@@ -79,6 +84,7 @@ class Transceiver:
         noise_figure_db: float = 0.0,
         rng: Optional[np.random.Generator] = None,
         rx_filter_taps: int = 49,
+        tuned_hz: float = 2440e6,
     ):
         self.medium = medium
         self.name = name
@@ -87,10 +93,8 @@ class Transceiver:
         self.tx_power_dbm = tx_power_dbm
         self.cfo_std_hz = cfo_std_hz
         self.noise_figure_db = noise_figure_db
-        # Default to a generator derived from the medium's seed (keyed by
-        # name) so an experiment is reproducible end to end from one seed.
-        self.rng = rng if rng is not None else medium.derive_rng(name)
-        self.tuned_hz: float = 2440e6
+        self._rng = rng
+        self.tuned_hz: float = self._ism_checked(tuned_hz)
         self._listening = False
         self._handler: Optional[CaptureHandler] = None
         #: The receiver that takes this radio's rows of a stack, if any.
@@ -107,6 +111,19 @@ class Transceiver:
         self._cfo_ramp = np.empty(0, dtype=np.int64)
         medium.attach(self)
 
+    @property
+    def rng(self) -> np.random.Generator:
+        """The carrier-frequency-error stream.
+
+        Derived from the medium's seed, keyed by name, at the first draw:
+        the same stream as deriving it at construction, so an experiment
+        is reproducible end to end from one seed, and a radio that never
+        transmits pays for no generator.
+        """
+        if self._rng is None:
+            self._rng = self.medium.derive_rng(self.name)
+        return self._rng
+
     # -- tuning / state ------------------------------------------------------
     @property
     def position(self) -> Tuple[float, float]:
@@ -118,14 +135,17 @@ class Transceiver:
         self._position = tuple(value)
         self.medium.radio_moved(self)
 
-    def tune(self, frequency_hz: float) -> None:
-        """Retune the synthesiser (applies to both TX and RX)."""
+    def _ism_checked(self, frequency_hz: float) -> float:
         if not 2.4e9 <= frequency_hz <= 2.5e9:
             raise ValueError(
                 f"{self.name}: frequency {frequency_hz / 1e6:.1f} MHz outside "
                 "the 2.4-2.5 GHz ISM band"
             )
-        self.tuned_hz = frequency_hz
+        return frequency_hz
+
+    def tune(self, frequency_hz: float) -> None:
+        """Retune the synthesiser (applies to both TX and RX)."""
+        self.tuned_hz = self._ism_checked(frequency_hz)
         self.medium.radio_retuned(self)
 
     @property

@@ -5,9 +5,10 @@ the format and the run's parameters; every subsequent line is one frame
 record, flushed to the OS as it is written, so a SIGKILL mid-run loses at
 most the partially-written final line.  A clean shutdown appends a
 ``spool-end`` footer with the final count; :class:`SpoolReader` treats a
-missing footer (crash) and a truncated tail line as expected, and only
-raises :class:`~repro.errors.SpoolError` when the header itself is
-missing or foreign.
+missing footer (crash) and a truncated tail line as expected, and raises
+:class:`~repro.errors.SpoolError`, and no other error, on anything else
+malformed: a missing or foreign header, a torn line before the tail, a
+record that is not a JSON object, or a footer without a true count.
 
 ``repro serve --replay SPOOL`` feeds the recorded records back through
 the service verbatim — and because records encode with sorted keys, the
@@ -26,6 +27,10 @@ from repro.serve.codec import encode_jsonl
 __all__ = ["SPOOL_FORMAT", "SpoolWriter", "SpoolReader"]
 
 SPOOL_FORMAT = "wazabee-spool/1"
+
+#: What ``json.loads`` raises on a line that is no JSON: a syntax error,
+#: bytes that are not UTF-8 (both ``ValueError``), or nesting too deep.
+_UNPARSABLE = (ValueError, RecursionError)
 
 
 class SpoolWriter:
@@ -97,10 +102,11 @@ class SpoolReader:
             raise SpoolError(f"spool {self.path!r} is empty")
         try:
             header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
+        except _UNPARSABLE as exc:
             raise SpoolError(f"spool {self.path!r} has no valid header") from exc
         if (
-            header.get("type") != "spool-header"
+            not isinstance(header, dict)
+            or header.get("type") != "spool-header"
             or header.get("format") != SPOOL_FORMAT
         ):
             raise SpoolError(
@@ -115,7 +121,7 @@ class SpoolReader:
                 continue
             try:
                 record = json.loads(raw)
-            except json.JSONDecodeError:
+            except _UNPARSABLE:
                 # A torn final line is the expected crash signature; a
                 # torn line *followed by* valid records is corruption.
                 if any(tail.strip() for tail in lines[index:]):
@@ -123,8 +129,15 @@ class SpoolReader:
                         f"spool {self.path!r} corrupt at line {index}"
                     ) from None
                 break
+            if not isinstance(record, dict):
+                # Whole JSON, so not a tear: a record that is no object.
+                raise SpoolError(f"spool {self.path!r} corrupt at line {index}")
             if record.get("type") == "spool-end":
-                footer_count = int(record.get("records", -1))
+                footer_count = record.get("records")
+                if type(footer_count) is not int:
+                    raise SpoolError(
+                        f"spool {self.path!r} footer has no record count"
+                    )
                 continue
             self._records.append(record)
         if footer_count is not None:

@@ -234,7 +234,6 @@ class Fleet:
             members: List[XBeeNode] = []
             for ns in pan.nodes:
                 node = self._build_node(pan, ns, medium)
-                node.radio.set_channel(pan.channel)
                 self.nodes[ns.name] = node
                 members.append(node)
             self.by_pan[pan.pan_id] = members
@@ -254,6 +253,7 @@ class Fleet:
                 name=ns.name,
                 position=ns.position,
                 battery=battery,
+                channel=pan.channel,
             )
         if ns.role == "router":
             return RouterNode(
@@ -263,6 +263,7 @@ class Fleet:
                 name=ns.name,
                 position=ns.position,
                 battery=battery,
+                channel=pan.channel,
             )
         if ns.role == "sensor":
             return SensorNode(
@@ -277,6 +278,7 @@ class Fleet:
                 report_interval_s=ns.report_interval_s,
                 phase_s=ns.phase_s,
                 battery=battery,
+                channel=pan.channel,
             )
         raise ValueError(f"unknown role {ns.role!r}")
 

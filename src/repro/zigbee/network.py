@@ -51,9 +51,11 @@ class XBeeNode:
         rng: Optional[np.random.Generator] = None,
         security: Optional[SecurityContext] = None,
         battery: Optional[Battery] = None,
+        channel: int = XBEE_DEFAULTS.channel,
     ):
-        self.radio = Dot15d4Radio(medium, name=name, position=position, rng=rng)
-        self.radio.set_channel(XBEE_DEFAULTS.channel)
+        self.radio = Dot15d4Radio(
+            medium, name=name, position=position, rng=rng, channel=channel
+        )
         self.mac = MacService(
             self.radio,
             address=address,
@@ -145,6 +147,7 @@ class SensorNode(XBeeNode):
         rng: Optional[np.random.Generator] = None,
         security: Optional[SecurityContext] = None,
         battery: Optional[Battery] = None,
+        channel: int = XBEE_DEFAULTS.channel,
     ):
         super().__init__(
             medium,
@@ -154,6 +157,7 @@ class SensorNode(XBeeNode):
             rng=rng,
             security=security,
             battery=battery,
+            channel=channel,
         )
         self.coordinator = coordinator
         self.uplink = uplink if uplink is not None else coordinator
@@ -215,6 +219,7 @@ class RouterNode(XBeeNode):
         rng: Optional[np.random.Generator] = None,
         security: Optional[SecurityContext] = None,
         battery: Optional[Battery] = None,
+        channel: int = XBEE_DEFAULTS.channel,
     ):
         super().__init__(
             medium,
@@ -224,6 +229,7 @@ class RouterNode(XBeeNode):
             rng=rng,
             security=security,
             battery=battery,
+            channel=channel,
         )
         self.uplink = uplink
         self.forwarded = 0
@@ -266,6 +272,7 @@ class CoordinatorNode(XBeeNode):
         rng: Optional[np.random.Generator] = None,
         security: Optional[SecurityContext] = None,
         battery: Optional[Battery] = None,
+        channel: int = XBEE_DEFAULTS.channel,
     ):
         super().__init__(
             medium,
@@ -276,6 +283,7 @@ class CoordinatorNode(XBeeNode):
             rng=rng,
             security=security,
             battery=battery,
+            channel=channel,
         )
         self.display: List[DisplayEntry] = []
 

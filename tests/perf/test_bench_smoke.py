@@ -41,6 +41,7 @@ class TestSuite:
             "table3_sweep_wideband",
             "fleet_medium_scan",
             "fleet_campaign_sharded",
+            "fleet_cold_build",
         }
 
     def test_values_positive(self, quick_records):
@@ -87,6 +88,18 @@ class TestSuite:
         assert scan.extra["dense_ms_100"] > 0
         assert scan.extra["sharded_ms_100"] > 0
 
+    def test_fleet_records_carry_median_and_min(self, quick_records):
+        """The gated fleet records time three repeats; the ungated cold
+        build is a median over cleared caches."""
+        for name in ("fleet_medium_scan", "fleet_campaign_sharded"):
+            record = next(r for r in quick_records if r.name == name)
+            assert record.repeats == 3
+            assert 0 < record.extra["min_ms"] <= record.extra["median_ms"]
+            assert record.value == record.extra["min_ms"]
+        cold = next(r for r in quick_records if r.name == "fleet_cold_build")
+        assert cold.extra["nodes"] == 208
+        assert 0 < cold.extra["min_ms"] <= cold.value
+
     def test_report_schema(self, quick_records, tmp_path):
         sys.path.insert(0, str(REPO_ROOT))
         try:
@@ -100,6 +113,13 @@ class TestSuite:
         assert on_disk["schema"] == "wazabee-bench/1"
         assert on_disk["suite"] == "BENCH_PR9"
         assert on_disk["quick"] is True
+        assert set(on_disk["machine"]) == {
+            "python",
+            "numpy",
+            "scipy",
+            "cpu_count",
+            "platform",
+        }
         for body in on_disk["benchmarks"].values():
             assert set(body) == {"metric", "value", "repeats", "extra"}
 

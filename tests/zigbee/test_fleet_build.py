@@ -1,0 +1,76 @@
+"""Building a fleet costs only what its nodes use.
+
+A fleet that sends nothing derives no per-device random stream, and each
+radio is built on its PAN's channel: one shard-index insertion per radio,
+no re-index.
+"""
+
+import numpy as np
+
+from repro.experiments.fleet import run_fleet_campaign
+from repro.radio.scheduler import Scheduler
+from repro.radio.shard import ShardedRfMedium, _bucket_of
+from repro.zigbee.fleet import build_fleet, make_fleet
+
+
+def report_fleet():
+    """The 208-node, 16-PAN channel-reuse fleet of the report campaign."""
+    return make_fleet(
+        num_nodes=208,
+        num_pans=16,
+        seed=1,
+        channel_reuse=True,
+        base_channel=12,
+        report_interval_s=0.5,
+    )
+
+
+def test_zero_length_campaign_derives_only_the_mediums_generator(monkeypatch):
+    spec = report_fleet()
+    derived = []
+    real = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        derived.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    result = run_fleet_campaign(spec, attack=False, duration_s=0.0)
+    assert result.num_nodes == 208
+    assert len(derived) <= 1
+
+
+def test_build_indexes_each_radio_once_and_never_reindexes(monkeypatch):
+    indexed = []
+    reindexed = []
+    index = ShardedRfMedium._index_radio
+    reindex = ShardedRfMedium._reindex_radio
+
+    def counting_index(medium, radio):
+        indexed.append(radio)
+        index(medium, radio)
+
+    def counting_reindex(medium, radio):
+        reindexed.append(radio)
+        reindex(medium, radio)
+
+    monkeypatch.setattr(ShardedRfMedium, "_index_radio", counting_index)
+    monkeypatch.setattr(ShardedRfMedium, "_reindex_radio", counting_reindex)
+    spec = report_fleet()
+    medium = ShardedRfMedium(
+        Scheduler(),
+        sample_rate=spec.sample_rate,
+        seed=spec.seed + 1,
+        range_cutoff_m=spec.range_cutoff_m,
+    )
+    fleet = build_fleet(spec, medium)
+    radios = [node.radio.transceiver for node in fleet.nodes.values()]
+    assert len(indexed) == len(set(indexed)) == len(radios) == 208
+    assert set(indexed) == set(radios)
+    assert reindexed == []
+    for pan in spec.pans:
+        for ns in pan.nodes:
+            radio = fleet.nodes[ns.name].radio
+            assert radio.channel == pan.channel
+            _, bucket = medium._radio_index[radio.transceiver]
+            assert bucket == _bucket_of(radio.transceiver.tuned_hz)

@@ -10,10 +10,9 @@ per-frame cost × channel-frames) over wall-clock of the wideband sweep.
 
 from __future__ import annotations
 
-import time
 from typing import List
 
-from benchmarks.perf.harness import BenchRecord, best_of
+from benchmarks.perf.harness import BenchRecord, median_ratio, paired_timings
 
 __all__ = ["bench_channelizer"]
 
@@ -36,17 +35,14 @@ def bench_channelizer(quick: bool = False) -> List[BenchRecord]:
             "nRF52832", "rx", channel=14, frames=narrow_frames, seed=1
         )
 
-    narrow_s = best_of(narrow_cell, repeats=3)
-    narrow_ms_per_frame = narrow_s * 1e3 / narrow_frames
-
-    run_table3_wideband(frames=2, channels=(11,))  # warm caches / pools
-    sweep_repeats = 3
-    timings = []
-    for _ in range(sweep_repeats):
-        start = time.perf_counter()
+    def sweep() -> None:
         run_table3_wideband(**sweep_kwargs)
-        timings.append(time.perf_counter() - start)
-    sweep_s = min(timings)
+
+    narrow_cell()  # warm caches
+    run_table3_wideband(frames=2, channels=(11,))  # warm caches / pools
+    narrow_runs, sweep_runs = paired_timings(narrow_cell, sweep)
+    narrow_ms_per_frame = min(narrow_runs) * 1e3 / narrow_frames
+    sweep_s = min(sweep_runs)
     num_channels = len(channels) if channels is not None else 16
     channel_frames = 2 * 2 * num_channels * frames
     ms_per_channel_frame = sweep_s * 1e3 / channel_frames
@@ -55,15 +51,17 @@ def bench_channelizer(quick: bool = False) -> List[BenchRecord]:
             name="table3_sweep_wideband",
             metric="ms_per_channel_frame",
             value=ms_per_channel_frame,
-            repeats=sweep_repeats,
+            repeats=len(sweep_runs),
             extra={
                 "frames": float(frames),
                 "channels": float(num_channels),
                 "channel_frames": float(channel_frames),
                 "sweep_s": sweep_s,
                 "narrowband_ms_per_frame": narrow_ms_per_frame,
-                "speedup_vs_sequential": narrow_ms_per_frame
-                / ms_per_channel_frame,
+                "speedup_vs_sequential": median_ratio(
+                    [run / narrow_frames for run in narrow_runs],
+                    [run / channel_frames for run in sweep_runs],
+                ),
             },
         )
     )

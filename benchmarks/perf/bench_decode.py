@@ -15,7 +15,7 @@ from typing import List
 
 import numpy as np
 
-from benchmarks.perf.harness import BenchRecord, best_of
+from benchmarks.perf.harness import BenchRecord, median_ratio, paired_timings
 from repro.core.encoding import MSK_STRIDE, frame_to_msk_bits
 from repro.core.rx import DecodedFrame, decode_payload_bits
 from repro.core.tables import MSK_BITS_PER_SYMBOL, default_table
@@ -79,11 +79,10 @@ def _noisy_captures(count: int, payload_size: int, seed: int = 11):
 def bench_decode_throughput(quick: bool = False) -> List[BenchRecord]:
     frames = 20 if quick else 200
     payload_size = 40
-    # Keep 5 repeats even in quick mode: the enforced speedup ratio is
-    # best-of-vectorised vs best-of-scalar, and at quick workload sizes a
-    # single stalled repeat on one side can push the ratio through the
-    # regression floor.  Extra repeats are cheap; best-of absorbs stalls.
-    repeats = 5
+    # Each of the enforced ratio's readings is a best of three even in
+    # quick mode, and the gate reads their median: a stalled repeat on
+    # one side cannot push the ratio through the regression floor.
+    repeats = 3
     captures = _noisy_captures(frames, payload_size)
 
     # Warm-up + cross-check: both paths must agree before we time them.
@@ -101,15 +100,15 @@ def bench_decode_throughput(quick: bool = False) -> List[BenchRecord]:
         for capture in captures:
             decode_payload_bits_scalar(capture)
 
-    vec_s = best_of(run_vectorised, repeats=repeats)
-    scalar_s = best_of(run_scalar, repeats=repeats)
-    speedup = scalar_s / vec_s if vec_s > 0 else float("inf")
+    scalar_runs, vec_runs = paired_timings(run_scalar, run_vectorised, repeats)
+    vec_s, scalar_s = min(vec_runs), min(scalar_runs)
+    speedup = median_ratio(scalar_runs, vec_runs)
     return [
         BenchRecord(
             name="decode_throughput_vectorised",
             metric="frames_per_s",
             value=frames / vec_s,
-            repeats=repeats,
+            repeats=len(vec_runs) * repeats,
             extra={
                 "frames": frames,
                 "payload_bytes": payload_size,

@@ -13,7 +13,7 @@ from typing import List
 
 import numpy as np
 
-from benchmarks.perf.harness import BenchRecord, best_of
+from benchmarks.perf.harness import BenchRecord, median_ratio, paired_timings
 from repro.core.encoding import frame_to_msk_bits
 from repro.dot15d4.frames import Address, build_data
 from repro.dsp.gfsk import FskModulator, GfskConfig, WaveformCache
@@ -45,10 +45,9 @@ def _frame_bits(count: int, payload_size: int, seed: int = 17):
 def bench_modulate(quick: bool = False) -> List[BenchRecord]:
     frames = 5 if quick else 50
     payload_size = 40
-    # Quick-size runs time only a few ms per side, so a single stalled
-    # repeat can sink the ratio below its floor — keep repeats at 5 even
-    # in quick mode (each repeat is cheap; best-of shrugs off the stall).
-    repeats = 5
+    # Quick-size runs time only a few ms per side: each of the ratio's
+    # readings is a best of three, and the gate reads their median.
+    repeats = 3
     streams = _frame_bits(frames, payload_size)
     cache = WaveformCache(_CONFIG, _SYMBOL_RATE)
     direct = FskModulator(_CONFIG, _SYMBOL_RATE, use_cache=False)
@@ -67,15 +66,15 @@ def bench_modulate(quick: bool = False) -> List[BenchRecord]:
         for bits in streams:
             direct.modulate_direct(bits)
 
-    cached_s = best_of(run_cached, repeats=repeats)
-    direct_s = best_of(run_direct, repeats=repeats)
-    speedup = direct_s / cached_s if cached_s > 0 else float("inf")
+    direct_runs, cached_runs = paired_timings(run_direct, run_cached, repeats)
+    cached_s, direct_s = min(cached_runs), min(direct_runs)
+    speedup = median_ratio(direct_runs, cached_runs)
     return [
         BenchRecord(
             name="modulate_cached",
             metric="frames_per_s",
             value=frames / cached_s,
-            repeats=repeats,
+            repeats=len(cached_runs) * repeats,
             extra={
                 "frames": frames,
                 "payload_bytes": payload_size,

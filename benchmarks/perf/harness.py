@@ -38,7 +38,7 @@ import statistics
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy
@@ -47,6 +47,8 @@ __all__ = [
     "BenchRecord",
     "best_of",
     "timings",
+    "paired_timings",
+    "median_ratio",
     "spread",
     "machine_fingerprint",
     "run_suite",
@@ -65,7 +67,9 @@ REGRESSION_FLOOR = 0.7
 #: are same-machine throughput *ratios* (optimised vs reference
 #: implementation timed back-to-back), so the gate is meaningful on CI
 #: runners of any speed — absolute frames/s would track runner hardware,
-#: not the code.
+#: not the code.  Each is the median of :data:`RATIO_READINGS` readings
+#: (:func:`median_ratio`), so one reading taken while the host was busy
+#: cannot trip the gate.
 ENFORCED_RATIOS = (
     ("decode_throughput_vectorised", "speedup_vs_scalar"),
     ("modulate_cached", "speedup_vs_direct"),
@@ -73,6 +77,9 @@ ENFORCED_RATIOS = (
     ("fleet_medium_scan", "speedup_vs_dense"),
     ("fleet_campaign_sharded", "speedup_vs_dense"),
 )
+
+#: Readings behind each enforced ratio.
+RATIO_READINGS = 3
 
 
 @dataclass
@@ -104,6 +111,32 @@ def best_of(fn: Callable[[], None], repeats: int = 5) -> float:
     plenty of.
     """
     return min(timings(fn, repeats))
+
+
+def paired_timings(
+    reference: Callable[[], None],
+    optimised: Callable[[], None],
+    repeats: int = 1,
+) -> Tuple[List[float], List[float]]:
+    """``(reference_s, optimised_s)``: :data:`RATIO_READINGS` readings of
+    each side, each the best of *repeats* runs, in seconds.
+
+    The two sides alternate reading by reading, so a stretch in which the
+    host is busy slows both halves of one reading rather than every
+    reading of one side.
+    """
+    reference_s: List[float] = []
+    optimised_s: List[float] = []
+    for _ in range(RATIO_READINGS):
+        optimised_s.append(best_of(optimised, repeats))
+        reference_s.append(best_of(reference, repeats))
+    return reference_s, optimised_s
+
+
+def median_ratio(numerators: List[float], denominators: List[float]) -> float:
+    """The median of the per-reading ratios ``numerators[i] /
+    denominators[i]`` — what the regression gate reads."""
+    return statistics.median(n / d for n, d in zip(numerators, denominators))
 
 
 def spread(seconds: List[float]) -> Dict[str, float]:

@@ -85,6 +85,10 @@ class Dot15d4Radio:
             rng=rng,
             tuned_hz=channel_frequency_hz(channel),
         )
+        # The receive chain runs in single precision: the transceiver
+        # filters every capture to complex64, and discrimination, sync
+        # and slicing keep it.
+        self.transceiver.capture_dtype = np.dtype(np.complex64)
         self._modulator, self._demodulator = oqpsk_modems(int(spc))
         self.sync_threshold = sync_threshold
         self.max_chip_distance = max_chip_distance

@@ -178,8 +178,8 @@ class WidebandFrontEnd:
         base = np.zeros((num_slots, n_out), dtype=self.dtype)
         for i, sig in enumerate(signals):
             base[i, margin : margin + sig.shape[-1]] = sig
-        weights = fir_spectral_weights(self._taps, n_out).astype(
-            np.float32 if self.dtype == np.complex64 else np.float64
+        weights = fir_spectral_weights(
+            self._taps, n_out, np.finfo(self.dtype).dtype
         )
         # Internal layout is channel-major (C, S, n) so the per-channel
         # impairment pass works on contiguous blocks.

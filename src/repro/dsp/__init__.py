@@ -10,10 +10,8 @@ Everything the paper says about waveforms happens here:
   quadrature-discriminator demodulator used by the BLE chip models.
 * :mod:`repro.dsp.oqpsk` — the 802.15.4 O-QPSK-with-half-sine modulator and
   the MSK-domain chip demodulator used by the Zigbee radio models.
-* :mod:`repro.dsp.impairments` — AWGN, carrier-frequency offset, phase
-  rotation, timing offset.
-* :mod:`repro.dsp.spectrum` — PSD estimation and band-power measurement for
-  the intrusion-detection counter-measure (§VII).
+* :mod:`repro.dsp.impairments` — AWGN and carrier-frequency offset.
+* :mod:`repro.dsp.spectrum` — PSD estimation.
 """
 
 from repro.dsp.signal import IQSignal

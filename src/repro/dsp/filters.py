@@ -119,7 +119,9 @@ def _fir_lowpass(cutoff_hz: float, sample_rate: float, num_taps: int) -> np.ndar
     return taps
 
 
-def fir_spectral_weights(taps: np.ndarray, n_out: int) -> np.ndarray:
+def fir_spectral_weights(
+    taps: np.ndarray, n_out: int, dtype=np.float64
+) -> np.ndarray:
     """Zero-phase transfer function of a linear-phase FIR, per DFT bin.
 
     Rolling the (odd-length, symmetric) taps so the centre tap sits at
@@ -130,17 +132,24 @@ def fir_spectral_weights(taps: np.ndarray, n_out: int) -> np.ndarray:
     margin (:func:`apply_filter` pads, the wideband front end places
     every slot between zero margins).
 
-    Memoised per ``(taps, n_out)`` as a read-only array;
+    The weights are computed in double precision and rounded once to
+    *dtype* (``float32`` for a single-precision filter).  Memoised per
+    ``(taps, n_out, dtype)`` as a read-only array;
     :func:`repro.dsp.gfsk.clear_waveform_caches` drops the memo.
     """
     taps = np.asarray(taps, dtype=np.float64)
     if taps.size > n_out:
         raise ValueError("taps longer than the block they filter")
-    return _spectral_weights(taps.tobytes(), n_out)
+    return _spectral_weights(taps.tobytes(), n_out, np.dtype(dtype).str)
 
 
 @functools.lru_cache(maxsize=256)
-def _spectral_weights(taps_bytes: bytes, n_out: int) -> np.ndarray:
+def _spectral_weights(taps_bytes: bytes, n_out: int, dtype: str) -> np.ndarray:
+    double = np.dtype(np.float64).str
+    if dtype != double:
+        weights = _spectral_weights(taps_bytes, n_out, double).astype(dtype)
+        weights.setflags(write=False)  # shared by every caller
+        return weights
     taps = np.frombuffer(taps_bytes, dtype=np.float64)
     padded = np.zeros(n_out)
     padded[: taps.size] = taps
@@ -152,7 +161,9 @@ def _spectral_weights(taps_bytes: bytes, n_out: int) -> np.ndarray:
 
 
 def apply_filter(
-    taps: np.ndarray, samples: Union[np.ndarray, Sequence[np.ndarray]]
+    taps: np.ndarray,
+    samples: Union[np.ndarray, Sequence[np.ndarray]],
+    dtype: Optional[np.dtype] = None,
 ) -> np.ndarray:
     """Filter *samples* along the last axis with group-delay compensation.
 
@@ -163,15 +174,19 @@ def apply_filter(
     // 2 + k]``, computed as the input spectrum times the real zero-phase
     weights of :func:`fir_spectral_weights` over ``n_fft ≥ N +
     len(taps)//2`` points, so the circular wrap lands in zero padding.
-    The output dtype is ``result_type(samples, taps)``; real input stays
-    real.  The output is a view of the first N samples of each
-    ``n_fft``-sample transform row.
+    The output dtype is ``result_type(samples, taps)`` (real input stays
+    real), or *dtype* when given: the samples are cast to it as they are
+    copied into the transform buffer, and a single-precision *dtype*
+    runs the transforms and the weights in single precision.  The output
+    is a view of the first N samples of each ``n_fft``-sample transform
+    row.
 
     The spectral form is not bit-identical to the direct one (agreement
-    is to ~1e-15 of each row's peak), except where the direct form is
-    exact: every output whose whole ``len(taps)``-sample input window is
-    zero (a truncated or sample-dropped stretch) is set to ``+0.0``, as
-    the direct form gives, instead of the spectral round-off residue.
+    is to ~1e-15 of each row's peak in double precision, ~1e-7 in
+    single), except where the direct form is exact: every output whose
+    whole ``len(taps)``-sample input window is zero (a truncated or
+    sample-dropped stretch) is set to ``+0.0``, as the direct form gives,
+    instead of the spectral round-off residue.
     Each row is filtered independently: a row alone equals the same row
     inside any stack, byte for byte.
     """
@@ -184,11 +199,12 @@ def apply_filter(
     if isinstance(samples, (list, tuple)):
         rows = [np.asarray(row) for row in samples]
         shape = (len(rows), rows[0].shape[-1])
-        dtype = np.result_type(taps, *rows)
+        inferred = np.result_type(taps, *rows)
     else:
         rows = np.asarray(samples)
         shape = rows.shape
-        dtype = np.result_type(rows, taps)
+        inferred = np.result_type(rows, taps)
+    dtype = inferred if dtype is None else np.dtype(dtype)
     real = dtype.kind != "c"
     n = shape[-1]
     half = taps.size // 2
@@ -201,7 +217,7 @@ def apply_filter(
     else:
         head[...] = rows
     dead = _dead_windows(head, half)
-    weights = fir_spectral_weights(taps, n_fft)
+    weights = fir_spectral_weights(taps, n_fft, np.finfo(dtype).dtype)
     if real:
         spectrum = sp_fft.rfft(x, axis=-1)
         spectrum *= weights[: spectrum.shape[-1]]

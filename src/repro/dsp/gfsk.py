@@ -20,13 +20,19 @@ waveform, including 802.15.4's O-QPSK with half-sine shaping.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
-
-from scipy import fft as sp_fft
 
 from repro.dsp.filters import (
     _fir_lowpass,
@@ -50,8 +56,8 @@ __all__ = [
     "sync_template",
     "lazy_capture_power",
     "CLIP_LEVEL",
-    "FFT_SYNC_MIN_PRODUCT",
-    "FIRST_LOCK_LAGS",
+    "SyncLocks",
+    "FIRST_LOCK_SYMBOLS",
 ]
 
 
@@ -404,20 +410,12 @@ class SyncResult:
     dc_offset: float
 
 
-#: Floor for the sync correlator's FFT path: below this
-#: ``capture_samples × template_samples`` product the time-domain
-#: ``np.correlate`` always wins (no transform setup is worth paying).
-FFT_SYNC_MIN_PRODUCT = 1 << 21
-
-#: Relative cost of one transform point vs one direct multiply-add in the
-#: correlator cost model (three real FFTs plus the spectral product,
-#: measured against BLAS-backed ``np.correlate`` on frame-sized captures).
-FFT_COST_FACTOR = 20.0
-
-#: Lags the direct correlator covers from a search start before it
-#: correlates the rest of the row: a frame-sized capture's first lock
-#: falls well inside them.
-FIRST_LOCK_LAGS = 256
+#: Symbols the first pass of a search correlates from its start; each
+#: later pass covers twice the lags of the one before.  A time span: 20 µs
+#: at 2 Msymbol/s, the medium's 16 µs capture margin (where a delivered
+#: frame's sync word begins) plus 4 µs, so 80 lags at 4 Msps and 320 at
+#: 16 Msps.
+FIRST_LOCK_SYMBOLS = 40
 
 #: Discriminator limiter: nominal modulation sits at ±1; noise-only
 #: input would otherwise swing to ±(sample_rate / 2·deviation).
@@ -482,116 +480,103 @@ def sync_template(
     return _template(bits, samples_per_symbol, np.dtype(dtype).str)
 
 
-def _correlate_direct(haystack: np.ndarray, template: np.ndarray) -> np.ndarray:
-    """``np.correlate(row, template, "valid")`` for every row of *haystack*."""
-    return np.stack([np.correlate(row, template, "valid") for row in haystack])
-
-
-def _correlate_fft(haystack: np.ndarray, template: np.ndarray) -> np.ndarray:
-    """The same correlation as one batched real-FFT product.
-
-    corr[k] = IFFT(FFT(h)·conj(FFT(t)))[k].  Zero-padding to a
-    2/3/5-smooth length avoids slow prime-size transforms without touching
-    the valid (wraparound-free) region.  scipy's pocketfft keeps float32
-    input in single precision (numpy's upcasts), which the wideband
-    sweep's float32 raster relies on.
-    """
-    n = haystack.shape[-1]
-    n_fft = sp_fft.next_fast_len(n)
-    spec = sp_fft.rfft(haystack, n_fft, axis=-1, workers=2)
-    spec *= np.conj(sp_fft.rfft(template, n_fft))
-    full = sp_fft.irfft(spec, n_fft, axis=-1, workers=2)
-    return full[..., : n - template.size + 1]
-
-
-def _fft_pays(samples: int, template_size: int) -> bool:
-    """Whether the FFT correlator beats the direct one on rows of *samples*.
-
-    Direct costs N·M multiply-adds per row; the transforms cost
-    ~FFT_COST_FACTOR·N_fft·log2(N_fft) (calibrated against BLAS-backed
-    ``np.correlate``), so short templates stay direct however long the
-    capture gets.
-    """
-    n_fft = sp_fft.next_fast_len(samples)
-    direct_cost = samples * template_size
-    return direct_cost >= FFT_SYNC_MIN_PRODUCT and (
-        direct_cost > FFT_COST_FACTOR * n_fft * math.log2(n_fft)
-    )
-
-
-class _RowCorrelation:
-    """One row's normalised correlation, filled in over a run of lags.
-
-    ``values[lo:hi]`` holds the lags computed so far; :meth:`cover` extends
-    the run with ``np.correlate`` over just the missing lags, which gives
-    the same values as correlating the whole row.
-    """
-
-    def __init__(self, row: np.ndarray, template: SyncTemplate, values=None):
-        self.row = row
-        self.template = template
-        self.values = values
-        self.lo = 0
-        self.hi = 0 if values is None else values.size
-
-    def cover(self, start: int, stop: int) -> np.ndarray:
-        """The row's values, computed at least over lags ``[start, stop)``."""
-        if self.values is None:
-            self.lo = self.hi = start
-        if start < self.lo:
-            self._fill(start, self.lo)
-            self.lo = start
-        if stop > self.hi:
-            self._fill(self.hi, stop)
-            self.hi = stop
-        return self.values
-
-    def _fill(self, start: int, stop: int) -> None:
-        template = self.template
-        width = template.samples.size
-        segment = self.row[start : stop + width - 1]
-        corr = np.correlate(segment, template.centered, "valid")
-        if self.values is None:
-            self.values = np.empty(self.row.size - width + 1, corr.dtype)
-        np.divide(corr, template.norm, out=self.values[start:stop])
-
-
 class _RssiGate:
-    """One row's RSSI gate: an alignment passes when its windowed mean
-    power reaches a quarter of the row's 90th percentile.
+    """The RSSI gate of a power profile's rows: an alignment passes when
+    its windowed mean power reaches a quarter of its row's 90th
+    percentile.
 
-    The percentile never exceeds the row's maximum, so reaching a quarter
-    of the maximum already passes; the percentile is computed only for a
-    candidate that falls below that.  Window means are divided out only
+    A candidate is settled by the cheapest test that decides it.  No
+    window mean, as computed, exceeds its row's peak sample power by more
+    than the accumulate's worst-case rounding, so reaching a quarter of
+    that padded peak (:attr:`peak_level`) passes on the window sums up to
+    the candidate alone.  Below it, the candidate is held to a quarter of
+    the row's largest window mean (:attr:`sufficient`, from every window
+    sum of the row), which the percentile never exceeds; below that, to
+    the exact percentile floor.  Window sums come from an accumulate
+    along the last axis, sequential per row, so a prefix of a row gives
+    the same sums as the whole row.  Window means are divided out only
     where they are read: division by the positive window length is
     monotone, so the maximum of the sums divided equals the maximum mean
     exactly.
     """
 
     def __init__(self, power: np.ndarray, window: int):
-        cumulative = np.empty(power.size + 1, power.dtype)
-        cumulative[0] = 0
-        np.add.accumulate(power, out=cumulative[1:])
+        self.power = power
         self.window = window
-        self.sums = cumulative[window:] - cumulative[:-window]
-        self.sufficient = 0.25 * (self.sums.max() / window)
-        self.exact: Optional[np.ndarray] = None
+        # A sequential sum of n non-negative terms is off by at most
+        # γ = n·u/(1 − n·u) of the row total (≤ n × peak), so a computed
+        # window sum stays below peak·(window + 2·n·γ), and the three
+        # roundings to the mean's quarter add (1 + u)³ — plus, should
+        # the mean underflow, the smallest normal number.  Evaluated in
+        # double, with slack for its own rounding.
+        n = power.shape[-1]
+        info = np.finfo(power.dtype)
+        u = info.eps / 2
+        pad = np.inf
+        if n * u < 0.5:
+            growth = n * u / (1 - n * u)
+            pad = (1 + 2 * n * growth / window) * (1 + u) ** 3 * (1 + 1e-9)
+        peak = power.max(axis=-1).astype(np.float64)
+        self.peak_level = peak * (0.25 * pad) + float(info.tiny)
+        self._floors: Dict[int, np.ndarray] = {}
 
-    def passes(self, lags: np.ndarray) -> np.ndarray:
-        """Which of *lags* (ascending, non-empty) pass the gate; exact for
-        every lag up to the first that passes."""
-        windowed = self.sums[lags] / self.window
-        passed = windowed >= self.sufficient
-        if not passed[0]:
-            if self.exact is None:
-                self.exact = _percentile_floor(self.sums / self.window)
-            passed = windowed >= self.exact
-        return passed
+    @staticmethod
+    def _cumulative(power: np.ndarray) -> np.ndarray:
+        """Each row's running sums, from the empty sum."""
+        shape = power.shape[:-1] + (power.shape[-1] + 1,)
+        cumulative = np.empty(shape, power.dtype)
+        cumulative[..., 0] = 0
+        np.add.accumulate(power, axis=-1, out=cumulative[..., 1:])
+        return cumulative
+
+    @functools.cached_property
+    def sums(self) -> np.ndarray:
+        """Every window sum of every row."""
+        cumulative = self._cumulative(self.power)
+        return cumulative[..., self.window :] - cumulative[..., : -self.window]
+
+    @functools.cached_property
+    def sufficient(self) -> np.ndarray:
+        """A quarter of each row's largest window mean."""
+        return 0.25 * (self.sums.max(axis=-1) / self.window)
+
+    def windowed(self, rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """The window means of *rows* at *starts*, from each row's sums
+        up to the furthest start."""
+        stops = starts + self.window
+        cumulative = self._cumulative(self.power[rows, : stops.max()])
+        index = np.arange(len(rows))
+        sums = cumulative[index, stops] - cumulative[index, starts]
+        return sums / self.window
+
+    def floor(self, row: int) -> np.ndarray:
+        """A quarter of *row*'s 90th percentile, computed once per row."""
+        floor = self._floors.get(row)
+        if floor is None:
+            windowed = self.sums[row] / self.window
+            floor = self._floors[row] = _percentile_floor(windowed)
+        return floor
 
 
 def _percentile_floor(windowed: np.ndarray) -> np.ndarray:
     """A quarter of the 90th percentile of one row's windowed power."""
     return 0.25 * np.percentile(windowed, 90, keepdims=True)
+
+
+class SyncLocks(NamedTuple):
+    """The rows of a :meth:`SyncSearch.lock_rows` call that locked.
+
+    Row ``rows[i]`` locked at discriminator sample ``starts[i]`` with
+    normalised correlation ``scores[i]``; ``dcs[i]`` is the mean of its
+    locked window minus the template mean (the static carrier offset in
+    units of the nominal deviation).  Scores and DC estimates are in the
+    discriminator's precision.
+    """
+
+    rows: List[int]
+    starts: np.ndarray
+    scores: np.ndarray
+    dcs: np.ndarray
 
 
 class SyncSearch:
@@ -601,83 +586,148 @@ class SyncSearch:
     zero-argument callable returning it) enables an RSSI gate that rejects
     alignments whose windowed power falls well below the strongest part
     of their row, so clipped noise in a pre-frame margin cannot trigger a
-    false sync.
+    false sync.  A one-row profile is shared by every row of the stack.
 
-    A search correlates only as far as its first lock needs.  Where the
-    size rule picks the direct correlator, a row is correlated over
-    :data:`FIRST_LOCK_LAGS` lags from the search start and, only if those
-    hold no gated candidate, over the rest of the row in one more call;
-    where it picks the FFT, the whole stack is correlated at once.  Each
-    row's correlation and gate are kept per template, so the re-armed
-    searches after a lock that yielded no frame reuse every lag already
-    computed.
+    :meth:`lock_rows` locks any set of rows in one pass over the stack:
+    each row is correlated (``np.correlate``) only over
+    :data:`FIRST_LOCK_SYMBOLS` from its search start, and only the rows
+    with no gated candidate there over the next lags, twice as many in
+    each further pass, up to the row end.  The gate is built once per template width and shared by every
+    re-armed search, after a lock that yielded no frame.
     """
 
     def __init__(self, disc: np.ndarray, power: Optional[PowerInput] = None):
         self.disc = disc
         self.power = power
-        self._rows: Dict[Tuple[SyncTemplate, int], _RowCorrelation] = {}
-        self._stacks: Dict[SyncTemplate, np.ndarray] = {}
-        self._gates: Dict[Tuple[int, int], Optional[_RssiGate]] = {}
-        self._profile: Optional[np.ndarray] = None
+        self._gates: Dict[int, Optional[_RssiGate]] = {}
 
-    def _correlation(
-        self, template: SyncTemplate, row: int
-    ) -> _RowCorrelation:
-        """*row*'s normalised correlation with the mean-removed template —
-        a static carrier offset then neither masquerades as nor masks a
-        match."""
-        key = (template, row)
-        if key not in self._rows:
-            disc = self.disc
-            stack = None
-            if _fft_pays(disc.shape[-1], template.samples.size):
-                stack = self._stacks.get(template)
-                if stack is None:
-                    stack = _correlate_fft(disc, template.centered)
-                    stack = self._stacks[template] = stack / template.norm
-                stack = stack[row]
-            self._rows[key] = _RowCorrelation(disc[row], template, stack)
-        return self._rows[key]
-
-    def _gate(self, row: int, width: int) -> Optional[_RssiGate]:
-        """*row*'s RSSI gate for a *width*-sample window; ``None`` without
-        a power profile covering the row."""
-        key = (row, width)
-        if key not in self._gates:
+    def _gate(self, width: int) -> Optional[_RssiGate]:
+        """The RSSI gate for a *width*-sample window; ``None`` without a
+        power profile covering the rows."""
+        if width not in self._gates:
             power = self.power
-            if self._profile is None and power is not None:
-                power = power() if callable(power) else power
-                self._profile = np.atleast_2d(power)
-            profile, n = self._profile, self.disc.shape[-1]
+            if callable(power):
+                power = self.power = power()
             gate = None
-            if profile is not None and profile.shape[-1] >= n:
-                # A one-row profile is shared by every row of the stack.
-                shared = len(profile) == 1
-                gate = _RssiGate(profile[0 if shared else row, :n], width)
-            self._gates[key] = gate
-        return self._gates[key]
+            n = self.disc.shape[-1]
+            if power is not None and power.shape[-1] >= n:
+                gate = _RssiGate(np.atleast_2d(power)[:, :n], width)
+            self._gates[width] = gate
+        return self._gates[width]
 
-    def _first(
+    def _scan(
         self,
-        corr: _RowCorrelation,
+        template: SyncTemplate,
         threshold: float,
-        row: int,
-        start: int,
-        stop: int,
-    ) -> Optional[int]:
-        """The first lag in ``[start, stop)`` that clears *threshold* and
-        the RSSI gate."""
-        values = corr.cover(start, stop)
-        hits = start + (values[start:stop] >= threshold).nonzero()[0]
-        if not hits.size:
-            return None
-        gate = self._gate(row, corr.template.samples.size)
-        if gate is None:
-            return int(hits[0])
-        passed = gate.passes(hits)
-        first = passed.argmax()
-        return int(hits[first]) if passed[first] else None
+        rows: Sequence[int],
+        starts: Sequence[int],
+        stops: Sequence[int],
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each row's first lag in ``[start, stop)`` that clears
+        *threshold* and the RSSI gate, refined to the correlation maximum
+        within two symbols: ``(found, best, score)`` per row.
+
+        The rows' correlations over their lags, plus the refinement's
+        reach past *stop*, fill one block padded with ``-inf``.
+        """
+        disc = self.disc
+        width = template.samples.size
+        lags = disc.shape[-1] - width + 1
+        reach = 2 * template.samples_per_symbol
+        spans = [stop - start for start, stop in zip(starts, stops)]
+        span = max(spans)
+        block = np.empty((len(rows), span + reach - 1), disc.dtype)
+        for out, row, start, stop in zip(block, rows, starts, stops):
+            end = min(stop + reach - 1, lags)
+            segment = disc[row, start : end + width - 1]
+            out[: end - start] = np.correlate(segment, template.centered, "valid")
+            out[end - start :] = -np.inf
+        np.divide(block, template.norm, out=block)
+        hits = block[:, :span] >= threshold
+        for hit, row_span in zip(hits, spans):
+            if row_span < span:
+                hit[row_span:] = False
+        first = hits.argmax(axis=-1)
+        index = np.arange(len(rows))
+        found = hits[index, first]
+        starts = np.asarray(starts, dtype=np.intp)
+        gate = self._gate(width) if found.any() else None
+        if gate is not None:
+            shared = len(gate.power) == 1
+            gate_rows = np.zeros_like(index) if shared else np.asarray(rows)
+            windowed = gate.windowed(gate_rows, starts + first)
+            weak = found & (windowed < gate.peak_level[gate_rows])
+            if weak.any():
+                weak &= windowed < gate.sufficient[gate_rows]
+            # A first hit below the quarter-of-maximum level: every hit
+            # of the row is held to the exact percentile floor instead.
+            for i in weak.nonzero()[0]:
+                candidates = starts[i] + hits[i].nonzero()[0]
+                row = gate_rows[i]
+                levels = gate.sums[row, candidates] / gate.window
+                passed = levels >= gate.floor(row)
+                j = passed.argmax()
+                found[i] = passed[j]
+                first[i] = candidates[j] - starts[i]
+        refined = block[index[:, None], first[:, None] + np.arange(reach)]
+        peak = refined.argmax(axis=-1)
+        return found, starts + first + peak, refined[index, peak]
+
+    def lock_rows(
+        self,
+        template: SyncTemplate,
+        threshold: float,
+        rows: Sequence[int],
+        search_starts: Sequence[int],
+    ) -> SyncLocks:
+        """Lock each of the distinct *rows* onto its first candidate at or
+        after its entry of *search_starts*.
+
+        Locks onto the **first** alignment that clears the threshold — the
+        way hardware sync detectors fire, and essential here because DSSS
+        payloads can repeat the preamble pattern later in the frame — and
+        refines it to the local correlation maximum within two symbols.
+        A row locks the same alone as with any other rows.  A negative
+        search start raises :class:`ValueError`.
+        """
+        if min(search_starts, default=0) < 0:
+            raise ValueError(
+                f"search_start must be >= 0, got {min(search_starts)}"
+            )
+        disc = self.disc
+        width = template.samples.size
+        lags = disc.shape[-1] - width + 1
+        span = FIRST_LOCK_SYMBOLS * template.samples_per_symbol
+        pending = [
+            (row, start) for row, start in zip(rows, search_starts) if start < lags
+        ]
+        locks: Dict[int, Tuple[int, float]] = {}
+        while pending:
+            order = [row for row, _ in pending]
+            starts = [start for _, start in pending]
+            stops = [min(start + span, lags) for start in starts]
+            found, best, score = self._scan(
+                template, threshold, order, starts, stops
+            )
+            for i in found.nonzero()[0]:
+                locks[order[i]] = (best[i], score[i])
+            pending = [
+                (row, stop)
+                for row, stop, hit in zip(order, stops, found)
+                if not hit and stop < lags
+            ]
+            span *= 2
+        locked = [row for row in rows if row in locks]
+        starts = np.array([locks[row][0] for row in locked], dtype=np.intp)
+        scores = np.array([locks[row][1] for row in locked], dtype=disc.dtype)
+        windows = np.empty((len(locked), width), disc.dtype)
+        for out, row, start in zip(windows, locked, starts):
+            out[...] = disc[row, start : start + width]
+        # ``window.mean()`` without its Python wrapper, in its arithmetic:
+        # each row's pairwise sum divided by an intp count, cast back.
+        totals = np.add.reduce(windows, axis=-1)
+        means = (totals / np.intp(width)).astype(disc.dtype)
+        return SyncLocks(locked, starts, scores, means - template.mean)
 
     def lock(
         self,
@@ -686,38 +736,13 @@ class SyncSearch:
         row: int = 0,
         search_start: int = 0,
     ) -> Optional[Tuple[int, float, float]]:
-        """First candidate of *row* at or after *search_start*.
-
-        Locks onto the **first** alignment that clears the threshold — the
-        way hardware sync detectors fire, and essential here because DSSS
-        payloads can repeat the preamble pattern later in the frame — and
-        refines it to the local correlation maximum within two symbols.
-        Returns ``(start, score, dc)`` or ``None``; *dc* is the mean of the
-        locked discriminator window minus the template mean: the static
-        carrier offset in units of the nominal deviation.  A negative
-        *search_start* raises :class:`ValueError`.
-        """
-        if search_start < 0:
-            raise ValueError(f"search_start must be >= 0, got {search_start}")
-        width = template.samples.size
-        lags = self.disc.shape[-1] - width + 1
-        if search_start >= lags:
+        """The one-row call of :meth:`lock_rows`: ``(start, score, dc)``
+        of *row*'s first candidate at or after *search_start*, or
+        ``None``."""
+        locks = self.lock_rows(template, threshold, [row], [search_start])
+        if not locks.rows:
             return None
-        corr = self._correlation(template, row)
-        early = min(search_start + FIRST_LOCK_LAGS, lags)
-        first = self._first(corr, threshold, row, search_start, early)
-        if first is None and early < lags:
-            first = self._first(corr, threshold, row, early, lags)
-        if first is None:
-            return None
-        stop = min(first + 2 * template.samples_per_symbol, lags)
-        values = corr.cover(first, stop)
-        best = first + int(values[first:stop].argmax())
-        # ``window.mean()`` without its Python wrapper, in its arithmetic:
-        # the pairwise sum divided by an intp count, cast back.
-        total = np.add.reduce(self.disc[row, best : best + width])
-        mean = total.dtype.type(total / np.intp(width))
-        return best, float(values[best]), float(mean - template.mean)
+        return int(locks.starts[0]), float(locks.scores[0]), float(locks.dcs[0])
 
 
 def _pairwise_sum(terms: Sequence[np.ndarray]) -> np.ndarray:
@@ -754,16 +779,17 @@ def _pairwise_sum(terms: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _integrate_and_dump(
-    window: np.ndarray, sps: int, dc: float = 0.0
+    window: np.ndarray, sps: int, dc: Union[float, np.ndarray] = 0.0
 ) -> np.ndarray:
-    """The sum of each run of *sps* samples of a 1-D *window*, less *dc*.
+    """The sum of each run of *sps* samples along the last axis of
+    *window*, less *dc* (a scalar, or a column of one value per row).
 
-    Bit-identical to ``(window - dc).reshape(-1, sps).sum(axis=1)`` — the
-    same additions in the same order, starting from the reduction's +0.0
-    identity — but as *sps* strided adds over whole rows rather than one
-    tiny reduction per symbol.
+    Bit-identical, row by row, to ``(row - dc).reshape(-1, sps).sum(axis=1)``
+    — the same additions in the same order, starting from the reduction's
+    +0.0 identity — but as *sps* strided adds over whole rows rather than
+    one tiny reduction per symbol.
     """
-    total = _pairwise_sum([window[phase::sps] - dc for phase in range(sps)])
+    total = _pairwise_sum([window[..., phase::sps] - dc for phase in range(sps)])
     total += 0.0
     return total
 

@@ -11,13 +11,7 @@ import numpy as np
 
 from repro.dsp.signal import IQSignal
 
-__all__ = [
-    "awgn",
-    "apply_frequency_offset",
-    "apply_phase_offset",
-    "apply_timing_offset",
-    "noise_floor",
-]
+__all__ = ["awgn", "apply_frequency_offset"]
 
 
 def awgn(sig: IQSignal, snr_db: float, rng: np.random.Generator) -> IQSignal:
@@ -32,19 +26,6 @@ def awgn(sig: IQSignal, snr_db: float, rng: np.random.Generator) -> IQSignal:
     noise_power = power / (10.0 ** (snr_db / 10.0))
     noise = _complex_noise(len(sig), noise_power, rng)
     return IQSignal(sig.samples + noise, sig.sample_rate, sig.center_frequency)
-
-
-def noise_floor(
-    num_samples: int,
-    sample_rate: float,
-    power: float,
-    rng: np.random.Generator,
-    center_frequency: float = 0.0,
-) -> IQSignal:
-    """A pure-noise capture of the given mean power (receiver thermal floor)."""
-    return IQSignal(
-        _complex_noise(num_samples, power, rng), sample_rate, center_frequency
-    )
 
 
 def _complex_noise(
@@ -63,17 +44,3 @@ def apply_frequency_offset(sig: IQSignal, offset_hz: float) -> IQSignal:
     n = np.arange(len(sig))
     rotated = sig.samples * np.exp(2j * np.pi * offset_hz * n / sig.sample_rate)
     return IQSignal(rotated, sig.sample_rate, sig.center_frequency)
-
-
-def apply_phase_offset(sig: IQSignal, phase_rad: float) -> IQSignal:
-    """Apply a static carrier-phase rotation."""
-    if phase_rad == 0.0:
-        return sig
-    return IQSignal(
-        sig.samples * np.exp(1j * phase_rad), sig.sample_rate, sig.center_frequency
-    )
-
-
-def apply_timing_offset(sig: IQSignal, delay_samples: int) -> IQSignal:
-    """Delay the signal by an integer number of samples (zero padded)."""
-    return sig.delayed(delay_samples)

@@ -35,6 +35,7 @@ from repro.dsp.gfsk import (
     GfskConfig,
     SyncResult,
     SyncSearch,
+    _integrate_and_dump,
     lazy_capture_power,
     sync_template,
 )
@@ -164,7 +165,7 @@ class OqpskDemodulator:
         *capture* is an :class:`IQSignal` or equal-length basebands
         ``(F, N)``.  Pass the result to :meth:`receive_chips` /
         :meth:`receive_chip_rows`: every re-armed search then reuses its
-        discriminator output, lazily computed power and sync correlation.
+        discriminator output, lazily computed power and RSSI gate.
         """
         disc = np.atleast_2d(self._fsk.discriminate(capture))
         return SyncSearch(disc, lazy_capture_power(capture))
@@ -181,10 +182,12 @@ class OqpskDemodulator:
     ) -> ChipRows:
         """Acquire *sync_chips* in each of *rows*; slice the chips after it.
 
-        Each row's search resumes at its entry of *search_starts*.  A
-        locked row's chips are its integrate-and-dump rotation decisions
-        after the pattern — less the row's DC estimate, up to *max_chips*
-        and the capture end — inverted to chips by prefix XOR.
+        Each row's search resumes at its entry of *search_starts*; the
+        rows lock in one :meth:`~repro.dsp.gfsk.SyncSearch.lock_rows`
+        pass.  A locked row's chips are its integrate-and-dump rotation
+        decisions after the pattern — less the row's DC estimate, up to
+        *max_chips* and the capture end — inverted to chips by prefix XOR.
+        All locked rows are sliced as one block.
         """
         sync_arr = as_bit_array(sync_chips)
         if sync_arr.size < 8:
@@ -194,33 +197,33 @@ class OqpskDemodulator:
         template = _chip_template(
             sync_arr.tobytes(), sync_start_index, spc, disc.dtype.str
         )
+        locks = front.lock_rows(template, threshold, rows, search_starts)
+        payloads = locks.starts + template.samples.size
+        counts = np.minimum(max_chips, (disc.shape[-1] - payloads) // spc)
+        width = spc * counts.max(initial=0)
+        block = np.zeros((len(locks.rows), width), disc.dtype)
+        for out, row, payload, count in zip(block, locks.rows, payloads, counts):
+            out[: count * spc] = disc[row, payload : payload + count * spc]
+        soft = _integrate_and_dump(block, spc, locks.dcs[:, None])
+        transitions = soft > 0
+        transitions &= np.arange(soft.shape[-1]) < counts[:, None]
         deviation = self._fsk.frequency_deviation
-        locked: List[int] = []
-        syncs: List[SyncResult] = []
-        decisions: List[np.ndarray] = []
-        for row, search_start in zip(rows, search_starts):
-            lock = front.lock(template, threshold, row, search_start)
-            if lock is None:
-                continue
-            start, score, dc = lock
-            payload = start + template.samples.size
-            count = min(max_chips, (disc.shape[-1] - payload) // spc)
-            soft = self._fsk.soft_symbols(disc[row], payload, count, dc)
-            locked.append(row)
-            syncs.append(SyncResult(start, score, dc * deviation))
-            decisions.append(soft > 0)
-        counts = [d.size for d in decisions]
-        transitions = np.zeros((len(counts), max(counts, default=0)), np.uint8)
-        for i, d in enumerate(decisions):
-            transitions[i, : d.size] = d
+        syncs = [
+            SyncResult(int(start), float(score), float(dc) * deviation)
+            for start, score, dc in zip(locks.starts, locks.scores, locks.dcs)
+        ]
         # The template covers transitions into chips
         # sync_start_index+1 .. sync_start_index+len(sync)-1; the next
         # rotation period is the first recovered chip.
         first_chip_index = sync_start_index + sync_arr.size
         chips = transitions_to_chips(
-            transitions, first_chip_index, previous_chip=int(sync_arr[-1])
+            transitions.view(np.uint8),
+            first_chip_index,
+            previous_chip=int(sync_arr[-1]),
         )
-        return ChipRows(locked, syncs, counts, chips, first_chip_index)
+        return ChipRows(
+            locks.rows, syncs, counts.tolist(), chips, first_chip_index
+        )
 
     def receive_chips(
         self,
@@ -253,8 +256,8 @@ class OqpskDemodulator:
             (used to re-arm after a sync that produced no frame).
         front_end:
             A previously computed :meth:`front_end` result for *sig*;
-            when given, the discriminator, power and sync correlation are
-            not recomputed.
+            when given, the discriminator, power and RSSI gate are not
+            recomputed.
 
         Returns
         -------

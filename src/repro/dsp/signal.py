@@ -7,7 +7,8 @@ which is how a BLE emission on 2420 MHz lands — frequency-shifted — in the
 passband of a Zigbee receiver tuned to the same channel.
 
 Frequencies are plain floats in hertz; sample counts are integers.  Samples
-are always ``complex128``.
+are ``complex128``, except that ``complex64`` samples (a single-precision
+receive chain's filtered capture) keep their precision.
 """
 
 from __future__ import annotations
@@ -38,7 +39,10 @@ class IQSignal:
     center_frequency: float = 0.0
 
     def __post_init__(self) -> None:
-        self.samples = np.asarray(self.samples, dtype=np.complex128)
+        samples = np.asarray(self.samples)
+        if samples.dtype != np.complex64:
+            samples = samples.astype(np.complex128, copy=False)
+        self.samples = samples
         if self.samples.ndim != 1:
             raise ValueError("IQSignal samples must be one-dimensional")
         if self.sample_rate <= 0:

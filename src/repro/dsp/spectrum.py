@@ -1,10 +1,4 @@
-"""Spectral analysis helpers.
-
-Used by the intrusion-detection counter-measure (§VII of the paper): the
-RadIoT-style monitor watches signal strength across frequency bands without
-demodulating anything, so it only needs PSD estimation and band-power
-integration.
-"""
+"""Spectral analysis: Welch PSD estimation of a complex capture."""
 
 from __future__ import annotations
 
@@ -15,7 +9,7 @@ from scipy import signal as sp_signal
 
 from repro.dsp.signal import IQSignal
 
-__all__ = ["power_spectral_density", "band_power", "channel_powers"]
+__all__ = ["power_spectral_density"]
 
 
 def power_spectral_density(
@@ -38,31 +32,3 @@ def power_spectral_density(
     )
     order = np.argsort(freqs)
     return freqs[order] + sig.center_frequency, psd[order]
-
-
-def band_power(
-    sig: IQSignal, rf_center_hz: float, bandwidth_hz: float, nperseg: int = 256
-) -> float:
-    """Integrated power inside an RF band of the given width."""
-    freqs, psd = power_spectral_density(sig, nperseg=nperseg)
-    low = rf_center_hz - bandwidth_hz / 2.0
-    high = rf_center_hz + bandwidth_hz / 2.0
-    mask = (freqs >= low) & (freqs <= high)
-    if not mask.any():
-        return 0.0
-    return float(np.trapezoid(psd[mask], freqs[mask]))
-
-
-def channel_powers(
-    sig: IQSignal, centers_hz, bandwidth_hz: float, nperseg: int = 256
-) -> np.ndarray:
-    """Band power for a list of channel centres (one PSD, many integrals)."""
-    freqs, psd = power_spectral_density(sig, nperseg=nperseg)
-    out = np.zeros(len(centers_hz))
-    for i, center in enumerate(centers_hz):
-        mask = (freqs >= center - bandwidth_hz / 2.0) & (
-            freqs <= center + bandwidth_hz / 2.0
-        )
-        if mask.any():
-            out[i] = float(np.trapezoid(psd[mask], freqs[mask]))
-    return out

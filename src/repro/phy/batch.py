@@ -11,12 +11,13 @@ radio that hears one transmission as one such stack, so each stage is
 *row-invariant*: a row's result does not depend on the other rows of its
 stack (``tests/phy/test_stack_invariance.py``).
 
-* **sync** — :class:`~repro.dsp.gfsk.SyncSearch` correlates the preamble
-  template along each discriminator row only as far as its first
-  candidate that clears the RSSI gate, and locks the row onto it;
+* **sync** — :meth:`~repro.dsp.gfsk.SyncSearch.lock_rows` correlates the
+  preamble template along each discriminator row only as far as its
+  first candidate that clears the RSSI gate, and locks every row onto
+  its own in one pass over the stack;
 * **slice** — :meth:`~repro.dsp.oqpsk.OqpskDemodulator.receive_chip_rows`
-  integrates-and-dumps the rotation decisions after each lock and
-  inverts them to chips by prefix XOR;
+  integrates-and-dumps the rotation decisions after every lock as one
+  block and inverts them to chips by prefix XOR;
 * **despread** — :func:`~repro.phy.ieee802154.despread_chips` matches all
   32-chip blocks of all rows in one matmul, with per-symbol LLR margins
   (best vs runner-up PN match) next to the hard decisions — the soft
@@ -26,8 +27,10 @@ stack (``tests/phy/test_stack_invariance.py``).
   (:func:`repro.core.rx.decode_payload_bits`).
 
 A row whose lock yields no frame is re-armed one symbol further on, up to
-:data:`RESYNC_ATTEMPTS` locks; a re-armed search reuses every lag of the
-row's correlation already computed.
+:data:`RESYNC_ATTEMPTS` locks; the re-armed rows lock in one more pass,
+reusing the stack's discriminator output and RSSI gate.  The 802.15.4
+radio hands the engine single-precision captures, and every stage keeps
+their precision.
 """
 
 from __future__ import annotations

@@ -43,7 +43,6 @@ from typing import (
 
 import numpy as np
 
-from repro.dsp.filters import apply_filter
 from repro.dsp.signal import IQSignal
 from repro.obs import MEDIUM_DELIVERY
 from repro.obs import metrics as _current_metrics
@@ -451,16 +450,18 @@ class RfMedium:
     @staticmethod
     def _decode_stacked(rows: List[_Row]) -> None:
         """Filter and decode the rows, one stack per (decoder
-        configuration, row length, receive filter)."""
+        configuration, row length, receive filter).  A stack is filtered
+        by its first radio's ``filter_samples``, the entry the one-row
+        path's ``handle_capture`` uses, so both decode at one
+        precision."""
         groups: Dict[tuple, List[_Row]] = {}
         for row in rows:
             taps = row.radio.filter_taps
             key = (row.key, row.capture.samples.shape, id(taps))
             groups.setdefault(key, []).append(row)
         for members in groups.values():
-            batch = apply_filter(
-                members[0].radio.filter_taps,
-                [row.capture.samples for row in members],
+            batch = members[0].radio.filter_samples(
+                [row.capture.samples for row in members]
             )
             decoded = members[0].receiver.decode_rows(batch)
             for row, result in zip(members, decoded):

@@ -9,7 +9,15 @@ medium.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Optional, Protocol, Sequence, Tuple
+from typing import (
+    Callable,
+    Hashable,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -72,6 +80,12 @@ class Transceiver:
     tuned_hz:
         The initial tuning; the radio is indexed by the medium at it.
     """
+
+    #: The precision of filtered captures, on the stacked and the one-row
+    #: delivery path alike: ``None`` keeps the medium's ``complex128``; a
+    #: chip model whose receive chain runs in single precision sets
+    #: ``complex64``.
+    capture_dtype: Optional[np.dtype] = None
 
     def __init__(
         self,
@@ -223,9 +237,15 @@ class Transceiver:
         """The receive channel filter's (shared, read-only) taps."""
         return self._filter
 
-    def filter_samples(self, samples: np.ndarray) -> np.ndarray:
-        """The receive channel filter, into a fresh array."""
-        return apply_filter(self._filter, samples)
+    def filter_samples(
+        self, samples: Union[np.ndarray, Sequence[np.ndarray]]
+    ) -> np.ndarray:
+        """The receive channel filter, into a fresh array.
+
+        *samples* is one capture or the rows of a stack; the output is in
+        :attr:`capture_dtype`.
+        """
+        return apply_filter(self._filter, samples, self.capture_dtype)
 
     def __repr__(self) -> str:
         return (

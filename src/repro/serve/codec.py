@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Dict, IO, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.errors import SpoolError
 
@@ -49,7 +49,6 @@ __all__ = [
     "trace_record",
     "encode_jsonl",
     "decode_jsonl",
-    "iter_jsonl",
     "pcap_global_header",
     "encode_pcap_record",
     "parse_pcap",
@@ -118,14 +117,6 @@ def encode_jsonl(record: Dict[str, Any]) -> bytes:
 
 def decode_jsonl(line: bytes) -> Dict[str, Any]:
     return json.loads(line.decode("utf-8"))
-
-
-def iter_jsonl(stream: IO[bytes]) -> Iterator[Dict[str, Any]]:
-    """Yield records from a byte stream, one per line."""
-    for line in stream:
-        line = line.strip()
-        if line:
-            yield decode_jsonl(line)
 
 
 # ---------------------------------------------------------------------------

@@ -1,75 +1,16 @@
-"""Generic Galois/Fibonacci linear-feedback shift registers.
+"""Galois-form linear-feedback shift register.
 
-BLE data whitening (Bluetooth Core spec vol 6, part B, §3.2) is a 7-bit
-Fibonacci LFSR with polynomial ``x^7 + x^4 + 1``, seeded from the channel
-index.  The engine below is general enough to express that and the PRNGs used
-elsewhere in the simulation, while staying a direct transcription of a shift
-register diagram.
+A direct transcription of a shift-register diagram, general enough for
+the PRNGs used in the simulation.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
 from repro.utils.bits import as_bit_array
 
-__all__ = ["GaloisLfsr", "FibonacciLfsr"]
-
-
-class FibonacciLfsr:
-    """Fibonacci LFSR: output taken from the last stage, feedback is the XOR
-    of the tapped stages.
-
-    ``taps`` lists the stage indices (1-based, as in spec diagrams) whose
-    values feed back into stage 1.  Position ``degree`` is the output stage.
-    """
-
-    def __init__(self, degree: int, taps: Sequence[int], state: int):
-        if degree <= 0:
-            raise ValueError("degree must be positive")
-        if not state or state >> degree:
-            raise ValueError(
-                f"state must be a non-zero {degree}-bit value, got {state:#x}"
-            )
-        bad = [t for t in taps if not 1 <= t <= degree]
-        if bad:
-            raise ValueError(f"tap positions out of range: {bad}")
-        self.degree = degree
-        self.taps = tuple(sorted(set(taps)))
-        # stage 1 is bit degree-1, stage ``degree`` is bit 0, so that the
-        # integer reads like the spec diagram left-to-right.
-        self.state = state
-
-    def _stage(self, position: int) -> int:
-        return (self.state >> (self.degree - position)) & 1
-
-    def next_bit(self) -> int:
-        """Clock once; return the output bit (last stage before shifting)."""
-        out = self._stage(self.degree)
-        feedback = 0
-        for tap in self.taps:
-            feedback ^= self._stage(tap)
-        self.state = ((self.state >> 1) | (feedback << (self.degree - 1))) & (
-            (1 << self.degree) - 1
-        )
-        return out
-
-    def stream(self, count: int) -> np.ndarray:
-        """Generate *count* output bits."""
-        return np.fromiter(
-            (self.next_bit() for _ in range(count)), dtype=np.uint8, count=count
-        )
-
-    def whiten(self, bits) -> np.ndarray:
-        """XOR a bit array with the register's output stream.
-
-        Whitening and de-whitening are the same operation (XOR with the same
-        stream); callers reset the register state between frames.
-        """
-        arr = as_bit_array(bits)
-        return arr ^ self.stream(arr.size)
+__all__ = ["GaloisLfsr"]
 
 
 class GaloisLfsr:

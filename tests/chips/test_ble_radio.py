@@ -96,6 +96,18 @@ class TestRawPath:
         assert errors < payload.size // 4  # noisy, but far from random
 
 
+class TestReceivePrecision:
+    def test_ble_filter_stays_double_precision(self, chip_pair):
+        """Only the 802.15.4 radio narrows its receive chain: a BLE chip
+        (the WazaBee RX primitive) filters in complex128."""
+        _tx, rx = chip_pair
+        samples = np.exp(1j * np.linspace(0.0, 40.0, 600))
+        assert rx.transceiver.capture_dtype is None
+        assert rx.transceiver.filter_samples(samples).dtype == np.complex128
+        stacked = rx.transceiver.filter_samples([samples, samples])
+        assert stacked.dtype == np.complex128
+
+
 class TestPduPath:
     def test_legitimate_advertising_decodes(self, chip_pair, scheduler):
         tx, rx = chip_pair

@@ -19,6 +19,35 @@ def radios(quiet_medium):
     return a, b
 
 
+class TestReceivePrecision:
+    def test_one_row_and_stacked_paths_filter_to_single_and_agree(
+        self, radios, quiet_medium
+    ):
+        """Both delivery paths filter through ``filter_samples`` into
+        complex64, and a capture decoded alone (``handle_capture``) and
+        as a stack row (``decode_rows``) yields the same frame."""
+        a, b = radios
+        got = []
+        b.start_rx(got.append)
+        frame = build_data(SRC, DST, b"single precision", sequence_number=5)
+        tx = a.transmit_frame(frame)
+        margin = quiet_medium.capture_margin_s
+        capture = quiet_medium.compose_capture(
+            b.transceiver, tx.start_time - margin, tx.end_time + margin
+        )
+        alone = b.transceiver.filter_samples(capture.samples)
+        stacked = b.transceiver.filter_samples([capture.samples] * 3)
+        assert alone.dtype == stacked.dtype == np.complex64
+        for row in stacked:
+            assert row.tobytes() == alone.tobytes()
+        b.transceiver.handle_capture(capture, tx)
+        for row in b.decode_rows(stacked):
+            b.take_row(row, capture.duration)
+        assert len(got) == 4
+        assert got[0].psdu == frame.to_bytes() and got[0].fcs_ok
+        assert all(other == got[0] for other in got[1:])
+
+
 class TestNativeLink:
     def test_loopback(self, radios, scheduler):
         a, b = radios

@@ -1,30 +1,40 @@
 """Whole-row reference for the first-lock sync search.
 
-Production (:class:`repro.dsp.gfsk.SyncSearch`) correlates a row only as
-far as its first lock needs and settles the RSSI gate per candidate.  This
-is the definition it is tested against: correlate every row in full with
-the correlator the size rule picks, gate every alignment against a quarter
-of its row's 90th percentile of windowed power, and lock onto the first
-alignment that passes both.
+Production (:class:`repro.dsp.gfsk.SyncSearch`) locks a stack's rows in
+one pass that correlates each row only as far as its first lock needs
+and settles the RSSI gate per candidate.  This is the definition it is
+tested against, one row at a time: correlate every row in full, gate
+every alignment against a quarter of its row's 90th percentile of
+windowed power, and lock onto the first alignment that passes both.
 """
 
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy import fft as sp_fft
 
-from repro.dsp.gfsk import (
-    SyncTemplate,
-    _correlate_direct,
-    _correlate_fft,
-    _fft_pays,
-)
+from repro.dsp.gfsk import SyncTemplate
 
 
 def correlate_valid(haystack: np.ndarray, template: np.ndarray) -> np.ndarray:
-    """Valid-mode correlation of every row, FFT where the size rule says."""
-    if _fft_pays(haystack.shape[-1], template.size):
-        return _correlate_fft(haystack, template)
-    return _correlate_direct(haystack, template)
+    """``np.correlate(row, template, "valid")`` for every row."""
+    return np.stack([np.correlate(row, template, "valid") for row in haystack])
+
+
+def correlate_fft(haystack: np.ndarray, template: np.ndarray) -> np.ndarray:
+    """The same correlation as one batched real-FFT product, to round-off.
+
+    corr[k] = IFFT(FFT(h)·conj(FFT(t)))[k], zero-padded to a 2/3/5-smooth
+    length that leaves the valid (wraparound-free) region untouched.  An
+    independent numerical cross-check of the direct correlator; scipy's
+    pocketfft keeps float32 input in single precision.
+    """
+    n = haystack.shape[-1]
+    n_fft = sp_fft.next_fast_len(n)
+    spec = sp_fft.rfft(haystack, n_fft, axis=-1)
+    spec *= np.conj(sp_fft.rfft(template, n_fft))
+    full = sp_fft.irfft(spec, n_fft, axis=-1)
+    return full[..., : n - template.size + 1]
 
 
 def rssi_gate(power: np.ndarray, window: int) -> np.ndarray:

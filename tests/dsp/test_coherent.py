@@ -7,10 +7,11 @@ from repro.core.encoding import frame_to_msk_bits
 from repro.dot15d4.frames import Address, build_data
 from repro.dsp.coherent import CorrelatorBank
 from repro.dsp.gfsk import FskModulator, GfskConfig
-from repro.dsp.impairments import apply_phase_offset, awgn
+from repro.dsp.impairments import awgn
 from repro.dsp.oqpsk import OqpskModulator
 from repro.dsp.signal import IQSignal
 from repro.phy.ieee802154 import Ppdu
+from tests.dsp.impairment_helpers import apply_phase_offset
 
 
 @pytest.fixture(scope="module")

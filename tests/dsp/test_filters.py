@@ -192,6 +192,41 @@ class TestSpectralFilter:
         live_rows = filter_oracle.row_errors(got[:2], want[:2])
         assert live_rows.max() <= filter_oracle.RELATIVE_TOLERANCE
 
+    @pytest.mark.parametrize("design", RX_TAPS)
+    def test_single_precision_output(self, design):
+        """Filtering into complex64 (the 802.15.4 receive chain) stays
+        within 1e-6 of each row's peak of the complex128 result and keeps
+        the exact +0.0 of dead windows."""
+        taps = fir_lowpass(*design)
+        half = taps.size // 2
+        x = _noise((4, 2947), seed=4)
+        x[1, 1200:] = 0.0  # truncation
+        x[2, 300:700] = 0.0  # a sample-drop gap
+        x[3, :] = 0.0  # all of it
+        single = apply_filter(taps, x, np.complex64)
+        double = apply_filter(taps, x)
+        assert single.dtype == np.complex64
+        assert filter_oracle.row_errors(single, double).max() <= 1e-6
+        dead = np.zeros(x.shape, dtype=bool)
+        dead[1, 1200 + half :] = True
+        dead[2, 300 + half : 700 - half] = True
+        dead[3, :] = True
+        parts = single.view(np.float32)[np.repeat(dead, 2, axis=-1)]
+        assert np.all(parts == 0.0) and not np.signbit(parts).any()
+        assert np.array_equal(double == 0, dead)
+        assert apply_filter(taps, list(x), np.complex64).tobytes() == (
+            single.tobytes()
+        )
+
+    def test_single_precision_weights(self):
+        """The float32 weights are the double design rounded once."""
+        taps = fir_lowpass(1.3e6, 4e6, 49)
+        single = fir_spectral_weights(taps, 3000, np.float32)
+        assert single.dtype == np.float32
+        assert fir_spectral_weights(taps, 3000, np.float32) is single
+        double = fir_spectral_weights(taps, 3000)
+        assert single.tobytes() == double.astype(np.float32).tobytes()
+
     def test_even_taps_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             apply_filter(np.ones(48) / 48, np.ones(100))

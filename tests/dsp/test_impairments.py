@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.dsp.impairments import (
-    apply_frequency_offset,
+from repro.dsp.impairments import apply_frequency_offset, awgn
+from repro.dsp.signal import IQSignal
+from tests.dsp.impairment_helpers import (
     apply_phase_offset,
     apply_timing_offset,
-    awgn,
     noise_floor,
 )
-from repro.dsp.signal import IQSignal
 
 
 def tone(n=4000, fs=16e6):

@@ -132,3 +132,42 @@ class TestRssiGate:
         want = receive_oracle.rssi_sufficient(power, window)
         assert type(gate.sufficient) is type(want)
         assert gate.sufficient == want
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("window", [1, 126, 504])
+    def test_peak_level_bounds_sufficient_level(self, window, dtype):
+        """A candidate reaching the padded peak level reaches the
+        quarter-of-maximum level too, whatever the rows' dynamic range —
+        including a loud head whose rounding the later sums carry, and
+        powers so small their means underflow."""
+        rng = np.random.default_rng(window + 1)
+        n = 2946
+        rows = [
+            rng.random(n) * 10.0 ** rng.uniform(-6, 0, n),
+            np.full(n, 1.0),
+            np.full(n, 0.7),
+            1.0 + 1e-3 * rng.random(n),
+            np.concatenate([np.full(n // 2, 1e6), rng.random(n - n // 2)]),
+            np.concatenate([rng.random(n - 3) * 1e-3, [1.0, 1.0, 1.0]]),
+            rng.random(n) * 1e-40,  # float32 means underflow
+            np.zeros(n),
+        ]
+        power = np.stack(rows).astype(dtype)
+        gate = _RssiGate(power, window)
+        assert gate.peak_level.dtype == np.float64
+        assert np.all(gate.peak_level >= gate.sufficient)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_windowed_prefix_equals_whole_row_sums(self, dtype):
+        """Window means from a prefix of the rows are the bytes the
+        whole-row sums give."""
+        rng = np.random.default_rng(3)
+        power = (rng.random((3, 2946)) * 10.0 ** rng.uniform(-6, 0, 2946)).astype(
+            dtype
+        )
+        window = 126
+        gate = _RssiGate(power, window)
+        for rows, starts in [([0, 1, 2], [0, 17, 2820]), ([1, 1], [5, 900])]:
+            rows, starts = np.array(rows), np.array(starts)
+            want = gate.sums[rows, starts] / window
+            _assert_identical(gate.windowed(rows, starts), want)

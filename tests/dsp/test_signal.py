@@ -35,6 +35,19 @@ class TestBasics:
         with pytest.raises(ValueError):
             IQSignal(np.zeros((2, 2)), 1.0)
 
+    @pytest.mark.parametrize(
+        "dtype, want",
+        [
+            (np.complex64, np.complex64),
+            (np.complex128, np.complex128),
+            (np.float32, np.complex128),
+            (np.int16, np.complex128),
+        ],
+    )
+    def test_single_precision_samples_stay_single(self, dtype, want):
+        samples = np.arange(4).astype(dtype)
+        assert IQSignal(samples, 1.0).samples.dtype == want
+
 
 class TestTransforms:
     def test_scaled(self):

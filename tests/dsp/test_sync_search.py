@@ -1,10 +1,12 @@
 """The first-lock sync search against its whole-row reference.
 
-:class:`SyncSearch` correlates a row only as far as its first lock needs
-and settles the RSSI gate candidate by candidate; ``sync_oracle``
-correlates and gates every alignment of every row.  Both must return the
-same ``(start, score, dc)`` — compared with ``==`` — for every row, search
-start and threshold.
+:class:`SyncSearch` locks any set of a stack's rows in one pass that
+correlates each row only as far as its first lock needs and settles the
+RSSI gate candidate by candidate; ``sync_oracle`` correlates and gates
+every alignment of one row.  Both must return the same ``(start, score,
+dc)`` — compared with ``==`` — for every row, search start, threshold
+and precision, whether the row is locked alone (:meth:`SyncSearch.lock`)
+or with others (:meth:`SyncSearch.lock_rows`).
 """
 
 from unittest import mock
@@ -15,12 +17,11 @@ from hypothesis import given, settings, strategies as st
 
 import repro.dsp.gfsk as gfsk
 from repro.dsp.gfsk import (
-    FIRST_LOCK_LAGS,
+    FIRST_LOCK_SYMBOLS,
     FskDemodulator,
     FskModulator,
     GfskConfig,
     SyncSearch,
-    _fft_pays,
     lazy_capture_power,
     sync_template,
 )
@@ -32,9 +33,8 @@ from tests.dsp import sync_oracle
 RATE = 2e6
 SYNC = np.random.default_rng(7).integers(0, 2, 64).astype(np.uint8)
 
-#: Samples per symbol → capture lengths whose rows the size rule sends to
-#: the direct correlator (2) or the FFT (8), plus a few shorter than the
-#: sync template.
+#: Samples per symbol → capture lengths (4 and 16 Msps 802.15.4-sized
+#: rows); a few drawn cases are shorter than the sync template instead.
 LENGTHS = {2: (20, 3000), 8: (4200, 7000)}
 
 
@@ -73,6 +73,31 @@ def _stack(sps, rows, length, complex_dtype, seed, framed):
             offset = int(rng.integers(0, length))
             piece = burst[: length - offset]
             stack[row, offset : offset + piece.size] += piece
+    return stack.astype(complex_dtype)
+
+
+def _mixed_stack(sps, kinds, length, complex_dtype, seed):
+    """``(F, N)`` noise rows holding, per *kinds*: nothing, a frame at a
+    random offset, a frame and a short loud spike — its candidates fall
+    below the padded peak level and are held to the quarter-of-maximum
+    level — or a weak burst ahead of a frame — a candidate that fails the
+    quarter-of-maximum gate and takes the percentile path."""
+    rng = np.random.default_rng(seed)
+    mod, _ = _modem(sps)
+    stack = _noise(rng, (len(kinds), length), float(rng.choice([0.003, 0.02, 0.2])))
+    for row, kind in enumerate(kinds):
+        if kind == "noise":
+            continue
+        burst = _frame(mod, rng)
+        if kind == "weak":
+            gap = np.zeros(int(rng.integers(0, 300)))
+            burst = np.concatenate([_frame(mod, rng, amplitude=0.3), gap, burst])
+        offset = int(rng.integers(0, length))
+        piece = burst[: length - offset]
+        stack[row, offset : offset + piece.size] += piece
+        if kind == "spiked":
+            spike = int(rng.integers(0, length - 3))
+            stack[row, spike : spike + 3] += 5.0
     return stack.astype(complex_dtype)
 
 
@@ -115,6 +140,154 @@ def searches(draw):
     )
 
 
+@st.composite
+def stack_searches(draw):
+    sps = draw(st.sampled_from(sorted(LENGTHS)))
+    rows = draw(st.integers(1, 6))
+    short = draw(st.booleans()) and draw(st.booleans())
+    length = (
+        draw(st.integers(8, SYNC.size * sps + 1))
+        if short
+        else draw(st.integers(*LENGTHS[sps]))
+    )
+    start = st.one_of(st.just(0), st.integers(0, length + 8))
+    order = draw(st.permutations(range(rows)))
+    return dict(
+        sps=sps,
+        length=length,
+        complex_dtype=draw(st.sampled_from([np.complex64, np.complex128])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        kinds=draw(
+            st.lists(
+                st.sampled_from(["noise", "frame", "spiked", "weak"]),
+                min_size=rows,
+                max_size=rows,
+            )
+        ),
+        power=draw(st.sampled_from(["lazy", "array", "shared", "none"])),
+        threshold=draw(st.sampled_from([0.3, 0.45, 0.6])),
+        # Re-arm rounds: each locks a subset of the rows, in any order,
+        # each row from its own search start.
+        rounds=draw(
+            st.lists(
+                st.tuples(
+                    st.integers(1, rows).map(lambda k: order[:k]),
+                    st.lists(start, min_size=rows, max_size=rows),
+                ),
+                min_size=1,
+                max_size=3,
+            )
+        ),
+    )
+
+
+class TestStackLock:
+    @settings(max_examples=80, deadline=None)
+    @given(case=stack_searches())
+    def test_stack_lock_matches_oracle_row_by_row(self, case):
+        sps = case["sps"]
+        samples = _mixed_stack(
+            sps,
+            case["kinds"],
+            case["length"],
+            case["complex_dtype"],
+            case["seed"],
+        )
+        _, dem = _modem(sps)
+        disc = dem.discriminate(samples)
+        template = sync_template(SYNC, sps, disc.dtype)
+        threshold = case["threshold"]
+        search = SyncSearch(disc, _power(case["power"], samples))
+        reference = _power(case["power"], samples)
+        for rows, starts in case["rounds"]:
+            starts = [starts[row] for row in rows]
+            locks = search.lock_rows(template, threshold, rows, starts)
+            assert locks.scores.dtype == locks.dcs.dtype == disc.dtype
+            got = {
+                row: (int(start), float(score), float(dc))
+                for row, start, score, dc in zip(*locks)
+            }
+            assert list(got) == [row for row in rows if row in got]
+            for row, start in zip(rows, starts):
+                want = sync_oracle.lock(
+                    disc, reference, template, threshold, row, start
+                )
+                assert got.get(row) == want
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_percentile_floor_only_for_weak_first_hits(self, dtype):
+        """Of a frame row, a weak-burst row and a noise row locked
+        together, only the weak-burst row computes its percentile."""
+        mod, dem = _modem(2)
+        rng = np.random.default_rng(5)
+        weak = np.concatenate(
+            [np.zeros(100), _frame(mod, rng, 0.3), np.zeros(200), _frame(mod, rng)]
+        )
+        strong = _frame(mod, rng)
+        samples = _noise(rng, (3, weak.size), 0.003)
+        samples[0, 50 : 50 + strong.size] += strong[: weak.size - 50]
+        samples[1] += weak
+        samples = samples.astype(dtype)
+        disc = dem.discriminate(samples)
+        template = sync_template(SYNC, 2, disc.dtype)
+        power = lazy_capture_power(samples)
+        search = SyncSearch(disc, power)
+        with mock.patch.object(
+            gfsk, "_percentile_floor", wraps=gfsk._percentile_floor
+        ) as floor:
+            locks = search.lock_rows(template, 0.45, [0, 1, 2], [0, 0, 0])
+        assert floor.call_count == 1
+        assert locks.rows == [0, 1]
+        for i, row in enumerate(locks.rows):
+            want = sync_oracle.lock(disc, power, template, 0.45, row)
+            assert want == (
+                int(locks.starts[i]), float(locks.scores[i]), float(locks.dcs[i])
+            )
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_gate_tiers(self, dtype):
+        """A frame row passes on its running sums up to the candidate; a
+        row with a loud spike is held to its largest window mean, without
+        a percentile; both lock as the oracle does."""
+        mod, dem = _modem(2)
+        rng = np.random.default_rng(9)
+        burst = _frame(mod, rng)
+        samples = _noise(rng, (2, burst.size + 400), 0.003)
+        samples[:, 50 : 50 + burst.size] += burst
+        samples = samples.astype(dtype)
+        disc = dem.discriminate(samples)
+        template = sync_template(SYNC, 2, disc.dtype)
+        spiked = samples.copy()
+        spiked[:, -100:-97] += 5.0
+        for capture, whole_rows in [(samples, False), (spiked, True)]:
+            disc = dem.discriminate(capture)
+            power = lazy_capture_power(capture)
+            search = SyncSearch(disc, power)
+            with mock.patch.object(
+                gfsk, "_percentile_floor", wraps=gfsk._percentile_floor
+            ) as floor:
+                locks = search.lock_rows(template, 0.45, [0, 1], [0, 0])
+            assert floor.call_count == 0
+            gate = search._gate(template.samples.size)
+            assert ("sums" in vars(gate)) == whole_rows
+            assert locks.rows == [0, 1]
+            for i, row in enumerate(locks.rows):
+                want = sync_oracle.lock(disc, power, template, 0.45, row)
+                assert want == (
+                    int(locks.starts[i]),
+                    float(locks.scores[i]),
+                    float(locks.dcs[i]),
+                )
+
+    def test_negative_start_rejected(self):
+        _, dem = _modem(2)
+        disc = dem.discriminate(_mixed_stack(2, ["frame"] * 2, 600, complex, 1))
+        search = SyncSearch(disc)
+        template = sync_template(SYNC, 2, disc.dtype)
+        with pytest.raises(ValueError, match="search_start"):
+            search.lock_rows(template, 0.45, [0, 1], [0, -1])
+
+
 class TestOracleEquivalence:
     @settings(max_examples=80, deadline=None)
     @given(case=searches())
@@ -132,12 +305,6 @@ class TestOracleEquivalence:
         disc = dem.discriminate(samples)
         assert disc.dtype == np.finfo(case["complex_dtype"]).dtype
         template = sync_template(SYNC, sps, disc.dtype)
-        width = template.samples.size
-        if disc.shape[-1] >= width:
-            # The FFT correlator pays on the long 16 Msps rows only; a
-            # "short" row drawn as long as the template has a single lag.
-            long_row = case["length"] >= LENGTHS[sps][0]
-            assert _fft_pays(disc.shape[-1], width) == (sps == 8 and long_row)
         search = SyncSearch(disc, _power(case["power"], samples))
         reference = _power(case["power"], samples)
         # Re-arms share one search, in the drawn (not sorted) order.
@@ -151,13 +318,15 @@ class TestOracleEquivalence:
 
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
     def test_frame_past_the_first_window(self, dtype):
-        """A lock beyond :data:`FIRST_LOCK_LAGS` comes from the
-        rest-of-row correlation, at the same lag as the oracle's."""
+        """A lock beyond the :data:`FIRST_LOCK_SYMBOLS` window comes from
+        a later, wider pass (here the fourth), at the same lag as the
+        oracle's."""
         mod, dem = _modem(2)
         rng = np.random.default_rng(11)
         samples = _noise(rng, 3000, 0.05)
         burst = _frame(mod, rng)
-        offset = FIRST_LOCK_LAGS + 700
+        first_window = FIRST_LOCK_SYMBOLS * 2
+        offset = first_window + 700
         samples[offset : offset + burst.size] += burst[: 3000 - offset]
         samples = samples.astype(dtype)
         disc = dem.discriminate(samples)[None]
@@ -167,7 +336,7 @@ class TestOracleEquivalence:
         assert lock == sync_oracle.lock(
             disc, lazy_capture_power(samples), template, 0.45
         )
-        assert lock[0] > FIRST_LOCK_LAGS
+        assert lock[0] > first_window
 
     def test_rearms_in_any_order(self):
         """Searches that move back before the lags already correlated,

@@ -1,10 +1,12 @@
 """Smoke tests for the perf-bench suite (so it can't rot).
 
-Runs every microbenchmark at quick-workload size, validates the
-``BENCH_PR9.json`` schema, and enforces the acceptance floors: the
-vectorised decoder must be at least 5x the scalar reference, the cached
-waveform synthesis at least 3x the direct modulator, and the wideband
-sweep must beat the narrowband pipeline outright even at smoke size.
+Runs every microbenchmark once, at quick-workload size, through the
+``python -m benchmarks.perf`` entry point gated against the committed
+baseline; validates the ``BENCH_PR9.json`` it writes, and enforces the
+acceptance floors on it: the vectorised decoder must be at least 5x the
+scalar reference, the cached waveform synthesis at least 3x the direct
+modulator, and the wideband sweep must beat the narrowband pipeline
+outright even at smoke size.
 """
 
 import json
@@ -19,14 +21,45 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture(scope="module")
-def quick_records():
+def quick_run(tmp_path_factory):
+    """The one quick suite run: the CLI, gated against the baseline."""
+    out = tmp_path_factory.mktemp("bench") / "BENCH_PR9.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = f"{REPO_ROOT / 'src'}:{REPO_ROOT}"
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-m",
+            "benchmarks.perf",
+            "--quick",
+            "--output",
+            str(out),
+            "--baseline",
+            str(REPO_ROOT / "benchmarks" / "perf" / "BASELINE.json"),
+        ],
+        capture_output=True,
+        text=True,
+        cwd=str(REPO_ROOT),
+        env=env,
+    )
+    return result, out
+
+
+@pytest.fixture(scope="module")
+def quick_records(quick_run):
+    """The records of the quick run, read back from its report."""
+    result, out = quick_run
+    assert out.exists(), result.stderr
     sys.path.insert(0, str(REPO_ROOT))
     try:
-        from benchmarks.perf import run_suite
-
-        return run_suite(quick=True)
+        from benchmarks.perf import BenchRecord
     finally:
         sys.path.remove(str(REPO_ROOT))
+    report = json.loads(out.read_text())
+    return [
+        BenchRecord(name=name, **body)
+        for name, body in report["benchmarks"].items()
+    ]
 
 
 class TestSuite:
@@ -156,26 +189,10 @@ class TestBaselineGate:
 
 
 class TestCliEntryPoint:
-    def test_module_invocation_writes_report(self, tmp_path):
-        out = tmp_path / "BENCH_PR9.json"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = f"{REPO_ROOT / 'src'}:{REPO_ROOT}"
-        result = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "benchmarks.perf",
-                "--quick",
-                "--output",
-                str(out),
-                "--baseline",
-                str(REPO_ROOT / "benchmarks" / "perf" / "BASELINE.json"),
-            ],
-            capture_output=True,
-            text=True,
-            cwd=str(REPO_ROOT),
-            env=env,
-        )
+    def test_module_invocation_writes_report(self, quick_run):
+        """The gate reads each enforced ratio's median of three readings
+        (``benchmarks.perf.harness.median_ratio``)."""
+        result, out = quick_run
         assert result.returncode == 0, result.stderr
         assert out.exists()
         assert "wrote" in result.stdout

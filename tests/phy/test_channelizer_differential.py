@@ -192,7 +192,8 @@ class TestBatchSequentialIdentity:
     def test_batched_matches_sequential_pipeline(
         self, payload, cfo, noise, seed
     ):
-        """16 Msps: the engine's FFT correlator against ``np.correlate``."""
+        """16 Msps, the Table III rate: the engine against the sequential
+        pipeline."""
         assert_matches_oracle(8, payload, cfo, noise, seed)
 
     @settings(max_examples=15, deadline=None)

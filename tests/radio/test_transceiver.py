@@ -102,3 +102,17 @@ class TestFiltering:
         tx.transmit(tone(offset=0.0))
         scheduler.run(0.01)
         assert cocanal[0].power() > 50 * adjacent_power
+
+    def test_plain_transceiver_filters_in_double_precision(
+        self, scheduler, quiet_medium
+    ):
+        """A transceiver no chip model narrows hands its handler the
+        medium's complex128."""
+        tx = Transceiver(quiet_medium, "tx", position=(0, 0))
+        rx = Transceiver(quiet_medium, "rx", position=(1, 0))
+        captures = []
+        rx.start_rx(lambda c, t: captures.append(c))
+        tx.transmit(tone(offset=0.0))
+        scheduler.run(0.01)
+        assert rx.capture_dtype is None
+        assert captures[0].samples.dtype == np.complex128

@@ -1,10 +1,73 @@
-"""Tests for the LFSR engines."""
+"""Tests for the LFSR engines.
+
+:class:`FibonacciLfsr` is the spec-diagram form of BLE data whitening
+(Bluetooth Core spec vol 6, part B, §3.2: ``x^7 + x^4 + 1``, seeded from
+the channel index), kept here as a reference register; production
+whitening uses per-channel periods (``repro.ble.whitening``).
+"""
+
+from typing import Sequence
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.lfsr import FibonacciLfsr, GaloisLfsr
+from repro.utils.bits import as_bit_array
+from repro.utils.lfsr import GaloisLfsr
+
+
+class FibonacciLfsr:
+    """Fibonacci LFSR: output taken from the last stage, feedback is the XOR
+    of the tapped stages.
+
+    ``taps`` lists the stage indices (1-based, as in spec diagrams) whose
+    values feed back into stage 1.  Position ``degree`` is the output stage.
+    """
+
+    def __init__(self, degree: int, taps: Sequence[int], state: int):
+        if degree <= 0:
+            raise ValueError("degree must be positive")
+        if not state or state >> degree:
+            raise ValueError(
+                f"state must be a non-zero {degree}-bit value, got {state:#x}"
+            )
+        bad = [t for t in taps if not 1 <= t <= degree]
+        if bad:
+            raise ValueError(f"tap positions out of range: {bad}")
+        self.degree = degree
+        self.taps = tuple(sorted(set(taps)))
+        # stage 1 is bit degree-1, stage ``degree`` is bit 0, so that the
+        # integer reads like the spec diagram left-to-right.
+        self.state = state
+
+    def _stage(self, position: int) -> int:
+        return (self.state >> (self.degree - position)) & 1
+
+    def next_bit(self) -> int:
+        """Clock once; return the output bit (last stage before shifting)."""
+        out = self._stage(self.degree)
+        feedback = 0
+        for tap in self.taps:
+            feedback ^= self._stage(tap)
+        self.state = ((self.state >> 1) | (feedback << (self.degree - 1))) & (
+            (1 << self.degree) - 1
+        )
+        return out
+
+    def stream(self, count: int) -> np.ndarray:
+        """Generate *count* output bits."""
+        return np.fromiter(
+            (self.next_bit() for _ in range(count)), dtype=np.uint8, count=count
+        )
+
+    def whiten(self, bits) -> np.ndarray:
+        """XOR a bit array with the register's output stream.
+
+        Whitening and de-whitening are the same operation (XOR with the same
+        stream); callers reset the register state between frames.
+        """
+        arr = as_bit_array(bits)
+        return arr ^ self.stream(arr.size)
 
 
 class TestFibonacci:

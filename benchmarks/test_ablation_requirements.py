@@ -45,7 +45,7 @@ def test_energy_depletion_on_secured_network(benchmark, report):
 
     def run(attack: bool) -> Battery:
         scheduler = Scheduler()
-        medium = RfMedium(scheduler, rng=np.random.default_rng(0))
+        medium = RfMedium(scheduler)
         battery = Battery(capacity_j=0.05)
         CoordinatorNode(
             medium, COORD, position=(3, 0),

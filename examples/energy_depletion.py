@@ -30,7 +30,7 @@ SENSOR = Address(pan_id=0x1234, address=0x63)
 
 def run(attack: bool, duration_s: float = 30.0) -> Battery:
     scheduler = Scheduler()
-    medium = RfMedium(scheduler, rng=np.random.default_rng(0))
+    medium = RfMedium(scheduler)
     battery = Battery(capacity_j=0.05)  # scaled so depletion fits the demo
     coordinator = CoordinatorNode(
         medium, COORD, position=(3, 0),

@@ -25,7 +25,7 @@ ZIGBEE_CHANNEL = 14  # 2420 MHz — shared with BLE data channel 8 (Table II)
 
 def main() -> None:
     scheduler = Scheduler()
-    medium = RfMedium(scheduler, rng=np.random.default_rng(0))
+    medium = RfMedium(scheduler)
 
     ble_chip = Nrf52832(medium, position=(0.0, 0.0), rng=np.random.default_rng(1))
     zigbee = RzUsbStick(medium, position=(3.0, 0.0), rng=np.random.default_rng(2))

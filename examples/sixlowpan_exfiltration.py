@@ -38,7 +38,7 @@ STOLEN = (b"user=alice;badge=7731;wifi-psk=hunter2;"
 
 def main() -> None:
     scheduler = Scheduler()
-    medium = RfMedium(scheduler, rng=np.random.default_rng(0))
+    medium = RfMedium(scheduler)
 
     # The attacker's receiver outside the building: a plain 6LoWPAN node.
     sink_radio = Dot15d4Radio(medium, "receiver-van", (25.0, 0.0),

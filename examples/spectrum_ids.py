@@ -26,7 +26,7 @@ MONITORED_BANDS = [channel_frequency_hz(ch) for ch in ZIGBEE_CHANNELS]
 
 def main() -> None:
     scheduler = Scheduler()
-    medium = RfMedium(scheduler, rng=np.random.default_rng(0))
+    medium = RfMedium(scheduler)
     sentinel = SpectrumSentinel(medium, MONITORED_BANDS, position=(1.0, 1.0))
     sentinel.start()
     detector = AnomalyDetector()

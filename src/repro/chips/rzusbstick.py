@@ -13,7 +13,7 @@ inside the XBee network nodes of §VI.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -23,10 +23,12 @@ from repro.dsp.oqpsk import oqpsk_modems
 from repro.dsp.signal import IQSignal
 from repro.errors import DecodeError
 from repro.phy.batch import (
+    MAX_CHIP_DISTANCE,
     MAX_FRAME_CHIPS,
     RESYNC_ATTEMPTS,
     SYNC_CHIPS,
     SYNC_START_INDEX,
+    SYNC_THRESHOLD,
     BatchDecodedFrame,
     DecodedFrame,
     decode_chip_frames,
@@ -67,8 +69,6 @@ class Dot15d4Radio:
         tx_power_dbm: float = 0.0,
         rng: Optional[np.random.Generator] = None,
         cfo_std_hz: float = 10e3,
-        sync_threshold: float = 0.45,
-        max_chip_distance: int = 12,
         channel: int = 11,
     ):
         self.name = name
@@ -90,8 +90,6 @@ class Dot15d4Radio:
         # and slicing keep it.
         self.transceiver.capture_dtype = np.dtype(np.complex64)
         self._modulator, self._demodulator = oqpsk_modems(int(spc))
-        self.sync_threshold = sync_threshold
-        self.max_chip_distance = max_chip_distance
         self._channel = channel
         self._handler: Optional[PsduHandler] = None
         #: Optional hook ``(kind, duration_s)`` with kind in {"tx", "rx"} —
@@ -136,25 +134,9 @@ class Dot15d4Radio:
     # The medium decodes a transmission's captures as one stack
     # (repro.radio.transceiver.StackedReceiver); _on_capture takes the
     # captures delivered one at a time.
-    @property
-    def stack_key(self) -> Hashable:
-        demodulator = self._demodulator
-        return (
-            demodulator.samples_per_chip,
-            demodulator.chip_rate,
-            self.sync_threshold,
-            self.max_chip_distance,
-        )
-
     def decode_rows(self, rows: np.ndarray) -> List[Optional[BatchDecodedFrame]]:
-        """Decode filtered captures ``(F, N)`` with this radio's settings."""
-        return decode_chip_frames(
-            rows,
-            self._demodulator.samples_per_chip,
-            self._demodulator.chip_rate,
-            sync_threshold=self.sync_threshold,
-            max_chip_distance=self.max_chip_distance,
-        )
+        """Decode filtered captures ``(F, N)``."""
+        return decode_chip_frames(rows, self._demodulator.samples_per_chip)
 
     def take_row(self, frame: Optional[DecodedFrame], duration_s: float) -> None:
         """Receive a frame (or nothing) decoded from a stacked capture."""
@@ -186,7 +168,7 @@ class Dot15d4Radio:
                 sync_chips=SYNC_CHIPS,
                 sync_start_index=SYNC_START_INDEX,
                 max_chips=MAX_FRAME_CHIPS,
-                threshold=self.sync_threshold,
+                threshold=SYNC_THRESHOLD,
                 search_start=search_start,
                 front_end=front_end,
             )
@@ -208,7 +190,7 @@ class Dot15d4Radio:
             frame = frame_tail(
                 symbols.tolist(),
                 distances.tolist(),
-                max_mean_distance=self.max_chip_distance or None,
+                max_mean_distance=MAX_CHIP_DISTANCE,
             )
         except DecodeError:
             return None

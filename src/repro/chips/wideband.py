@@ -94,15 +94,16 @@ class WidebandFrontEnd:
         Transmitter crystal tolerance — 10 kHz for the reference
         802.15.4 radio (reception primitive), the diverted chip's value
         for the transmission primitive.
-    margin_samples:
-        Zero margin placed before and after each slot's waveform: the
-        wideband stand-in for the medium's capture margin, and the home
-        of the circular filter wrap.
     dtype:
         ``np.complex128`` (default) or ``np.complex64`` — the sweep runs
         single precision; differential tests against the float64
         narrowband pipeline keep double.
     """
+
+    #: Zero margin placed before and after each slot's waveform: the
+    #: wideband stand-in for the medium's capture margin, and the home of
+    #: the circular filter wrap.
+    margin_samples = 128
 
     def __init__(
         self,
@@ -111,7 +112,6 @@ class WidebandFrontEnd:
         channels: Optional[Sequence[int]] = None,
         seed: int = 0,
         tx_cfo_std_hz: float = 10e3,
-        margin_samples: int = 128,
         dtype: np.dtype = np.complex128,
     ):
         self.profile = profile or TestbedProfile()
@@ -120,7 +120,6 @@ class WidebandFrontEnd:
             channels if channels is not None else self.grid.channels
         )
         self.tx_cfo_std_hz = tx_cfo_std_hz
-        self.margin_samples = margin_samples
         self.dtype = np.dtype(dtype)
         if self.dtype not in (np.complex64, np.complex128):
             raise ValueError("dtype must be complex64 or complex128")

@@ -298,20 +298,15 @@ class FskModulator:
         Modem parameters.
     symbol_rate:
         Symbols per second (1e6 for LE 1M, 2e6 for LE 2M).
-    cache:
-        Waveform-synthesis cache.  By default the process-wide shared
-        cache for *(config, symbol_rate)* is attached lazily on first
-        :meth:`modulate`; pass an explicit :class:`WaveformCache` to
-        share a handle across modulators, or ``use_cache=False`` to force
-        the direct convolve/cumsum/exp path.
+    use_cache:
+        Synthesise through the process-wide shared
+        :class:`WaveformCache` for *(config, symbol_rate)*, attached
+        lazily on first :meth:`modulate` (the default), or, with
+        ``False``, through the direct convolve/cumsum/exp path.
     """
 
     def __init__(
-        self,
-        config: GfskConfig,
-        symbol_rate: float,
-        cache: Optional[WaveformCache] = None,
-        use_cache: bool = True,
+        self, config: GfskConfig, symbol_rate: float, use_cache: bool = True
     ):
         if symbol_rate <= 0:
             raise ValueError("symbol_rate must be positive")
@@ -325,7 +320,7 @@ class FskModulator:
                 config.bt, config.samples_per_symbol, config.span_symbols
             )
         self._use_cache = use_cache
-        self._cache = cache
+        self._cache: Optional[WaveformCache] = None
 
     @property
     def frequency_deviation(self) -> float:

@@ -92,7 +92,6 @@ def build_testbed(
             shadowing_sigma_db=profile.shadowing_sigma_db,
         ),
         interferers=interferers,
-        rng=np.random.default_rng(seed + 1),
         seed=seed + 1,
     )
     if fault_plan is not None and not fault_plan.is_clean():

@@ -28,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.attacks.energy_depletion import FleetDepletionAttack
 from repro.chips import Nrf52832
 from repro.core.firmware import WazaBeeFirmware
@@ -170,7 +168,6 @@ def _make_medium(
 ) -> RfMedium:
     kwargs = dict(
         sample_rate=spec.sample_rate,
-        rng=np.random.default_rng(spec.seed + 1),
         seed=spec.seed + 1,
     )
     if medium_kind == "sharded":

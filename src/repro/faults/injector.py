@@ -126,15 +126,13 @@ class _DropoutIndex:
 class FaultInjector:
     """Applies a :class:`FaultPlan` to one :class:`RfMedium`."""
 
-    def __init__(
-        self,
-        plan: FaultPlan,
-        jammer_position: Tuple[float, float] = (0.0, 0.0),
-    ):
+    #: Where scripted bursts are emitted from.
+    jammer_position: Tuple[float, float] = (0.0, 0.0)
+
+    def __init__(self, plan: FaultPlan):
         self.plan = plan
         self.rng = np.random.default_rng(plan.seed)
         self.stats = FaultStats()
-        self.jammer_position = jammer_position
         self.medium: Optional["RfMedium"] = None
         self._delivery_counters: Dict[str, int] = {}
         self._capture_counters: Dict[str, int] = {}

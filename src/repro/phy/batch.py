@@ -41,7 +41,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.dot15d4.fcs import verify_fcs
-from repro.dsp.oqpsk import OqpskDemodulator
+from repro.dsp.oqpsk import oqpsk_modems
 from repro.errors import DecodeError
 from repro.phy.ieee802154 import (
     CHIPS_PER_SYMBOL,
@@ -57,6 +57,8 @@ __all__ = [
     "SYNC_START_INDEX",
     "MAX_FRAME_CHIPS",
     "RESYNC_ATTEMPTS",
+    "SYNC_THRESHOLD",
+    "MAX_CHIP_DISTANCE",
     "DecodedFrame",
     "frame_tail",
     "BatchDecodedFrame",
@@ -75,6 +77,13 @@ MAX_FRAME_CHIPS = CHIPS_PER_SYMBOL * (10 + 2 * (1 + MAX_PSDU_SIZE))
 #: How many times a receiver locks on one capture: the first lock plus the
 #: re-arms after locks that produced no frame.
 RESYNC_ATTEMPTS = 4
+
+#: The preamble lock's normalised correlation threshold.
+SYNC_THRESHOLD = 0.45
+
+#: The distance gate: a frame whose mean Hamming distance per 32-chip
+#: block exceeds this is noise that happened to correlate.
+MAX_CHIP_DISTANCE = 12
 
 
 @dataclass
@@ -163,11 +172,7 @@ class BatchDecodedFrame(DecodedFrame):
 
 
 def decode_chip_frames(
-    captures: np.ndarray,
-    samples_per_chip: int,
-    chip_rate: float = 2e6,
-    sync_threshold: float = 0.45,
-    max_chip_distance: int = 12,
+    captures: np.ndarray, samples_per_chip: int
 ) -> List[Optional[BatchDecodedFrame]]:
     """Decode a stack of equal-length baseband captures in one pass.
 
@@ -182,7 +187,7 @@ def decode_chip_frames(
     """
     captures = np.atleast_2d(np.asarray(captures))
     spc = samples_per_chip
-    demod = OqpskDemodulator(spc, chip_rate)
+    demod = oqpsk_modems(spc)[1]
     front = demod.front_end(captures)
     frames: List[Optional[BatchDecodedFrame]] = [None] * captures.shape[0]
     search_start = [0] * captures.shape[0]
@@ -197,7 +202,7 @@ def decode_chip_frames(
             SYNC_CHIPS,
             SYNC_START_INDEX,
             MAX_FRAME_CHIPS,
-            sync_threshold,
+            SYNC_THRESHOLD,
         )
         symbols, distances, llrs = despread_chips(found.chips)
         active = []
@@ -211,7 +216,7 @@ def decode_chip_frames(
                 frame = frame_tail(
                     symbols[i, :n].tolist(),
                     distances[i, :n].tolist(),
-                    max_mean_distance=max_chip_distance or None,
+                    max_mean_distance=MAX_CHIP_DISTANCE,
                 )
             except DecodeError:
                 # Re-arm one symbol past the failed lock.

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Dict,
-    Hashable,
     Iterable,
     List,
     Optional,
@@ -124,7 +123,6 @@ class _Row:
     stream: Optional[dict] = None
     fault: Optional[tuple] = None
     receiver: Optional["StackedReceiver"] = None
-    key: Hashable = None
     decoded: object = None
 
 
@@ -146,12 +144,15 @@ class RfMedium:
     #: simulated here.
     DELIVERY_MARGIN_HZ = 3e6
 
+    #: Time captured before a transmission starts and after it ends.
+    capture_margin_s = 16e-6
+
     #: How far behind the current time a finished transmission is kept
     #: before being pruned from the superposition list.  It must exceed the
     #: longest capture window (frame airtime + capture margins) or a late
     #: delivery would compose against a half-forgotten past; anything much
     #: larger only wastes memory on a busy medium.
-    DEFAULT_PRUNE_HORIZON_S = 0.01
+    prune_horizon_s = 0.01
 
     def __init__(
         self,
@@ -160,11 +161,7 @@ class RfMedium:
         noise_floor_dbm: float = -100.0,
         propagation: Optional[PropagationModel] = None,
         interferers: Sequence[WifiInterferer] = (),
-        rng: Optional[np.random.Generator] = None,
-        capture_margin_s: float = 16e-6,
         seed: int = 0,
-        prune_horizon_s: float = DEFAULT_PRUNE_HORIZON_S,
-        fault_injector: Optional["FaultInjector"] = None,
         range_cutoff_m: Optional[float] = None,
     ):
         self.scheduler = scheduler
@@ -177,11 +174,6 @@ class RfMedium:
         self.propagation = propagation or PropagationModel()
         self.interferers = list(interferers)
         self.seed = seed
-        self.rng = rng if rng is not None else np.random.default_rng(seed)
-        self.capture_margin_s = capture_margin_s
-        if prune_horizon_s <= 0.0:
-            raise ValueError("prune_horizon_s must be positive")
-        self.prune_horizon_s = prune_horizon_s
         if range_cutoff_m is not None and range_cutoff_m <= 0.0:
             raise ValueError("range_cutoff_m must be positive")
         self.range_cutoff_m = range_cutoff_m
@@ -203,8 +195,6 @@ class RfMedium:
         self._noise_re = np.empty(0)
         self._noise_im = np.empty(0)
         self.fault_injector: Optional["FaultInjector"] = None
-        if fault_injector is not None:
-            self.install_fault_injector(fault_injector)
 
     def derive_rng(self, label: str) -> np.random.Generator:
         """A deterministic per-device generator tied to the medium's seed.
@@ -374,7 +364,7 @@ class RfMedium:
            its capture composed into a row of one pooled ``(K, N)`` block
            and fault-transformed.
         2. The rows are channel-filtered, and
-        3. decoded one stack per (decoder configuration, row length).
+        3. decoded one stack per (receiver class, row length).
         4. Each delivery is handed out in order, as delivering to each
            receiver in turn would: a row whose composition still holds
            goes to its receiver, with its ``delivered`` trace event.
@@ -400,7 +390,7 @@ class RfMedium:
             if receiver is None or radio in seen or not self._hears(radio, tx):
                 continue
             seen.add(radio)
-            row.receiver, row.key = receiver, receiver.stack_key
+            row.receiver = receiver
             stacked.append(row)
         block = None
         if stacked:
@@ -428,12 +418,7 @@ class RfMedium:
     @staticmethod
     def _composition_inputs(radio: "Transceiver") -> tuple:
         """The receiver state a capture's composition reads."""
-        return (
-            radio.tuned_hz,
-            radio.position,
-            radio.bandwidth_hz,
-            radio.noise_figure_db,
-        )
+        return (radio.tuned_hz, radio.position)
 
     def _compose_row(
         self, row: _Row, start: float, end: float, out: np.ndarray
@@ -449,15 +434,14 @@ class RfMedium:
 
     @staticmethod
     def _decode_stacked(rows: List[_Row]) -> None:
-        """Filter and decode the rows, one stack per (decoder
-        configuration, row length, receive filter).  A stack is filtered
-        by its first radio's ``filter_samples``, the entry the one-row
-        path's ``handle_capture`` uses, so both decode at one
-        precision."""
+        """Filter and decode the rows, one stack per (receiver class, row
+        length, receive filter).  A stack is filtered by its first radio's
+        ``filter_samples``, the entry the one-row path's
+        ``handle_capture`` uses, so both decode at one precision."""
         groups: Dict[tuple, List[_Row]] = {}
         for row in rows:
             taps = row.radio.filter_taps
-            key = (row.key, row.capture.samples.shape, id(taps))
+            key = (type(row.receiver), row.capture.samples.shape, id(taps))
             groups.setdefault(key, []).append(row)
         for members in groups.values():
             batch = members[0].radio.filter_samples(
@@ -498,9 +482,8 @@ class RfMedium:
         radio = row.radio
         self.metrics.counter("medium.deliveries.delivered").inc()
         self._trace_delivery(radio, tx, "delivered")
-        receiver = radio.stacked_receiver
-        if receiver is row.receiver and receiver.stack_key == row.key:
-            receiver.take_row(row.decoded, row.capture.duration)
+        if radio.stacked_receiver is row.receiver:
+            row.receiver.take_row(row.decoded, row.capture.duration)
         else:
             radio.handle_capture(row.capture, tx)
 
@@ -571,9 +554,7 @@ class RfMedium:
                 rng=rng,
             )
             total += burst.samples
-        noise_power = 10.0 ** (
-            (self.noise_floor_dbm + radio.noise_figure_db) / 10.0
-        )
+        noise_power = 10.0 ** (self.noise_floor_dbm / 10.0)
         scale = np.sqrt(noise_power / 2.0)
         if self._noise_re.size < num:
             self._noise_re = np.empty(num)

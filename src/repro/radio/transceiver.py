@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import (
     Callable,
-    Hashable,
     Optional,
     Protocol,
     Sequence,
@@ -34,17 +33,14 @@ class StackedReceiver(Protocol):
     """A receiver that decodes its capture as one row of a stack.
 
     The medium delivers a transmission to all of its receivers at once:
-    it filters each receiver's row, decodes the rows of receivers with
-    equal :attr:`stack_key` in one :meth:`decode_rows` call, then hands
+    it filters each receiver's row, decodes the equal-length rows of
+    receivers of one class in one :meth:`decode_rows` call, then hands
     each row's result to its receiver's :meth:`take_row`, in delivery
-    order.  Decoding must be pure and row-invariant — a row's result may
-    not depend on the other rows of its stack — so that it equals the
-    result of decoding the row alone at hand-out time.
+    order.  Decoding must be pure, row-invariant — a row's result may not
+    depend on the other rows of its stack — and the same for every
+    receiver of the class, so that it equals the result of decoding the
+    row alone at hand-out time.
     """
-
-    @property
-    def stack_key(self) -> Hashable:
-        """The decoder configuration: rows with equal keys share a stack."""
 
     def decode_rows(self, rows: np.ndarray) -> Sequence[object]:
         """One result per row of equal-length filtered basebands ``(F, N)``."""
@@ -72,8 +68,6 @@ class Transceiver:
         Standard deviation of the per-transmission carrier-frequency error —
         the main analogue quality difference between chip models (the
         nRF52832's looser crystal vs the CC1352-R1).
-    noise_figure_db:
-        Added to the medium's thermal floor for this receiver.
     rng:
         The carrier-frequency-error stream.  By default it is derived
         from the medium's seed, keyed by *name*, at the first draw.
@@ -95,7 +89,6 @@ class Transceiver:
         bandwidth_hz: float = 2e6,
         tx_power_dbm: float = 0.0,
         cfo_std_hz: float = 0.0,
-        noise_figure_db: float = 0.0,
         rng: Optional[np.random.Generator] = None,
         rx_filter_taps: int = 49,
         tuned_hz: float = 2440e6,
@@ -106,7 +99,6 @@ class Transceiver:
         self.bandwidth_hz = bandwidth_hz
         self.tx_power_dbm = tx_power_dbm
         self.cfo_std_hz = cfo_std_hz
-        self.noise_figure_db = noise_figure_db
         self._rng = rng
         self.tuned_hz: float = self._ism_checked(tuned_hz)
         self._listening = False

@@ -33,14 +33,10 @@ def scheduler() -> Scheduler:
 @pytest.fixture()
 def quiet_medium(scheduler: Scheduler) -> RfMedium:
     """A medium with a very low noise floor and no interference."""
-    return RfMedium(
-        scheduler,
-        noise_floor_dbm=-120.0,
-        rng=np.random.default_rng(99),
-    )
+    return RfMedium(scheduler, noise_floor_dbm=-120.0)
 
 
 @pytest.fixture()
 def medium(scheduler: Scheduler) -> RfMedium:
     """The default medium (realistic noise floor, no interferers)."""
-    return RfMedium(scheduler, rng=np.random.default_rng(7))
+    return RfMedium(scheduler)

@@ -26,9 +26,7 @@ CHIPS = {
 
 def make_link(chip_factory, seed=0, noise_dbm=-100.0):
     scheduler = Scheduler()
-    medium = RfMedium(
-        scheduler, noise_floor_dbm=noise_dbm, rng=np.random.default_rng(seed)
-    )
+    medium = RfMedium(scheduler, noise_floor_dbm=noise_dbm)
     chip = chip_factory(
         medium, position=(0, 0), rng=np.random.default_rng(seed + 1)
     )
@@ -119,9 +117,7 @@ class TestRobustness:
         """At 300 m the link budget is gone (SNR < 0 dB); nothing decodes
         cleanly, nothing crashes."""
         scheduler = Scheduler()
-        medium = RfMedium(
-            scheduler, noise_floor_dbm=-95.0, rng=np.random.default_rng(0)
-        )
+        medium = RfMedium(scheduler, noise_floor_dbm=-95.0)
         chip = Nrf52832(medium, position=(0, 0), rng=np.random.default_rng(1))
         zigbee = RzUsbStick(medium, position=(300, 0), rng=np.random.default_rng(2))
         zigbee.set_channel(14)
@@ -158,7 +154,7 @@ class TestRobustness:
         """Two simultaneous same-channel transmissions corrupt each other at
         a receiver placed between them."""
         scheduler = Scheduler()
-        medium = RfMedium(scheduler, rng=np.random.default_rng(0))
+        medium = RfMedium(scheduler)
         a = RzUsbStick(
             medium, name="a", position=(0, 0), rng=np.random.default_rng(1)
         )

@@ -13,7 +13,7 @@ from repro.radio.transceiver import Transceiver
 
 def make_env(noise_dbm=-120.0):
     sched = Scheduler()
-    medium = RfMedium(sched, noise_floor_dbm=noise_dbm, rng=np.random.default_rng(0))
+    medium = RfMedium(sched, noise_floor_dbm=noise_dbm)
     return sched, medium
 
 

@@ -322,12 +322,8 @@ class TestKeyedRandomness:
         )
 
         def world(with_bystander: bool):
-            medium = RfMedium(
-                Scheduler(),
-                sample_rate=SAMPLE_RATE,
-                seed=9,
-                fault_injector=FaultInjector(plan),
-            )
+            medium = RfMedium(Scheduler(), sample_rate=SAMPLE_RATE, seed=9)
+            medium.install_fault_injector(FaultInjector(plan))
             scheduler = medium.scheduler
             tx = Transceiver(medium, name="tx", position=(0.0, 0.0))
             tx.tune(2405e6)

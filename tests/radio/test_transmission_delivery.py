@@ -104,8 +104,7 @@ def _tone(tone: int, samples: int = 600, center: float = CHANNEL_HZ) -> IQSignal
 
 
 class _Recorder:
-    """A stacked receiver whose "decode" is its setting and its filtered
-    row's bytes.
+    """A stacked receiver whose "decode" is its filtered row's bytes.
 
     Every capture it is handed — from a stack or one at a time — lands in
     *log*; *act* (optional) runs after each hand-out, as a handler that
@@ -116,22 +115,17 @@ class _Recorder:
         self.radio = radio
         self.log = log
         self.act = act
-        self.setting = 0
         self.received = 0
         radio.start_rx(self._on_capture, stacked=self)
 
-    @property
-    def stack_key(self):
-        return self.setting
-
     def decode_rows(self, rows):
-        return [(self.setting, row.tobytes()) for row in rows]
+        return [row.tobytes() for row in rows]
 
     def take_row(self, result, duration_s):
         self._received(result, duration_s)
 
     def _on_capture(self, capture, _tx):
-        self._received((self.setting, capture.samples.tobytes()), capture.duration)
+        self._received(capture.samples.tobytes(), capture.duration)
 
     def _received(self, samples, duration_s):
         now = self.radio.medium.scheduler.now
@@ -156,14 +150,11 @@ class _ShorteningInjector(FaultInjector):
         return capture
 
 
-def _tone_world(
-    factory, acts, plan=None, plain=(), decoders=None, injector_cls=FaultInjector
-):
+def _tone_world(factory, acts, plan=None, plain=(), injector_cls=FaultInjector):
     """Radios ``r0``.. in a row, each transmitting a tone in turn.
 
     ``acts[name]`` is the hand-out action of radio *name*; radios in
     *plain* take captures one at a time (a plain handler, no stack).
-    *decoders* (optional) maps each radio to its recorder.
     """
 
     def world():
@@ -188,9 +179,7 @@ def _tone_world(
                         )
                     )
                 else:
-                    decoder = _Recorder(radio, log, acts.get(radio.name))
-                    if decoders is not None:
-                        decoders[radio] = decoder
+                    _Recorder(radio, log, acts.get(radio.name))
             for k in range(8):
                 source = radios[f"r{k % 3}"]
                 scheduler.schedule_at(
@@ -242,7 +231,6 @@ class TestHandOutChangesTheWorld:
             if count == 1:
                 radios["r3"].position = (6.5, 0.5)  # moved: recomposed
                 radios["r4"].tune(CHANNEL_HZ + 0.5e6)  # re-tuned: recomposed
-                decoders[radios["r5"]].setting = 1  # decoded alone
             elif count == 3:
                 radios["r4"].tune(2480e6)  # out of band: skipped
                 radios["r3"].position = (30.0, 0.0)  # out of range: skipped
@@ -253,9 +241,8 @@ class TestHandOutChangesTheWorld:
             elif count == 5:
                 radios["r5"].start_rx(lambda c, tx: None)  # now a plain one
 
-        decoders = {}
         together, alone, rollbacks = _both(
-            _tone_world(factory, {"r2": meddle}, decoders=decoders), monkeypatch
+            _tone_world(factory, {"r2": meddle}), monkeypatch
         )
         assert together == alone
         assert {"r3", "r4"} <= set(rollbacks)

@@ -19,3 +19,11 @@ def test_benchmark_campaigns_match_pinned_digests():
     pinned = json.loads(path.read_text(encoding="utf-8"))
     assert sorted(pinned["sha256"]) == ["chaos", "flood", "report"]
     assert generate.build_fleetbench_digests() == pinned
+
+
+def test_one_row_delivery_campaign_matches_pinned_digest():
+    """``chaos`` under ``harsh``: duplicated deliveries take the medium's
+    one-row path (``tests/golden/fleetbench_harsh_digest.json``)."""
+    path = generate.GOLDEN_DIR / "fleetbench_harsh_digest.json"
+    pinned = json.loads(path.read_text(encoding="utf-8"))
+    assert generate.build_fleetbench_harsh_digest() == pinned

@@ -282,14 +282,32 @@ def fleetbench_workloads():
     return sys.modules[name]
 
 
-def build_fleetbench_digests() -> Dict:
+def _fleetbench_digest(name: str, **overrides) -> str:
     workloads = fleetbench_workloads()
-    digests = {}
-    for name, workload in workloads.WORKLOADS.items():
-        outcome = workload.run(workload.spec(FLEETBENCH_SEED))
-        fingerprint = workloads.fingerprint(outcome).encode("utf-8")
-        digests[name] = hashlib.sha256(fingerprint).hexdigest()
+    workload = workloads.WORKLOADS[name]
+    outcome = workload.run(workload.spec(FLEETBENCH_SEED), **overrides)
+    fingerprint = workloads.fingerprint(outcome).encode("utf-8")
+    return hashlib.sha256(fingerprint).hexdigest()
+
+
+def build_fleetbench_digests() -> Dict:
+    digests = {
+        name: _fleetbench_digest(name) for name in fleetbench_workloads().WORKLOADS
+    }
     return {"seed": FLEETBENCH_SEED, "sha256": digests}
+
+
+#: The fault profile of the pinned one-row delivery campaign.
+FLEETBENCH_HARSH = "harsh"
+
+
+def build_fleetbench_harsh_digest() -> Dict:
+    return {
+        "seed": FLEETBENCH_SEED,
+        "workload": "chaos",
+        "chaos": FLEETBENCH_HARSH,
+        "sha256": _fleetbench_digest("chaos", chaos=FLEETBENCH_HARSH),
+    }
 
 
 #: The pinned Table III grids: fault profile by grid name.
@@ -337,6 +355,7 @@ def build_table3_digests() -> Dict:
 #: run; each has its own test.
 PINNED = {
     "fleetbench_digests.json": build_fleetbench_digests,
+    "fleetbench_harsh_digest.json": build_fleetbench_harsh_digest,
     "table3_digests.json": build_table3_digests,
 }
 

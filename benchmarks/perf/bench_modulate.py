@@ -50,7 +50,7 @@ def bench_modulate(quick: bool = False) -> List[BenchRecord]:
     repeats = 3
     streams = _frame_bits(frames, payload_size)
     cache = WaveformCache(_CONFIG, _SYMBOL_RATE)
-    direct = FskModulator(_CONFIG, _SYMBOL_RATE, use_cache=False)
+    direct = FskModulator(_CONFIG, _SYMBOL_RATE)
 
     # Warm-up + cross-check: both paths must agree before we time them.
     for bits in streams[:2]:

@@ -44,7 +44,7 @@ def _capture(payload_size: int, snr_margin: float = 0.05, seed: int = 23):
         sequence_number=1,
     )
     bits = frame_to_msk_bits(frame.to_bytes())
-    modulator = FskModulator(_CONFIG, _SYMBOL_RATE, use_cache=False)
+    modulator = FskModulator(_CONFIG, _SYMBOL_RATE)
     clean = modulator.modulate_direct(bits).samples
     noise = snr_margin * (
         rng.standard_normal(clean.size) + 1j * rng.standard_normal(clean.size)

@@ -21,8 +21,9 @@ point wrapped by name, and prints each stage's median *self* time in ms
 * ``filter``, ``frontend``, ``lock``, ``slice``, ``despread`` — the
   channel filter, discriminator, sync lock, integrate-and-dump and PN
   match;
-* ``tail`` — ``decode_chip_frames`` and ``Dot15d4Radio._on_capture`` less
-  their stages: the frame tail and the re-arm bookkeeping;
+* ``tail`` — ``decode_chip_frames`` less its stages: the frame tail and
+  the re-arm bookkeeping (every 802.15.4 capture, stacked or delivered
+  alone, decodes through it);
 * ``hand-out`` — ``RfMedium._hand_out`` and everything it calls that is
   not listed here (receive listener, MAC, Zigbee);
 * ``rest`` — the scheduler and every callback outside the above.
@@ -92,9 +93,7 @@ def install(timed: Callable) -> None:
         (SyncSearch, "lock_rows", "lock"),
         (OqpskDemodulator, "receive_chip_rows", "slice"),
         (batch, "despread_chips", "despread"),
-        (rzusbstick, "despread_chips", "despread"),
         (batch, "decode_chip_frames", "tail"),
-        (rzusbstick.Dot15d4Radio, "_on_capture", "tail"),
         (Scheduler, "run_until", "rest"),
     ]
     for owner, name, stage in targets:

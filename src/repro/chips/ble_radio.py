@@ -18,10 +18,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from repro.ble.channels import channel_for_frequency, channel_frequency_hz
-from repro.ble.crc import ble_crc24_bits
 from repro.ble.packets import (
     ADVERTISING_ACCESS_ADDRESS,
-    OnAirPacket,
     PhyMode,
     access_address_bits,
     assemble_on_air_bits,
@@ -33,7 +31,6 @@ from repro.dsp.gfsk import FskDemodulator, FskModulator, GfskConfig
 from repro.dsp.signal import IQSignal
 from repro.radio.medium import RfMedium, Transmission
 from repro.radio.transceiver import Transceiver
-from repro.utils.bits import bytes_to_bits, int_to_bits
 
 __all__ = ["BleRadioPeripheral"]
 
@@ -51,7 +48,6 @@ class BleRadioPeripheral:
         position: Tuple[float, float] = (0.0, 0.0),
         tx_power_dbm: float = 0.0,
         rng: Optional[np.random.Generator] = None,
-        sync_threshold: float = 0.45,
     ):
         self.capabilities = capabilities
         self.name = name or capabilities.name
@@ -64,7 +60,6 @@ class BleRadioPeripheral:
             cfo_std_hz=capabilities.cfo_std_hz,
             rng=rng,
         )
-        self.sync_threshold = sync_threshold
         # Radio "registers".
         self._symbol_rate = 1e6
         self._esb_mode = False
@@ -227,9 +222,7 @@ class BleRadioPeripheral:
             # The ESB receive chain is modelled as a noisier front end.
             capture = self._esb_degrade(capture)
         sync_bits = access_address_bits(self._access_address)
-        result = demod.demodulate_packet(
-            capture, sync_bits, self._rx_max_bits, threshold=self.sync_threshold
-        )
+        result = demod.demodulate_packet(capture, sync_bits, self._rx_max_bits)
         if result is None:
             return
         bits, _sync = result

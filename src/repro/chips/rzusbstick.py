@@ -21,20 +21,8 @@ from repro.dot15d4.channels import channel_frequency_hz
 from repro.dot15d4.frames import MacFrame
 from repro.dsp.oqpsk import oqpsk_modems
 from repro.dsp.signal import IQSignal
-from repro.errors import DecodeError
-from repro.phy.batch import (
-    MAX_CHIP_DISTANCE,
-    MAX_FRAME_CHIPS,
-    RESYNC_ATTEMPTS,
-    SYNC_CHIPS,
-    SYNC_START_INDEX,
-    SYNC_THRESHOLD,
-    BatchDecodedFrame,
-    DecodedFrame,
-    decode_chip_frames,
-    frame_tail,
-)
-from repro.phy.ieee802154 import CHIPS_PER_SYMBOL, Ppdu, despread_chips
+from repro.phy.batch import BatchDecodedFrame, DecodedFrame, decode_chip_frames
+from repro.phy.ieee802154 import Ppdu
 from repro.radio.medium import RfMedium, Transmission
 from repro.radio.transceiver import Transceiver
 
@@ -132,8 +120,8 @@ class Dot15d4Radio:
         self.transceiver.stop_rx()
 
     # The medium decodes a transmission's captures as one stack
-    # (repro.radio.transceiver.StackedReceiver); _on_capture takes the
-    # captures delivered one at a time.
+    # (repro.radio.transceiver.StackedReceiver); a capture handed to the
+    # transceiver directly is decoded as a stack of one.
     def decode_rows(self, rows: np.ndarray) -> List[Optional[BatchDecodedFrame]]:
         """Decode filtered captures ``(F, N)``."""
         return decode_chip_frames(rows, self._demodulator.samples_per_chip)
@@ -154,47 +142,12 @@ class Dot15d4Radio:
         return True
 
     def _on_capture(self, capture: IQSignal, _tx: Transmission) -> None:
-        if not self._powered_rx(capture.duration):
-            return
-        # One-row run of the receive engine (repro.phy.batch): the front
-        # end runs once; each lock that yields no frame re-arms the
-        # correlator one symbol further on.
-        demodulator = self._demodulator
-        front_end = demodulator.front_end(capture)
-        search_start = 0
-        for _attempt in range(RESYNC_ATTEMPTS):
-            result = demodulator.receive_chips(
-                capture,
-                sync_chips=SYNC_CHIPS,
-                sync_start_index=SYNC_START_INDEX,
-                max_chips=MAX_FRAME_CHIPS,
-                threshold=SYNC_THRESHOLD,
-                search_start=search_start,
-                front_end=front_end,
-            )
-            if result is None:
-                return
-            chips, info = result
-            psdu = self._decode_chips(chips)
-            if psdu is not None:
-                self._handler(psdu)
-                return
-            search_start = (
-                info.sync.start + CHIPS_PER_SYMBOL * demodulator.samples_per_chip
-            )
+        self.take_row(self._decode_chips(capture), capture.duration)
 
-    def _decode_chips(self, chips: np.ndarray) -> Optional[ReceivedPsdu]:
-        """Despread and frame-tail one chip stream."""
-        symbols, distances, _llrs = despread_chips(chips)
-        try:
-            frame = frame_tail(
-                symbols.tolist(),
-                distances.tolist(),
-                max_mean_distance=MAX_CHIP_DISTANCE,
-            )
-        except DecodeError:
-            return None
-        return self._received(frame)
+    def _decode_chips(self, capture: IQSignal) -> Optional[BatchDecodedFrame]:
+        """Decode one filtered capture as a stack of one."""
+        # A name of its own only because fleetbench/spans.py times it.
+        return self.decode_rows(capture.samples[None])[0]
 
     def _received(self, frame: DecodedFrame) -> ReceivedPsdu:
         return ReceivedPsdu(

@@ -56,6 +56,7 @@ __all__ = [
     "sync_template",
     "lazy_capture_power",
     "CLIP_LEVEL",
+    "SYNC_THRESHOLD",
     "SyncLocks",
     "FIRST_LOCK_SYMBOLS",
 ]
@@ -298,16 +299,12 @@ class FskModulator:
         Modem parameters.
     symbol_rate:
         Symbols per second (1e6 for LE 1M, 2e6 for LE 2M).
-    use_cache:
-        Synthesise through the process-wide shared
-        :class:`WaveformCache` for *(config, symbol_rate)*, attached
-        lazily on first :meth:`modulate` (the default), or, with
-        ``False``, through the direct convolve/cumsum/exp path.
+
+    Synthesis goes through the process-wide shared :class:`WaveformCache`
+    for *(config, symbol_rate)*, attached lazily on first :meth:`modulate`.
     """
 
-    def __init__(
-        self, config: GfskConfig, symbol_rate: float, use_cache: bool = True
-    ):
+    def __init__(self, config: GfskConfig, symbol_rate: float):
         if symbol_rate <= 0:
             raise ValueError("symbol_rate must be positive")
         self.config = config
@@ -319,7 +316,6 @@ class FskModulator:
             self._pulse = gaussian_pulse(
                 config.bt, config.samples_per_symbol, config.span_symbols
             )
-        self._use_cache = use_cache
         self._cache: Optional[WaveformCache] = None
 
     @property
@@ -348,30 +344,22 @@ class FskModulator:
         exceeds ``len(bits) * samples_per_symbol``.
 
         Synthesis goes through the phase-stitched :class:`WaveformCache`
-        whenever one is attached (the default) and the stream is at least
-        one pulse span long; :meth:`modulate_direct` is the cache-free
-        reference path.
+        when the stream is at least one pulse span long;
+        :meth:`modulate_direct` is the cache-free reference path.
         """
-        if self._use_cache:
-            cache = self._cache
-            if cache is None:
-                cache = self._cache = waveform_cache(
-                    self.config, self.symbol_rate
-                )
-            if as_bit_array(bits).size >= cache.span:
-                samples = cache.synthesize(bits, initial_phase=initial_phase)
-                return IQSignal(samples, self.sample_rate)
+        cache = self.warm()
+        if as_bit_array(bits).size >= cache.span:
+            samples = cache.synthesize(bits, initial_phase=initial_phase)
+            return IQSignal(samples, self.sample_rate)
         return self.modulate_direct(bits, initial_phase=initial_phase)
 
-    def warm(self) -> Optional[WaveformCache]:
+    def warm(self) -> WaveformCache:
         """Build (or attach) the waveform cache ahead of the first frame.
 
         Called by radio configuration paths so cache construction cost is
         paid at setup time, not inside the first transmission.  Returns the
-        attached cache, or ``None`` when caching is disabled.
+        attached cache.
         """
-        if not self._use_cache:
-            return None
         if self._cache is None:
             self._cache = waveform_cache(self.config, self.symbol_rate)
         return self._cache
@@ -415,6 +403,10 @@ FIRST_LOCK_SYMBOLS = 40
 #: Discriminator limiter: nominal modulation sits at ±1; noise-only
 #: input would otherwise swing to ±(sample_rate / 2·deviation).
 CLIP_LEVEL = 1.5
+
+#: The sync lock's normalised correlation threshold, for the BLE access
+#: address and the 802.15.4 preamble alike.
+SYNC_THRESHOLD = 0.45
 
 PowerInput = Union[np.ndarray, Callable[[], np.ndarray]]
 Capture = Union[IQSignal, np.ndarray]
@@ -839,7 +831,7 @@ class FskDemodulator:
         self,
         disc: np.ndarray,
         sync_bits,
-        threshold: float = 0.45,
+        threshold: float = SYNC_THRESHOLD,
         power: Optional[PowerInput] = None,
         search_start: int = 0,
     ) -> Optional[SyncResult]:
@@ -900,7 +892,7 @@ class FskDemodulator:
         sig: IQSignal,
         sync_bits,
         num_payload_bits: int,
-        threshold: float = 0.45,
+        threshold: float = SYNC_THRESHOLD,
     ) -> Optional[Tuple[np.ndarray, SyncResult]]:
         """Find *sync_bits* and decode the following *num_payload_bits*.
 

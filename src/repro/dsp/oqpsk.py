@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.dsp.filters import half_sine_pulse
 from repro.dsp.gfsk import (
+    SYNC_THRESHOLD,
     Capture,
     FskDemodulator,
     GfskConfig,
@@ -178,7 +179,7 @@ class OqpskDemodulator:
         sync_chips,
         sync_start_index: int,
         max_chips: int,
-        threshold: float = 0.45,
+        threshold: float = SYNC_THRESHOLD,
     ) -> ChipRows:
         """Acquire *sync_chips* in each of *rows*; slice the chips after it.
 
@@ -231,7 +232,7 @@ class OqpskDemodulator:
         sync_chips,
         sync_start_index: int,
         max_chips: int,
-        threshold: float = 0.45,
+        threshold: float = SYNC_THRESHOLD,
         search_start: int = 0,
         front_end: Optional[SyncSearch] = None,
     ) -> Optional[Tuple[np.ndarray, ChipSyncResult]]:

@@ -41,6 +41,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.dot15d4.fcs import verify_fcs
+from repro.dsp.gfsk import SYNC_THRESHOLD
 from repro.dsp.oqpsk import oqpsk_modems
 from repro.errors import DecodeError
 from repro.phy.ieee802154 import (
@@ -77,9 +78,6 @@ MAX_FRAME_CHIPS = CHIPS_PER_SYMBOL * (10 + 2 * (1 + MAX_PSDU_SIZE))
 #: How many times a receiver locks on one capture: the first lock plus the
 #: re-arms after locks that produced no frame.
 RESYNC_ATTEMPTS = 4
-
-#: The preamble lock's normalised correlation threshold.
-SYNC_THRESHOLD = 0.45
 
 #: The distance gate: a frame whose mean Hamming distance per 32-chip
 #: block exceeds this is noise that happened to correlate.

@@ -11,9 +11,9 @@ so experiments are reproducible from seeds.
 """
 
 from repro.radio.scheduler import Scheduler
-from repro.radio.medium import RfMedium, Transmission, PropagationModel
+from repro.radio.medium import BufferPool, RfMedium, Transmission, PropagationModel
 from repro.radio.interference import WifiInterferer, wifi_channel_frequency_hz
-from repro.radio.shard import BufferPool, CellGrid, ShardedRfMedium
+from repro.radio.shard import CellGrid, ShardedRfMedium
 from repro.radio.transceiver import Transceiver
 
 __all__ = [

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -53,7 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.injector import FaultInjector
     from repro.radio.transceiver import StackedReceiver, Transceiver
 
-__all__ = ["PropagationModel", "Transmission", "RfMedium"]
+__all__ = ["PropagationModel", "Transmission", "BufferPool", "RfMedium"]
 
 Position = Tuple[float, float]
 
@@ -112,9 +112,9 @@ class Transmission:
 class _Row:
     """One delivery of a transmission, from composition to hand-out.
 
-    ``capture`` is ``None`` for a delivery composed only at its hand-out;
-    otherwise ``inputs``, ``stream`` and ``fault`` are what composing it
-    read and advanced, and ``decoded`` is its stacked receiver's result.
+    ``capture`` is ``None`` until the row is composed; ``inputs``,
+    ``stream`` and ``fault`` are what composing it read and advanced, and
+    ``decoded`` is its stacked ``receiver``'s result.
     """
 
     radio: "Transceiver"
@@ -124,6 +124,48 @@ class _Row:
     fault: Optional[tuple] = None
     receiver: Optional["StackedReceiver"] = None
     decoded: object = None
+
+
+class BufferPool:
+    """Recycled complex128 capture buffers, bucketed by exact shape.
+
+    A buffer is one capture ``(N,)`` or a transmission's stack of
+    captures ``(K, N)``.  ``acquire`` returns a zero-filled array
+    indistinguishable from a fresh ``np.zeros`` — zeroing on acquire (not
+    release) keeps the release path free and makes double-release merely
+    wasteful rather than corrupting.  Each shape class keeps at most
+    ``max_per_class`` free buffers so a burst of unusual capture sizes
+    cannot pin memory forever.
+    """
+
+    def __init__(self, max_per_class: int = 8):
+        self.max_per_class = max_per_class
+        self._free: Dict[Tuple[int, ...], List[np.ndarray]] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def acquire(self, shape: Union[int, Tuple[int, ...]]) -> np.ndarray:
+        if isinstance(shape, int):
+            shape = (shape,)
+        free = self._free.get(shape)
+        if free:
+            self.hits += 1
+            buf = free.pop()
+            buf.fill(0)
+            return buf
+        self.misses += 1
+        return np.zeros(shape, dtype=np.complex128)
+
+    def release(self, buf: np.ndarray) -> None:
+        if buf.dtype != np.complex128 or buf.base is not None:
+            return  # only whole, owned buffers are poolable
+        free = self._free.setdefault(buf.shape, [])
+        if len(free) < self.max_per_class:
+            free.append(buf)
+
+    @property
+    def pooled(self) -> int:
+        return sum(len(free) for free in self._free.values())
 
 
 class RfMedium:
@@ -194,6 +236,7 @@ class RfMedium:
         self._mixed_cache: dict = {}
         self._noise_re = np.empty(0)
         self._noise_im = np.empty(0)
+        self.buffer_pool = BufferPool()
         self.fault_injector: Optional["FaultInjector"] = None
 
     def derive_rng(self, label: str) -> np.random.Generator:
@@ -373,10 +416,10 @@ class RfMedium:
         receiver no longer hears *tx*, was re-tuned or moved, or a new
         transmission falls into its capture.  It is then rolled back — its
         noise stream and fault state restored to before its composition —
-        and delivered on the one-row path, as is every other delivery (to
-        a receiver that does not stack, a repeat, or one deaf at step 1)
-        at its turn.  Events the hand-outs schedule for now run after the
-        last of them.
+        and delivered on the one-row path (:meth:`_deliver_row`), as is
+        every other delivery (to a receiver that does not stack, a repeat,
+        or one deaf at step 1) at its turn.  Events the hand-outs schedule
+        for now run after the last of them.
         """
         start = tx.start_time - self.capture_margin_s
         end = tx.end_time + self.capture_margin_s
@@ -395,7 +438,7 @@ class RfMedium:
         block = None
         if stacked:
             num = self._window_samples(start, end)
-            block = self._acquire_capture_buffer((len(stacked), num))
+            block = self.buffer_pool.acquire((len(stacked), num))
             for row, out in zip(stacked, block):
                 self._compose_row(row, start, end, out)
             self._decode_stacked(stacked)
@@ -409,11 +452,11 @@ class RfMedium:
                     continue
                 if row.capture is not None:
                     self._rollback(row)
-                self._deliver_row(row.radio, tx, start, end)
+                self._deliver_row(row, tx, start, end)
         finally:
             # Receivers filter into fresh arrays, so the block is free.
             if block is not None:
-                self._release_capture_buffer(block)
+                self.buffer_pool.release(block)
 
     @staticmethod
     def _composition_inputs(radio: "Transceiver") -> tuple:
@@ -436,8 +479,8 @@ class RfMedium:
     def _decode_stacked(rows: List[_Row]) -> None:
         """Filter and decode the rows, one stack per (receiver class, row
         length, receive filter).  A stack is filtered by its first radio's
-        ``filter_samples``, the entry the one-row path's
-        ``handle_capture`` uses, so both decode at one precision."""
+        ``filter_samples``, the entry ``handle_capture`` uses too, so a
+        capture decodes at one precision however it is handed in."""
         groups: Dict[tuple, List[_Row]] = {}
         for row in rows:
             taps = row.radio.filter_taps
@@ -482,31 +525,32 @@ class RfMedium:
         radio = row.radio
         self.metrics.counter("medium.deliveries.delivered").inc()
         self._trace_delivery(radio, tx, "delivered")
-        if radio.stacked_receiver is row.receiver:
-            row.receiver.take_row(row.decoded, row.capture.duration)
+        receiver = row.receiver
+        if receiver is not None and radio.stacked_receiver is receiver:
+            receiver.take_row(row.decoded, row.capture.duration)
         else:
             radio.handle_capture(row.capture, tx)
 
     def _deliver_row(
-        self, radio: "Transceiver", tx: Transmission, start: float, end: float
+        self, row: _Row, tx: Transmission, start: float, end: float
     ) -> None:
-        """The one-row path: re-check, compose, transform, hand out."""
+        """The one-row path: re-check, compose, decode a stack of one if
+        the radio stacks, hand out."""
+        radio = row.radio
         if not self._hears(radio, tx):
             self.metrics.counter("medium.deliveries.skipped").inc()
             self._trace_delivery(radio, tx, "skipped")
             return
-        capture = self.compose_capture(radio, start, end)
-        raw = capture.samples
-        if self.fault_injector is not None:
-            capture = self.fault_injector.transform_capture(radio, capture, start)
-        self.metrics.counter("medium.deliveries.delivered").inc()
-        self._trace_delivery(radio, tx, "delivered")
+        buffer = self.buffer_pool.acquire(self._window_samples(start, end))
         try:
-            radio.handle_capture(capture, tx)
+            self._compose_row(row, start, end, buffer)
+            row.receiver = radio.stacked_receiver
+            if row.receiver is not None:
+                self._decode_stacked([row])
+            self._hand_out(row, tx)
         finally:
-            # The transceiver filters into a fresh array, so the raw
-            # composition buffer can be recycled (pool-backed media).
-            self._release_capture_buffer(raw)
+            # Receivers filter into fresh arrays, so the buffer is free.
+            self.buffer_pool.release(buffer)
 
     # -- capture composition ----------------------------------------------------
     def _window_samples(self, start_time: float, end_time: float) -> int:
@@ -522,10 +566,10 @@ class RfMedium:
         """Superpose everything a receiver hears in a time window.
 
         *out* (a zeroed array of the window's length, such as a row of a
-        stack) receives the capture; by default a buffer is acquired.
+        stack) receives the capture; by default a fresh one does.
         """
         num = self._window_samples(start_time, end_time)
-        total = self._acquire_capture_buffer(num) if out is None else out
+        total = np.zeros(num, dtype=np.complex128) if out is None else out
         rng = self._rx_stream(radio)
         for tx in self._compose_candidates(radio, start_time, end_time):
             # _mixes, inlined: this loop runs for every candidate of every
@@ -577,15 +621,6 @@ class RfMedium:
         part of the byte-identity contract between implementations.
         """
         return self._transmissions
-
-    def _acquire_capture_buffer(
-        self, shape: Union[int, Tuple[int, ...]]
-    ) -> np.ndarray:
-        """A zeroed complex buffer: one capture or a stack (pool hook)."""
-        return np.zeros(shape, dtype=np.complex128)
-
-    def _release_capture_buffer(self, samples: np.ndarray) -> None:
-        """Return a composition buffer after its deliveries completed."""
 
     def _mixed_samples(self, tx: Transmission, tuned_hz: float) -> np.ndarray:
         """*tx*'s samples mixed to a receiver tuning, memoised per pairing.

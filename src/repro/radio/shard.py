@@ -11,11 +11,7 @@ with interest sets maintained on a 2D cell grid:
   origin;
 * every in-flight transmission is indexed by its *origin* cell, so a
   receiver's capture composes against the 3x3 neighbourhood around its
-  current position instead of the whole superposition list;
-* capture composition buffers — one ``(K, N)`` block per delivered
-  transmission — come from a shared :class:`BufferPool` (generalising
-  the grow-only noise scratch of the dense medium) and are recycled as
-  soon as the receiving chips have filtered them.
+  current position instead of the whole superposition list.
 
 Equivalence contract: for identical seeds and workloads, a sharded medium
 and a dense medium with the same ``range_cutoff_m`` produce byte-identical
@@ -30,11 +26,9 @@ to the letter.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Set, Tuple
 
-import numpy as np
-
-from repro.radio.medium import RfMedium, Transmission
+from repro.radio.medium import BufferPool, RfMedium, Transmission
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.radio.transceiver import Transceiver
@@ -47,48 +41,6 @@ Cell = Tuple[int, int]
 #: Zigbee channel plan (5 MHz spacing) lands adjacent PANs in disjoint
 #: bucket ranges, and coarse enough that the bucket arithmetic stays integer.
 BUCKET_HZ = 1e6
-
-
-class BufferPool:
-    """Recycled complex128 capture buffers, bucketed by exact shape.
-
-    A buffer is one capture ``(N,)`` or a transmission's stack of
-    captures ``(K, N)``.  ``acquire`` returns a zero-filled array
-    indistinguishable from a fresh ``np.zeros`` — zeroing on acquire (not
-    release) keeps the release path free and makes double-release merely
-    wasteful rather than corrupting.  Each shape class keeps at most
-    ``max_per_class`` free buffers so a burst of unusual capture sizes
-    cannot pin memory forever.
-    """
-
-    def __init__(self, max_per_class: int = 8):
-        self.max_per_class = max_per_class
-        self._free: Dict[Tuple[int, ...], List[np.ndarray]] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def acquire(self, shape: Union[int, Tuple[int, ...]]) -> np.ndarray:
-        if isinstance(shape, int):
-            shape = (shape,)
-        free = self._free.get(shape)
-        if free:
-            self.hits += 1
-            buf = free.pop()
-            buf.fill(0)
-            return buf
-        self.misses += 1
-        return np.zeros(shape, dtype=np.complex128)
-
-    def release(self, buf: np.ndarray) -> None:
-        if buf.dtype != np.complex128 or buf.base is not None:
-            return  # only whole, owned buffers are poolable
-        free = self._free.setdefault(buf.shape, [])
-        if len(free) < self.max_per_class:
-            free.append(buf)
-
-    @property
-    def pooled(self) -> int:
-        return sum(len(free) for free in self._free.values())
 
 
 class CellGrid:
@@ -137,7 +89,6 @@ class ShardedRfMedium(RfMedium):
             )
         super().__init__(*args, **kwargs)
         self.grid = CellGrid(self.range_cutoff_m)
-        self.buffer_pool = BufferPool()
         # radio -> (cell, bucket) as currently indexed; radio -> global
         # attach sequence number (the delivery-scan order contract).
         self._radio_index: Dict["Transceiver", Tuple[Cell, int]] = {}
@@ -249,12 +200,3 @@ class ShardedRfMedium(RfMedium):
                 continue
             return True
         return False
-
-    # -- buffer pool --------------------------------------------------------
-    def _acquire_capture_buffer(
-        self, shape: Union[int, Tuple[int, ...]]
-    ) -> np.ndarray:
-        return self.buffer_pool.acquire(shape)
-
-    def _release_capture_buffer(self, samples: np.ndarray) -> None:
-        self.buffer_pool.release(samples)

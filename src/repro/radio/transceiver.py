@@ -170,7 +170,8 @@ class Transceiver:
 
         With *stacked*, the medium decodes this radio's captures as rows
         of a stack and hands the results to *stacked* instead; *handler*
-        then only takes captures delivered one at a time.
+        then only takes captures handed to :meth:`handle_capture`
+        directly.
         """
         self._handler = handler
         self.stacked_receiver = stacked

@@ -222,7 +222,7 @@ class TestCachedSynthesisGolden:
         bits = _unpack_bits(stream["msk_bits"], stream["msk_bit_count"])
         config = GfskConfig(samples_per_symbol=8, modulation_index=0.5, bt=0.5)
         cache = WaveformCache(config, 2e6)
-        direct = FskModulator(config, 2e6, use_cache=False)
+        direct = FskModulator(config, 2e6)
         fast = cache.synthesize(bits)
         ref = direct.modulate_direct(bits).samples
         assert fast.shape == ref.shape

@@ -216,7 +216,7 @@ class TestWaveformCache:
     def test_matches_direct_modulator(self, bits, phase):
         config = GfskConfig(samples_per_symbol=8, modulation_index=0.5, bt=0.5)
         cache = WaveformCache(config, 2e6)
-        direct = FskModulator(config, 2e6, use_cache=False)
+        direct = FskModulator(config, 2e6)
         bits = np.array(bits, dtype=np.uint8)
         fast = cache.synthesize(bits, initial_phase=phase)
         ref = direct.modulate_direct(bits, initial_phase=phase).samples
@@ -230,7 +230,7 @@ class TestWaveformCache:
             samples_per_symbol=sps, modulation_index=0.5, bt=bt, span_symbols=span
         )
         cache = WaveformCache(config, 1e6)
-        direct = FskModulator(config, 1e6, use_cache=False)
+        direct = FskModulator(config, 1e6)
         bits = rng.integers(0, 2, 257).astype(np.uint8)
         fast = cache.synthesize(bits, initial_phase=0.7)
         ref = direct.modulate_direct(bits, initial_phase=0.7).samples
@@ -264,12 +264,6 @@ class TestWaveformCache:
         cache = mod.warm()
         assert cache is not None
         assert mod.warm() is cache
-        no_cache = FskModulator(
-            GfskConfig(samples_per_symbol=8, modulation_index=0.5, bt=0.5),
-            2e6,
-            use_cache=False,
-        )
-        assert no_cache.warm() is None
 
 
 class TestFftSyncEquivalence:

@@ -40,7 +40,7 @@ LENGTHS = {2: (20, 3000), 8: (4200, 7000)}
 
 def _modem(sps):
     config = GfskConfig(samples_per_symbol=sps, modulation_index=0.5, bt=None)
-    modulator = FskModulator(config, RATE, use_cache=False)
+    modulator = FskModulator(config, RATE)
     return modulator, FskDemodulator(config, RATE)
 
 

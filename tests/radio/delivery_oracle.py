@@ -5,10 +5,11 @@ delivers to all of its receivers together.  Before that, it scheduled
 one event per receiver, each of which re-checked its receiver, composed
 and transformed one capture and handed it to the receiver's
 ``handle_capture`` before the next event composed the next capture.
-:func:`transmit` here is that implementation, unchanged, and
-:func:`per_delivery` installs it on every medium class for the duration
-of a block, so a test can run one world both ways and compare captures,
-trace events and outcomes exactly.
+:func:`transmit` here is that implementation, and :func:`per_delivery`
+installs it on every medium class for the duration of a block, with the
+sequential decode of ``tests/phy/decode_oracle.py`` as
+``Dot15d4Radio._on_capture``, so a test can run one world both ways and
+compare captures, trace events and outcomes exactly.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator
 
+from repro.chips.rzusbstick import Dot15d4Radio
 from repro.dsp.signal import IQSignal
 from repro.radio.medium import RfMedium, Transmission
+from tests.phy.decode_oracle import sequential_on_capture
 
 __all__ = ["per_delivery", "transmit"]
 
@@ -85,27 +88,25 @@ def _schedule_delivery(medium: RfMedium, radio, tx: Transmission) -> None:
         start = tx.start_time - medium.capture_margin_s
         end = tx.end_time + medium.capture_margin_s
         capture = medium.compose_capture(radio, start, end)
-        raw = capture.samples
         if medium.fault_injector is not None:
             capture = medium.fault_injector.transform_capture(
                 radio, capture, start
             )
         medium.metrics.counter("medium.deliveries.delivered").inc()
         medium._trace_delivery(radio, tx, "delivered")
-        try:
-            radio.handle_capture(capture, tx)
-        finally:
-            medium._release_capture_buffer(raw)
+        radio.handle_capture(capture, tx)
 
     medium.scheduler.schedule_at(tx.end_time, deliver)
 
 
 @contextmanager
 def per_delivery() -> Iterator[None]:
-    """Deliver one receiver per event, on every medium, inside the block."""
-    saved = RfMedium.__dict__["transmit"]
+    """Deliver one receiver per event, on every medium, and decode each
+    802.15.4 capture sequentially, inside the block."""
+    saved = RfMedium.__dict__["transmit"], Dot15d4Radio.__dict__["_on_capture"]
     RfMedium.transmit = transmit
+    Dot15d4Radio._on_capture = sequential_on_capture
     try:
         yield
     finally:
-        RfMedium.transmit = saved
+        RfMedium.transmit, Dot15d4Radio._on_capture = saved

@@ -11,8 +11,9 @@ point wrapped by name, and prints each stage's median *self* time in ms
 ``fleetbench/run.py --trace 1``, which charges the stacked decode to
 ``sched``, it splits the delivery of a transmission into:
 
-* ``compose`` — ``RfMedium.compose_capture`` / ``_compose_row`` less the
-  stages below: candidate scan, path gain and the noise adds;
+* ``compose`` — ``RfMedium.compose_capture`` (one pass over a
+  transmission's stack of receivers) and ``_compose_rows`` around it,
+  less the stages below: candidate scans, path gains and the adds;
 * ``compose.draws`` — the per-receiver ``standard_normal`` noise draws;
 * ``compose.mix`` / ``compose.signal_add`` — mixing a transmission to a
   receiver's tuning, and adding it into the capture;
@@ -26,6 +27,7 @@ point wrapped by name, and prints each stage's median *self* time in ms
   alone, decodes through it);
 * ``hand-out`` — ``RfMedium._hand_out`` and everything it calls that is
   not listed here (receive listener, MAC, Zigbee);
+* ``mac.parse`` — ``MacFrame.parse``, once per MAC a frame reaches;
 * ``rest`` — the scheduler and every callback outside the above.
 
 Wrapping costs time of its own, so the stages sum to more than an
@@ -79,13 +81,14 @@ def install(timed: Callable) -> None:
     process."""
     import repro.chips.rzusbstick as rzusbstick
     import repro.phy.batch as batch
+    from repro.dot15d4.frames import MacFrame
     from repro.dsp.gfsk import SyncSearch
     from repro.dsp.oqpsk import OqpskDemodulator
     from repro.radio import RfMedium, Scheduler, Transceiver
 
     targets = [
         (RfMedium, "compose_capture", "compose"),
-        (RfMedium, "_compose_row", "compose"),
+        (RfMedium, "_compose_rows", "compose"),
         (RfMedium, "_mixed_samples", "compose.mix"),
         (RfMedium, "_hand_out", "hand-out"),
         (Transceiver, "filter_samples", "filter"),
@@ -99,6 +102,7 @@ def install(timed: Callable) -> None:
     for owner, name, stage in targets:
         setattr(owner, name, timed(stage, getattr(owner, name)))
     rzusbstick.decode_chip_frames = batch.decode_chip_frames
+    MacFrame.parse = staticmethod(timed("mac.parse", MacFrame.parse))
     RfMedium._add_at = staticmethod(
         timed("compose.signal_add", RfMedium._add_at)
     )

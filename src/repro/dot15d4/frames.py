@@ -142,11 +142,24 @@ class MacFrame:
     # -- decoding -----------------------------------------------------------
     @staticmethod
     def parse(psdu: bytes, check_fcs: bool = True) -> "MacFrame":
-        """Decode a PSDU.  Raises ``ValueError`` on malformed input."""
+        """Decode a PSDU.  Raises ``ValueError`` on malformed input.
+
+        The receivers of a transmission parse the same PSDU, so the last
+        one's fields are kept; every call checks the FCS and returns a
+        frame of its own."""
+        global _last_parse
         if len(psdu) < 5:
             raise ValueError("PSDU too short for a MAC frame")
         if check_fcs and not verify_fcs(psdu):
             raise ValueError("FCS check failed")
+        last, fields = _last_parse
+        if psdu != last:
+            fields = vars(MacFrame._decode(psdu))
+            _last_parse = (bytes(psdu), fields)
+        return MacFrame(**fields)
+
+    @staticmethod
+    def _decode(psdu: bytes) -> "MacFrame":
         body = psdu[:-2]
         fcf = int.from_bytes(body[0:2], "little")
         frame_type_value = fcf & 0x7
@@ -200,6 +213,10 @@ class MacFrame:
         frame.payload = bytes(body[cursor:])
         return frame
 
+
+#: The PSDU :meth:`MacFrame.parse` decoded last and its fields, replaced
+#: as one tuple so that a reader never pairs one PSDU with another's fields.
+_last_parse: Tuple[bytes, dict] = (b"", {})
 
 # ---------------------------------------------------------------------------
 # Convenience builders for the frames Scenario B exchanges

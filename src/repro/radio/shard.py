@@ -9,9 +9,10 @@ with interest sets maintained on a 2D cell grid:
   sub-indexed by the 1 MHz bucket of its tuning, so a transmission only
   visits the co-channel radios of the 3x3 cell neighbourhood around its
   origin;
-* every in-flight transmission is indexed by its *origin* cell, so a
-  receiver's capture composes against the 3x3 neighbourhood around its
-  current position instead of the whole superposition list.
+* every in-flight transmission is indexed by its *origin* cell, so the
+  captures of a stack of receivers compose against the 3x3
+  neighbourhoods around their current positions instead of the whole
+  superposition list.
 
 Equivalence contract: for identical seeds and workloads, a sharded medium
 and a dense medium with the same ``range_cutoff_m`` produce byte-identical
@@ -177,11 +178,12 @@ class ShardedRfMedium(RfMedium):
         self._cell_txs = kept
 
     def _compose_candidates(
-        self, radio: "Transceiver", start_time: float, end_time: float
+        self, radios: Sequence["Transceiver"]
     ) -> Sequence[Transmission]:
-        found: List[Transmission] = []
-        for cell in self.grid.neighborhood(self.grid.cell_of(radio.position)):
-            found.extend(self._cell_txs.get(cell, ()))
+        cells = {self.grid.cell_of(radio.position) for radio in radios}
+        around = {near for cell in cells for near in self.grid.neighborhood(cell)}
+        # A transmission is indexed in one cell, so none repeats.
+        found = [tx for cell in around for tx in self._cell_txs.get(cell, ())]
         # Identifier order fixes the float summation order (see the dense
         # medium's _compose_candidates contract).
         found.sort(key=lambda tx: tx.identifier)
@@ -189,7 +191,7 @@ class ShardedRfMedium(RfMedium):
 
     def channel_busy(self, radio: "Transceiver") -> bool:
         now = self.scheduler.now
-        for tx in self._compose_candidates(radio, now, now):
+        for tx in self._compose_candidates([radio]):
             if not tx.start_time <= now <= tx.end_time:
                 continue
             if tx.source is radio:

@@ -16,7 +16,7 @@ SCRIPT = generate.GOLDEN_DIR.parents[1] / "scripts" / "campaign_split.py"
 
 RECEIVE_STAGES = (
     "compose", "filter", "frontend", "lock", "slice", "despread", "tail",
-    "hand-out",
+    "hand-out", "mac.parse",
 )
 
 

@@ -70,6 +70,7 @@ class TestSuite:
             "modulate_cached",
             "sync_search",
             "compose_capture_latency",
+            "compose_stack_latency",
             "table3_cell_wall_clock",
             "table3_sweep_wideband",
             "fleet_medium_scan",

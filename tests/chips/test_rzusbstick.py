@@ -32,8 +32,8 @@ class TestReceivePrecision:
         frame = build_data(SRC, DST, b"single precision", sequence_number=5)
         tx = a.transmit_frame(frame)
         margin = quiet_medium.capture_margin_s
-        capture = quiet_medium.compose_capture(
-            b.transceiver, tx.start_time - margin, tx.end_time + margin
+        (capture,) = quiet_medium.compose_capture(
+            [b.transceiver], tx.start_time - margin, tx.end_time + margin
         )
         alone = b.transceiver.filter_samples(capture.samples)
         stacked = b.transceiver.filter_samples([capture.samples] * 3)

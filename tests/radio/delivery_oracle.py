@@ -10,6 +10,11 @@ installs it on every medium class for the duration of a block, with the
 sequential decode of ``tests/phy/decode_oracle.py`` as
 ``Dot15d4Radio._on_capture``, so a test can run one world both ways and
 compare captures, trace events and outcomes exactly.
+
+:func:`compose_capture` is the matching reference for composition: one
+receiver's capture composed on its own, as
+:meth:`RfMedium.compose_capture` did before it composed a transmission's
+receivers as one stack.
 """
 
 from __future__ import annotations
@@ -17,12 +22,48 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator
 
+import numpy as np
+
 from repro.chips.rzusbstick import Dot15d4Radio
 from repro.dsp.signal import IQSignal
 from repro.radio.medium import RfMedium, Transmission
 from tests.phy.decode_oracle import sequential_on_capture
 
-__all__ = ["per_delivery", "transmit"]
+__all__ = ["compose_capture", "per_delivery", "transmit"]
+
+
+def compose_capture(
+    medium: RfMedium, radio, start_time: float, end_time: float
+) -> IQSignal:
+    """Superpose everything *radio* hears in a time window, alone."""
+    num = medium._window_samples(start_time, end_time)
+    total = np.zeros(num, dtype=np.complex128)
+    rng = medium._rx_stream(radio)
+    for tx in medium._compose_candidates([radio]):
+        if not medium._mixes(radio, tx, start_time, end_time):
+            continue
+        gain_db = tx.power_dbm + medium.propagation.path_gain_db(
+            tx.origin, radio.position, rng=rng
+        )
+        amplitude = 10.0 ** (gain_db / 20.0)
+        mixed = medium._mixed_samples(tx, radio.tuned_hz)
+        offset = int(round((tx.start_time - start_time) * medium.sample_rate))
+        medium._add_at(total, mixed, offset, scale=amplitude)
+    for interferer in medium.interferers:
+        burst = interferer.contribution(
+            rx_center_hz=radio.tuned_hz,
+            rx_bandwidth_hz=radio.bandwidth_hz,
+            num_samples=num,
+            sample_rate=medium.sample_rate,
+            rng=rng,
+        )
+        total += burst.samples
+    scale = np.sqrt(10.0 ** (medium.noise_floor_dbm / 10.0) / 2.0)
+    re = rng.standard_normal(num)
+    im = rng.standard_normal(num)
+    total.real += scale * re
+    total.imag += scale * im
+    return IQSignal(total, medium.sample_rate, radio.tuned_hz)
 
 
 def transmit(
@@ -87,7 +128,7 @@ def _schedule_delivery(medium: RfMedium, radio, tx: Transmission) -> None:
             return
         start = tx.start_time - medium.capture_margin_s
         end = tx.end_time + medium.capture_margin_s
-        capture = medium.compose_capture(radio, start, end)
+        capture = compose_capture(medium, radio, start, end)
         if medium.fault_injector is not None:
             capture = medium.fault_injector.transform_capture(
                 radio, capture, start

@@ -39,7 +39,7 @@ class TestLazyStreams:
         medium = make_medium()
         radio = Transceiver(medium, "rx")
         assert "rx" not in medium._rx_streams
-        medium.compose_capture(radio, 0.0, 1e-5)
+        medium.compose_capture([radio], 0.0, 1e-5)
         assert "rx" in medium._rx_streams
 
     def test_lazy_rx_stream_equals_an_eager_one(self):

@@ -148,7 +148,7 @@ class TestDelivery:
         sched, medium = make_env(noise_dbm=-90.0)
         rx = Transceiver(medium, "rx", position=(0, 0))
         rx.tune(2440e6)
-        capture = medium.compose_capture(rx, 0.0, 1e-4)
+        (capture,) = medium.compose_capture([rx], 0.0, 1e-4)
         level = 10 * np.log10(capture.power())
         assert level == pytest.approx(-90.0, abs=1.5)
 

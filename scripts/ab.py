@@ -15,9 +15,11 @@ alternating pairs of one Table III cell
 
 Per workload and metric the script prints each side's median and
 quartiles, the change of the medians, how many pairs B won, and whether
-the median gap is wider than A's interquartile range.  Which direction is
-better comes from ``BENCHMARK.json``.  It only drives ``fleetbench/`` and
-``BENCHMARK.json``; it never edits them.  ``--json FILE`` keeps every
+the median gap is wider than A's interquartile range; each side's summed
+``failed``/``attempted`` campaigns and its count of runs not reported
+``correct`` sit beside them, and the script exits 1 if any run was not
+correct.  Which direction is better comes from ``BENCHMARK.json``.  It
+only drives ``fleetbench/`` and ``BENCHMARK.json``; it never edits them.  ``--json FILE`` keeps every
 run's numbers.
 """
 
@@ -93,9 +95,8 @@ def _fleetbench(tree: Path, workload: str, args) -> Dict:
     if result.returncode or not lines:
         raise RuntimeError(f"{tree}: fleetbench {workload} failed\n{result.stderr}")
     run = json.loads(lines[-1])
-    if run["correct"] is not True or run["failed"]:
-        print(f"warning: {tree} {workload}: {run}", file=sys.stderr)
-    return {name: body["value"] for name, body in run["metrics"].items()}
+    run["metrics"] = {name: body["value"] for name, body in run["metrics"].items()}
+    return run
 
 
 def _table3_cell(tree: Path) -> Dict:
@@ -104,7 +105,9 @@ def _table3_cell(tree: Path) -> Dict:
         cwd=str(tree), capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=f"{tree / 'src'}:{tree}"),
     )
-    return json.loads(result.stdout.strip().splitlines()[-1])
+    # The cell has no outcome check: it is correct when it completes.
+    metrics = json.loads(result.stdout.strip().splitlines()[-1])
+    return {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
 
 
 def _run(label: str, tree: Path, args) -> Dict:
@@ -128,16 +131,26 @@ def _quartiles(values: List[float]) -> Tuple[float, float, float]:
     return q1, median, q3
 
 
-def _report(label: str, runs: Dict[str, List[Dict]], directions) -> None:
+def _report(label: str, runs: Dict[str, List[Dict]], directions) -> int:
+    """Print *label*'s table; return how many of its runs were not correct."""
+    failures = {}
+    incorrect = 0
+    for side, side_runs in runs.items():
+        failed = sum(run["failed"] for run in side_runs)
+        attempted = sum(run["attempted"] for run in side_runs)
+        wrong = sum(run["correct"] is not True for run in side_runs)
+        failures[side] = f"{failed}/{attempted} | {wrong}"
+        incorrect += wrong
     print(f"\n## {label}\n")
     print(
         "| metric | A median [q1, q3] | B median [q1, q3] | change "
-        "| B wins | gap > A IQR |"
+        "| B wins | gap > A IQR | A failed/attempted | A incorrect "
+        "| B failed/attempted | B incorrect |"
     )
-    print("|---|---|---|---:|---:|---|")
-    for name in runs["a"][0]:
-        a = [run[name] for run in runs["a"]]
-        b = [run[name] for run in runs["b"]]
+    print("|---|---|---|---:|---:|---|---:|---:|---:|---:|")
+    for name in runs["a"][0]["metrics"]:
+        a = [run["metrics"][name] for run in runs["a"]]
+        b = [run["metrics"][name] for run in runs["b"]]
         lower = directions.get(name, "lower") == "lower"
         a_q1, a_med, a_q3 = _quartiles(a)
         b_q1, b_med, b_q3 = _quartiles(b)
@@ -146,8 +159,10 @@ def _report(label: str, runs: Dict[str, List[Dict]], directions) -> None:
         print(
             f"| {name} | {a_med:.4g} [{a_q1:.4g}, {a_q3:.4g}] "
             f"| {b_med:.4g} [{b_q1:.4g}, {b_q3:.4g}] | {change} "
-            f"| {wins}/{len(a)} | {abs(b_med - a_med) > a_q3 - a_q1} |"
+            f"| {wins}/{len(a)} | {abs(b_med - a_med) > a_q3 - a_q1} "
+            f"| {failures['a']} | {failures['b']} |"
         )
+    return incorrect
 
 
 def main(argv: List[str]) -> int:
@@ -160,6 +175,7 @@ def main(argv: List[str]) -> int:
     if args.table3:
         pairs["table3_cell"] = args.table3
     results = {label: {"a": [], "b": []} for label in pairs}
+    incorrect = 0
     try:
         trees = {
             "a": _checkout(repo, args.rev_a, workdir / "a", made),
@@ -174,13 +190,16 @@ def main(argv: List[str]) -> int:
             print(f"pair {pair + 1} done", file=sys.stderr)
         print(f"A = {args.rev_a}, B = {args.rev_b}, seed {args.seed}")
         for label, runs in results.items():
-            _report(label, runs, directions)
+            incorrect += _report(label, runs, directions)
         if args.json:
             Path(args.json).write_text(json.dumps(results, indent=1) + "\n")
     finally:
         for tree in made:
             _git(repo, "worktree", "remove", "--force", str(tree))
         shutil.rmtree(workdir, ignore_errors=True)
+    if incorrect:
+        print(f"error: {incorrect} runs were not correct", file=sys.stderr)
+        return 1
     return 0
 
 

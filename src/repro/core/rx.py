@@ -164,11 +164,19 @@ class WazaBeeReceiver:
             # The radio de-whitened what was never whitened; undo it.
             bits = whiten(bits, self.radio.whitening_channel)
         try:
-            # Strict mode so the failure class (no-sfd / truncated) reaches
-            # the trace; the event-driven contract stays "drop and carry on".
+            # Strict mode so the failure class (no-sfd / truncated /
+            # low-confidence) reaches the trace; the event-driven contract
+            # stays "drop and carry on".
             with self.metrics.timer("rx.decode").time():
-                frame = decode_payload_bits(bits, table=self.table, strict=True)
+                frame = decode_payload_bits(
+                    bits,
+                    table=self.table,
+                    max_mean_distance=self.max_mean_distance,
+                    strict=True,
+                )
         except DecodeError as error:
+            if error.reason == "low-confidence":
+                self.low_confidence_drops += 1
             self.metrics.counter("rx.decode.failed").inc()
             self.metrics.counter(f"rx.decode.failed.{error.reason}").inc()
             if self.trace.active:
@@ -177,22 +185,6 @@ class WazaBeeReceiver:
                     time=now,
                     outcome=error.reason,
                     mean_distance=error.mean_distance,
-                    channel=self._channel,
-                )
-            return
-        if (
-            self.max_mean_distance is not None
-            and frame.mean_distance > self.max_mean_distance
-        ):
-            self.low_confidence_drops += 1
-            self.metrics.counter("rx.decode.failed").inc()
-            self.metrics.counter("rx.decode.failed.low-confidence").inc()
-            if self.trace.active:
-                self.trace.emit(
-                    RX_DECODE,
-                    time=now,
-                    outcome="low-confidence",
-                    mean_distance=frame.mean_distance,
                     channel=self._channel,
                 )
             return

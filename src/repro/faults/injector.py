@@ -9,8 +9,8 @@ The injector sits at the two seams every impairment must pass through:
   receiver actually demodulates.
 
 Scripted collision bursts are injected as *real* transmissions from a
-phantom jammer source, so they both corrupt overlapping captures and show
-up in :attr:`RfMedium.active_transmissions` — i.e. CSMA-CA clear-channel
+phantom jammer source, so they both corrupt overlapping captures and are
+in flight for :meth:`RfMedium.channel_busy` — i.e. CSMA-CA clear-channel
 assessment sees them and can defer.
 
 Determinism contract (mirrors the medium's): scripted bursts draw from the

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Collection,
@@ -95,6 +95,9 @@ class Transmission:
     range gating are evaluated against where the energy actually left the
     antenna, so a source that moves while its frame is still in flight
     cannot retroactively change the physics of an emission already made.
+    ``mixed`` memoises the signal mixed to each receiver tuning
+    (:meth:`RfMedium._mixed_samples`), so it lives as long as the
+    transmission does.
     """
 
     source: "Transceiver"
@@ -103,6 +106,9 @@ class Transmission:
     power_dbm: float
     identifier: int
     origin: Position = (0.0, 0.0)
+    mixed: Dict[float, np.ndarray] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def end_time(self) -> float:
@@ -230,11 +236,9 @@ class RfMedium:
         # composed capture and kept across detach + re-attach, which
         # continues it rather than rewinding it.
         self._rx_streams: dict = {}
-        # Capture-composition scratch: mixed-signal memo (a transmission is
-        # mixed to a given receiver tuning once, not once per delivery) and
-        # a reusable noise buffer (grow-only, so steady-state captures do no
-        # float allocation for the thermal floor).
-        self._mixed_cache: dict = {}
+        # Capture-composition scratch: a reusable noise buffer (grow-only,
+        # so steady-state captures do no float allocation for the thermal
+        # floor).
         self._noise = np.empty(0)
         self.buffer_pool = BufferPool()
         self.fault_injector: Optional["FaultInjector"] = None
@@ -282,9 +286,6 @@ class RfMedium:
         always read fresh — nothing to update.  The sharded medium overrides
         this to migrate the radio between grid cells.
         """
-
-    def radio_retuned(self, radio: "Transceiver") -> None:
-        """Notification hook: *radio*'s tuning changed (see radio_moved)."""
 
     def _rx_stream(self, radio: "Transceiver") -> np.random.Generator:
         stream = self._rx_streams.get(radio.name)
@@ -346,9 +347,10 @@ class RfMedium:
         """Radios to consider delivering *tx* to, in attach order.
 
         The dense medium scans everything; the sharded medium narrows the
-        scan through its (cell, channel) interest sets.  Implementations
-        must preserve attach order so the scheduler's event sequence — and
-        therefore every downstream tie-break — is identical across them.
+        scan to the radios of the 3x3 cells around the origin.
+        Implementations must preserve attach order so the scheduler's event
+        sequence — and therefore every downstream tie-break — is identical
+        across them.
         """
         return self._radios.values()
 
@@ -653,16 +655,14 @@ class RfMedium:
         return self._transmissions
 
     def _mixed_samples(self, tx: Transmission, tuned_hz: float) -> np.ndarray:
-        """*tx*'s samples mixed to a receiver tuning, memoised per pairing.
+        """*tx*'s samples mixed to a receiver tuning, memoised on *tx*.
 
         The cached array is shared between deliveries; callers must treat
         it as read-only (``_add_at`` only reads it).
         """
-        key = (tx.identifier, tuned_hz)
-        samples = self._mixed_cache.get(key)
+        samples = tx.mixed.get(tuned_hz)
         if samples is None:
-            samples = tx.signal.mixed_to(tuned_hz).samples
-            self._mixed_cache[key] = samples
+            samples = tx.mixed[tuned_hz] = tx.signal.mixed_to(tuned_hz).samples
         return samples
 
     @staticmethod
@@ -685,14 +685,8 @@ class RfMedium:
     def _prune(self, before: float) -> None:
         kept = [tx for tx in self._transmissions if tx.end_time >= before]
         if len(kept) != len(self._transmissions):
-            live = {tx.identifier for tx in kept}
-            self._mixed_cache = {
-                key: val
-                for key, val in self._mixed_cache.items()
-                if key[0] in live
-            }
-            self._prune_index(live)
-        self._transmissions = kept
+            self._transmissions = kept
+            self._prune_index({tx.identifier for tx in kept})
 
     def _prune_index(self, live: set) -> None:
         """Hook: transmissions outside *live* left the superposition list."""
@@ -715,7 +709,10 @@ class RfMedium:
         configured) — the energy-detect CCA that backs the MAC's unslotted
         CSMA-CA.
         """
-        for tx in self.active_transmissions:
+        now = self.scheduler.now
+        for tx in self._compose_candidates([radio]):
+            if not tx.start_time <= now <= tx.end_time:
+                continue
             if tx.source is radio:
                 continue
             if not self._in_band(radio, tx.signal.center_frequency):

@@ -5,14 +5,17 @@
 replaces its O(radios) delivery scan and O(transmissions) composition scan
 with interest sets maintained on a 2D cell grid:
 
-* every attached radio lives in one grid cell (cell edge = range cutoff),
-  sub-indexed by the 1 MHz bucket of its tuning, so a transmission only
-  visits the co-channel radios of the 3x3 cell neighbourhood around its
-  origin;
+* every attached radio is indexed by the grid cell of its position (cell
+  edge = range cutoff), so a transmission only visits the radios of the
+  3x3 cell neighbourhood around its origin.  Tuning is not indexed: the
+  in-band test runs on each candidate, and a radio's cell changes only
+  when it moves (:meth:`ShardedRfMedium.radio_moved`);
 * every in-flight transmission is indexed by its *origin* cell, so the
   captures of a stack of receivers compose against the 3x3
   neighbourhoods around their current positions instead of the whole
-  superposition list.
+  superposition list, and clear-channel assessment
+  (:meth:`RfMedium.channel_busy`, shared by both media) scans one
+  neighbourhood.
 
 Equivalence contract: for identical seeds and workloads, a sharded medium
 and a dense medium with the same ``range_cutoff_m`` produce byte-identical
@@ -37,11 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["BufferPool", "CellGrid", "ShardedRfMedium"]
 
 Cell = Tuple[int, int]
-
-#: Width of one tuning interest bucket.  1 MHz is fine-grained enough that a
-#: Zigbee channel plan (5 MHz spacing) lands adjacent PANs in disjoint
-#: bucket ranges, and coarse enough that the bucket arithmetic stays integer.
-BUCKET_HZ = 1e6
 
 
 class CellGrid:
@@ -70,10 +68,6 @@ class CellGrid:
                 yield (cx + dx, cy + dy)
 
 
-def _bucket_of(tuned_hz: float) -> int:
-    return int(tuned_hz // BUCKET_HZ)
-
-
 class ShardedRfMedium(RfMedium):
     """Interest-managed medium for fleet-scale topologies.
 
@@ -90,76 +84,59 @@ class ShardedRfMedium(RfMedium):
             )
         super().__init__(*args, **kwargs)
         self.grid = CellGrid(self.range_cutoff_m)
-        # radio -> (cell, bucket) as currently indexed; radio -> global
-        # attach sequence number (the delivery-scan order contract).
-        self._radio_index: Dict["Transceiver", Tuple[Cell, int]] = {}
+        # radio -> its cell; radio -> sequence number of its latest attach
+        # (the dense medium's delivery-scan order: its radio dict re-inserts
+        # a re-attached radio last).
+        self._radio_index: Dict["Transceiver", Cell] = {}
         self._attach_seq: Dict["Transceiver", int] = {}
         self._next_seq = 0
-        # (cell, bucket) -> radios; origin cell -> in-flight transmissions.
-        self._cell_radios: Dict[Tuple[Cell, int], Set["Transceiver"]] = {}
+        # cell -> radios; origin cell -> in-flight transmissions.
+        self._cell_radios: Dict[Cell, Set["Transceiver"]] = {}
         self._cell_txs: Dict[Cell, List[Transmission]] = {}
-        # Widest in-band acceptance window over attached radios, in whole
-        # buckets; bounds the bucket span a transmission must query.
-        self._max_limit_hz = 0.0
 
     # -- radio index --------------------------------------------------------
     def attach(self, radio: "Transceiver") -> None:
+        if radio in self._radio_index:
+            return  # already attached: a no-op, as on the dense medium
         super().attach(radio)
-        if radio not in self._attach_seq:
-            self._attach_seq[radio] = self._next_seq
-            self._next_seq += 1
-        self._max_limit_hz = max(
-            self._max_limit_hz,
-            radio.bandwidth_hz / 2.0 + self.DELIVERY_MARGIN_HZ,
-        )
+        self._attach_seq[radio] = self._next_seq
+        self._next_seq += 1
         self._index_radio(radio)
 
     def detach(self, radio: "Transceiver") -> None:
         super().detach(radio)
+        self._attach_seq.pop(radio, None)
         self._unindex_radio(radio)
 
     def radio_moved(self, radio: "Transceiver") -> None:
         self._reindex_radio(radio)
 
-    def radio_retuned(self, radio: "Transceiver") -> None:
-        self._reindex_radio(radio)
-
     def _index_radio(self, radio: "Transceiver") -> None:
-        key = (self.grid.cell_of(radio.position), _bucket_of(radio.tuned_hz))
-        self._radio_index[radio] = key
-        self._cell_radios.setdefault(key, set()).add(radio)
+        cell = self.grid.cell_of(radio.position)
+        self._radio_index[radio] = cell
+        self._cell_radios.setdefault(cell, set()).add(radio)
 
     def _unindex_radio(self, radio: "Transceiver") -> None:
-        key = self._radio_index.pop(radio, None)
-        if key is not None:
-            members = self._cell_radios.get(key)
-            if members is not None:
-                members.discard(radio)
-                if not members:
-                    del self._cell_radios[key]
+        cell = self._radio_index.pop(radio, None)
+        if cell is not None:
+            members = self._cell_radios[cell]
+            members.discard(radio)
+            if not members:
+                del self._cell_radios[cell]
 
     def _reindex_radio(self, radio: "Transceiver") -> None:
         old = self._radio_index.get(radio)
-        if old is None:
-            return  # not attached yet (mid-construction) or detached
-        new = (self.grid.cell_of(radio.position), _bucket_of(radio.tuned_hz))
-        if new == old:
-            return
-        self._unindex_radio(radio)
-        self._radio_index[radio] = new
-        self._cell_radios.setdefault(new, set()).add(radio)
+        if old is not None and old != self.grid.cell_of(radio.position):
+            self._unindex_radio(radio)
+            self._index_radio(radio)
 
     # -- interest queries ---------------------------------------------------
     def _delivery_candidates(self, tx: Transmission) -> Sequence["Transceiver"]:
-        center = tx.signal.center_frequency
-        lo = int((center - self._max_limit_hz) // BUCKET_HZ)
-        hi = int((center + self._max_limit_hz) // BUCKET_HZ)
-        found: List["Transceiver"] = []
-        for cell in self.grid.neighborhood(self.grid.cell_of(tx.origin)):
-            for bucket in range(lo, hi + 1):
-                members = self._cell_radios.get((cell, bucket))
-                if members:
-                    found.extend(members)
+        found = [
+            radio
+            for cell in self.grid.neighborhood(self.grid.cell_of(tx.origin))
+            for radio in self._cell_radios.get(cell, ())
+        ]
         # Attach order — the same order the dense medium scans in, so the
         # scheduler's delivery event sequence is identical.
         found.sort(key=self._attach_seq.__getitem__)
@@ -189,16 +166,6 @@ class ShardedRfMedium(RfMedium):
         found.sort(key=lambda tx: tx.identifier)
         return found
 
-    def channel_busy(self, radio: "Transceiver") -> bool:
-        now = self.scheduler.now
-        for tx in self._compose_candidates([radio]):
-            if not tx.start_time <= now <= tx.end_time:
-                continue
-            if tx.source is radio:
-                continue
-            if not self._in_band(radio, tx.signal.center_frequency):
-                continue
-            if not self._within_range(tx, radio):
-                continue
-            return True
-        return False
+    # The inherited body, bound here by name: fleetbench wraps channel_busy
+    # per class and restores it from the class's own __dict__.
+    channel_busy = RfMedium.channel_busy

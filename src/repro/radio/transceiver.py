@@ -72,7 +72,7 @@ class Transceiver:
         The carrier-frequency-error stream.  By default it is derived
         from the medium's seed, keyed by *name*, at the first draw.
     tuned_hz:
-        The initial tuning; the radio is indexed by the medium at it.
+        The initial tuning.
     """
 
     #: The precision of filtered captures, on the stacked and the one-row
@@ -152,7 +152,6 @@ class Transceiver:
     def tune(self, frequency_hz: float) -> None:
         """Retune the synthesiser (applies to both TX and RX)."""
         self.tuned_hz = self._ism_checked(frequency_hz)
-        self.medium.radio_retuned(self)
 
     @property
     def is_listening(self) -> bool:

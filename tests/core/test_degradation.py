@@ -11,6 +11,7 @@ from repro.core.rx import WazaBeeReceiver, decode_payload_bits
 from repro.core.tx import WazaBeeTransmitter
 from repro.dot15d4.frames import Address, build_data
 from repro.errors import DecodeError, RadioError
+from repro.obs import RX_DECODE, TraceRecorder, scoped
 
 SRC = Address(pan_id=0x1234, address=0x0063)
 DST = Address(pan_id=0x1234, address=0x0042)
@@ -164,13 +165,26 @@ class TestSalvagePath:
         assert frames == []
 
     def test_low_confidence_drop_counter(self):
-        radio = _FakeRadio()
-        receiver = WazaBeeReceiver(radio, max_mean_distance=-1.0)
-        frames = []
-        receiver.start(14, frames.append)
-        radio.armed(good_capture(valid_psdu()))
+        capture = good_capture(valid_psdu())
+        with scoped() as (bus, registry):
+            recorder = TraceRecorder(bus)
+            radio = _FakeRadio()
+            receiver = WazaBeeReceiver(radio, max_mean_distance=-1.0)
+            frames = []
+            receiver.start(14, frames.append)
+            radio.armed(capture)
         assert frames == []
         assert receiver.low_confidence_drops == 1
+        counters = registry.counter_values()
+        assert counters["rx.decode.failed"] == 1
+        assert counters["rx.decode.failed.low-confidence"] == 1
+        assert "rx.decode.ok" not in counters
+        (event,) = [e for e in recorder.events if e.name == RX_DECODE]
+        assert event.fields["outcome"] == "low-confidence"
+        assert (
+            event.fields["mean_distance"]
+            == decode_payload_bits(capture).mean_distance
+        )
 
 
 class TestWhiteningCapabilityNarrowing:

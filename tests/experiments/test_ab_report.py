@@ -1,0 +1,62 @@
+"""``scripts/ab.py`` reports each side's failures next to its timings.
+
+The script is loaded by path, and its table printer is fed runs shaped
+like ``fleetbench/run.py``'s last output line (metric values already
+unwrapped), so no benchmark runs here.
+"""
+
+import importlib.util
+
+from tests.golden import generate
+
+SCRIPT = generate.GOLDEN_DIR.parents[1] / "scripts" / "ab.py"
+
+
+def _load_ab():
+    spec = importlib.util.spec_from_file_location("ab_script", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run(campaign_ms, correct=True, attempted=5, failed=0):
+    return {
+        "correct": correct,
+        "attempted": attempted,
+        "failed": failed,
+        "metrics": {"campaign_ms": campaign_ms},
+    }
+
+
+def test_clean_runs_report_no_failures(capsys):
+    ab = _load_ab()
+    runs = {
+        "a": [_run(100.0), _run(102.0)],
+        "b": [_run(98.0), _run(99.0)],
+    }
+    assert ab._report("report", runs, {"campaign_ms": "lower"}) == 0
+    lines = capsys.readouterr().out.splitlines()
+    (header,) = [line for line in lines if line.startswith("| metric ")]
+    assert header.endswith(
+        "| A failed/attempted | A incorrect | B failed/attempted | B incorrect |"
+    )
+    (row,) = [line for line in lines if line.startswith("| campaign_ms ")]
+    assert row.endswith("| 2/2 | True | 0/10 | 0 | 0/10 | 0 |")
+
+
+def test_failed_and_incorrect_runs_are_counted_per_side(capsys):
+    ab = _load_ab()
+    runs = {
+        "a": [_run(100.0), _run(101.0)],
+        "b": [
+            _run(99.0, correct=False, attempted=4, failed=1),
+            _run(98.0, attempted=6),
+        ],
+    }
+    assert ab._report("flood", runs, {"campaign_ms": "lower"}) == 1
+    (row,) = [
+        line
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith("| campaign_ms ")
+    ]
+    assert row.endswith("| 0/10 | 0 | 1/10 | 1 |")

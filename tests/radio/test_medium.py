@@ -207,6 +207,29 @@ class TestAttach:
         with pytest.raises(ValueError):
             medium.attach(old)
 
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_reattached_radio_is_delivered_to_last(self, sharded):
+        sched = Scheduler()
+        if sharded:
+            from repro.radio.shard import ShardedRfMedium
+
+            medium = ShardedRfMedium(sched, range_cutoff_m=10.0)
+        else:
+            medium = RfMedium(sched)
+        tx = Transceiver(medium, "tx", position=(0, 0))
+        order = []
+        a, b, c = (
+            Transceiver(medium, name, position=(3, 0)) for name in "abc"
+        )
+        for radio in (a, b, c):
+            radio.start_rx(lambda cap, t, name=radio.name: order.append(name))
+        medium.detach(a)
+        medium.attach(a)
+        medium.attach(b)  # already attached: keeps its place
+        tx.transmit(tone_baseband())
+        sched.run(0.01)
+        assert order == ["b", "c", "a"]
+
     def test_reattach_continues_the_stream_without_new_generators(self):
         _, medium = make_env()
         radio = Transceiver(medium, "rx", position=(0, 0))

@@ -15,7 +15,7 @@ byte for byte.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.chips.rzusbstick import Dot15d4Radio
@@ -48,11 +48,33 @@ tx_st = st.tuples(
     st.integers(0, 5),
 )
 
+#: (node index modulus, time in µs, step, tuning index): a scripted
+#: mid-schedule change to one radio.  Re-tuning re-indexes nothing on the
+#: sharded medium; detach and re-attach move a radio to the end of the
+#: delivery order on both media.
+step_st = st.tuples(
+    st.integers(0, 7),
+    st.integers(0, 1500),
+    st.sampled_from(["retune", "detach", "reattach"]),
+    st.integers(0, len(FREQUENCIES) - 1),
+)
+
 topology_st = st.tuples(
     st.lists(node_st, min_size=2, max_size=5),
     st.lists(tx_st, min_size=1, max_size=6),
     st.sampled_from([10.0, 15.0, 25.0]),
+    st.lists(step_st, max_size=4),
 )
+
+
+def _step(medium, radio, step, f_idx):
+    if step == "retune":
+        radio.tune(FREQUENCIES[f_idx])
+    elif step == "detach":
+        medium.detach(radio)
+    else:
+        medium.detach(radio)
+        medium.attach(radio)
 
 
 def _tone(duration: int, tone: int, center: float) -> IQSignal:
@@ -70,7 +92,7 @@ def _run_world(medium_factory, topology, chaos=None):
     and the trace is recorded verbatim — byte/sequence equality between
     two worlds implies decision equality everywhere downstream.
     """
-    nodes, transmissions, cutoff = topology
+    nodes, transmissions, cutoff, steps = topology
     with scoped() as (bus, registry):
         recorder = TraceRecorder(bus)
         scheduler = Scheduler()
@@ -101,6 +123,12 @@ def _run_world(medium_factory, topology, chaos=None):
             scheduler.schedule_at(
                 start_us * 1e-6,
                 lambda s=source, sig=signal: s.transmit(sig),
+            )
+        for node_mod, at_us, step, f_idx in steps:
+            radio = radios[node_mod % len(radios)]
+            scheduler.schedule_at(
+                at_us * 1e-6,
+                lambda r=radio, st=step, f=f_idx: _step(medium, r, st, f),
             )
         scheduler.run(0.01)
         trace = [
@@ -141,6 +169,15 @@ class TestCaptureByteIdentity:
 
     @settings(max_examples=60, deadline=None)
     @given(topology=topology_st)
+    # node-0 re-attached before node-2's frame: delivered after node-1.
+    @example(
+        topology=(
+            [(0, 0, 0), (1, 0, 0), (2, 0, 0)],
+            [(2, 500, 64, 0)],
+            10.0,
+            [(0, 100, "reattach", 0)],
+        )
+    )
     def test_captures_and_trace_identical(self, topology):
         dense = _run_world(_dense, topology)
         sharded = _run_world(_sharded, topology)

@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.experiments.fleet import run_fleet_campaign
 from repro.radio.scheduler import Scheduler
-from repro.radio.shard import ShardedRfMedium, _bucket_of
+from repro.radio.shard import ShardedRfMedium
 from repro.zigbee.fleet import build_fleet, make_fleet
 
 
@@ -72,5 +72,5 @@ def test_build_indexes_each_radio_once_and_never_reindexes(monkeypatch):
         for ns in pan.nodes:
             radio = fleet.nodes[ns.name].radio
             assert radio.channel == pan.channel
-            _, bucket = medium._radio_index[radio.transceiver]
-            assert bucket == _bucket_of(radio.transceiver.tuned_hz)
+            t = radio.transceiver
+            assert medium._radio_index[t] == medium.grid.cell_of(t.position)

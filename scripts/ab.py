@@ -11,12 +11,14 @@ committed yet.  Every pair runs ``fleetbench/run.py`` once per revision
 and workload on one seed, the two sides in alternating order, so a slow
 stretch of the host falls on both.  ``--table3 N`` also times N
 alternating pairs of one Table III cell
-(``benchmarks/perf/bench_table3_cell.py``).
+(``benchmarks/perf/bench_table3_cell.py``); the two cells of a pair must
+decode the same (valid, corrupted) tallies, or B's run counts as not
+correct.
 
 Per workload and metric the script prints each side's median and
 quartiles, the change of the medians, how many pairs B won, and whether
 the median gap is wider than A's interquartile range; each side's summed
-``failed``/``attempted`` campaigns and its count of runs not reported
+``failed``/``attempted`` campaigns and its count of runs not
 ``correct`` sit beside them, and the script exits 1 if any run was not
 correct.  Which direction is better comes from ``BENCHMARK.json``.  It
 only drives ``fleetbench/`` and ``BENCHMARK.json``; it never edits them.  ``--json FILE`` keeps every
@@ -36,11 +38,17 @@ import tempfile
 from pathlib import Path
 from typing import Dict, List, Tuple
 
+#: Times the bench's cell and records the (valid, corrupted) tallies of
+#: each of its repeats.
 TABLE3_CELL = (
     "import json\n"
-    "from benchmarks.perf.bench_table3_cell import bench_table3_cell\n"
-    "record = bench_table3_cell()[0]\n"
-    "print(json.dumps({'table3_cell_wall_clock': record.value}))\n"
+    "import benchmarks.perf.bench_table3_cell as bench\n"
+    "cells = []\n"
+    "run_cell = bench.run_table3_cell\n"
+    "bench.run_table3_cell = lambda *a, **k: cells.append(run_cell(*a, **k))\n"
+    "record = bench.bench_table3_cell()[0]\n"
+    "print(json.dumps({'metrics': {'table3_cell_wall_clock': record.value},\n"
+    "                  'tallies': [[c.valid, c.corrupted] for c in cells]}))\n"
 )
 
 
@@ -105,9 +113,10 @@ def _table3_cell(tree: Path) -> Dict:
         cwd=str(tree), capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=f"{tree / 'src'}:{tree}"),
     )
-    # The cell has no outcome check: it is correct when it completes.
-    metrics = json.loads(result.stdout.strip().splitlines()[-1])
-    return {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+    # A cell that completes is correct; _report compares its tallies with
+    # the other tree's.
+    run = json.loads(result.stdout.strip().splitlines()[-1])
+    return {"correct": True, "attempted": 1, "failed": 0, **run}
 
 
 def _run(label: str, tree: Path, args) -> Dict:
@@ -132,13 +141,21 @@ def _quartiles(values: List[float]) -> Tuple[float, float, float]:
 
 
 def _report(label: str, runs: Dict[str, List[Dict]], directions) -> int:
-    """Print *label*'s table; return how many of its runs were not correct."""
+    """Print *label*'s table; return how many of its runs were not correct.
+
+    A B run whose tallies differ from its pair's A run is not correct.
+    """
+    mismatched = sum(
+        a.get("tallies") != b.get("tallies") for a, b in zip(runs["a"], runs["b"])
+    )
     failures = {}
     incorrect = 0
     for side, side_runs in runs.items():
         failed = sum(run["failed"] for run in side_runs)
         attempted = sum(run["attempted"] for run in side_runs)
         wrong = sum(run["correct"] is not True for run in side_runs)
+        if side == "b":
+            wrong += mismatched
         failures[side] = f"{failed}/{attempted} | {wrong}"
         incorrect += wrong
     print(f"\n## {label}\n")

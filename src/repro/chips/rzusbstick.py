@@ -45,6 +45,10 @@ class ReceivedPsdu:
 
 PsduHandler = Callable[[ReceivedPsdu], None]
 
+#: Standard deviation of a native 802.15.4 radio's per-transmission carrier
+#: frequency error.  Every native radio transmits at 0 dBm.
+CFO_STD_HZ = 10e3
+
 
 class Dot15d4Radio:
     """A native 802.15.4 2.4 GHz radio, built tuned to *channel*."""
@@ -54,9 +58,7 @@ class Dot15d4Radio:
         medium: RfMedium,
         name: str = "802.15.4",
         position: Tuple[float, float] = (0.0, 0.0),
-        tx_power_dbm: float = 0.0,
         rng: Optional[np.random.Generator] = None,
-        cfo_std_hz: float = 10e3,
         channel: int = 11,
     ):
         self.name = name
@@ -68,8 +70,7 @@ class Dot15d4Radio:
             name=name,
             position=position,
             bandwidth_hz=2e6,
-            tx_power_dbm=tx_power_dbm,
-            cfo_std_hz=cfo_std_hz,
+            cfo_std_hz=CFO_STD_HZ,
             rng=rng,
             tuned_hz=channel_frequency_hz(channel),
         )
@@ -167,14 +168,6 @@ class RzUsbStick(Dot15d4Radio):
         medium: RfMedium,
         name: str = "RZUSBStick",
         position: Tuple[float, float] = (0.0, 0.0),
-        tx_power_dbm: float = 0.0,
         rng: Optional[np.random.Generator] = None,
     ):
-        super().__init__(
-            medium,
-            name=name,
-            position=position,
-            tx_power_dbm=tx_power_dbm,
-            rng=rng,
-            cfo_std_hz=10e3,
-        )
+        super().__init__(medium, name=name, position=position, rng=rng)

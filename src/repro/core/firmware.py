@@ -31,6 +31,10 @@ __all__ = ["RAW_FRAME_CAP", "ScanResult", "ReliableSendResult", "WazaBeeFirmware
 #: separately in :attr:`WazaBeeFirmware.raw_frames_seen`.
 RAW_FRAME_CAP = 4096
 
+#: How long :meth:`WazaBeeFirmware.send_frame_reliable` listens for an ACK
+#: after each attempt.
+RELIABLE_ACK_WAIT_S = 3e-3
+
 
 @dataclass
 class ScanResult:
@@ -96,16 +100,16 @@ class WazaBeeFirmware:
         frame: MacFrame,
         channel: int,
         max_attempts: int = 4,
-        ack_wait_s: float = 3e-3,
         on_result: Optional[Callable[[ReliableSendResult], None]] = None,
     ) -> None:
         """Repeat-until-acknowledged injection.
 
-        Transmits *frame* and listens for a matching 802.15.4 ACK; on
-        timeout the frame is retransmitted, up to *max_attempts* total
-        attempts.  *on_result* fires exactly once with the outcome.  The
-        firmware's single receiver is borrowed for the ACK window, so this
-        must not be interleaved with :meth:`start_sniffer`.
+        Transmits *frame* and listens for a matching 802.15.4 ACK; after
+        :data:`RELIABLE_ACK_WAIT_S` without one the frame is retransmitted,
+        up to *max_attempts* total attempts.  *on_result* fires exactly
+        once with the outcome.  The firmware's single receiver is borrowed
+        for the ACK window, so this must not be interleaved with
+        :meth:`start_sniffer`.
         """
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
@@ -168,7 +172,7 @@ class WazaBeeFirmware:
                     )
             self.receiver.start(channel, on_ack)
             self.send_frame(frame, channel)
-            state["timeout"] = self.scheduler.schedule(ack_wait_s, attempt)
+            state["timeout"] = self.scheduler.schedule(RELIABLE_ACK_WAIT_S, attempt)
 
         attempt()
 

@@ -237,15 +237,13 @@ def build_beacon(
     source: Address,
     sequence_number: int = 0,
     beacon_payload: bytes = b"",
-    association_permit: bool = True,
     pan_coordinator: bool = True,
 ) -> MacFrame:
     """A (non-beacon-enabled) beacon frame, as sent in answer to a request."""
-    superframe = 0x0F | (0x0F << 4)  # beacon order / superframe order = 15
+    # Beacon order = superframe order = 15; association permitted.
+    superframe = 0x0F | (0x0F << 4) | (1 << 15)
     if pan_coordinator:
         superframe |= 1 << 14
-    if association_permit:
-        superframe |= 1 << 15
     payload = superframe.to_bytes(2, "little")
     payload += bytes([0x00])  # GTS: none
     payload += bytes([0x00])  # pending addresses: none
@@ -268,13 +266,9 @@ def parse_beacon_payload(frame: MacFrame) -> Tuple[int, bytes]:
     return superframe, bytes(frame.payload[4:])
 
 
-def build_ack(sequence_number: int, frame_pending: bool = False) -> MacFrame:
-    """An immediate acknowledgement for *sequence_number*."""
-    return MacFrame(
-        frame_type=FrameType.ACK,
-        sequence_number=sequence_number,
-        frame_pending=frame_pending,
-    )
+def build_ack(sequence_number: int) -> MacFrame:
+    """An immediate acknowledgement for *sequence_number* (no frame pending)."""
+    return MacFrame(frame_type=FrameType.ACK, sequence_number=sequence_number)
 
 
 def build_data(

@@ -15,9 +15,14 @@ Link reliability (unslotted CSMA-CA + ACK-wait retransmission) follows
 ``0..2^BE-1`` unit periods, perform a clear-channel assessment against the
 medium's in-flight transmissions, and — when an acknowledgement was
 requested — are retransmitted up to ``macMaxFrameRetries`` times if no ACK
-arrives within ``macAckWaitDuration``.  :class:`MacConfig` exposes the PIB
-attributes; ``MacConfig.legacy()`` restores the historical fire-and-forget
-behaviour (no CSMA, no retries) for experiments that need raw timing.
+arrives within ``macAckWaitDuration``.  The PIB attributes are the
+standard's defaults, held as constants: :data:`MIN_BE` (macMinBE 3),
+:data:`MAX_BE` (macMaxBE 5), :data:`MAX_CSMA_BACKOFFS` (macMaxCSMABackoffs
+4), :data:`UNIT_BACKOFF_S` (aUnitBackoffPeriod, 20 symbols),
+:data:`MAX_FRAME_RETRIES` (macMaxFrameRetries 3) and
+:data:`ACK_WAIT_DURATION_S` (macAckWaitDuration, 54 symbols).
+:meth:`MacService.send_frame` is the single-shot path (no CSMA, no
+retries) for acknowledgements, beacons and injection.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from repro.obs import MAC_RETRY
 from repro.obs import metrics as _current_metrics
 from repro.obs import trace_bus as _current_bus
 
-__all__ = ["MacService", "MacStats", "MacConfig"]
+__all__ = ["MacService", "MacStats"]
 
 #: Acknowledgement turnaround (aTurnaroundTime, 12 symbol periods).
 ACK_TURNAROUND_S = 192e-6
@@ -52,33 +57,22 @@ BEACON_RESPONSE_DELAY_S = 2e-3
 #: One O-QPSK symbol period at 62.5 ksymbol/s.
 SYMBOL_PERIOD_S = 16e-6
 
+# The MAC PIB attributes governing link reliability (2.4 GHz PHY defaults).
+#: macMinBE: the backoff exponent of a frame's first CCA.
+MIN_BE = 3
+#: macMaxBE: the ceiling the exponent grows to on a busy channel.
+MAX_BE = 5
+#: macMaxCSMABackoffs: busy CCAs before a channel access failure.
+MAX_CSMA_BACKOFFS = 4
+#: aUnitBackoffPeriod (20 symbol periods).
+UNIT_BACKOFF_S = 20 * SYMBOL_PERIOD_S
+#: macMaxFrameRetries: retransmissions after a missed acknowledgement.
+MAX_FRAME_RETRIES = 3
+#: macAckWaitDuration (54 symbol periods).
+ACK_WAIT_DURATION_S = 54 * SYMBOL_PERIOD_S
+
 FrameHandler = Callable[[MacFrame], None]
 SendResultHandler = Callable[[int, bool], None]
-
-
-@dataclass(frozen=True)
-class MacConfig:
-    """The MAC PIB attributes governing link reliability.
-
-    Attributes mirror the standard: ``min_be``/``max_be`` bound the backoff
-    exponent, ``max_csma_backoffs`` is macMaxCSMABackoffs,
-    ``max_frame_retries`` is macMaxFrameRetries and ``ack_wait_duration_s``
-    is macAckWaitDuration (54 symbol periods for the 2.4 GHz PHY).
-    ``unit_backoff_s`` is aUnitBackoffPeriod (20 symbols).
-    """
-
-    csma_enabled: bool = True
-    min_be: int = 3
-    max_be: int = 5
-    max_csma_backoffs: int = 4
-    unit_backoff_s: float = 20 * SYMBOL_PERIOD_S
-    max_frame_retries: int = 3
-    ack_wait_duration_s: float = 54 * SYMBOL_PERIOD_S
-
-    @staticmethod
-    def legacy() -> "MacConfig":
-        """Pre-reliability behaviour: immediate single-shot transmission."""
-        return MacConfig(csma_enabled=False, max_frame_retries=0)
 
 
 @dataclass
@@ -125,20 +119,13 @@ class MacService:
         radio,
         address: Address,
         is_coordinator: bool = False,
-        beacon_payload: bytes = b"",
-        promiscuous: bool = False,
         security: Optional[SecurityContext] = None,
-        config: Optional[MacConfig] = None,
-        rng: Optional[np.random.Generator] = None,
     ):
         self.radio = radio
         self.address = address
         self.is_coordinator = is_coordinator
-        self.beacon_payload = beacon_payload
-        self.promiscuous = promiscuous
         self.security = security
-        self.config = config if config is not None else MacConfig()
-        self._rng = rng
+        self._rng: Optional[np.random.Generator] = None
         self._rng_seed = (address.pan_id << 20) ^ address.address ^ 0xC5A3
         self.stats = MacStats()
         self.trace = _current_bus()
@@ -251,15 +238,12 @@ class MacService:
         self._tx_busy = True
         pending = self._tx_queue[0]
         pending.nb = 0
-        pending.be = self.config.min_be
+        pending.be = MIN_BE
         self._csma_attempt(pending)
 
     def _csma_attempt(self, pending: _PendingTx) -> None:
-        if not self.config.csma_enabled:
-            self._transmit_pending(pending)
-            return
         slots = int(self.rng.integers(0, 2 ** pending.be))
-        delay = slots * self.config.unit_backoff_s
+        delay = slots * UNIT_BACKOFF_S
         self._scheduler.schedule(delay, lambda: self._cca(pending))
 
     def _cca(self, pending: _PendingTx) -> None:
@@ -273,8 +257,8 @@ class MacService:
         self.stats.csma_backoffs += 1
         self.metrics.counter("mac.csma_backoffs").inc()
         pending.nb += 1
-        pending.be = min(pending.be + 1, self.config.max_be)
-        if pending.nb > self.config.max_csma_backoffs:
+        pending.be = min(pending.be + 1, MAX_BE)
+        if pending.nb > MAX_CSMA_BACKOFFS:
             self.stats.channel_access_failures += 1
             self.stats.drops += 1
             self.metrics.counter("mac.channel_access_failures").inc()
@@ -295,7 +279,7 @@ class MacService:
             return
         self._awaiting_seq = pending.frame.sequence_number
         self._ack_wait_handle = self._scheduler.schedule(
-            airtime + self.config.ack_wait_duration_s,
+            airtime + ACK_WAIT_DURATION_S,
             lambda: self._ack_timeout(pending),
         )
 
@@ -304,7 +288,7 @@ class MacService:
         self._awaiting_seq = None
         self.stats.ack_timeouts += 1
         self.metrics.counter("mac.ack_timeouts").inc()
-        if pending.retries < self.config.max_frame_retries:
+        if pending.retries < MAX_FRAME_RETRIES:
             pending.retries += 1
             self.stats.retries += 1
             self.metrics.counter("mac.retries").inc()
@@ -318,7 +302,7 @@ class MacService:
                     attempt=pending.retries + 1,
                 )
             pending.nb = 0
-            pending.be = self.config.min_be
+            pending.be = MIN_BE
             self._csma_attempt(pending)
             return
         self.stats.drops += 1
@@ -366,7 +350,7 @@ class MacService:
             if self._ack_handler is not None:
                 self._ack_handler(frame.sequence_number)
             return
-        if not self.promiscuous and not self._accepts(frame):
+        if not self._accepts(frame):
             return
         # Acknowledge before duplicate rejection: a retransmission whose
         # original ACK was lost must be re-acknowledged or the sender would
@@ -456,7 +440,6 @@ class MacService:
             beacon = build_beacon(
                 source=self.address,
                 sequence_number=self.next_sequence(),
-                beacon_payload=self.beacon_payload,
                 pan_coordinator=True,
             )
             self.radio.transmit_frame(beacon)

@@ -58,16 +58,6 @@ class FaultStats:
     captures_sample_dropped: int = 0
     captures_cfo_shifted: int = 0
 
-    def total_faults(self) -> int:
-        return (
-            self.bursts_injected
-            + self.deliveries_dropped
-            + self.deliveries_duplicated
-            + self.captures_truncated
-            + self.captures_sample_dropped
-            + self.captures_cfo_shifted
-        )
-
 
 class _JammerSource:
     """Phantom transmitter the scripted bursts are attributed to.

@@ -145,8 +145,9 @@ class BufferPool:
     cannot pin memory forever.
     """
 
-    def __init__(self, max_per_class: int = 8):
-        self.max_per_class = max_per_class
+    max_per_class = 8
+
+    def __init__(self):
         self._free: Dict[Tuple[int, ...], List[np.ndarray]] = {}
         self.hits = 0
         self.misses = 0
@@ -692,15 +693,6 @@ class RfMedium:
         """Hook: transmissions outside *live* left the superposition list."""
 
     # -- introspection ---------------------------------------------------------
-    @property
-    def active_transmissions(self) -> List[Transmission]:
-        now = self.scheduler.now
-        return [
-            tx
-            for tx in self._transmissions
-            if tx.start_time <= now <= tx.end_time
-        ]
-
     def channel_busy(self, radio: "Transceiver") -> bool:
         """Clear-channel assessment for *radio*'s current tuning.
 

@@ -28,6 +28,10 @@ __all__ = ["StackedReceiver", "Transceiver"]
 
 CaptureHandler = Callable[[IQSignal, Transmission], None]
 
+#: Length of every transceiver's receive channel filter (odd, so that
+#: ``apply_filter``'s integer group-delay trim is exact).
+RX_FILTER_TAPS = 49
+
 
 class StackedReceiver(Protocol):
     """A receiver that decodes its capture as one row of a stack.
@@ -90,7 +94,6 @@ class Transceiver:
         tx_power_dbm: float = 0.0,
         cfo_std_hz: float = 0.0,
         rng: Optional[np.random.Generator] = None,
-        rx_filter_taps: int = 49,
         tuned_hz: float = 2440e6,
     ):
         self.medium = medium
@@ -109,7 +112,7 @@ class Transceiver:
         self._filter = fir_lowpass(
             cutoff_hz=bandwidth_hz * 0.65,
             sample_rate=medium.sample_rate,
-            num_taps=rx_filter_taps,
+            num_taps=RX_FILTER_TAPS,
         )
         # Grow-only sample-index ramp for the per-transmission CFO
         # rotation; frames are near-constant length, so steady-state

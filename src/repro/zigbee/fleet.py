@@ -100,15 +100,6 @@ class FleetSpec:
     def num_nodes(self) -> int:
         return sum(len(pan.nodes) for pan in self.pans)
 
-    @property
-    def diameter_m(self) -> float:
-        """An upper bound on the largest pairwise node distance."""
-        xs = [n.position[0] for pan in self.pans for n in pan.nodes]
-        ys = [n.position[1] for pan in self.pans for n in pan.nodes]
-        if not xs:
-            return 0.0
-        return math.hypot(max(xs) - min(xs), max(ys) - min(ys))
-
 
 def make_fleet(
     num_nodes: int = 24,

@@ -5,7 +5,7 @@ import pytest
 
 from repro.chips.rzusbstick import Dot15d4Radio
 from repro.dot15d4.frames import Address
-from repro.dot15d4.mac import MacConfig, MacService
+from repro.dot15d4.mac import MAX_FRAME_RETRIES, MacService
 from repro.faults import DropoutWindow, FaultInjector, FaultPlan
 
 PAN = 0x1234
@@ -91,16 +91,6 @@ class TestCsma:
         assert mac_a.stats.csma_backoffs == 0
         assert mac_a.stats.sent_frames == 1
 
-    def test_legacy_config_transmits_immediately(self, quiet_medium):
-        radio_a = Dot15d4Radio(
-            quiet_medium, name="a", position=(0, 0), rng=np.random.default_rng(1)
-        )
-        mac_a = MacService(radio_a, address=ADDR_A, config=MacConfig.legacy())
-        mac_a.start()
-        mac_a.send_data(ADDR_B, b"now", ack=False)
-        # Legacy mode transmits synchronously inside send_data.
-        assert mac_a.stats.sent_frames == 1
-
     def test_queued_frames_sent_in_order(self, pair):
         mac_a, mac_b, sched = pair
         got = []
@@ -122,11 +112,11 @@ class TestRetransmission:
         )
         sched.run(0.5)
         assert results == [(seq, False)]
-        assert mac_a.stats.retries == mac_a.config.max_frame_retries
-        assert mac_a.stats.ack_timeouts == mac_a.config.max_frame_retries + 1
+        assert mac_a.stats.retries == MAX_FRAME_RETRIES
+        assert mac_a.stats.ack_timeouts == MAX_FRAME_RETRIES + 1
         assert mac_a.stats.drops == 1
         # One initial attempt plus every retry went out on the air.
-        assert mac_a.stats.sent_frames == mac_a.config.max_frame_retries + 1
+        assert mac_a.stats.sent_frames == MAX_FRAME_RETRIES + 1
 
     def test_lost_ack_triggers_retransmission_and_reack(
         self, quiet_medium, scheduler
@@ -146,9 +136,8 @@ class TestRetransmission:
         radio_b = Dot15d4Radio(
             quiet_medium, name="b", position=(2, 0), rng=np.random.default_rng(2)
         )
-        config = MacConfig(max_frame_retries=5)
-        mac_a = MacService(radio_a, address=ADDR_A, config=config)
-        mac_b = MacService(radio_b, address=ADDR_B, config=config)
+        mac_a = MacService(radio_a, address=ADDR_A)
+        mac_b = MacService(radio_b, address=ADDR_B)
         mac_a.start()
         mac_b.start()
         got = []

@@ -115,10 +115,6 @@ class TestFirLowpass:
         with pytest.raises(ValueError, match="odd"):
             fir_lowpass(1e6, 16e6, num_taps=48)
 
-    def test_even_taps_rejected_by_transceiver(self, quiet_medium):
-        with pytest.raises(ValueError, match="odd"):
-            Transceiver(quiet_medium, name="even", rx_filter_taps=48)
-
 
 def _noise(shape, seed=0, dtype=np.complex128):
     rng = np.random.default_rng(seed)

@@ -60,3 +60,32 @@ def test_failed_and_incorrect_runs_are_counted_per_side(capsys):
         if line.startswith("| campaign_ms ")
     ]
     assert row.endswith("| 0/10 | 0 | 1/10 | 1 |")
+
+
+def _cell(wall_ms, valid, corrupted):
+    return {
+        "correct": True,
+        "attempted": 1,
+        "failed": 0,
+        "metrics": {"table3_cell_wall_clock": wall_ms},
+        "tallies": [[valid, corrupted]],
+    }
+
+
+def test_table3_cells_must_decode_the_same_frames(capsys):
+    ab = _load_ab()
+    runs = {
+        "a": [_cell(70.0, 24, 1), _cell(71.0, 24, 1)],
+        # B's second cell decodes one frame fewer.
+        "b": [_cell(69.0, 24, 1), _cell(68.0, 23, 1)],
+    }
+    directions = {"table3_cell_wall_clock": "lower"}
+    assert ab._report("table3_cell", runs, directions) == 1
+    (row,) = [
+        line
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith("| table3_cell_wall_clock ")
+    ]
+    assert row.endswith("| 0/2 | 0 | 0/2 | 1 |")
+    runs["b"][1] = _cell(68.0, 24, 1)
+    assert ab._report("table3_cell", runs, directions) == 0

@@ -12,8 +12,8 @@ The contract under test:
 import numpy as np
 
 from repro.chips.rzusbstick import Dot15d4Radio
-from repro.dot15d4.frames import Address
-from repro.dot15d4.mac import MacConfig, MacService
+from repro.dot15d4.frames import Address, build_data
+from repro.dot15d4.mac import MacService
 from repro.faults import (
     CollisionBurst,
     DropoutWindow,
@@ -47,8 +47,12 @@ CHAOS_PLAN = FaultPlan(
 )
 
 
-def run_exchange(fault_plan=None, num_frames=5, seed=0, config=None):
-    """One seeded A→B exchange; returns everything observable about it."""
+def run_exchange(fault_plan=None, num_frames=5, seed=0, single_shot=False):
+    """One seeded A→B exchange; returns everything observable about it.
+
+    With *single_shot* every frame goes out once, at t=0, through
+    ``MacService.send_frame``: no CSMA, no retransmission.
+    """
     scheduler = Scheduler()
     medium = RfMedium(
         scheduler,
@@ -63,8 +67,8 @@ def run_exchange(fault_plan=None, num_frames=5, seed=0, config=None):
     radio_b = Dot15d4Radio(medium, name="b", position=(2, 0))
     radio_a.set_channel(14)
     radio_b.set_channel(14)
-    mac_a = MacService(radio_a, address=ADDR_A, config=config)
-    mac_b = MacService(radio_b, address=ADDR_B, config=config)
+    mac_a = MacService(radio_a, address=ADDR_A)
+    mac_b = MacService(radio_b, address=ADDR_B)
     mac_a.start()
     mac_b.start()
     received = []
@@ -84,7 +88,18 @@ def run_exchange(fault_plan=None, num_frames=5, seed=0, config=None):
             ),
         )
 
-    send_next()
+    if single_shot:
+        for index in range(num_frames):
+            mac_a.send_frame(
+                build_data(
+                    source=ADDR_A,
+                    destination=ADDR_B,
+                    payload=b"frame-%d" % index,
+                    sequence_number=mac_a.next_sequence(),
+                )
+            )
+    else:
+        send_next()
     scheduler.run(1.0)
     return {
         "received": tuple(received),
@@ -127,9 +142,7 @@ class TestChaosSurvival:
     def test_legacy_mac_fails_under_the_same_chaos(self):
         """The same plan defeats the fire-and-forget MAC — the reliability
         layer, not luck, is what the test above measures."""
-        run = run_exchange(
-            fault_plan=CHAOS_PLAN, num_frames=1, config=MacConfig.legacy()
-        )
+        run = run_exchange(fault_plan=CHAOS_PLAN, num_frames=1, single_shot=True)
         assert run["received"] == ()
 
     def test_jammer_profile_engages_cca(self):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.chips.rzusbstick import Dot15d4Radio
-from repro.dot15d4.frames import Address
-from repro.dot15d4.mac import MacConfig, MacService
+from repro.dot15d4.frames import Address, build_data
+from repro.dot15d4.mac import MacService
 from repro.faults import (
     CaptureTruncation,
     CfoStep,
@@ -22,18 +22,32 @@ ADDR_A = Address(pan_id=PAN, address=0x0001)
 ADDR_B = Address(pan_id=PAN, address=0x0002)
 
 
-def make_pair(medium, config=None):
+def make_pair(medium):
     radio_a = Dot15d4Radio(
         medium, name="a", position=(0, 0), rng=np.random.default_rng(1)
     )
     radio_b = Dot15d4Radio(
         medium, name="b", position=(2, 0), rng=np.random.default_rng(2)
     )
-    mac_a = MacService(radio_a, address=ADDR_A, config=config)
-    mac_b = MacService(radio_b, address=ADDR_B, config=config)
+    mac_a = MacService(radio_a, address=ADDR_A)
+    mac_b = MacService(radio_b, address=ADDR_B)
     mac_a.start()
     mac_b.start()
     return mac_a, mac_b
+
+
+def send_once(mac, payload):
+    """One data frame to B on the single-shot path: no CSMA, no ACK, no
+    retry, so each fault meets exactly one transmission at t = 0."""
+    mac.send_frame(
+        build_data(
+            source=mac.address,
+            destination=ADDR_B,
+            payload=payload,
+            sequence_number=mac.next_sequence(),
+            ack_request=False,
+        )
+    )
 
 
 class TestInstallation:
@@ -81,10 +95,10 @@ class TestDeliveryFaults:
             FaultPlan(dropouts=(DropoutWindow(start_s=0.0, end_s=1.0),))
         )
         quiet_medium.install_fault_injector(injector)
-        mac_a, mac_b = make_pair(quiet_medium, config=MacConfig.legacy())
+        mac_a, mac_b = make_pair(quiet_medium)
         got = []
         mac_b.on_data(got.append)
-        mac_a.send_data(ADDR_B, b"lost", ack=False)
+        send_once(mac_a, b"lost")
         scheduler.run(0.01)
         assert got == []
         assert injector.stats.deliveries_dropped >= 1
@@ -96,10 +110,10 @@ class TestDeliveryFaults:
             )
         )
         quiet_medium.install_fault_injector(injector)
-        mac_a, mac_b = make_pair(quiet_medium, config=MacConfig.legacy())
+        mac_a, mac_b = make_pair(quiet_medium)
         got = []
         mac_b.on_data(got.append)
-        mac_a.send_data(ADDR_B, b"fine", ack=False)
+        send_once(mac_a, b"fine")
         scheduler.run(0.01)
         assert len(got) == 1
 
@@ -110,10 +124,10 @@ class TestDeliveryFaults:
             FaultPlan(duplication=DeliveryDuplication(every_nth=1))
         )
         quiet_medium.install_fault_injector(injector)
-        mac_a, mac_b = make_pair(quiet_medium, config=MacConfig.legacy())
+        mac_a, mac_b = make_pair(quiet_medium)
         got = []
         mac_b.on_data(got.append)
-        mac_a.send_data(ADDR_B, b"twice", ack=False)
+        send_once(mac_a, b"twice")
         scheduler.run(0.01)
         assert len(got) == 1
         assert mac_b.stats.duplicates >= 1
@@ -128,10 +142,10 @@ class TestCaptureFaults:
             )
         )
         quiet_medium.install_fault_injector(injector)
-        mac_a, mac_b = make_pair(quiet_medium, config=MacConfig.legacy())
+        mac_a, mac_b = make_pair(quiet_medium)
         got = []
         mac_b.on_data(got.append)
-        mac_a.send_data(ADDR_B, b"chopped", ack=False)
+        send_once(mac_a, b"chopped")
         scheduler.run(0.01)
         assert got == []
         assert injector.stats.captures_truncated >= 1
@@ -144,8 +158,8 @@ class TestCaptureFaults:
             )
         )
         quiet_medium.install_fault_injector(injector)
-        mac_a, mac_b = make_pair(quiet_medium, config=MacConfig.legacy())
-        mac_a.send_data(ADDR_B, b"gappy", ack=False)
+        mac_a, mac_b = make_pair(quiet_medium)
+        send_once(mac_a, b"gappy")
         scheduler.run(0.01)
         assert injector.stats.captures_sample_dropped >= 1
 
@@ -154,10 +168,10 @@ class TestCaptureFaults:
             FaultPlan(cfo_steps=(CfoStep(at_s=0.0, offset_hz=800e3),))
         )
         quiet_medium.install_fault_injector(injector)
-        mac_a, mac_b = make_pair(quiet_medium, config=MacConfig.legacy())
+        mac_a, mac_b = make_pair(quiet_medium)
         got = []
         mac_b.on_data(got.append)
-        mac_a.send_data(ADDR_B, b"detuned", ack=False)
+        send_once(mac_a, b"detuned")
         scheduler.run(0.01)
         assert got == []
         assert injector.stats.captures_cfo_shifted >= 1

@@ -94,7 +94,6 @@ class TestLazyStreams:
         assert Transceiver(medium, "a", rng=rng).rng is rng
         radio = Dot15d4Radio(medium, name="b", rng=rng)
         assert radio.rng is rng
-        assert MacService(radio, Address(1, 2), rng=rng).rng is rng
 
     def test_a_chip_and_its_transceiver_share_one_generator(self):
         medium = make_medium()

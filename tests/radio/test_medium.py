@@ -152,15 +152,6 @@ class TestDelivery:
         level = 10 * np.log10(capture.power())
         assert level == pytest.approx(-90.0, abs=1.5)
 
-    def test_active_transmissions_tracked(self):
-        sched, medium = make_env()
-        tx = Transceiver(medium, "tx", position=(0, 0))
-        tx.tune(2440e6)
-        tx.transmit(tone_baseband())
-        assert len(medium.active_transmissions) == 1
-        sched.run(1.0)
-        assert medium.active_transmissions == []
-
     def test_detach_stops_delivery(self):
         sched, medium = make_env()
         tx = Transceiver(medium, "tx", position=(0, 0))

@@ -86,11 +86,11 @@ class TestBufferPool:
         assert pool.hits == 1 and pool.misses == 1
 
     def test_class_cap_bounds_memory(self):
-        pool = BufferPool(max_per_class=2)
-        bufs = [pool.acquire(16) for _ in range(5)]
+        pool = BufferPool()
+        bufs = [pool.acquire(16) for _ in range(BufferPool.max_per_class + 3)]
         for buf in bufs:
             pool.release(buf)
-        assert pool.pooled == 2
+        assert pool.pooled == BufferPool.max_per_class
 
     def test_views_are_not_pooled(self):
         pool = BufferPool()

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from repro.chips.rzusbstick import Dot15d4Radio
-from repro.dot15d4.frames import Address
-from repro.dot15d4.mac import MacConfig, MacService
+from repro.dot15d4.frames import Address, build_data
+from repro.dot15d4.mac import MacService
 from repro.dsp.signal import IQSignal
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
@@ -312,8 +312,9 @@ class TestFaultedStacks:
 
 
 def _mac_world(factory, plan=None, batteries=None):
-    """Dot15d4 nodes on legacy MACs (no CSMA): the router forwards each
-    report the moment it decodes it, inside the other nodes' captures."""
+    """Dot15d4 nodes on the CSMA-CA MAC: the router forwards each report
+    through the single-shot ``send_frame`` the moment it decodes it,
+    inside the other nodes' captures."""
 
     def world():
         with scoped() as (bus, registry):
@@ -334,11 +335,7 @@ def _mac_world(factory, plan=None, batteries=None):
             for i, (name, position) in enumerate(places.items()):
                 radio = Dot15d4Radio(medium, name=name, position=position)
                 radio.set_channel(11)
-                mac = MacService(
-                    radio,
-                    Address(0x1234, 0x10 + i),
-                    config=MacConfig.legacy(),
-                )
+                mac = MacService(radio, Address(0x1234, 0x10 + i))
                 mac.on_any_frame(
                     lambda frame, name=name: frames.append(
                         (name, scheduler.now, frame.to_bytes())
@@ -353,8 +350,14 @@ def _mac_world(factory, plan=None, batteries=None):
                 macs[name] = mac
             router, coordinator = macs["router"], macs["coordinator"]
             router.on_data(
-                lambda frame: router.send_data(
-                    coordinator.address, frame.payload, ack=False
+                lambda frame: router.send_frame(
+                    build_data(
+                        source=router.address,
+                        destination=coordinator.address,
+                        payload=frame.payload,
+                        sequence_number=router.next_sequence(),
+                        ack_request=False,
+                    )
                 )
             )
             for k in range(6):

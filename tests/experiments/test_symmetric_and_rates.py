@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.experiments.ablations import data_rate_requirement_check
+from repro.experiments.ablations import (
+    DataRateCheck,
+    data_rate_requirement_check,
+)
 from repro.experiments.symmetric import attempt_symmetric_pivot
+from repro.obs import scoped
 
 
 class TestSymmetricPivot:
@@ -26,6 +30,19 @@ class TestSymmetricPivot:
 
 class TestDataRateRequirement:
     def test_le2m_works_le1m_does_not(self):
-        check = data_rate_requirement_check(frames=5, seed=2)
+        with scoped() as (_bus, registry):
+            check = data_rate_requirement_check(frames=5, seed=2)
         assert check.le2m_received == check.frames
         assert check.le1m_received == 0
+        # Pinned: a change to how the bench is built or driven must not
+        # move this check's numbers or its counters.
+        assert check == DataRateCheck(
+            le2m_received=5, le1m_received=0, frames=5
+        )
+        assert registry.counter_values() == {
+            "medium.deliveries.delivered": 10,
+            "medium.deliveries.scheduled": 10,
+            "medium.transmissions": 10,
+            "scheduler.events": 10,
+            "tx.frames": 10,
+        }

@@ -8,6 +8,7 @@ duplicates, SIGTERM-style drains must leave a loadable spool, and
 ``--replay`` must reproduce the recorded frame stream byte-for-byte.
 """
 
+import hashlib
 import threading
 import time
 
@@ -20,7 +21,8 @@ from repro.serve import (
     SnifferServer,
     SpoolReader,
 )
-from repro.serve.codec import decode_jsonl
+from repro.serve.codec import decode_jsonl, encode_jsonl
+from repro.serve.source import SimWorldSource
 
 #: Generous wall-clock ceiling: a deadlock anywhere in the pipeline
 #: fails these tests by timeout instead of hanging the suite.
@@ -88,6 +90,21 @@ class TestCleanRun:
             assert counters["firmware.raw_frames"] == 25
             # Delivered seqs are the full production, in order.
             assert [f["seq"] for f in _frames_of(sink)] == list(range(25))
+        # Pinned: the first 20 frame records the world publishes at seed 1
+        # (times, PSDUs, FCS verdicts, chip distances), so a change to how
+        # the bench is built or driven cannot move the stream unnoticed.
+        records = []
+        with scoped():
+            SimWorldSource(
+                ServeConfig(seed=1, frames=20, forward_trace=False),
+                records.append,
+            ).run(threading.Event())
+        frames = [r for r in records if r["type"] == "frame"]
+        assert len(frames) == 20
+        digest = hashlib.sha256(b"".join(map(encode_jsonl, frames)))
+        assert digest.hexdigest() == (
+            "d21fb1621ce389e373a87aecca9b86f9f3bdf73149db4483aa3213b3ccd7ac5a"
+        )
 
     def test_trace_records_are_forwarded_until_shed(self):
         with scoped():

@@ -30,7 +30,7 @@ def test_requirement_data_rate(benchmark, report):
 
 def test_energy_depletion_on_secured_network(benchmark, report):
     """Ghost-in-Zigbee over the pivot, with link-layer crypto enabled."""
-    from repro.attacks.energy_depletion import EnergyDepletionAttack
+    from repro.attacks.energy_depletion import FleetDepletionAttack
     from repro.chips import Nrf52832
     from repro.core.firmware import WazaBeeFirmware
     from repro.dot15d4.frames import Address
@@ -59,9 +59,9 @@ def test_energy_depletion_on_secured_network(benchmark, report):
         if attack:
             chip = Nrf52832(medium, position=(0, 0), rng=np.random.default_rng(3))
             firmware = WazaBeeFirmware(chip, scheduler)
-            EnergyDepletionAttack(
+            FleetDepletionAttack(
                 firmware,
-                target=SENSOR,
+                targets=[SENSOR],
                 spoofed_source=Address(pan_id=0x1234, address=0x99),
                 channel=14,
                 rate_hz=40.0,

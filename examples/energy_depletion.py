@@ -14,7 +14,7 @@ Run:  python examples/energy_depletion.py
 
 import numpy as np
 
-from repro.attacks.energy_depletion import EnergyDepletionAttack
+from repro.attacks.energy_depletion import FleetDepletionAttack
 from repro.chips import Nrf52832
 from repro.core.firmware import WazaBeeFirmware
 from repro.dot15d4.frames import Address
@@ -45,9 +45,9 @@ def run(attack: bool, duration_s: float = 30.0) -> Battery:
     if attack:
         chip = Nrf52832(medium, position=(0, 0), rng=np.random.default_rng(3))
         firmware = WazaBeeFirmware(chip, scheduler)
-        EnergyDepletionAttack(
+        FleetDepletionAttack(
             firmware,
-            target=SENSOR,
+            targets=[SENSOR],
             spoofed_source=Address(pan_id=0x1234, address=0x99),
             channel=14,
             rate_hz=40.0,

@@ -10,10 +10,10 @@ directory is used as it is, so ``.`` compares a working tree that is not
 committed yet.  Every pair runs ``fleetbench/run.py`` once per revision
 and workload on one seed, the two sides in alternating order, so a slow
 stretch of the host falls on both.  ``--table3 N`` also times N
-alternating pairs of one Table III cell
-(``benchmarks/perf/bench_table3_cell.py``); the two cells of a pair must
-decode the same (valid, corrupted) tallies, or B's run counts as not
-correct.
+alternating pairs of one Table III cell (nRF52832, ``rx``, channel 14,
+100 frames, seed 1; each run is the median of five readings after a
+warm-up); the two cells of a pair must decode the same (valid,
+corrupted) tallies, or B's run counts as not correct.
 
 Per workload and metric the script prints each side's median and
 quartiles, the change of the medians, how many pairs B won, and whether
@@ -38,17 +38,24 @@ import tempfile
 from pathlib import Path
 from typing import Dict, List, Tuple
 
-#: Times the bench's cell and records the (valid, corrupted) tallies of
-#: each of its repeats.
+#: Times one 100-frame Table III cell five times after a warm-up (the
+#: process-wide waveform and filter caches), reports the median, and
+#: records each reading's (valid, corrupted) tallies.
 TABLE3_CELL = (
-    "import json\n"
-    "import benchmarks.perf.bench_table3_cell as bench\n"
-    "cells = []\n"
-    "run_cell = bench.run_table3_cell\n"
-    "bench.run_table3_cell = lambda *a, **k: cells.append(run_cell(*a, **k))\n"
-    "record = bench.bench_table3_cell()[0]\n"
-    "print(json.dumps({'metrics': {'table3_cell_wall_clock': record.value},\n"
-    "                  'tallies': [[c.valid, c.corrupted] for c in cells]}))\n"
+    "import json, statistics, time\n"
+    "from repro.experiments.table3 import run_table3_cell\n"
+    "def cell():\n"
+    "    return run_table3_cell('nRF52832', 'rx', channel=14, frames=100, seed=1)\n"
+    "cell()\n"
+    "readings, tallies = [], []\n"
+    "for _ in range(5):\n"
+    "    start = time.perf_counter()\n"
+    "    c = cell()\n"
+    "    readings.append((time.perf_counter() - start) * 1e3)\n"
+    "    tallies.append([c.valid, c.corrupted])\n"
+    "print(json.dumps({'metrics': {'table3_cell_wall_clock':\n"
+    "                              statistics.median(readings)},\n"
+    "                  'tallies': tallies}))\n"
 )
 
 

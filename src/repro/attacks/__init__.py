@@ -12,10 +12,7 @@
   service) → fake data injection.
 """
 
-from repro.attacks.energy_depletion import (
-    EnergyDepletionAttack,
-    FleetDepletionAttack,
-)
+from repro.attacks.energy_depletion import FleetDepletionAttack
 from repro.attacks.scenario_a import SmartphoneInjectionAttack, forge_advertising_data
 from repro.attacks.scenario_b import AttackPhase, TrackerAttack
 
@@ -24,6 +21,5 @@ __all__ = [
     "SmartphoneInjectionAttack",
     "TrackerAttack",
     "AttackPhase",
-    "EnergyDepletionAttack",
     "FleetDepletionAttack",
 ]

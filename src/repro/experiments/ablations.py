@@ -19,7 +19,7 @@ Each function isolates one knob the paper discusses:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +29,8 @@ from repro.core.tables import default_table
 from repro.dot15d4.frames import Address, build_data
 from repro.dsp.gfsk import FskDemodulator, FskModulator, GfskConfig
 from repro.dsp.msk import chips_to_transitions, transitions_to_chips
-from repro.experiments.environment import TestbedProfile, build_testbed
+from repro.experiments.environment import TestbedProfile, build_bench
+from repro.experiments.table3 import ChannelResult
 from repro.phy.ieee802154 import PN_SEQUENCES
 
 __all__ = [
@@ -138,38 +139,22 @@ def esb_fallback_comparison(
     seed: int = 0,
 ) -> FallbackComparison:
     """Reception success of nRF52832 (LE 2M) vs nRF51822 (ESB fallback)."""
-    from repro.chips import Nrf51822, Nrf52832, RzUsbStick
-    from repro.core.firmware import WazaBeeFirmware
+    from repro.chips import Nrf51822, Nrf52832
 
+    if frames < 1:
+        raise ValueError("frames must be >= 1")
+    src = Address(pan_id=0x1234, address=1)
+    dst = Address(pan_id=0x1234, address=2)
     rates = {}
     for label, factory in (("le2m", Nrf52832), ("esb", Nrf51822)):
-        testbed = build_testbed(profile, seed=seed)
-        chip = factory(
-            testbed.medium,
-            position=testbed.attacker_position,
-            rng=testbed.device_rng(1),
-        )
-        reference = RzUsbStick(
-            testbed.medium,
-            position=testbed.reference_position,
-            rng=testbed.device_rng(2),
-        )
-        reference.set_channel(channel)
-        firmware = WazaBeeFirmware(chip, testbed.scheduler)
-        valid = 0
-        seen: List[bytes] = []
-        firmware.start_sniffer(
-            channel, lambda f, d: seen.append(d.psdu) if d.fcs_ok else None
-        )
-        src = Address(pan_id=0x1234, address=1)
-        dst = Address(pan_id=0x1234, address=2)
+        bench = build_bench(factory, "rx", channel, profile, seed=seed)
+        cell = ChannelResult(channel=channel)
         for i in range(frames):
-            seen.clear()
-            frame = build_data(src, dst, bytes([0x42, i & 0xFF]), sequence_number=i & 0xFF)
-            reference.transmit_frame(frame)
-            testbed.scheduler.run(2e-3)
-            valid += int(frame.to_bytes() in seen)
-        rates[label] = valid / frames
+            frame = build_data(
+                src, dst, bytes([0x42, i & 0xFF]), sequence_number=i & 0xFF
+            )
+            cell.tally(bench.slot(frame), frame.to_bytes())
+        rates[label] = cell.valid_rate
     return FallbackComparison(
         le2m_valid_rate=rates["le2m"], esb_valid_rate=rates["esb"], frames=frames
     )
@@ -207,41 +192,22 @@ def data_rate_requirement_check(
     the former — at 1 Mbit/s every chip period is stretched to 2·Tc and the
     chip clock never matches.
     """
-    from repro.chips import Nrf52832, RzUsbStick
-    from repro.core.firmware import WazaBeeFirmware
+    from repro.chips import Nrf52832
 
+    if frames < 1:
+        raise ValueError("frames must be >= 1")
+    src = Address(pan_id=0x1234, address=1)
+    dst = Address(pan_id=0x1234, address=2)
     results = {}
     for label, use_2m in (("le2m", True), ("le1m", False)):
-        testbed = build_testbed(seed=seed)
-        chip = Nrf52832(
-            testbed.medium,
-            position=testbed.attacker_position,
-            rng=testbed.device_rng(1),
-        )
-        reference = RzUsbStick(
-            testbed.medium,
-            position=testbed.reference_position,
-            rng=testbed.device_rng(2),
-        )
-        reference.set_channel(channel)
-        received: List[bytes] = []
-        reference.start_rx(
-            lambda r: received.append(r.psdu) if r.fcs_ok else None
-        )
-        firmware = WazaBeeFirmware(chip, testbed.scheduler)
-        firmware.transmitter.configure(channel)
+        bench = build_bench(Nrf52832, "tx", channel, seed=seed)
         if not use_2m:
-            chip.set_data_rate_1m()  # violate the requirement
-        count = 0
-        src = Address(pan_id=0x1234, address=1)
-        dst = Address(pan_id=0x1234, address=2)
+            bench.chip.set_data_rate_1m()  # violate the requirement
+        cell = ChannelResult(channel=channel)
         for i in range(frames):
             frame = build_data(src, dst, bytes([i]), sequence_number=i)
-            firmware.transmitter.transmit(frame)
-            testbed.scheduler.run(2e-3)
-            count += int(frame.to_bytes() in received)
-            received.clear()
-        results[label] = count
+            cell.tally(bench.slot(frame), frame.to_bytes())
+        results[label] = cell.valid
     return DataRateCheck(
         le2m_received=results["le2m"],
         le1m_received=results["le1m"],

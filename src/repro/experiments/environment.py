@@ -4,22 +4,38 @@ The paper's benchmarks place the device under test and the reference Zigbee
 transceiver (AVR RZUSBStick) three metres apart, in a lab where WiFi
 networks occupy channels 6 and 11 — the cause of the small per-channel dips
 in Table III.  :func:`build_testbed` reproduces that environment with
-seedable randomness.
+seedable randomness, and :func:`build_bench` puts the two devices in it,
+armed for one primitive: the bench behind Table III, the sniffer service
+and the chip ablations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.chips import BleRadioPeripheral, RzUsbStick
+from repro.core.firmware import WazaBeeFirmware
+from repro.core.rx import DecodedFrame
+from repro.dot15d4.frames import Address, MacFrame, build_data
 from repro.faults import FaultInjector, FaultPlan
 from repro.radio.interference import WifiInterferer
 from repro.radio.medium import PropagationModel, RfMedium
 from repro.radio.scheduler import Scheduler
 
-__all__ = ["TestbedProfile", "Testbed", "build_testbed"]
+__all__ = [
+    "TestbedProfile",
+    "Testbed",
+    "build_testbed",
+    "Bench",
+    "build_bench",
+    "counter_frame",
+]
+
+_SRC = Address(pan_id=0x1234, address=0x0063)
+_DST = Address(pan_id=0x1234, address=0x0042)
 
 
 @dataclass(frozen=True)
@@ -97,3 +113,88 @@ def build_testbed(
     if fault_plan is not None and not fault_plan.is_clean():
         medium.install_fault_injector(FaultInjector(fault_plan))
     return Testbed(scheduler=scheduler, medium=medium, profile=profile, rng=rng)
+
+
+def counter_frame(counter: int) -> MacFrame:
+    """The bench's test frame: a data frame carrying a 16-bit counter."""
+    return build_data(
+        source=_SRC,
+        destination=_DST,
+        payload=b"\x10" + (counter & 0xFFFF).to_bytes(2, "little"),
+        sequence_number=counter & 0xFF,
+        ack_request=False,
+    )
+
+
+@dataclass
+class Bench:
+    """The §V bench: a diverted chip and the RZUSBStick, 3 m apart.
+
+    *received* collects the ``(psdu, fcs_ok)`` of every reception on the
+    receiving side, unless the sniffer was given its own raw tap.
+    """
+
+    testbed: Testbed
+    chip: BleRadioPeripheral
+    reference: RzUsbStick
+    firmware: WazaBeeFirmware
+    primitive: str
+    received: List[Tuple[bytes, bool]] = field(default_factory=list)
+
+    def slot(self, frame: MacFrame) -> List[Tuple[bytes, bool]]:
+        """Send *frame* from the transmitting side, run one 2 ms slot, and
+        return the receiving side's outcomes."""
+        self.received.clear()
+        if self.primitive == "rx":
+            self.reference.transmit_frame(frame)
+        else:
+            self.firmware.transmitter.transmit(frame)
+        self.testbed.scheduler.run(2e-3)
+        return self.received
+
+
+def build_bench(
+    chip_factory: Callable,
+    primitive: str,
+    channel: int,
+    profile: Optional[TestbedProfile] = None,
+    seed: int = 0,
+    fault_plan: Optional[FaultPlan] = None,
+    raw_tap: Optional[Callable[[DecodedFrame], None]] = None,
+) -> Bench:
+    """Stand up the bench for *primitive* on Zigbee *channel*.
+
+    ``rx``: the reference transmits, and the chip's WazaBee sniffer hands
+    every decode, FCS-valid or not, to *raw_tap* (default: the bench's
+    :attr:`Bench.received`).  ``tx``: the chip's WazaBee transmitter is
+    configured for *channel*, and the reference receives.
+    """
+    if primitive not in ("rx", "tx"):
+        raise ValueError("primitive must be 'rx' or 'tx'")
+    testbed = build_testbed(profile, seed=seed, fault_plan=fault_plan)
+    # Each device_rng call draws from testbed.rng: chip first, then the
+    # reference, so every device stream depends on this order.
+    chip = chip_factory(
+        testbed.medium,
+        position=testbed.attacker_position,
+        rng=testbed.device_rng(1),
+    )
+    reference = RzUsbStick(
+        testbed.medium,
+        position=testbed.reference_position,
+        rng=testbed.device_rng(2),
+    )
+    reference.set_channel(channel)
+    firmware = WazaBeeFirmware(chip, testbed.scheduler)
+    bench = Bench(testbed, chip, reference, firmware, primitive)
+    record = bench.received.append
+    if primitive == "rx":
+        firmware.start_sniffer(
+            channel,
+            lambda _frame, _decoded: None,
+            raw_tap=raw_tap or (lambda d: record((d.psdu, d.fcs_ok))),
+        )
+    else:
+        reference.start_rx(lambda r: record((r.psdu, r.fcs_ok)))
+        firmware.transmitter.configure(channel)
+    return bench

@@ -23,13 +23,15 @@ from zlib import crc32
 
 import numpy as np
 
-from repro.chips import Cc1352R1, Nrf52832, RzUsbStick
+from repro.chips import Cc1352R1, Nrf52832
 from repro.chips.cc1352 import CC1352R1_CAPABILITIES
 from repro.chips.nrf52832 import NRF52832_CAPABILITIES
-from repro.core.firmware import WazaBeeFirmware
 from repro.dot15d4.channels import ZIGBEE_CHANNELS
-from repro.dot15d4.frames import Address, build_data
-from repro.experiments.environment import Testbed, TestbedProfile, build_testbed
+from repro.experiments.environment import (
+    TestbedProfile,
+    build_bench,
+    counter_frame,
+)
 from repro.experiments.pool import map_tasks
 from repro.faults import named_profile
 from repro.obs import TraceRecorder, scoped
@@ -59,9 +61,6 @@ CHIP_TX_CFO_STD_HZ: Dict[str, float] = {
 #: Reference 802.15.4 instrument's crystal tolerance (RZUSBStick).
 REFERENCE_TX_CFO_STD_HZ = 10e3
 
-_SRC = Address(pan_id=0x1234, address=0x0063)
-_DST = Address(pan_id=0x1234, address=0x0042)
-
 
 @dataclass
 class ChannelResult:
@@ -89,28 +88,43 @@ class ChannelResult:
     def valid_rate(self) -> float:
         return self.valid / self.total if self.total else 0.0
 
+    def tally(
+        self, outcomes: Sequence[Tuple[bytes, bool]], expected_psdu: bytes
+    ) -> None:
+        """Count one transmission from its ``(psdu, fcs_ok)`` receptions:
+        valid if one is the intact expected frame, corrupted if anything
+        else was received, lost if nothing was."""
+        if any(ok and psdu == expected_psdu for psdu, ok in outcomes):
+            self.valid += 1
+        elif outcomes:
+            self.corrupted += 1
+        else:
+            self.lost += 1
 
-def _counter_frame(counter: int):
-    payload = b"\x10" + counter.to_bytes(2, "little")
-    return build_data(
-        source=_SRC,
-        destination=_DST,
-        payload=payload,
-        sequence_number=counter & 0xFF,
-        ack_request=False,
-    )
 
+def _check_grid(
+    chips: Sequence[str],
+    primitives: Sequence[str],
+    channels: Sequence[int],
+    frames: int,
+) -> Tuple[int, ...]:
+    """Validate a Table III grid; return *channels* as a tuple.
 
-def _classify(
-    outcomes: List[Tuple[bytes, bool]], expected_psdu: bytes
-) -> Tuple[bool, bool]:
-    """Map decode outcomes for one transmission to (valid, corrupted)."""
-    for psdu, fcs_ok in outcomes:
-        if fcs_ok and psdu == expected_psdu:
-            return True, False
-    if outcomes:
-        return False, True
-    return False, False
+    A repeated channel would tally twice, so channels must be distinct.
+    """
+    if frames < 1:
+        raise ValueError("frames must be >= 1")
+    for chip in chips:
+        if chip not in CHIP_FACTORIES:
+            raise ValueError(f"unknown chip {chip!r}")
+    for primitive in primitives:
+        if primitive not in ("rx", "tx"):
+            raise ValueError("primitive must be 'rx' or 'tx'")
+    channels = tuple(channels)
+    repeated = sorted({c for c in channels if channels.count(c) > 1})
+    if repeated:
+        raise ValueError(f"channels must be distinct; repeated: {repeated}")
+    return channels
 
 
 def run_table3_cell(
@@ -133,10 +147,7 @@ def run_table3_cell(
     events (flat dicts, JSONL-ready) land in
     :attr:`ChannelResult.trace_events`.
     """
-    if chip_name not in CHIP_FACTORIES:
-        raise ValueError(f"unknown chip {chip_name!r}")
-    if primitive not in ("rx", "tx"):
-        raise ValueError("primitive must be 'rx' or 'tx'")
+    _check_grid((chip_name,), (primitive,), (channel,), frames)
     fault_plan = (
         named_profile(fault_profile, channel=channel, seed=seed)
         if fault_profile is not None
@@ -147,7 +158,10 @@ def run_table3_cell(
     # registry at construction time.
     with scoped() as (bus, registry):
         recorder = TraceRecorder(bus) if collect_trace else None
-        testbed = build_testbed(
+        bench = build_bench(
+            CHIP_FACTORIES[chip_name],
+            primitive,
+            channel,
             profile,
             # crc32, not hash(): str hashes are randomised per process, which
             # would make cells irreproducible across runs with the same seed.
@@ -155,67 +169,16 @@ def run_table3_cell(
             ^ crc32(f"{chip_name}/{primitive}/{channel}".encode()) & 0x7FFFFFFF,
             fault_plan=fault_plan,
         )
-        chip = CHIP_FACTORIES[chip_name](
-            testbed.medium,
-            position=testbed.attacker_position,
-            rng=testbed.device_rng(1),
-        )
-        reference = RzUsbStick(
-            testbed.medium,
-            position=testbed.reference_position,
-            rng=testbed.device_rng(2),
-        )
-        reference.set_channel(channel)
-        firmware = WazaBeeFirmware(chip, testbed.scheduler)
         result = ChannelResult(channel=channel)
-
-        # Every reception relevant to the cell — FCS-valid *and* corrupted —
-        # lands here; classification reads this single tap.
-        received_tap: List[Tuple[bytes, bool]] = []
-        if primitive == "rx":
-            firmware.start_sniffer(
-                channel,
-                lambda _frame, _decoded: None,
-                raw_tap=lambda d: received_tap.append((d.psdu, d.fcs_ok)),
-            )
-            for i in range(frames):
-                received_tap.clear()
-                frame = _counter_frame(i)
-                reference.transmit_frame(frame)
-                testbed.scheduler.run(2e-3)
-                valid, corrupted = _classify(received_tap, frame.to_bytes())
-                _tally(result, valid, corrupted)
-            firmware.stop_sniffer()
-        else:
-            reference.start_rx(
-                lambda received: received_tap.append(
-                    (received.psdu, received.fcs_ok)
-                )
-            )
-            firmware.transmitter.configure(channel)
-            for i in range(frames):
-                received_tap.clear()
-                frame = _counter_frame(i)
-                firmware.transmitter.transmit(frame)
-                testbed.scheduler.run(2e-3)
-                valid, corrupted = _classify(received_tap, frame.to_bytes())
-                _tally(result, valid, corrupted)
-            reference.stop_rx()
+        for i in range(frames):
+            frame = counter_frame(i)
+            result.tally(bench.slot(frame), frame.to_bytes())
         # Counters only: timers carry wall-clock noise, which would make
         # per-cell metric blocks differ between identical runs.
         result.metrics = registry.counter_values()
         if recorder is not None:
             result.trace_events = recorder.as_dicts()
     return result
-
-
-def _tally(result: ChannelResult, valid: bool, corrupted: bool) -> None:
-    if valid:
-        result.valid += 1
-    elif corrupted:
-        result.corrupted += 1
-    else:
-        result.lost += 1
 
 
 @dataclass
@@ -237,15 +200,6 @@ class Table3Result:
             for key, rows in self.cells.items()
             if channel in rows
         }
-
-
-def _distinct_channels(channels: Sequence[int]) -> Tuple[int, ...]:
-    """*channels* as a tuple; a repeated channel would tally twice."""
-    channels = tuple(channels)
-    repeated = sorted({c for c in channels if channels.count(c) > 1})
-    if repeated:
-        raise ValueError(f"channels must be distinct; repeated: {repeated}")
-    return channels
 
 
 def run_table3(
@@ -271,7 +225,7 @@ def run_table3(
     per cell, so parallel workers cannot interleave) and returns the
     events on :attr:`ChannelResult.trace_events` as picklable flat dicts.
     """
-    channels = _distinct_channels(channels)
+    channels = _check_grid(chips, primitives, channels, frames)
     result = Table3Result(frames_per_cell=frames)
     grid = [
         (chip, primitive, channel)
@@ -315,7 +269,7 @@ def _wideband_slot_waveform(primitive: str, counter: int, samples_per_chip: int)
     """
     from repro.phy.ieee802154 import Ppdu
 
-    psdu = _counter_frame(counter).to_bytes()
+    psdu = counter_frame(counter).to_bytes()
     if primitive == "rx":
         from repro.dsp.oqpsk import OqpskModulator
 
@@ -378,34 +332,27 @@ def run_table3_wideband(
     """
     from repro.chips.wideband import SWEEP_GRID
 
-    if frames < 1:
-        raise ValueError("frames must be >= 1")
+    channels = _check_grid(chips, primitives, channels, frames)
     if chunk_slots < 1:
         raise ValueError("chunk_slots must be >= 1")
-    channels = _distinct_channels(channels)
     grid = grid if grid is not None else SWEEP_GRID
     dtype = np.dtype(dtype if dtype is not None else np.complex64)
     profile = profile or TestbedProfile()
-    tasks = []
-    for chip_name in chips:
-        if chip_name not in CHIP_FACTORIES:
-            raise ValueError(f"unknown chip {chip_name!r}")
-        for primitive in primitives:
-            if primitive not in ("rx", "tx"):
-                raise ValueError("primitive must be 'rx' or 'tx'")
-            tasks.append(
-                dict(
-                    chip_name=chip_name,
-                    primitive=primitive,
-                    channels=channels,
-                    frames=frames,
-                    profile=profile,
-                    seed=seed,
-                    chunk_slots=chunk_slots,
-                    grid=grid,
-                    dtype=dtype,
-                )
-            )
+    tasks = [
+        dict(
+            chip_name=chip_name,
+            primitive=primitive,
+            channels=channels,
+            frames=frames,
+            profile=profile,
+            seed=seed,
+            chunk_slots=chunk_slots,
+            grid=grid,
+            dtype=dtype,
+        )
+        for chip_name in chips
+        for primitive in primitives
+    ]
     if workers is None:
         workers = max(1, min(2, os.cpu_count() or 1, len(tasks)))
     result = Table3Result(frames_per_cell=frames)
@@ -461,7 +408,7 @@ def _run_wideband_pair(
             signals = [
                 _wideband_slot_waveform(primitive, i, spc) for i in slots
             ]
-            expected = [_counter_frame(i).to_bytes() for i in slots]
+            expected = [counter_frame(i).to_bytes() for i in slots]
             captures = front.capture_slots(signals)
             num_slots, num_channels, n_out = captures.shape
             decoded = decode_chip_frames(
@@ -471,13 +418,8 @@ def _run_wideband_pair(
             for s in range(num_slots):
                 for j, channel in enumerate(channels):
                     frame = decoded[s * num_channels + j]
-                    outcomes = (
-                        [(frame.psdu, frame.fcs_ok)]
-                        if frame is not None
-                        else []
-                    )
-                    valid, corrupted = _classify(outcomes, expected[s])
-                    _tally(cells[channel], valid, corrupted)
+                    outcomes = [] if frame is None else [(frame.psdu, frame.fcs_ok)]
+                    cells[channel].tally(outcomes, expected[s])
         metrics = registry.counter_values()
     for cell in cells.values():
         cell.metrics = metrics

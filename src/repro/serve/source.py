@@ -55,9 +55,8 @@ class SimWorldSource:
     # -- world construction -------------------------------------------------
     def _build_world(self):
         """Stand up (or re-stand) the bench; called on start and restart."""
-        from repro.chips import Nrf52832, RzUsbStick
-        from repro.core.firmware import WazaBeeFirmware
-        from repro.experiments.environment import build_testbed
+        from repro.chips import Nrf52832
+        from repro.experiments.environment import build_bench
 
         config = self.config
         fault_plan = (
@@ -65,30 +64,20 @@ class SimWorldSource:
             if config.chaos is not None
             else None
         )
-        testbed = build_testbed(seed=config.seed, fault_plan=fault_plan)
-        chip = Nrf52832(
-            testbed.medium,
-            position=testbed.attacker_position,
-            rng=testbed.device_rng(1),
+        self._world = build_bench(
+            Nrf52832,
+            "rx",
+            config.channel,
+            seed=config.seed,
+            fault_plan=fault_plan,
+            raw_tap=self._on_decode,
         )
-        reference = RzUsbStick(
-            testbed.medium,
-            position=testbed.reference_position,
-            rng=testbed.device_rng(2),
-        )
-        reference.set_channel(config.channel)
-        firmware = WazaBeeFirmware(chip, testbed.scheduler)
-        firmware.start_sniffer(
-            config.channel, lambda _f, _d: None, raw_tap=self._on_decode
-        )
-        self._world = (testbed, reference, firmware)
-        return testbed, reference, firmware
+        return self._world
 
     def _on_decode(self, decoded) -> None:
-        testbed, _reference, _firmware = self._world
         record = frame_record(
             seq=self.frames_produced,
-            time=testbed.scheduler.now,
+            time=self._world.testbed.scheduler.now,
             channel=self.config.channel,
             psdu=decoded.psdu,
             fcs_ok=decoded.fcs_ok,
@@ -109,7 +98,7 @@ class SimWorldSource:
         config = self.config
         bus, registry = _current_bus(), _current_metrics()
         with scoped(bus, registry):
-            testbed, reference, _firmware = self._build_world()
+            bench = self._build_world()
             forward = None
             if config.forward_trace:
 
@@ -122,20 +111,18 @@ class SimWorldSource:
 
                 bus.subscribe(forward)
             try:
-                self._drive(testbed, reference, stop_event)
+                self._drive(bench, stop_event)
             finally:
                 if forward is not None:
                     bus.unsubscribe(forward)
 
-    def _drive(self, testbed, reference, stop_event: threading.Event) -> None:
-        from repro.dot15d4.frames import Address, build_data
+    def _drive(self, bench, stop_event: threading.Event) -> None:
+        from repro.experiments.environment import counter_frame
 
         config = self.config
         plan = self.service_plan
         registry = _current_metrics()
         produced_metric = registry.counter("serve.frames.transmitted")
-        src = Address(pan_id=0x1234, address=0x0063)
-        dst = Address(pan_id=0x1234, address=0x0042)
         while not stop_event.is_set():
             if config.frames and self.next_index >= config.frames:
                 return
@@ -175,16 +162,8 @@ class SimWorldSource:
                     return
                 if config.frames and self.next_index >= config.frames:
                     return
-                payload = b"\x10" + (self.next_index & 0xFFFF).to_bytes(2, "little")
-                frame = build_data(
-                    source=src,
-                    destination=dst,
-                    payload=payload,
-                    sequence_number=self.next_index & 0xFF,
-                    ack_request=False,
-                )
-                reference.transmit_frame(frame)
-                testbed.scheduler.run(config.sim_step_s)
+                bench.reference.transmit_frame(counter_frame(self.next_index))
+                bench.testbed.scheduler.run(config.sim_step_s)
                 produced_metric.inc()
                 self.next_index += 1
 

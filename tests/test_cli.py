@@ -47,6 +47,15 @@ class TestRunners:
         out = capsys.readouterr().out
         assert "averages:" in out
 
+    @pytest.mark.parametrize("wideband", [[], ["--wideband"]])
+    def test_table3_rejects_zero_frames(self, capsys, wideband):
+        code = main(
+            ["table3", "--frames", "0", "--channels", "11",
+             "--chips", "nRF52832", *wideband]
+        )
+        assert code == 2
+        assert "frames must be >= 1" in capsys.readouterr().err
+
     def test_scenario_b_open_network(self, capsys):
         assert main(["scenario-b", "--duration", "20"]) == 0
         out = capsys.readouterr().out

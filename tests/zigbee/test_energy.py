@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.attacks.energy_depletion import EnergyDepletionAttack
+from repro.attacks.energy_depletion import FleetDepletionAttack
 from repro.chips import Nrf52832
 from repro.core.firmware import WazaBeeFirmware
 from repro.dot15d4.frames import Address
@@ -85,9 +85,9 @@ class TestDepletionAttack:
         battery, sensor, _ = self._network(quiet_medium, capacity_j=0.05)
         chip = Nrf52832(quiet_medium, position=(0, 0), rng=np.random.default_rng(3))
         firmware = WazaBeeFirmware(chip, scheduler)
-        attack = EnergyDepletionAttack(
+        attack = FleetDepletionAttack(
             firmware,
-            target=SENSOR,
+            targets=[SENSOR],
             spoofed_source=Address(pan_id=0x1234, address=0x99),
             channel=14,
             rate_hz=40.0,
@@ -103,8 +103,8 @@ class TestDepletionAttack:
     def test_attack_rate_validation(self, quiet_medium, scheduler):
         chip = Nrf52832(quiet_medium, rng=np.random.default_rng(3))
         firmware = WazaBeeFirmware(chip, scheduler)
-        attack = EnergyDepletionAttack(
-            firmware, target=SENSOR, spoofed_source=COORD, channel=14, rate_hz=0
+        attack = FleetDepletionAttack(
+            firmware, targets=[SENSOR], spoofed_source=COORD, channel=14, rate_hz=0
         )
         with pytest.raises(ValueError):
             attack.start()
@@ -113,9 +113,9 @@ class TestDepletionAttack:
         battery, _, _ = self._network(quiet_medium, capacity_j=1.0)
         chip = Nrf52832(quiet_medium, position=(0, 0), rng=np.random.default_rng(3))
         firmware = WazaBeeFirmware(chip, scheduler)
-        attack = EnergyDepletionAttack(
+        attack = FleetDepletionAttack(
             firmware,
-            target=SENSOR,
+            targets=[SENSOR],
             spoofed_source=COORD,
             channel=14,
             rate_hz=40.0,

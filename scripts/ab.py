@@ -12,8 +12,9 @@ and workload on one seed, the two sides in alternating order, so a slow
 stretch of the host falls on both.  ``--table3 N`` also times N
 alternating pairs of one Table III cell (nRF52832, ``rx``, channel 14,
 100 frames, seed 1; each run is the median of five readings after a
-warm-up); the two cells of a pair must decode the same (valid,
-corrupted) tallies, or B's run counts as not correct.
+warm-up), then runs one untimed 50-frame cell on the WiFi-overlapped
+channel 18; the cells of a pair must decode the same (valid, corrupted)
+tallies, or B's run counts as not correct.
 
 Per workload and metric the script prints each side's median and
 quartiles, the change of the medians, how many pairs B won, and whether
@@ -38,9 +39,16 @@ import tempfile
 from pathlib import Path
 from typing import Dict, List, Tuple
 
+#: An untimed cell on a WiFi-overlapped channel whose tally holds both
+#: corrupted and lost frames (46 valid, 2 corrupted, 2 lost), so a change
+#: that shifts frames between the two moves the tallies a pair compares;
+#: the timed channel-14 cell decodes every frame.
+WIFI_CELL = ("nRF52832", "tx", 18, 50, 1)
+
 #: Times one 100-frame Table III cell five times after a warm-up (the
 #: process-wide waveform and filter caches), reports the median, and
-#: records each reading's (valid, corrupted) tallies.
+#: records each reading's (valid, corrupted) tallies, then the tallies of
+#: :data:`WIFI_CELL`.
 TABLE3_CELL = (
     "import json, statistics, time\n"
     "from repro.experiments.table3 import run_table3_cell\n"
@@ -53,10 +61,13 @@ TABLE3_CELL = (
     "    c = cell()\n"
     "    readings.append((time.perf_counter() - start) * 1e3)\n"
     "    tallies.append([c.valid, c.corrupted])\n"
+    "chip, primitive, channel, frames, seed = %r\n"
+    "w = run_table3_cell(chip, primitive, channel=channel, frames=frames, seed=seed)\n"
+    "tallies.append([w.valid, w.corrupted])\n"
     "print(json.dumps({'metrics': {'table3_cell_wall_clock':\n"
     "                              statistics.median(readings)},\n"
     "                  'tallies': tallies}))\n"
-)
+) % (WIFI_CELL,)
 
 
 def _parse_args(argv: List[str]) -> argparse.Namespace:

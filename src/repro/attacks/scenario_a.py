@@ -22,8 +22,8 @@ frames never leave the controller), which the chip model enforces.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
@@ -42,14 +42,11 @@ __all__ = ["forge_advertising_data", "SmartphoneInjectionAttack"]
 
 #: Nordic Semiconductor's Bluetooth company identifier — any value works;
 #: the two bytes are part of the uncontrolled padding.
-DEFAULT_COMPANY_ID = 0x0059
+COMPANY_ID = 0x0059
 
 
 def forge_advertising_data(
-    psdu: bytes,
-    ble_channel: int,
-    company_id: int = DEFAULT_COMPANY_ID,
-    padding_bytes: Optional[int] = None,
+    psdu: bytes, ble_channel: int, padding_bytes: Optional[int] = None
 ) -> bytes:
     """Build the AD structures that inject *psdu* on *ble_channel*.
 
@@ -67,7 +64,7 @@ def forge_advertising_data(
         padded = np.concatenate([padded, np.zeros(pad_tail, dtype=np.uint8)])
     dewhitened = whiten(padded, ble_channel)
     data = pack_bits(dewhitened[8 * padding_bytes :])
-    ad = manufacturer_data(company_id, data).to_bytes()
+    ad = manufacturer_data(COMPANY_ID, data).to_bytes()
     if len(ad) > 245:
         raise ValueError(
             f"frame too large for extended advertising: AD is {len(ad)} bytes "
@@ -87,13 +84,7 @@ class InjectionRecord:
 class SmartphoneInjectionAttack:
     """Drives the smartphone API to inject a fixed 802.15.4 frame."""
 
-    def __init__(
-        self,
-        phone: SmartphoneBle,
-        zigbee_channel: int,
-        frame: MacFrame,
-        company_id: int = DEFAULT_COMPANY_ID,
-    ):
+    def __init__(self, phone: SmartphoneBle, zigbee_channel: int, frame: MacFrame):
         ble_channel = ble_channel_for_zigbee(zigbee_channel)
         if ble_channel is None:
             raise ValueError(
@@ -105,20 +96,11 @@ class SmartphoneInjectionAttack:
         self.zigbee_channel = zigbee_channel
         self.ble_channel = ble_channel
         self.frame = frame
-        self.company_id = company_id
-        self.adv_data = forge_advertising_data(
-            frame.to_bytes(), ble_channel, company_id=company_id
-        )
+        self.adv_data = forge_advertising_data(frame.to_bytes(), ble_channel)
         self.records: List[InjectionRecord] = []
         self.trace = _current_bus()
         self.metrics = _current_metrics()
         self._sequence = frame.sequence_number
-        self._target_hits: Optional[int] = None
-        self._max_events = 0
-        self._bounded_on_complete: Optional[
-            Callable[["SmartphoneInjectionAttack", bool], None]
-        ] = None
-        self._bounded_done = False
 
     def _now(self) -> float:
         return getattr(getattr(self.phone, "_scheduler", None), "now", 0.0)
@@ -147,48 +129,8 @@ class SmartphoneInjectionAttack:
             event_callback=self._on_event,
         )
 
-    def start_bounded(
-        self,
-        target_hits: int = 1,
-        max_events: int = 200,
-        interval_s: float = 0.1,
-        on_complete: Optional[Callable[["SmartphoneInjectionAttack", bool], None]] = None,
-    ) -> None:
-        """Repeat mode with a budget: advertise until *target_hits* events
-        have landed on the target BLE channel or *max_events* events have
-        elapsed, then stop and report success via *on_complete*.
-
-        The unbounded :meth:`start` runs forever (the paper's "advertise at
-        the smallest interval"); this variant gives benches and attack
-        workflows a guaranteed termination point.  With a full channel map
-        each event hits with probability 1/37, so ``max_events=200`` gives
-        ≈99.6% success for a single hit.
-        """
-        if target_hits < 1:
-            raise ValueError("target_hits must be >= 1")
-        if max_events < 1:
-            raise ValueError("max_events must be >= 1")
-        self._target_hits = target_hits
-        self._max_events = max_events
-        self._bounded_on_complete = on_complete
-        self._bounded_done = False
-        self.start(interval_s=interval_s)
-
     def stop(self) -> None:
         self.phone.stop_advertising()
-
-    def _finish_bounded(self, success: bool) -> None:
-        if self._bounded_done:
-            return
-        self._bounded_done = True
-        self.stop()
-        self._stage(
-            "done" if success else "exhausted",
-            events_total=self.events_total,
-            events_on_target=self.events_on_target,
-        )
-        if self._bounded_on_complete is not None:
-            self._bounded_on_complete(self, success)
 
     def _on_event(self, event: AdvertisingEvent) -> None:
         on_target = event.secondary_channel == self.ble_channel
@@ -198,22 +140,13 @@ class SmartphoneInjectionAttack:
         self.metrics.counter("attack.a.events").inc()
         if on_target:
             self.metrics.counter("attack.a.events.on_target").inc()
-        if self._target_hits is not None and not self._bounded_done:
-            if self.events_on_target >= self._target_hits:
-                self._finish_bounded(True)
-                return
-            if self.events_total >= self._max_events:
-                self._finish_bounded(False)
-                return
         # Rotate the MAC sequence number between events so the target's
         # duplicate-rejection does not swallow repeated injections — the app
         # legitimately updates its advertising data via the standard API.
         self._sequence = (self._sequence + 1) & 0xFF
         rotated = dataclasses.replace(self.frame, sequence_number=self._sequence)
         self.phone.set_advertising_data(
-            forge_advertising_data(
-                rotated.to_bytes(), self.ble_channel, company_id=self.company_id
-            )
+            forge_advertising_data(rotated.to_bytes(), self.ble_channel)
         )
 
     # -- statistics -----------------------------------------------------------

@@ -26,11 +26,11 @@ attack never hangs indefinitely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core.firmware import ReliableSendResult, ScanResult, WazaBeeFirmware
+from repro.core.firmware import ScanResult, WazaBeeFirmware
 from repro.core.rx import DecodedFrame
 from repro.dot15d4.channels import ZIGBEE_CHANNELS
 from repro.dot15d4.frames import Address, FrameType, MacFrame, build_data
@@ -41,6 +41,13 @@ from repro.radio.scheduler import EventHandle
 from repro.zigbee.xbee import AtCommand, RemoteAtCommand, SensorReading
 
 __all__ = ["AttackPhase", "TrackerAttack", "AttackLogEntry", "StageDiagnosis"]
+
+#: How long the active scan listens for beacons on each channel.
+SCAN_DWELL_S = 0.05
+#: Gap before each remote AT command repeat (and before spoofing starts).
+AT_INJECTION_DELAY_S = 0.01
+#: How many times the remote AT ``CH`` command is sent.
+AT_INJECTION_REPEATS = 3
 
 
 class AttackPhase(Enum):
@@ -93,14 +100,9 @@ class TrackerAttack:
         fake_report_interval_s: float = 2.0,
         fake_report_count: int = 5,
         eavesdrop_timeout_s: float = 6.0,
-        scan_dwell_s: float = 0.05,
-        at_injection_delay_s: float = 0.01,
-        at_injection_repeats: int = 3,
         max_stage_retries: int = 1,
         retry_backoff_s: float = 0.1,
         max_attack_duration_s: Optional[float] = 120.0,
-        reliable_spoofing: bool = False,
-        spoof_max_attempts: int = 4,
     ):
         self.firmware = firmware
         self.channels = list(channels)
@@ -110,14 +112,9 @@ class TrackerAttack:
         self.fake_report_interval_s = fake_report_interval_s
         self.fake_report_count = fake_report_count
         self.eavesdrop_timeout_s = eavesdrop_timeout_s
-        self.scan_dwell_s = scan_dwell_s
-        self.at_injection_delay_s = at_injection_delay_s
-        self.at_injection_repeats = at_injection_repeats
         self.max_stage_retries = max_stage_retries
         self.retry_backoff_s = retry_backoff_s
         self.max_attack_duration_s = max_attack_duration_s
-        self.reliable_spoofing = reliable_spoofing
-        self.spoof_max_attempts = spoof_max_attempts
 
         self.phase = AttackPhase.IDLE
         self.trace = _current_bus()
@@ -127,7 +124,6 @@ class TrackerAttack:
         self.sensor_address: Optional[Address] = None
         self.coordinator_address: Optional[Address] = None
         self.fake_reports_sent = 0
-        self.fake_reports_delivered = 0
         self.diagnosis: Optional[StageDiagnosis] = None
         self.stage_attempts: Dict[AttackPhase, int] = {}
         self._fake_counter = 1000
@@ -214,7 +210,7 @@ class TrackerAttack:
             self.stage_attempts.get(AttackPhase.SCANNING, 0) + 1
         )
         self.firmware.active_scan(
-            self.channels, dwell_s=self.scan_dwell_s, on_complete=self._scanned
+            self.channels, dwell_s=SCAN_DWELL_S, on_complete=self._scanned
         )
 
     def _scanned(self, results: List[ScanResult]) -> None:
@@ -236,7 +232,7 @@ class TrackerAttack:
                 return
             self._fail(
                 f"no network found on channels {self.channels}",
-                suggestion="widen the channel list or increase scan_dwell_s",
+                suggestion="widen the channel list",
             )
             return
         self.coordinator_address = Address(
@@ -299,12 +295,12 @@ class TrackerAttack:
         # The sniffed report is typically followed by the coordinator's
         # acknowledgement; transmitting repeats with a small delay keeps the
         # command clear of that exchange (the attacker cannot carrier-sense).
-        for repeat in range(self.at_injection_repeats):
+        for repeat in range(AT_INJECTION_REPEATS):
             self.scheduler.schedule(
-                self.at_injection_delay_s * (repeat + 1),
+                AT_INJECTION_DELAY_S * (repeat + 1),
                 lambda r=repeat: self._send_at_command(r),
             )
-        spoof_start = self.at_injection_delay_s * self.at_injection_repeats
+        spoof_start = AT_INJECTION_DELAY_S * AT_INJECTION_REPEATS
         self.scheduler.schedule(
             spoof_start,
             lambda: self._enter(AttackPhase.SPOOFING, "starting fake data injection"),
@@ -345,41 +341,10 @@ class TrackerAttack:
             sequence_number=self._fake_counter & 0xFF,
             ack_request=True,
         )
-        if self.reliable_spoofing:
-            self.firmware.send_frame_reliable(
-                frame,
-                self.network.channel,
-                max_attempts=self.spoof_max_attempts,
-                on_result=self._fake_report_result,
-            )
-            return
         self.firmware.send_frame(frame, self.network.channel)
-        self._after_fake_report()
-
-    def _fake_report_result(self, result: ReliableSendResult) -> None:
-        if self.phase is not AttackPhase.SPOOFING:
-            return
-        if result.delivered:
-            self.fake_reports_delivered += 1
-            self._log(
-                f"spoofed reading acknowledged after {result.attempts} attempt(s)"
-            )
-        else:
-            self._log(
-                f"spoofed reading unacknowledged after {result.attempts} attempt(s)"
-            )
-        self._after_fake_report()
-
-    def _after_fake_report(self) -> None:
         self.fake_reports_sent += 1
         self._log(f"spoofed reading #{self.fake_reports_sent} value={self.fake_value}")
         if self.fake_reports_sent >= self.fake_report_count:
-            if self.reliable_spoofing and self.fake_reports_delivered == 0:
-                self._fail(
-                    "no spoofed reading was acknowledged by the coordinator",
-                    suggestion="check dos_channel took effect and coordinator range",
-                )
-                return
             self._enter(AttackPhase.DONE, "attack complete")
             self._finish()
             return

@@ -27,8 +27,9 @@ from repro.ble.packets import (
 )
 from repro.ble.whitening import whiten
 from repro.chips.capabilities import CapabilityError, ChipCapabilities
-from repro.dsp.gfsk import FskDemodulator, FskModulator, GfskConfig
+from repro.dsp.gfsk import FskDemodulator, FskModulator
 from repro.dsp.signal import IQSignal
+from repro.phy.ble_phy import ble_demodulator, ble_modulator
 from repro.radio.medium import RfMedium, Transmission
 from repro.radio.transceiver import Transceiver
 
@@ -160,20 +161,14 @@ class BleRadioPeripheral:
         key = ("mod", self._samples_per_symbol(), self._symbol_rate)
         modem = self._modems.get(key)
         if modem is None:
-            config = GfskConfig(
-                samples_per_symbol=key[1], modulation_index=0.5, bt=0.5
-            )
-            modem = self._modems[key] = FskModulator(config, self._symbol_rate)
+            modem = self._modems[key] = ble_modulator(self.phy_mode, key[1])
         return modem
 
     def _demodulator(self) -> FskDemodulator:
         key = ("demod", self._samples_per_symbol(), self._symbol_rate)
         modem = self._modems.get(key)
         if modem is None:
-            config = GfskConfig(
-                samples_per_symbol=key[1], modulation_index=0.5, bt=None
-            )
-            modem = self._modems[key] = FskDemodulator(config, self._symbol_rate)
+            modem = self._modems[key] = ble_demodulator(self.phy_mode, key[1])
         return modem
 
     def warm_tx_path(self) -> None:

@@ -10,19 +10,19 @@ tracker in §VI-C.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Deque, List, Optional, Sequence
 
 from repro.core.radio_api import LowLevelRadio
 from repro.core.rx import DecodedFrame, WazaBeeReceiver
 from repro.core.tx import WazaBeeTransmitter
 from repro.dot15d4.frames import FrameType, MacFrame, build_beacon_request
-from repro.obs import FIRMWARE_DROP, MAC_RETRY
+from repro.obs import FIRMWARE_DROP
 from repro.obs import metrics as _current_metrics
 from repro.obs import trace_bus as _current_bus
 from repro.radio.scheduler import Scheduler
 
-__all__ = ["RAW_FRAME_CAP", "ScanResult", "ReliableSendResult", "WazaBeeFirmware"]
+__all__ = ["RAW_FRAME_CAP", "ScanResult", "WazaBeeFirmware"]
 
 #: Retention cap for :attr:`WazaBeeFirmware.raw_frames`.  Long sniffs and
 #: active scans (scenario B runs under a watchdog, not a frame budget) would
@@ -30,10 +30,6 @@ __all__ = ["RAW_FRAME_CAP", "ScanResult", "ReliableSendResult", "WazaBeeFirmware
 #: Zigbee traffic while bounding memory.  The total ever decoded is tracked
 #: separately in :attr:`WazaBeeFirmware.raw_frames_seen`.
 RAW_FRAME_CAP = 4096
-
-#: How long :meth:`WazaBeeFirmware.send_frame_reliable` listens for an ACK
-#: after each attempt.
-RELIABLE_ACK_WAIT_S = 3e-3
 
 
 @dataclass
@@ -44,15 +40,6 @@ class ScanResult:
     pan_id: int
     coordinator_address: int
     address_mode: int
-
-
-@dataclass
-class ReliableSendResult:
-    """Outcome of a repeat-until-acknowledged injection."""
-
-    delivered: bool
-    attempts: int
-    sequence_number: int
 
 
 SnifferHandler = Callable[[MacFrame, DecodedFrame], None]
@@ -94,87 +81,6 @@ class WazaBeeFirmware:
     def send_psdu(self, psdu: bytes, channel: int) -> None:
         self.transmitter.configure(channel)
         self.transmitter.transmit_psdu(psdu)
-
-    def send_frame_reliable(
-        self,
-        frame: MacFrame,
-        channel: int,
-        max_attempts: int = 4,
-        on_result: Optional[Callable[[ReliableSendResult], None]] = None,
-    ) -> None:
-        """Repeat-until-acknowledged injection.
-
-        Transmits *frame* and listens for a matching 802.15.4 ACK; after
-        :data:`RELIABLE_ACK_WAIT_S` without one the frame is retransmitted,
-        up to *max_attempts* total attempts.  *on_result* fires exactly
-        once with the outcome.  The firmware's single receiver is borrowed
-        for the ACK window, so this must not be interleaved with
-        :meth:`start_sniffer`.
-        """
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        seq = frame.sequence_number
-        state = {"attempts": 0, "done": False, "timeout": None}
-
-        def finish(delivered: bool) -> None:
-            if state["done"]:
-                return
-            state["done"] = True
-            if state["timeout"] is not None:
-                state["timeout"].cancel()
-            self.receiver.stop()
-            self.metrics.counter(
-                "firmware.reliable.delivered"
-                if delivered
-                else "firmware.reliable.undelivered"
-            ).inc()
-            if on_result is not None:
-                on_result(
-                    ReliableSendResult(
-                        delivered=delivered,
-                        attempts=state["attempts"],
-                        sequence_number=seq,
-                    )
-                )
-
-        def on_ack(decoded: DecodedFrame) -> None:
-            # Defense-in-depth: the receiver only hands FCS-valid frames to
-            # this (main) handler, but an ACK gate must never trust that.
-            if not decoded.fcs_ok:
-                return
-            try:
-                acked = MacFrame.parse(decoded.psdu)
-            except ValueError:
-                return
-            if (
-                acked.frame_type is FrameType.ACK
-                and acked.sequence_number == seq
-            ):
-                finish(True)
-
-        def attempt() -> None:
-            if state["done"]:
-                return
-            if state["attempts"] >= max_attempts:
-                self.metrics.counter("firmware.reliable.exhausted").inc()
-                finish(False)
-                return
-            state["attempts"] += 1
-            if state["attempts"] > 1:
-                self.metrics.counter("firmware.reliable.retries").inc()
-                if self.trace.active:
-                    self.trace.emit(
-                        MAC_RETRY,
-                        time=self.scheduler.now,
-                        source="firmware.reliable",
-                        sequence=seq,
-                        attempt=state["attempts"],
-                    )
-            self.receiver.start(channel, on_ack)
-            self.send_frame(frame, channel)
-            state["timeout"] = self.scheduler.schedule(RELIABLE_ACK_WAIT_S, attempt)
-
-        attempt()
 
     # -- sniffing -------------------------------------------------------------
     def start_sniffer(
@@ -265,8 +171,6 @@ class WazaBeeFirmware:
             self.scheduler.schedule(dwell_s, scan_next)
 
         def collect(frame: MacFrame, _decoded: DecodedFrame) -> None:
-            from repro.dot15d4.frames import FrameType
-
             if frame.frame_type is not FrameType.BEACON or frame.source is None:
                 return
             result = ScanResult(

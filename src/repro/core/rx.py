@@ -25,7 +25,7 @@ from repro.ble.whitening import whiten
 from repro.chips.capabilities import CapabilityError
 from repro.core.encoding import MSK_STRIDE, wazabee_access_address
 from repro.core.radio_api import LowLevelRadio
-from repro.core.tables import CorrespondenceTable, default_table
+from repro.core.tables import default_table
 from repro.dot15d4.channels import channel_frequency_hz
 from repro.errors import DecodeError
 from repro.obs import RX_CAPTURE, RX_DECODE, RX_FCS
@@ -40,25 +40,20 @@ __all__ = ["DecodedFrame", "decode_payload_bits", "WazaBeeReceiver"]
 #: the SHR remainder, PHR and a maximum-size PSDU.
 MAX_CAPTURE_BITS = MAX_FRAME_CHIPS
 
+#: Leading symbols searched for the SFD: the correlator may have locked on
+#: any of the eight preamble repetitions.
+SFD_SEARCH_LIMIT = 12
+
 
 def decode_payload_bits(
-    bits: np.ndarray,
-    table: Optional[CorrespondenceTable] = None,
-    sfd_search_limit: int = 12,
-    max_mean_distance: Optional[float] = None,
-    strict: bool = False,
+    bits: np.ndarray, strict: bool = False
 ) -> Optional[DecodedFrame]:
     """Decode a raw post-Access-Address bit capture into an 802.15.4 frame.
 
-    Returns ``None`` when no SFD is found, the frame is truncated, or —
-    with *max_mean_distance* set — the mean Hamming distance of the
-    matched blocks exceeds the confidence threshold (the capture was
-    essentially noise that happened to correlate).  With ``strict=True``
-    those outcomes raise :class:`~repro.errors.DecodeError` carrying the
-    failure class (``no-sfd`` / ``truncated`` / ``low-confidence``)
-    instead.
+    Returns ``None`` when no SFD is found or the frame is truncated.  With
+    ``strict=True`` those outcomes raise :class:`~repro.errors.DecodeError`
+    carrying the failure class (``no-sfd`` / ``truncated``) instead.
     """
-    table = table or default_table()
     arr = np.asarray(bits, dtype=np.uint8)
     num_strides = arr.size // MSK_STRIDE
     try:
@@ -70,7 +65,7 @@ def decode_payload_bits(
         blocks = arr[: num_strides * MSK_STRIDE].reshape(
             num_strides, MSK_STRIDE
         )[:, 1:]
-        symbol_arr, distance_arr = table.decode_blocks(blocks)
+        symbol_arr, distance_arr = default_table().decode_blocks(blocks)
         symbols: List[int] = symbol_arr.tolist()
         distances: List[int] = distance_arr.tolist()
         # The correlator locked on the preamble, so the frame's leading
@@ -78,8 +73,7 @@ def decode_payload_bits(
         return frame_tail(
             symbols,
             distances,
-            max_mean_distance=max_mean_distance,
-            search_limit=sfd_search_limit,
+            search_limit=SFD_SEARCH_LIMIT,
             include_preamble=True,
         )
     except DecodeError:
@@ -94,11 +88,6 @@ FrameHandler = Callable[[DecodedFrame], None]
 class WazaBeeReceiver:
     """Reception primitive bound to a low-level radio.
 
-    *max_mean_distance* is an optional decode-confidence threshold: decoded
-    frames whose mean block Hamming distance exceeds it are discarded as
-    noise (counted in :attr:`low_confidence_drops`) instead of being handed
-    to the application.
-
     Handler contract: every decoded frame is delivered to **exactly one**
     handler.  The main *handler* receives only FCS-valid frames; the
     optional *corrupt_handler* receives the FCS-failed ones — the salvage
@@ -108,16 +97,8 @@ class WazaBeeReceiver:
     :attr:`corrupt_drops`).
     """
 
-    def __init__(
-        self,
-        radio: LowLevelRadio,
-        table: Optional[CorrespondenceTable] = None,
-        max_mean_distance: Optional[float] = None,
-    ):
+    def __init__(self, radio: LowLevelRadio):
         self.radio = radio
-        self.table = table or default_table()
-        self.max_mean_distance = max_mean_distance
-        self.low_confidence_drops = 0
         self.corrupt_drops = 0
         self._handler: Optional[FrameHandler] = None
         self._corrupt_handler: Optional[FrameHandler] = None
@@ -164,19 +145,11 @@ class WazaBeeReceiver:
             # The radio de-whitened what was never whitened; undo it.
             bits = whiten(bits, self.radio.whitening_channel)
         try:
-            # Strict mode so the failure class (no-sfd / truncated /
-            # low-confidence) reaches the trace; the event-driven contract
-            # stays "drop and carry on".
+            # Strict mode so the failure class (no-sfd / truncated) reaches
+            # the trace; the event-driven contract stays "drop and carry on".
             with self.metrics.timer("rx.decode").time():
-                frame = decode_payload_bits(
-                    bits,
-                    table=self.table,
-                    max_mean_distance=self.max_mean_distance,
-                    strict=True,
-                )
+                frame = decode_payload_bits(bits, strict=True)
         except DecodeError as error:
-            if error.reason == "low-confidence":
-                self.low_confidence_drops += 1
             self.metrics.counter("rx.decode.failed").inc()
             self.metrics.counter(f"rx.decode.failed.{error.reason}").inc()
             if self.trace.active:

@@ -31,7 +31,6 @@ from repro.dsp.gfsk import FskDemodulator, FskModulator, GfskConfig
 from repro.dsp.msk import chips_to_transitions, transitions_to_chips
 from repro.experiments.environment import TestbedProfile, build_bench
 from repro.experiments.table3 import ChannelResult
-from repro.phy.ieee802154 import PN_SEQUENCES
 
 __all__ = [
     "gaussian_bt_sweep",
@@ -205,7 +204,9 @@ def data_rate_requirement_check(
             bench.chip.set_data_rate_1m()  # violate the requirement
         cell = ChannelResult(channel=channel)
         for i in range(frames):
-            frame = build_data(src, dst, bytes([i]), sequence_number=i)
+            frame = build_data(
+                src, dst, bytes([i & 0xFF]), sequence_number=i & 0xFF
+            )
             cell.tally(bench.slot(frame), frame.to_bytes())
         results[label] = cell.valid
     return DataRateCheck(

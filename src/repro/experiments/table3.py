@@ -26,6 +26,7 @@ import numpy as np
 from repro.chips import Cc1352R1, Nrf52832
 from repro.chips.cc1352 import CC1352R1_CAPABILITIES
 from repro.chips.nrf52832 import NRF52832_CAPABILITIES
+from repro.chips.rzusbstick import CFO_STD_HZ as REFERENCE_CFO_STD_HZ
 from repro.dot15d4.channels import ZIGBEE_CHANNELS
 from repro.experiments.environment import (
     TestbedProfile,
@@ -57,9 +58,6 @@ CHIP_TX_CFO_STD_HZ: Dict[str, float] = {
     "nRF52832": NRF52832_CAPABILITIES.cfo_std_hz,
     "CC1352-R1": CC1352R1_CAPABILITIES.cfo_std_hz,
 }
-
-#: Reference 802.15.4 instrument's crystal tolerance (RZUSBStick).
-REFERENCE_TX_CFO_STD_HZ = 10e3
 
 
 @dataclass
@@ -263,9 +261,8 @@ def _wideband_slot_waveform(primitive: str, counter: int, samples_per_chip: int)
     *rx* primitive: the reference 802.15.4 transmitter's O-QPSK waveform
     (what the diverted wideband receiver must decode).  *tx* primitive:
     the WazaBee injection waveform — preamble, MSK-encoded Access Address
-    and chip stream through the BLE GFSK (BT = 0.5) modulator — exactly
-    the bits :class:`~repro.chips.ble_radio.BleRadioPeripheral` puts on
-    the air.
+    and chip stream through the BLE GFSK modulator — exactly what
+    :class:`~repro.chips.ble_radio.BleRadioPeripheral` puts on the air.
     """
     from repro.phy.ieee802154 import Ppdu
 
@@ -277,7 +274,7 @@ def _wideband_slot_waveform(primitive: str, counter: int, samples_per_chip: int)
         return modulator.modulate(Ppdu(psdu).to_chips()).samples
     from repro.ble.packets import PhyMode, access_address_bits, preamble_bits
     from repro.core.encoding import frame_to_msk_bits, wazabee_access_address
-    from repro.dsp.gfsk import FskModulator, GfskConfig
+    from repro.phy.ble_phy import ble_modulator
 
     aa = wazabee_access_address()
     bits = np.concatenate(
@@ -287,10 +284,7 @@ def _wideband_slot_waveform(primitive: str, counter: int, samples_per_chip: int)
             frame_to_msk_bits(psdu),
         ]
     )
-    config = GfskConfig(
-        samples_per_symbol=samples_per_chip, modulation_index=0.5, bt=0.5
-    )
-    return FskModulator(config, 2e6).modulate(bits).samples
+    return ble_modulator(PhyMode.LE_2M, samples_per_chip).modulate(bits).samples
 
 
 def run_table3_wideband(
@@ -388,7 +382,7 @@ def _run_wideband_pair(
         seed ^ crc32(f"{chip_name}/{primitive}/wideband".encode()) & 0x7FFFFFFF
     )
     cfo_std = (
-        REFERENCE_TX_CFO_STD_HZ
+        REFERENCE_CFO_STD_HZ
         if primitive == "rx"
         else CHIP_TX_CFO_STD_HZ[chip_name]
     )

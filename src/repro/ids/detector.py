@@ -6,8 +6,9 @@ observation windows against the baseline; alert when
 
 * a band that was quiet during training becomes active (a WazaBee pivot
   waking up a Zigbee channel in a BLE-only site — or vice versa), or
-* the activity rate or mean received power on a known band departs from
-  its baseline by more than ``sigma_threshold`` standard deviations, or
+* the activity rate on a known band rises above ``MIN_RATE_RATIO`` times
+  its baseline, or its mean received power departs from the baseline by
+  more than ``SIGMA_THRESHOLD`` standard deviations, or
 * individual emissions are power outliers at a rate far above what the
   baseline spread explains (a spoofing device at a different location /
   power than the legitimate node, interleaved with its traffic).
@@ -18,7 +19,7 @@ cites ([32], [33]); it is deliberately protocol-agnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -26,6 +27,13 @@ import numpy as np
 from repro.ids.monitor import BandObservation
 
 __all__ = ["ActivityBaseline", "AnomalyAlert", "AnomalyDetector"]
+
+#: Power deviation, in baseline standard deviations, that raises an alert.
+SIGMA_THRESHOLD = 3.0
+#: Activity-rate multiple of the baseline that raises a ``rate`` alert.
+MIN_RATE_RATIO = 3.0
+#: Share of power outliers in a window that raises ``power-outliers``.
+OUTLIER_FRACTION = 0.2
 
 
 @dataclass
@@ -51,15 +59,7 @@ class AnomalyAlert:
 class AnomalyDetector:
     """Learns a baseline and scores observation windows against it."""
 
-    def __init__(
-        self,
-        sigma_threshold: float = 3.0,
-        min_rate_ratio: float = 3.0,
-        outlier_fraction: float = 0.2,
-    ):
-        self.sigma_threshold = sigma_threshold
-        self.min_rate_ratio = min_rate_ratio
-        self.outlier_fraction = outlier_fraction
+    def __init__(self):
         self.baselines: Dict[float, ActivityBaseline] = {}
         self._trained_duration = 0.0
 
@@ -117,7 +117,7 @@ class AnomalyDetector:
                     )
                 )
                 continue
-            if baseline.rate_per_s > 0 and rate > baseline.rate_per_s * self.min_rate_ratio:
+            if baseline.rate_per_s > 0 and rate > baseline.rate_per_s * MIN_RATE_RATIO:
                 alerts.append(
                     AnomalyAlert(
                         band_hz=band,
@@ -132,7 +132,7 @@ class AnomalyDetector:
             powers = np.array([o.power_dbm for o in items])
             sigma = max(baseline.power_std_dbm, 0.5)
             deviation = abs(float(powers.mean()) - baseline.power_mean_dbm) / sigma
-            if deviation > self.sigma_threshold:
+            if deviation > SIGMA_THRESHOLD:
                 alerts.append(
                     AnomalyAlert(
                         band_hz=band,
@@ -145,17 +145,17 @@ class AnomalyDetector:
                     )
                 )
             outliers = np.abs(powers - baseline.power_mean_dbm) > (
-                self.sigma_threshold * sigma
+                SIGMA_THRESHOLD * sigma
             )
             fraction = float(outliers.mean())
-            if fraction > self.outlier_fraction and outliers.sum() >= 2:
+            if fraction > OUTLIER_FRACTION and outliers.sum() >= 2:
                 alerts.append(
                     AnomalyAlert(
                         band_hz=band,
                         kind="power-outliers",
                         detail=(
                             f"{int(outliers.sum())}/{len(items)} emissions "
-                            f"beyond {self.sigma_threshold:.0f}σ of the "
+                            f"beyond {SIGMA_THRESHOLD:.0f}σ of the "
                             "baseline power — a second emitter at a "
                             "different range"
                         ),

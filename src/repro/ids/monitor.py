@@ -9,7 +9,7 @@ that defenders may not even run the protocols they need to watch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -18,6 +18,11 @@ from repro.radio.medium import RfMedium, Transmission
 from repro.radio.transceiver import Transceiver
 
 __all__ = ["BandObservation", "SpectrumSentinel"]
+
+#: Bands quieter than this are ignored (thermal floor margin).
+DETECTION_THRESHOLD_DBM = -85.0
+#: Each probe's receive bandwidth: one 2 MHz BLE/Zigbee channel.
+PROBE_BANDWIDTH_HZ = 2e6
 
 
 @dataclass(frozen=True)
@@ -42,8 +47,6 @@ class SpectrumSentinel:
         all BLE channels).
     position:
         Where the probe antenna sits.
-    detection_threshold_dbm:
-        Bands quieter than this are ignored (thermal floor margin).
     """
 
     def __init__(
@@ -52,11 +55,8 @@ class SpectrumSentinel:
         bands_hz: Sequence[float],
         position: Tuple[float, float] = (0.0, 0.0),
         name: str = "ids-sentinel",
-        detection_threshold_dbm: float = -85.0,
-        bandwidth_hz: float = 2e6,
     ):
         self.medium = medium
-        self.detection_threshold_dbm = detection_threshold_dbm
         self.observations: List[BandObservation] = []
         self._probes: List[Transceiver] = []
         for i, band in enumerate(bands_hz):
@@ -64,7 +64,7 @@ class SpectrumSentinel:
                 medium,
                 name=f"{name}-{band / 1e6:.0f}MHz",
                 position=position,
-                bandwidth_hz=bandwidth_hz,
+                bandwidth_hz=PROBE_BANDWIDTH_HZ,
             )
             probe.tune(band)
             self._probes.append(probe)
@@ -83,7 +83,7 @@ class SpectrumSentinel:
             if power <= 0.0:
                 return
             power_dbm = 10.0 * np.log10(power)
-            if power_dbm < self.detection_threshold_dbm:
+            if power_dbm < DETECTION_THRESHOLD_DBM:
                 return
             self.observations.append(
                 BandObservation(

@@ -40,16 +40,18 @@ TX_FRAME = "tx.frame"
 MEDIUM_DELIVERY = "medium.delivery"
 #: A receiver's sync correlator fired and produced a raw bit capture.
 RX_CAPTURE = "rx.capture"
-#: One capture's decode outcome (ok / no-sfd / truncated / low-confidence).
+#: One WazaBee capture's decode outcome (ok / no-sfd / truncated).
 RX_DECODE = "rx.decode"
 #: FCS verdict for a successfully decoded frame.
 RX_FCS = "rx.fcs"
-#: A link-layer retransmission (MAC ACK-timeout retry or firmware
-#: reliable-send re-attempt).
+#: An 802.15.4 MAC retransmission after an ACK timeout (the attack
+#: firmware never waits for an ACK, so only ``MacService`` emits it).
 MAC_RETRY = "mac.retry"
 #: The fault injector applied one impairment.
 FAULT_INJECTED = "fault.injected"
-#: An attack workflow changed stage.
+#: An attack workflow changed stage: Scenario A emits ``advertising``
+#: once (it advertises until stopped); Scenario B emits each
+#: :class:`~repro.attacks.scenario_b.AttackPhase` it enters.
 ATTACK_STAGE = "attack.stage"
 #: The firmware's bounded raw-frame ring evicted its oldest entry to make
 #: room for a new decode (the ``raw_frames_dropped`` ledger's trace twin).

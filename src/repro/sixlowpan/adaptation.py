@@ -20,6 +20,10 @@ from repro.sixlowpan.ipv6 import Ipv6Header, UdpDatagram, link_local_address
 
 __all__ = ["ReceivedUdp", "SixLowpanAdaptation"]
 
+#: Inter-fragment gap; must exceed one frame's airtime plus the
+#: acknowledgement turnaround (the radio is half-duplex).
+FRAGMENT_SPACING_S = 5e-3
+
 
 @dataclass(frozen=True)
 class ReceivedUdp:
@@ -37,19 +41,9 @@ UdpHandler = Callable[[ReceivedUdp], None]
 class SixLowpanAdaptation:
     """One node's 6LoWPAN stack instance."""
 
-    def __init__(
-        self,
-        mac: MacService,
-        max_fragment_payload: int = 96,
-        hop_limit: int = 64,
-        fragment_spacing_s: float = 5e-3,
-    ):
+    def __init__(self, mac: MacService, hop_limit: int = 64):
         self.mac = mac
-        self.max_fragment_payload = max_fragment_payload
         self.hop_limit = hop_limit
-        #: Inter-fragment gap; must exceed one frame's airtime plus the
-        #: acknowledgement turnaround (the radio is half-duplex).
-        self.fragment_spacing_s = fragment_spacing_s
         self.reassembler = Reassembler()
         self._handler: Optional[UdpHandler] = None
         self._next_tag = 0
@@ -99,9 +93,7 @@ class SixLowpanAdaptation:
         )
         tag = self._next_tag
         self._next_tag = (self._next_tag + 1) & 0xFFFF
-        fragments = fragment_datagram(
-            compressed, tag=tag, max_fragment_payload=self.max_fragment_payload
-        )
+        fragments = fragment_datagram(compressed, tag=tag)
         destination = Address(
             pan_id=self.mac.address.pan_id, address=destination_short
         )
@@ -129,7 +121,7 @@ class SixLowpanAdaptation:
             if index == 0:
                 send()
             else:
-                scheduler.schedule(index * self.fragment_spacing_s, send)
+                scheduler.schedule(index * FRAGMENT_SPACING_S, send)
         self.sent_datagrams += 1
         return sequences
 

@@ -18,10 +18,12 @@ FRAGN_DISPATCH = 0b11100_000
 _HEADER1_SIZE = 4
 _HEADERN_SIZE = 5
 MAX_DATAGRAM_SIZE = (1 << 11) - 1
+#: Largest 6LoWPAN payload per MAC frame before a datagram is fragmented.
+MAX_FRAGMENT_PAYLOAD = 96
 
 
 def fragment_datagram(
-    datagram: bytes, tag: int, max_fragment_payload: int = 96
+    datagram: bytes, tag: int, max_fragment_payload: int = MAX_FRAGMENT_PAYLOAD
 ) -> List[bytes]:
     """Split *datagram* into link-sized fragments.
 

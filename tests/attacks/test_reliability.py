@@ -1,16 +1,13 @@
 """Tests for attack-workflow reliability: per-stage retries with backoff,
-structured failure diagnosis, the watchdog, repeat-until-acked injection,
-and Scenario A's bounded repeat mode."""
+structured failure diagnosis and the watchdog."""
 
 import numpy as np
 import pytest
 
-from repro.attacks.scenario_a import SmartphoneInjectionAttack
 from repro.attacks.scenario_b import AttackPhase, StageDiagnosis, TrackerAttack
 from repro.chips import Nrf51822
-from repro.chips.smartphone import SmartphoneBle
 from repro.core.firmware import WazaBeeFirmware
-from repro.dot15d4.frames import Address, build_data
+from repro.dot15d4.frames import Address
 from repro.zigbee.network import CoordinatorNode, SensorNode
 
 PAN = 0x1234
@@ -186,121 +183,3 @@ class TestWatchdog:
         attack.run()
         scheduler.run(2.0)
         assert attack._watchdog is None
-
-
-class TestReliableInjection:
-    def test_send_frame_reliable_acked_first_try(self, environment):
-        coordinator, _, firmware, sched = environment
-        frame = build_data(
-            source=SENSOR,
-            destination=COORD,
-            payload=b"\x10\x01\x02",
-            sequence_number=0x55,
-            ack_request=True,
-        )
-        results = []
-        firmware.send_frame_reliable(
-            frame, channel=14, on_result=results.append
-        )
-        sched.run(0.1)
-        assert len(results) == 1
-        assert results[0].delivered is True
-        assert results[0].attempts == 1
-        assert results[0].sequence_number == 0x55
-
-    def test_send_frame_reliable_gives_up_without_ack(
-        self, quiet_medium, scheduler
-    ):
-        firmware = make_firmware(quiet_medium, scheduler)
-        frame = build_data(
-            source=SENSOR,
-            destination=COORD,
-            payload=b"\x10",
-            sequence_number=0x66,
-            ack_request=True,
-        )
-        results = []
-        firmware.send_frame_reliable(
-            frame, channel=14, max_attempts=3, on_result=results.append
-        )
-        scheduler.run(0.5)
-        assert len(results) == 1
-        assert results[0].delivered is False
-        assert results[0].attempts == 3
-
-    def test_reliable_spoofing_counts_delivered_reports(self, environment):
-        coordinator, _, firmware, sched = environment
-        attack = TrackerAttack(
-            firmware,
-            channels=(14,),
-            fake_report_count=2,
-            fake_report_interval_s=0.5,
-            reliable_spoofing=True,
-        )
-        attack.run()
-        sched.run(15.0)
-        assert attack.phase is AttackPhase.DONE
-        assert attack.fake_reports_sent == 2
-        assert attack.fake_reports_delivered == 2
-        fake = [e for e in coordinator.display if e.value == 99]
-        assert len(fake) == 2
-
-
-class TestScenarioABoundedMode:
-    def test_bounded_mode_stops_after_target_hits(
-        self, quiet_medium, scheduler
-    ):
-        phone = SmartphoneBle(quiet_medium, rng=np.random.default_rng(1))
-        frame = build_data(
-            SENSOR, COORD, b"\x10\x01", sequence_number=1, ack_request=False
-        )
-        attack = SmartphoneInjectionAttack(
-            phone, zigbee_channel=14, frame=frame
-        )
-        outcomes = []
-        attack.start_bounded(
-            target_hits=1,
-            max_events=2000,
-            interval_s=0.1,
-            on_complete=lambda a, ok: outcomes.append(ok),
-        )
-        scheduler.run(150.0)
-        assert outcomes == [True]
-        assert attack.events_on_target >= 1
-        # Advertising stopped at the hit — no runaway event stream.
-        assert attack.events_total < 2000
-
-    def test_bounded_mode_reports_failure_at_event_budget(
-        self, quiet_medium, scheduler
-    ):
-        phone = SmartphoneBle(quiet_medium, rng=np.random.default_rng(2))
-        frame = build_data(
-            SENSOR, COORD, b"\x10\x01", sequence_number=1, ack_request=False
-        )
-        attack = SmartphoneInjectionAttack(
-            phone, zigbee_channel=14, frame=frame
-        )
-        outcomes = []
-        # target_hits effectively unreachable within 5 events.
-        attack.start_bounded(
-            target_hits=100,
-            max_events=5,
-            interval_s=0.1,
-            on_complete=lambda a, ok: outcomes.append(ok),
-        )
-        scheduler.run(10.0)
-        assert outcomes == [False]
-        assert attack.events_total == 5
-
-    def test_bounded_mode_validates_arguments(self, quiet_medium):
-        phone = SmartphoneBle(quiet_medium, rng=np.random.default_rng(1))
-        frame = build_data(
-            SENSOR, COORD, b"\x10", sequence_number=1, ack_request=False
-        )
-        attack = SmartphoneInjectionAttack(
-            phone, zigbee_channel=14, frame=frame
-        )
-        with pytest.raises(ValueError):
-            attack.start_bounded(target_hits=0)
-        with pytest.raises(ValueError):
-            attack.start_bounded(max_events=0)

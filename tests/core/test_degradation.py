@@ -1,17 +1,19 @@
 """Tests for graceful degradation in the reception/transmission primitives:
-the DecodeError taxonomy, confidence thresholds, the FCS-failed salvage
-path, and the narrowed capability exception around ``set_whitening``."""
+the DecodeError taxonomy, the frame-tail confidence gate, the FCS-failed
+salvage path, and the narrowed capability exception around
+``set_whitening``."""
 
 import numpy as np
 import pytest
 
 from repro.chips.capabilities import CapabilityError
 from repro.core.encoding import frame_to_msk_bits
-from repro.core.rx import WazaBeeReceiver, decode_payload_bits
+from repro.core.rx import SFD_SEARCH_LIMIT, WazaBeeReceiver, decode_payload_bits
+from repro.core.tables import default_table
 from repro.core.tx import WazaBeeTransmitter
 from repro.dot15d4.frames import Address, build_data
 from repro.errors import DecodeError, RadioError
-from repro.obs import RX_DECODE, TraceRecorder, scoped
+from repro.phy.batch import frame_tail
 
 SRC = Address(pan_id=0x1234, address=0x0063)
 DST = Address(pan_id=0x1234, address=0x0042)
@@ -20,6 +22,21 @@ DST = Address(pan_id=0x1234, address=0x0042)
 def good_capture(psdu: bytes) -> np.ndarray:
     """TX-encode *psdu* and crop to what the receiver sees after the AA."""
     return frame_to_msk_bits(psdu)[32 * 2 :]
+
+
+def gated_tail(bits: np.ndarray, max_mean_distance: float):
+    """Despread a WazaBee capture as the receiver does, then run the
+    frame tail with the confidence gate the 802.15.4 decoder uses."""
+    strides = bits.size // 32
+    blocks = bits[: strides * 32].reshape(strides, 32)[:, 1:]
+    symbols, distances = default_table().decode_blocks(blocks)
+    return frame_tail(
+        symbols.tolist(),
+        distances.tolist(),
+        max_mean_distance=max_mean_distance,
+        search_limit=SFD_SEARCH_LIMIT,
+        include_preamble=True,
+    )
 
 
 def valid_psdu() -> bytes:
@@ -110,20 +127,14 @@ class TestDecodeFailures:
         assert degraded is not None
         assert degraded.mean_distance > clean.mean_distance
         threshold = clean.mean_distance
-        assert decode_payload_bits(bits, max_mean_distance=threshold) is not None
-        assert decode_payload_bits(damaged, max_mean_distance=threshold) is None
+        assert gated_tail(bits, threshold).psdu == clean.psdu
         with pytest.raises(DecodeError) as info:
-            decode_payload_bits(
-                damaged, max_mean_distance=threshold, strict=True
-            )
+            gated_tail(damaged, threshold)
         assert info.value.reason == "low-confidence"
         assert info.value.mean_distance > threshold
 
     def test_generous_threshold_accepts_clean_capture(self):
-        frame = decode_payload_bits(
-            good_capture(valid_psdu()), max_mean_distance=5.0
-        )
-        assert frame is not None
+        frame = gated_tail(good_capture(valid_psdu()), 5.0)
         assert frame.psdu == valid_psdu()
 
 
@@ -163,28 +174,6 @@ class TestSalvagePath:
         assert corrupt[0].confidences
         # The ordinary handler only ever sees FCS-valid frames.
         assert frames == []
-
-    def test_low_confidence_drop_counter(self):
-        capture = good_capture(valid_psdu())
-        with scoped() as (bus, registry):
-            recorder = TraceRecorder(bus)
-            radio = _FakeRadio()
-            receiver = WazaBeeReceiver(radio, max_mean_distance=-1.0)
-            frames = []
-            receiver.start(14, frames.append)
-            radio.armed(capture)
-        assert frames == []
-        assert receiver.low_confidence_drops == 1
-        counters = registry.counter_values()
-        assert counters["rx.decode.failed"] == 1
-        assert counters["rx.decode.failed.low-confidence"] == 1
-        assert "rx.decode.ok" not in counters
-        (event,) = [e for e in recorder.events if e.name == RX_DECODE]
-        assert event.fields["outcome"] == "low-confidence"
-        assert (
-            event.fields["mean_distance"]
-            == decode_payload_bits(capture).mean_distance
-        )
 
 
 class TestWhiteningCapabilityNarrowing:

@@ -89,3 +89,30 @@ def test_table3_cells_must_decode_the_same_frames(capsys):
     assert row.endswith("| 0/2 | 0 | 0/2 | 1 |")
     runs["b"][1] = _cell(68.0, 24, 1)
     assert ab._report("table3_cell", runs, directions) == 0
+
+
+def test_wifi_cell_holds_corrupted_and_lost_frames():
+    """The untimed cell must hold both corrupted and lost frames, or a
+    shift between the two could not change the tallies a pair compares."""
+    from repro.experiments.table3 import run_table3_cell
+
+    chip, primitive, channel, frames, seed = _load_ab().WIFI_CELL
+    cell = run_table3_cell(
+        chip, primitive, channel=channel, frames=frames, seed=seed
+    )
+    assert channel in (17, 18, 21, 22, 23)
+    assert cell.valid < frames
+    assert cell.corrupted > 0
+    assert frames - cell.valid - cell.corrupted > 0
+
+
+def test_a_corrupted_to_lost_shift_is_an_incorrect_b_run(capsys):
+    ab = _load_ab()
+    a = _cell(70.0, 100, 0)
+    a["tallies"].append([46, 2])
+    b = _cell(69.0, 100, 0)
+    # Same valid count; one corrupted frame of the WiFi cell is now lost.
+    b["tallies"].append([46, 1])
+    directions = {"table3_cell_wall_clock": "lower"}
+    assert ab._report("table3_cell", {"a": [a], "b": [b]}, directions) == 1
+    capsys.readouterr()

@@ -46,3 +46,10 @@ class TestDataRateRequirement:
             "scheduler.events": 10,
             "tx.frames": 10,
         }
+
+    def test_more_than_256_frames_wrap_the_one_byte_counter(self):
+        # Frame 256's payload byte and sequence number wrap to 0.
+        check = data_rate_requirement_check(frames=257, seed=2)
+        assert check == DataRateCheck(
+            le2m_received=257, le1m_received=0, frames=257
+        )

@@ -10,8 +10,11 @@ WazaBee attack touches:
   chain Scenario A abuses (:mod:`repro.ble.packets`);
 * Channel Selection Algorithm #2 (:mod:`repro.ble.csa2`), which decides the
   secondary advertising channel and is the reason the smartphone attacker
-  can only select a Zigbee channel probabilistically;
-* a minimal link layer for advertising/scanning (:mod:`repro.ble.link_layer`).
+  can only select a Zigbee channel probabilistically.
+
+There is no advertiser/scanner link layer: the one device that
+advertises, Scenario A's smartphone, builds its extended-advertising
+chain itself (:mod:`repro.chips.smartphone`).
 """
 
 from repro.ble.channels import (

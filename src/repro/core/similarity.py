@@ -43,6 +43,8 @@ __all__ = [
 
 #: Shared simulation sample rate (must be a multiple of every symbol rate).
 SAMPLE_RATE = 16e6
+#: The pivot-viability bar: the largest BER 802.15.4's DSSS absorbs.
+VIABLE_BER = 0.15
 #: Sync prefix used for timing acquisition in the metric.
 _SYNC = np.array([0, 1, 1, 0, 1, 0, 0, 1] * 6, dtype=np.uint8)
 
@@ -167,11 +169,11 @@ def similarity_matrix(
 
 
 def viable_pivots(
-    matrix: Dict[Tuple[str, str], float], threshold: float = 0.15
+    matrix: Dict[Tuple[str, str], float]
 ) -> List[Tuple[str, str, float]]:
-    """Cross-protocol pairs whose BER clears the pivot-viability bar."""
+    """Cross-protocol pairs whose BER clears :data:`VIABLE_BER`."""
     return sorted(
         (tx, rx, ber)
         for (tx, rx), ber in matrix.items()
-        if tx != rx and ber <= threshold
+        if tx != rx and ber <= VIABLE_BER
     )

@@ -892,9 +892,9 @@ class FskDemodulator:
         sig: IQSignal,
         sync_bits,
         num_payload_bits: int,
-        threshold: float = SYNC_THRESHOLD,
     ) -> Optional[Tuple[np.ndarray, SyncResult]]:
-        """Find *sync_bits* and decode the following *num_payload_bits*.
+        """Find *sync_bits* (at :data:`SYNC_THRESHOLD`) and decode the
+        following *num_payload_bits*.
 
         Returns ``None`` when the sync word is absent or the capture is too
         short; otherwise ``(payload_bits, sync_result)``.  If fewer than
@@ -902,12 +902,7 @@ class FskDemodulator:
         whole symbols are returned.
         """
         disc = self.discriminate(sig)
-        sync = self.find_sync(
-            disc,
-            sync_bits,
-            threshold=threshold,
-            power=lazy_capture_power(sig),
-        )
+        sync = self.find_sync(disc, sync_bits, power=lazy_capture_power(sig))
         if sync is None:
             return None
         sps = self.config.samples_per_symbol

@@ -13,7 +13,7 @@ Each module maps to an artefact of the paper (see DESIGN.md §4):
   choices (Hamming threshold, Gaussian BT, modulation index, ESB fallback).
 """
 
-from repro.experiments.environment import Testbed, TestbedProfile, build_testbed
+from repro.experiments.environment import Testbed, build_testbed
 from repro.experiments.fleet import (
     FleetCampaignResult,
     FleetNodeReport,
@@ -28,7 +28,6 @@ from repro.experiments.table3 import (
 )
 
 __all__ = [
-    "TestbedProfile",
     "Testbed",
     "build_testbed",
     "ChannelResult",

@@ -23,14 +23,16 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.ble.packets import PhyMode
 from repro.ble.whitening import whiten
 from repro.core.encoding import frame_to_msk_bits
 from repro.core.tables import default_table
 from repro.dot15d4.frames import Address, build_data
-from repro.dsp.gfsk import FskDemodulator, FskModulator, GfskConfig
+from repro.dsp.gfsk import FskModulator, GfskConfig
 from repro.dsp.msk import chips_to_transitions, transitions_to_chips
-from repro.experiments.environment import TestbedProfile, build_bench
+from repro.experiments.environment import build_bench
 from repro.experiments.table3 import ChannelResult
+from repro.phy.ble_phy import ble_demodulator
 
 __all__ = [
     "gaussian_bt_sweep",
@@ -39,6 +41,11 @@ __all__ = [
     "esb_fallback_comparison",
     "whitening_strategy_check",
 ]
+
+#: The Zigbee channel of the bench ablations (the §VI-A network's).
+ABLATION_CHANNEL = 14
+#: The frame the whitening check encodes.
+WHITENING_PSDU = b"\x01\x02\x03\x04\x05\x06\x07"
 
 
 def _chip_error_rate(
@@ -52,10 +59,7 @@ def _chip_error_rate(
         GfskConfig(samples_per_symbol=8, modulation_index=modulation_index, bt=bt),
         symbol_rate=2e6,
     )
-    demodulator = FskDemodulator(
-        GfskConfig(samples_per_symbol=8, modulation_index=0.5, bt=None),
-        symbol_rate=2e6,
-    )
+    demodulator = ble_demodulator(PhyMode.LE_2M, 8)
     sig = modulator.modulate(transitions)
     disc = demodulator.discriminate(sig)
     sync = demodulator.find_sync(disc, transitions[:64], threshold=0.3)
@@ -131,12 +135,7 @@ class FallbackComparison:
     frames: int
 
 
-def esb_fallback_comparison(
-    frames: int = 50,
-    channel: int = 14,
-    profile: Optional[TestbedProfile] = None,
-    seed: int = 0,
-) -> FallbackComparison:
+def esb_fallback_comparison(frames: int = 50, seed: int = 0) -> FallbackComparison:
     """Reception success of nRF52832 (LE 2M) vs nRF51822 (ESB fallback)."""
     from repro.chips import Nrf51822, Nrf52832
 
@@ -146,8 +145,8 @@ def esb_fallback_comparison(
     dst = Address(pan_id=0x1234, address=2)
     rates = {}
     for label, factory in (("le2m", Nrf52832), ("esb", Nrf51822)):
-        bench = build_bench(factory, "rx", channel, profile, seed=seed)
-        cell = ChannelResult(channel=channel)
+        bench = build_bench(factory, "rx", ABLATION_CHANNEL, seed=seed)
+        cell = ChannelResult(channel=ABLATION_CHANNEL)
         for i in range(frames):
             frame = build_data(
                 src, dst, bytes([0x42, i & 0xFF]), sequence_number=i & 0xFF
@@ -160,13 +159,13 @@ def esb_fallback_comparison(
 
 
 def whitening_strategy_check(
-    channel_index: int = 8, psdu: bytes = b"\x01\x02\x03\x04\x05\x06\x07"
+    channel_index: int = 8,
 ) -> Tuple[np.ndarray, np.ndarray, bool]:
     """Disabled whitening vs pre-inversion: identical on-air bits?
 
     Returns ``(bits_disabled, bits_pre_inverted_then_whitened, equal)``.
     """
-    raw = frame_to_msk_bits(psdu)
+    raw = frame_to_msk_bits(WHITENING_PSDU)
     pre_inverted = whiten(raw, channel_index)
     on_air = whiten(pre_inverted, channel_index)
     return raw, on_air, bool(np.array_equal(raw, on_air))
@@ -181,9 +180,7 @@ class DataRateCheck:
     frames: int
 
 
-def data_rate_requirement_check(
-    frames: int = 10, channel: int = 14, seed: int = 0
-) -> DataRateCheck:
+def data_rate_requirement_check(frames: int = 10, seed: int = 0) -> DataRateCheck:
     """§IV-D requirement 1: the 2 Mbit/s data rate is load-bearing.
 
     Transmits WazaBee frames from an LE 2M radio and from an LE 1M radio
@@ -199,10 +196,10 @@ def data_rate_requirement_check(
     dst = Address(pan_id=0x1234, address=2)
     results = {}
     for label, use_2m in (("le2m", True), ("le1m", False)):
-        bench = build_bench(Nrf52832, "tx", channel, seed=seed)
+        bench = build_bench(Nrf52832, "tx", ABLATION_CHANNEL, seed=seed)
         if not use_2m:
             bench.chip.set_data_rate_1m()  # violate the requirement
-        cell = ChannelResult(channel=channel)
+        cell = ChannelResult(channel=ABLATION_CHANNEL)
         for i in range(frames):
             frame = build_data(
                 src, dst, bytes([i & 0xFF]), sequence_number=i & 0xFF

@@ -26,7 +26,6 @@ from repro.radio.medium import PropagationModel, RfMedium
 from repro.radio.scheduler import Scheduler
 
 __all__ = [
-    "TestbedProfile",
     "Testbed",
     "build_testbed",
     "Bench",
@@ -38,19 +37,18 @@ _SRC = Address(pan_id=0x1234, address=0x0063)
 _DST = Address(pan_id=0x1234, address=0x0042)
 
 
-@dataclass(frozen=True)
-class TestbedProfile:
-    """Tunable environment parameters (calibrated for Table III's shape)."""
-
-    distance_m: float = 3.0
-    tx_power_dbm: float = 0.0
-    noise_floor_dbm: float = -100.0
-    path_loss_exponent: float = 2.5
-    shadowing_sigma_db: float = 4.0
-    wifi_channels: Tuple[int, ...] = (6, 11)
-    wifi_power_dbm: float = -37.0
-    wifi_duty_cycle: float = 0.06
-    sample_rate: float = 16e6
+#: The calibrated §V bench (Table III's shape), read by the narrowband
+#: testbed below and by the wideband front end
+#: (:class:`repro.chips.wideband.WidebandFrontEnd`).
+DISTANCE_M = 3.0
+TX_POWER_DBM = 0.0
+NOISE_FLOOR_DBM = -100.0
+PATH_LOSS_EXPONENT = 2.5
+SHADOWING_SIGMA_DB = 4.0
+WIFI_CHANNELS: Tuple[int, ...] = (6, 11)
+WIFI_POWER_DBM = -37.0
+WIFI_DUTY_CYCLE = 0.06
+SAMPLE_RATE = 16e6
 
 
 @dataclass
@@ -59,7 +57,6 @@ class Testbed:
 
     scheduler: Scheduler
     medium: RfMedium
-    profile: TestbedProfile
     rng: np.random.Generator
 
     @property
@@ -68,7 +65,7 @@ class Testbed:
 
     @property
     def reference_position(self) -> Tuple[float, float]:
-        return (self.profile.distance_m, 0.0)
+        return (DISTANCE_M, 0.0)
 
     def device_rng(self, stream: int) -> np.random.Generator:
         """Derive an independent per-device generator."""
@@ -79,7 +76,6 @@ class Testbed:
 
 
 def build_testbed(
-    profile: Optional[TestbedProfile] = None,
     seed: int = 0,
     fault_plan: Optional[FaultPlan] = None,
 ) -> Testbed:
@@ -88,31 +84,30 @@ def build_testbed(
     *fault_plan* optionally degrades the bench with scripted impairments
     (see :mod:`repro.faults`) — the knob behind the ``--chaos`` CLI flag.
     """
-    profile = profile or TestbedProfile()
     scheduler = Scheduler()
     rng = np.random.default_rng(seed)
     interferers = [
         WifiInterferer(
             channel=ch,
-            power_dbm=profile.wifi_power_dbm,
-            duty_cycle=profile.wifi_duty_cycle,
+            power_dbm=WIFI_POWER_DBM,
+            duty_cycle=WIFI_DUTY_CYCLE,
         )
-        for ch in profile.wifi_channels
+        for ch in WIFI_CHANNELS
     ]
     medium = RfMedium(
         scheduler,
-        sample_rate=profile.sample_rate,
-        noise_floor_dbm=profile.noise_floor_dbm,
+        sample_rate=SAMPLE_RATE,
+        noise_floor_dbm=NOISE_FLOOR_DBM,
         propagation=PropagationModel(
-            exponent=profile.path_loss_exponent,
-            shadowing_sigma_db=profile.shadowing_sigma_db,
+            exponent=PATH_LOSS_EXPONENT,
+            shadowing_sigma_db=SHADOWING_SIGMA_DB,
         ),
         interferers=interferers,
         seed=seed + 1,
     )
     if fault_plan is not None and not fault_plan.is_clean():
         medium.install_fault_injector(FaultInjector(fault_plan))
-    return Testbed(scheduler=scheduler, medium=medium, profile=profile, rng=rng)
+    return Testbed(scheduler=scheduler, medium=medium, rng=rng)
 
 
 def counter_frame(counter: int) -> MacFrame:
@@ -157,7 +152,6 @@ def build_bench(
     chip_factory: Callable,
     primitive: str,
     channel: int,
-    profile: Optional[TestbedProfile] = None,
     seed: int = 0,
     fault_plan: Optional[FaultPlan] = None,
     raw_tap: Optional[Callable[[DecodedFrame], None]] = None,
@@ -171,7 +165,7 @@ def build_bench(
     """
     if primitive not in ("rx", "tx"):
         raise ValueError("primitive must be 'rx' or 'tx'")
-    testbed = build_testbed(profile, seed=seed, fault_plan=fault_plan)
+    testbed = build_testbed(seed=seed, fault_plan=fault_plan)
     # Each device_rng call draws from testbed.rng: chip first, then the
     # reference, so every device stream depends on this order.
     chip = chip_factory(

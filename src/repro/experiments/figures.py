@@ -18,8 +18,10 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.ble.packets import PhyMode
 from repro.dsp.gfsk import FskModulator, GfskConfig
 from repro.dsp.oqpsk import OqpskModulator
+from repro.phy.ble_phy import DEFAULT_SAMPLES_PER_SYMBOL, ble_modulator
 from repro.utils.bits import as_bit_array
 
 __all__ = [
@@ -29,10 +31,17 @@ __all__ = [
     "spectral_comparison",
 ]
 
+#: Samples per symbol (chip) of the Figure 1–3 traces: fine enough to draw.
+FIGURE_SAMPLES_PER_SYMBOL = 64
+#: Carrier cycles per chip of Figure 2's mixed components.
+CARRIER_CYCLES_PER_CHIP = 2.0
+#: Random bits modulated, and the PSD segment length, of the spectral
+#: comparison.
+SPECTRAL_BITS = 4096
+SPECTRAL_NPERSEG = 512
 
-def fig1_fsk_iq(
-    samples_per_symbol: int = 64, modulation_index: float = 0.5
-) -> Dict[str, np.ndarray]:
+
+def fig1_fsk_iq(modulation_index: float = 0.5) -> Dict[str, np.ndarray]:
     """Phase trajectories of a 2-FSK modulator for an isolated 1 and 0.
 
     Returns unwrapped phase (radians) over one symbol for each bit value;
@@ -40,7 +49,7 @@ def fig1_fsk_iq(
     ``phase_zero`` decreasing (clockwise).
     """
     config = GfskConfig(
-        samples_per_symbol=samples_per_symbol,
+        samples_per_symbol=FIGURE_SAMPLES_PER_SYMBOL,
         modulation_index=modulation_index,
         bt=None,
     )
@@ -56,8 +65,7 @@ def fig1_fsk_iq(
 
 def fig2_oqpsk_waveforms(
     chips=(1, 1, 0, 1, 0, 0, 1, 0),
-    samples_per_chip: int = 64,
-    carrier_cycles_per_chip: float = 2.0,
+    samples_per_chip: int = FIGURE_SAMPLES_PER_SYMBOL,
 ) -> Dict[str, np.ndarray]:
     """The six stacked traces of Figure 2 for a short chip sequence.
 
@@ -74,7 +82,7 @@ def fig2_oqpsk_waveforms(
     m = np.zeros(n)
     for k, level in enumerate(nrz):
         m[k * samples_per_chip : (k + 1) * samples_per_chip] = level
-    omega = 2.0 * np.pi * carrier_cycles_per_chip
+    omega = 2.0 * np.pi * CARRIER_CYCLES_PER_CHIP
     i_carrier = i_wave * np.cos(omega * t)
     q_carrier = q_wave * np.sin(omega * t)
     return {
@@ -91,7 +99,6 @@ def fig2_oqpsk_waveforms(
 
 def fig3_constellation(
     chips=(1, 1, 0, 1, 0, 0, 1, 0, 1, 1),
-    samples_per_chip: int = 64,
 ) -> Dict[str, object]:
     """Constellation states and the trajectory for a chip sequence.
 
@@ -99,20 +106,16 @@ def fig3_constellation(
     chips), the complex baseband trajectory, and the per-chip phase steps —
     each of which Figure 3 requires to be ±π/2.
     """
-    modulator = OqpskModulator(samples_per_chip=samples_per_chip, chip_rate=2e6)
+    spc = FIGURE_SAMPLES_PER_SYMBOL
+    modulator = OqpskModulator(samples_per_chip=spc, chip_rate=2e6)
     sig = modulator.modulate(chips)
     phase = sig.instantaneous_phase()
     # Phase at mid-chip instants (the constellation corners)...
-    mids = [
-        (k * samples_per_chip + samples_per_chip // 2)
-        for k in range(1, len(chips))
-    ]
+    mids = [(k * spc + spc // 2) for k in range(1, len(chips))]
     mid_phases = np.array([phase[m] for m in mids])
     # ...and the rotation across each full chip period (skipping the edge
     # chips, whose pulses are only half-formed): each must be exactly ±π/2.
-    boundaries = np.array(
-        [phase[k * samples_per_chip] for k in range(1, len(chips))]
-    )
+    boundaries = np.array([phase[k * spc] for k in range(1, len(chips))])
     steps = np.diff(boundaries)
     states = {
         "11": complex(np.sqrt(0.5), np.sqrt(0.5)),
@@ -148,9 +151,7 @@ def _occupied_bandwidth(freqs: np.ndarray, psd: np.ndarray, fraction: float) -> 
     return float(freqs[high] - freqs[low])
 
 
-def spectral_comparison(
-    num_bits: int = 4096, seed: int = 0, nperseg: int = 512
-) -> Dict[str, float]:
+def spectral_comparison(seed: int = 0) -> Dict[str, float]:
     """Spectral occupancy of the two waveforms (§VII's overlap criterion).
 
     Modulates the same random bit stream as BLE LE 2M GFSK and (via the
@@ -162,13 +163,14 @@ def spectral_comparison(
     from repro.dsp.spectrum import power_spectral_density
 
     rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, num_bits).astype(np.uint8)
-    gfsk = FskModulator(GfskConfig(8, 0.5, 0.5), 2e6).modulate(bits)
+    sps = DEFAULT_SAMPLES_PER_SYMBOL
+    bits = rng.integers(0, 2, SPECTRAL_BITS).astype(np.uint8)
+    gfsk = ble_modulator(PhyMode.LE_2M, sps).modulate(bits)
     chips = transitions_to_chips(bits, start_index=0, previous_chip=0)
-    oqpsk = OqpskModulator(samples_per_chip=8, chip_rate=2e6).modulate(chips)
+    oqpsk = OqpskModulator(samples_per_chip=sps, chip_rate=2e6).modulate(chips)
 
-    freqs_g, psd_g = power_spectral_density(gfsk, nperseg=nperseg)
-    freqs_o, psd_o = power_spectral_density(oqpsk, nperseg=nperseg)
+    freqs_g, psd_g = power_spectral_density(gfsk, nperseg=SPECTRAL_NPERSEG)
+    freqs_o, psd_o = power_spectral_density(oqpsk, nperseg=SPECTRAL_NPERSEG)
     # Same sample rate and nperseg → same frequency grid.
     overlap = float(
         np.sum(np.sqrt(psd_g * psd_o))

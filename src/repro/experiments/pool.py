@@ -20,15 +20,13 @@ def warm_tx_cache(sample_rate: float) -> None:
     The pool initializer, so each worker pays cache construction once
     before its first task rather than inside it.
     """
-    from repro.dsp.gfsk import GfskConfig, waveform_cache
+    from repro.ble.packets import PhyMode
+    from repro.phy.ble_phy import ble_modulator
 
     spc = sample_rate / 2e6
     if abs(spc - round(spc)) > 1e-9:
         return
-    config = GfskConfig(
-        samples_per_symbol=int(round(spc)), modulation_index=0.5, bt=0.5
-    )
-    waveform_cache(config, 2e6)
+    ble_modulator(PhyMode.LE_2M, int(round(spc))).warm()
 
 
 def _apply(call: Tuple[Callable, Dict[str, Any]]) -> Any:

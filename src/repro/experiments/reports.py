@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.core.channel_map import COMMON_CHANNELS
 from repro.core.encoding import wazabee_access_address
@@ -47,17 +47,10 @@ def render_correspondence() -> str:
     return "\n".join(lines)
 
 
-def render_similarity_matrix(
-    matrix: Dict[Tuple[str, str], float],
-    names: Optional[Tuple[str, ...]] = None,
-) -> str:
-    """The future-work cross-demodulation BER matrix."""
-    if names is None:
-        seen = []
-        for tx, _rx in matrix:
-            if tx not in seen:
-                seen.append(tx)
-        names = tuple(seen)
+def render_similarity_matrix(matrix: Dict[Tuple[str, str], float]) -> str:
+    """The future-work cross-demodulation BER matrix, schemes in the
+    matrix's order."""
+    names = list(dict.fromkeys(tx for tx, _rx in matrix))
 
     def short(name: str) -> str:
         return name.split(" (")[0]

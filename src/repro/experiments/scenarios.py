@@ -18,7 +18,7 @@ from repro.chips.nrf51822 import Nrf51822
 from repro.chips.smartphone import SmartphoneBle
 from repro.core.firmware import WazaBeeFirmware
 from repro.dot15d4.frames import Address, build_data
-from repro.experiments.environment import Testbed, TestbedProfile, build_testbed
+from repro.experiments.environment import DISTANCE_M, Testbed, build_testbed
 from repro.zigbee.network import CoordinatorNode, SensorNode
 from repro.zigbee.xbee import SensorReading, XBEE_DEFAULTS
 
@@ -62,7 +62,7 @@ def build_zigbee_network(
     coordinator = CoordinatorNode(
         testbed.medium,
         address=COORDINATOR_ADDRESS,
-        position=(testbed.profile.distance_m, 0.0),
+        position=(DISTANCE_M, 0.0),
         rng=testbed.device_rng(10),
         security=context(),
     )
@@ -70,7 +70,7 @@ def build_zigbee_network(
         testbed.medium,
         address=SENSOR_ADDRESS,
         coordinator=COORDINATOR_ADDRESS,
-        position=(testbed.profile.distance_m, 1.5),
+        position=(DISTANCE_M, 1.5),
         report_interval_s=report_interval_s,
         value_source=lambda: 21,
         rng=testbed.device_rng(11),
@@ -102,7 +102,6 @@ def run_scenario_a(
     duration_s: float = 60.0,
     zigbee_channel: int = 14,
     forged_value: int = 1337,
-    profile: Optional[TestbedProfile] = None,
     seed: int = 0,
 ) -> ScenarioAResult:
     """Inject forged sensor readings from the smartphone (Figure 4).
@@ -111,7 +110,7 @@ def run_scenario_a(
     that appears there was carried by an extended advertisement whose CSA#2
     draw hit the right channel *and* survived the air interface.
     """
-    testbed = build_testbed(profile, seed=seed)
+    testbed = build_testbed(seed=seed)
     network = build_zigbee_network(testbed)
     network.start()
     phone = SmartphoneBle(
@@ -166,7 +165,6 @@ def run_scenario_b(
     duration_s: float = 40.0,
     dos_channel: int = 26,
     fake_value: int = 99,
-    profile: Optional[TestbedProfile] = None,
     seed: int = 0,
     security_key: Optional[bytes] = None,
 ) -> ScenarioBResult:
@@ -177,7 +175,7 @@ def run_scenario_b(
     *fake_value* readings.  With *security_key* set the network runs the
     §VII cryptographic counter-measure and the injection steps should fail.
     """
-    testbed = build_testbed(profile, seed=seed)
+    testbed = build_testbed(seed=seed)
     network = build_zigbee_network(testbed, security_key=security_key)
     network.start()
     tracker = Nrf51822(

@@ -29,12 +29,15 @@ from repro.ble.packets import (
     assemble_on_air_bits,
     parse_pdu_bits,
 )
-from repro.dsp.gfsk import FskDemodulator, GfskConfig
 from repro.dsp.msk import chips_to_transitions
 from repro.dsp.oqpsk import OqpskModulator
+from repro.phy.ble_phy import DEFAULT_SAMPLES_PER_SYMBOL, ble_demodulator
 from repro.phy.ieee802154 import CHIPS_PER_SYMBOL, PN_SEQUENCES
 
 __all__ = ["SymmetricPivotResult", "attempt_symmetric_pivot"]
+
+#: The BLE channel index the target packet is whitened for.
+BLE_CHANNEL = 8
 
 
 @dataclass
@@ -69,11 +72,7 @@ def _best_symbol_for_segment(
     return best_symbol, best_distance
 
 
-def attempt_symmetric_pivot(
-    pdu: Optional[bytes] = None,
-    ble_channel: int = 8,
-    samples_per_symbol: int = 8,
-) -> SymmetricPivotResult:
+def attempt_symmetric_pivot(pdu: Optional[bytes] = None) -> SymmetricPivotResult:
     """Try to synthesise a BLE LE 2M packet out of DSSS PN sequences.
 
     Returns how close the reachable chip streams get (Hamming match against
@@ -83,7 +82,7 @@ def attempt_symmetric_pivot(
     """
     if pdu is None:
         pdu = AdvNonconnInd(bytes(6), b"\x02\x01\x06").to_pdu()
-    packet = assemble_on_air_bits(pdu, channel=ble_channel, phy=PhyMode.LE_2M)
+    packet = assemble_on_air_bits(pdu, channel=BLE_CHANNEL, phy=PhyMode.LE_2M)
     target = packet.bits
 
     # Greedy symbol-by-symbol search over the reachable chip streams.
@@ -107,12 +106,9 @@ def attempt_symmetric_pivot(
     # a BLE receiver judge it.
     stream = np.concatenate(chips)
     signal = OqpskModulator(
-        samples_per_chip=samples_per_symbol, chip_rate=2e6
+        samples_per_chip=DEFAULT_SAMPLES_PER_SYMBOL, chip_rate=2e6
     ).modulate(stream)
-    demod = FskDemodulator(
-        GfskConfig(samples_per_symbol=samples_per_symbol, modulation_index=0.5, bt=None),
-        2e6,
-    )
+    demod = ble_demodulator(PhyMode.LE_2M)
     sync_bits = access_address_bits(ADVERTISING_ACCESS_ADDRESS)
     result = demod.demodulate_packet(
         signal, sync_bits, num_payload_bits=8 * (len(pdu) + 3)
@@ -121,7 +117,7 @@ def attempt_symmetric_pivot(
     if result is not None:
         bits, _sync = result
         try:
-            decoded, crc_ok = parse_pdu_bits(bits, channel=ble_channel)
+            decoded, crc_ok = parse_pdu_bits(bits, channel=BLE_CHANNEL)
             crc_ok = crc_ok and decoded == pdu
         except ValueError:
             crc_ok = False

@@ -29,7 +29,7 @@ from repro.chips.nrf52832 import NRF52832_CAPABILITIES
 from repro.chips.rzusbstick import CFO_STD_HZ as REFERENCE_CFO_STD_HZ
 from repro.dot15d4.channels import ZIGBEE_CHANNELS
 from repro.experiments.environment import (
-    TestbedProfile,
+    SAMPLE_RATE,
     build_bench,
     counter_frame,
 )
@@ -51,6 +51,11 @@ CHIP_FACTORIES: Dict[str, Callable] = {
     "nRF52832": Nrf52832,
     "CC1352-R1": Cc1352R1,
 }
+
+#: Frame slots per wideband capture.  Each channel draws its impairments
+#: per chunk, so the chunking is part of the wideband sweep's
+#: reproducibility contract.
+CHUNK_SLOTS = 8
 
 #: Crystal tolerance of each diverted chip's transmit path — the analogue
 #: parameter the wideband sweep needs from the chip models.
@@ -108,7 +113,8 @@ def _check_grid(
 ) -> Tuple[int, ...]:
     """Validate a Table III grid; return *channels* as a tuple.
 
-    A repeated channel would tally twice, so channels must be distinct.
+    A repeated chip, primitive or channel would run its cells again and
+    overwrite them, so each must be distinct.
     """
     if frames < 1:
         raise ValueError("frames must be >= 1")
@@ -119,9 +125,14 @@ def _check_grid(
         if primitive not in ("rx", "tx"):
             raise ValueError("primitive must be 'rx' or 'tx'")
     channels = tuple(channels)
-    repeated = sorted({c for c in channels if channels.count(c) > 1})
-    if repeated:
-        raise ValueError(f"channels must be distinct; repeated: {repeated}")
+    for name, values in (
+        ("chips", tuple(chips)),
+        ("primitives", tuple(primitives)),
+        ("channels", channels),
+    ):
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            raise ValueError(f"{name} must be distinct; repeated: {repeated}")
     return channels
 
 
@@ -130,7 +141,6 @@ def run_table3_cell(
     primitive: str,
     channel: int,
     frames: int = 100,
-    profile: Optional[TestbedProfile] = None,
     seed: int = 0,
     fault_profile: Optional[str] = None,
     collect_trace: bool = False,
@@ -160,7 +170,6 @@ def run_table3_cell(
             CHIP_FACTORIES[chip_name],
             primitive,
             channel,
-            profile,
             # crc32, not hash(): str hashes are randomised per process, which
             # would make cells irreproducible across runs with the same seed.
             seed=seed
@@ -205,7 +214,6 @@ def run_table3(
     channels: Sequence[int] = ZIGBEE_CHANNELS,
     chips: Sequence[str] = ("nRF52832", "CC1352-R1"),
     primitives: Sequence[str] = ("rx", "tx"),
-    profile: Optional[TestbedProfile] = None,
     seed: int = 0,
     fault_profile: Optional[str] = None,
     workers: int = 1,
@@ -237,19 +245,13 @@ def run_table3(
             primitive=primitive,
             channel=channel,
             frames=frames,
-            profile=profile,
             seed=seed,
             fault_profile=fault_profile,
             collect_trace=collect_trace,
         )
         for chip, primitive, channel in grid
     ]
-    cells = map_tasks(
-        run_table3_cell,
-        cell_kwargs,
-        workers,
-        warm_rate=(profile or TestbedProfile()).sample_rate,
-    )
+    cells = map_tasks(run_table3_cell, cell_kwargs, workers, warm_rate=SAMPLE_RATE)
     for (chip, primitive, _channel), cell in zip(grid, cells):
         result.cells.setdefault((chip, primitive), {})[cell.channel] = cell
     return result
@@ -292,9 +294,7 @@ def run_table3_wideband(
     channels: Sequence[int] = ZIGBEE_CHANNELS,
     chips: Sequence[str] = ("nRF52832", "CC1352-R1"),
     primitives: Sequence[str] = ("rx", "tx"),
-    profile: Optional[TestbedProfile] = None,
     seed: int = 0,
-    chunk_slots: int = 8,
     grid=None,
     dtype=None,
     workers: Optional[int] = None,
@@ -318,8 +318,7 @@ def run_table3_wideband(
     to run the 16 Msps double-precision configuration the differential
     tests use.  Seeding is per (chip, primitive): ``seed ^
     crc32(chip/primitive/wideband)`` with one spawned stream per
-    channel.  ``chunk_slots`` shapes the per-channel draw order and is
-    therefore part of the reproducibility contract; ``workers``
+    channel, drawn in chunks of :data:`CHUNK_SLOTS` slots; ``workers``
     (default: up to 2 processes) distributes whole (chip, primitive)
     pairs and never changes results — each pair is seeded and decoded
     independently, exactly as in the ``workers=1`` loop.
@@ -327,20 +326,15 @@ def run_table3_wideband(
     from repro.chips.wideband import SWEEP_GRID
 
     channels = _check_grid(chips, primitives, channels, frames)
-    if chunk_slots < 1:
-        raise ValueError("chunk_slots must be >= 1")
     grid = grid if grid is not None else SWEEP_GRID
     dtype = np.dtype(dtype if dtype is not None else np.complex64)
-    profile = profile or TestbedProfile()
     tasks = [
         dict(
             chip_name=chip_name,
             primitive=primitive,
             channels=channels,
             frames=frames,
-            profile=profile,
             seed=seed,
-            chunk_slots=chunk_slots,
             grid=grid,
             dtype=dtype,
         )
@@ -361,9 +355,7 @@ def _run_wideband_pair(
     primitive: str,
     channels: Tuple[int, ...],
     frames: int,
-    profile: TestbedProfile,
     seed: int,
-    chunk_slots: int,
     grid,
     dtype,
     front_end_cls=None,
@@ -389,7 +381,6 @@ def _run_wideband_pair(
     cells = {c: ChannelResult(channel=c) for c in channels}
     with scoped() as (_bus, registry):
         front = (front_end_cls or WidebandFrontEnd)(
-            profile=profile,
             grid=grid,
             channels=channels,
             seed=base_seed,
@@ -397,8 +388,8 @@ def _run_wideband_pair(
             dtype=dtype,
         )
         spc = front.samples_per_chip
-        for lo in range(0, frames, chunk_slots):
-            slots = list(range(lo, min(lo + chunk_slots, frames)))
+        for lo in range(0, frames, CHUNK_SLOTS):
+            slots = list(range(lo, min(lo + CHUNK_SLOTS, frames)))
             signals = [
                 _wideband_slot_waveform(primitive, i, spc) for i in slots
             ]

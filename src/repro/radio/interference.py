@@ -19,6 +19,10 @@ from repro.dsp.signal import IQSignal
 __all__ = ["WifiInterferer", "wifi_channel_frequency_hz", "WIFI_BANDWIDTH_HZ"]
 
 WIFI_BANDWIDTH_HZ = 22e6
+#: Width of the flat part of the spectral mask; power density outside it
+#: (but inside the 22 MHz occupied band) is 12 dB down, roughly the
+#: 802.11 OFDM mask shoulder.
+INNER_BANDWIDTH_HZ = 16.6e6
 _MHZ = 1e6
 
 
@@ -43,16 +47,11 @@ class WifiInterferer:
         modelling the AP's position).
     duty_cycle:
         Probability that any given capture window collides with a burst.
-    inner_bandwidth_hz:
-        Width of the flat part of the spectral mask; power density outside
-        it (but inside the 22 MHz occupied band) is 12 dB down, roughly the
-        802.11 OFDM mask shoulder.
     """
 
     channel: int
     power_dbm: float = -55.0
     duty_cycle: float = 0.1
-    inner_bandwidth_hz: float = 16.6e6
 
     def __post_init__(self) -> None:
         self.center_hz = wifi_channel_frequency_hz(self.channel)
@@ -67,8 +66,8 @@ class WifiInterferer:
         """
         lo = rf_center_hz - bandwidth_hz / 2.0
         hi = rf_center_hz + bandwidth_hz / 2.0
-        inner_lo = self.center_hz - self.inner_bandwidth_hz / 2.0
-        inner_hi = self.center_hz + self.inner_bandwidth_hz / 2.0
+        inner_lo = self.center_hz - INNER_BANDWIDTH_HZ / 2.0
+        inner_hi = self.center_hz + INNER_BANDWIDTH_HZ / 2.0
         outer_lo = self.center_hz - WIFI_BANDWIDTH_HZ / 2.0
         outer_hi = self.center_hz + WIFI_BANDWIDTH_HZ / 2.0
         inner_overlap = max(0.0, min(hi, inner_hi) - max(lo, inner_lo))
@@ -77,8 +76,8 @@ class WifiInterferer:
         )
         total_power = 10.0 ** (self.power_dbm / 10.0)
         shoulder_gain = 10.0 ** (-12.0 / 10.0)
-        mask_area = self.inner_bandwidth_hz + shoulder_gain * (
-            WIFI_BANDWIDTH_HZ - self.inner_bandwidth_hz
+        mask_area = INNER_BANDWIDTH_HZ + shoulder_gain * (
+            WIFI_BANDWIDTH_HZ - INNER_BANDWIDTH_HZ
         )
         density = total_power / mask_area
         return density * (inner_overlap + shoulder_gain * outer_overlap)

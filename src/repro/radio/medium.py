@@ -58,19 +58,21 @@ __all__ = ["PropagationModel", "Transmission", "BufferPool", "RfMedium"]
 
 Position = Tuple[float, float]
 
+#: Distance (m) at which the path model's reference loss is measured.
+REFERENCE_DISTANCE_M = 1.0
+
 
 @dataclass
 class PropagationModel:
     """Log-distance path loss with optional log-normal shadowing.
 
-    ``reference_loss_db`` is the loss at ``reference_distance_m``;
+    ``reference_loss_db`` is the loss at :data:`REFERENCE_DISTANCE_M`;
     ``exponent`` is the decay exponent (2 free space, 2.5–3 indoors);
     ``shadowing_sigma_db`` adds a per-capture Gaussian term, the simulator's
     stand-in for multipath fading and people walking through the lab.
     """
 
     reference_loss_db: float = 40.0
-    reference_distance_m: float = 1.0
     exponent: float = 2.5
     shadowing_sigma_db: float = 0.0
 
@@ -78,9 +80,9 @@ class PropagationModel:
         self, a: Position, b: Position, rng: Optional[np.random.Generator] = None
     ) -> float:
         distance = math.dist(a, b)
-        distance = max(distance, self.reference_distance_m / 10.0)
+        distance = max(distance, REFERENCE_DISTANCE_M / 10.0)
         loss = self.reference_loss_db + 10.0 * self.exponent * math.log10(
-            distance / self.reference_distance_m
+            distance / REFERENCE_DISTANCE_M
         )
         if self.shadowing_sigma_db > 0.0 and rng is not None:
             loss += float(rng.normal(0.0, self.shadowing_sigma_db))

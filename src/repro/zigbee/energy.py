@@ -12,43 +12,40 @@ in seconds instead of years.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Dict
 
-__all__ = ["EnergyProfile", "Battery"]
+__all__ = ["TX_POWER_W", "RX_POWER_W", "WAKEUP_COST_J", "activity_cost", "Battery"]
+
+TX_POWER_W = 0.090
+RX_POWER_W = 0.060
+#: Fixed cost of waking to process one received frame.
+WAKEUP_COST_J = 0.2e-3
 
 
-@dataclass(frozen=True)
-class EnergyProfile:
-    """Power draw characteristics."""
-
-    tx_power_w: float = 0.090
-    rx_power_w: float = 0.060
-    wakeup_cost_j: float = 0.2e-3
-
-    def cost(self, kind: str, duration_s: float) -> float:
-        if kind == "tx":
-            return self.tx_power_w * duration_s
-        if kind == "rx":
-            return self.rx_power_w * duration_s + self.wakeup_cost_j
-        raise ValueError(f"unknown activity kind {kind!r}")
+def activity_cost(kind: str, duration_s: float) -> float:
+    """Energy (J) of one ``tx`` or ``rx`` activity lasting *duration_s*."""
+    if kind == "tx":
+        return TX_POWER_W * duration_s
+    if kind == "rx":
+        return RX_POWER_W * duration_s + WAKEUP_COST_J
+    raise ValueError(f"unknown activity kind {kind!r}")
 
 
 @dataclass
 class Battery:
-    """A finite energy budget with an activity ledger."""
+    """A finite energy budget with a running total per activity kind."""
 
     capacity_j: float
-    profile: EnergyProfile = field(default_factory=EnergyProfile)
     consumed_j: float = 0.0
-    ledger: List[Tuple[str, float]] = field(default_factory=list)
+    _by_kind: Dict[str, float] = field(default_factory=dict, init=False, repr=False)
 
     def charge_activity(self, kind: str, duration_s: float) -> None:
         """Record one radio activity (no-op once depleted)."""
         if self.depleted:
             return
-        cost = self.profile.cost(kind, duration_s)
+        cost = activity_cost(kind, duration_s)
         self.consumed_j = min(self.capacity_j, self.consumed_j + cost)
-        self.ledger.append((kind, cost))
+        self._by_kind[kind] = self._by_kind.get(kind, 0.0) + cost
 
     @property
     def remaining_j(self) -> float:
@@ -63,4 +60,4 @@ class Battery:
         return self.remaining_j / self.capacity_j if self.capacity_j else 0.0
 
     def consumed_by(self, kind: str) -> float:
-        return sum(cost for k, cost in self.ledger if k == kind)
+        return self._by_kind.get(kind, 0.0)

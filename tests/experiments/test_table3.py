@@ -3,7 +3,7 @@
 import pytest
 
 from repro.chips import Nrf52832
-from repro.experiments.environment import TestbedProfile as Profile
+from repro.experiments import environment
 from repro.experiments.environment import (
     build_bench,
     build_testbed,
@@ -23,13 +23,13 @@ class TestEnvironment:
     def test_build_testbed_deterministic(self):
         a = build_testbed(seed=4)
         b = build_testbed(seed=4)
-        assert a.profile == b.profile
         assert a.medium.noise_floor_dbm == b.medium.noise_floor_dbm
+        assert a.rng.integers(0, 2**63) == b.rng.integers(0, 2**63)
 
     def test_profile_defaults_match_paper(self):
-        profile = Profile()
-        assert profile.distance_m == 3.0
-        assert profile.wifi_channels == (6, 11)
+        assert environment.DISTANCE_M == 3.0
+        assert environment.WIFI_CHANNELS == (6, 11)
+        assert build_testbed().reference_position == (3.0, 0.0)
 
     def test_interferers_installed(self):
         testbed = build_testbed()

@@ -187,6 +187,7 @@ def wideband_decisions(front_end_cls=None) -> Dict:
         from tests.phy.wideband_oracle import TimeDomainFrontEnd
 
         front_end_cls = TimeDomainFrontEnd
+    from repro.chips.rzusbstick import CFO_STD_HZ
     from repro.dsp.oqpsk import OqpskModulator
     from repro.phy.batch import decode_chip_frames
 
@@ -195,7 +196,8 @@ def wideband_decisions(front_end_cls=None) -> Dict:
         modulator.modulate(Ppdu(channel_psdu(c)).to_chips()).samples
         for c in WIDEBAND_SLOT_CHANNELS
     ]
-    front = front_end_cls(seed=WIDEBAND_SEED)
+    # The slots are reference O-QPSK transmissions: the RZUSBStick's crystal.
+    front = front_end_cls(CFO_STD_HZ, seed=WIDEBAND_SEED)
     captures = front.capture_slots(signals)
     num_slots, num_channels, n_out = captures.shape
     decoded = decode_chip_frames(

@@ -7,7 +7,7 @@ from repro.attacks.energy_depletion import FleetDepletionAttack
 from repro.chips import Nrf52832
 from repro.core.firmware import WazaBeeFirmware
 from repro.dot15d4.frames import Address
-from repro.zigbee.energy import Battery, EnergyProfile
+from repro.zigbee.energy import TX_POWER_W, WAKEUP_COST_J, Battery, activity_cost
 from repro.zigbee.network import CoordinatorNode, SensorNode
 
 COORD = Address(pan_id=0x1234, address=0x42)
@@ -16,16 +16,14 @@ SENSOR = Address(pan_id=0x1234, address=0x63)
 
 class TestEnergyProfile:
     def test_tx_cost_scales_with_airtime(self):
-        profile = EnergyProfile()
-        assert profile.cost("tx", 2e-3) == pytest.approx(2 * profile.cost("tx", 1e-3))
+        assert activity_cost("tx", 2e-3) == pytest.approx(2 * activity_cost("tx", 1e-3))
 
     def test_rx_includes_wakeup(self):
-        profile = EnergyProfile()
-        assert profile.cost("rx", 0.0) == profile.wakeup_cost_j
+        assert activity_cost("rx", 0.0) == WAKEUP_COST_J
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            EnergyProfile().cost("sleep", 1.0)
+            activity_cost("sleep", 1.0)
 
 
 class TestBattery:
@@ -40,9 +38,10 @@ class TestBattery:
     def test_no_charge_after_depletion(self):
         battery = Battery(capacity_j=1e-6)
         battery.charge_activity("tx", 1.0)
-        entries = len(battery.ledger)
+        consumed, by_tx = battery.consumed_j, battery.consumed_by("tx")
         battery.charge_activity("tx", 1.0)
-        assert len(battery.ledger) == entries
+        assert battery.consumed_j == consumed
+        assert battery.consumed_by("tx") == by_tx
 
     def test_ledger_by_kind(self):
         battery = Battery(capacity_j=1.0)
@@ -53,7 +52,7 @@ class TestBattery:
 
     def test_fraction_remaining(self):
         battery = Battery(capacity_j=2.0)
-        battery.charge_activity("tx", 1.0 / battery.profile.tx_power_w)
+        battery.charge_activity("tx", 1.0 / TX_POWER_W)
         assert battery.fraction_remaining == pytest.approx(0.5)
 
 

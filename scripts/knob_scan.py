@@ -23,7 +23,18 @@ against the enclosing class's bases.
 Matching is by name, so a knob that shares its function name with a set
 one is hidden (the scan errs towards keeping knobs), and a ``**`` of any
 other mapping is not followed: confirm each hit by reading its callers.
-Prints, per module, the knobs no call sets, then their total.
+
+A second report lists the *defs no non-test code names*: every class,
+function and method in ``src/`` (nested functions and dunders aside)
+whose name appears nowhere in ``src/``, ``scripts/``, ``benchmarks/``,
+``fleetbench/`` or ``examples/`` outside its own body, as an identifier,
+an attribute or a string constant (``getattr`` and the fleetbench span
+table name methods by string).  ``__all__`` lists and imports do not
+count.  The defs in :data:`KEPT` stay on purpose; any other hit is API
+only tests reach, and makes the script exit 1.
+
+Prints the reach report, then, per module, the knobs no call sets and
+their total.
 """
 
 from __future__ import annotations
@@ -38,6 +49,18 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 ROOT = Path(__file__).resolve().parent.parent
 DEFINITION_DIRS = ("src",)
 CALL_DIRS = ("src", "scripts", "benchmarks", "fleetbench", "examples", "tests")
+REACH_DIRS = ("src", "scripts", "benchmarks", "fleetbench", "examples")
+
+#: Defs no non-test code names that stay, each with its reason.
+KEPT: Dict[str, str] = {
+    "repro.ble.packets.AdStructure.parse_all": (
+        "air-input decoder of advertising data; tests/test_robustness.py fuzzes it"
+    ),
+    "repro.ble.packets.ExtendedAdvertisingPdu.from_pdu": (
+        "air-input decoder of extended advertising PDUs; "
+        "tests/test_robustness.py fuzzes it"
+    ),
+}
 
 #: A knob: (module, qualified owner, parameter or field name).
 Knob = Tuple[str, str, str]
@@ -289,6 +312,97 @@ def scan(
     return sorted(knobs - result.set_knobs)
 
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _collect_defs(module: str, tree: ast.Module) -> List[Tuple[str, str]]:
+    """(qualified name, name) of every class, function and method."""
+    defs: List[Tuple[str, str]] = []
+
+    def visit(body: Iterable[ast.stmt], prefix: str) -> None:
+        for node in body:
+            if isinstance(node, _DEFS):
+                name = node.name
+                if not (name.startswith("__") and name.endswith("__")):
+                    defs.append((f"{module}.{prefix}{name}", name))
+                if isinstance(node, ast.ClassDef):
+                    visit(node.body, f"{prefix}{name}.")
+
+    visit(tree.body, "")
+    return defs
+
+
+def _is_all(node: ast.AST) -> bool:
+    targets = (
+        node.targets if isinstance(node, ast.Assign)
+        else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+        else []
+    )
+    return any(getattr(t, "id", None) == "__all__" for t in targets)
+
+
+def _collect_uses(
+    uses: Dict[str, Set[str]], module: str, tree: ast.Module
+) -> None:
+    """Add to *uses* each name *tree* uses, with the qualified name of the
+    innermost def it is used in (the module's own name at top level)."""
+
+    def visit(node: ast.AST, where: str) -> None:
+        if _is_all(node) or isinstance(node, (ast.Import, ast.ImportFrom)):
+            return
+        if isinstance(node, _DEFS):
+            where = f"{where}.{node.name}"
+        elif isinstance(node, ast.Name):
+            uses[node.id].add(where)
+        elif isinstance(node, ast.Attribute):
+            uses[node.attr].add(where)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                uses[node.value].add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, module)
+
+
+def reach(
+    definition_files: Iterable[Tuple[str, Path]],
+    use_files: Iterable[Tuple[str, Path]],
+) -> List[str]:
+    """The qualified names of the defs in *definition_files* that no file of
+    *use_files* (both (module, path) pairs) names outside their own body,
+    sorted."""
+    uses: Dict[str, Set[str]] = defaultdict(set)
+    for module, path in use_files:
+        tree = _parse(path)
+        if tree is not None:
+            _collect_uses(uses, module, tree)
+    unreached: List[str] = []
+    for module, path in definition_files:
+        tree = _parse(path)
+        if tree is None:
+            continue
+        for qualified, name in _collect_defs(module, tree):
+            inside = f"{qualified}."
+            outside = [
+                w for w in uses.get(name, ())
+                if w != qualified and not w.startswith(inside)
+            ]
+            if not outside:
+                unreached.append(qualified)
+    return sorted(unreached)
+
+
+def format_reach_report(unreached: List[str], kept: Dict[str, str]) -> str:
+    lines = [f"defs no non-test code names ({len(unreached)})"]
+    for qualified in unreached:
+        reason = kept.get(qualified, "NOT KEPT: only tests reach it")
+        lines.append(f"    {qualified}: {reason}")
+    stale = sorted(set(kept) - set(unreached))
+    lines.extend(f"    {qualified}: in KEPT but reached" for qualified in stale)
+    return "\n".join(lines)
+
+
 def format_report(knobs: List[Knob]) -> str:
     lines: List[str] = []
     by_module: Dict[str, List[Knob]] = defaultdict(list)
@@ -310,8 +424,14 @@ def main() -> int:
     definitions = [
         (_module_name(p, src), p) for p in _python_files(ROOT, DEFINITION_DIRS)
     ]
+    users = [
+        (_module_name(p, src) if src in p.parents else str(p.relative_to(ROOT)), p)
+        for p in _python_files(ROOT, REACH_DIRS)
+    ]
+    unreached = reach(definitions, users)
+    print(format_reach_report(unreached, KEPT))
     print(format_report(scan(definitions, _python_files(ROOT, CALL_DIRS))))
-    return 0
+    return 0 if unreached == sorted(KEPT) else 1
 
 
 if __name__ == "__main__":

@@ -33,7 +33,6 @@ the substitution table).  The layering is:
 from repro.core.channel_map import (
     COMMON_CHANNELS,
     ble_channel_for_zigbee,
-    zigbee_channel_for_ble,
 )
 from repro.core.tables import CorrespondenceTable, pn_to_msk
 
@@ -44,6 +43,5 @@ __all__ = [
     "pn_to_msk",
     "COMMON_CHANNELS",
     "ble_channel_for_zigbee",
-    "zigbee_channel_for_ble",
     "__version__",
 ]

@@ -12,7 +12,7 @@ acknowledges before (and whether or not) it can authenticate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core.firmware import WazaBeeFirmware
@@ -40,10 +40,10 @@ class FleetDepletionAttack:
     spoofed_source: Address
     channel: int
     rate_hz: float = 200.0
-    frames_sent: int = 0
-    _running: bool = False
-    _sequence: int = 0
-    _cursor: int = 0
+    frames_sent: int = field(default=0, init=False)
+    _running: bool = field(default=False, init=False)
+    _sequence: int = field(default=0, init=False)
+    _cursor: int = field(default=0, init=False)
 
     def start(self) -> None:
         if self.rate_hz <= 0:

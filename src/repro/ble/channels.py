@@ -19,7 +19,6 @@ __all__ = [
     "CHANNEL_BANDWIDTH_HZ",
     "channel_frequency_hz",
     "channel_for_frequency",
-    "is_advertising_channel",
     "whitening_init",
 ]
 
@@ -54,11 +53,6 @@ _FREQ_TO_CHANNEL: Dict[float, int] = {
 def channel_for_frequency(frequency_hz: float) -> Optional[int]:
     """Inverse of :func:`channel_frequency_hz`; ``None`` if not a BLE centre."""
     return _FREQ_TO_CHANNEL.get(float(frequency_hz))
-
-
-def is_advertising_channel(channel: int) -> bool:
-    """True for the three primary advertising channels."""
-    return channel in ADVERTISING_CHANNELS
 
 
 def whitening_init(channel: int) -> int:

@@ -366,11 +366,6 @@ class OnAirPacket:
     channel: int
     phy: PhyMode
 
-    @property
-    def pdu_bit_offset(self) -> int:
-        """Index of the first PDU bit inside :attr:`bits`."""
-        return 8 * self.phy.preamble_bytes + 32
-
 
 def assemble_on_air_bits(
     pdu: bytes,

@@ -24,7 +24,7 @@ import numpy as np
 from repro.ble.channels import whitening_init
 from repro.utils.bits import as_bit_array
 
-__all__ = ["whitening_sequence", "whiten", "whiten_bytes"]
+__all__ = ["whitening_sequence", "whiten"]
 
 
 #: Length of every channel's whitening stream before it repeats (2^7 - 1).
@@ -66,10 +66,3 @@ def whiten(bits, channel: int) -> np.ndarray:
     """
     arr = as_bit_array(bits)
     return arr ^ whitening_sequence(channel, arr.size)
-
-
-def whiten_bytes(data: bytes, channel: int) -> bytes:
-    """Byte-level convenience wrapper (bits LSB-first per byte)."""
-    from repro.utils.bits import bits_to_bytes, bytes_to_bits
-
-    return bits_to_bytes(whiten(bytes_to_bits(data), channel))

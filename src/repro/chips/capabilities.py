@@ -67,6 +67,3 @@ class ChipCapabilities:
     raw_radio_access: bool = True
     cfo_std_hz: float = 0.0
     esb_snr_cap_db: float = 14.0
-
-    def supports_2mbps(self) -> bool:
-        return self.supports_le_2m or self.supports_esb_2m

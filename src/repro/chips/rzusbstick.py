@@ -39,9 +39,6 @@ class ReceivedPsdu:
     timestamp: float
     mean_chip_distance: float
 
-    def to_mac_frame(self, check_fcs: bool = True) -> MacFrame:
-        return MacFrame.parse(self.psdu, check_fcs=check_fcs)
-
 
 PsduHandler = Callable[[ReceivedPsdu], None]
 

@@ -17,7 +17,6 @@
 from repro.core.channel_map import (
     COMMON_CHANNELS,
     ble_channel_for_zigbee,
-    zigbee_channel_for_ble,
 )
 from repro.core.encoding import (
     frame_to_msk_bits,
@@ -34,7 +33,6 @@ __all__ = [
     "CorrespondenceTable",
     "COMMON_CHANNELS",
     "ble_channel_for_zigbee",
-    "zigbee_channel_for_ble",
     "frame_to_msk_bits",
     "wazabee_access_address",
     "wazabee_access_address_bits",

@@ -24,7 +24,6 @@ from repro.dot15d4.channels import (
 __all__ = [
     "COMMON_CHANNELS",
     "ble_channel_for_zigbee",
-    "zigbee_channel_for_ble",
     "reachable_zigbee_channels",
 ]
 
@@ -48,14 +47,6 @@ def ble_channel_for_zigbee(zigbee_channel: int) -> Optional[int]:
     """BLE channel sharing the Zigbee channel's centre, if any."""
     entry = COMMON_CHANNELS.get(zigbee_channel)
     return entry[0] if entry else None
-
-
-def zigbee_channel_for_ble(ble_channel: int) -> Optional[int]:
-    """Zigbee channel sharing the BLE channel's centre, if any."""
-    for zigbee, (ble, _freq) in COMMON_CHANNELS.items():
-        if ble == ble_channel:
-            return zigbee
-    return None
 
 
 def reachable_zigbee_channels(arbitrary_tuning: bool) -> Tuple[int, ...]:

@@ -78,10 +78,6 @@ class WazaBeeFirmware:
         self.transmitter.configure(channel)
         self.transmitter.transmit(frame)
 
-    def send_psdu(self, psdu: bytes, channel: int) -> None:
-        self.transmitter.configure(channel)
-        self.transmitter.transmit_psdu(psdu)
-
     # -- sniffing -------------------------------------------------------------
     def start_sniffer(
         self,

@@ -91,9 +91,9 @@ class WazaBeeReceiver:
     Handler contract: every decoded frame is delivered to **exactly one**
     handler.  The main *handler* receives only FCS-valid frames; the
     optional *corrupt_handler* receives the FCS-failed ones — the salvage
-    path: such a frame still carries per-symbol confidences, so callers can
-    localise the damage or fuse repeated corrupted receptions.  Without a
-    *corrupt_handler*, FCS-failed frames are dropped (counted in
+    path: such a frame still carries per-symbol Hamming distances, so
+    callers can localise the damage or fuse repeated corrupted receptions.
+    Without a *corrupt_handler*, FCS-failed frames are dropped (counted in
     :attr:`corrupt_drops`).
     """
 

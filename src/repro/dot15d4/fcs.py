@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import binascii
 
-__all__ = ["FCS_POLY", "compute_fcs", "verify_fcs", "append_fcs", "strip_fcs"]
+__all__ = ["FCS_POLY", "compute_fcs", "verify_fcs", "append_fcs"]
 
 #: The generator polynomial, x^12 + x^5 + 1 with x^16 implicit — the one
 #: :func:`binascii.crc_hqx` implements.
@@ -48,10 +48,3 @@ def verify_fcs(frame_with_fcs: bytes) -> bool:
         return False
     body, trailer = frame_with_fcs[:-2], frame_with_fcs[-2:]
     return compute_fcs(body) == int.from_bytes(trailer, "little")
-
-
-def strip_fcs(frame_with_fcs: bytes) -> bytes:
-    """Remove a verified FCS; raises if the check fails."""
-    if not verify_fcs(frame_with_fcs):
-        raise ValueError("FCS check failed")
-    return bytes(frame_with_fcs[:-2])

@@ -27,7 +27,6 @@ __all__ = [
     "build_beacon",
     "build_ack",
     "build_data",
-    "parse_beacon_payload",
 ]
 
 BROADCAST_PAN = 0xFFFF
@@ -254,16 +253,6 @@ def build_beacon(
         source=source,
         payload=payload,
     )
-
-
-def parse_beacon_payload(frame: MacFrame) -> Tuple[int, bytes]:
-    """Split a beacon's payload into (superframe spec, application payload)."""
-    if frame.frame_type is not FrameType.BEACON:
-        raise ValueError("not a beacon frame")
-    if len(frame.payload) < 4:
-        raise ValueError("beacon payload too short")
-    superframe = int.from_bytes(frame.payload[0:2], "little")
-    return superframe, bytes(frame.payload[4:])
 
 
 def build_ack(sequence_number: int) -> MacFrame:

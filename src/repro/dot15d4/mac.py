@@ -27,7 +27,7 @@ retries) for acknowledgements, beacons and injection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -79,24 +79,24 @@ SendResultHandler = Callable[[int, bool], None]
 class MacStats:
     """Counters exposed for experiments."""
 
-    received_frames: int = 0
-    fcs_failures: int = 0
-    duplicates: int = 0
-    acks_sent: int = 0
-    acks_received: int = 0
-    beacons_sent: int = 0
-    sent_frames: int = 0
-    security_failures: int = 0
+    received_frames: int = field(default=0, init=False)
+    fcs_failures: int = field(default=0, init=False)
+    duplicates: int = field(default=0, init=False)
+    acks_sent: int = field(default=0, init=False)
+    acks_received: int = field(default=0, init=False)
+    beacons_sent: int = field(default=0, init=False)
+    sent_frames: int = field(default=0, init=False)
+    security_failures: int = field(default=0, init=False)
     #: Retransmissions after a missed acknowledgement.
-    retries: int = 0
+    retries: int = field(default=0, init=False)
     #: CSMA backoff slots where CCA found the channel busy.
-    csma_backoffs: int = 0
+    csma_backoffs: int = field(default=0, init=False)
     #: Transmissions abandoned because CCA never found the channel clear.
-    channel_access_failures: int = 0
+    channel_access_failures: int = field(default=0, init=False)
     #: ACK-wait windows that expired without the matching ACK.
-    ack_timeouts: int = 0
+    ack_timeouts: int = field(default=0, init=False)
     #: Frames dropped after exhausting retries or channel access attempts.
-    drops: int = 0
+    drops: int = field(default=0, init=False)
 
 
 @dataclass
@@ -106,9 +106,9 @@ class _PendingTx:
     frame: MacFrame
     ack_request: bool
     on_result: Optional[SendResultHandler] = None
-    retries: int = 0
-    nb: int = 0
-    be: int = 0
+    retries: int = field(default=0, init=False)
+    nb: int = field(default=0, init=False)
+    be: int = field(default=0, init=False)
 
 
 class MacService:
@@ -133,10 +133,6 @@ class MacService:
         self._sequence = 0
         self._seen: Dict[Tuple[int, int], int] = {}
         self._data_handler: Optional[FrameHandler] = None
-        self._command_handler: Optional[FrameHandler] = None
-        self._beacon_handler: Optional[FrameHandler] = None
-        self._ack_handler: Optional[Callable[[int], None]] = None
-        self._sniffer: Optional[FrameHandler] = None
         self._tx_queue: List[_PendingTx] = []
         self._tx_busy = False
         self._ack_wait_handle = None
@@ -164,19 +160,6 @@ class MacService:
 
     def on_data(self, handler: FrameHandler) -> None:
         self._data_handler = handler
-
-    def on_command(self, handler: FrameHandler) -> None:
-        self._command_handler = handler
-
-    def on_beacon(self, handler: FrameHandler) -> None:
-        self._beacon_handler = handler
-
-    def on_ack(self, handler: Callable[[int], None]) -> None:
-        self._ack_handler = handler
-
-    def on_any_frame(self, handler: FrameHandler) -> None:
-        """Promiscuous tap (before filtering) — the eavesdropping hook."""
-        self._sniffer = handler
 
     @property
     def _scheduler(self):
@@ -338,8 +321,6 @@ class MacService:
             frame = MacFrame.parse(received.psdu, check_fcs=False)
         except ValueError:
             return
-        if self._sniffer is not None:
-            self._sniffer(frame)
         if frame.frame_type is FrameType.ACK:
             self.stats.acks_received += 1
             if (
@@ -347,8 +328,6 @@ class MacService:
                 and frame.sequence_number == self._awaiting_seq
             ):
                 self._on_matching_ack()
-            if self._ack_handler is not None:
-                self._ack_handler(frame.sequence_number)
             return
         if not self._accepts(frame):
             return
@@ -372,9 +351,6 @@ class MacService:
                 self._data_handler(frame)
         elif frame.frame_type is FrameType.COMMAND:
             self._handle_command(frame)
-        elif frame.frame_type is FrameType.BEACON:
-            if self._beacon_handler is not None:
-                self._beacon_handler(frame)
 
     def _accepts(self, frame: MacFrame) -> bool:
         dest = frame.destination
@@ -432,8 +408,6 @@ class MacService:
             and frame.payload[:1] == bytes([CommandId.BEACON_REQUEST])
         ):
             self._schedule_beacon()
-        if self._command_handler is not None:
-            self._command_handler(frame)
 
     def _schedule_beacon(self) -> None:
         def send() -> None:

@@ -92,8 +92,10 @@ class SecurityContext:
 
     key: bytes
     level: SecurityLevel = SecurityLevel.ENC_MIC_64
-    frame_counter: int = 0
-    replay_state: Dict[Tuple[int, int], int] = field(default_factory=dict)
+    frame_counter: int = field(default=0, init=False)
+    replay_state: Dict[Tuple[int, int], int] = field(
+        default_factory=dict, init=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.key) != 16:

@@ -373,10 +373,6 @@ class FskModulator:
         samples = np.exp(1j * phase)
         return IQSignal(samples, self.sample_rate)
 
-    def group_delay_samples(self) -> int:
-        """Delay introduced by the shaping pulse (centre of the pulse)."""
-        return (len(self._pulse) - 1) // 2
-
 
 @dataclass
 class SyncResult:

@@ -63,24 +63,7 @@ class IQSignal:
             return 0.0
         return float(np.mean(np.abs(self.samples) ** 2))
 
-    def energy(self) -> float:
-        """Total sample energy (sum of |x|^2)."""
-        return float(np.sum(np.abs(self.samples) ** 2))
-
     # -- transformations ------------------------------------------------------
-    def scaled(self, gain: float) -> "IQSignal":
-        """Return an amplitude-scaled copy."""
-        return IQSignal(self.samples * gain, self.sample_rate, self.center_frequency)
-
-    def delayed(self, samples: int) -> "IQSignal":
-        """Return a copy with *samples* zeros prepended."""
-        if samples < 0:
-            raise ValueError("delay must be non-negative")
-        padded = np.concatenate(
-            [np.zeros(samples, dtype=np.complex128), self.samples]
-        )
-        return IQSignal(padded, self.sample_rate, self.center_frequency)
-
     def padded(self, samples: int) -> "IQSignal":
         """Return a copy with *samples* zeros appended."""
         if samples < 0:
@@ -107,27 +90,9 @@ class IQSignal:
             )
         return IQSignal(samples, self.sample_rate, new_center)
 
-    def sliced(self, start: int, stop: int) -> "IQSignal":
-        """Return samples[start:stop] as a new signal."""
-        return IQSignal(
-            self.samples[start:stop], self.sample_rate, self.center_frequency
-        )
-
     def instantaneous_phase(self) -> np.ndarray:
         """Unwrapped instantaneous phase in radians."""
         return np.unwrap(np.angle(self.samples))
-
-    def instantaneous_frequency(self) -> np.ndarray:
-        """Per-sample instantaneous frequency estimate in hertz.
-
-        Computed from the phase of the one-sample lag product, the same
-        quantity a quadrature FM discriminator measures.  Length is
-        ``len(self) - 1``.
-        """
-        if self.samples.size < 2:
-            return np.zeros(0)
-        lag = self.samples[1:] * np.conj(self.samples[:-1])
-        return np.angle(lag) * self.sample_rate / (2.0 * np.pi)
 
     # -- combination -----------------------------------------------------------
     def add(self, other: "IQSignal") -> "IQSignal":
@@ -146,14 +111,3 @@ class IQSignal:
         out[: self.samples.size] += self.samples
         out[: other.samples.size] += other.samples
         return IQSignal(out, self.sample_rate, self.center_frequency)
-
-    @staticmethod
-    def silence(
-        num_samples: int, sample_rate: float, center_frequency: float = 0.0
-    ) -> "IQSignal":
-        """An all-zeros signal."""
-        return IQSignal(
-            np.zeros(num_samples, dtype=np.complex128),
-            sample_rate,
-            center_frequency,
-        )

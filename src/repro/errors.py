@@ -20,10 +20,10 @@ The simulator distinguishes three failure families:
 ``ServiceError``
     The streaming sniffer service (``repro serve``) failed a supervision
     or flow-control contract: a subscriber overflowed its bounded ring
-    under the ``block`` policy (:class:`SessionOverflow`), a session
-    stopped making progress past its stall timeout
-    (:class:`SessionStalled`), or a spool file is unreadable beyond its
-    crash-safe truncated tail (:class:`SpoolError`).
+    under the ``block`` policy (:class:`SessionOverflow`) or a spool file
+    is unreadable beyond its crash-safe truncated tail
+    (:class:`SpoolError`).  A session that stops making progress past its
+    stall timeout is closed with reason ``"stalled"``; nothing is raised.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "DecodeError",
     "ServiceError",
     "SessionOverflow",
-    "SessionStalled",
     "SpoolError",
 ]
 
@@ -81,17 +80,6 @@ class SessionOverflow(ServiceError):
         self.session = session
         self.capacity = capacity
         self.waited_s = waited_s
-
-
-class SessionStalled(ServiceError):
-    """A subscriber stopped consuming past its configured stall timeout."""
-
-    def __init__(self, session: str, stalled_s: float):
-        super().__init__(
-            f"session {session!r} made no progress for {stalled_s:.3f}s"
-        )
-        self.session = session
-        self.stalled_s = stalled_s
 
 
 class SpoolError(ServiceError):

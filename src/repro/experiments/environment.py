@@ -134,7 +134,7 @@ class Bench:
     reference: RzUsbStick
     firmware: WazaBeeFirmware
     primitive: str
-    received: List[Tuple[bytes, bool]] = field(default_factory=list)
+    received: List[Tuple[bytes, bool]] = field(default_factory=list, init=False)
 
     def slot(self, frame: MacFrame) -> List[Tuple[bytes, bool]]:
         """Send *frame* from the transmitting side, run one 2 ms slot, and

@@ -102,12 +102,13 @@ class FleetCampaignResult:
     attack: bool
     medium_kind: str
     workers: int
-    flood_frames: int = 0
-    sample_times: List[float] = field(default_factory=list)
-    alive_curve: List[int] = field(default_factory=list)
-    battery_curve: List[float] = field(default_factory=list)  # fleet mean
-    reports: List[FleetNodeReport] = field(default_factory=list)
-    ledger: Dict[str, int] = field(default_factory=dict)
+    flood_frames: int = field(default=0, init=False)
+    sample_times: List[float] = field(default_factory=list, init=False)
+    alive_curve: List[int] = field(default_factory=list, init=False)
+    # fleet mean
+    battery_curve: List[float] = field(default_factory=list, init=False)
+    reports: List[FleetNodeReport] = field(default_factory=list, init=False)
+    ledger: Dict[str, int] = field(default_factory=dict, init=False)
 
     @property
     def ledger_balanced(self) -> bool:
@@ -310,29 +311,29 @@ def _run_group(
 def _node_report(fleet: Fleet, pan: PanSpec, ns, curves) -> FleetNodeReport:
     node = fleet.nodes[ns.name]
     stats = node.mac.stats
-    report = FleetNodeReport(
+    forwarded = 0
+    if isinstance(node, SensorNode):
+        delivered, dropped = node.reports_delivered, node.reports_dropped
+    elif isinstance(node, RouterNode):
+        forwarded = node.forwarded
+        delivered, dropped = node.forward_delivered, node.forward_dropped
+    else:  # coordinator
+        delivered, dropped = len(getattr(node, "display", [])), 0
+    return FleetNodeReport(
         name=ns.name,
         pan_id=ns.pan_id,
         role=ns.role,
         sent=stats.sent_frames,
+        delivered=delivered,
+        dropped=dropped,
         received=stats.received_frames,
+        forwarded=forwarded,
         retries=stats.retries,
         csma_backoffs=stats.csma_backoffs,
         channel_access_failures=stats.channel_access_failures,
         battery_curve=list(curves.get(ns.name, [])),
         depleted_at=node.depleted_at,
     )
-    if isinstance(node, SensorNode):
-        report.delivered = node.reports_delivered
-        report.dropped = node.reports_dropped
-    elif isinstance(node, RouterNode):
-        report.forwarded = node.forwarded
-        report.delivered = node.forward_delivered
-        report.dropped = node.forward_dropped
-    else:  # coordinator
-        report.received = stats.received_frames
-        report.delivered = len(getattr(node, "display", []))
-    return report
 
 
 def run_fleet_campaign(

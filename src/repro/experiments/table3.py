@@ -80,8 +80,8 @@ class ChannelResult:
     valid: int = 0
     corrupted: int = 0
     lost: int = 0
-    metrics: Dict[str, int] = field(default_factory=dict)
-    trace_events: List[Dict] = field(default_factory=list)
+    metrics: Dict[str, int] = field(default_factory=dict, init=False)
+    trace_events: List[Dict] = field(default_factory=list, init=False)
 
     @property
     def total(self) -> int:
@@ -194,7 +194,7 @@ class Table3Result:
 
     frames_per_cell: int
     cells: Dict[Tuple[str, str], Dict[int, ChannelResult]] = field(
-        default_factory=dict
+        default_factory=dict, init=False
     )
 
     def average_valid_rate(self, chip: str, primitive: str) -> float:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import bisect
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,12 +51,12 @@ __all__ = ["FaultStats", "FaultInjector"]
 class FaultStats:
     """What the injector actually did, for experiment reports and tests."""
 
-    bursts_injected: int = 0
-    deliveries_dropped: int = 0
-    deliveries_duplicated: int = 0
-    captures_truncated: int = 0
-    captures_sample_dropped: int = 0
-    captures_cfo_shifted: int = 0
+    bursts_injected: int = field(default=0, init=False)
+    deliveries_dropped: int = field(default=0, init=False)
+    deliveries_duplicated: int = field(default=0, init=False)
+    captures_truncated: int = field(default=0, init=False)
+    captures_sample_dropped: int = field(default=0, init=False)
+    captures_cfo_shifted: int = field(default=0, init=False)
 
 
 class _JammerSource:

@@ -9,7 +9,7 @@ that defenders may not even run the protocols they need to watch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -97,13 +97,6 @@ class SpectrumSentinel:
         return handler
 
     # -- summaries -----------------------------------------------------------
-    def activity_by_band(self) -> Dict[float, int]:
-        """Observation counts per band."""
-        counts: Dict[float, int] = {}
-        for obs in self.observations:
-            counts[obs.band_hz] = counts.get(obs.band_hz, 0) + 1
-        return counts
-
     def observations_since(self, time: float) -> List[BandObservation]:
         return [obs for obs in self.observations if obs.time >= time]
 

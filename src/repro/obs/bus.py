@@ -43,11 +43,6 @@ class TraceBus:
         """True when at least one subscriber is attached (emit will work)."""
         return bool(self._subscribers)
 
-    @property
-    def events_emitted(self) -> int:
-        """Total events emitted since construction (diagnostics)."""
-        return self._seq
-
     def subscribe(self, subscriber: Subscriber) -> Subscriber:
         """Attach *subscriber*; returns it (the unsubscribe token)."""
         self._subscribers.append(subscriber)

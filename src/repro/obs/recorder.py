@@ -50,10 +50,6 @@ class TraceRecorder:
     def __len__(self) -> int:
         return len(self.events)
 
-    def named(self, name: str) -> List[TraceEvent]:
-        """Events of one type, in emission order."""
-        return [event for event in self.events if event.name == name]
-
     def count(self, name: str, **field_filters) -> int:
         """How many events of *name* match every given field value."""
         total = 0
@@ -66,13 +62,6 @@ class TraceRecorder:
             ):
                 total += 1
         return total
-
-    def counts_by_name(self) -> Dict[str, int]:
-        """Event tally keyed by event name (the ledger's outer shape)."""
-        tally: Dict[str, int] = {}
-        for event in self.events:
-            tally[event.name] = tally.get(event.name, 0) + 1
-        return tally
 
     def as_dicts(self) -> List[Dict[str, object]]:
         """Flat JSON-serialisable event list (pickles across processes)."""

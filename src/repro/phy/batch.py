@@ -50,7 +50,6 @@ from repro.phy.ieee802154 import (
     PN_SEQUENCES,
     Ppdu,
     despread_chips,
-    symbol_confidences,
 )
 
 __all__ = [
@@ -104,18 +103,6 @@ class DecodedFrame:
         if not self.distances:
             return 0.0
         return sum(self.distances) / len(self.distances)
-
-    @property
-    def confidences(self) -> List[float]:
-        """Per-symbol decode confidence in [0, 1].
-
-        A perfect match (distance 0) scores 1.0, the worst credible match
-        (distance 15, half the minimum inter-sequence distance away from
-        everything) scores ~0.5.  The FCS-failed salvage path uses these to
-        point at the corrupted region of a frame; the mapping is
-        :func:`repro.phy.ieee802154.symbol_confidences`.
-        """
-        return symbol_confidences(self.distances)
 
 
 def frame_tail(

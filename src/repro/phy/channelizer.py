@@ -85,10 +85,6 @@ class WidebandGrid:
                     f"range (need oversample > {2 * edge / self.channel_rate:.1f})"
                 )
 
-    @property
-    def wide_rate(self) -> float:
-        return self.oversample * self.channel_rate
-
     def channel_offset_hz(self, channel: int) -> float:
         return channel_frequency_hz(channel) - self.center_hz
 

@@ -41,7 +41,6 @@ __all__ = [
     "Codebook",
     "PN_CODEBOOK",
     "despread_chips",
-    "symbol_confidences",
     "Ppdu",
     "SHR_SYMBOLS",
 ]
@@ -189,21 +188,6 @@ def despread_chips(
     return PN_CODEBOOK.nearest(blocks)
 
 
-def symbol_confidences(distances: Sequence[int]) -> List[float]:
-    """Per-symbol decode confidence in [0, 1] from Hamming distances.
-
-    The soft-decision convention of every decoded 802.15.4 frame
-    (``repro.phy.batch.DecodedFrame``, from the receive engine and the
-    WazaBee reception primitive alike): a perfect match (distance 0)
-    scores 1.0; the worst credible match — distance 15, half the minimum
-    pairwise separation of the sequences away from everything — scores
-    ~0.5.  Complements the LLR margin from :func:`despread_chips`: the
-    confidence says how well the chosen symbol fit, the margin says how
-    much better it fit than the runner-up.
-    """
-    return [1.0 - float(d) / 31.0 for d in distances]
-
-
 def _shr_symbols() -> List[int]:
     preamble = [0] * (PREAMBLE_BYTES * SYMBOLS_PER_BYTE)
     sfd_low, sfd_high = symbols_for_byte(SFD_VALUE)
@@ -245,11 +229,6 @@ class Ppdu:
     @property
     def num_symbols(self) -> int:
         return len(SHR_SYMBOLS) + SYMBOLS_PER_BYTE * (1 + len(self.psdu))
-
-    @property
-    def airtime_seconds(self) -> float:
-        """On-air duration at the 2.4 GHz chip rate."""
-        return self.num_symbols * CHIPS_PER_SYMBOL / CHIP_RATE_HZ
 
     # -- parsing -------------------------------------------------------------
     @staticmethod

@@ -109,7 +109,7 @@ class Transmission:
     identifier: int
     origin: Position = (0.0, 0.0)
     mixed: Dict[float, np.ndarray] = field(
-        default_factory=dict, repr=False, compare=False
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     @property
@@ -127,12 +127,12 @@ class _Row:
     """
 
     radio: "Transceiver"
-    capture: Optional[IQSignal] = None
-    inputs: tuple = ()
-    stream: Optional[dict] = None
-    fault: Optional[tuple] = None
-    receiver: Optional["StackedReceiver"] = None
-    decoded: object = None
+    capture: Optional[IQSignal] = field(default=None, init=False)
+    inputs: tuple = field(default=(), init=False)
+    stream: Optional[dict] = field(default=None, init=False)
+    fault: Optional[tuple] = field(default=None, init=False)
+    receiver: Optional["StackedReceiver"] = field(default=None, init=False)
+    decoded: object = field(default=None, init=False)
 
 
 class BufferPool:
@@ -172,10 +172,6 @@ class BufferPool:
         free = self._free.setdefault(buf.shape, [])
         if len(free) < self.max_per_class:
             free.append(buf)
-
-    @property
-    def pooled(self) -> int:
-        return sum(len(free) for free in self._free.values())
 
 
 class RfMedium:
@@ -236,8 +232,7 @@ class RfMedium:
         # Per-receiver random streams, keyed by radio *name* (not insertion
         # order): each receiver's noise/shadowing/interference draws advance
         # only with its own captures.  A stream is derived at its first
-        # composed capture and kept across detach + re-attach, which
-        # continues it rather than rewinding it.
+        # composed capture.
         self._rx_streams: dict = {}
         # Capture-composition scratch: a reusable noise buffer (grow-only,
         # so steady-state captures do no float allocation for the thermal
@@ -277,10 +272,6 @@ class RfMedium:
         if attached is not None:
             raise ValueError(f"a radio named {radio.name!r} is already attached")
         self._radios[radio.name] = radio
-
-    def detach(self, radio: "Transceiver") -> None:
-        if self._radios.get(radio.name) is radio:
-            del self._radios[radio.name]
 
     def radio_moved(self, radio: "Transceiver") -> None:
         """Notification hook: *radio*'s position changed.

@@ -24,7 +24,7 @@ class EventHandle:
 
     time: float
     sequence: int
-    cancelled: bool = False
+    cancelled: bool = field(default=False, init=False)
 
     def cancel(self) -> None:
         self.cancelled = True
@@ -96,7 +96,3 @@ class Scheduler:
     def run(self, duration: float, max_events: Optional[int] = None) -> int:
         """Run for *duration* simulated seconds from now."""
         return self.run_until(self.now + duration, max_events=max_events)
-
-    @property
-    def pending_events(self) -> int:
-        return sum(1 for _, _, handle, _ in self._queue if not handle.cancelled)

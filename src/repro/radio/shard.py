@@ -84,9 +84,8 @@ class ShardedRfMedium(RfMedium):
             )
         super().__init__(*args, **kwargs)
         self.grid = CellGrid(self.range_cutoff_m)
-        # radio -> its cell; radio -> sequence number of its latest attach
-        # (the dense medium's delivery-scan order: its radio dict re-inserts
-        # a re-attached radio last).
+        # radio -> its cell; radio -> sequence number of its attach (the
+        # dense medium's delivery-scan order: its radio dict's order).
         self._radio_index: Dict["Transceiver", Cell] = {}
         self._attach_seq: Dict["Transceiver", int] = {}
         self._next_seq = 0
@@ -102,11 +101,6 @@ class ShardedRfMedium(RfMedium):
         self._attach_seq[radio] = self._next_seq
         self._next_seq += 1
         self._index_radio(radio)
-
-    def detach(self, radio: "Transceiver") -> None:
-        super().detach(radio)
-        self._attach_seq.pop(radio, None)
-        self._unindex_radio(radio)
 
     def radio_moved(self, radio: "Transceiver") -> None:
         self._reindex_radio(radio)

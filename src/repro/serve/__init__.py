@@ -27,13 +27,7 @@ from repro.serve.codec import (
 from repro.serve.config import BACKPRESSURE_POLICIES, ServeConfig
 from repro.serve.ring import BoundedRing
 from repro.serve.server import SnifferServer
-from repro.serve.session import (
-    CollectingSink,
-    Sink,
-    SocketSink,
-    StreamSink,
-    SubscriberSession,
-)
+from repro.serve.session import Sink, SocketSink, SubscriberSession
 from repro.serve.shed import SHED_LEVEL_NAMES, DegradeLadder
 from repro.serve.source import SimWorldSource, SpoolReplaySource
 from repro.serve.spool import SpoolReader, SpoolWriter
@@ -42,7 +36,6 @@ from repro.serve.supervisor import SupervisedStage, Supervisor
 __all__ = [
     "BACKPRESSURE_POLICIES",
     "BoundedRing",
-    "CollectingSink",
     "DegradeLadder",
     "DLT_IEEE802_15_4",
     "SHED_LEVEL_NAMES",
@@ -55,7 +48,6 @@ __all__ = [
     "SpoolReader",
     "SpoolReplaySource",
     "SpoolWriter",
-    "StreamSink",
     "SubscriberSession",
     "SupervisedStage",
     "Supervisor",

@@ -9,7 +9,7 @@ data — the server, CLI and tests all construct it directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 __all__ = ["BACKPRESSURE_POLICIES", "ServeConfig"]
@@ -112,7 +112,3 @@ class ServeConfig:
         if self.frames < 0:
             raise ValueError("frames must be >= 0")
         return self
-
-    def with_(self, **changes) -> "ServeConfig":
-        """Functional update (tests tweak one knob at a time)."""
-        return replace(self, **changes).validated()

@@ -2,7 +2,7 @@
 
 A session connects three things: the broadcast stage (which *offers*
 records under the session's backpressure policy), the bounded ring, and
-a byte sink (socket, file, or an in-process test sink).  The writer
+a byte sink (a socket, or an in-process sink in the tests).  The writer
 thread drains the ring at the sink's pace; a slow sink therefore fills
 the ring, and the policy decides what gives — the producer (``block``),
 the oldest queued record (``drop-oldest``) or the session itself
@@ -21,7 +21,7 @@ from __future__ import annotations
 import socket
 import threading
 import time as _time
-from typing import Any, Callable, Dict, IO, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.errors import SessionOverflow
 from repro.serve.codec import (
@@ -34,13 +34,7 @@ from repro.serve.codec import (
 from repro.serve.config import BACKPRESSURE_POLICIES
 from repro.serve.ring import BoundedRing
 
-__all__ = [
-    "Sink",
-    "SocketSink",
-    "StreamSink",
-    "CollectingSink",
-    "SubscriberSession",
-]
+__all__ = ["Sink", "SocketSink", "SubscriberSession"]
 
 
 class Sink:
@@ -74,66 +68,6 @@ class SocketSink(Sink):
         except OSError:
             pass
         self._conn.close()
-
-
-class StreamSink(Sink):
-    """Write records to any binary file object (FIFO, file, stdout)."""
-
-    def __init__(self, stream: IO[bytes], owns: bool = False):
-        self._stream = stream
-        self._owns = owns
-
-    def write(self, data: bytes) -> None:
-        self._stream.write(data)
-        self._stream.flush()
-
-    def close(self) -> None:
-        if self._owns:
-            self._stream.close()
-
-
-class CollectingSink(Sink):
-    """In-process sink for tests: buffers bytes, optionally throttled.
-
-    *delay_per_write_s* simulates a slow consumer; *fail_after* raises
-    ``OSError`` on the Nth write (socket-error chaos); *stall_event*,
-    when set, blocks writes until cleared (stalled-subscriber chaos).
-    """
-
-    def __init__(
-        self,
-        delay_per_write_s: float = 0.0,
-        fail_after: Optional[int] = None,
-        stall_event: Optional[threading.Event] = None,
-    ):
-        self.data = bytearray()
-        self.writes = 0
-        self.closed = False
-        self.delay_per_write_s = delay_per_write_s
-        self.fail_after = fail_after
-        self.stall_event = stall_event
-        self._lock = threading.Lock()
-
-    def write(self, data: bytes) -> None:
-        if self.stall_event is not None:
-            # Block while the stall is active (the chaos controller
-            # clears the event to release the subscriber).
-            while self.stall_event.is_set():
-                _time.sleep(0.005)
-        if self.delay_per_write_s:
-            _time.sleep(self.delay_per_write_s)
-        with self._lock:
-            self.writes += 1
-            if self.fail_after is not None and self.writes > self.fail_after:
-                raise OSError("injected sink failure")
-            self.data.extend(data)
-
-    def close(self) -> None:
-        self.closed = True
-
-    def lines(self) -> list:
-        with self._lock:
-            return [line for line in bytes(self.data).split(b"\n") if line]
 
 
 class SubscriberSession:

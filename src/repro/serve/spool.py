@@ -66,13 +66,6 @@ class SpoolWriter:
         os.fsync(self._handle.fileno())
         self._handle.close()
 
-    def abort(self) -> None:
-        """Close the handle without a footer (simulated crash in tests)."""
-        if not self._closed:
-            self._closed = True
-            self._handle.flush()
-            self._handle.close()
-
     def __enter__(self) -> "SpoolWriter":
         return self
 

@@ -1,28 +1,26 @@
 """The 6LoWPAN adaptation layer: UDP datagrams over 802.15.4 MAC frames.
 
-Binds the compression and fragmentation machinery to a
-:class:`~repro.dot15d4.mac.MacService`: outgoing UDP sends become one or
-more MAC data frames; incoming frames are reassembled, decompressed and
-dispatched to the bound UDP handler.  Addressing is link-local, with IIDs
-derived from (PAN id, short address) per RFC 4944.
+Binds the reassembly and decompression machinery to a
+:class:`~repro.dot15d4.mac.MacService`: incoming frames are reassembled,
+decompressed and dispatched to the bound UDP handler.  Addressing is
+link-local, with IIDs derived from (PAN id, short address) per RFC 4944.
+A sender builds its frames from :func:`~repro.sixlowpan.iphc.compress_datagram`
+and :func:`~repro.sixlowpan.fragmentation.fragment_datagram`, as the
+exfiltration example does through a diverted BLE chip.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
-from repro.dot15d4.frames import Address, MacFrame
+from repro.dot15d4.frames import MacFrame
 from repro.dot15d4.mac import MacService
-from repro.sixlowpan.fragmentation import Reassembler, fragment_datagram
-from repro.sixlowpan.iphc import compress_datagram, decompress_datagram, link_iid
+from repro.sixlowpan.fragmentation import Reassembler
+from repro.sixlowpan.iphc import decompress_datagram, link_iid
 from repro.sixlowpan.ipv6 import Ipv6Header, UdpDatagram, link_local_address
 
 __all__ = ["ReceivedUdp", "SixLowpanAdaptation"]
-
-#: Inter-fragment gap; must exceed one frame's airtime plus the
-#: acknowledgement turnaround (the radio is half-duplex).
-FRAGMENT_SPACING_S = 5e-3
 
 
 @dataclass(frozen=True)
@@ -41,13 +39,10 @@ UdpHandler = Callable[[ReceivedUdp], None]
 class SixLowpanAdaptation:
     """One node's 6LoWPAN stack instance."""
 
-    def __init__(self, mac: MacService, hop_limit: int = 64):
+    def __init__(self, mac: MacService):
         self.mac = mac
-        self.hop_limit = hop_limit
         self.reassembler = Reassembler()
         self._handler: Optional[UdpHandler] = None
-        self._next_tag = 0
-        self.sent_datagrams = 0
         self.received_datagrams = 0
         self.decode_failures = 0
         mac.on_data(self._on_mac_frame)
@@ -59,71 +54,6 @@ class SixLowpanAdaptation:
         return link_local_address(
             self.mac.address.pan_id, self.mac.address.address
         )
-
-    def neighbour_address(self, short_address: int) -> bytes:
-        return link_local_address(self.mac.address.pan_id, short_address)
-
-    # -- sending ---------------------------------------------------------------
-    def send_udp(
-        self,
-        destination_short: int,
-        source_port: int,
-        destination_port: int,
-        payload: bytes,
-        ack: bool = True,
-    ) -> List[int]:
-        """Send a UDP datagram; returns the MAC sequence numbers used."""
-        destination_ip = self.neighbour_address(destination_short)
-        header = Ipv6Header(
-            source=self.address,
-            destination=destination_ip,
-            hop_limit=self.hop_limit,
-        )
-        udp = UdpDatagram(source_port, destination_port, payload)
-        udp_bytes = udp.to_bytes(header)
-        compressed = compress_datagram(
-            header,
-            udp_bytes,
-            source_link_iid=link_iid(
-                self.mac.address.pan_id, self.mac.address.address
-            ),
-            destination_link_iid=link_iid(
-                self.mac.address.pan_id, destination_short
-            ),
-        )
-        tag = self._next_tag
-        self._next_tag = (self._next_tag + 1) & 0xFFFF
-        fragments = fragment_datagram(compressed, tag=tag)
-        destination = Address(
-            pan_id=self.mac.address.pan_id, address=destination_short
-        )
-        # Fragments are spaced out in time: the link is half-duplex and the
-        # receiver must acknowledge each frame before the next arrives.
-        scheduler = self.mac.radio.transceiver.medium.scheduler
-        sequences: List[int] = []
-        for index, fragment in enumerate(fragments):
-            sequences.append(self.mac.next_sequence())
-
-            def send(fragment=fragment, sequence=sequences[-1]) -> None:
-                from repro.dot15d4.frames import build_data
-
-                frame = build_data(
-                    source=self.mac.address,
-                    destination=destination,
-                    payload=fragment,
-                    sequence_number=sequence,
-                    ack_request=ack,
-                )
-                if self.mac.security is not None:
-                    frame = self.mac.security.protect(frame)
-                self.mac.send_frame(frame)
-
-            if index == 0:
-                send()
-            else:
-                scheduler.schedule(index * FRAGMENT_SPACING_S, send)
-        self.sent_datagrams += 1
-        return sequences
 
     # -- receiving ---------------------------------------------------------------
     def on_udp(self, handler: UdpHandler) -> None:

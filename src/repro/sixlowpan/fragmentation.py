@@ -63,26 +63,40 @@ def fragment_datagram(
 @dataclass
 class _PartialDatagram:
     size: int
-    received: Dict[int, bytes] = field(default_factory=dict)
+    received: Dict[int, bytes] = field(default_factory=dict, init=False)
+    covered: int = field(default=0, init=False)
 
-    def add(self, offset: int, body: bytes) -> None:
+    def add(self, offset: int, body: bytes) -> bool:
+        """Store one fragment's body; False if it runs past the datagram's
+        size or overlaps a stored body, which discards the datagram."""
+        end = offset + len(body)
+        if end > self.size:
+            return False
+        for start, other in self.received.items():
+            if start < end and offset < start + len(other):
+                return False
         self.received[offset] = body
+        self.covered += len(body)
+        return True
 
     def assembled(self) -> Optional[bytes]:
-        total = bytearray(self.size)
-        covered = 0
-        for offset, body in self.received.items():
-            if offset + len(body) > self.size:
-                return None
-            total[offset : offset + len(body)] = body
-            covered += len(body)
-        if covered < self.size:
+        """The whole datagram once every byte of it has arrived."""
+        if self.covered < self.size:
             return None
+        total = bytearray(self.size)
+        for offset, body in self.received.items():
+            total[offset : offset + len(body)] = body
         return bytes(total)
 
 
 class Reassembler:
-    """Per-(sender, tag) reassembly buffers."""
+    """Per-(sender, tag) reassembly buffers.
+
+    A fragment that overlaps one already received, or runs past the
+    datagram's size, discards the datagram and counts it in
+    :attr:`dropped` (RFC 4944 §5.3), so no datagram is ever built from
+    bytes its sender did not send.
+    """
 
     def __init__(self) -> None:
         self._partials: Dict[Tuple[int, int], _PartialDatagram] = {}
@@ -98,37 +112,25 @@ class Reassembler:
             return None
         dispatch = payload[0] & 0b11111000
         if dispatch == FRAG1_DISPATCH:
-            if len(payload) < _HEADER1_SIZE:
-                self.dropped += 1
-                return None
-            size = int.from_bytes(payload[0:2], "big") & 0x7FF
-            tag = int.from_bytes(payload[2:4], "big")
-            partial = self._partials.setdefault(
-                (sender, tag), _PartialDatagram(size=size)
-            )
-            partial.add(0, payload[_HEADER1_SIZE:])
-            return self._try_complete(sender, tag)
-        if dispatch == FRAGN_DISPATCH:
-            if len(payload) < _HEADERN_SIZE:
-                self.dropped += 1
-                return None
-            size = int.from_bytes(payload[0:2], "big") & 0x7FF
-            tag = int.from_bytes(payload[2:4], "big")
-            offset = payload[4] * 8
-            partial = self._partials.setdefault(
-                (sender, tag), _PartialDatagram(size=size)
-            )
-            partial.add(offset, payload[_HEADERN_SIZE:])
-            return self._try_complete(sender, tag)
-        return payload
-
-    def _try_complete(self, sender: int, tag: int) -> Optional[bytes]:
-        partial = self._partials.get((sender, tag))
-        if partial is None:
+            header = _HEADER1_SIZE
+        elif dispatch == FRAGN_DISPATCH:
+            header = _HEADERN_SIZE
+        else:
+            return payload
+        if len(payload) < header:
+            self.dropped += 1
+            return None
+        size = int.from_bytes(payload[0:2], "big") & 0x7FF
+        key = (sender, int.from_bytes(payload[2:4], "big"))
+        offset = payload[4] * 8 if dispatch == FRAGN_DISPATCH else 0
+        partial = self._partials.setdefault(key, _PartialDatagram(size=size))
+        if not partial.add(offset, payload[header:]):
+            del self._partials[key]
+            self.dropped += 1
             return None
         datagram = partial.assembled()
         if datagram is not None:
-            del self._partials[(sender, tag)]
+            del self._partials[key]
             self.completed += 1
         return datagram
 

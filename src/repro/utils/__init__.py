@@ -3,31 +3,24 @@
 The radio stacks in this repository shuttle data between three domains —
 bytes (protocol payloads), bit arrays (what modulators consume) and chip
 arrays (after DSSS spreading).  :mod:`repro.utils.bits` provides the
-conversions; :mod:`repro.utils.crc` and :mod:`repro.utils.lfsr` provide the
-generic integrity/whitening engines that the BLE and 802.15.4 layers
-specialise.
+conversions; :mod:`repro.utils.crc` provides the generic CRC engine that
+the BLE and 802.15.4 layers specialise.
 """
 
 from repro.utils.bits import (
-    BitArray,
     bits_to_bytes,
     bits_to_int,
     bytes_to_bits,
-    hamming_distance,
     int_to_bits,
     parse_bitstring,
 )
 from repro.utils.crc import CrcEngine
-from repro.utils.lfsr import GaloisLfsr
 
 __all__ = [
-    "BitArray",
     "bits_to_bytes",
     "bits_to_int",
     "bytes_to_bits",
-    "hamming_distance",
     "int_to_bits",
     "parse_bitstring",
     "CrcEngine",
-    "GaloisLfsr",
 ]

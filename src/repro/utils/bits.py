@@ -10,20 +10,18 @@ notation of the paper is more natural.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 BitsLike = Union[Sequence[int], np.ndarray, str]
 
 __all__ = [
-    "BitArray",
     "bytes_to_bits",
     "bits_to_bytes",
     "int_to_bits",
     "bits_to_int",
     "parse_bitstring",
-    "hamming_distance",
     "pack_bits",
 ]
 
@@ -108,101 +106,3 @@ def bits_to_int(bits: BitsLike, order: str = "lsb") -> int:
     else:
         weights = 1 << np.arange(arr.size - 1, -1, -1, dtype=object)
     return int(sum(int(b) * int(w) for b, w in zip(arr, weights)))
-
-
-def hamming_distance(a: BitsLike, b: BitsLike) -> int:
-    """Number of positions where two equal-length bit arrays differ."""
-    arr_a = as_bit_array(a)
-    arr_b = as_bit_array(b)
-    if arr_a.size != arr_b.size:
-        raise ValueError(
-            f"length mismatch: {arr_a.size} vs {arr_b.size} bits"
-        )
-    return int(np.count_nonzero(arr_a != arr_b))
-
-
-class BitArray:
-    """A small convenience wrapper over a 0/1 ``uint8`` ndarray.
-
-    The DSP layer works on raw ndarrays for speed; protocol code uses
-    :class:`BitArray` when readability matters (slicing frames into named
-    fields, concatenating headers, ...).
-    """
-
-    __slots__ = ("_bits",)
-
-    def __init__(self, bits: BitsLike = ()):
-        self._bits = as_bit_array(bits)
-
-    # -- constructors -----------------------------------------------------
-    @classmethod
-    def from_bytes(cls, data: bytes, order: str = "lsb") -> "BitArray":
-        return cls(bytes_to_bits(data, order=order))
-
-    @classmethod
-    def from_int(cls, value: int, width: int, order: str = "lsb") -> "BitArray":
-        return cls(int_to_bits(value, width, order=order))
-
-    @classmethod
-    def concat(cls, parts: Iterable["BitArray"]) -> "BitArray":
-        arrays = [p.ndarray for p in parts]
-        if not arrays:
-            return cls()
-        return cls(np.concatenate(arrays))
-
-    # -- conversions ------------------------------------------------------
-    @property
-    def ndarray(self) -> np.ndarray:
-        return self._bits
-
-    def to_bytes(self, order: str = "lsb") -> bytes:
-        return bits_to_bytes(self._bits, order=order)
-
-    def to_int(self, order: str = "lsb") -> int:
-        return bits_to_int(self._bits, order=order)
-
-    def to_string(self) -> str:
-        return "".join(str(int(b)) for b in self._bits)
-
-    # -- sequence protocol --------------------------------------------------
-    def __len__(self) -> int:
-        return int(self._bits.size)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return BitArray(self._bits[index])
-        return int(self._bits[index])
-
-    def __iter__(self):
-        return (int(b) for b in self._bits)
-
-    def __add__(self, other: "BitArray") -> "BitArray":
-        return BitArray(np.concatenate([self._bits, as_bit_array(other._bits)]))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, BitArray):
-            return self._bits.size == other._bits.size and bool(
-                np.array_equal(self._bits, other._bits)
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self._bits.size, self._bits.tobytes()))
-
-    def __repr__(self) -> str:
-        shown = self.to_string()
-        if len(shown) > 64:
-            shown = shown[:61] + "..."
-        return f"BitArray({shown!r})"
-
-    # -- operations ---------------------------------------------------------
-    def xor(self, other: "BitArray") -> "BitArray":
-        if len(self) != len(other):
-            raise ValueError("xor requires equal lengths")
-        return BitArray(self._bits ^ other._bits)
-
-    def invert(self) -> "BitArray":
-        return BitArray(self._bits ^ 1)
-
-    def hamming(self, other: "BitArray") -> int:
-        return hamming_distance(self._bits, other._bits)

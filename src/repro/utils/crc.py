@@ -140,7 +140,3 @@ class CrcEngine:
         else:
             raise ValueError("order must be 'msb' or 'lsb'")
         return ((value >> positions) & 1).astype(np.uint8)
-
-    def verify(self, data: bytes, expected: int) -> bool:
-        """Check *data* against an *expected* CRC value."""
-        return self.compute(data) == expected

@@ -12,8 +12,6 @@ in seconds instead of years.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
-
 __all__ = ["TX_POWER_W", "RX_POWER_W", "WAKEUP_COST_J", "activity_cost", "Battery"]
 
 TX_POWER_W = 0.090
@@ -33,11 +31,10 @@ def activity_cost(kind: str, duration_s: float) -> float:
 
 @dataclass
 class Battery:
-    """A finite energy budget with a running total per activity kind."""
+    """A finite energy budget."""
 
     capacity_j: float
-    consumed_j: float = 0.0
-    _by_kind: Dict[str, float] = field(default_factory=dict, init=False, repr=False)
+    consumed_j: float = field(default=0.0, init=False)
 
     def charge_activity(self, kind: str, duration_s: float) -> None:
         """Record one radio activity (no-op once depleted)."""
@@ -45,7 +42,6 @@ class Battery:
             return
         cost = activity_cost(kind, duration_s)
         self.consumed_j = min(self.capacity_j, self.consumed_j + cost)
-        self._by_kind[kind] = self._by_kind.get(kind, 0.0) + cost
 
     @property
     def remaining_j(self) -> float:
@@ -58,6 +54,3 @@ class Battery:
     @property
     def fraction_remaining(self) -> float:
         return self.remaining_j / self.capacity_j if self.capacity_j else 0.0
-
-    def consumed_by(self, kind: str) -> float:
-        return self._by_kind.get(kind, 0.0)

@@ -273,14 +273,6 @@ class Fleet:
             )
         raise ValueError(f"unknown role {ns.role!r}")
 
-    @property
-    def sensors(self) -> List[SensorNode]:
-        return [n for n in self.nodes.values() if isinstance(n, SensorNode)]
-
-    @property
-    def routers(self) -> List[RouterNode]:
-        return [n for n in self.nodes.values() if isinstance(n, RouterNode)]
-
     def start_all(self) -> None:
         for node in self.nodes.values():
             node.start()

@@ -3,11 +3,9 @@
 import pytest
 
 from repro.ble.channels import (
-    ADVERTISING_CHANNELS,
     ALL_CHANNELS,
     channel_for_frequency,
     channel_frequency_hz,
-    is_advertising_channel,
     whitening_init,
 )
 
@@ -50,11 +48,6 @@ class TestFrequencies:
 
 
 class TestHelpers:
-    def test_is_advertising_channel(self):
-        for ch in ADVERTISING_CHANNELS:
-            assert is_advertising_channel(ch)
-        assert not is_advertising_channel(8)
-
     def test_whitening_init(self):
         assert whitening_init(0) == 0x40
         assert whitening_init(8) == 0x48

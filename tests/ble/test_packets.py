@@ -21,6 +21,11 @@ from repro.ble.packets import (
 )
 
 
+def pdu_bits(packet):
+    """The on-air bits after the preamble and the 32-bit Access Address."""
+    return packet.bits[8 * packet.phy.preamble_bytes + 32 :]
+
+
 class TestPhyMode:
     def test_rates(self):
         assert PhyMode.LE_1M.symbol_rate == 1e6
@@ -168,16 +173,19 @@ class TestOnAirAssembly:
         packet = assemble_on_air_bits(b"\x02\x01\x00", channel=37)
         # preamble 8 + AA 32 + (3 PDU + 3 CRC) * 8
         assert packet.bits.size == 8 + 32 + 48
-        assert packet.pdu_bit_offset == 40
+        aa = access_address_bits(ADVERTISING_ACCESS_ADDRESS)
+        assert np.array_equal(packet.bits[8:40], aa)
 
     def test_le2m_longer_preamble(self):
         packet = assemble_on_air_bits(b"\x02\x01\x00", channel=8, phy=PhyMode.LE_2M)
-        assert packet.pdu_bit_offset == 48
+        assert packet.bits.size == 16 + 32 + 48
+        aa = access_address_bits(ADVERTISING_ACCESS_ADDRESS)
+        assert np.array_equal(packet.bits[16:48], aa)
 
     def test_parse_roundtrip(self):
         pdu = AdvNonconnInd(bytes(6), b"data!").to_pdu()
         packet = assemble_on_air_bits(pdu, channel=12)
-        body = packet.bits[packet.pdu_bit_offset :]
+        body = pdu_bits(packet)
         parsed, crc_ok = parse_pdu_bits(body, channel=12)
         assert parsed == pdu
         assert crc_ok
@@ -185,7 +193,7 @@ class TestOnAirAssembly:
     def test_parse_detects_corruption(self):
         pdu = AdvNonconnInd(bytes(6), b"data!").to_pdu()
         packet = assemble_on_air_bits(pdu, channel=12)
-        body = packet.bits[packet.pdu_bit_offset :].copy()
+        body = pdu_bits(packet).copy()
         body[30] ^= 1
         _, crc_ok = parse_pdu_bits(body, channel=12)
         assert not crc_ok
@@ -200,7 +208,7 @@ class TestOnAirAssembly:
     def test_wrong_channel_dewhitening_garbles(self):
         pdu = AdvNonconnInd(bytes(6), b"data!").to_pdu()
         packet = assemble_on_air_bits(pdu, channel=12)
-        body = packet.bits[packet.pdu_bit_offset :]
+        body = pdu_bits(packet)
         try:
             parsed, crc_ok = parse_pdu_bits(body, channel=13)
             assert parsed != pdu or not crc_ok
@@ -211,7 +219,5 @@ class TestOnAirAssembly:
     def test_assembly_roundtrip_property(self, payload):
         pdu = bytes([0x02, len(payload)]) + payload
         packet = assemble_on_air_bits(pdu, channel=20)
-        parsed, crc_ok = parse_pdu_bits(
-            packet.bits[packet.pdu_bit_offset :], channel=20
-        )
+        parsed, crc_ok = parse_pdu_bits(pdu_bits(packet), channel=20)
         assert parsed == pdu and crc_ok

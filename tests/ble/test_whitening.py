@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.ble.whitening import whiten, whiten_bytes, whitening_sequence
+from repro.ble.whitening import whiten, whitening_sequence
 
 
 def spec_diagram_sequence(channel: int, count: int) -> np.ndarray:
@@ -73,10 +73,6 @@ class TestWhiten:
     def test_whiten_changes_bits(self):
         arr = np.zeros(64, dtype=np.uint8)
         assert whiten(arr, 8).any()
-
-    def test_whiten_bytes_roundtrip(self):
-        data = bytes(range(32))
-        assert whiten_bytes(whiten_bytes(data, 3), 3) == data
 
     def test_scenario_a_pre_inversion(self):
         """De-whitening applied in advance cancels the radio's whitener —

@@ -42,15 +42,6 @@ class TestDescriptors:
         assert not SMARTPHONE_CAPABILITIES.can_disable_crc
         assert not SMARTPHONE_CAPABILITIES.can_disable_whitening
 
-    def test_supports_2mbps_helper(self):
-        assert ChipCapabilities(name="x", supports_le_2m=True).supports_2mbps()
-        assert ChipCapabilities(
-            name="x", supports_le_2m=False, supports_esb_2m=True
-        ).supports_2mbps()
-        assert not ChipCapabilities(
-            name="x", supports_le_2m=False
-        ).supports_2mbps()
-
 
 class TestGatingBehaviour:
     def test_frequency_grid_restriction(self, quiet_medium):

@@ -62,15 +62,6 @@ class TestNativeLink:
         assert got[0].channel == 14
         assert got[0].mean_chip_distance < 2
 
-    def test_to_mac_frame_helper(self, radios, scheduler):
-        a, b = radios
-        got = []
-        b.start_rx(got.append)
-        a.transmit_frame(build_data(SRC, DST, b"x", sequence_number=3))
-        scheduler.run(0.01)
-        mac = got[0].to_mac_frame()
-        assert mac.payload == b"x"
-
     def test_channel_isolation(self, radios, scheduler):
         a, b = radios
         b.set_channel(20)

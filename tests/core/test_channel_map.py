@@ -7,7 +7,6 @@ from repro.core.channel_map import (
     COMMON_CHANNELS,
     ble_channel_for_zigbee,
     reachable_zigbee_channels,
-    zigbee_channel_for_ble,
 )
 from repro.dot15d4.channels import channel_frequency_hz as zigbee_freq
 
@@ -43,11 +42,6 @@ class TestLookups:
     def test_forward(self):
         assert ble_channel_for_zigbee(14) == 8
         assert ble_channel_for_zigbee(26) == 39
-
-    def test_reverse(self):
-        assert zigbee_channel_for_ble(8) == 14
-        assert zigbee_channel_for_ble(39) == 26
-        assert zigbee_channel_for_ble(0) is None
 
     def test_reachability(self):
         assert reachable_zigbee_channels(arbitrary_tuning=True) == tuple(

@@ -14,6 +14,7 @@ from repro.core.tx import WazaBeeTransmitter
 from repro.dot15d4.frames import Address, build_data
 from repro.errors import DecodeError, RadioError
 from repro.phy.batch import frame_tail
+from tests.phy.decode_oracle import symbol_confidences
 
 SRC = Address(pan_id=0x1234, address=0x0063)
 DST = Address(pan_id=0x1234, address=0x0042)
@@ -141,9 +142,10 @@ class TestDecodeFailures:
 class TestConfidences:
     def test_clean_decode_has_near_unit_confidence(self):
         frame = decode_payload_bits(good_capture(valid_psdu()))
-        assert frame.confidences
+        confidences = symbol_confidences(frame.distances)
+        assert confidences
         # Symbol-boundary transitions cost at most one bit per block.
-        assert all(c >= 1.0 - 1.0 / 31.0 for c in frame.confidences)
+        assert all(c >= 1.0 - 1.0 / 31.0 for c in confidences)
 
     def test_damaged_symbols_have_lower_confidence(self):
         bits = good_capture(valid_psdu())
@@ -153,7 +155,7 @@ class TestConfidences:
             damaged[target_stride * 32 + bit] ^= 1
         frame = decode_payload_bits(damaged)
         assert frame is not None
-        confidences = frame.confidences
+        confidences = symbol_confidences(frame.distances)
         assert min(confidences) < 1.0
         # The confidence dip localises the damage.
         assert confidences.index(min(confidences)) == target_stride
@@ -170,8 +172,8 @@ class TestSalvagePath:
         radio.armed(good_capture(bytes(psdu)))
         assert len(corrupt) == 1
         assert not corrupt[0].fcs_ok
-        # Salvaged frames still carry per-symbol confidence for fusion.
-        assert corrupt[0].confidences
+        # Salvaged frames still carry per-symbol distances for fusion.
+        assert corrupt[0].distances
         # The ordinary handler only ever sees FCS-valid frames.
         assert frames == []
 

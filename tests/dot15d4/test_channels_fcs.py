@@ -12,7 +12,6 @@ from repro.dot15d4.fcs import (
     FCS_POLY,
     append_fcs,
     compute_fcs,
-    strip_fcs,
     verify_fcs,
 )
 from repro.utils.crc import CrcEngine
@@ -74,15 +73,10 @@ class TestFcs:
     def test_verify_too_short(self):
         assert not verify_fcs(b"\x01")
 
-    def test_strip(self):
-        assert strip_fcs(append_fcs(b"abc")) == b"abc"
-        with pytest.raises(ValueError):
-            strip_fcs(b"abc\x00\x00")
-
     @given(st.binary(max_size=64))
     def test_roundtrip_property(self, data):
         assert verify_fcs(append_fcs(data))
-        assert strip_fcs(append_fcs(data)) == data
+        assert append_fcs(data)[:-2] == data
 
     @given(st.binary(max_size=300))
     def test_matches_bit_serial_engine(self, data):

@@ -18,6 +18,19 @@ ADDR_A = Address(pan_id=PAN, address=0x0001)
 ADDR_B = Address(pan_id=PAN, address=0x0002)
 
 
+def sniff(mac):
+    """Every FCS-valid frame *mac*'s radio hands its MAC, parsed."""
+    frames = []
+
+    def tap(received):
+        if received.fcs_ok:
+            frames.append(MacFrame.parse(received.psdu))
+        mac._on_psdu(received)
+
+    mac.radio.start_rx(tap)
+    return frames
+
+
 @pytest.fixture()
 def pair(quiet_medium):
     radio_a = Dot15d4Radio(
@@ -46,11 +59,12 @@ class TestDataExchange:
 
     def test_acknowledgement(self, pair):
         mac_a, mac_b, sched = pair
-        acks = []
-        mac_a.on_ack(acks.append)
-        seq = mac_a.send_data(ADDR_B, b"ping", ack=True)
+        results = []
+        seq = mac_a.send_data(
+            ADDR_B, b"ping", ack=True, on_result=lambda *r: results.append(r)
+        )
         sched.run(0.01)
-        assert acks == [seq]
+        assert results == [(seq, True)]
         assert mac_b.stats.acks_sent == 1
         assert mac_a.stats.acks_received == 1
 
@@ -110,15 +124,6 @@ class TestDataExchange:
             sched.run(0.01)
         assert len(got) == 2
 
-    def test_promiscuous_tap_sees_filtered_frames(self, pair):
-        mac_a, mac_b, sched = pair
-        sniffed = []
-        mac_b.on_any_frame(sniffed.append)
-        other = Address(pan_id=PAN, address=0x0099)
-        mac_a.send_data(other, b"secret", ack=False)
-        sched.run(0.01)
-        assert len(sniffed) == 1
-
 
 @pytest.fixture()
 def parses(monkeypatch):
@@ -167,10 +172,10 @@ class TestBeacons:
         mac_a, mac_b, sched = pair
         mac_b.is_coordinator = True
         mac_b.beacon_payload = b"home"
-        beacons = []
-        mac_a.on_beacon(beacons.append)
+        frames = sniff(mac_a)
         mac_a.send_frame(build_beacon_request())
         sched.run(0.05)
+        beacons = [f for f in frames if f.frame_type is FrameType.BEACON]
         assert len(beacons) == 1
         assert beacons[0].frame_type is FrameType.BEACON
         assert beacons[0].source == ADDR_B
@@ -178,19 +183,11 @@ class TestBeacons:
 
     def test_non_coordinator_silent(self, pair):
         mac_a, mac_b, sched = pair
-        beacons = []
-        mac_a.on_beacon(beacons.append)
+        frames = sniff(mac_a)
         mac_a.send_frame(build_beacon_request())
         sched.run(0.05)
-        assert beacons == []
-
-    def test_command_handler_invoked(self, pair):
-        mac_a, mac_b, sched = pair
-        commands = []
-        mac_b.on_command(commands.append)
-        mac_a.send_frame(build_beacon_request())
-        sched.run(0.05)
-        assert len(commands) == 1
+        assert frames == []
+        assert mac_b.stats.beacons_sent == 0
 
 
 class TestSequenceNumbers:

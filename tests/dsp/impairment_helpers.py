@@ -1,5 +1,6 @@
 """Capture impairments only the tests apply: a receiver-floor noise
-capture, a static carrier-phase rotation and an integer sample delay."""
+capture, a static carrier-phase rotation and an integer sample delay;
+and the discriminator frequency estimate the tests measure signals with."""
 
 import numpy as np
 
@@ -31,4 +32,22 @@ def apply_phase_offset(sig: IQSignal, phase_rad: float) -> IQSignal:
 
 def apply_timing_offset(sig: IQSignal, delay_samples: int) -> IQSignal:
     """Delay the signal by an integer number of samples (zero padded)."""
-    return sig.delayed(delay_samples)
+    if delay_samples < 0:
+        raise ValueError("delay must be non-negative")
+    samples = np.concatenate(
+        [np.zeros(delay_samples, dtype=np.complex128), sig.samples]
+    )
+    return IQSignal(samples, sig.sample_rate, sig.center_frequency)
+
+
+def instantaneous_frequency(sig: IQSignal) -> np.ndarray:
+    """Per-sample instantaneous frequency estimate in hertz.
+
+    Computed from the phase of the one-sample lag product, the same
+    quantity a quadrature FM discriminator measures.  Length is
+    ``len(sig) - 1``.
+    """
+    if sig.samples.size < 2:
+        return np.zeros(0)
+    lag = sig.samples[1:] * np.conj(sig.samples[:-1])
+    return np.angle(lag) * sig.sample_rate / (2.0 * np.pi)

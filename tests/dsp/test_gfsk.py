@@ -86,10 +86,6 @@ class TestModulator:
         mod, _ = make_modem(sps=8, rate=2e6)
         assert mod.modulate([1, 0]).sample_rate == 16e6
 
-    def test_group_delay_nonzero_with_filter(self):
-        mod, _ = make_modem(bt=0.5)
-        assert mod.group_delay_samples() > 0
-
 
 class TestDemodulator:
     def test_clean_roundtrip(self, rng):

@@ -28,8 +28,8 @@ class TestSentinel:
         zigbee.set_channel(14)
         zigbee.transmit_frame(build_data(SRC, DST, b"x", sequence_number=1))
         scheduler.run(0.01)
-        activity = sentinel.activity_by_band()
-        assert activity.get(channel_frequency_hz(14), 0) == 1
+        bands = [obs.band_hz for obs in sentinel.observations]
+        assert bands.count(channel_frequency_hz(14)) == 1
         obs = sentinel.observations[0]
         assert obs.duration_s > 0
         assert obs.power_dbm > -85
@@ -41,7 +41,8 @@ class TestSentinel:
         firmware = WazaBeeFirmware(chip, scheduler)
         firmware.send_frame(build_data(SRC, DST, b"x", sequence_number=1), 14)
         scheduler.run(0.01)
-        assert sentinel.activity_by_band().get(channel_frequency_hz(14), 0) == 1
+        bands = [obs.band_hz for obs in sentinel.observations]
+        assert bands.count(channel_frequency_hz(14)) == 1
 
     def test_unmonitored_band_ignored(self, sentinel, medium, scheduler):
         zigbee = RzUsbStick(medium, position=(0, 0), rng=np.random.default_rng(1))

@@ -15,7 +15,7 @@ it, for :func:`tests.radio.delivery_oracle.per_delivery`.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -34,7 +34,18 @@ from repro.phy.batch import (
 )
 from repro.phy.ieee802154 import CHIPS_PER_SYMBOL, despread_chips
 
-__all__ = ["decode_oracle", "sequential_on_capture"]
+__all__ = ["decode_oracle", "sequential_on_capture", "symbol_confidences"]
+
+
+def symbol_confidences(distances: Sequence[int]) -> List[float]:
+    """Per-symbol decode confidence in [0, 1] from Hamming distances.
+
+    A perfect match (distance 0) scores 1.0; the worst credible match,
+    distance 15 (half the minimum pairwise separation of the sequences
+    away from everything), scores ~0.5.  The tests read a decoded frame's
+    ``distances`` through it.
+    """
+    return [1.0 - float(d) / 31.0 for d in distances]
 
 
 def decode_oracle(

@@ -41,6 +41,7 @@ from repro.phy.batch import (
 from repro.phy.channelizer import WidebandGrid
 from repro.phy.ieee802154 import CHIPS_PER_SYMBOL, Ppdu
 
+from tests.dsp.impairment_helpers import instantaneous_frequency
 from tests.phy.despread_oracle import despread_symbol
 from tests.phy.wideband_oracle import channelize, compose_band
 
@@ -69,7 +70,7 @@ def make_capture(payload, cfo_hz, noise_scale, seed, margin=256, spc=SPC):
 
 def oracle_decode(x, spc=SPC):
     """A sequential 802.15.4 receiver built only from reference pieces."""
-    disc = IQSignal(x, spc * CHIP_RATE).instantaneous_frequency()
+    disc = instantaneous_frequency(IQSignal(x, spc * CHIP_RATE))
     disc = np.clip(disc / (CHIP_RATE / 4.0), -1.5, 1.5)
     nrz = chips_to_transitions(SYNC_CHIPS, start_index=SYNC_START_INDEX)
     template = np.repeat(nrz * 2.0 - 1.0, spc)

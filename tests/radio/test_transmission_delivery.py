@@ -11,6 +11,8 @@ pending captures or changes a pending receiver, repeated receivers,
 faulted captures and a battery that dies mid-stack.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -187,7 +189,7 @@ def _tone_world(factory, acts, plan=None, plain=(), injector_cls=FaultInjector):
                     lambda s=source, k=k: s.transmit(_tone(k % 4)),
                 )
             scheduler.run(0.02)
-            stats = None if injector is None else vars(injector.stats).copy()
+            stats = None if injector is None else asdict(injector.stats)
             return log, _events(recorder), _counters(registry), stats
 
     return world
@@ -336,17 +338,12 @@ def _mac_world(factory, plan=None, batteries=None):
                 radio = Dot15d4Radio(medium, name=name, position=position)
                 radio.set_channel(11)
                 mac = MacService(radio, Address(0x1234, 0x10 + i))
-                mac.on_any_frame(
-                    lambda frame, name=name: frames.append(
-                        (name, scheduler.now, frame.to_bytes())
-                    )
-                )
                 if batteries and name in batteries:
                     battery = Battery(capacity_j=batteries[name])
                     radio.activity_listener = (
                         lambda kind, d, b=battery, m=mac: _drain(b, m, kind, d)
                     )
-                mac.start()
+                _start_tapped(mac, frames, scheduler)
                 macs[name] = mac
             router, coordinator = macs["router"], macs["coordinator"]
             router.on_data(
@@ -368,10 +365,21 @@ def _mac_world(factory, plan=None, batteries=None):
                     ),
                 )
             scheduler.run(0.05)
-            stats = {name: vars(mac.stats).copy() for name, mac in macs.items()}
+            stats = {name: asdict(mac.stats) for name, mac in macs.items()}
             return frames, stats, _events(recorder), _counters(registry)
 
     return world
+
+
+def _start_tapped(mac, frames, scheduler):
+    """Start *mac* behind a tap that logs every FCS-valid frame it hears."""
+
+    def tap(received):
+        if received.fcs_ok:
+            frames.append((mac.radio.name, scheduler.now, received.psdu))
+        mac._on_psdu(received)
+
+    mac.radio.start_rx(tap)
 
 
 def _drain(battery, mac, kind, duration_s):

@@ -15,14 +15,10 @@ import time
 import pytest
 
 from repro.obs import scoped
-from repro.serve import (
-    CollectingSink,
-    ServeConfig,
-    SnifferServer,
-    SpoolReader,
-)
+from repro.serve import ServeConfig, SnifferServer, SpoolReader
 from repro.serve.codec import decode_jsonl, encode_jsonl
 from repro.serve.source import SimWorldSource
+from tests.serve.sinks import CollectingSink
 
 #: Generous wall-clock ceiling: a deadlock anywhere in the pipeline
 #: fails these tests by timeout instead of hanging the suite.

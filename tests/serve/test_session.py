@@ -3,8 +3,9 @@
 import threading
 import time
 
-from repro.serve import CollectingSink, SubscriberSession
+from repro.serve import SubscriberSession
 from repro.serve.codec import decode_jsonl, frame_record, parse_pcap
+from tests.serve.sinks import CollectingSink
 
 
 def _frame(seq):

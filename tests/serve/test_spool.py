@@ -45,13 +45,19 @@ class TestRoundTrip:
             spool.append(_records(1)[0])
 
 
+def abort(spool: SpoolWriter) -> None:
+    """Close *spool*'s file without the footer, as a killed process would."""
+    spool._closed = True
+    spool._handle.close()
+
+
 class TestCrashTolerance:
     def test_abort_leaves_a_loadable_incomplete_spool(self, tmp_path):
         path = str(tmp_path / "crash.spool")
         spool = SpoolWriter(path)
         for record in _records(3):
             spool.append(record)
-        spool.abort()  # simulated SIGKILL: no footer
+        abort(spool)  # simulated SIGKILL: no footer
         reader = SpoolReader(path)
         assert not reader.complete
         assert len(reader) == 3
@@ -61,7 +67,7 @@ class TestCrashTolerance:
         spool = SpoolWriter(path)
         for record in _records(3):
             spool.append(record)
-        spool.abort()
+        abort(spool)
         with open(path, "ab") as handle:
             handle.write(b'{"type": "frame", "seq":')  # cut mid-record
         reader = SpoolReader(path)
@@ -72,7 +78,7 @@ class TestCrashTolerance:
         path = str(tmp_path / "bad.spool")
         spool = SpoolWriter(path)
         spool.append(_records(1)[0])
-        spool.abort()
+        abort(spool)
         with open(path, "ab") as handle:
             handle.write(b"{broken\n")
             handle.write(encode_jsonl(_records(2)[1]))
@@ -97,7 +103,7 @@ class TestHeaderAndFooter:
         path = str(tmp_path / "lying.spool")
         spool = SpoolWriter(path)
         spool.append(_records(1)[0])
-        spool.abort()
+        abort(spool)
         with open(path, "ab") as handle:
             handle.write(encode_jsonl({"type": "spool-end", "records": 99}))
         with pytest.raises(SpoolError, match="footer claims"):

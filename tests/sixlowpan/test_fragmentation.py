@@ -11,6 +11,18 @@ from repro.sixlowpan.fragmentation import (
 )
 
 
+def frag1(size, tag, body):
+    """A FRAG1 fragment of a *size*-byte datagram."""
+    head = (FRAG1_DISPATCH << 8 | size).to_bytes(2, "big")
+    return head + tag.to_bytes(2, "big") + body
+
+
+def fragn(size, tag, offset, body):
+    """A FRAGN fragment at byte *offset* (a multiple of 8)."""
+    head = (FRAGN_DISPATCH << 8 | size).to_bytes(2, "big")
+    return head + tag.to_bytes(2, "big") + bytes([offset // 8]) + body
+
+
 class TestFragmentation:
     def test_small_datagram_unfragmented(self):
         fragments = fragment_datagram(b"short", tag=1)
@@ -94,6 +106,28 @@ class TestReassembly:
 
     def test_empty_payload(self):
         assert Reassembler().accept(0x10, b"") is None
+
+    def test_overlapping_fragment_drops_the_datagram(self):
+        # A 12-byte FRAG1 and a 12-byte FRAGN at offset 8 of a 24-byte
+        # datagram: the bodies add up to 24, but bytes 20-23 never came.
+        reassembler = Reassembler()
+        assert reassembler.accept(0x10, frag1(24, 7, b"A" * 12)) is None
+        assert reassembler.accept(0x10, fragn(24, 7, 8, b"B" * 12)) is None
+        assert reassembler.dropped == 1
+        assert reassembler.pending == 0
+        assert reassembler.completed == 0
+
+    def test_fragment_past_the_datagram_size_drops_it(self):
+        reassembler = Reassembler()
+        assert reassembler.accept(0x10, frag1(24, 7, b"A" * 16)) is None
+        assert reassembler.accept(0x10, fragn(24, 7, 16, b"B" * 16)) is None
+        assert reassembler.dropped == 1
+        assert reassembler.pending == 0
+        # The tag is free again: a clean retransmission completes.
+        assert reassembler.accept(0x10, frag1(24, 7, b"A" * 16)) is None
+        assert reassembler.accept(0x10, fragn(24, 7, 16, b"B" * 8)) == (
+            b"A" * 16 + b"B" * 8
+        )
 
     @settings(max_examples=20, deadline=None)
     @given(st.binary(max_size=999), st.integers(0, 0xFFFF))

@@ -1,8 +1,11 @@
-"""``scripts/knob_scan.py`` finds the defaulted settings no call sets.
+"""``scripts/knob_scan.py`` finds the defaulted settings no call sets
+and the defs no non-test code names.
 
-The script is loaded by path and run on a small fixture module whose
+The script is loaded by path and run on small fixture modules: one whose
 calls set some knobs by keyword, by position, through a literal ``**``
-dict and by pass-through, and leave the others alone.
+dict and by pass-through, and leave the others alone; and a library plus
+a user of it that names some of its defs directly, by attribute or by
+string, and the others only in ``__all__``, an import or their own body.
 """
 
 import importlib.util
@@ -52,6 +55,51 @@ FIXTURE = textwrap.dedent(
 )
 
 
+LIBRARY = textwrap.dedent(
+    '''
+    __all__ = ["listed_only"]
+
+    def called():
+        def nested():
+            pass
+
+    def listed_only():
+        pass
+
+    def imported_only():
+        pass
+
+    def recursive(n):
+        return recursive(n - 1) if n else 0
+
+    class Radio:
+        def __repr__(self):
+            return "Radio()"
+
+        def tune(self):
+            pass
+
+        def by_string(self):
+            pass
+
+        def unused(self):
+            pass
+    '''
+)
+
+USER = textwrap.dedent(
+    '''
+    from library import imported_only
+
+    def main(radio):
+        called()
+        radio.tune()
+        getattr(radio, "by_string")()
+        return Radio
+    '''
+)
+
+
 def _load():
     spec = importlib.util.spec_from_file_location("knob_scan", SCRIPT)
     module = importlib.util.module_from_spec(spec)
@@ -83,6 +131,37 @@ def test_scan_reports_only_the_knobs_no_call_sets(tmp_path):
     assert report.splitlines()[-1] == "total: 6"
 
 
+def test_reach_reports_the_defs_no_other_code_names(tmp_path):
+    knob_scan = _load()
+    library, user = tmp_path / "library.py", tmp_path / "user.py"
+    library.write_text(LIBRARY)
+    user.write_text(USER)
+    unreached = knob_scan.reach(
+        [("library", library)], [("library", library), ("user", user)]
+    )
+    assert unreached == [
+        "library.Radio.unused",
+        "library.imported_only",
+        "library.listed_only",
+        "library.recursive",
+    ]
+    report = knob_scan.format_reach_report(
+        unreached, {"library.recursive": "kept on purpose", "library.called": "x"}
+    ).splitlines()
+    assert report[0] == "defs no non-test code names (4)"
+    assert "    library.recursive: kept on purpose" in report
+    assert "    library.listed_only: NOT KEPT: only tests reach it" in report
+    assert report[-1] == "    library.called: in KEPT but reached"
+
+
 def test_scan_runs_on_the_repository(capsys):
-    assert _load().main() == 0
-    assert capsys.readouterr().out.splitlines()[-1].startswith("total: ")
+    knob_scan = _load()
+    assert knob_scan.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    # The reach report lists exactly the kept defs, each with its reason.
+    kept = knob_scan.KEPT
+    assert lines[0] == f"defs no non-test code names ({len(kept)})"
+    assert lines[1 : 1 + len(kept)] == [
+        f"    {name}: {kept[name]}" for name in sorted(kept)
+    ]
+    assert lines[-1].startswith("total: ")

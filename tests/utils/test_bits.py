@@ -1,15 +1,12 @@
 """Unit and property tests for repro.utils.bits."""
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.utils.bits import (
-    BitArray,
     bits_to_bytes,
     bits_to_int,
     bytes_to_bits,
-    hamming_distance,
     int_to_bits,
     pack_bits,
     parse_bitstring,
@@ -88,75 +85,3 @@ class TestIntConversions:
     def test_roundtrip_32bit(self, value):
         assert bits_to_int(int_to_bits(value, 32)) == value
         assert bits_to_int(int_to_bits(value, 32, "msb"), "msb") == value
-
-
-class TestHamming:
-    def test_zero_distance(self):
-        assert hamming_distance([1, 0, 1], [1, 0, 1]) == 0
-
-    def test_counts_differences(self):
-        assert hamming_distance([1, 0, 1, 1], [0, 0, 1, 0]) == 2
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            hamming_distance([1], [1, 0])
-
-    @given(st.lists(st.integers(0, 1), min_size=1, max_size=64))
-    def test_symmetric(self, bits):
-        other = [b ^ 1 for b in bits]
-        assert hamming_distance(bits, other) == len(bits)
-        assert hamming_distance(bits, bits) == 0
-
-
-class TestBitArray:
-    def test_from_bytes_roundtrip(self):
-        ba = BitArray.from_bytes(b"\xa5")
-        assert ba.to_bytes() == b"\xa5"
-        assert len(ba) == 8
-
-    def test_from_int(self):
-        assert BitArray.from_int(5, 4).to_int() == 5
-
-    def test_concat_and_add(self):
-        a = BitArray([1, 0])
-        b = BitArray([1, 1])
-        assert (a + b).to_string() == "1011"
-        assert BitArray.concat([a, b]) == a + b
-
-    def test_concat_empty(self):
-        assert len(BitArray.concat([])) == 0
-
-    def test_slicing(self):
-        ba = BitArray([1, 0, 1, 1])
-        assert ba[0] == 1
-        assert ba[1:3].to_string() == "01"
-
-    def test_xor_and_invert(self):
-        a = BitArray([1, 0, 1])
-        b = BitArray([1, 1, 0])
-        assert a.xor(b).to_string() == "011"
-        assert a.invert().to_string() == "010"
-
-    def test_xor_length_mismatch(self):
-        with pytest.raises(ValueError):
-            BitArray([1]).xor(BitArray([1, 0]))
-
-    def test_equality_and_hash(self):
-        assert BitArray([1, 0]) == BitArray([1, 0])
-        assert BitArray([1, 0]) != BitArray([0, 1])
-        assert hash(BitArray([1, 0])) == hash(BitArray([1, 0]))
-
-    def test_iteration(self):
-        assert list(BitArray([1, 0, 1])) == [1, 0, 1]
-
-    def test_repr_truncates(self):
-        long = BitArray([1] * 100)
-        assert "..." in repr(long)
-
-    def test_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            BitArray([0, 2])
-
-    def test_rejects_2d(self):
-        with pytest.raises(ValueError):
-            BitArray(np.zeros((2, 2), dtype=np.uint8))

@@ -1,4 +1,4 @@
-"""Tests for the LFSR engines.
+"""Tests for the reference LFSR.
 
 :class:`FibonacciLfsr` is the spec-diagram form of BLE data whitening
 (Bluetooth Core spec vol 6, part B, §3.2: ``x^7 + x^4 + 1``, seeded from
@@ -10,10 +10,8 @@ from typing import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.utils.bits import as_bit_array
-from repro.utils.lfsr import GaloisLfsr
 
 
 class FibonacciLfsr:
@@ -104,31 +102,3 @@ class TestFibonacci:
     def test_bad_tap_rejected(self):
         with pytest.raises(ValueError):
             FibonacciLfsr(3, (4,), 1)
-
-
-class TestGalois:
-    def test_never_reaches_zero(self):
-        lfsr = GaloisLfsr(degree=8, polynomial=0x1D, state=1)
-        for _ in range(512):
-            lfsr.next_bit()
-            assert lfsr.state != 0
-
-    def test_stream_length(self):
-        lfsr = GaloisLfsr(4, 0x3, 0x9)
-        assert lfsr.stream(10).size == 10
-
-    def test_whiten_involution(self):
-        bits = np.array([1, 1, 1, 0, 0, 1], dtype=np.uint8)
-        a = GaloisLfsr(5, 0x5, 0x11)
-        b = GaloisLfsr(5, 0x5, 0x11)
-        assert np.array_equal(b.whiten(a.whiten(bits)), bits)
-
-    def test_zero_state_rejected(self):
-        with pytest.raises(ValueError):
-            GaloisLfsr(4, 0x3, 0)
-
-    @given(st.integers(min_value=1, max_value=127))
-    def test_state_stays_in_range(self, seed):
-        lfsr = GaloisLfsr(7, 0x09, seed)
-        lfsr.stream(50)
-        assert 0 < lfsr.state < 128

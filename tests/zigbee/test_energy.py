@@ -38,17 +38,9 @@ class TestBattery:
     def test_no_charge_after_depletion(self):
         battery = Battery(capacity_j=1e-6)
         battery.charge_activity("tx", 1.0)
-        consumed, by_tx = battery.consumed_j, battery.consumed_by("tx")
+        consumed = battery.consumed_j
         battery.charge_activity("tx", 1.0)
         assert battery.consumed_j == consumed
-        assert battery.consumed_by("tx") == by_tx
-
-    def test_ledger_by_kind(self):
-        battery = Battery(capacity_j=1.0)
-        battery.charge_activity("tx", 1e-3)
-        battery.charge_activity("rx", 1e-3)
-        assert battery.consumed_by("tx") > 0
-        assert battery.consumed_by("rx") > battery.consumed_by("tx")
 
     def test_fraction_remaining(self):
         battery = Battery(capacity_j=2.0)
@@ -82,6 +74,15 @@ class TestDepletionAttack:
 
     def test_flood_depletes_battery(self, quiet_medium, scheduler):
         battery, sensor, _ = self._network(quiet_medium, capacity_j=0.05)
+        drained = {"tx": 0.0, "rx": 0.0}
+        charge = battery.charge_activity
+
+        def tally(kind, duration_s):
+            if not battery.depleted:
+                drained[kind] += activity_cost(kind, duration_s)
+            charge(kind, duration_s)
+
+        battery.charge_activity = tally
         chip = Nrf52832(quiet_medium, position=(0, 0), rng=np.random.default_rng(3))
         firmware = WazaBeeFirmware(chip, scheduler)
         attack = FleetDepletionAttack(
@@ -97,7 +98,16 @@ class TestDepletionAttack:
         assert attack.frames_sent > 100
         assert "battery depleted" in sensor.config_log[-1]
         # Most of the drain is forced receptions, plus forced ACKs.
-        assert battery.consumed_by("rx") > battery.consumed_by("tx")
+        assert drained["rx"] > drained["tx"] > 0
+
+    def test_run_state_is_not_a_setting(self, quiet_medium, scheduler):
+        chip = Nrf52832(quiet_medium, rng=np.random.default_rng(3))
+        firmware = WazaBeeFirmware(chip, scheduler)
+        with pytest.raises(TypeError):
+            FleetDepletionAttack(
+                firmware, targets=[SENSOR], spoofed_source=COORD, channel=14,
+                frames_sent=5,
+            )
 
     def test_attack_rate_validation(self, quiet_medium, scheduler):
         chip = Nrf52832(quiet_medium, rng=np.random.default_rng(3))

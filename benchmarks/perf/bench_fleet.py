@@ -54,7 +54,12 @@ from repro.dsp.signal import IQSignal
 from repro.experiments.fleet import run_fleet_campaign
 from repro.obs import scoped
 from repro.radio import RfMedium, Scheduler, ShardedRfMedium, Transceiver
-from repro.zigbee.fleet import build_fleet, make_fleet
+from repro.zigbee.fleet import (
+    FLEET_RANGE_CUTOFF_M,
+    FLEET_SAMPLE_RATE,
+    build_fleet,
+    make_fleet,
+)
 
 #: Timed repetitions of the sharded side of each gated fleet record.
 REPEATS = 3
@@ -197,9 +202,9 @@ def bench_fleet(quick: bool = False) -> List[BenchRecord]:
         start = time.perf_counter()
         medium = ShardedRfMedium(
             Scheduler(),
-            sample_rate=cold.sample_rate,
+            sample_rate=FLEET_SAMPLE_RATE,
             seed=cold.seed + 1,
-            range_cutoff_m=cold.range_cutoff_m,
+            range_cutoff_m=FLEET_RANGE_CUTOFF_M,
         )
         build_fleet(cold, medium)
         builds.append(time.perf_counter() - start)

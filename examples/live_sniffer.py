@@ -67,7 +67,7 @@ def main() -> None:
         def _drain_when_done():
             while not server.source_finished:
                 time.sleep(0.05)
-            server.shutdown(drain=True)
+            server.shutdown()
 
         threading.Thread(target=_drain_when_done, daemon=True).start()
 
@@ -108,7 +108,7 @@ def main() -> None:
             "a BLE-only baseline must flag Zigbee-band traffic"
         )
 
-        ledger = server.shutdown(drain=True)
+        ledger = server.shutdown()
         session = ledger["sessions"]["live-sniffer"]
         print(
             f"service ledger: {ledger['produced']} produced, "

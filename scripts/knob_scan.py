@@ -33,8 +33,17 @@ table name methods by string).  ``__all__`` lists and imports do not
 count.  The defs in :data:`KEPT` stay on purpose; any other hit is API
 only tests reach, and makes the script exit 1.
 
+The knobs in :data:`KEPT_KNOBS` stay on purpose (device names,
+addresses and CRC init values, each with its reason); any other knob no
+call sets makes the script exit 1.
+
+A third report lists the *unused imports*: every module-level import in
+``src/`` whose bound name its module never uses (as a name, or inside a
+quoted annotation) and does not list in ``__all__``.  Any hit makes the
+script exit 1.
+
 Prints the reach report, then, per module, the knobs no call sets and
-their total.
+their total, then the unused imports.
 """
 
 from __future__ import annotations
@@ -62,8 +71,52 @@ KEPT: Dict[str, str] = {
     ),
 }
 
+#: Knobs no call sets that stay, each with its reason, keyed
+#: ``module.owner.name``.
+KEPT_KNOBS: Dict[str, str] = {
+    "repro.ble.crc.ble_crc24_bits.init": (
+        "CRC init: the advertising value by default, a connection's own otherwise"
+    ),
+    "repro.ble.packets.assemble_on_air_bits.access_address": (
+        "address: the advertising Access Address by default, a connection's "
+        "own otherwise"
+    ),
+    "repro.ble.packets.assemble_on_air_bits.crc_init": (
+        "CRC init that goes with the Access Address"
+    ),
+    "repro.ble.packets.check_crc.crc_init": (
+        "CRC init that goes with the Access Address"
+    ),
+    "repro.ble.packets.parse_pdu_bits.crc_init": (
+        "CRC init that goes with the Access Address"
+    ),
+    "repro.chips.ble_radio.BleRadioPeripheral.transmit_pdu.access_address": (
+        "address: the advertising Access Address by default"
+    ),
+    "repro.chips.cc1352.Cc1352R1.__init__.name": (
+        "device name: unique per radio on one medium"
+    ),
+    "repro.chips.nrf51822.Nrf51822.__init__.name": (
+        "device name: unique per radio on one medium"
+    ),
+    "repro.chips.smartphone.SmartphoneBle.__init__.advertiser_address": (
+        "address: the advertiser's device address"
+    ),
+    "repro.chips.smartphone.SmartphoneBle.__init__.name": (
+        "device name: unique per radio on one medium"
+    ),
+    "repro.ids.monitor.SpectrumSentinel.__init__.name": (
+        "device name: unique per radio on one medium"
+    ),
+}
+
 #: A knob: (module, qualified owner, parameter or field name).
 Knob = Tuple[str, str, str]
+
+
+def knob_key(knob: Knob) -> str:
+    """A knob's :data:`KEPT_KNOBS` key, ``module.owner.name``."""
+    return ".".join(knob)
 
 
 @dataclass
@@ -403,15 +456,73 @@ def format_reach_report(unreached: List[str], kept: Dict[str, str]) -> str:
     return "\n".join(lines)
 
 
-def format_report(knobs: List[Knob]) -> str:
+def format_report(knobs: List[Knob], kept: Dict[str, str]) -> str:
     lines: List[str] = []
     by_module: Dict[str, List[Knob]] = defaultdict(list)
     for knob in knobs:
         by_module[knob[0]].append(knob)
     for module in sorted(by_module):
         lines.append(f"{module} ({len(by_module[module])})")
-        lines.extend(f"    {owner}: {name}" for _m, owner, name in by_module[module])
+        for knob in by_module[module]:
+            reason = kept.get(knob_key(knob), "NOT KEPT: no call sets it")
+            lines.append(f"    {knob[1]}: {knob[2]}: {reason}")
+    stale = sorted(set(kept) - {knob_key(k) for k in knobs})
+    lines.extend(f"    {key}: in KEPT_KNOBS but set" for key in stale)
     lines.append(f"total: {len(knobs)}")
+    return "\n".join(lines)
+
+
+def unused_imports(definition_files: Iterable[Tuple[str, Path]]) -> List[str]:
+    """``module: name`` for each module-level import in *definition_files*
+    ((module, path) pairs) whose name the module never uses, sorted."""
+    unused: List[str] = []
+    for module, path in definition_files:
+        tree = _parse(path)
+        if tree is None:
+            continue
+        imported: Dict[str, str] = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    imported[bound] = alias.asname or alias.name
+        used: Set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)  # an __all__ entry
+            annotation = _quoted_annotation(node)
+            if annotation is not None:
+                used.update(
+                    n.id for n in ast.walk(annotation) if isinstance(n, ast.Name)
+                )
+        unused.extend(
+            f"{module}: {name}" for bound, name in imported.items()
+            if bound not in used and name != "*"
+        )
+    return sorted(unused)
+
+
+def _quoted_annotation(node: ast.AST) -> Optional[ast.expr]:
+    """*node*'s own annotation, parsed, when it is a string."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        annotation = node.returns
+    else:  # ast.arg and ast.AnnAssign carry one; other nodes none
+        annotation = getattr(node, "annotation", None)
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        try:
+            return ast.parse(annotation.value, mode="eval").body
+        except SyntaxError:
+            pass
+    return None
+
+
+def format_imports_report(unused: List[str]) -> str:
+    lines = [f"unused imports ({len(unused)})"]
+    lines.extend(f"    {entry}" for entry in unused)
     return "\n".join(lines)
 
 
@@ -430,8 +541,16 @@ def main() -> int:
     ]
     unreached = reach(definitions, users)
     print(format_reach_report(unreached, KEPT))
-    print(format_report(scan(definitions, _python_files(ROOT, CALL_DIRS))))
-    return 0 if unreached == sorted(KEPT) else 1
+    unset = scan(definitions, _python_files(ROOT, CALL_DIRS))
+    print(format_report(unset, KEPT_KNOBS))
+    unused = unused_imports(definitions)
+    print(format_imports_report(unused))
+    gates = (
+        unreached == sorted(KEPT),
+        sorted(map(knob_key, unset)) == sorted(KEPT_KNOBS),
+        not unused,
+    )
+    return 0 if all(gates) else 1
 
 
 if __name__ == "__main__":

@@ -103,7 +103,7 @@ def main() -> None:
         # queued arrives, then the socket closes.
         server.send_signal(signal.SIGTERM)
         pcap_client._sock.settimeout(2.0)
-        capture.extend(pcap_client.read_all(idle_rounds=1))
+        capture.extend(pcap_client.read_all())
         pcap_client.close()
         code = server.wait(timeout=60.0)
         if code != 0:

@@ -15,7 +15,12 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
-__all__ = ["channel_identifier", "csa2_select", "Csa2Session"]
+__all__ = [
+    "ALL_DATA_CHANNELS",
+    "channel_identifier",
+    "csa2_select",
+    "Csa2Session",
+]
 
 
 def _perm(value: int) -> int:
@@ -76,24 +81,23 @@ def csa2_select(
     return used[remapping_index]
 
 
-class Csa2Session:
-    """Stateful per-event channel selection for an advertising set."""
+#: The channel map of an advertising set: every data channel enabled.
+ALL_DATA_CHANNELS = tuple(range(37))
 
-    def __init__(
-        self,
-        access_address: int,
-        used_channels: Sequence[int] = tuple(range(37)),
-        initial_counter: int = 0,
-    ):
+
+class Csa2Session:
+    """Stateful per-event channel selection for an advertising set, over
+    :data:`ALL_DATA_CHANNELS`."""
+
+    def __init__(self, access_address: int, initial_counter: int = 0):
         self.access_address = access_address
-        self.used_channels = tuple(sorted(set(used_channels)))
         self.counter = initial_counter
         # Validate eagerly so construction fails fast.
-        csa2_select(initial_counter, access_address, self.used_channels)
+        csa2_select(initial_counter, access_address, ALL_DATA_CHANNELS)
 
     def next_channel(self) -> Tuple[int, int]:
         """Advance one event; return ``(event_counter, channel)``."""
         event = self.counter
-        channel = csa2_select(event, self.access_address, self.used_channels)
+        channel = csa2_select(event, self.access_address, ALL_DATA_CHANNELS)
         self.counter = (self.counter + 1) & 0xFFFF
         return event, channel

@@ -16,7 +16,7 @@ LSB-first (handled by :mod:`repro.utils.bits`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Tuple
 

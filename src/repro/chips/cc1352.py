@@ -46,7 +46,6 @@ class Cc1352R1(BleRadioPeripheral):
         medium: RfMedium,
         name: str = "CC1352-R1",
         position: Tuple[float, float] = (0.0, 0.0),
-        tx_power_dbm: float = 0.0,
         rng: Optional[np.random.Generator] = None,
     ):
         super().__init__(
@@ -54,6 +53,5 @@ class Cc1352R1(BleRadioPeripheral):
             capabilities=CC1352R1_CAPABILITIES,
             name=name,
             position=position,
-            tx_power_dbm=tx_power_dbm,
             rng=rng,
         )

@@ -42,7 +42,6 @@ class Nrf51822(BleRadioPeripheral):
         medium: RfMedium,
         name: str = "nRF51822-tracker",
         position: Tuple[float, float] = (0.0, 0.0),
-        tx_power_dbm: float = 0.0,
         rng: Optional[np.random.Generator] = None,
     ):
         super().__init__(
@@ -50,6 +49,5 @@ class Nrf51822(BleRadioPeripheral):
             capabilities=NRF51822_CAPABILITIES,
             name=name,
             position=position,
-            tx_power_dbm=tx_power_dbm,
             rng=rng,
         )

@@ -78,7 +78,6 @@ class SmartphoneBle:
         medium: RfMedium,
         name: str = "OnePlus 6T",
         position: Tuple[float, float] = (0.0, 0.0),
-        tx_power_dbm: float = 0.0,
         rng: Optional[np.random.Generator] = None,
         advertiser_address: bytes = bytes.fromhex("c0ffee123456"),
     ):
@@ -93,7 +92,6 @@ class SmartphoneBle:
             ),
             name=name,
             position=position,
-            tx_power_dbm=tx_power_dbm,
             rng=rng,
         )
         self._scheduler = medium.scheduler

@@ -50,7 +50,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import fft as sp_fft
 
-from repro.dot15d4.channels import channel_frequency_hz
+from repro.dot15d4.channels import ZIGBEE_CHANNELS, channel_frequency_hz
 from repro.dsp.filters import fir_lowpass
 from repro.experiments import environment as testbed
 from repro.obs import metrics as _current_metrics
@@ -116,7 +116,7 @@ class WidebandFrontEnd:
     ):
         self.grid = grid or WidebandGrid()
         self.channels: Tuple[int, ...] = tuple(
-            channels if channels is not None else self.grid.channels
+            channels if channels is not None else ZIGBEE_CHANNELS
         )
         self.tx_cfo_std_hz = tx_cfo_std_hz
         self.dtype = np.dtype(dtype)

@@ -43,7 +43,16 @@ def _add_obs_args(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
+    from repro.faults import profile_names
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="WazaBee (DSN 2021) reproduction toolkit",
@@ -72,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     t3.add_argument("--seed", type=int, default=1)
     t3.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=1,
         metavar="N",
         help="fan the independent cells out over N worker processes "
@@ -80,10 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     t3.add_argument(
         "--chaos",
+        choices=profile_names(),
         default=None,
-        metavar="PROFILE",
-        help="run under a named fault-injection profile "
-        "(clean, dropout, drifting, flaky-rx, harsh, jammer)",
+        help="run under a named fault-injection profile",
     )
     t3.add_argument(
         "--wideband",
@@ -137,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=1,
         metavar="N",
         help="fan per-channel PAN groups out over N worker processes "
@@ -164,8 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--chaos",
+        choices=profile_names(),
         default=None,
-        metavar="PROFILE",
         help="run under a named fault-injection profile (requires "
         "--workers 1)",
     )
@@ -259,20 +267,7 @@ def _cmd_table3(args) -> int:
     from repro.dot15d4.channels import ZIGBEE_CHANNELS
     from repro.experiments.table3 import format_table3, run_table3
 
-    if args.chaos is not None:
-        from repro.faults import profile_names
-
-        if args.chaos not in profile_names():
-            print(
-                f"unknown chaos profile {args.chaos!r}; choose from "
-                f"{', '.join(profile_names())}",
-                file=sys.stderr,
-            )
-            return 2
     channels = tuple(args.channels) if args.channels else ZIGBEE_CHANNELS
-    if args.workers < 1:
-        print("--workers must be >= 1", file=sys.stderr)
-        return 2
     if args.wideband:
         from repro.experiments.table3 import run_table3_wideband
 
@@ -475,7 +470,7 @@ def _cmd_serve(args) -> int:
                 if server.source_finished:
                     break
                 time.sleep(0.1)
-            ledger = server.shutdown(drain=True)
+            ledger = server.shutdown()
         finally:
             for sig, handler in previous.items():
                 signal.signal(sig, handler)
@@ -499,21 +494,8 @@ def _cmd_fleet(args) -> int:
     from repro.experiments.fleet import format_fleet_report, run_fleet_campaign
     from repro.zigbee.fleet import make_fleet
 
-    if args.chaos is not None:
-        from repro.faults import profile_names
-
-        if args.chaos not in profile_names():
-            print(
-                f"unknown chaos profile {args.chaos!r}; choose from "
-                f"{', '.join(profile_names())}",
-                file=sys.stderr,
-            )
-            return 2
-        if args.workers > 1:
-            print("--chaos requires --workers 1", file=sys.stderr)
-            return 2
-    if args.workers < 1:
-        print("--workers must be >= 1", file=sys.stderr)
+    if args.chaos is not None and args.workers > 1:
+        print("--chaos requires --workers 1", file=sys.stderr)
         return 2
     spec = make_fleet(
         num_nodes=args.nodes,

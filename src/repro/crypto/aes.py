@@ -12,7 +12,7 @@ Validated against the FIPS-197 Appendix B/C vectors in
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 __all__ = ["Aes128"]
 

@@ -11,8 +11,6 @@ field size.  802.15.4 uses L = 2 and a 13-byte nonce.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from repro.crypto.aes import Aes128
 
 __all__ = ["CcmError", "ccm_encrypt", "ccm_decrypt"]

@@ -9,7 +9,7 @@ network runs unencrypted, and §VII discusses that as the main mitigation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional, Tuple
 

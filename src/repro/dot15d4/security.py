@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.crypto.ccm import CcmError, ccm_decrypt, ccm_encrypt
 from repro.dot15d4.frames import Address, MacFrame

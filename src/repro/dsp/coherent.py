@@ -17,16 +17,18 @@ of much more computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
-from repro.dsp.msk import chips_to_transitions
 from repro.dsp.oqpsk import OqpskModulator
 from repro.dsp.signal import IQSignal
-from repro.phy.ieee802154 import CHIPS_PER_SYMBOL, PN_SEQUENCES
+from repro.phy.ieee802154 import CHIP_RATE_HZ, CHIPS_PER_SYMBOL, PN_SEQUENCES
 
 __all__ = ["CorrelatorBank", "CorrelatorDecode"]
+
+#: Normalised correlation magnitude at which ``acquire`` locks.
+ACQUIRE_THRESHOLD = 0.6
 
 
 @dataclass
@@ -46,11 +48,10 @@ class CorrelatorBank:
     the next symbol) is handled exactly.
     """
 
-    def __init__(self, samples_per_chip: int = 8, chip_rate: float = 2e6):
+    def __init__(self, samples_per_chip: int = 8):
         self.samples_per_chip = samples_per_chip
-        self.chip_rate = chip_rate
-        self.sample_rate = samples_per_chip * chip_rate
-        self._modulator = OqpskModulator(samples_per_chip, chip_rate)
+        self.sample_rate = samples_per_chip * CHIP_RATE_HZ
+        self._modulator = OqpskModulator(samples_per_chip, CHIP_RATE_HZ)
         self._references = self._build_references()
         self._symbol_samples = CHIPS_PER_SYMBOL * samples_per_chip
 
@@ -80,16 +81,15 @@ class CorrelatorBank:
         return np.asarray(refs)
 
     # -- timing -------------------------------------------------------------
-    def acquire(
-        self, sig: IQSignal, threshold: float = 0.6
-    ) -> Optional[int]:
+    def acquire(self, sig: IQSignal) -> Optional[int]:
         """Find the start of the *first* preamble symbol by correlation.
 
         Correlates the ``0000`` reference waveform against the capture and
         locks onto the earliest alignment whose normalised magnitude clears
-        *threshold* (refined to the local maximum within one chip) — the
-        same first-in-time semantics as the discriminator receiver, for the
-        same reason: DSSS payloads can repeat the preamble pattern.
+        :data:`ACQUIRE_THRESHOLD` (refined to the local maximum within one
+        chip) — the same first-in-time semantics as the discriminator
+        receiver, for the same reason: DSSS payloads can repeat the preamble
+        pattern.
         """
         if sig.sample_rate != self.sample_rate:
             raise ValueError("sample rate mismatch")
@@ -105,7 +105,7 @@ class CorrelatorBank:
         window_energy = cumulative[n:] - cumulative[:-n]
         norms = np.sqrt(energy_ref * np.maximum(window_energy, 1e-30))
         scores = raw / norms[: raw.size]
-        above = np.nonzero(scores >= threshold)[0]
+        above = np.nonzero(scores >= ACQUIRE_THRESHOLD)[0]
         if above.size == 0:
             return None
         first = int(above[0])

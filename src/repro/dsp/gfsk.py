@@ -337,7 +337,7 @@ class FskModulator:
         shaped = np.convolve(impulses, self._pulse, mode="full")
         return shaped * self.frequency_deviation
 
-    def modulate(self, bits, initial_phase: float = 0.0) -> IQSignal:
+    def modulate(self, bits) -> IQSignal:
         """Modulate *bits* into a complex-baseband :class:`IQSignal`.
 
         The output includes the Gaussian filter tail, so its length slightly
@@ -349,9 +349,8 @@ class FskModulator:
         """
         cache = self.warm()
         if as_bit_array(bits).size >= cache.span:
-            samples = cache.synthesize(bits, initial_phase=initial_phase)
-            return IQSignal(samples, self.sample_rate)
-        return self.modulate_direct(bits, initial_phase=initial_phase)
+            return IQSignal(cache.synthesize(bits), self.sample_rate)
+        return self.modulate_direct(bits)
 
     def warm(self) -> WaveformCache:
         """Build (or attach) the waveform cache ahead of the first frame.

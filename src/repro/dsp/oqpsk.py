@@ -42,6 +42,7 @@ from repro.dsp.gfsk import (
 )
 from repro.dsp.msk import chips_to_transitions, transitions_to_chips
 from repro.dsp.signal import IQSignal
+from repro.phy.ieee802154 import CHIP_RATE_HZ
 from repro.utils.bits import as_bit_array
 
 __all__ = [
@@ -147,18 +148,17 @@ class OqpskDemodulator:
     """MSK-domain chip demodulator for O-QPSK half-sine signals.
 
     Internally reuses the FSK quadrature discriminator: an O-QPSK half-sine
-    waveform at chip rate Rc is an MSK signal at symbol rate Rc with
-    modulation index 0.5.
+    waveform at chip rate Rc (:data:`CHIP_RATE_HZ`) is an MSK signal at
+    symbol rate Rc with modulation index 0.5.
     """
 
-    def __init__(self, samples_per_chip: int = 8, chip_rate: float = 2e6):
+    def __init__(self, samples_per_chip: int = 8):
         self.samples_per_chip = samples_per_chip
-        self.chip_rate = chip_rate
-        self.sample_rate = chip_rate * samples_per_chip
+        self.sample_rate = CHIP_RATE_HZ * samples_per_chip
         config = GfskConfig(
             samples_per_symbol=samples_per_chip, modulation_index=0.5, bt=None
         )
-        self._fsk = FskDemodulator(config, chip_rate)
+        self._fsk = FskDemodulator(config, CHIP_RATE_HZ)
 
     def front_end(self, capture: Capture) -> SyncSearch:
         """Run the analogue front end once, for one capture or a stack.

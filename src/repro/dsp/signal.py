@@ -13,7 +13,7 @@ receive chain's filtered capture) keep their precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -46,13 +46,15 @@ __all__ = [
 ABLATION_CHANNEL = 14
 #: The frame the whitening check encodes.
 WHITENING_PSDU = b"\x01\x02\x03\x04\x05\x06\x07"
+#: Seeds the random chips of the BT and modulation-index sweeps.
+SWEEP_SEED = 0
 
 
 def _chip_error_rate(
-    bt: Optional[float], modulation_index: float, num_chips: int, seed: int
+    bt: Optional[float], modulation_index: float, num_chips: int
 ) -> float:
     """Chip error rate of GFSK TX → ideal MSK RX, no channel noise."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SWEEP_SEED)
     chips = rng.integers(0, 2, num_chips).astype(np.uint8)
     transitions = chips_to_transitions(chips, previous_chip=0)
     modulator = FskModulator(
@@ -79,12 +81,11 @@ def _chip_error_rate(
 def gaussian_bt_sweep(
     bt_values: Sequence[Optional[float]] = (0.3, 0.5, 0.7, 1.0, None),
     num_chips: int = 4096,
-    seed: int = 0,
 ) -> Dict[str, float]:
     """Chip error rate vs Gaussian BT (``None`` = unfiltered MSK)."""
     return {
         ("MSK" if bt is None else f"BT={bt}"): _chip_error_rate(
-            bt, 0.5, num_chips, seed
+            bt, 0.5, num_chips
         )
         for bt in bt_values
     }
@@ -93,10 +94,9 @@ def gaussian_bt_sweep(
 def modulation_index_sweep(
     h_values: Sequence[float] = (0.45, 0.48, 0.5, 0.52, 0.55),
     num_chips: int = 4096,
-    seed: int = 0,
 ) -> Dict[float, float]:
     """Chip error rate vs modulation index at BT = 0.5."""
-    return {h: _chip_error_rate(0.5, h, num_chips, seed) for h in h_values}
+    return {h: _chip_error_rate(0.5, h, num_chips) for h in h_values}
 
 
 def hamming_threshold_sweep(

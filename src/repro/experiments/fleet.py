@@ -26,7 +26,7 @@ and the split is exact: per-node results are identical to the serial run
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.attacks.energy_depletion import FleetDepletionAttack
 from repro.chips import Nrf52832
@@ -39,6 +39,7 @@ from repro.obs import FLEET_SAMPLE, scoped
 from repro.obs import metrics as _current_metrics
 from repro.obs import trace_bus as _current_bus
 from repro.radio import RfMedium, Scheduler, ShardedRfMedium
+from repro.zigbee.fleet import FLEET_RANGE_CUTOFF_M, FLEET_SAMPLE_RATE
 from repro.zigbee.fleet import Fleet, FleetSpec, PanSpec, build_fleet
 from repro.zigbee.network import RouterNode, SensorNode
 
@@ -155,30 +156,16 @@ class FleetCampaignResult:
         }
 
 
-def _subset_spec(spec: FleetSpec, pans: Tuple[PanSpec, ...]) -> FleetSpec:
-    return FleetSpec(
-        seed=spec.seed,
-        pans=pans,
-        sample_rate=spec.sample_rate,
-        range_cutoff_m=spec.range_cutoff_m,
-    )
-
-
 def _make_medium(
     spec: FleetSpec, scheduler: Scheduler, medium_kind: str
 ) -> RfMedium:
-    kwargs = dict(
-        sample_rate=spec.sample_rate,
-        seed=spec.seed + 1,
-    )
+    kwargs = dict(sample_rate=FLEET_SAMPLE_RATE, seed=spec.seed + 1)
     if medium_kind == "sharded":
         return ShardedRfMedium(
-            scheduler, range_cutoff_m=spec.range_cutoff_m, **kwargs
+            scheduler, range_cutoff_m=FLEET_RANGE_CUTOFF_M, **kwargs
         )
     if medium_kind == "dense":
-        return RfMedium(
-            scheduler, range_cutoff_m=spec.range_cutoff_m, **kwargs
-        )
+        return RfMedium(scheduler, range_cutoff_m=FLEET_RANGE_CUTOFF_M, **kwargs)
     if medium_kind == "dense-unbounded":
         return RfMedium(scheduler, **kwargs)
     raise ValueError(
@@ -378,12 +365,10 @@ def run_fleet_campaign(
         for pan in spec.pans:
             by_channel.setdefault(pan.channel, []).append(pan)
         groups = [
-            dict(spec=_subset_spec(spec, tuple(pans)), **common)
+            dict(spec=FleetSpec(spec.seed, tuple(pans)), **common)
             for _channel, pans in sorted(by_channel.items())
         ]
-    outcomes = map_tasks(
-        _run_group, groups, workers, warm_rate=spec.sample_rate
-    )
+    outcomes = map_tasks(_run_group, groups, workers, warm_rate=FLEET_SAMPLE_RATE)
     return _merge_outcomes(spec, outcomes, workers=workers, **common)
 
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-import numpy as np
-
 from repro.attacks.scenario_a import SmartphoneInjectionAttack
 from repro.attacks.scenario_b import AttackPhase, TrackerAttack
 from repro.chips.nrf51822 import Nrf51822
@@ -20,7 +18,7 @@ from repro.core.firmware import WazaBeeFirmware
 from repro.dot15d4.frames import Address, build_data
 from repro.experiments.environment import DISTANCE_M, Testbed, build_testbed
 from repro.zigbee.network import CoordinatorNode, SensorNode
-from repro.zigbee.xbee import SensorReading, XBEE_DEFAULTS
+from repro.zigbee.xbee import SensorReading, XBEE_PAN_ID
 
 __all__ = [
     "ZigbeeTestNetwork",
@@ -30,7 +28,7 @@ __all__ = [
     "run_scenario_b",
 ]
 
-_PAN = XBEE_DEFAULTS.pan_id
+_PAN = XBEE_PAN_ID
 SENSOR_ADDRESS = Address(pan_id=_PAN, address=0x0063)
 COORDINATOR_ADDRESS = Address(pan_id=_PAN, address=0x0042)
 

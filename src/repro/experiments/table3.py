@@ -52,6 +52,9 @@ CHIP_FACTORIES: Dict[str, Callable] = {
     "CC1352-R1": Cc1352R1,
 }
 
+#: Table III's two WazaBee primitives, reception and transmission.
+PRIMITIVES = ("rx", "tx")
+
 #: Frame slots per wideband capture.  Each channel draws its impairments
 #: per chunk, so the chunking is part of the wideband sweep's
 #: reproducibility contract.
@@ -122,7 +125,7 @@ def _check_grid(
         if chip not in CHIP_FACTORIES:
             raise ValueError(f"unknown chip {chip!r}")
     for primitive in primitives:
-        if primitive not in ("rx", "tx"):
+        if primitive not in PRIMITIVES:
             raise ValueError("primitive must be 'rx' or 'tx'")
     channels = tuple(channels)
     for name, values in (
@@ -213,7 +216,7 @@ def run_table3(
     frames: int = 100,
     channels: Sequence[int] = ZIGBEE_CHANNELS,
     chips: Sequence[str] = ("nRF52832", "CC1352-R1"),
-    primitives: Sequence[str] = ("rx", "tx"),
+    primitives: Sequence[str] = PRIMITIVES,
     seed: int = 0,
     fault_profile: Optional[str] = None,
     workers: int = 1,
@@ -293,13 +296,12 @@ def run_table3_wideband(
     frames: int = 100,
     channels: Sequence[int] = ZIGBEE_CHANNELS,
     chips: Sequence[str] = ("nRF52832", "CC1352-R1"),
-    primitives: Sequence[str] = ("rx", "tx"),
     seed: int = 0,
     grid=None,
     dtype=None,
     workers: Optional[int] = None,
 ) -> Table3Result:
-    """Regenerate Table III from wideband band captures.
+    """Regenerate Table III from wideband band captures, both primitives.
 
     Instead of one narrowband testbed per (chip, primitive, channel)
     cell, each (chip, primitive) pair is swept in frame *slots*: the
@@ -325,7 +327,7 @@ def run_table3_wideband(
     """
     from repro.chips.wideband import SWEEP_GRID
 
-    channels = _check_grid(chips, primitives, channels, frames)
+    channels = _check_grid(chips, PRIMITIVES, channels, frames)
     grid = grid if grid is not None else SWEEP_GRID
     dtype = np.dtype(dtype if dtype is not None else np.complex64)
     tasks = [
@@ -339,7 +341,7 @@ def run_table3_wideband(
             dtype=dtype,
         )
         for chip_name in chips
-        for primitive in primitives
+        for primitive in PRIMITIVES
     ]
     if workers is None:
         workers = max(1, min(2, os.cpu_count() or 1, len(tasks)))

@@ -13,7 +13,7 @@ expressed in absolute simulation seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.dot15d4.channels import channel_frequency_hz

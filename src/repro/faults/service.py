@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.obs import metrics as _current_metrics
 
@@ -47,8 +47,6 @@ class ServiceFaultPlan:
     #: After this many sink writes, every further write raises OSError
     #: (0 disables).
     error_after_writes: int = 0
-    #: Which sessions receive the chaotic sink (1 = every session).
-    fault_every_nth_session: int = 1
     # -- source-side (applied inside the world stage) ----------------------
     #: Every N produced frames, emit a burst of ``flood_factor`` frames
     #: back-to-back with no pacing (0 disables).
@@ -58,19 +56,9 @@ class ServiceFaultPlan:
     #: the supervisor must restart it and resume the stream.
     crash_at_frames: Tuple[int, ...] = ()
 
-    def is_clean(self) -> bool:
-        return not (
-            self.stall_after_writes
-            or self.error_after_writes
-            or self.flood_every_frames
-            or self.crash_at_frames
-        )
-
-    def wants_sink_faults(self, session_index: int) -> bool:
-        if self.stall_after_writes == 0 and self.error_after_writes == 0:
-            return False
-        nth = max(1, self.fault_every_nth_session)
-        return session_index % nth == 0
+    def wants_sink_faults(self) -> bool:
+        """Whether every session's sink is wrapped in a :class:`ChaoticSink`."""
+        return bool(self.stall_after_writes or self.error_after_writes)
 
 
 class ChaoticSink:

@@ -17,7 +17,7 @@ Everything is create-on-first-use::
 from __future__ import annotations
 
 import time as _time
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
 from contextlib import contextmanager
 
 __all__ = ["Counter", "Gauge", "Timer", "MetricsRegistry"]

@@ -40,7 +40,6 @@ suite as the front end's oracle (``tests/phy/wideband_oracle.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -65,19 +64,18 @@ class WidebandGrid:
 
     ``channel_rate`` is each extracted baseband's sample rate (matches
     the narrowband pipeline, 16 Msps); the wideband capture runs at
-    ``oversample × channel_rate``.
+    ``oversample × channel_rate``, centred on :data:`WIDEBAND_CENTER_HZ`,
+    and covers every Zigbee channel.
     """
 
     channel_rate: float = 16e6
     oversample: int = 8
-    center_hz: float = WIDEBAND_CENTER_HZ
-    channels: Tuple[int, ...] = tuple(ZIGBEE_CHANNELS)
 
     def __post_init__(self) -> None:
         if self.oversample < 2:
             raise ValueError("oversample must be >= 2")
         nyquist = self.oversample * self.channel_rate / 2.0
-        for channel in self.channels:
+        for channel in ZIGBEE_CHANNELS:
             edge = abs(self.channel_offset_hz(channel)) + self.channel_rate / 2.0
             if edge > nyquist:
                 raise ValueError(
@@ -86,7 +84,7 @@ class WidebandGrid:
                 )
 
     def channel_offset_hz(self, channel: int) -> float:
-        return channel_frequency_hz(channel) - self.center_hz
+        return channel_frequency_hz(channel) - WIDEBAND_CENTER_HZ
 
     @property
     def block_multiple(self) -> int:

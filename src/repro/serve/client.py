@@ -69,24 +69,19 @@ class SnifferClient:
         del self._buffer[:n]
         return data
 
-    def read_all(self, idle_rounds: int = 1) -> bytes:
-        """Drain the socket until it closes (or stays idle)."""
-        misses = 0
-        while misses < idle_rounds:
-            if self._recv_more():
-                misses = 0
-            else:
-                misses += 1
+    def read_all(self) -> bytes:
+        """Drain the socket until it closes (or a read times out)."""
+        while self._recv_more():
+            pass
         data = bytes(self._buffer)
         self._buffer.clear()
         return data
 
     # -- jsonl --------------------------------------------------------------
-    def records(self, limit: Optional[int] = None) -> Iterator[Dict[str, Any]]:
-        """Yield decoded JSONL records until *limit*, ``bye`` or EOF."""
+    def records(self) -> Iterator[Dict[str, Any]]:
+        """Yield decoded JSONL records until ``bye`` or EOF."""
         assert self.fmt == "jsonl", "records() is for jsonl sessions"
-        yielded = 0
-        while limit is None or yielded < limit:
+        while True:
             newline = self._buffer.find(b"\n")
             if newline < 0:
                 if not self._recv_more():
@@ -98,7 +93,6 @@ class SnifferClient:
                 continue
             record = decode_jsonl(line)
             yield record
-            yielded += 1
             if record.get("type") == "bye":
                 return
 

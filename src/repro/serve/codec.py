@@ -124,10 +124,10 @@ def decode_jsonl(line: bytes) -> Dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 
-def pcap_global_header(snaplen: int = PCAP_SNAPLEN) -> bytes:
+def pcap_global_header() -> bytes:
     """Classic little-endian pcap file header for DLT 195."""
     return _GLOBAL_HEADER.pack(
-        _PCAP_MAGIC, 2, 4, 0, 0, snaplen, DLT_IEEE802_15_4
+        _PCAP_MAGIC, 2, 4, 0, 0, PCAP_SNAPLEN, DLT_IEEE802_15_4
     )
 
 

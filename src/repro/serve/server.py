@@ -57,13 +57,7 @@ class SnifferServer:
         self._publish_lock = threading.Lock()
         self.frames_published = 0
         self.records_published = 0
-        self.ladder = DegradeLadder(
-            shed_trace_at=config.shed_trace_at,
-            shed_corrupt_at=config.shed_corrupt_at,
-            downsample_at=config.downsample_at,
-            hysteresis=config.shed_hysteresis,
-            keep_every=config.downsample_keep_every,
-        )
+        self.ladder = DegradeLadder()
         self.service_plan = (
             named_service_profile(config.service_chaos, seed=config.seed)
             if config.service_chaos is not None
@@ -78,13 +72,7 @@ class SnifferServer:
             self.source = SimWorldSource(
                 config, self.publish, service_plan=self.service_plan
             )
-        self.supervisor = Supervisor(
-            self.stop_event,
-            max_restarts=config.max_stage_restarts,
-            backoff_s=config.restart_backoff_s,
-            backoff_cap_s=config.restart_backoff_cap_s,
-            on_fatal=self._on_fatal,
-        )
+        self.supervisor = Supervisor(self.stop_event, on_fatal=self._on_fatal)
         self._listener: Optional[socket.socket] = None
 
     # -- lifecycle ----------------------------------------------------------
@@ -131,29 +119,24 @@ class SnifferServer:
         self.registry.counter("serve.stage.fatal_shutdowns").inc()
         self.request_shutdown()
 
-    def shutdown(self, drain: bool = True) -> Dict[str, Any]:
-        """Stop producing, flush every subscriber, finalise the spool.
+    def shutdown(self) -> Dict[str, Any]:
+        """Stop producing, drain every subscriber, finalise the spool.
 
-        The clean-SIGTERM path: with *drain* each session's queued
-        records are delivered before its ``bye``; without it queued
-        records land on the drop ledger instead.  Returns the final
-        ledger.  Idempotent.
+        The clean-SIGTERM path: each session's queued records are
+        delivered before its ``bye``.  Returns the final ledger.
+        Idempotent.
         """
         self.request_shutdown()
         self.supervisor.join_all(self.config.drain_timeout_s)
         sessions = self.open_sessions()
-        if drain:
-            note = notice_record("drain", produced=self.frames_published)
-            for session in sessions:
-                try:
-                    session.offer(note)
-                except SessionOverflow:
-                    pass
-            for session in sessions:
-                session.drain(self.config.drain_timeout_s)
-        else:
-            for session in sessions:
-                session.close("shutdown")
+        note = notice_record("drain", produced=self.frames_published)
+        for session in sessions:
+            try:
+                session.offer(note)
+            except SessionOverflow:
+                pass
+        for session in sessions:
+            session.drain(self.config.drain_timeout_s)
         if self.spool is not None:
             self.spool.close()
         if self._listener is not None:
@@ -244,9 +227,7 @@ class SnifferServer:
         """
         config = self.config
         index = next(self._session_ids)
-        if self.service_plan is not None and self.service_plan.wants_sink_faults(
-            index
-        ):
+        if self.service_plan is not None and self.service_plan.wants_sink_faults():
             sink = ChaoticSink(sink, self.service_plan)
         session = SubscriberSession(
             name=name or f"sub-{index}",
@@ -334,7 +315,7 @@ class SnifferServer:
                 raise ValueError("oversized hello")
         hello = json.loads(chunks.decode("utf-8"))
         self.attach_session(
-            SocketSink(conn, send_timeout_s=self.config.send_timeout_s),
+            SocketSink(conn),
             fmt=hello.get("format", "jsonl"),
             policy=hello.get("policy"),
             name=hello.get("name"),

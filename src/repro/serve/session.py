@@ -36,6 +36,12 @@ from repro.serve.ring import BoundedRing
 
 __all__ = ["Sink", "SocketSink", "SubscriberSession"]
 
+#: Per-send socket timeout; a send that cannot complete within it is
+#: treated as a stalled subscriber.
+SEND_TIMEOUT_S = 2.0
+#: How long ``close`` waits for the writer thread to finish.
+CLOSE_TIMEOUT_S = 2.0
+
 
 class Sink:
     """Minimal byte-sink protocol the session writes through."""
@@ -50,14 +56,14 @@ class Sink:
 class SocketSink(Sink):
     """A connected socket with a bounded per-send timeout.
 
-    A send that cannot complete within *send_timeout_s* (client stopped
+    A send that cannot complete within :data:`SEND_TIMEOUT_S` (client stopped
     reading and its kernel buffer is full) raises ``socket.timeout`` —
     surfaced to the writer loop as a stall.
     """
 
-    def __init__(self, conn: socket.socket, send_timeout_s: float = 2.0):
+    def __init__(self, conn: socket.socket):
         self._conn = conn
-        conn.settimeout(send_timeout_s)
+        conn.settimeout(SEND_TIMEOUT_S)
 
     def write(self, data: bytes) -> None:
         self._conn.sendall(data)
@@ -281,12 +287,12 @@ class SubscriberSession:
         if victim is not None and victim.get("type") == "frame":
             self.frames_dropped += 1
 
-    def close(self, reason: str = "closed", timeout_s: float = 2.0) -> None:
+    def close(self, reason: str = "closed") -> None:
         """Close without waiting for queued records (queued → dropped)."""
         self.request_disconnect(reason)
         # Wake the writer promptly if it is waiting on an empty ring.
         self._push_sentinel(reason)
-        self._writer.join(timeout=timeout_s)
+        self._writer.join(timeout=CLOSE_TIMEOUT_S)
         if not self._closed.is_set():
             self._finish(reason)
 

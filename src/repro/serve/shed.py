@@ -6,12 +6,12 @@ observability first, protocol-relevant data last:
 * **level 1** — shed ``trace`` records (the obs firehose);
 * **level 2** — additionally shed corrupt frames (``fcs_ok`` false);
 * **level 3** — additionally downsample valid frames, delivering one in
-  ``keep_every``.
+  :data:`DOWNSAMPLE_KEEP_EVERY`.
 
 The ordering is an invariant the tests pin: a valid frame is never shed
 while trace records are still being delivered.  Levels step up the
 moment pressure crosses a threshold and step back down only after
-pressure falls below ``threshold - hysteresis``, so a ring oscillating
+pressure falls below ``threshold - SHED_HYSTERESIS``, so a ring oscillating
 around a boundary does not flap announcements at subscribers.
 """
 
@@ -24,6 +24,14 @@ __all__ = ["SHED_LEVEL_NAMES", "DegradeLadder"]
 #: Human-readable names, indexed by level — used in notices and metrics.
 SHED_LEVEL_NAMES = ("none", "trace", "corrupt", "downsample")
 
+#: Ring fill fractions at which the ladder sheds trace records, then
+#: corrupt frames, then downsamples valid frames (levels 1, 2, 3).
+SHED_THRESHOLDS = (0.50, 0.75, 0.90)
+#: Subtracted from a threshold before the level steps back down past it.
+SHED_HYSTERESIS = 0.15
+#: At the downsample level, 1 valid frame in this many is delivered.
+DOWNSAMPLE_KEEP_EVERY = 4
+
 
 class DegradeLadder:
     """Pressure-driven admission control with hysteresis.
@@ -31,23 +39,7 @@ class DegradeLadder:
     Not thread-safe by itself; the broadcast stage is the single caller.
     """
 
-    def __init__(
-        self,
-        shed_trace_at: float = 0.50,
-        shed_corrupt_at: float = 0.75,
-        downsample_at: float = 0.90,
-        hysteresis: float = 0.15,
-        keep_every: int = 4,
-    ):
-        if not 0.0 < shed_trace_at <= shed_corrupt_at <= downsample_at <= 1.0:
-            raise ValueError(
-                "thresholds must satisfy 0 < trace <= corrupt <= downsample <= 1"
-            )
-        if keep_every < 1:
-            raise ValueError("keep_every must be >= 1")
-        self._up = (shed_trace_at, shed_corrupt_at, downsample_at)
-        self.hysteresis = hysteresis
-        self.keep_every = keep_every
+    def __init__(self):
         self.level = 0
         self._valid_counter = 0
         # Shed tallies by class, for the ledger.
@@ -57,10 +49,13 @@ class DegradeLadder:
         """Re-evaluate the level for *pressure*; returns it when changed."""
         new_level = self.level
         # Step up through every threshold the pressure now clears.
-        while new_level < 3 and pressure >= self._up[new_level]:
+        while new_level < 3 and pressure >= SHED_THRESHOLDS[new_level]:
             new_level += 1
         # Step down only past the hysteresis band.
-        while new_level > 0 and pressure < self._up[new_level - 1] - self.hysteresis:
+        while (
+            new_level > 0
+            and pressure < SHED_THRESHOLDS[new_level - 1] - SHED_HYSTERESIS
+        ):
             new_level -= 1
         if new_level == self.level:
             return None
@@ -88,9 +83,9 @@ class DegradeLadder:
                 self.shed["corrupt"] += 1
                 return False, "corrupt"
             return True, None
-        if self.level >= 3 and self.keep_every > 1:
+        if self.level >= 3:
             self._valid_counter += 1
-            if self._valid_counter % self.keep_every != 1:
+            if self._valid_counter % DOWNSAMPLE_KEEP_EVERY != 1:
                 self.shed["downsample"] += 1
                 return False, "downsample"
         return True, None

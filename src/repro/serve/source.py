@@ -17,11 +17,10 @@ byte-for-byte faithful to the original run.
 from __future__ import annotations
 
 import threading
-import time as _time
 from typing import Any, Callable, Dict, Optional
 
 from repro.faults import ServiceFaultPlan, named_profile
-from repro.obs import SERVE_SESSION, scoped
+from repro.obs import scoped
 from repro.obs import metrics as _current_metrics
 from repro.obs import trace_bus as _current_bus
 from repro.serve.codec import frame_record, trace_record
@@ -31,6 +30,9 @@ from repro.serve.spool import SpoolReader
 __all__ = ["SimWorldSource", "SpoolReplaySource"]
 
 Publish = Callable[[Dict[str, Any]], None]
+
+#: Simulated seconds the world advances per transmitted frame.
+SIM_STEP_S = 2e-3
 
 
 class SimWorldSource:
@@ -163,7 +165,7 @@ class SimWorldSource:
                 if config.frames and self.next_index >= config.frames:
                     return
                 bench.reference.transmit_frame(counter_frame(self.next_index))
-                bench.testbed.scheduler.run(config.sim_step_s)
+                bench.testbed.scheduler.run(SIM_STEP_S)
                 produced_metric.inc()
                 self.next_index += 1
 

@@ -4,7 +4,7 @@ The service pipeline is a handful of named *stages* (world source,
 socket accept loop, session monitor), each a thread.  The supervisor
 wraps every stage in a crash barrier: an escaping exception is counted,
 emitted on the trace bus (``serve.stage``), and the stage is restarted
-after a capped exponential backoff — until ``max_restarts`` is spent,
+after a capped exponential backoff — until its restart budget is spent,
 at which point the supervisor declares the stage fatal and asks the
 server to shut down rather than limp along half-alive.
 
@@ -24,6 +24,14 @@ from repro.obs import SERVE_STAGE, metrics as _current_metrics
 from repro.obs import trace_bus as _current_bus
 
 __all__ = ["StageStats", "SupervisedStage", "Supervisor", "monitor_sessions"]
+
+#: Restarts a crashed stage gets before the supervisor declares it fatal.
+MAX_STAGE_RESTARTS = 5
+#: First restart delay; each further crash doubles it, up to the cap.
+RESTART_BACKOFF_S = 0.05
+RESTART_BACKOFF_CAP_S = 1.0
+#: How often the session monitor looks for stalled and idle sessions.
+MONITOR_INTERVAL_S = 0.1
 
 
 class StageStats:
@@ -64,9 +72,9 @@ class SupervisedStage:
         name: str,
         target: Callable[[threading.Event], None],
         stop_event: threading.Event,
-        max_restarts: int = 5,
-        backoff_s: float = 0.05,
-        backoff_cap_s: float = 1.0,
+        max_restarts: int = MAX_STAGE_RESTARTS,
+        backoff_s: float = RESTART_BACKOFF_S,
+        backoff_cap_s: float = RESTART_BACKOFF_CAP_S,
         on_fatal: Optional[Callable[[str, BaseException], None]] = None,
     ):
         self.stats = StageStats(name)
@@ -132,30 +140,16 @@ class Supervisor:
     def __init__(
         self,
         stop_event: threading.Event,
-        max_restarts: int = 5,
-        backoff_s: float = 0.05,
-        backoff_cap_s: float = 1.0,
         on_fatal: Optional[Callable[[str, BaseException], None]] = None,
     ):
         self._stop = stop_event
-        self._max_restarts = max_restarts
-        self._backoff_s = backoff_s
-        self._backoff_cap_s = backoff_cap_s
         self._on_fatal = on_fatal
         self.stages: Dict[str, SupervisedStage] = {}
 
     def spawn(
         self, name: str, target: Callable[[threading.Event], None]
     ) -> SupervisedStage:
-        stage = SupervisedStage(
-            name,
-            target,
-            self._stop,
-            max_restarts=self._max_restarts,
-            backoff_s=self._backoff_s,
-            backoff_cap_s=self._backoff_cap_s,
-            on_fatal=self._on_fatal,
-        )
+        stage = SupervisedStage(name, target, self._stop, on_fatal=self._on_fatal)
         self.stages[name] = stage
         stage.start()
         return stage
@@ -174,7 +168,6 @@ def monitor_sessions(
     stop_event: threading.Event,
     stall_timeout_s: float,
     idle_timeout_s: float,
-    interval_s: float = 0.1,
 ) -> None:
     """Heartbeat loop disconnecting stalled and idle sessions.
 
@@ -183,7 +176,7 @@ def monitor_sessions(
     stage.
     """
     registry = _current_metrics()
-    while not stop_event.wait(interval_s):
+    while not stop_event.wait(MONITOR_INTERVAL_S):
         now = _time.monotonic()
         for session in sessions():
             if session.closed:

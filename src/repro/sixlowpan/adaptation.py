@@ -41,6 +41,7 @@ class SixLowpanAdaptation:
 
     def __init__(self, mac: MacService):
         self.mac = mac
+        self._scheduler = mac.radio.transceiver.medium.scheduler
         self.reassembler = Reassembler()
         self._handler: Optional[UdpHandler] = None
         self.received_datagrams = 0
@@ -62,7 +63,9 @@ class SixLowpanAdaptation:
     def _on_mac_frame(self, frame: MacFrame) -> None:
         if frame.source is None:
             return
-        datagram = self.reassembler.accept(frame.source.address, frame.payload)
+        datagram = self.reassembler.accept(
+            frame.source.address, frame.payload, self._scheduler.now
+        )
         if datagram is None:
             return
         try:

@@ -20,6 +20,9 @@ _HEADERN_SIZE = 5
 MAX_DATAGRAM_SIZE = (1 << 11) - 1
 #: Largest 6LoWPAN payload per MAC frame before a datagram is fragmented.
 MAX_FRAGMENT_PAYLOAD = 96
+#: A datagram not reassembled this long after its first fragment arrived
+#: is discarded (RFC 4944 §5.3).
+REASSEMBLY_TIMEOUT_S = 60.0
 
 
 def fragment_datagram(
@@ -63,6 +66,7 @@ def fragment_datagram(
 @dataclass
 class _PartialDatagram:
     size: int
+    started: float
     received: Dict[int, bytes] = field(default_factory=dict, init=False)
     covered: int = field(default=0, init=False)
 
@@ -95,7 +99,9 @@ class Reassembler:
     A fragment that overlaps one already received, or runs past the
     datagram's size, discards the datagram and counts it in
     :attr:`dropped` (RFC 4944 §5.3), so no datagram is ever built from
-    bytes its sender did not send.
+    bytes its sender did not send.  So does a datagram still incomplete
+    :data:`REASSEMBLY_TIMEOUT_S` after its first fragment arrived, so a
+    lost fragment does not hold its buffer forever.
     """
 
     def __init__(self) -> None:
@@ -103,11 +109,13 @@ class Reassembler:
         self.completed = 0
         self.dropped = 0
 
-    def accept(self, sender: int, payload: bytes) -> Optional[bytes]:
-        """Feed one link payload; returns a whole datagram when complete.
+    def accept(self, sender: int, payload: bytes, now: float) -> Optional[bytes]:
+        """Feed one link payload received at *now* (seconds); returns a
+        whole datagram when complete.
 
         Non-fragmented payloads are returned immediately.
         """
+        self._expire(now)
         if not payload:
             return None
         dispatch = payload[0] & 0b11111000
@@ -123,7 +131,7 @@ class Reassembler:
         size = int.from_bytes(payload[0:2], "big") & 0x7FF
         key = (sender, int.from_bytes(payload[2:4], "big"))
         offset = payload[4] * 8 if dispatch == FRAGN_DISPATCH else 0
-        partial = self._partials.setdefault(key, _PartialDatagram(size=size))
+        partial = self._partials.setdefault(key, _PartialDatagram(size, now))
         if not partial.add(offset, payload[header:]):
             del self._partials[key]
             self.dropped += 1
@@ -133,6 +141,12 @@ class Reassembler:
             del self._partials[key]
             self.completed += 1
         return datagram
+
+    def _expire(self, now: float) -> None:
+        for key, partial in list(self._partials.items()):
+            if now - partial.started > REASSEMBLY_TIMEOUT_S:
+                del self._partials[key]
+                self.dropped += 1
 
     @property
     def pending(self) -> int:

@@ -9,7 +9,7 @@ formed from the PAN id and the 16-bit short address).
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 __all__ = [

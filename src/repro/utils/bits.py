@@ -73,13 +73,14 @@ def bits_to_bytes(bits: BitsLike, order: str = "lsb") -> bytes:
     return np.packbits(arr, bitorder=bitorder).tobytes()
 
 
-def pack_bits(bits: BitsLike, order: str = "lsb") -> bytes:
-    """Like :func:`bits_to_bytes` but zero-pads the tail to a byte boundary."""
+def pack_bits(bits: BitsLike) -> bytes:
+    """Like :func:`bits_to_bytes` (LSB first) but zero-pads the tail to a
+    byte boundary."""
     arr = as_bit_array(bits)
     pad = (-arr.size) % 8
     if pad:
         arr = np.concatenate([arr, np.zeros(pad, dtype=np.uint8)])
-    return bits_to_bytes(arr, order=order)
+    return bits_to_bytes(arr)
 
 
 def int_to_bits(value: int, width: int, order: str = "lsb") -> np.ndarray:

@@ -17,7 +17,6 @@ from repro.zigbee.xbee import (
     AtCommand,
     RemoteAtCommand,
     SensorReading,
-    XBEE_DEFAULTS,
 )
 from repro.zigbee.network import (
     CoordinatorNode,
@@ -38,7 +37,6 @@ __all__ = [
     "AtCommand",
     "RemoteAtCommand",
     "SensorReading",
-    "XBEE_DEFAULTS",
     "XBeeNode",
     "SensorNode",
     "RouterNode",

@@ -41,17 +41,24 @@ __all__ = [
     "build_fleet",
 ]
 
-#: Default fleet sample rate: 2 samples/chip keeps the DSP per delivered
-#: frame ~4x cheaper than the 16 Msps experiment default, which is what
-#: makes hundreds of nodes tractable.  Must stay a multiple of 2 MHz
-#: (integer samples per chip).
+#: Fleet sample rate: 2 samples/chip keeps the DSP per delivered frame
+#: ~4x cheaper than the 16 Msps experiment default, which is what makes
+#: hundreds of nodes tractable.  Must stay a multiple of 2 MHz (integer
+#: samples per chip).
 FLEET_SAMPLE_RATE = 4e6
 
-#: Default interaction radius.  Must cover the longest intra-PAN link
-#: (sensor ↔ router ↔ coordinator, at most the cluster diameter); kept
-#: well under the inter-cluster spacing so co-channel PANs are spatially
-#: independent.
+#: Interaction radius.  Must cover the longest intra-PAN link (sensor ↔
+#: router ↔ coordinator, at most the cluster diameter); kept well under
+#: the inter-cluster spacing so co-channel PANs are spatially independent.
 FLEET_RANGE_CUTOFF_M = 15.0
+
+#: Battery capacity of every router and sensor (coordinators are mains
+#: powered).
+FLEET_BATTERY_J = 0.05
+#: PAN clusters sit on a square grid this far apart.
+CLUSTER_SPACING_M = 60.0
+#: Sensors are scattered within this radius of their cluster's centre.
+CLUSTER_RADIUS_M = 6.0
 
 COORDINATOR_ADDRESS = 0x0001
 ROUTER_ADDRESS_BASE = 0x0100
@@ -89,12 +96,11 @@ class PanSpec:
 
 @dataclass(frozen=True)
 class FleetSpec:
-    """A whole fleet plus the medium parameters it was sized for."""
+    """A whole fleet, sized for :data:`FLEET_SAMPLE_RATE` and
+    :data:`FLEET_RANGE_CUTOFF_M`."""
 
     seed: int
     pans: Tuple[PanSpec, ...]
-    sample_rate: float = FLEET_SAMPLE_RATE
-    range_cutoff_m: float = FLEET_RANGE_CUTOFF_M
 
     @property
     def num_nodes(self) -> int:
@@ -109,17 +115,12 @@ def make_fleet(
     channel_reuse: bool = False,
     base_channel: int = 11,
     report_interval_s: float = 1.0,
-    battery_j: float = 0.05,
-    cluster_spacing_m: float = 60.0,
-    cluster_radius_m: float = 6.0,
-    sample_rate: float = FLEET_SAMPLE_RATE,
-    range_cutoff_m: float = FLEET_RANGE_CUTOFF_M,
 ) -> FleetSpec:
     """Build a deterministic fleet spec.
 
-    PAN clusters sit on a square grid ``cluster_spacing_m`` apart; each has
-    a mains-powered coordinator at its centre, battery-powered sensors
-    scattered inside ``cluster_radius_m``, and (``mesh=True``) one router
+    PAN clusters sit on a square grid :data:`CLUSTER_SPACING_M` apart; each
+    has a mains-powered coordinator at its centre, battery-powered sensors
+    scattered inside :data:`CLUSTER_RADIUS_M`, and (``mesh=True``) one router
     per ~8 members relaying half the sensors' reports.  ``channel_reuse``
     puts every PAN on ``base_channel`` (spatial-reuse workload — the
     interesting case for a sharded medium); otherwise PANs cycle through
@@ -135,8 +136,8 @@ def make_fleet(
         pan_id = 0x1000 + p
         channel = base_channel if channel_reuse else base_channel + (p % 16)
         center = (
-            (p % grid) * cluster_spacing_m,
-            (p // grid) * cluster_spacing_m,
+            (p % grid) * CLUSTER_SPACING_M,
+            (p // grid) * CLUSTER_SPACING_M,
         )
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(p,))
@@ -154,7 +155,7 @@ def make_fleet(
         ]
         for j in range(num_routers):
             angle = 2.0 * math.pi * j / num_routers
-            r = 0.5 * cluster_radius_m
+            r = 0.5 * CLUSTER_RADIUS_M
             nodes.append(
                 FleetNodeSpec(
                     name=f"p{p:02d}-r{j:02d}",
@@ -166,12 +167,12 @@ def make_fleet(
                         round(center[1] + r * math.sin(angle), 3),
                     ),
                     uplink=COORDINATOR_ADDRESS,
-                    battery_j=battery_j,
+                    battery_j=FLEET_BATTERY_J,
                 )
             )
         for k in range(num_sensors):
             angle = 2.0 * math.pi * k / max(1, num_sensors)
-            r = float(rng.uniform(0.4, 1.0)) * cluster_radius_m
+            r = float(rng.uniform(0.4, 1.0)) * CLUSTER_RADIUS_M
             # Alternate sensors between direct star links and the mesh
             # relays so both paths carry traffic.
             if num_routers and k % 2 == 1:
@@ -193,7 +194,7 @@ def make_fleet(
                     phase_s=round(
                         report_interval_s * k / max(1, num_sensors), 6
                     ),
-                    battery_j=battery_j,
+                    battery_j=FLEET_BATTERY_J,
                 )
             )
         pans.append(
@@ -204,12 +205,7 @@ def make_fleet(
                 nodes=tuple(nodes),
             )
         )
-    return FleetSpec(
-        seed=seed,
-        pans=tuple(pans),
-        sample_rate=sample_rate,
-        range_cutoff_m=range_cutoff_m,
-    )
+    return FleetSpec(seed=seed, pans=tuple(pans))
 
 
 class Fleet:
@@ -284,10 +280,10 @@ class Fleet:
 
 def build_fleet(spec: FleetSpec, medium: RfMedium) -> Fleet:
     """Instantiate *spec* onto *medium* (nodes constructed, not started)."""
-    if medium.sample_rate != spec.sample_rate:
+    if medium.sample_rate != FLEET_SAMPLE_RATE:
         raise ValueError(
             f"medium sample rate {medium.sample_rate} differs from fleet "
-            f"spec rate {spec.sample_rate}"
+            f"rate {FLEET_SAMPLE_RATE}"
         )
     fleet = Fleet(spec, medium)
     for pan in spec.pans:

@@ -9,7 +9,7 @@ default configuration the attack exploits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -24,7 +24,8 @@ from repro.zigbee.xbee import (
     AtCommand,
     RemoteAtCommand,
     SensorReading,
-    XBEE_DEFAULTS,
+    XBEE_CHANNEL,
+    XBEE_REMOTE_AT_ENABLED,
     parse_app_payload,
 )
 
@@ -47,11 +48,10 @@ class XBeeNode:
         name: str,
         position: Tuple[float, float] = (0.0, 0.0),
         is_coordinator: bool = False,
-        remote_at_enabled: bool = XBEE_DEFAULTS.remote_at_enabled,
         rng: Optional[np.random.Generator] = None,
         security: Optional[SecurityContext] = None,
         battery: Optional[Battery] = None,
-        channel: int = XBEE_DEFAULTS.channel,
+        channel: int = XBEE_CHANNEL,
     ):
         self.radio = Dot15d4Radio(
             medium, name=name, position=position, rng=rng, channel=channel
@@ -64,7 +64,8 @@ class XBeeNode:
         )
         self.address = address
         self.name = name
-        self.remote_at_enabled = remote_at_enabled
+        #: Cleared to model the §VII counter-measure (remote AT disabled).
+        self.remote_at_enabled = XBEE_REMOTE_AT_ENABLED
         self.config_log: List[str] = []
         self.battery = battery
         #: Simulated time the battery ran out (None while alive) — the
@@ -147,7 +148,7 @@ class SensorNode(XBeeNode):
         rng: Optional[np.random.Generator] = None,
         security: Optional[SecurityContext] = None,
         battery: Optional[Battery] = None,
-        channel: int = XBEE_DEFAULTS.channel,
+        channel: int = XBEE_CHANNEL,
     ):
         super().__init__(
             medium,
@@ -216,18 +217,14 @@ class RouterNode(XBeeNode):
         uplink: Address,
         name: str = "xbee-router",
         position: Tuple[float, float] = (0.0, 0.0),
-        rng: Optional[np.random.Generator] = None,
-        security: Optional[SecurityContext] = None,
         battery: Optional[Battery] = None,
-        channel: int = XBEE_DEFAULTS.channel,
+        channel: int = XBEE_CHANNEL,
     ):
         super().__init__(
             medium,
             address,
             name,
             position=position,
-            rng=rng,
-            security=security,
             battery=battery,
             channel=channel,
         )
@@ -272,7 +269,7 @@ class CoordinatorNode(XBeeNode):
         rng: Optional[np.random.Generator] = None,
         security: Optional[SecurityContext] = None,
         battery: Optional[Battery] = None,
-        channel: int = XBEE_DEFAULTS.channel,
+        channel: int = XBEE_CHANNEL,
     ):
         super().__init__(
             medium,

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Optional
 
 __all__ = [
-    "XBEE_DEFAULTS",
+    "XBEE_CHANNEL",
+    "XBEE_PAN_ID",
+    "XBEE_REMOTE_AT_ENABLED",
     "AppFrameType",
     "AtCommand",
     "RemoteAtCommand",
@@ -27,16 +28,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class XBeeDefaults:
-    """Factory defaults relevant to the attack."""
-
-    remote_at_enabled: bool = True
-    channel: int = 14
-    pan_id: int = 0x1234
-
-
-XBEE_DEFAULTS = XBeeDefaults()
+# Factory defaults relevant to the attack: an XBee honours remote AT
+# commands out of the box, on channel 14 in PAN 0x1234.
+XBEE_REMOTE_AT_ENABLED = True
+XBEE_CHANNEL = 14
+XBEE_PAN_ID = 0x1234
 
 
 class AppFrameType(IntEnum):

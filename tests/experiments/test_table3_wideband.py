@@ -93,6 +93,10 @@ class TestOracleAgreement:
         )
 
 
+_REPEATED_CHIPS = dict(chips=("nRF52832", "nRF52832"))
+_REPEATED_PRIMITIVES = dict(primitives=("rx", "rx"))
+
+
 class TestArguments:
     def test_wideband_rejects_repeated_channels(self):
         with pytest.raises(ValueError, match="repeated"):
@@ -103,15 +107,14 @@ class TestArguments:
             run_table3(frames=3, channels=(11, 12, 11), chips=("nRF52832",))
 
     @pytest.mark.parametrize(
-        "run", [run_table3, run_table3_wideband], ids=["narrowband", "wideband"]
-    )
-    @pytest.mark.parametrize(
-        "grid, message",
+        "run, grid, message",
         [
-            (dict(chips=("nRF52832", "nRF52832")), "chips must be distinct"),
-            (dict(primitives=("rx", "rx")), "primitives must be distinct"),
+            (run_table3, _REPEATED_CHIPS, "chips must be distinct"),
+            (run_table3_wideband, _REPEATED_CHIPS, "chips must be distinct"),
+            # The wideband sweep always runs both primitives.
+            (run_table3, _REPEATED_PRIMITIVES, "primitives must be distinct"),
         ],
-        ids=["chips", "primitives"],
+        ids=["chips-narrowband", "chips-wideband", "primitives-narrowband"],
     )
     def test_rejects_repeated_chips_and_primitives(self, run, grid, message):
         with pytest.raises(ValueError, match=message):

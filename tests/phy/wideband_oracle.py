@@ -24,6 +24,7 @@ import numpy as np
 from scipy import fft as sp_fft
 
 from repro.chips.wideband import WidebandFrontEnd
+from repro.dot15d4.channels import ZIGBEE_CHANNELS
 from repro.phy.channelizer import WidebandGrid, gather_indices
 
 
@@ -72,7 +73,7 @@ def channelize(
     per-bin *spectral_weights*) and one inverse FFT per channel.
     """
     grid = grid or WidebandGrid()
-    channels = tuple(channels if channels is not None else grid.channels)
+    channels = tuple(channels if channels is not None else ZIGBEE_CHANNELS)
     n_out = wide.shape[-1] // grid.oversample
     idx = np.stack([gather_indices(grid, c, n_out) for c in channels])
     gathered = np.fft.fft(wide, axis=-1)[..., idx]

@@ -17,6 +17,7 @@ import pytest
 from repro.obs import scoped
 from repro.serve import ServeConfig, SnifferServer, SpoolReader
 from repro.serve.codec import decode_jsonl, encode_jsonl
+from repro.serve.shed import SHED_HYSTERESIS, SHED_THRESHOLDS
 from repro.serve.source import SimWorldSource
 from tests.serve.sinks import CollectingSink
 
@@ -71,7 +72,7 @@ class TestCleanRun:
             server.attach_session(sink, fmt="jsonl", name="fast")
             server.start()
             assert _wait_for_source(server)
-            ledger = server.shutdown(drain=True)
+            ledger = server.shutdown()
 
             assert ledger["produced"] == 25
             entry = ledger["sessions"]["fast"]
@@ -109,7 +110,7 @@ class TestCleanRun:
             server.attach_session(sink, fmt="jsonl", name="fast")
             server.start()
             assert _wait_for_source(server)
-            server.shutdown(drain=True)
+            server.shutdown()
             kinds = {decode_jsonl(line)["type"] for line in sink.lines()}
             assert "trace" in kinds  # the obs firehose reached the stream
             assert "bye" in kinds
@@ -134,7 +135,7 @@ class TestChaosStorm:
             server.attach_session(fast, fmt="jsonl", name="fast")
             server.start()
             completed = _wait_for_source(server)
-            ledger = server.shutdown(drain=True)
+            ledger = server.shutdown()
             return completed, ledger, registry.counter_values(), slow, fast
 
     def test_storm_completes_without_deadlock_and_ledger_reconciles(self):
@@ -191,7 +192,7 @@ class TestBackpressure:
             server.start()
             completed = _wait_for_source(server)
             stall.clear()
-            ledger = server.shutdown(drain=True)
+            ledger = server.shutdown()
             assert completed, "block policy deadlocked the broadcast stage"
             assert ledger["sessions"]["stuck"]["close_reason"] == "stalled"
             assert registry.counter_values()["serve.sessions.overflow"] >= 1
@@ -215,7 +216,7 @@ class TestBackpressure:
             server.start()
             assert _wait_for_source(server)
             stall.clear()
-            ledger = server.shutdown(drain=True)
+            ledger = server.shutdown()
             # The stalled ring pinned pressure at 1.0: trace records were
             # shed (level >= 1), and the shed order held — no valid-frame
             # downsampling without trace shedding first.
@@ -245,7 +246,7 @@ class TestDrainAndSpool:
             deadline = time.monotonic() + RUN_TIMEOUT_S
             while server.frames_published < 10 and time.monotonic() < deadline:
                 time.sleep(0.01)
-            ledger = server.shutdown(drain=True)
+            ledger = server.shutdown()
             assert ledger["produced"] >= 10
             entry = ledger["sessions"]["sub"]
             assert entry["in_flight"] == 0
@@ -265,8 +266,8 @@ class TestDrainAndSpool:
             server = SnifferServer(_config(frames=5))
             server.start()
             assert _wait_for_source(server)
-            first = server.shutdown(drain=True)
-            second = server.shutdown(drain=True)
+            first = server.shutdown()
+            second = server.shutdown()
             assert second["produced"] == first["produced"]
 
 
@@ -281,7 +282,7 @@ class TestReplay:
             server.attach_session(live, fmt="jsonl", name="live")
             server.start()
             assert _wait_for_source(server)
-            server.shutdown(drain=True)
+            server.shutdown()
         live_lines = _frame_lines_of(live)
         assert len(live_lines) == 20
 
@@ -298,7 +299,7 @@ class TestReplay:
             replayer.attach_session(replayed, fmt="jsonl", name="replay")
             replayer.start()
             assert _wait_for_source(replayer)
-            replayer.shutdown(drain=True)
+            replayer.shutdown()
         assert _frame_lines_of(replayed) == live_lines
 
     def test_replaying_a_missing_spool_fails_loudly(self, tmp_path):
@@ -326,7 +327,7 @@ class TestReplay:
             server.attach_session(live, fmt="jsonl", name="live")
             server.start()
             assert _wait_for_source(server)
-            server.shutdown(drain=True)
+            server.shutdown()
         live_lines = _frame_lines_of(live)
         assert len(live_lines) == 20
 
@@ -358,7 +359,7 @@ class TestReplay:
             replayer.attach_session(replayed, fmt="jsonl", name="replay")
             replayer.start()
             assert _wait_for_source(replayer)
-            ledger = replayer.shutdown(drain=True)
+            ledger = replayer.shutdown()
         # Byte-for-byte the intact prefix of the original stream.
         assert _frame_lines_of(replayed) == live_lines[:19]
         assert ledger["produced"] == 19
@@ -417,7 +418,7 @@ class TestShedRecovery:
                 and time.monotonic() < deadline
             ):
                 time.sleep(0.01)
-            ledger = server.shutdown(drain=True)
+            ledger = server.shutdown()
 
         # (The final ledger level is whatever the last pressure sample
         # dictated — svc-storm may re-engage during the drain burst; the
@@ -453,17 +454,11 @@ class TestShedRecovery:
             if note["level"] < prev["level"]
         ]
         assert down_notes, "no down-transition was announced"
-        config = server.config
-        thresholds = (
-            config.shed_trace_at,
-            config.shed_corrupt_at,
-            config.downsample_at,
-        )
         for note in down_notes:
             # Stepping down to `level` means pressure cleared the next
             # threshold up by at least the hysteresis margin.
             assert note["pressure"] < (
-                thresholds[note["level"]] - config.shed_hysteresis
+                SHED_THRESHOLDS[note["level"]] - SHED_HYSTERESIS
             )
         # Valid frames flowed again after recovery: frame records exist
         # after the final down-transition announcement.

@@ -1,21 +1,8 @@
 """The degradation ladder: strict shed order, hysteresis, admission."""
 
-import pytest
-
 from repro.serve import SHED_LEVEL_NAMES, DegradeLadder
 from repro.serve.codec import frame_record, notice_record, trace_record
-
-
-def _ladder(**overrides):
-    defaults = dict(
-        shed_trace_at=0.5,
-        shed_corrupt_at=0.75,
-        downsample_at=0.9,
-        hysteresis=0.15,
-        keep_every=4,
-    )
-    defaults.update(overrides)
-    return DegradeLadder(**defaults)
+from repro.serve.shed import DOWNSAMPLE_KEEP_EVERY
 
 
 def _valid(seq=0):
@@ -32,16 +19,16 @@ def _trace():
 
 class TestLevels:
     def test_steps_up_through_every_cleared_threshold(self):
-        ladder = _ladder()
+        ladder = DegradeLadder()
         assert ladder.update(0.3) is None
         assert ladder.update(0.5) == 1
         assert ladder.update(0.8) == 2
         # A pressure spike clears two thresholds at once.
-        ladder2 = _ladder()
+        ladder2 = DegradeLadder()
         assert ladder2.update(0.95) == 3
 
     def test_hysteresis_prevents_flapping(self):
-        ladder = _ladder()
+        ladder = DegradeLadder()
         ladder.update(0.55)
         assert ladder.level == 1
         # Oscillating just below the threshold does not step down...
@@ -54,24 +41,18 @@ class TestLevels:
         assert len(SHED_LEVEL_NAMES) == 4
         assert SHED_LEVEL_NAMES[0] == "none"
 
-    def test_threshold_ordering_is_validated(self):
-        with pytest.raises(ValueError):
-            _ladder(shed_trace_at=0.9, shed_corrupt_at=0.5)
-        with pytest.raises(ValueError):
-            _ladder(keep_every=0)
-
 
 class TestShedOrder:
     """The invariant: protocol data is never shed before observability."""
 
     def test_level_zero_admits_everything(self):
-        ladder = _ladder()
+        ladder = DegradeLadder()
         for record in (_valid(), _corrupt(), _trace(), notice_record("x")):
             admitted, shed_class = ladder.admit(record)
             assert admitted and shed_class is None
 
     def test_level_one_sheds_only_trace(self):
-        ladder = _ladder()
+        ladder = DegradeLadder()
         ladder.update(0.5)
         assert ladder.admit(_trace()) == (False, "trace")
         assert ladder.admit(_valid())[0]
@@ -79,22 +60,23 @@ class TestShedOrder:
         assert ladder.shed == {"trace": 1, "corrupt": 0, "downsample": 0}
 
     def test_level_two_adds_corrupt_frames(self):
-        ladder = _ladder()
+        ladder = DegradeLadder()
         ladder.update(0.8)
         assert ladder.admit(_trace()) == (False, "trace")
         assert ladder.admit(_corrupt()) == (False, "corrupt")
         assert ladder.admit(_valid())[0]
 
     def test_level_three_downsamples_valid_frames(self):
-        ladder = _ladder(keep_every=4)
+        assert DOWNSAMPLE_KEEP_EVERY == 4
+        ladder = DegradeLadder()
         ladder.update(1.0)
         verdicts = [ladder.admit(_valid(i))[0] for i in range(8)]
-        # One in keep_every admitted, deterministically.
+        # One in DOWNSAMPLE_KEEP_EVERY admitted, deterministically.
         assert verdicts == [True, False, False, False] * 2
         assert ladder.shed["downsample"] == 6
 
     def test_control_records_always_pass(self):
-        ladder = _ladder()
+        ladder = DegradeLadder()
         ladder.update(1.0)
         # Notices are how degradation is announced; shedding them would
         # hide the degradation itself.
@@ -106,7 +88,7 @@ class TestShedOrder:
         """Sweep every pressure; at no point may a valid frame be shed
         while a trace record would still have been admitted."""
         for pressure in [p / 100 for p in range(0, 101, 5)]:
-            ladder = _ladder()
+            ladder = DegradeLadder()
             ladder.update(pressure)
             trace_admitted = ladder.admit(_trace())[0]
             corrupt_admitted = ladder.admit(_corrupt())[0]

@@ -42,10 +42,12 @@ class TestSocketTransport:
                 assert all(
                     bytes.fromhex(f["psdu"]) for f in frames
                 )
-                assert _wait_done(server)
-                capture = pcap_client.read_all(idle_rounds=2)
-                pcap_client.close()
-            ledger = server.shutdown(drain=True)
+            # The text client hung up; only the pcap session drains.
+            assert _wait_done(server)
+            ledger = server.shutdown()
+            # The drain closed the pcap stream: read it to its end.
+            capture = pcap_client.read_all()
+            pcap_client.close()
             header, packets = parse_pcap(capture)
             assert header["network"] == 195
             assert len(packets) == ledger["produced"] == 30
@@ -76,7 +78,7 @@ class TestSocketTransport:
             # A well-behaved client connecting afterwards is still served.
             with subscribe(path, fmt="jsonl", name="good") as client:
                 assert len(list(client.frames(3))) == 3
-            server.shutdown(drain=True)
+            server.shutdown()
 
     def test_shutdown_unlinks_the_socket_path(self, tmp_path):
         import os
@@ -87,7 +89,7 @@ class TestSocketTransport:
             path = server.config.socket_path
             assert os.path.exists(path)
             assert _wait_done(server)
-            server.shutdown(drain=True)
+            server.shutdown()
             assert not os.path.exists(path)
 
     def test_client_chosen_policy_lands_on_the_session(self, tmp_path):
@@ -102,5 +104,5 @@ class TestSocketTransport:
             ) as client:
                 list(client.frames(2))
             _wait_done(server)
-            ledger = server.shutdown(drain=True)
+            ledger = server.shutdown()
             assert ledger["sessions"]["chooser"]["policy"] == "block"

@@ -98,7 +98,7 @@ class TestRestarts:
     def test_supervisor_tracks_stage_stats(self):
         with scoped():
             stop = threading.Event()
-            supervisor = Supervisor(stop, backoff_s=0.01)
+            supervisor = Supervisor(stop)
             supervisor.spawn("a", lambda _s: None)
             supervisor.join_all(2.0)
             stats = supervisor.stats()
@@ -130,11 +130,7 @@ class TestMonitor:
         thread = threading.Thread(
             target=monitor_sessions,
             args=(lambda: [session], stop),
-            kwargs=dict(
-                stall_timeout_s=stall_s,
-                idle_timeout_s=idle_s,
-                interval_s=0.02,
-            ),
+            kwargs=dict(stall_timeout_s=stall_s, idle_timeout_s=idle_s),
         )
         thread.start()
         time.sleep(run_for_s)

@@ -7,7 +7,7 @@ from repro.chips.rzusbstick import Dot15d4Radio
 from repro.dot15d4.frames import Address, build_data
 from repro.dot15d4.mac import MacService
 from repro.sixlowpan import SixLowpanAdaptation
-from repro.sixlowpan.fragmentation import fragment_datagram
+from repro.sixlowpan.fragmentation import REASSEMBLY_TIMEOUT_S, fragment_datagram
 from repro.sixlowpan.iphc import compress_datagram, link_iid
 from repro.sixlowpan.ipv6 import Ipv6Header, UdpDatagram, link_local_address
 
@@ -117,6 +117,33 @@ class TestUdpDelivery:
         sched.run(0.05)
         assert b.received_datagrams == 1
         assert b.decode_failures == 0
+
+    def test_reassembly_times_out_on_the_scheduler_clock(self, pair):
+        a, b, sched = pair
+        got = []
+        b.on_udp(got.append)
+        send_udp(a, 0x0020, 5683, 5683, bytes(range(250)))
+        sched.run(0.2)
+        assert len(got) == 1
+        # A datagram whose last fragment is lost stays pending...
+        header = Ipv6Header(source=a.address, destination=b.address)
+        compressed = compress_datagram(
+            header,
+            UdpDatagram(1, 2, bytes(250)).to_bytes(header),
+            source_link_iid=link_iid(PAN, 0x0010),
+            destination_link_iid=link_iid(PAN, 0x0020),
+        )
+        first = fragment_datagram(compressed, tag=5)[0]
+        a.mac.send_frame(build_data(A, B, first, sequence_number=60))
+        sched.run(0.05)
+        assert b.reassembler.pending == 1
+        # ...until a frame arrives more than 60 simulated seconds later.
+        sched.run(REASSEMBLY_TIMEOUT_S)
+        send_udp(a, 0x0020, 1, 2, b"x")
+        sched.run(0.05)
+        assert b.reassembler.pending == 0
+        assert b.reassembler.dropped == 1
+        assert len(got) == 2
 
     def test_garbage_mac_payload_counted(self, pair):
         a, b, sched = pair

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.sixlowpan.fragmentation import (
     FRAG1_DISPATCH,
     FRAGN_DISPATCH,
+    REASSEMBLY_TIMEOUT_S,
     Reassembler,
     fragment_datagram,
 )
@@ -59,7 +60,7 @@ class TestReassembly:
         datagram = bytes(range(200))
         fragments = fragment_datagram(datagram, tag=3, max_fragment_payload=64)
         reassembler = Reassembler()
-        results = [reassembler.accept(0x10, f) for f in fragments]
+        results = [reassembler.accept(0x10, f, 0.0) for f in fragments]
         assert results[-1] == datagram
         assert all(r is None for r in results[:-1])
         assert reassembler.completed == 1
@@ -70,7 +71,7 @@ class TestReassembly:
         fragments = fragment_datagram(datagram, tag=3, max_fragment_payload=64)
         reassembler = Reassembler()
         results = [
-            reassembler.accept(0x10, f)
+            reassembler.accept(0x10, f, 0.0)
             for f in [fragments[-1], *fragments[:-1]]
         ]
         assert datagram in results
@@ -83,49 +84,66 @@ class TestReassembly:
         reassembler = Reassembler()
         outputs = []
         for x, y in zip(fa, fb):
-            outputs.append(reassembler.accept(0x10, x))
-            outputs.append(reassembler.accept(0x20, y))
+            outputs.append(reassembler.accept(0x10, x, 0.0))
+            outputs.append(reassembler.accept(0x20, y, 0.0))
         assert a in outputs and b in outputs
 
     def test_missing_fragment_stays_pending(self):
         fragments = fragment_datagram(bytes(300), tag=9, max_fragment_payload=64)
         reassembler = Reassembler()
         for fragment in fragments[:-1]:
-            assert reassembler.accept(0x10, fragment) is None
+            assert reassembler.accept(0x10, fragment, 0.0) is None
         assert reassembler.pending == 1
         assert reassembler.completed == 0
 
+    def test_partial_older_than_the_timeout_is_dropped(self):
+        fragments = fragment_datagram(bytes(300), tag=9, max_fragment_payload=64)
+        reassembler = Reassembler()
+        for fragment in fragments[:-1]:
+            assert reassembler.accept(0x10, fragment, 1.0) is None
+        # At the timeout the partial is still kept...
+        assert reassembler.accept(0x20, b"\x60plain", 1.0 + REASSEMBLY_TIMEOUT_S)
+        assert reassembler.pending == 1
+        assert reassembler.dropped == 0
+        # ...past it, the next payload from anyone discards it, and the
+        # late last fragment cannot complete it.
+        late = 1.5 + REASSEMBLY_TIMEOUT_S
+        assert reassembler.accept(0x10, fragments[-1], late) is None
+        assert reassembler.dropped == 1
+        assert reassembler.completed == 0
+        assert reassembler.pending == 1  # the late fragment's own partial
+
     def test_passthrough_for_plain_payloads(self):
         reassembler = Reassembler()
-        assert reassembler.accept(0x10, b"\x60plain") == b"\x60plain"
+        assert reassembler.accept(0x10, b"\x60plain", 0.0) == b"\x60plain"
 
     def test_truncated_header_dropped(self):
         reassembler = Reassembler()
-        assert reassembler.accept(0x10, bytes([FRAG1_DISPATCH, 1])) is None
+        assert reassembler.accept(0x10, bytes([FRAG1_DISPATCH, 1]), 0.0) is None
         assert reassembler.dropped == 1
 
     def test_empty_payload(self):
-        assert Reassembler().accept(0x10, b"") is None
+        assert Reassembler().accept(0x10, b"", 0.0) is None
 
     def test_overlapping_fragment_drops_the_datagram(self):
         # A 12-byte FRAG1 and a 12-byte FRAGN at offset 8 of a 24-byte
         # datagram: the bodies add up to 24, but bytes 20-23 never came.
         reassembler = Reassembler()
-        assert reassembler.accept(0x10, frag1(24, 7, b"A" * 12)) is None
-        assert reassembler.accept(0x10, fragn(24, 7, 8, b"B" * 12)) is None
+        assert reassembler.accept(0x10, frag1(24, 7, b"A" * 12), 0.0) is None
+        assert reassembler.accept(0x10, fragn(24, 7, 8, b"B" * 12), 0.0) is None
         assert reassembler.dropped == 1
         assert reassembler.pending == 0
         assert reassembler.completed == 0
 
     def test_fragment_past_the_datagram_size_drops_it(self):
         reassembler = Reassembler()
-        assert reassembler.accept(0x10, frag1(24, 7, b"A" * 16)) is None
-        assert reassembler.accept(0x10, fragn(24, 7, 16, b"B" * 16)) is None
+        assert reassembler.accept(0x10, frag1(24, 7, b"A" * 16), 0.0) is None
+        assert reassembler.accept(0x10, fragn(24, 7, 16, b"B" * 16), 0.0) is None
         assert reassembler.dropped == 1
         assert reassembler.pending == 0
         # The tag is free again: a clean retransmission completes.
-        assert reassembler.accept(0x10, frag1(24, 7, b"A" * 16)) is None
-        assert reassembler.accept(0x10, fragn(24, 7, 16, b"B" * 8)) == (
+        assert reassembler.accept(0x10, frag1(24, 7, b"A" * 16), 0.0) is None
+        assert reassembler.accept(0x10, fragn(24, 7, 16, b"B" * 8), 0.0) == (
             b"A" * 16 + b"B" * 8
         )
 
@@ -140,5 +158,5 @@ class TestReassembly:
         reassembler = Reassembler()
         result = None
         for fragment in fragments:
-            result = reassembler.accept(0x33, fragment) or result
+            result = reassembler.accept(0x33, fragment, 0.0) or result
         assert result == datagram

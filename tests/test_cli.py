@@ -19,6 +19,21 @@ class TestParser:
         assert args.frames == 100
         assert args.chips == ["nRF52832", "CC1352-R1"]
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["table3", "--chaos", "nope"], "invalid choice: 'nope'"),
+            (["fleet", "--chaos", "nope"], "invalid choice: 'nope'"),
+            (["table3", "--workers", "0"], "--workers: must be >= 1"),
+            (["fleet", "--workers", "0"], "--workers: must be >= 1"),
+        ],
+    )
+    def test_bad_chaos_or_workers_exits_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestStaticTables:
     def test_table1(self, capsys):

@@ -1,11 +1,12 @@
-"""``scripts/knob_scan.py`` finds the defaulted settings no call sets
-and the defs no non-test code names.
+"""``scripts/knob_scan.py`` finds the defaulted settings no call sets,
+the defs no non-test code names and the imports no code uses.
 
 The script is loaded by path and run on small fixture modules: one whose
 calls set some knobs by keyword, by position, through a literal ``**``
-dict and by pass-through, and leave the others alone; and a library plus
-a user of it that names some of its defs directly, by attribute or by
-string, and the others only in ``__all__``, an import or their own body.
+dict and by pass-through, and leave the others alone; a library plus a
+user of it that names some of its defs directly, by attribute or by
+string, and the others only in ``__all__``, an import or their own body;
+and a module that uses some of its imports and not others.
 """
 
 import importlib.util
@@ -125,10 +126,16 @@ def test_scan_reports_only_the_knobs_no_call_sets(tmp_path):
         ("fixture", "tune", "f"),
         ("fixture", "wrapper", "c"),
     ]
-    report = knob_scan.format_report(unset)
-    assert report.splitlines()[0] == "fixture (6)"
-    assert "    tune: f" in report
-    assert report.splitlines()[-1] == "total: 6"
+    kept = {
+        "fixture.Profile.distance": "kept on purpose",
+        "fixture.tune.d": "x",
+    }
+    report = knob_scan.format_report(unset, kept).splitlines()
+    assert report[0] == "fixture (6)"
+    assert "    Profile: distance: kept on purpose" in report
+    assert "    tune: f: NOT KEPT: no call sets it" in report
+    assert "    fixture.tune.d: in KEPT_KNOBS but set" in report
+    assert report[-1] == "total: 6"
 
 
 def test_reach_reports_the_defs_no_other_code_names(tmp_path):
@@ -154,6 +161,34 @@ def test_reach_reports_the_defs_no_other_code_names(tmp_path):
     assert report[-1] == "    library.called: in KEPT but reached"
 
 
+IMPORTS = textwrap.dedent(
+    '''
+    from __future__ import annotations
+
+    import os.path
+    import numpy as np
+    from typing import Dict, List, Optional
+    from library import exported, unused as renamed
+
+    __all__ = ["exported"]
+
+    def f(x: "Optional[int]") -> Dict:
+        return os.path.join(np.pi)
+    '''
+)
+
+
+def test_unused_imports_are_reported(tmp_path):
+    knob_scan = _load()
+    path = tmp_path / "imports.py"
+    path.write_text(IMPORTS)
+    unused = knob_scan.unused_imports([("imports", path)])
+    # A quoted annotation names Optional only as a string; it counts.
+    assert unused == ["imports: List", "imports: renamed"]
+    report = knob_scan.format_imports_report(unused).splitlines()
+    assert report == ["unused imports (2)", "    imports: List", "    imports: renamed"]
+
+
 def test_scan_runs_on_the_repository(capsys):
     knob_scan = _load()
     assert knob_scan.main() == 0
@@ -164,4 +199,13 @@ def test_scan_runs_on_the_repository(capsys):
     assert lines[1 : 1 + len(kept)] == [
         f"    {name}: {kept[name]}" for name in sorted(kept)
     ]
-    assert lines[-1].startswith("total: ")
+    # Every knob no call sets is a kept one, listed with its reason.
+    kept_knobs = knob_scan.KEPT_KNOBS
+    reasons = tuple(f": {reason}" for reason in kept_knobs.values())
+    assert len([line for line in lines if line.endswith(reasons)]) == len(
+        kept_knobs
+    )
+    assert not any("NOT KEPT" in line or "in KEPT" in line for line in lines)
+    assert f"total: {len(kept_knobs)}" in lines
+    # And no module imports a name it never uses.
+    assert lines[-1] == "unused imports (0)"

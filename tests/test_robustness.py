@@ -128,7 +128,7 @@ class TestApplicationDecoders:
     @given(st.integers(0, 0xFFFF), binary)
     def test_reassembler_never_crashes(self, sender, payload):
         reassembler = Reassembler()
-        reassembler.accept(sender, payload)
+        reassembler.accept(sender, payload, 0.0)
 
 
 class TestSecurityDecoder:

@@ -10,7 +10,12 @@ import numpy as np
 from repro.experiments.fleet import run_fleet_campaign
 from repro.radio.scheduler import Scheduler
 from repro.radio.shard import ShardedRfMedium
-from repro.zigbee.fleet import build_fleet, make_fleet
+from repro.zigbee.fleet import (
+    FLEET_RANGE_CUTOFF_M,
+    FLEET_SAMPLE_RATE,
+    build_fleet,
+    make_fleet,
+)
 
 
 def report_fleet():
@@ -59,9 +64,9 @@ def test_build_indexes_each_radio_once_and_never_reindexes(monkeypatch):
     spec = report_fleet()
     medium = ShardedRfMedium(
         Scheduler(),
-        sample_rate=spec.sample_rate,
+        sample_rate=FLEET_SAMPLE_RATE,
         seed=spec.seed + 1,
-        range_cutoff_m=spec.range_cutoff_m,
+        range_cutoff_m=FLEET_RANGE_CUTOFF_M,
     )
     fleet = build_fleet(spec, medium)
     radios = [node.radio.transceiver for node in fleet.nodes.values()]

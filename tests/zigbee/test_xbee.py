@@ -8,7 +8,9 @@ from repro.zigbee.xbee import (
     AtCommand,
     RemoteAtCommand,
     SensorReading,
-    XBEE_DEFAULTS,
+    XBEE_CHANNEL,
+    XBEE_PAN_ID,
+    XBEE_REMOTE_AT_ENABLED,
     parse_app_payload,
 )
 
@@ -16,11 +18,11 @@ from repro.zigbee.xbee import (
 class TestDefaults:
     def test_remote_at_enabled_by_default(self):
         """The insecure factory default the attack relies on."""
-        assert XBEE_DEFAULTS.remote_at_enabled
+        assert XBEE_REMOTE_AT_ENABLED
 
     def test_network_parameters(self):
-        assert XBEE_DEFAULTS.channel == 14
-        assert XBEE_DEFAULTS.pan_id == 0x1234
+        assert XBEE_CHANNEL == 14
+        assert XBEE_PAN_ID == 0x1234
 
 
 class TestSensorReading:

@@ -16,6 +16,7 @@ channel reuse, WazaBee flooders) on the sharded medium vs the legacy
 *unbounded* dense broadcast medium, which delivers — and decodes — every
 frame at every co-channel radio.  This is what running the campaign cost
 before interest management existed; expect order-of-magnitude ratios.
+Both media run in one process (``workers=1``).
 
 ``fleet_cold_build`` — the median wall-clock of building a 208-node,
 16-PAN fleet (medium and nodes, not started) with every process-wide DSP
@@ -159,6 +160,8 @@ def bench_fleet(quick: bool = False) -> List[BenchRecord]:
         num_nodes=num_nodes, num_pans=num_pans, seed=5, channel_reuse=True
     )
 
+    # The default would fan the sharded run's independent PAN groups out
+    # over processes, which the unbounded medium (one group) cannot.
     def run(kind: str) -> None:
         run_fleet_campaign(
             spec,
@@ -166,6 +169,7 @@ def bench_fleet(quick: bool = False) -> List[BenchRecord]:
             attack=True,
             flood_rate_hz=flood_rate_hz,
             medium_kind=kind,
+            workers=1,
             sample_interval_s=duration_s,
         )
 

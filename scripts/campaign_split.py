@@ -4,10 +4,11 @@ Run from the repo root::
 
     python scripts/campaign_split.py --workload report --seed 3 --repeats 7
 
-Runs one fleetbench workload's campaign in-process, once untimed (to warm
-every cache) and then ``--repeats`` times with each receive stage's entry
-point wrapped by name, and prints each stage's median *self* time in ms
-(a stage's time less the wrapped stages inside it).  Unlike
+Runs one fleetbench workload's campaign in one process (``workers=1``),
+once untimed (to warm every cache) and then ``--repeats`` times with
+each receive stage's entry point wrapped by name, and prints each
+stage's median *self* time in ms (a stage's time less the wrapped
+stages inside it).  Unlike
 ``fleetbench/run.py --trace 1``, which charges the stacked decode to
 ``sched``, it splits the delivery of a transmission into:
 
@@ -135,11 +136,13 @@ def main(argv: List[str]) -> int:
     spec = workload.spec(args.seed)
     tracer = LayerTracer()  # its spans charge self time by stage
     install(tracer._timed)
-    workload.run(spec)  # warms every cache
+    # One process: the wrappers time only the calling process, so a
+    # campaign fanned out over a pool would lose its other groups' stages.
+    workload.run(spec, workers=1)  # warms every cache
     runs = []
     for _ in range(args.repeats):
         tracer.reset()
-        workload.run(spec)
+        workload.run(spec, workers=1)
         runs.append(dict(tracer.self_s))
     stages = sorted({stage for run in runs for stage in run})
     print(f"{args.workload} seed={args.seed}: median self ms over {args.repeats}")

@@ -43,7 +43,9 @@ quoted annotation) and does not list in ``__all__``.  Any hit makes the
 script exit 1.
 
 Prints the reach report, then, per module, the knobs no call sets and
-their total, then the unused imports.
+their total, then the unused imports.  A module the scan cannot parse
+would hide from all three, so each one is listed on standard error and
+makes the script exit 1.
 """
 
 from __future__ import annotations
@@ -332,6 +334,11 @@ def _parse(path: Path) -> Optional[ast.Module]:
         return None
 
 
+def unparsable(paths: Iterable[Path]) -> List[Path]:
+    """The files of *paths* that do not parse."""
+    return [path for path in paths if _parse(path) is None]
+
+
 def scan(
     definition_files: Iterable[Tuple[str, Path]], call_files: Iterable[Path]
 ) -> List[Knob]:
@@ -541,14 +548,19 @@ def main() -> int:
     ]
     unreached = reach(definitions, users)
     print(format_reach_report(unreached, KEPT))
-    unset = scan(definitions, _python_files(ROOT, CALL_DIRS))
+    callers = _python_files(ROOT, CALL_DIRS)  # every file the scan reads
+    unset = scan(definitions, callers)
     print(format_report(unset, KEPT_KNOBS))
     unused = unused_imports(definitions)
     print(format_imports_report(unused))
+    broken = unparsable(callers)
+    for path in broken:
+        print(f"knob_scan: cannot parse {path.relative_to(ROOT)}", file=sys.stderr)
     gates = (
         unreached == sorted(KEPT),
         sorted(map(knob_key, unset)) == sorted(KEPT_KNOBS),
         not unused,
+        not broken,
     )
     return 0 if all(gates) else 1
 

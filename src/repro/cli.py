@@ -146,10 +146,12 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--workers",
         type=_positive_int,
-        default=1,
+        default=None,
         metavar="N",
-        help="fan per-channel PAN groups out over N worker processes "
-        "(results identical to the serial run)",
+        help="fan independent PAN groups (no device within range of "
+        "another group's on its channel) out over N processes; default: "
+        "min(2, usable CPUs, groups), 1 under --chaos (results identical "
+        "to the serial run)",
     )
     fleet.add_argument(
         "--sample-interval", type=float, default=0.5, metavar="S",
@@ -494,7 +496,7 @@ def _cmd_fleet(args) -> int:
     from repro.experiments.fleet import format_fleet_report, run_fleet_campaign
     from repro.zigbee.fleet import make_fleet
 
-    if args.chaos is not None and args.workers > 1:
+    if args.chaos is not None and (args.workers or 1) > 1:
         print("--chaos requires --workers 1", file=sys.stderr)
         return 2
     spec = make_fleet(

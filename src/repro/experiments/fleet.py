@@ -15,24 +15,30 @@ exactly this campaign: ``scheduled == delivered + skipped`` must balance
 or the medium lost a frame.  Fleet-level summary samples are re-emitted
 as ``fleet.sample`` events on the *caller's* trace bus.
 
-``workers > 1`` fans PAN groups out over a process pool
-(:func:`repro.experiments.pool.map_tasks`), one group per Zigbee
-channel.  Channels are 5 MHz apart — outside the medium's 4 MHz delivery
-acceptance — so PANs on different channels are physically independent
-and the split is exact: per-node results are identical to the serial run
-(the differential tests pin this).
+Campaigns fan out over a process pool
+(:func:`repro.experiments.pool.map_tasks`) by *independent groups*: two
+PANs share a group when they share a channel and some device of one (a
+node or its attacker) is within the medium's range cutoff of some
+device of the other.  Channels are 5 MHz apart, outside the medium's
+4 MHz delivery acceptance, and beyond the cutoff nothing is delivered,
+mixed into a capture or sensed by CCA, so no transmission of one group
+reaches a radio of another.  Per-device streams are keyed by name and
+each group keeps the relative order of its own transmissions and
+events, so the split is exact: per-node results are identical to the
+serial run (the differential tests pin this).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.attacks.energy_depletion import FleetDepletionAttack
 from repro.chips import Nrf52832
 from repro.core.firmware import WazaBeeFirmware
 from repro.dot15d4.frames import Address
-from repro.experiments.pool import map_tasks
+from repro.experiments.pool import default_workers, map_tasks
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import named_profile
 from repro.obs import FLEET_SAMPLE, scoped
@@ -46,6 +52,7 @@ from repro.zigbee.network import RouterNode, SensorNode
 __all__ = [
     "FleetNodeReport",
     "FleetCampaignResult",
+    "independent_groups",
     "run_fleet_campaign",
     "format_fleet_report",
 ]
@@ -54,7 +61,13 @@ __all__ = [
 #: address passes destination filtering; this one is never allocated).
 SPOOFED_SOURCE_ADDRESS = 0x0FFF
 
-MEDIUM_KINDS = ("sharded", "dense", "dense-unbounded")
+#: Each medium kind's range cutoff (``None``: unbounded).
+MEDIUM_CUTOFFS_M: Dict[str, Optional[float]] = {
+    "sharded": FLEET_RANGE_CUTOFF_M,
+    "dense": FLEET_RANGE_CUTOFF_M,
+    "dense-unbounded": None,
+}
+MEDIUM_KINDS = tuple(MEDIUM_CUTOFFS_M)
 
 
 @dataclass
@@ -159,18 +172,102 @@ class FleetCampaignResult:
 def _make_medium(
     spec: FleetSpec, scheduler: Scheduler, medium_kind: str
 ) -> RfMedium:
-    kwargs = dict(sample_rate=FLEET_SAMPLE_RATE, seed=spec.seed + 1)
-    if medium_kind == "sharded":
-        return ShardedRfMedium(
-            scheduler, range_cutoff_m=FLEET_RANGE_CUTOFF_M, **kwargs
-        )
-    if medium_kind == "dense":
-        return RfMedium(scheduler, range_cutoff_m=FLEET_RANGE_CUTOFF_M, **kwargs)
-    if medium_kind == "dense-unbounded":
-        return RfMedium(scheduler, **kwargs)
-    raise ValueError(
-        f"unknown medium kind {medium_kind!r}; choose from {MEDIUM_KINDS}"
+    medium_class = ShardedRfMedium if medium_kind == "sharded" else RfMedium
+    return medium_class(
+        scheduler,
+        sample_rate=FLEET_SAMPLE_RATE,
+        seed=spec.seed + 1,
+        range_cutoff_m=MEDIUM_CUTOFFS_M[medium_kind],
     )
+
+
+def _attacker_position(pan: PanSpec) -> Tuple[float, float]:
+    return (pan.center[0] + 2.0, pan.center[1] + 1.0)
+
+
+#: Margin (m) by which two PANs' bounding boxes must clear the range
+#: cutoff before :func:`independent_groups` skips their device pairs.
+_GAP_SLACK_M = 1e-6
+
+
+def _bounding_box(points) -> Tuple[float, float, float, float]:
+    xs, ys = zip(*points)
+    return min(xs), min(ys), max(xs), max(ys)
+
+
+def _box_gap(a, b) -> float:
+    """The distance between two boxes, a lower bound on the distance
+    between any point of one and any point of the other."""
+    dx = max(0.0, b[0] - a[2], a[0] - b[2])
+    dy = max(0.0, b[1] - a[3], a[1] - b[3])
+    return math.hypot(dx, dy)
+
+
+def independent_groups(
+    spec: FleetSpec, range_cutoff_m: Optional[float]
+) -> List[List[int]]:
+    """The PANs of *spec* (by index) split into independent groups.
+
+    Two PANs are joined when they share a channel and some pair of their
+    devices (nodes and attacker posts) is within *range_cutoff_m*, the
+    medium's own ``<=`` test; ``None`` joins every pair on one channel.
+    Returns the connected components, each in spec order, ordered by
+    their first PAN.
+    """
+    pans = spec.pans
+    devices = [
+        [ns.position for ns in pan.nodes] + [_attacker_position(pan)]
+        for pan in pans
+    ]
+    boxes = [_bounding_box(points) for points in devices]
+    parent = list(range(len(pans)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    def joined(i: int, j: int) -> bool:
+        if range_cutoff_m is None:
+            return True
+        # No pair can be in range when the boxes are farther apart; the
+        # slack keeps this skip clear of rounding.
+        if _box_gap(boxes[i], boxes[j]) > range_cutoff_m + _GAP_SLACK_M:
+            return False
+        return any(
+            math.dist(a, b) <= range_cutoff_m
+            for a in devices[i]
+            for b in devices[j]
+        )
+
+    for j in range(len(pans)):
+        for i in range(j):
+            if pans[i].channel != pans[j].channel or root(i) == root(j):
+                continue
+            if joined(i, j):
+                parent[root(j)] = root(i)
+    groups: Dict[int, List[int]] = {}
+    for i in range(len(pans)):
+        groups.setdefault(root(i), []).append(i)
+    return list(groups.values())
+
+
+def _pack(
+    spec: FleetSpec, groups: List[List[int]], bins: int
+) -> List[FleetSpec]:
+    """Deal *groups*, in order, into at most *bins* sub-fleets, each
+    group to the bin with the fewest nodes so far (the first on a tie);
+    every bin keeps its PANs in spec order."""
+    members: List[List[int]] = [[] for _ in range(min(bins, len(groups)))]
+    loads = [0] * len(members)
+    for group in groups:
+        k = loads.index(min(loads))
+        members[k].extend(group)
+        loads[k] += sum(len(spec.pans[i].nodes) for i in group)
+    return [
+        FleetSpec(spec.seed, tuple(spec.pans[i] for i in sorted(indices)))
+        for indices in members
+    ]
 
 
 def _run_group(
@@ -206,7 +303,7 @@ def _run_group(
                 chip = Nrf52832(
                     medium,
                     name=f"attacker-{pan.pan_id:#06x}",
-                    position=(pan.center[0] + 2.0, pan.center[1] + 1.0),
+                    position=_attacker_position(pan),
                 )
                 firmware = WazaBeeFirmware(chip, scheduler)
                 targets = [
@@ -227,7 +324,7 @@ def _run_group(
                 )
 
         # Per-PAN sampling keeps the fleet curves exactly mergeable: the
-        # serial whole-fleet run and the per-channel worker runs combine
+        # serial whole-fleet run and the per-group worker runs combine
         # the same per-PAN partial sums in the same (pan_id) order.
         times: List[float] = []
         pan_alive: Dict[int, List[int]] = {p.pan_id: [] for p in spec.pans}
@@ -329,25 +426,38 @@ def run_fleet_campaign(
     attack: bool = True,
     flood_rate_hz: float = 200.0,
     medium_kind: str = "sharded",
-    workers: int = 1,
+    workers: Optional[int] = None,
     sample_interval_s: float = 0.5,
     chaos: Optional[str] = None,
 ) -> FleetCampaignResult:
     """Run the depletion campaign over *spec* and merge the results.
 
-    ``workers > 1`` requires ``chaos=None``: scripted fault bursts draw
-    from one global plan stream, which cannot be split across processes
-    without diverging from the serial run.
+    The PANs' :func:`independent_groups` are packed into at most
+    *workers* node-balanced sub-fleets, one process each.  ``None``
+    means :func:`~repro.experiments.pool.default_workers` of the group
+    count, except that a ``chaos`` run or a zero-length one runs in this
+    process.  ``workers > 1`` requires ``chaos=None``: scripted fault
+    bursts draw from one global plan stream, which cannot be split across
+    processes without diverging from the serial run.
     """
     if medium_kind not in MEDIUM_KINDS:
         raise ValueError(
             f"unknown medium kind {medium_kind!r}; choose from {MEDIUM_KINDS}"
         )
-    if chaos is not None and workers > 1:
+    if chaos is not None and workers is not None and workers > 1:
         raise ValueError(
             "chaos profiles require workers=1 (burst draws come from one "
             "global plan stream and would diverge across processes)"
         )
+    if workers is None and (chaos is not None or duration_s == 0):
+        workers = 1
+    if workers == 1:
+        specs = [spec]
+    else:
+        groups = independent_groups(spec, MEDIUM_CUTOFFS_M[medium_kind])
+        if workers is None:
+            workers = default_workers(len(groups))
+        specs = _pack(spec, groups, workers)
     common = dict(
         duration_s=duration_s,
         attack=attack,
@@ -356,20 +466,13 @@ def run_fleet_campaign(
         chaos=chaos,
         medium_kind=medium_kind,
     )
-    if workers == 1:
-        groups = [dict(spec=spec, **common)]
-    else:
-        # One group per channel: spectrally disjoint, hence physically
-        # independent, hence exactly mergeable.
-        by_channel: Dict[int, List[PanSpec]] = {}
-        for pan in spec.pans:
-            by_channel.setdefault(pan.channel, []).append(pan)
-        groups = [
-            dict(spec=FleetSpec(spec.seed, tuple(pans)), **common)
-            for _channel, pans in sorted(by_channel.items())
-        ]
-    outcomes = map_tasks(_run_group, groups, workers, warm_rate=FLEET_SAMPLE_RATE)
-    return _merge_outcomes(spec, outcomes, workers=workers, **common)
+    outcomes = map_tasks(
+        _run_group,
+        [dict(spec=sub, **common) for sub in specs],
+        workers,
+        warm_rate=FLEET_SAMPLE_RATE,
+    )
+    return _merge_outcomes(spec, outcomes, workers=len(specs), **common)
 
 
 def _merge_outcomes(

@@ -16,7 +16,6 @@ Zigbee channels 16–18 and 21–23.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from zlib import crc32
@@ -33,7 +32,7 @@ from repro.experiments.environment import (
     build_bench,
     counter_frame,
 )
-from repro.experiments.pool import map_tasks
+from repro.experiments.pool import default_workers, map_tasks
 from repro.faults import named_profile
 from repro.obs import TraceRecorder, scoped
 
@@ -321,7 +320,8 @@ def run_table3_wideband(
     tests use.  Seeding is per (chip, primitive): ``seed ^
     crc32(chip/primitive/wideband)`` with one spawned stream per
     channel, drawn in chunks of :data:`CHUNK_SLOTS` slots; ``workers``
-    (default: up to 2 processes) distributes whole (chip, primitive)
+    (default: :func:`~repro.experiments.pool.default_workers`)
+    distributes whole (chip, primitive)
     pairs and never changes results — each pair is seeded and decoded
     independently, exactly as in the ``workers=1`` loop.
     """
@@ -344,7 +344,7 @@ def run_table3_wideband(
         for primitive in PRIMITIVES
     ]
     if workers is None:
-        workers = max(1, min(2, os.cpu_count() or 1, len(tasks)))
+        workers = default_workers(len(tasks))
     result = Table3Result(frames_per_cell=frames)
     outcomes = map_tasks(_run_wideband_pair, tasks, workers)
     for task, cells in zip(tasks, outcomes):

@@ -187,6 +187,7 @@ class SubscriberSession:
 
     def _writer_loop(self) -> None:
         reason = "closed"
+        sink_failed = False
         try:
             while True:
                 with self._lock:
@@ -223,12 +224,16 @@ class SubscriberSession:
                 self.last_progress = _time.monotonic()
         except (OSError, socket.timeout) as exc:
             reason = f"socket-error:{type(exc).__name__}"
+            sink_failed = True
         except Exception as exc:  # pragma: no cover - defensive
             reason = f"writer-crash:{type(exc).__name__}"
         finally:
-            self._finish(reason)
+            self._finish(reason, sink_failed)
 
-    def _finish(self, reason: str) -> None:
+    def _finish(self, reason: str, sink_failed: bool = False) -> None:
+        """Close with *reason*.  A jsonl stream ends with a ``bye`` record
+        unless its sink just failed: a write to a socket that timed out
+        would wait out a second timeout only to fail again."""
         with self._lock:
             if self._finished:
                 return
@@ -244,7 +249,7 @@ class SubscriberSession:
         for record in self.ring.drain():
             if record.get("type") == "frame":
                 self.frames_dropped += 1
-        if self.fmt == "jsonl":
+        if self.fmt == "jsonl" and not sink_failed:
             try:
                 self.sink.write(
                     self._encode(

@@ -1,5 +1,6 @@
 """Subscriber sessions: the three backpressure policies and the ledger."""
 
+import socket
 import threading
 import time
 
@@ -138,6 +139,24 @@ class TestFailures:
         assert session.closed
         assert session.close_reason.startswith("socket-error:")
         assert _ledger_reconciles(session)
+
+    def test_timed_out_sink_is_not_written_a_bye(self):
+        class TimingOutSink(CollectingSink):
+            """Every write times out, as a send to a full socket does."""
+
+            def write(self, data):
+                self.writes += 1
+                raise socket.timeout("timed out")
+
+        sink = TimingOutSink()
+        finished = threading.Event()
+        session = _session(sink, on_closed=lambda s, r: finished.set())
+        session.offer(_frame(0))
+        assert finished.wait(5.0)
+        assert session.close_reason == "socket-error:TimeoutError"
+        # The frame's write timed out; no bye record followed it.
+        assert sink.writes == 1
+        assert session.ledger()["dropped"] == 1
 
     def test_close_lands_queued_frames_on_the_drop_ledger(self):
         stall = threading.Event()

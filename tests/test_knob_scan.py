@@ -6,7 +6,8 @@ calls set some knobs by keyword, by position, through a literal ``**``
 dict and by pass-through, and leave the others alone; a library plus a
 user of it that names some of its defs directly, by attribute or by
 string, and the others only in ``__all__``, an import or their own body;
-and a module that uses some of its imports and not others.
+a module that uses some of its imports and not others; and a tree with a
+module that does not parse.
 """
 
 import importlib.util
@@ -187,6 +188,27 @@ def test_unused_imports_are_reported(tmp_path):
     assert unused == ["imports: List", "imports: renamed"]
     report = knob_scan.format_imports_report(unused).splitlines()
     assert report == ["unused imports (2)", "    imports: List", "    imports: renamed"]
+
+
+def test_a_module_that_does_not_parse_fails_the_scan(
+    tmp_path, monkeypatch, capsys
+):
+    knob_scan = _load()
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "clean.py").write_text("X = 1\n")
+    broken = tmp_path / "src" / "broken.py"
+    broken.write_text("def frame_record(extra_knob: int = 3, seq):\n    pass\n")
+    assert knob_scan.unparsable([tmp_path / "src" / "clean.py", broken]) == [
+        broken
+    ]
+    # Without the broken module every report of this tree is clean.
+    monkeypatch.setattr(knob_scan, "ROOT", tmp_path)
+    monkeypatch.setattr(knob_scan, "KEPT", {})
+    monkeypatch.setattr(knob_scan, "KEPT_KNOBS", {})
+    assert knob_scan.main() == 1
+    assert capsys.readouterr().err == "knob_scan: cannot parse src/broken.py\n"
+    broken.unlink()
+    assert knob_scan.main() == 0
 
 
 def test_scan_runs_on_the_repository(capsys):

@@ -11,8 +11,8 @@ things a broken fleet stack cannot fake:
 * the trace file carries ``fleet.sample`` JSONL records for every
   sampling instant, battery fraction monotonically non-increasing.
 
-``--chaos PROFILE`` runs the same campaign under a named fault profile
-(serially, as ``--chaos`` requires): ``harsh`` adds capture truncation,
+``--chaos PROFILE`` runs the same campaign under a named fault profile,
+fanned out like the clean one: ``harsh`` adds capture truncation,
 delivery duplication, collision bursts and dropouts, so zeroed capture
 stretches and fault-transformed stack rows go through the real CLI.
 
@@ -40,7 +40,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--chaos", metavar="PROFILE")
     args = parser.parse_args()
-    chaos = ["--chaos", args.chaos, "--workers", "1"] if args.chaos else []
+    chaos = ["--chaos", args.chaos] if args.chaos else []
     workdir = tempfile.mkdtemp(prefix="wazabee-fleet-")
     trace_path = os.path.join(workdir, "fleet_trace.jsonl")
     env = dict(os.environ)

@@ -150,8 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="fan independent PAN groups (no device within range of "
         "another group's on its channel) out over N processes; default: "
-        "min(2, usable CPUs, groups), 1 under --chaos (results identical "
-        "to the serial run)",
+        "min(2, usable CPUs, groups) (results identical to the serial "
+        "run)",
     )
     fleet.add_argument(
         "--sample-interval", type=float, default=0.5, metavar="S",
@@ -176,8 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--chaos",
         choices=profile_names(),
         default=None,
-        help="run under a named fault-injection profile (requires "
-        "--workers 1)",
+        help="run under a named fault-injection profile",
     )
     _add_obs_args(fleet)
 
@@ -496,9 +495,6 @@ def _cmd_fleet(args) -> int:
     from repro.experiments.fleet import format_fleet_report, run_fleet_campaign
     from repro.zigbee.fleet import make_fleet
 
-    if args.chaos is not None and (args.workers or 1) > 1:
-        print("--chaos requires --workers 1", file=sys.stderr)
-        return 2
     spec = make_fleet(
         num_nodes=args.nodes,
         num_pans=args.pans,

@@ -15,13 +15,22 @@ assessment sees them and can defer.
 
 Determinism contract (mirrors the medium's): scripted bursts draw from the
 single ``default_rng(plan.seed)`` — they are scheduled once, at install, in
-plan order.  Everything evaluated *per delivery or capture* (duplication
-counters, truncation/sample-drop cadence, gap positions) is keyed by the
-receiving radio's name, so each receiver sees the same fault sequence
-regardless of how deliveries to *other* receivers interleave with its own.
-A run under a given (seed, plan, per-receiver delivery sequence) is
-therefore bit-identical whether the fleet is simulated densely, sharded,
-or with a different set of bystander nodes attached.
+plan order, and emitted from one post, :attr:`FaultInjector.jammer_position`.
+Everything evaluated *per delivery or capture* (duplication counters,
+truncation/sample-drop cadence, gap positions) is keyed by the receiving
+radio's name, and dropout windows and CFO steps by time, so each receiver
+sees the same fault sequence regardless of how deliveries to *other*
+receivers interleave with its own.  A run under a given (seed, plan,
+per-receiver delivery sequence) is therefore bit-identical whether the
+fleet is simulated densely, sharded, or with a different set of bystander
+nodes attached.
+
+A fleet split into independent sub-fleets installs one plan in each.
+Burst ownership keeps the one burst stream whole: the sub-fleet that holds
+every PAN the jammer post reaches (or the first, when it reaches none)
+installs the plan as it is, and every other installs it without bursts.
+The owner then draws and emits each burst exactly as the whole fleet does,
+and no burst is counted twice.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ A :class:`FaultPlan` is pure data — frozen dataclasses, no radio state — so
 it can be logged, compared, and replayed.  Determinism contract: the same
 plan (including its ``seed``) applied to the same simulation produces
 bit-identical results, because every stochastic choice the injector makes
-is drawn from ``numpy.random.default_rng(plan.seed)`` in event order.
+is drawn from a stream seeded by ``plan.seed`` (the burst stream, or one
+per receiver; :mod:`repro.faults.injector` states the contract).
 
 Count-based faults (``every_nth``) index deterministic per-kind counters
 kept by the injector; time-based faults (windows, bursts, CFO steps) are

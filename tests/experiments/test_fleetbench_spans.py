@@ -6,6 +6,8 @@ its owner's ``__dict__``: an entry point that moved to another class, or
 went away, makes ``--trace 1`` raise.  This test loads that file
 read-only, runs a small traced campaign inside ``LayerTracer.installed()``
 and checks that every wrapped attribute was patched, timed and restored.
+The campaign runs in this process (``workers=1``): the spans time only
+the process they are installed in.
 """
 
 import importlib.util
@@ -39,7 +41,7 @@ def test_traced_campaign_installs_and_restores_every_span():
     with tracer.installed():
         for (owner, attr), original in zip(targets, originals):
             assert owner.__dict__[attr] is not original, (owner, attr)
-        result = workload.run(workload.spec(1))
+        result = workload.run(workload.spec(1), workers=1)
 
     for (owner, attr), original in zip(targets, originals):
         assert owner.__dict__[attr] is original, (owner, attr)

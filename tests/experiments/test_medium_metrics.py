@@ -37,10 +37,11 @@ def test_small_campaign_exports_pool_and_scan_totals(monkeypatch):
         num_nodes=12, num_pans=2, seed=1, channel_reuse=True,
         report_interval_s=0.1,
     )
-    # harsh duplicates deliveries, so the one-row path acquires too.
+    # harsh duplicates deliveries, so the one-row path acquires too.  One
+    # process, so the one medium recorded here is the whole campaign's.
     result = run_fleet_campaign(
         spec, duration_s=0.2, attack=False, sample_interval_s=0.1,
-        chaos="harsh",
+        chaos="harsh", workers=1,
     )
     assert result.ledger["medium.deliveries.duplicated"] > 0
     (medium,) = media

@@ -113,10 +113,6 @@ class TestCampaign:
         assert sharded.battery_curve == dense.battery_curve
         assert sharded.ledger == dense.ledger
 
-    def test_chaos_with_workers_rejected(self, spec):
-        with pytest.raises(ValueError):
-            run_fleet_campaign(spec, duration_s=0.5, workers=2, chaos="dropout")
-
     def test_attack_drains_more_battery(self, spec):
         quiet = run_fleet_campaign(spec, duration_s=1.5, attack=False)
         loud = run_fleet_campaign(

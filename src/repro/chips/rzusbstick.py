@@ -17,7 +17,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.dot15d4.channels import channel_frequency_hz
+from repro.dot15d4.channels import CHANNEL_BANDWIDTH_HZ, channel_frequency_hz
 from repro.dot15d4.frames import MacFrame
 from repro.dsp.oqpsk import oqpsk_modems
 from repro.dsp.signal import IQSignal
@@ -66,7 +66,7 @@ class Dot15d4Radio:
             medium,
             name=name,
             position=position,
-            bandwidth_hz=2e6,
+            bandwidth_hz=CHANNEL_BANDWIDTH_HZ,
             cfo_std_hz=CFO_STD_HZ,
             rng=rng,
             tuned_hz=channel_frequency_hz(channel),

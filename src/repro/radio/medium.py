@@ -390,8 +390,16 @@ class RfMedium:
         )
 
     def _in_band(self, radio: "Transceiver", center_frequency: float) -> bool:
-        limit = radio.bandwidth_hz / 2.0 + self.DELIVERY_MARGIN_HZ
-        return abs(radio.tuned_hz - center_frequency) <= limit
+        return self.in_band(radio.tuned_hz, radio.bandwidth_hz, center_frequency)
+
+    @classmethod
+    def in_band(
+        cls, tuned_hz: float, bandwidth_hz: float, center_frequency: float
+    ) -> bool:
+        """Whether a radio tuned to *tuned_hz* with *bandwidth_hz* hears a
+        transmission centred at *center_frequency*."""
+        limit = bandwidth_hz / 2.0 + cls.DELIVERY_MARGIN_HZ
+        return abs(tuned_hz - center_frequency) <= limit
 
     def _within_range(self, tx: Transmission, radio: "Transceiver") -> bool:
         if self.range_cutoff_m is None:

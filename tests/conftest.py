@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from repro.experiments import pool
 from repro.radio.medium import RfMedium
 from repro.radio.scheduler import Scheduler
 
@@ -18,6 +19,21 @@ settings.register_profile(
 )
 if os.environ.get("HYPOTHESIS_PROFILE"):
     settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
+
+
+@pytest.fixture(autouse=True)
+def _no_patched_pool_worker(request):
+    """Shut down a worker pool made during a test that patches.
+
+    A pool worker is forked from this process and keeps every patch that
+    was active when it was forked, for the rest of the session; a pool
+    made before a test never sees that test's patches (such tests run
+    their campaigns with ``workers=1``).
+    """
+    before = pool._executor
+    yield
+    if "monkeypatch" in request.fixturenames and pool._executor is not before:
+        pool._shutdown()
 
 
 @pytest.fixture()

@@ -432,7 +432,10 @@ WORKLOADS = generate.fleetbench_workloads()
 def test_benchmark_campaign_equals_per_delivery(name, seed, monkeypatch):
     workload = WORKLOADS.WORKLOADS[name]
     spec = workload.spec(seed)
-    together, alone, _ = _both(lambda: workload.run(spec), monkeypatch)
+    # One process: the oracle's patches reach every group.
+    together, alone, _ = _both(
+        lambda: workload.run(spec, workers=1), monkeypatch
+    )
     assert WORKLOADS.fingerprint(together) == WORKLOADS.fingerprint(alone)
 
 
@@ -449,7 +452,8 @@ def test_campaign_trace_equals_per_delivery(name, monkeypatch):
         bus = TraceBus()
         recorder = TraceRecorder(bus)
         monkeypatch.setattr(fleet_experiment, "scoped", lambda: real_scoped(bus))
-        result = workload.run(spec)
+        # One process, so every group's events reach this recorder.
+        result = workload.run(spec, workers=1)
         return WORKLOADS.fingerprint(result), _events(recorder)
 
     together, alone, _ = _both(campaign, monkeypatch)

@@ -171,11 +171,6 @@ class BleRadioPeripheral:
             modem = self._modems[key] = ble_demodulator(self.phy_mode, key[1])
         return modem
 
-    def warm_tx_path(self) -> None:
-        """Prebuild the modulator and its waveform cache for the current
-        data rate, so the first transmission pays no setup cost."""
-        self._modulator().warm()
-
     # -- raw TX ------------------------------------------------------------
     def send_raw_bits(self, payload_bits: np.ndarray) -> Transmission:
         if not self.capabilities.raw_radio_access:

@@ -60,11 +60,6 @@ class WazaBeeTransmitter:
             # transmit() via pre-inversion.
             pass
         self._configured_channel = zigbee_channel
-        # Pay waveform-cache construction at configure time, not inside the
-        # first transmit (radios without the hook just skip the warm-up).
-        warm = getattr(self.radio, "warm_tx_path", None)
-        if callable(warm):
-            warm()
 
     def transmit(self, frame: MacFrame) -> np.ndarray:
         """Send a MAC frame; returns the payload bits given to the radio."""

@@ -6,8 +6,9 @@
   underlying MSK signal (±π/2 at modulation index 0.5).
 * :func:`half_sine_pulse` — the O-QPSK chip shape mandated by IEEE 802.15.4
   (§12.2.6 of the 2015 revision).
-* :func:`fir_lowpass` — channel-selection filtering for receivers, built on
-  :func:`scipy.signal.firwin` and designed once per configuration.
+* :func:`fir_lowpass` — channel-selection filtering for receivers: the
+  Hamming-windowed sinc of :func:`scipy.signal.firwin`, bit for bit,
+  designed once per configuration.
 * :func:`apply_filter` — that FIR applied along the last axis of one
   capture or a ``(K, N)`` stack of them, as one spectral product with the
   zero-phase weights of :func:`fir_spectral_weights`.
@@ -20,7 +21,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy import fft as sp_fft
-from scipy import signal as sp_signal
 
 __all__ = [
     "gaussian_pulse",
@@ -114,7 +114,15 @@ def fir_lowpass(
 
 @functools.lru_cache(maxsize=32)
 def _fir_lowpass(cutoff_hz: float, sample_rate: float, num_taps: int) -> np.ndarray:
-    taps = sp_signal.firwin(num_taps, cutoff_hz, fs=sample_rate)
+    # ``scipy.signal.firwin(num_taps, cutoff_hz, fs=sample_rate)``, operation
+    # for operation (tests/dsp/test_filters.py holds it to the bit): the
+    # sinc at the Nyquist-relative cutoff, a Hamming window whose second
+    # weight is ``1.0 - 0.54`` (not the literal 0.46), and unit DC gain.
+    cutoff = cutoff_hz / (0.5 * sample_rate)
+    m = np.arange(0, num_taps, dtype=np.float64) - 0.5 * (num_taps - 1)
+    taps = cutoff * np.sinc(cutoff * m)
+    taps *= 0.54 + (1.0 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, num_taps))
+    taps /= np.sum(taps)
     taps.setflags(write=False)  # shared by every caller
     return taps
 

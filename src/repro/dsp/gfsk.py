@@ -353,11 +353,11 @@ class FskModulator:
         return self.modulate_direct(bits)
 
     def warm(self) -> WaveformCache:
-        """Build (or attach) the waveform cache ahead of the first frame.
+        """Attach this modem's process-wide waveform cache and return it.
 
-        Called by radio configuration paths so cache construction cost is
-        paid at setup time, not inside the first transmission.  Returns the
-        attached cache.
+        :meth:`modulate` calls it on every frame: the first call in a
+        process builds the cache (or finds the one another modulator with
+        the same configuration built), later ones return the attached one.
         """
         if self._cache is None:
             self._cache = waveform_cache(self.config, self.symbol_rate)

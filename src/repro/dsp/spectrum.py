@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from repro.dsp.signal import IQSignal
 
@@ -20,10 +19,14 @@ def power_spectral_density(
     Returns ``(frequencies_hz, psd)`` with frequencies expressed at RF
     (centre frequency added back) and sorted ascending.
     """
+    # Imported here: ``scipy.signal`` would add ~0.6 s to every
+    # ``import repro``, and only the figures estimate a PSD.
+    from scipy.signal import welch
+
     if len(sig) < 8:
         raise ValueError("capture too short for PSD estimation")
     nperseg = min(nperseg, len(sig))
-    freqs, psd = sp_signal.welch(
+    freqs, psd = welch(
         sig.samples,
         fs=sig.sample_rate,
         nperseg=nperseg,

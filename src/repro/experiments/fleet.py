@@ -320,9 +320,9 @@ def _run_group(
 ) -> Dict:
     """Simulate one (sub-)fleet start to finish in an isolated obs scope.
 
-    Returns a picklable dict: per-node report dicts, per-PAN sample
-    series, the flood frame count, and the scoped delivery-ledger
-    counters.
+    Returns a picklable dict: the per-node reports (with their battery
+    curves), the sample times, the flood frame count, and the scoped
+    delivery-ledger counters.
     """
     with scoped() as (_bus, registry):
         scheduler = Scheduler()
@@ -356,37 +356,19 @@ def _run_group(
                     )
                 )
 
-        # Per-PAN sampling keeps the fleet curves exactly mergeable: the
-        # serial whole-fleet run and the per-group worker runs combine
-        # the same per-PAN partial sums in the same (pan_id) order.
         times: List[float] = []
-        pan_alive: Dict[int, List[int]] = {p.pan_id: [] for p in spec.pans}
-        pan_battery: Dict[int, List[float]] = {
-            p.pan_id: [] for p in spec.pans
-        }
-        curves: Dict[str, List[float]] = {}
         battery_nodes = [
-            (pan.pan_id, fleet.nodes[ns.name])
+            fleet.nodes[ns.name]
             for pan in spec.pans
             for ns in pan.nodes
             if ns.battery_j is not None
         ]
-        for _pan_id, node in battery_nodes:
-            curves[node.name] = []
+        curves: Dict[str, List[float]] = {n.name: [] for n in battery_nodes}
 
         def sample() -> None:
             times.append(scheduler.now)
-            alive: Dict[int, int] = {p.pan_id: 0 for p in spec.pans}
-            battery: Dict[int, float] = {p.pan_id: 0.0 for p in spec.pans}
-            for pan_id, node in battery_nodes:
-                fraction = node.battery.fraction_remaining
-                curves[node.name].append(fraction)
-                battery[pan_id] += fraction
-                if not node.battery.depleted:
-                    alive[pan_id] += 1
-            for pan in spec.pans:
-                pan_alive[pan.pan_id].append(alive[pan.pan_id])
-                pan_battery[pan.pan_id].append(battery[pan.pan_id])
+            for node in battery_nodes:
+                curves[node.name].append(node.battery.fraction_remaining)
             if scheduler.now + sample_interval_s <= duration_s + 1e-9:
                 scheduler.schedule(sample_interval_s, sample)
 
@@ -405,7 +387,7 @@ def _run_group(
         scheduler.run_until(duration_s + 1.0)
 
         reports = [
-            _node_report(fleet, pan, ns, curves).to_dict()
+            _node_report(fleet, ns, curves)
             for pan in spec.pans
             for ns in pan.nodes
         ]
@@ -418,14 +400,12 @@ def _run_group(
     return {
         "reports": reports,
         "times": times,
-        "pan_alive": pan_alive,
-        "pan_battery": pan_battery,
         "flood_frames": sum(c.frames_sent for c in attacks),
         "ledger": ledger,
     }
 
 
-def _node_report(fleet: Fleet, pan: PanSpec, ns, curves) -> FleetNodeReport:
+def _node_report(fleet: Fleet, ns, curves) -> FleetNodeReport:
     node = fleet.nodes[ns.name]
     stats = node.mac.stats
     forwarded = 0
@@ -448,7 +428,7 @@ def _node_report(fleet: Fleet, pan: PanSpec, ns, curves) -> FleetNodeReport:
         retries=stats.retries,
         csma_backoffs=stats.csma_backoffs,
         channel_access_failures=stats.channel_access_failures,
-        battery_curve=list(curves.get(ns.name, [])),
+        battery_curve=curves.get(ns.name, []),
         depleted_at=node.depleted_at,
     )
 
@@ -466,8 +446,8 @@ def run_fleet_campaign(
     """Run the depletion campaign over *spec* and merge the results.
 
     The PANs' :func:`independent_groups` are packed into at most
-    *workers* node-balanced sub-fleets, one process each (the first is
-    the calling one).  ``None`` means
+    *workers* node-balanced sub-fleets; more than one run in the reused
+    worker pool, one process each, while this process waits.  ``None`` means
     :func:`~repro.experiments.pool.default_workers` of the group count,
     except that a zero-length run stays in this process.
 
@@ -519,7 +499,6 @@ def run_fleet_campaign(
         _run_group,
         [dict(spec=sub, fault_plan=sub_plan, **common) for sub, sub_plan in parts],
         workers,
-        warm_rate=FLEET_SAMPLE_RATE,
     )
     return _merge_outcomes(spec, outcomes, workers=len(parts), **common)
 
@@ -543,38 +522,37 @@ def _merge_outcomes(
         workers=workers,
     )
     reports: Dict[str, FleetNodeReport] = {}
-    pan_alive: Dict[int, List[int]] = {}
-    pan_battery: Dict[int, List[float]] = {}
     for outcome in outcomes:
         result.flood_frames += outcome["flood_frames"]
         if not result.sample_times:
             result.sample_times = list(outcome["times"])
-        for body in outcome["reports"]:
-            reports[body["name"]] = FleetNodeReport(**body)
-        pan_alive.update(
-            {int(k): v for k, v in outcome["pan_alive"].items()}
-        )
-        pan_battery.update(
-            {int(k): v for k, v in outcome["pan_battery"].items()}
-        )
+        reports.update((r.name, r) for r in outcome["reports"])
         for name, value in outcome["ledger"].items():
             result.ledger[name] = result.ledger.get(name, 0) + value
     # Fleet order is spec order, regardless of which group ran each node.
     result.reports = [
         reports[ns.name] for pan in spec.pans for ns in pan.nodes
     ]
-    num_samples = len(result.sample_times)
+    pan_curves = [
+        [
+            reports[ns.name].battery_curve
+            for ns in pan.nodes
+            if ns.battery_j is not None
+        ]
+        for pan in spec.pans
+    ]
     battery_total = result.battery_powered
-    for i in range(num_samples):
-        alive = sum(
-            pan_alive[pan.pan_id][i]
-            for pan in spec.pans
-            if pan.pan_id in pan_alive
-        )
-        battery = 0.0
-        for pan in spec.pans:  # fixed pan order => reproducible float sum
-            if pan.pan_id in pan_battery:
-                battery += pan_battery[pan.pan_id][i]
+    for i in range(len(result.sample_times)):
+        # Per-PAN partial sums added in spec order: the float sum does not
+        # depend on how the PANs were split (an explicit loop, since
+        # ``sum`` may compensate).  A depleted battery reads exactly 0.0.
+        alive, battery = 0, 0.0
+        for curves in pan_curves:
+            partial = 0.0
+            for curve in curves:
+                partial += curve[i]
+                alive += curve[i] > 0.0
+            battery += partial
         result.alive_curve.append(alive)
         result.battery_curve.append(
             battery / battery_total if battery_total else 1.0

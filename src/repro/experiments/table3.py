@@ -27,11 +27,7 @@ from repro.chips.cc1352 import CC1352R1_CAPABILITIES
 from repro.chips.nrf52832 import NRF52832_CAPABILITIES
 from repro.chips.rzusbstick import CFO_STD_HZ as REFERENCE_CFO_STD_HZ
 from repro.dot15d4.channels import ZIGBEE_CHANNELS
-from repro.experiments.environment import (
-    SAMPLE_RATE,
-    build_bench,
-    counter_frame,
-)
+from repro.experiments.environment import build_bench, counter_frame
 from repro.experiments.pool import default_workers, map_tasks
 from repro.faults import named_profile
 from repro.obs import TraceRecorder, scoped
@@ -253,7 +249,7 @@ def run_table3(
         )
         for chip, primitive, channel in grid
     ]
-    cells = map_tasks(run_table3_cell, cell_kwargs, workers, warm_rate=SAMPLE_RATE)
+    cells = map_tasks(run_table3_cell, cell_kwargs, workers)
     for (chip, primitive, _channel), cell in zip(grid, cells):
         result.cells.setdefault((chip, primitive), {})[cell.channel] = cell
     return result

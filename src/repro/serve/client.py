@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import socket
+import time
 from typing import Any, Dict, Iterator, Optional
 
 from repro.serve.codec import decode_jsonl
@@ -97,14 +98,25 @@ class SnifferClient:
                 return
 
     def frames(self, limit: int) -> Iterator[Dict[str, Any]]:
-        """Yield only frame records, up to *limit*."""
+        """Yield only frame records, up to *limit*.
+
+        Stops early at ``bye`` or EOF, and once no frame has arrived for
+        the client's timeout: heartbeats keep an idle stream open, so a
+        subscriber that attached after the last frame would otherwise
+        wait forever.
+        """
         count = 0
+        timeout_s = self._sock.gettimeout()
+        deadline = time.monotonic() + timeout_s
         for record in self.records():
             if record.get("type") == "frame":
+                deadline = time.monotonic() + timeout_s
                 yield record
                 count += 1
                 if count >= limit:
                     return
+            elif time.monotonic() > deadline:
+                return
 
     def close(self) -> None:
         try:

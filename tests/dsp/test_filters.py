@@ -1,5 +1,7 @@
 """Tests for pulse shapes and filters."""
 
+import inspect
+
 import numpy as np
 import pytest
 from scipy import signal as sp_signal
@@ -13,10 +15,17 @@ from repro.dsp.filters import (
     half_sine_pulse,
     rectangular_pulse,
 )
+from repro.chips.wideband import SWEEP_GRID
+from repro.core import similarity
+from repro.dot15d4.channels import CHANNEL_BANDWIDTH_HZ
 from repro.dsp.gfsk import clear_waveform_caches
+from repro.experiments import environment
 from repro.experiments.fleet import run_fleet_campaign
-from repro.radio.transceiver import Transceiver
-from repro.zigbee.fleet import make_fleet
+from repro.ids.monitor import PROBE_BANDWIDTH_HZ
+from repro.phy.channelizer import WidebandGrid
+from repro.radio.medium import RfMedium
+from repro.radio.transceiver import RX_FILTER_TAPS, Transceiver
+from repro.zigbee.fleet import FLEET_SAMPLE_RATE, make_fleet
 from tests.dsp import filter_oracle
 
 
@@ -284,23 +293,67 @@ class TestFirLowpassMemo:
         assert a._filter is b._filter
 
 
-def test_cold_fleet_build_designs_one_filter(monkeypatch):
-    """A 24-node fleet build runs one firwin design, and the cold-start
+def _src_designs():
+    """Every ``(cutoff_hz, sample_rate, num_taps)`` that ``src/`` designs:
+    each receiver bandwidth on each medium rate, the wideband front end
+    on both channel grids, and the similarity metric's receive filters."""
+    default_rate = inspect.signature(RfMedium).parameters["sample_rate"]
+    medium_rates = (
+        default_rate.default,
+        environment.SAMPLE_RATE,
+        FLEET_SAMPLE_RATE,
+    )
+    bandwidths = (2e6, CHANNEL_BANDWIDTH_HZ, PROBE_BANDWIDTH_HZ)
+    grids = (WidebandGrid(), SWEEP_GRID)
+    return sorted(
+        {
+            (bw * 0.65, rate, RX_FILTER_TAPS)
+            for bw in bandwidths
+            for rate in medium_rates
+        }
+        | {(2e6 * 0.65, grid.channel_rate, 49) for grid in grids}
+        | {
+            (0.75 * scheme.symbol_rate, similarity.SAMPLE_RATE, 65)
+            for scheme in similarity.REFERENCE_SCHEMES
+        }
+    )
+
+
+def _grid_designs():
+    """Designs around those: odd lengths, rates and Nyquist fractions."""
+    return [
+        (fraction * rate / 2, rate, taps)
+        for taps in range(3, 131, 2)
+        for rate in (1e6, 2e6, 4e6, 8e6, 16e6, 20e6, 32e6)
+        for fraction in (0.01, 0.1, 0.25, 0.325, 0.375, 0.5, 0.65, 0.75, 0.99)
+    ]
+
+
+class TestFirwinOracle:
+    """The NumPy design equals :func:`scipy.signal.firwin` to the bit; a
+    rounder window formula passes every golden and digest yet not this."""
+
+    @pytest.mark.parametrize("designs", [_src_designs, _grid_designs])
+    def test_equals_firwin(self, designs):
+        differ = [
+            (cutoff, rate, taps)
+            for cutoff, rate, taps in designs()
+            if filters._fir_lowpass(cutoff, rate, taps).tobytes()
+            != sp_signal.firwin(taps, cutoff, fs=rate).tobytes()
+        ]
+        assert differ == []
+
+
+def test_cold_fleet_build_designs_one_filter():
+    """A 24-node fleet build runs one filter design, and the cold-start
     reset makes the next build pay for exactly one again."""
-    calls = []
-    firwin = sp_signal.firwin
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return firwin(*args, **kwargs)
-
-    monkeypatch.setattr(filters.sp_signal, "firwin", counting)
+    designs = filters._fir_lowpass.cache_info
     spec = make_fleet(num_nodes=24, seed=0)
     clear_waveform_caches()
     run_fleet_campaign(spec, duration_s=0.0)
-    assert len(calls) == 1
+    assert designs().misses == 1
     run_fleet_campaign(spec, duration_s=0.0)
-    assert len(calls) == 1
+    assert designs().misses == 1
     clear_waveform_caches()
     run_fleet_campaign(spec, duration_s=0.0)
-    assert len(calls) == 2
+    assert designs().misses == 1

@@ -2,12 +2,14 @@
 
 Two PANs share a group when they share a channel and some pair of their
 devices (nodes, attacker posts and a fault plan's jammer post) is within
-the medium's range cutoff; groups run in separate processes.  These
-tests pin the grouping on hand-built and benchmark-shaped fleets, the
-serial-versus-split equality of whole campaigns under every chaos
-profile, that zero-length runs stay in the calling process, and the
-reused pool's lifetime: a failing group leaves it usable, a killed
-worker is replaced, and no worker outlives the interpreter.
+the medium's range cutoff; groups run in the reused worker pool while
+the caller waits.  These tests pin the grouping on hand-built and
+benchmark-shaped fleets, the serial-versus-split equality of whole
+campaigns under every chaos profile and of the fleet curves of a
+campaign in which nodes die, that zero-length runs stay in the calling
+process, and the reused pool's lifetime: Table III sweeps and campaigns
+share it, a failing group leaves it usable, a killed worker is
+replaced, and no worker outlives the interpreter.
 """
 
 import dataclasses
@@ -31,6 +33,7 @@ from repro.experiments.fleet import (
     run_fleet_campaign,
 )
 from repro.experiments.pool import default_workers, map_tasks
+from repro.experiments.table3 import run_table3
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import named_profile, profile_names
 from repro.zigbee.fleet import (
@@ -42,6 +45,7 @@ from repro.zigbee.fleet import (
     PanSpec,
     make_fleet,
 )
+from tests.experiments import fleet_curve_oracle
 from tests.golden import generate
 
 
@@ -238,7 +242,41 @@ class TestSplitCampaigns:
         assert alone.reports[0].to_dict() != serial.reports[0].to_dict()
 
 
-def _in_process(fn, tasks, workers, warm_rate=None):
+def _draining_fleet():
+    """24 nodes in 2 PANs whose batteries hold 2 to 18 mJ, so the flood
+    kills all 22 of them, one or two at a time, within 0.3 s."""
+    spec = make_fleet(num_nodes=24, num_pans=2, seed=2, channel_reuse=True)
+
+    def drained(pan):
+        nodes = tuple(
+            ns if ns.battery_j is None
+            else dataclasses.replace(ns, battery_j=0.002 * (1 + i % 9))
+            for i, ns in enumerate(pan.nodes)
+        )
+        return dataclasses.replace(pan, nodes=nodes)
+
+    return FleetSpec(spec.seed, tuple(drained(pan) for pan in spec.pans))
+
+
+class TestFleetCurves:
+    KWARGS = dict(duration_s=0.3, flood_rate_hz=200.0, sample_interval_s=0.02)
+
+    def test_curves_with_deaths_equal_the_per_pan_tally(self, monkeypatch):
+        spec = _draining_fleet()
+        with monkeypatch.context() as patch:
+            reads = fleet_curve_oracle.recording(patch)
+            serial = run_fleet_campaign(spec, workers=1, **self.KWARGS)
+        alive, battery = fleet_curve_oracle.per_pan_curves(spec, reads)
+        assert serial.first_death_s is not None
+        assert len(set(alive)) > 3 and alive[-1] == 0
+        assert (serial.alive_curve, serial.battery_curve) == (alive, battery)
+        split = run_fleet_campaign(spec, workers=2, **self.KWARGS)
+        assert split.workers == 2
+        assert (split.alive_curve, split.battery_curve) == (alive, battery)
+        assert split.to_dict() == serial.to_dict()
+
+
+def _in_process(fn, tasks, workers):
     return [fn(**task) for task in tasks]
 
 
@@ -252,8 +290,8 @@ class TestBursts:
 
     @pytest.fixture()
     def emitted(self, monkeypatch):
-        # Fork the pool's worker first, so it never holds the patch.
-        _worker_pid()
+        # Fork the pool's workers first, so they never hold the patch.
+        _worker_pids()
         sources = []
         emit = FaultInjector._emit_burst
 
@@ -307,11 +345,13 @@ class TestBursts:
         assert set(differs) == {spec.pans[1].pan_id, spec.pans[3].pan_id}
 
 
-def _worker_pid():
-    """This pool's worker pid, as the one task a worker runs."""
-    caller, worker = map_tasks(os.getpid, [{}, {}], 2)
-    assert caller == os.getpid() != worker
-    return worker
+def _worker_pids():
+    """The pids of this process's pool workers, making the pool first
+    when there is none; every task runs in one of them."""
+    ran = map_tasks(os.getpid, [{}, {}], 2)
+    pids = sorted(pool_module._executor._processes)
+    assert len(pids) == 2 and set(ran) <= set(pids)
+    return pids
 
 
 def _failing_group(spec, fail_pan_id, **_campaign):
@@ -321,8 +361,8 @@ def _failing_group(spec, fail_pan_id, **_campaign):
 
 @pytest.fixture()
 def no_pool():
-    """Start without a pool, so the first fanned-out call makes one of
-    one process (an earlier Table III sweep may have left two)."""
+    """Start without a pool, so the test sees the workers its own first
+    fanned-out call forks."""
     pool_module._shutdown()
 
 
@@ -335,6 +375,10 @@ def _no_submit(*args, **kwargs):
     raise AssertionError("the process pool was used")
 
 
+def _refused_submit(fn, tasks, processes):
+    raise AssertionError(f"{len(tasks)} tasks for {processes} processes")
+
+
 @pytest.mark.usefixtures("no_pool")
 class TestInProcess:
     def test_zero_length_runs_start_no_pool(self, two_pans, monkeypatch):
@@ -345,9 +389,10 @@ class TestInProcess:
 
     @pytest.mark.skipif(default_workers(2) < 2, reason="one usable CPU")
     def test_other_default_runs_do_start_one(self, two_pans, monkeypatch):
-        monkeypatch.setattr(pool_module, "_submit", _no_submit)
+        # Both sub-fleets go to a pool of two; the caller runs neither.
+        monkeypatch.setattr(pool_module, "_submit", _refused_submit)
         for chaos in (None, "dropout"):
-            with pytest.raises(AssertionError, match="pool was used"):
+            with pytest.raises(AssertionError, match="2 tasks for 2 processes"):
                 run_fleet_campaign(
                     two_pans, attack=False, duration_s=0.05, chaos=chaos
                 )
@@ -357,56 +402,58 @@ class TestInProcess:
 @pytest.mark.usefixtures("no_pool")
 class TestReusedPool:
     def test_campaigns_share_one_worker(self, two_pans):
-        pid = _worker_pid()
+        """Campaigns and Table III sweeps fan out to one pool of two
+        workers, so neither replaces the other's."""
+        run_fleet_campaign(two_pans, attack=False, duration_s=0.05)
+        pids = _worker_pids()
+        run_table3(frames=1, channels=(11,), workers=2)
         run_fleet_campaign(
             two_pans, attack=False, duration_s=0.05, chaos="dropout"
         )
-        run_fleet_campaign(two_pans, attack=False, duration_s=0.05)
-        assert _worker_pid() == pid
+        assert _worker_pids() == pids
 
     def test_a_killed_worker_is_replaced_on_the_next_call(self, two_pans):
         kwargs = dict(attack=False, duration_s=0.05)
         serial = run_fleet_campaign(two_pans, workers=1, **kwargs)
-        pid = _worker_pid()
-        os.kill(pid, signal.SIGKILL)
+        pids = _worker_pids()
+        os.kill(pids[0], signal.SIGKILL)
         assert run_fleet_campaign(two_pans, **kwargs).to_dict() == serial.to_dict()
-        assert _worker_pid() != pid
+        assert set(_worker_pids()).isdisjoint(pids)
 
 
 @pytest.mark.skipif(default_workers(2) < 2, reason="one usable CPU")
 @pytest.mark.parametrize(
-    "fail_pan_id", [0x1000, 0x1001], ids=["caller-group", "pool-group"]
+    "fail_pan_id", [0x1000, 0x1001], ids=["first-group", "second-group"]
 )
 def test_no_process_outlives_a_failing_group(
     no_pool, two_pans, fail_pan_id, monkeypatch
 ):
     """A failing group raises and leaves the pool as it was: the next
-    campaign equals serial on the same worker, and once the pool is shut
+    campaign equals serial on the same workers, and once the pool is shut
     down (as at interpreter exit) no child process is left."""
     kwargs = dict(attack=False, duration_s=0.05, chaos="harsh")
     serial = run_fleet_campaign(two_pans, workers=1, **kwargs)
-    pid = _worker_pid()
+    pids = _worker_pids()
     with monkeypatch.context() as patch:
         failing = functools.partial(_failing_group, fail_pan_id=fail_pan_id)
         patch.setattr(fleet_module, "_run_group", failing)
         with pytest.raises(RuntimeError, match=f"{fail_pan_id:#06x}"):
             run_fleet_campaign(two_pans, workers=2, **kwargs)
-    assert [child.pid for child in multiprocessing.active_children()] == [pid]
+    assert sorted(c.pid for c in multiprocessing.active_children()) == pids
     assert run_fleet_campaign(two_pans, **kwargs).to_dict() == serial.to_dict()
-    assert _worker_pid() == pid
+    assert _worker_pids() == pids
     pool_module._shutdown()
     assert multiprocessing.active_children() == []
 
 
 _EXIT_SCRIPT = """
-import os
+from repro.experiments import pool
 from repro.experiments.fleet import run_fleet_campaign
-from repro.experiments.pool import map_tasks
 from repro.zigbee.fleet import make_fleet
 
 spec = make_fleet(num_nodes=24, num_pans=2, seed=2, channel_reuse=True)
 assert run_fleet_campaign(spec, duration_s=0.05).workers == 2
-print(*map_tasks(os.getpid, [{}, {}], 2)[1:])
+print(*pool._executor._processes)
 """
 
 
@@ -422,7 +469,7 @@ def test_no_worker_outlives_the_interpreter():
         check=True,
     )
     pids = [int(word) for word in done.stdout.split()]
-    assert pids and os.getpid() not in pids
+    assert len(pids) == 2 and os.getpid() not in pids
 
     def alive(pid):
         try:

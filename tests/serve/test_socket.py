@@ -1,6 +1,7 @@
 """Unix-socket transport: handshake, concurrent formats, bad clients."""
 
 import socket
+import threading
 import time
 
 from repro.obs import scoped
@@ -29,14 +30,43 @@ def _wait_done(server, timeout_s=60.0):
     return False
 
 
+def _hold_world(server):
+    """Hold *server*'s world stage until the returned event is set (or
+    for good, when the server stops first): a test that counts frames
+    from frame 0 sets it once its subscribers are attached."""
+    release = threading.Event()
+    run = server.source.run
+
+    def held(stop_event):
+        while not release.wait(0.01):
+            if stop_event.is_set():
+                return
+        run(stop_event)
+
+    server.source.run = held
+    return release
+
+
+def _wait_attached(server, sessions, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s
+    while len(server.open_sessions()) < sessions:
+        assert time.monotonic() < deadline, "subscribers never attached"
+        time.sleep(0.01)
+
+
 class TestSocketTransport:
     def test_jsonl_and_pcap_subscribers_share_one_stream(self, tmp_path):
         with scoped():
             server = _server(tmp_path)
+            # Production starts once both subscribers are attached, so
+            # each sees the stream from frame 0 however slow its accept.
+            release = _hold_world(server)
             server.start()
             path = server.config.socket_path
             with subscribe(path, fmt="jsonl", name="text") as text_client:
                 pcap_client = subscribe(path, fmt="pcap", name="cap")
+                _wait_attached(server, 2)
+                release.set()
                 frames = list(text_client.frames(10))
                 assert [f["seq"] for f in frames] == list(range(10))
                 assert all(
@@ -58,6 +88,7 @@ class TestSocketTransport:
     def test_bad_handshake_does_not_kill_the_accept_loop(self, tmp_path):
         with scoped() as (_bus, registry):
             server = _server(tmp_path, frames=10, rate_fps=50.0)
+            release = _hold_world(server)
             server.start()
             path = server.config.socket_path
             # A liar client: garbage instead of a JSON hello.
@@ -77,6 +108,8 @@ class TestSocketTransport:
             )
             # A well-behaved client connecting afterwards is still served.
             with subscribe(path, fmt="jsonl", name="good") as client:
+                _wait_attached(server, 1)
+                release.set()
                 assert len(list(client.frames(3))) == 3
             server.shutdown()
 
@@ -95,6 +128,7 @@ class TestSocketTransport:
     def test_client_chosen_policy_lands_on_the_session(self, tmp_path):
         with scoped():
             server = _server(tmp_path, frames=5, rate_fps=50.0)
+            release = _hold_world(server)
             server.start()
             with subscribe(
                 server.config.socket_path,
@@ -102,6 +136,8 @@ class TestSocketTransport:
                 policy="block",
                 name="chooser",
             ) as client:
+                _wait_attached(server, 1)
+                release.set()
                 list(client.frames(2))
             _wait_done(server)
             ledger = server.shutdown()

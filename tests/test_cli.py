@@ -1,8 +1,42 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+
+_IMPORT_SCRIPT = """
+import sys
+import repro.cli
+from repro.experiments.fleet import run_fleet_campaign
+from repro.zigbee.fleet import make_fleet
+
+loaded = "scipy.signal" in sys.modules
+run_fleet_campaign(make_fleet(num_nodes=8, num_pans=2), duration_s=0.0)
+print(loaded, "scipy.signal" in sys.modules)
+"""
+
+
+def test_import_leaves_scipy_signal_out():
+    """A fresh ``import repro.cli``, and a fleet build after it (which
+    designs the receive filter), never load ``scipy.signal``: its import
+    costs more than the rest of the package."""
+    src = Path(repro.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(_IMPORT_SCRIPT)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=120,
+        check=True,
+    )
+    assert done.stdout.split() == ["False", "False"]
 
 
 class TestParser:

@@ -66,7 +66,7 @@ def test_ablation_receiver_architectures(benchmark, report):
     clean = FskModulator(GfskConfig(8, 0.5, 0.5), 2e6).modulate(
         frame_to_msk_bits(frame.to_bytes())
     )
-    bank = CorrelatorBank(8)
+    bank = CorrelatorBank()
     snrs = (12.0, 8.0, 4.0, 0.0, -2.0)
     trials = 10
 

@@ -12,7 +12,7 @@ from repro.experiments.scenarios import run_scenario_b
 def test_scenario_b_full_chain(benchmark, report):
     result = benchmark.pedantic(
         run_scenario_b,
-        kwargs={"duration_s": 40.0, "dos_channel": 26, "fake_value": 99, "seed": 5},
+        kwargs={"duration_s": 40.0, "dos_channel": 26, "seed": 5},
         rounds=1,
         iterations=1,
     )

@@ -19,7 +19,7 @@ from repro.experiments.scenarios import run_scenario_b
 
 def main() -> None:
     print("running scenario B (40 simulated seconds)...")
-    result = run_scenario_b(duration_s=40.0, dos_channel=26, fake_value=99, seed=5)
+    result = run_scenario_b(duration_s=40.0, dos_channel=26, seed=5)
     print("attack log:")
     for line in result.log:
         print("  " + line)

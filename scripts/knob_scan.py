@@ -15,10 +15,13 @@ function, method or class of that name passes it
 * by position (a ``*args`` marks every remaining position), or
 * through ``**`` of a literal dict (``**{"k": v}`` or ``**dict(k=v)``).
 
-A call that only passes an enclosing function's own parameter of the
-same kind on (``f(x=x)`` inside ``def g(x=None)``) sets the knob only if
-that outer knob is set itself.  ``super().__init__(...)`` calls count
-against the enclosing class's bases.
+A literal argument equal to the parameter's literal default (``f(k=3)``
+for ``def f(k=3)``) does not set the knob: a setting every caller gives
+its default value is a constant.  A call that only passes an enclosing
+function's own parameter of the same kind on (``f(x=x)`` inside
+``def g(x=None)``) sets the knob only if that outer knob is set itself.
+``super().__init__(...)`` calls count against the enclosing class's
+bases.
 
 Matching is by name, so a knob that shares its function name with a set
 one is hidden (the scan errs towards keeping knobs), and a ``**`` of any
@@ -29,9 +32,11 @@ function and method in ``src/`` (nested functions and dunders aside)
 whose name appears nowhere in ``src/``, ``scripts/``, ``benchmarks/``,
 ``fleetbench/`` or ``examples/`` outside its own body, as an identifier,
 an attribute or a string constant (``getattr`` and the fleetbench span
-table name methods by string).  ``__all__`` lists and imports do not
-count.  The defs in :data:`KEPT` stay on purpose; any other hit is API
-only tests reach, and makes the script exit 1.
+table name methods by string).  ``__all__`` lists, imports and a
+``super().name(...)`` call inside a def of that same name (an override
+reaching the def it overrides) do not count.  The defs in :data:`KEPT`
+stay on purpose; any other hit is API only tests reach, and makes the
+script exit 1.
 
 The knobs in :data:`KEPT_KNOBS` stay on purpose (device names,
 addresses and CRC init values, each with its reason); any other knob no
@@ -98,6 +103,10 @@ KEPT_KNOBS: Dict[str, str] = {
     "repro.chips.cc1352.Cc1352R1.__init__.name": (
         "device name: unique per radio on one medium"
     ),
+    "repro.chips.cc1352.Cc1352R1.__init__.position": (
+        "placement: set through experiments.table3.CHIP_FACTORIES, whose "
+        "chip_factory(position=...) call the name match cannot follow"
+    ),
     "repro.chips.nrf51822.Nrf51822.__init__.name": (
         "device name: unique per radio on one medium"
     ),
@@ -128,7 +137,9 @@ class _Signature:
     module: str
     owner: str
     positional: List[str]
-    defaulted: Set[str]
+    #: Each defaulted parameter, with its default as :func:`_literal`
+    #: reads it.
+    defaulted: Dict[str, object]
 
 
 @dataclass
@@ -152,6 +163,19 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
+_NOT_LITERAL = object()
+
+
+def _literal(value: ast.expr) -> object:
+    """*value* as a ``(type, value)`` pair when it is a literal, so that
+    ``1``, ``1.0`` and ``True`` stay apart; :data:`_NOT_LITERAL` else."""
+    try:
+        literal = ast.literal_eval(value)
+    except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
+        return _NOT_LITERAL
+    return (type(literal), literal)
+
+
 def _function_signature(
     module: str, owner: str, fn: ast.FunctionDef, method: bool
 ) -> _Signature:
@@ -162,16 +186,19 @@ def _function_signature(
     )
     if method and not static and positional:
         positional = positional[1:]
-    defaulted = set(positional[len(positional) - len(args.defaults):])
-    defaulted |= {
-        a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
-    }
+    defaults = zip(positional[len(positional) - len(args.defaults):], args.defaults)
+    defaulted = {name: _literal(value) for name, value in defaults}
+    defaulted.update(
+        (a.arg, _literal(d))
+        for a, d in zip(args.kwonlyargs, args.kw_defaults)
+        if d is not None
+    )
     return _Signature(module, owner, positional, defaulted)
 
 
 def _dataclass_signature(module: str, node: ast.ClassDef) -> _Signature:
     names: List[str] = []
-    defaulted: Set[str] = set()
+    defaulted: Dict[str, object] = {}
     for stmt in node.body:
         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
             annotation = ast.unparse(stmt.annotation)
@@ -181,14 +208,16 @@ def _dataclass_signature(module: str, node: ast.ClassDef) -> _Signature:
             if isinstance(value, ast.Call) and getattr(
                 value.func, "id", None
             ) == "field":
-                keywords = {k.arg for k in value.keywords}
+                keywords = {k.arg: k.value for k in value.keywords}
                 if "init" in keywords:
                     continue
-                if not keywords & {"default", "default_factory"}:
+                if "default" in keywords:
+                    value = keywords["default"]
+                elif "default_factory" not in keywords:
                     value = None
             names.append(stmt.target.id)
             if value is not None:
-                defaulted.add(stmt.target.id)
+                defaulted[stmt.target.id] = _literal(value)
     return _Signature(module, node.name, names, defaulted)
 
 
@@ -213,6 +242,11 @@ def _collect_definitions(scan: _Scan, module: str, tree: ast.Module) -> None:
     visit(tree.body, "", False)
 
 
+def _is_super(node: ast.expr) -> bool:
+    """Whether *node* is a ``super()`` call."""
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "super"
+
+
 def _callee_names(call: ast.Call, bases: List[str]) -> List[str]:
     func = call.func
     if isinstance(func, ast.BoolOp):  # (factory or Default)(...)
@@ -220,11 +254,7 @@ def _callee_names(call: ast.Call, bases: List[str]) -> List[str]:
     if isinstance(func, ast.Name):
         return [func.id]
     if isinstance(func, ast.Attribute):
-        if (
-            func.attr == "__init__"
-            and isinstance(func.value, ast.Call)
-            and getattr(func.value.func, "id", None) == "super"
-        ):
+        if func.attr == "__init__" and _is_super(func.value):
             return bases
         return [func.attr]
     return []
@@ -312,6 +342,9 @@ def _record_call(
             for param, value in hits:
                 if param not in signature.defaulted:
                     continue
+                default = signature.defaulted[param]
+                if default is not _NOT_LITERAL and _literal(value) == default:
+                    continue  # set to its own default: not a setting
                 knob = (signature.module, signature.owner, param)
                 source = outer.get(value.id) if isinstance(value, ast.Name) else None
                 if source is not None and source != knob:
@@ -415,7 +448,8 @@ def _collect_uses(
         elif isinstance(node, ast.Name):
             uses[node.id].add(where)
         elif isinstance(node, ast.Attribute):
-            uses[node.attr].add(where)
+            if not (_is_super(node.value) and where.endswith(f".{node.attr}")):
+                uses[node.attr].add(where)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
                 uses[node.value].add(where)

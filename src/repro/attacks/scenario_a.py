@@ -116,8 +116,9 @@ class SmartphoneInjectionAttack:
                 **fields,
             )
 
-    def start(self, interval_s: float = 0.1) -> None:
-        """Begin advertising; each event is recorded with its CSA#2 draw."""
+    def start(self) -> None:
+        """Begin advertising at the shortest interval the API allows; each
+        event is recorded with its CSA#2 draw."""
         self._stage(
             "advertising",
             zigbee_channel=self.zigbee_channel,
@@ -125,7 +126,6 @@ class SmartphoneInjectionAttack:
         )
         self.phone.start_extended_advertising(
             self.adv_data,
-            interval_s=interval_s,
             event_callback=self._on_event,
         )
 

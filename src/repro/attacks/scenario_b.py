@@ -40,7 +40,13 @@ from repro.obs import trace_bus as _current_bus
 from repro.radio.scheduler import EventHandle
 from repro.zigbee.xbee import AtCommand, RemoteAtCommand, SensorReading
 
-__all__ = ["AttackPhase", "TrackerAttack", "AttackLogEntry", "StageDiagnosis"]
+__all__ = [
+    "AttackPhase",
+    "TrackerAttack",
+    "AttackLogEntry",
+    "StageDiagnosis",
+    "FAKE_VALUE",
+]
 
 #: How long the active scan listens for beacons on each channel.
 SCAN_DWELL_S = 0.05
@@ -48,6 +54,8 @@ SCAN_DWELL_S = 0.05
 AT_INJECTION_DELAY_S = 0.01
 #: How many times the remote AT ``CH`` command is sent.
 AT_INJECTION_REPEATS = 3
+#: The reading every spoofed sensor report carries.
+FAKE_VALUE = 99
 
 
 class AttackPhase(Enum):
@@ -96,7 +104,6 @@ class TrackerAttack:
         channels: Sequence[int] = ZIGBEE_CHANNELS,
         target_pan_id: Optional[int] = None,
         dos_channel: int = 26,
-        fake_value: int = 99,
         fake_report_interval_s: float = 2.0,
         fake_report_count: int = 5,
         eavesdrop_timeout_s: float = 6.0,
@@ -108,7 +115,6 @@ class TrackerAttack:
         self.channels = list(channels)
         self.target_pan_id = target_pan_id
         self.dos_channel = dos_channel
-        self.fake_value = fake_value
         self.fake_report_interval_s = fake_report_interval_s
         self.fake_report_count = fake_report_count
         self.eavesdrop_timeout_s = eavesdrop_timeout_s
@@ -333,7 +339,7 @@ class TrackerAttack:
             self.stage_attempts.get(AttackPhase.SPOOFING, 0) + 1
         )
         self._fake_counter += 1
-        reading = SensorReading(counter=self._fake_counter, value=self.fake_value)
+        reading = SensorReading(counter=self._fake_counter, value=FAKE_VALUE)
         frame = build_data(
             source=self.sensor_address,
             destination=self.coordinator_address,
@@ -343,7 +349,7 @@ class TrackerAttack:
         )
         self.firmware.send_frame(frame, self.network.channel)
         self.fake_reports_sent += 1
-        self._log(f"spoofed reading #{self.fake_reports_sent} value={self.fake_value}")
+        self._log(f"spoofed reading #{self.fake_reports_sent} value={FAKE_VALUE}")
         if self.fake_reports_sent >= self.fake_report_count:
             self._enter(AttackPhase.DONE, "attack complete")
             self._finish()

@@ -33,7 +33,12 @@ from repro.phy.ble_phy import ble_demodulator, ble_modulator
 from repro.radio.medium import RfMedium, Transmission
 from repro.radio.transceiver import Transceiver
 
-__all__ = ["BleRadioPeripheral"]
+__all__ = ["BleRadioPeripheral", "ESB_SNR_CAP_DB"]
+
+#: Effective SNR ceiling of the ESB fallback receive chain — it was never
+#: meant to demodulate foreign waveforms, and the paper notes "a direct
+#: impact on the reception quality" (§VI-C).
+ESB_SNR_CAP_DB = 14.0
 
 RawBitsHandler = Callable[[np.ndarray], None]
 
@@ -240,7 +245,7 @@ class BleRadioPeripheral:
         # Cap the effective SNR of the fallback receive chain by injecting
         # noise proportional to the capture power.
         extra_power = capture.power() * 10.0 ** (
-            -self.capabilities.esb_snr_cap_db / 10.0
+            -ESB_SNR_CAP_DB / 10.0
         )
         noise = np.sqrt(extra_power / 2.0) * (
             self.rng.standard_normal(len(capture))

@@ -52,10 +52,6 @@ class ChipCapabilities:
         smartphone: only the HCI/advertising API is exposed).
     cfo_std_hz:
         Per-transmission carrier-frequency error (crystal quality).
-    esb_snr_cap_db:
-        Effective SNR ceiling of the ESB fallback receive chain — it was
-        never meant to demodulate foreign waveforms, and the paper notes
-        "a direct impact on the reception quality" (§VI-C).
     """
 
     name: str
@@ -66,4 +62,3 @@ class ChipCapabilities:
     can_disable_crc: bool = True
     raw_radio_access: bool = True
     cfo_std_hz: float = 0.0
-    esb_snr_cap_db: float = 14.0

@@ -30,7 +30,6 @@ NRF51822_CAPABILITIES = ChipCapabilities(
     can_disable_crc=True,
     raw_radio_access=True,
     cfo_std_hz=40e3,
-    esb_snr_cap_db=14.0,
 )
 
 

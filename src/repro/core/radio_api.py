@@ -17,7 +17,11 @@ from typing import Callable, Optional, Protocol, runtime_checkable
 
 import numpy as np
 
-__all__ = ["LowLevelRadio", "RawBitsHandler"]
+from repro.chips.capabilities import CapabilityError
+from repro.core.encoding import wazabee_access_address
+from repro.dot15d4.channels import channel_frequency_hz
+
+__all__ = ["LowLevelRadio", "RawBitsHandler", "configure_wazabee"]
 
 RawBitsHandler = Callable[[np.ndarray], None]
 
@@ -63,3 +67,27 @@ class LowLevelRadio(Protocol):
     @property
     def whitening_channel(self) -> int:
         """Channel index currently seeding the whitening LFSR."""
+
+
+def configure_wazabee(radio: LowLevelRadio, zigbee_channel: int) -> None:
+    """Apply the §IV-D radio configuration for a Zigbee channel, shared by
+    both primitives.
+
+    * data rate 2 Mbit/s (chip rate of 802.15.4);
+    * centre frequency of the target channel;
+    * Access Address set to the MSK-encoded ``0000`` PN sequence — on
+      transmission it acts as one extra 802.15.4 preamble symbol;
+    * CRC generation and checking off (an appended CRC-24 would corrupt
+      the chip stream);
+    * whitening off when the chip allows.  A chip that forces it on keeps
+      it enabled, and the primitives compensate: transmission pre-inverts
+      the stream, reception undoes the de-whitening per capture.
+    """
+    radio.set_data_rate_2m()
+    radio.set_frequency(channel_frequency_hz(zigbee_channel))
+    radio.set_access_address(wazabee_access_address())
+    radio.set_crc_enabled(False)
+    try:
+        radio.set_whitening(False)
+    except CapabilityError:
+        pass

@@ -22,11 +22,9 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from repro.ble.whitening import whiten
-from repro.chips.capabilities import CapabilityError
-from repro.core.encoding import MSK_STRIDE, wazabee_access_address
-from repro.core.radio_api import LowLevelRadio
+from repro.core.encoding import MSK_STRIDE
+from repro.core.radio_api import LowLevelRadio, configure_wazabee
 from repro.core.tables import default_table
-from repro.dot15d4.channels import channel_frequency_hz
 from repro.errors import DecodeError
 from repro.obs import RX_CAPTURE, RX_DECODE, RX_FCS
 from repro.obs import metrics as _current_metrics
@@ -112,16 +110,10 @@ class WazaBeeReceiver:
         handler: FrameHandler,
         corrupt_handler: Optional[FrameHandler] = None,
     ) -> None:
-        """Configure the radio per §IV-D and begin receiving."""
-        self.radio.set_data_rate_2m()
-        self.radio.set_frequency(channel_frequency_hz(zigbee_channel))
-        self.radio.set_access_address(wazabee_access_address())
-        self.radio.set_crc_enabled(False)
-        try:
-            self.radio.set_whitening(False)
-        except CapabilityError:
-            # Chip forces whitening on; _on_bits undoes it per capture.
-            pass
+        """Configure the radio per §IV-D
+        (:func:`~repro.core.radio_api.configure_wazabee`) and begin
+        receiving."""
+        configure_wazabee(self.radio, zigbee_channel)
         self._handler = handler
         self._corrupt_handler = corrupt_handler
         self._channel = zigbee_channel

@@ -16,10 +16,8 @@ from typing import Optional
 import numpy as np
 
 from repro.ble.whitening import whiten
-from repro.chips.capabilities import CapabilityError
-from repro.core.encoding import frame_to_msk_bits, wazabee_access_address
-from repro.core.radio_api import LowLevelRadio
-from repro.dot15d4.channels import channel_frequency_hz
+from repro.core.encoding import frame_to_msk_bits
+from repro.core.radio_api import LowLevelRadio, configure_wazabee
 from repro.dot15d4.frames import MacFrame
 from repro.obs import TX_FRAME
 from repro.obs import metrics as _current_metrics
@@ -39,26 +37,9 @@ class WazaBeeTransmitter:
         self.metrics = _current_metrics()
 
     def configure(self, zigbee_channel: int) -> None:
-        """Apply the §IV-D radio configuration for a Zigbee channel.
-
-        * data rate 2 Mbit/s (chip rate of 802.15.4);
-        * centre frequency of the target channel;
-        * Access Address set to the MSK-encoded ``0000`` PN sequence — on
-          transmission it acts as one extra 802.15.4 preamble symbol;
-        * CRC generation off (an appended CRC-24 would corrupt the chip
-          stream);
-        * whitening off when possible, pre-inverted otherwise.
-        """
-        self.radio.set_data_rate_2m()
-        self.radio.set_frequency(channel_frequency_hz(zigbee_channel))
-        self.radio.set_access_address(wazabee_access_address())
-        self.radio.set_crc_enabled(False)
-        try:
-            self.radio.set_whitening(False)
-        except CapabilityError:
-            # Chip forces whitening on; leave it enabled and compensate in
-            # transmit() via pre-inversion.
-            pass
+        """Apply the §IV-D radio configuration for a Zigbee channel
+        (:func:`~repro.core.radio_api.configure_wazabee`)."""
+        configure_wazabee(self.radio, zigbee_channel)
         self._configured_channel = zigbee_channel
 
     def transmit(self, frame: MacFrame) -> np.ndarray:

@@ -236,13 +236,12 @@ def build_beacon(
     source: Address,
     sequence_number: int = 0,
     beacon_payload: bytes = b"",
-    pan_coordinator: bool = True,
 ) -> MacFrame:
-    """A (non-beacon-enabled) beacon frame, as sent in answer to a request."""
-    # Beacon order = superframe order = 15; association permitted.
-    superframe = 0x0F | (0x0F << 4) | (1 << 15)
-    if pan_coordinator:
-        superframe |= 1 << 14
+    """A (non-beacon-enabled) beacon frame, as a PAN coordinator sends it in
+    answer to a request."""
+    # Beacon order = superframe order = 15; PAN coordinator; association
+    # permitted.
+    superframe = 0x0F | (0x0F << 4) | (1 << 14) | (1 << 15)
     payload = superframe.to_bytes(2, "little")
     payload += bytes([0x00])  # GTS: none
     payload += bytes([0x00])  # pending addresses: none

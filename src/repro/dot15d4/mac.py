@@ -414,7 +414,6 @@ class MacService:
             beacon = build_beacon(
                 source=self.address,
                 sequence_number=self.next_sequence(),
-                pan_coordinator=True,
             )
             self.radio.transmit_frame(beacon)
             self.stats.beacons_sent += 1

@@ -25,7 +25,10 @@ from repro.dsp.oqpsk import OqpskModulator
 from repro.dsp.signal import IQSignal
 from repro.phy.ieee802154 import CHIP_RATE_HZ, CHIPS_PER_SYMBOL, PN_SEQUENCES
 
-__all__ = ["CorrelatorBank", "CorrelatorDecode"]
+__all__ = ["CorrelatorBank", "CorrelatorDecode", "SAMPLES_PER_CHIP"]
+
+#: The bank's oversampling: reference waveforms and input captures alike.
+SAMPLES_PER_CHIP = 8
 
 #: Normalised correlation magnitude at which ``acquire`` locks.
 ACQUIRE_THRESHOLD = 0.6
@@ -48,12 +51,11 @@ class CorrelatorBank:
     the next symbol) is handled exactly.
     """
 
-    def __init__(self, samples_per_chip: int = 8):
-        self.samples_per_chip = samples_per_chip
-        self.sample_rate = samples_per_chip * CHIP_RATE_HZ
-        self._modulator = OqpskModulator(samples_per_chip, CHIP_RATE_HZ)
+    def __init__(self):
+        self.sample_rate = SAMPLES_PER_CHIP * CHIP_RATE_HZ
+        self._modulator = OqpskModulator(SAMPLES_PER_CHIP, CHIP_RATE_HZ)
         self._references = self._build_references()
-        self._symbol_samples = CHIPS_PER_SYMBOL * samples_per_chip
+        self._symbol_samples = CHIPS_PER_SYMBOL * SAMPLES_PER_CHIP
 
     def _build_references(self) -> np.ndarray:
         """(2, 16, N) array: previous-chip value × symbol × samples.
@@ -64,7 +66,7 @@ class CorrelatorBank:
         an even index and the I/Q assignment identical to the real frame.
         """
         refs = []
-        spc = self.samples_per_chip
+        spc = SAMPLES_PER_CHIP
         for previous_chip in (0, 1):
             row = []
             for symbol in range(16):
@@ -109,7 +111,7 @@ class CorrelatorBank:
         if above.size == 0:
             return None
         first = int(above[0])
-        window_end = min(first + 2 * self.samples_per_chip, scores.size)
+        window_end = min(first + 2 * SAMPLES_PER_CHIP, scores.size)
         return first + int(np.argmax(scores[first:window_end]))
 
     # -- decoding -----------------------------------------------------------

@@ -64,15 +64,6 @@ class IQSignal:
         return float(np.mean(np.abs(self.samples) ** 2))
 
     # -- transformations ------------------------------------------------------
-    def padded(self, samples: int) -> "IQSignal":
-        """Return a copy with *samples* zeros appended."""
-        if samples < 0:
-            raise ValueError("padding must be non-negative")
-        padded = np.concatenate(
-            [self.samples, np.zeros(samples, dtype=np.complex128)]
-        )
-        return IQSignal(padded, self.sample_rate, self.center_frequency)
-
     def mixed_to(self, new_center: float) -> "IQSignal":
         """Re-reference the signal to a different RF centre frequency.
 
@@ -93,21 +84,3 @@ class IQSignal:
     def instantaneous_phase(self) -> np.ndarray:
         """Unwrapped instantaneous phase in radians."""
         return np.unwrap(np.angle(self.samples))
-
-    # -- combination -----------------------------------------------------------
-    def add(self, other: "IQSignal") -> "IQSignal":
-        """Superpose another signal (must share sample rate and centre).
-
-        The shorter signal is zero-padded at the end.
-        """
-        if other.sample_rate != self.sample_rate:
-            raise ValueError("sample rates differ")
-        if other.center_frequency != self.center_frequency:
-            raise ValueError(
-                "centre frequencies differ; call mixed_to() first"
-            )
-        n = max(self.samples.size, other.samples.size)
-        out = np.zeros(n, dtype=np.complex128)
-        out[: self.samples.size] += self.samples
-        out[: other.samples.size] += other.samples
-        return IQSignal(out, self.sample_rate, self.center_frequency)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.attacks.energy_depletion import FleetDepletionAttack
@@ -99,21 +99,7 @@ class FleetNodeReport:
     depleted_at: Optional[float] = None
 
     def to_dict(self) -> Dict:
-        return {
-            "name": self.name,
-            "pan_id": self.pan_id,
-            "role": self.role,
-            "sent": self.sent,
-            "delivered": self.delivered,
-            "dropped": self.dropped,
-            "received": self.received,
-            "forwarded": self.forwarded,
-            "retries": self.retries,
-            "csma_backoffs": self.csma_backoffs,
-            "channel_access_failures": self.channel_access_failures,
-            "battery_curve": self.battery_curve,
-            "depleted_at": self.depleted_at,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.attacks.scenario_a import SmartphoneInjectionAttack
-from repro.attacks.scenario_b import AttackPhase, TrackerAttack
+from repro.attacks.scenario_b import FAKE_VALUE, AttackPhase, TrackerAttack
 from repro.chips.nrf51822 import Nrf51822
 from repro.chips.smartphone import SmartphoneBle
 from repro.core.firmware import WazaBeeFirmware
@@ -126,7 +126,7 @@ def run_scenario_a(
     attack = SmartphoneInjectionAttack(
         phone, zigbee_channel=zigbee_channel, frame=forged
     )
-    attack.start(interval_s=0.1)
+    attack.start()
     testbed.scheduler.run(duration_s)
     attack.stop()
     forged_entries = [
@@ -162,7 +162,6 @@ class ScenarioBResult:
 def run_scenario_b(
     duration_s: float = 40.0,
     dos_channel: int = 26,
-    fake_value: int = 99,
     seed: int = 0,
     security_key: Optional[bytes] = None,
 ) -> ScenarioBResult:
@@ -170,8 +169,9 @@ def run_scenario_b(
 
     Observables: the sensor ends up parked on *dos_channel* (denial of
     service), and the coordinator's display fills with the attacker's
-    *fake_value* readings.  With *security_key* set the network runs the
-    §VII cryptographic counter-measure and the injection steps should fail.
+    :data:`~repro.attacks.scenario_b.FAKE_VALUE` readings.  With
+    *security_key* set the network runs the §VII cryptographic
+    counter-measure and the injection steps should fail.
     """
     testbed = build_testbed(seed=seed)
     network = build_zigbee_network(testbed, security_key=security_key)
@@ -186,12 +186,11 @@ def run_scenario_b(
         firmware,
         target_pan_id=_PAN,
         dos_channel=dos_channel,
-        fake_value=fake_value,
     )
     attack.run()
     testbed.scheduler.run(duration_s)
-    legitimate = [e for e in network.coordinator.display if e.value != fake_value]
-    spoofed = [e for e in network.coordinator.display if e.value == fake_value]
+    legitimate = [e for e in network.coordinator.display if e.value != FAKE_VALUE]
+    spoofed = [e for e in network.coordinator.display if e.value == FAKE_VALUE]
     return ScenarioBResult(
         final_phase=attack.phase,
         network_channel=attack.network.channel if attack.network else None,

@@ -199,13 +199,6 @@ class Table3Result:
         rows = self.cells[(chip, primitive)]
         return float(np.mean([r.valid_rate for r in rows.values()]))
 
-    def row(self, channel: int) -> Dict[Tuple[str, str], ChannelResult]:
-        return {
-            key: rows[channel]
-            for key, rows in self.cells.items()
-            if channel in rows
-        }
-
 
 def run_table3(
     frames: int = 100,

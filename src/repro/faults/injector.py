@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.dsp.impairments import apply_frequency_offset
 from repro.dsp.signal import IQSignal
-from repro.faults.plan import DropoutWindow, FaultPlan
+from repro.faults.plan import BURST_POWER_DBM, DropoutWindow, FaultPlan
 from repro.obs import FAULT_INJECTED
 from repro.obs import metrics as _current_metrics
 from repro.obs import trace_bus as _current_bus
@@ -183,7 +183,7 @@ class FaultInjector:
             self.rng.standard_normal(num) + 1j * self.rng.standard_normal(num)
         ) / np.sqrt(2.0)
         signal = IQSignal(samples, self.medium.sample_rate, burst.center_hz)
-        self.medium.transmit(source, signal, burst.power_dbm)
+        self.medium.transmit(source, signal, BURST_POWER_DBM)
         self.stats.bursts_injected += 1
         self._record(
             "burst", source=source.name, center_hz=burst.center_hz

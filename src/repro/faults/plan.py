@@ -29,7 +29,11 @@ __all__ = [
     "FaultPlan",
     "named_profile",
     "profile_names",
+    "BURST_POWER_DBM",
 ]
+
+#: Transmit power of every scripted jamming burst.
+BURST_POWER_DBM = 10.0
 
 
 @dataclass(frozen=True)
@@ -51,11 +55,6 @@ class DropoutWindow:
                 f"({self.start_s})"
             )
 
-    def covers(self, time: float, radio_name: str) -> bool:
-        if not self.start_s <= time < self.end_s:
-            return False
-        return self.radio_name is None or self.radio_name == radio_name
-
 
 @dataclass(frozen=True)
 class CollisionBurst:
@@ -66,13 +65,12 @@ class CollisionBurst:
     clear-channel assessment — which is what lets the chaos tests prove the
     MAC defers around it.
 
-    ``period_s``/``count`` repeat the burst; ``count`` bounds repetition so
-    a plan is always finite.
+    It is sent at :data:`BURST_POWER_DBM`.  ``period_s``/``count`` repeat
+    the burst; ``count`` bounds repetition so a plan is always finite.
     """
 
     start_s: float
     duration_s: float
-    power_dbm: float = 10.0
     center_hz: float = channel_frequency_hz(14)
     period_s: Optional[float] = None
     count: int = 1
@@ -205,7 +203,6 @@ def _jammer(channel: int, seed: int) -> FaultPlan:
             CollisionBurst(
                 start_s=0.5e-3,
                 duration_s=1.5e-3,
-                power_dbm=10.0,
                 center_hz=channel_frequency_hz(channel),
                 period_s=10e-3,
                 count=200,
@@ -244,7 +241,6 @@ def _harsh(channel: int, seed: int) -> FaultPlan:
             CollisionBurst(
                 start_s=1e-3,
                 duration_s=2e-3,
-                power_dbm=10.0,
                 center_hz=channel_frequency_hz(channel),
                 period_s=15e-3,
                 count=150,

@@ -60,19 +60,20 @@ Position = Tuple[float, float]
 
 #: Distance (m) at which the path model's reference loss is measured.
 REFERENCE_DISTANCE_M = 1.0
+#: Path loss (dB) at :data:`REFERENCE_DISTANCE_M`.
+REFERENCE_LOSS_DB = 40.0
 
 
 @dataclass
 class PropagationModel:
     """Log-distance path loss with optional log-normal shadowing.
 
-    ``reference_loss_db`` is the loss at :data:`REFERENCE_DISTANCE_M`;
+    The loss at :data:`REFERENCE_DISTANCE_M` is :data:`REFERENCE_LOSS_DB`;
     ``exponent`` is the decay exponent (2 free space, 2.5–3 indoors);
     ``shadowing_sigma_db`` adds a per-capture Gaussian term, the simulator's
     stand-in for multipath fading and people walking through the lab.
     """
 
-    reference_loss_db: float = 40.0
     exponent: float = 2.5
     shadowing_sigma_db: float = 0.0
 
@@ -81,7 +82,7 @@ class PropagationModel:
     ) -> float:
         distance = math.dist(a, b)
         distance = max(distance, REFERENCE_DISTANCE_M / 10.0)
-        loss = self.reference_loss_db + 10.0 * self.exponent * math.log10(
+        loss = REFERENCE_LOSS_DB + 10.0 * self.exponent * math.log10(
             distance / REFERENCE_DISTANCE_M
         )
         if self.shadowing_sigma_db > 0.0 and rng is not None:
@@ -93,10 +94,8 @@ class PropagationModel:
 class Transmission:
     """A signal on the air.
 
-    ``origin`` is the emitter's position *at transmit time*: path loss and
-    range gating are evaluated against where the energy actually left the
-    antenna, so a source that moves while its frame is still in flight
-    cannot retroactively change the physics of an emission already made.
+    ``origin`` is the emitter's (fixed) position, copied here so that path
+    loss and range gating read one attribute of the transmission.
     ``mixed`` memoises the signal mixed to each receiver tuning
     (:meth:`RfMedium._mixed_samples`), so it lives as long as the
     transmission does.
@@ -121,14 +120,14 @@ class Transmission:
 class _Row:
     """One delivery of a transmission, from composition to hand-out.
 
-    ``capture`` is ``None`` until the row is composed; ``inputs``,
+    ``capture`` is ``None`` until the row is composed; ``tuned_hz``,
     ``stream`` and ``fault`` are what composing it read and advanced, and
     ``decoded`` is its stacked ``receiver``'s result.
     """
 
     radio: "Transceiver"
     capture: Optional[IQSignal] = field(default=None, init=False)
-    inputs: tuple = field(default=(), init=False)
+    tuned_hz: Optional[float] = field(default=None, init=False)
     stream: Optional[dict] = field(default=None, init=False)
     fault: Optional[tuple] = field(default=None, init=False)
     receiver: Optional["StackedReceiver"] = field(default=None, init=False)
@@ -273,14 +272,6 @@ class RfMedium:
             raise ValueError(f"a radio named {radio.name!r} is already attached")
         self._radios[radio.name] = radio
 
-    def radio_moved(self, radio: "Transceiver") -> None:
-        """Notification hook: *radio*'s position changed.
-
-        The dense medium scans every radio on each transmit, so position is
-        always read fresh — nothing to update.  The sharded medium overrides
-        this to migrate the radio between grid cells.
-        """
-
     def _rx_stream(self, radio: "Transceiver") -> np.random.Generator:
         stream = self._rx_streams.get(radio.name)
         if stream is None:
@@ -420,8 +411,8 @@ class RfMedium:
            goes to its receiver, with its ``delivered`` trace event.
 
         A row stops holding when an earlier hand-out changed it: the
-        receiver no longer hears *tx*, was re-tuned or moved, or a new
-        transmission falls into its capture.  It is then rolled back — its
+        receiver no longer hears *tx*, was re-tuned, or a new transmission
+        falls into its capture.  It is then rolled back — its
         noise stream and fault state restored to before its composition —
         and delivered on the one-row path (:meth:`_deliver_row`), as is
         every other delivery (to a receiver that does not stack, a repeat,
@@ -467,18 +458,13 @@ class RfMedium:
             self.metrics.gauge("medium.pool.hits").set(pool.hits)
             self.metrics.gauge("medium.pool.misses").set(pool.misses)
 
-    @staticmethod
-    def _composition_inputs(radio: "Transceiver") -> tuple:
-        """The receiver state a capture's composition reads."""
-        return (radio.tuned_hz, radio.position)
-
     def _compose_rows(
         self, rows: List[_Row], start: float, end: float, out: np.ndarray
     ) -> None:
         """Compose *rows* into *out* in one pass, recording what composing
         each read and advanced, then fault-transform each."""
         for row in rows:
-            row.inputs = self._composition_inputs(row.radio)
+            row.tuned_hz = row.radio.tuned_hz
             row.stream = self._rx_stream(row.radio).bit_generator.state
         captures = self.compose_capture(
             [row.radio for row in rows], start, end, out=out
@@ -522,7 +508,7 @@ class RfMedium:
         radio = row.radio
         if not self._hears(radio, tx):
             return False
-        if self._composition_inputs(radio) != row.inputs:
+        if radio.tuned_hz != row.tuned_hz:
             return False
         added = self._next_id - first_new
         return not added or not any(

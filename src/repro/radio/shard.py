@@ -5,14 +5,14 @@
 replaces its O(radios) delivery scan and O(transmissions) composition scan
 with interest sets maintained on a 2D cell grid:
 
-* every attached radio is indexed by the grid cell of its position (cell
-  edge = range cutoff), so a transmission only visits the radios of the
-  3x3 cell neighbourhood around its origin.  Tuning is not indexed: the
-  in-band test runs on each candidate, and a radio's cell changes only
-  when it moves (:meth:`ShardedRfMedium.radio_moved`);
+* every attached radio is indexed once, at attach, by the grid cell of
+  its position (cell edge = range cutoff), so a transmission only visits
+  the radios of the 3x3 cell neighbourhood around its origin.  Positions
+  are fixed at construction, so a radio never changes cell.  Tuning is
+  not indexed: the in-band test runs on each candidate;
 * every in-flight transmission is indexed by its *origin* cell, so the
   captures of a stack of receivers compose against the 3x3
-  neighbourhoods around their current positions instead of the whole
+  neighbourhoods around their positions instead of the whole
   superposition list, and clear-channel assessment
   (:meth:`RfMedium.channel_busy`, shared by both media) scans one
   neighbourhood.
@@ -84,45 +84,21 @@ class ShardedRfMedium(RfMedium):
             )
         super().__init__(*args, **kwargs)
         self.grid = CellGrid(self.range_cutoff_m)
-        # radio -> its cell; radio -> sequence number of its attach (the
-        # dense medium's delivery-scan order: its radio dict's order).
-        self._radio_index: Dict["Transceiver", Cell] = {}
+        # radio -> sequence number of its attach (the dense medium's
+        # delivery-scan order: its radio dict's order).
         self._attach_seq: Dict["Transceiver", int] = {}
-        self._next_seq = 0
         # cell -> radios; origin cell -> in-flight transmissions.
         self._cell_radios: Dict[Cell, Set["Transceiver"]] = {}
         self._cell_txs: Dict[Cell, List[Transmission]] = {}
 
     # -- radio index --------------------------------------------------------
     def attach(self, radio: "Transceiver") -> None:
-        if radio in self._radio_index:
+        if radio in self._attach_seq:
             return  # already attached: a no-op, as on the dense medium
         super().attach(radio)
-        self._attach_seq[radio] = self._next_seq
-        self._next_seq += 1
-        self._index_radio(radio)
-
-    def radio_moved(self, radio: "Transceiver") -> None:
-        self._reindex_radio(radio)
-
-    def _index_radio(self, radio: "Transceiver") -> None:
+        self._attach_seq[radio] = len(self._attach_seq)
         cell = self.grid.cell_of(radio.position)
-        self._radio_index[radio] = cell
         self._cell_radios.setdefault(cell, set()).add(radio)
-
-    def _unindex_radio(self, radio: "Transceiver") -> None:
-        cell = self._radio_index.pop(radio, None)
-        if cell is not None:
-            members = self._cell_radios[cell]
-            members.discard(radio)
-            if not members:
-                del self._cell_radios[cell]
-
-    def _reindex_radio(self, radio: "Transceiver") -> None:
-        old = self._radio_index.get(radio)
-        if old is not None and old != self.grid.cell_of(radio.position):
-            self._unindex_radio(radio)
-            self._index_radio(radio)
 
     # -- interest queries ---------------------------------------------------
     def _delivery_candidates(self, tx: Transmission) -> Sequence["Transceiver"]:

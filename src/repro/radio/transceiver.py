@@ -63,7 +63,7 @@ class Transceiver:
     name:
         Human-readable identifier (shows up in logs and experiment output).
     position:
-        (x, y) in metres; drives path loss.
+        (x, y) in metres; drives path loss.  Fixed for the radio's life.
     bandwidth_hz:
         Receive channel filter bandwidth (2 MHz for both BLE and 802.15.4).
     tx_power_dbm:
@@ -136,13 +136,9 @@ class Transceiver:
     # -- tuning / state ------------------------------------------------------
     @property
     def position(self) -> Tuple[float, float]:
-        """(x, y) in metres; assigning notifies the medium (cell migration)."""
+        """(x, y) in metres, fixed at construction: the media index a radio
+        where it was attached, so assigning raises ``AttributeError``."""
         return self._position
-
-    @position.setter
-    def position(self, value: Tuple[float, float]) -> None:
-        self._position = tuple(value)
-        self.medium.radio_moved(self)
 
     def _ism_checked(self, frequency_hz: float) -> float:
         if not 2.4e9 <= frequency_hz <= 2.5e9:

@@ -223,7 +223,9 @@ class SnifferServer:
 
         The in-process subscription path: tests and embedded consumers
         (the live-sniffer example) use it directly; the socket handshake
-        is a thin wrapper around it.
+        is a thin wrapper around it.  A session that attaches after the
+        world stage has finished gets its ``bye`` at once: nothing more
+        will be published to it.
         """
         config = self.config
         index = next(self._session_ids)
@@ -244,6 +246,8 @@ class SnifferServer:
         self.registry.counter("serve.sessions.connected").inc()
         self._emit_session_event(session, "connected")
         session.start()
+        if self.source_finished:
+            session.close("source-finished")
         return session
 
     def _session_closed(self, session: SubscriberSession, reason: str) -> None:

@@ -75,7 +75,7 @@ class TestAttack:
         attack = SmartphoneInjectionAttack(
             phone, zigbee_channel=14, frame=forged_frame()
         )
-        attack.start(interval_s=0.1)
+        attack.start()
         scheduler.run(5.0)
         attack.stop()
         assert attack.events_total == 51
@@ -120,7 +120,7 @@ class TestEndToEnd:
         attack = SmartphoneInjectionAttack(
             phone, zigbee_channel=14, frame=forged_frame()
         )
-        attack.start(interval_s=0.1)
+        attack.start()
         # Run until at least two on-target events have fired.
         for _ in range(400):
             scheduler.run(0.1)

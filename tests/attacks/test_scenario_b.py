@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.attacks.scenario_b import AttackPhase, TrackerAttack
+from repro.attacks.scenario_b import FAKE_VALUE, AttackPhase, TrackerAttack
 from repro.chips import Nrf51822
 from repro.core.firmware import WazaBeeFirmware
 from repro.dot15d4.frames import Address
@@ -44,7 +44,6 @@ class TestFullChain:
             channels=(11, 12, 13, 14),
             target_pan_id=PAN,
             dos_channel=26,
-            fake_value=99,
             fake_report_interval_s=1.0,
             fake_report_count=3,
         )
@@ -59,7 +58,7 @@ class TestFullChain:
         # DoS: sensor moved away.
         assert sensor.radio.channel == 26
         # Spoofing: fake readings on the display.
-        fake = [e for e in coordinator.display if e.value == 99]
+        fake = [e for e in coordinator.display if e.value == FAKE_VALUE]
         assert len(fake) == 3
 
     def test_log_records_all_phases(self, environment):

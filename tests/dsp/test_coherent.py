@@ -16,7 +16,7 @@ from tests.dsp.impairment_helpers import apply_phase_offset
 
 @pytest.fixture(scope="module")
 def bank():
-    return CorrelatorBank(samples_per_chip=8)
+    return CorrelatorBank()
 
 
 def make_frame():

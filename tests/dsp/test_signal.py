@@ -46,13 +46,6 @@ class TestBasics:
         assert IQSignal(samples, 1.0).samples.dtype == want
 
 
-class TestTransforms:
-    def test_padded_appends_zeros(self):
-        sig = IQSignal(np.ones(4), 1.0).padded(3)
-        assert len(sig) == 7
-        assert np.all(sig.samples[-3:] == 0)
-
-
 class TestMixing:
     def test_mixed_to_moves_tone(self):
         """A tone at RF 2440.5 MHz seen from 2440 -> baseband +0.5 MHz;
@@ -75,21 +68,3 @@ class TestMixing:
 
     def test_instantaneous_frequency_short_signal(self):
         assert instantaneous_frequency(IQSignal(np.ones(1), 1.0)).size == 0
-
-
-class TestAdd:
-    def test_add_superposes_and_pads(self):
-        a = IQSignal(np.ones(4), 1.0)
-        b = IQSignal(np.ones(2), 1.0)
-        out = a.add(b)
-        assert np.array_equal(out.samples.real, [2, 2, 1, 1])
-
-    def test_add_rejects_rate_mismatch(self):
-        with pytest.raises(ValueError):
-            IQSignal(np.ones(2), 1.0).add(IQSignal(np.ones(2), 2.0))
-
-    def test_add_rejects_center_mismatch(self):
-        a = IQSignal(np.ones(2), 1.0, 2440e6)
-        b = IQSignal(np.ones(2), 1.0, 2441e6)
-        with pytest.raises(ValueError):
-            a.add(b)

@@ -143,13 +143,6 @@ class TestFullRun:
         assert set(result.cells[("nRF52832", "rx")]) == {11, 14}
         assert result.average_valid_rate("nRF52832", "rx") > 0.5
 
-    def test_row_accessor(self):
-        result = run_table3(
-            frames=2, channels=(11,), chips=("nRF52832",), primitives=("rx", "tx")
-        )
-        row = result.row(11)
-        assert set(row) == {("nRF52832", "rx"), ("nRF52832", "tx")}
-
     def test_format_contains_channels_and_averages(self):
         result = run_table3(
             frames=2,

@@ -40,7 +40,6 @@ CHAOS_PLAN = FaultPlan(
         CollisionBurst(
             start_s=0.2e-3,
             duration_s=5.8e-3,
-            power_dbm=10.0,
         ),
     ),
     dropouts=(DropoutWindow(start_s=0.0, end_s=8e-3, radio_name="b"),),

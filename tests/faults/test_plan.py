@@ -35,18 +35,27 @@ class TestFaultPlan:
             plan.seed = 5
 
 
+def _covers(window: DropoutWindow, time: float, radio_name: str) -> bool:
+    """The one-window rule the dropout index must agree with."""
+    if not window.start_s <= time < window.end_s:
+        return False
+    return window.radio_name is None or window.radio_name == radio_name
+
+
 class TestDropoutWindow:
     def test_covers_inside_half_open_interval(self):
-        window = DropoutWindow(start_s=1.0, end_s=2.0)
-        assert window.covers(1.0, "any")
-        assert window.covers(1.5, "any")
-        assert not window.covers(2.0, "any")
-        assert not window.covers(0.9, "any")
+        index = _DropoutIndex([DropoutWindow(start_s=1.0, end_s=2.0)])
+        assert index.covers(1.0, "any")
+        assert index.covers(1.5, "any")
+        assert not index.covers(2.0, "any")
+        assert not index.covers(0.9, "any")
 
     def test_named_radio_scoping(self):
-        window = DropoutWindow(start_s=0.0, end_s=1.0, radio_name="rx1")
-        assert window.covers(0.5, "rx1")
-        assert not window.covers(0.5, "rx2")
+        index = _DropoutIndex(
+            [DropoutWindow(start_s=0.0, end_s=1.0, radio_name="rx1")]
+        )
+        assert index.covers(0.5, "rx1")
+        assert not index.covers(0.5, "rx2")
 
 
 class TestValidation:
@@ -67,7 +76,8 @@ class TestValidation:
         with pytest.raises(ValueError, match="before it starts"):
             DropoutWindow(start_s=2.0, end_s=1.0)
         # An empty window is legal: it covers nothing.
-        assert not DropoutWindow(start_s=1.0, end_s=1.0).covers(1.0, "rx")
+        empty = _DropoutIndex([DropoutWindow(start_s=1.0, end_s=1.0)])
+        assert not empty.covers(1.0, "rx")
 
     @pytest.mark.parametrize("fraction", [-0.1, 1.5])
     def test_keep_fraction_outside_unit_interval_rejected(self, fraction):
@@ -103,7 +113,7 @@ def _windows(draw):
 
 
 class TestDropoutIndex:
-    """The bisected index against the window-by-window ``covers`` scan."""
+    """The bisected index against the window-by-window ``_covers`` scan."""
 
     @given(
         windows=_windows(),
@@ -113,7 +123,7 @@ class TestDropoutIndex:
     def test_index_equals_covers_scan(self, windows, times, radio):
         index = _DropoutIndex(windows)
         for time in times:
-            expected = any(w.covers(time, radio) for w in windows)
+            expected = any(_covers(w, time, radio) for w in windows)
             assert index.covers(time, radio) == expected
 
     def test_nested_windows(self):

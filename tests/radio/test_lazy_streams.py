@@ -139,10 +139,11 @@ class TestBuiltTuned:
             == tuned.transceiver.tuned_hz
             == channel_frequency_hz(channel)
         )
-        assert (
-            built_on._radio_index[built.transceiver]
-            == tuned_on._radio_index[tuned.transceiver]
-        )
+
+        def cells(medium):
+            return {c: {r.name for r in rs} for c, rs in medium._cell_radios.items()}
+
+        assert cells(built_on) == cells(tuned_on)
 
     def test_invalid_channel_is_rejected_before_attaching(self):
         medium = make_medium()

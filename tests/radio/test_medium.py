@@ -24,11 +24,11 @@ def tone_baseband(n=1600, fs=16e6):
 
 class TestPropagation:
     def test_reference_loss(self):
-        model = PropagationModel(reference_loss_db=40.0, exponent=2.0)
+        model = PropagationModel(exponent=2.0)
         assert model.path_gain_db((0, 0), (1, 0)) == pytest.approx(-40.0)
 
     def test_distance_exponent(self):
-        model = PropagationModel(reference_loss_db=40.0, exponent=2.0)
+        model = PropagationModel(exponent=2.0)
         g1 = model.path_gain_db((0, 0), (1, 0))
         g10 = model.path_gain_db((0, 0), (10, 0))
         assert g1 - g10 == pytest.approx(20.0)

@@ -1,13 +1,10 @@
 """Property tests for the sharded medium's interest management.
 
-Three families of guarantees beyond raw differential equality:
+Two families of guarantees beyond raw differential equality:
 
 * **isolation** — a node that is out of range or off channel contributes
   nothing: no delivery trace events, and byte-identical captures whether
   the node exists or not;
-* **migration** — moving a radio across a cell boundary (including while
-  a frame is in flight) neither drops nor duplicates a delivery, and the
-  outcome matches the dense reference decision for decision;
 * **keyed randomness** — the regression the differential harness forced:
   per-receiver noise/fault streams are keyed by name, so outcomes are
   invariant under attach-order permutation and bystander insertion.
@@ -187,71 +184,6 @@ class TestIsolation:
                 for e in recorder.events
                 if e.name == MEDIUM_DELIVERY
             )
-
-
-class TestMigration:
-    """Cell-boundary moves never drop or duplicate an in-flight delivery."""
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        start_x=st.integers(2, 14),
-        end_x=st.integers(2, 60),
-        move_at_us=st.integers(0, 40),
-    )
-    def test_move_matches_dense_decision(self, start_x, end_x, move_at_us):
-        def world(medium_cls):
-            kwargs = dict(
-                sample_rate=SAMPLE_RATE, seed=3, range_cutoff_m=15.0
-            )
-            medium = medium_cls(Scheduler(), **kwargs)
-            scheduler = medium.scheduler
-            tx = Transceiver(medium, name="tx", position=(0.0, 0.0))
-            tx.tune(2405e6)
-            rx, captures = _recording_rx(medium, "rx", (float(start_x), 0.0))
-            scheduler.schedule_at(1e-5, lambda: tx.transmit(_tone(160)))
-            # 160 samples at 4 Msps = 40 µs of airtime: the move lands
-            # before, inside, or exactly at the delivery instant.
-            scheduler.schedule_at(
-                1e-5 + move_at_us * 1e-6,
-                lambda: setattr(rx, "position", (float(end_x), 0.0)),
-            )
-            scheduler.run(0.005)
-            return [(i, b) for i, b in captures]
-
-        dense = world(RfMedium)
-        sharded = world(ShardedRfMedium)
-        assert dense == sharded
-        assert len(sharded) <= 1  # never duplicated
-
-    def test_move_within_range_delivers_exactly_once(self):
-        medium = _sharded()
-        scheduler = medium.scheduler
-        tx = Transceiver(medium, name="tx", position=(0.0, 0.0))
-        tx.tune(2405e6)
-        # Crosses the 15 m cell boundary (cell 0 -> cell 0 stays; 14 -> 16
-        # crosses into the next cell) but stays within range throughout...
-        rx, captures = _recording_rx(medium, "rx", (14.0, 0.0))
-        scheduler.schedule_at(1e-5, lambda: tx.transmit(_tone(160)))
-        scheduler.schedule_at(
-            2e-5, lambda: setattr(rx, "position", (14.9, 0.0))
-        )
-        scheduler.run(0.005)
-        assert len(captures) == 1
-
-    def test_move_out_of_range_skips_consistently(self):
-        medium = _sharded()
-        scheduler = medium.scheduler
-        tx = Transceiver(medium, name="tx", position=(0.0, 0.0))
-        tx.tune(2405e6)
-        rx, captures = _recording_rx(medium, "rx", (10.0, 0.0))
-        scheduler.schedule_at(1e-5, lambda: tx.transmit(_tone(160)))
-        scheduler.schedule_at(
-            2e-5, lambda: setattr(rx, "position", (100.0, 0.0))
-        )
-        scheduler.run(0.005)
-        assert captures == []
-        skipped = medium.metrics.counter("medium.deliveries.skipped").value
-        assert skipped >= 1
 
 
 class TestKeyedRandomness:

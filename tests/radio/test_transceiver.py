@@ -29,6 +29,12 @@ class TestTuning:
     def test_repr(self, quiet_medium):
         assert "2440" in repr(Transceiver(quiet_medium, "x"))
 
+    def test_position_is_fixed_at_construction(self, quiet_medium):
+        radio = Transceiver(quiet_medium, "x", position=(1.0, 2.0))
+        with pytest.raises(AttributeError):
+            radio.position = (3.0, 4.0)
+        assert radio.position == (1.0, 2.0)
+
 
 class TestHalfDuplex:
     def test_not_listening_while_transmitting(self, scheduler, quiet_medium):

@@ -125,6 +125,28 @@ class TestSocketTransport:
             server.shutdown()
             assert not os.path.exists(path)
 
+    def test_a_subscriber_after_the_world_ended_gets_bye_at_once(self, tmp_path):
+        with scoped():
+            server = _server(tmp_path, frames=5)
+            server.start()
+            assert _wait_done(server)
+            # Heartbeats would keep records() going until shutdown: read
+            # for at most the client timeout.
+            deadline = time.monotonic() + 5.0
+            records = []
+            with subscribe(
+                server.config.socket_path, name="late", timeout_s=5.0
+            ) as client:
+                for record in client.records():
+                    records.append(record)
+                    if time.monotonic() > deadline:
+                        break
+            assert records[-1]["type"] == "bye"
+            assert records[-1]["reason"] == "source-finished"
+            assert records[-1]["frames_delivered"] == 0
+            ledger = server.shutdown()
+            assert ledger["sessions"]["late"]["close_reason"] == "source-finished"
+
     def test_client_chosen_policy_lands_on_the_session(self, tmp_path):
         with scoped():
             server = _server(tmp_path, frames=5, rate_fps=50.0)

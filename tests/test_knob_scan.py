@@ -3,9 +3,11 @@ the defs no non-test code names and the imports no code uses.
 
 The script is loaded by path and run on small fixture modules: one whose
 calls set some knobs by keyword, by position, through a literal ``**``
-dict and by pass-through, and leave the others alone; a library plus a
-user of it that names some of its defs directly, by attribute or by
-string, and the others only in ``__all__``, an import or their own body;
+dict and by pass-through, and leave the others alone; one whose calls
+pass some knobs only their literal defaults; one whose overrides call
+themselves on ``super()``; a library plus a user of it that names some
+of its defs directly, by attribute or by string, and the others only in
+``__all__``, an import or their own body;
 a module that uses some of its imports and not others; and a tree with a
 module that does not parse.
 """
@@ -137,6 +139,85 @@ def test_scan_reports_only_the_knobs_no_call_sets(tmp_path):
     assert "    tune: f: NOT KEPT: no call sets it" in report
     assert "    fixture.tune.d: in KEPT_KNOBS but set" in report
     assert report[-1] == "total: 6"
+
+
+DEFAULTS = textwrap.dedent(
+    '''
+    from dataclasses import dataclass, field
+
+    SPAN = 3
+
+    def pulse(bt, span=3, scale=1.0, flag=True, at=(0.0, 0.0), gap=-1, n=SPAN):
+        pass
+
+    @dataclass
+    class Burst:
+        power: float = 10.0
+        center: float = field(default=2405e6)
+
+    def run():
+        pulse(0.5, 3, scale=1.0, at=(0.0, 0.0), gap=-1)
+        pulse(0.5, flag=1, n=SPAN)
+        Burst(power=10.0, center=2410e6)
+    '''
+)
+
+
+def test_a_literal_equal_to_the_default_sets_no_knob(tmp_path):
+    knob_scan = _load()
+    path = tmp_path / "defaults.py"
+    path.write_text(DEFAULTS)
+    assert knob_scan.scan([("defaults", path)], [path]) == [
+        ("defaults", "Burst", "power"),
+        ("defaults", "pulse", "at"),
+        ("defaults", "pulse", "gap"),
+        ("defaults", "pulse", "scale"),
+        ("defaults", "pulse", "span"),
+        # 1 is not the literal True, and SPAN is a name, not a literal.
+    ]
+
+
+OVERRIDES = textwrap.dedent(
+    '''
+    class Base:
+        def start(self):
+            pass
+
+        def pause(self):
+            pass
+
+        def stop(self):
+            pass
+
+    class Node(Base):
+        def start(self):
+            super().start()
+
+        def resume(self):
+            super().pause()
+
+        def stop(self):
+            super().stop()
+
+    def main(node):
+        node.stop()
+        node.resume()
+    '''
+)
+
+
+def test_an_override_calling_its_own_name_on_super_reaches_nothing(tmp_path):
+    knob_scan = _load()
+    path = tmp_path / "overrides.py"
+    path.write_text(OVERRIDES)
+    # super().start() inside Node.start reaches no one else's start;
+    # super().pause() inside resume is a use, and main names stop.
+    assert knob_scan.reach([("overrides", path)], [("overrides", path)]) == [
+        "overrides.Base.start",
+        "overrides.Node",
+        "overrides.Node.start",
+        "overrides.main",
+    ]
 
 
 def test_reach_reports_the_defs_no_other_code_names(tmp_path):

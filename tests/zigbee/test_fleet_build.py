@@ -1,8 +1,8 @@
 """Building a fleet costs only what its nodes use.
 
 A fleet that sends nothing derives no per-device random stream, and each
-radio is built on its PAN's channel: one shard-index insertion per radio,
-no re-index.
+radio is built on its PAN's channel and attached once: one shard-index
+insertion per radio.
 """
 
 import numpy as np
@@ -46,21 +46,14 @@ def test_zero_length_campaign_derives_only_the_mediums_generator(monkeypatch):
 
 
 def test_build_indexes_each_radio_once_and_never_reindexes(monkeypatch):
-    indexed = []
-    reindexed = []
-    index = ShardedRfMedium._index_radio
-    reindex = ShardedRfMedium._reindex_radio
+    attached = []
+    attach = ShardedRfMedium.attach
 
-    def counting_index(medium, radio):
-        indexed.append(radio)
-        index(medium, radio)
+    def counting_attach(medium, radio):
+        attached.append(radio)
+        attach(medium, radio)
 
-    def counting_reindex(medium, radio):
-        reindexed.append(radio)
-        reindex(medium, radio)
-
-    monkeypatch.setattr(ShardedRfMedium, "_index_radio", counting_index)
-    monkeypatch.setattr(ShardedRfMedium, "_reindex_radio", counting_reindex)
+    monkeypatch.setattr(ShardedRfMedium, "attach", counting_attach)
     spec = report_fleet()
     medium = ShardedRfMedium(
         Scheduler(),
@@ -70,12 +63,14 @@ def test_build_indexes_each_radio_once_and_never_reindexes(monkeypatch):
     )
     fleet = build_fleet(spec, medium)
     radios = [node.radio.transceiver for node in fleet.nodes.values()]
-    assert len(indexed) == len(set(indexed)) == len(radios) == 208
-    assert set(indexed) == set(radios)
-    assert reindexed == []
+    assert len(attached) == len(set(attached)) == len(radios) == 208
+    assert set(attached) == set(radios)
+    # Positions are fixed, so nothing re-indexes: each radio sits in one
+    # cell, its own.
+    assert sum(len(members) for members in medium._cell_radios.values()) == 208
     for pan in spec.pans:
         for ns in pan.nodes:
             radio = fleet.nodes[ns.name].radio
             assert radio.channel == pan.channel
             t = radio.transceiver
-            assert medium._radio_index[t] == medium.grid.cell_of(t.position)
+            assert t in medium._cell_radios[medium.grid.cell_of(t.position)]

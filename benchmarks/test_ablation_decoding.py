@@ -15,10 +15,6 @@ from repro.experiments.ablations import (
 def test_ablation_hamming_robustness(benchmark, report):
     accuracy = benchmark.pedantic(
         hamming_threshold_sweep,
-        kwargs={
-            "chip_error_rates": (0.0, 0.05, 0.1, 0.2, 0.3),
-            "trials": 3000,
-        },
         rounds=1,
         iterations=1,
     )
@@ -38,7 +34,6 @@ def test_ablation_hamming_robustness(benchmark, report):
 def test_ablation_esb_fallback(benchmark, report):
     comparison = benchmark.pedantic(
         esb_fallback_comparison,
-        kwargs={"frames": 40, "seed": 3},
         rounds=1,
         iterations=1,
     )

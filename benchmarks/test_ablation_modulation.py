@@ -11,7 +11,6 @@ from repro.experiments.ablations import gaussian_bt_sweep, modulation_index_swee
 def test_ablation_gaussian_bt(benchmark, report):
     rates = benchmark.pedantic(
         gaussian_bt_sweep,
-        kwargs={"bt_values": (0.3, 0.5, 1.0, None), "num_chips": 8192},
         rounds=1,
         iterations=1,
     )
@@ -30,7 +29,6 @@ def test_ablation_gaussian_bt(benchmark, report):
 def test_ablation_modulation_index(benchmark, report):
     rates = benchmark.pedantic(
         modulation_index_sweep,
-        kwargs={"h_values": (0.45, 0.48, 0.5, 0.52, 0.55), "num_chips": 8192},
         rounds=1,
         iterations=1,
     )

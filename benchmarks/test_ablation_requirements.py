@@ -13,7 +13,6 @@ from repro.experiments.ablations import data_rate_requirement_check
 def test_requirement_data_rate(benchmark, report):
     check = benchmark.pedantic(
         data_rate_requirement_check,
-        kwargs={"frames": 10, "seed": 2},
         rounds=1,
         iterations=1,
     )

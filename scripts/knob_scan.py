@@ -7,13 +7,21 @@ Run from anywhere (it takes no options)::
 Reads every module under ``src/`` with the stdlib :mod:`ast` module and
 collects its *knobs*: the defaulted parameters of every function and
 method, and the defaulted fields of every dataclass.  It then reads every
-call in ``src/``, ``scripts/``, ``benchmarks/``, ``fleetbench/``,
-``examples/`` and ``tests/`` and marks a knob as set when a call to a
-function, method or class of that name passes it
+call in ``src/``, ``scripts/``, ``benchmarks/``, ``fleetbench/`` and
+``examples/`` and marks a knob as set when a call to a function, method
+or class of that name passes it
 
 * by keyword,
 * by position (a ``*args`` marks every remaining position), or
 * through ``**`` of a literal dict (``**{"k": v}`` or ``**dict(k=v)``).
+
+Calls under ``tests/`` set no knob: a setting only tests change is a
+constant, and a test that needs another value patches the constant.  A
+call reaches only the same-named defs its arguments can bind to: more
+positional arguments than a def takes, or a keyword it does not have,
+rules that def out, unless it takes ``*args`` or ``**kwargs``.  A
+dataclass's fields follow those of its dataclass bases in the same
+module.
 
 A literal argument equal to the parameter's literal default (``f(k=3)``
 for ``def f(k=3)``) does not set the knob: a setting every caller gives
@@ -23,9 +31,10 @@ function's own parameter of the same kind on (``f(x=x)`` inside
 ``super().__init__(...)`` calls count against the enclosing class's
 bases.
 
-Matching is by name, so a knob that shares its function name with a set
-one is hidden (the scan errs towards keeping knobs), and a ``**`` of any
-other mapping is not followed: confirm each hit by reading its callers.
+Matching is by name, so a knob of a def whose name and signature fit a
+call to another one is hidden (the scan errs towards keeping knobs), and
+a ``**`` of any other mapping is not followed: confirm each hit by
+reading its callers.
 
 A second report lists the *defs no non-test code names*: every class,
 function and method in ``src/`` (nested functions and dunders aside)
@@ -38,9 +47,11 @@ reaching the def it overrides) do not count.  The defs in :data:`KEPT`
 stay on purpose; any other hit is API only tests reach, and makes the
 script exit 1.
 
-The knobs in :data:`KEPT_KNOBS` stay on purpose (device names,
-addresses and CRC init values, each with its reason); any other knob no
-call sets makes the script exit 1.
+The knobs in :data:`KEPT_KNOBS` stay on purpose, each with its reason:
+device names, addresses and CRC init values; seams that swap in a test
+oracle; the mechanisms of open ROADMAP items; and settings a production
+caller passes in a way the scan cannot follow.  Any other knob no call
+sets makes the script exit 1.
 
 A third report lists the *unused imports*: every module-level import in
 ``src/`` whose bound name its module never uses (as a name, or inside a
@@ -64,7 +75,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFINITION_DIRS = ("src",)
-CALL_DIRS = ("src", "scripts", "benchmarks", "fleetbench", "examples", "tests")
+CALL_DIRS = ("src", "scripts", "benchmarks", "fleetbench", "examples")
 REACH_DIRS = ("src", "scripts", "benchmarks", "fleetbench", "examples")
 
 #: Defs no non-test code names that stay, each with its reason.
@@ -81,6 +92,9 @@ KEPT: Dict[str, str] = {
 #: Knobs no call sets that stay, each with its reason, keyed
 #: ``module.owner.name``.
 KEPT_KNOBS: Dict[str, str] = {
+    "repro.ble.crc.ble_crc24.init": (
+        "CRC init: packets.check_crc passes its own, kept, crc_init on"
+    ),
     "repro.ble.crc.ble_crc24_bits.init": (
         "CRC init: the advertising value by default, a connection's own otherwise"
     ),
@@ -107,6 +121,10 @@ KEPT_KNOBS: Dict[str, str] = {
         "placement: set through experiments.table3.CHIP_FACTORIES, whose "
         "chip_factory(position=...) call the name match cannot follow"
     ),
+    "repro.chips.cc1352.Cc1352R1.__init__.rng": (
+        "device stream: set by environment.build_bench's chip_factory(rng=...) "
+        "call, which the name match cannot follow"
+    ),
     "repro.chips.nrf51822.Nrf51822.__init__.name": (
         "device name: unique per radio on one medium"
     ),
@@ -116,8 +134,38 @@ KEPT_KNOBS: Dict[str, str] = {
     "repro.chips.smartphone.SmartphoneBle.__init__.name": (
         "device name: unique per radio on one medium"
     ),
+    "repro.experiments.table3._run_wideband_pair.front_end_cls": (
+        "seam: the wideband tests swap in their reference band steps"
+    ),
+    "repro.experiments.table3.run_table3.primitives": (
+        "ROADMAP item 10's modulation-index sweep runs "
+        "run_table3(primitives=(\"tx\",))"
+    ),
+    "repro.experiments.table3.run_table3_cell.fault_profile": (
+        "chaos profile: run_table3 passes it in the map_tasks task dicts, "
+        "which the name match cannot follow"
+    ),
     "repro.ids.monitor.SpectrumSentinel.__init__.name": (
         "device name: unique per radio on one medium"
+    ),
+    "repro.phy.ble_phy.modem_config.modulation_index": (
+        "ROADMAP item 10's per-chip modulation index"
+    ),
+    "repro.serve.supervisor.SupervisedStage.__init__.backoff_cap_s": (
+        "ROADMAP item 9's restart parameters"
+    ),
+    "repro.serve.supervisor.SupervisedStage.__init__.backoff_s": (
+        "ROADMAP item 9's restart parameters"
+    ),
+    "repro.serve.supervisor.SupervisedStage.__init__.max_restarts": (
+        "ROADMAP item 9's restart parameters"
+    ),
+    "repro.zigbee.fleet.FleetNodeSpec.report_interval_s": (
+        "set through make_fleet's report_interval_s"
+    ),
+    "repro.zigbee.fleet.make_fleet.report_interval_s": (
+        "fleetbench's make_fleet(**self.fleet) sets it, a mapping the scan "
+        "does not follow"
     ),
 }
 
@@ -140,6 +188,18 @@ class _Signature:
     #: Each defaulted parameter, with its default as :func:`_literal`
     #: reads it.
     defaulted: Dict[str, object]
+    #: The names a keyword argument can bind to.
+    keywords: Set[str]
+    #: Whether the callable takes ``*args`` and ``**kwargs``.
+    var_positional: bool = False
+    var_keyword: bool = False
+
+    def binds(self, positions: int, keywords: Iterable[str]) -> bool:
+        """Whether a call passing *positions* positional arguments and
+        *keywords* by name can reach this callable."""
+        if positions > len(self.positional) and not self.var_positional:
+            return False
+        return self.var_keyword or all(k in self.keywords for k in keywords)
 
 
 @dataclass
@@ -193,11 +253,19 @@ def _function_signature(
         for a, d in zip(args.kwonlyargs, args.kw_defaults)
         if d is not None
     )
-    return _Signature(module, owner, positional, defaulted)
+    keywords = {a.arg for a in args.args if a.arg in positional}
+    keywords.update(a.arg for a in args.kwonlyargs)
+    return _Signature(
+        module, owner, positional, defaulted, keywords,
+        args.vararg is not None, args.kwarg is not None,
+    )
 
 
-def _dataclass_signature(module: str, node: ast.ClassDef) -> _Signature:
-    names: List[str] = []
+def _dataclass_signature(
+    module: str, node: ast.ClassDef, inherited: List[str]
+) -> _Signature:
+    """*node*'s fields after the *inherited* ones (its dataclass bases')."""
+    names: List[str] = list(inherited)
     defaulted: Dict[str, object] = {}
     for stmt in node.body:
         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
@@ -218,10 +286,14 @@ def _dataclass_signature(module: str, node: ast.ClassDef) -> _Signature:
             names.append(stmt.target.id)
             if value is not None:
                 defaulted[stmt.target.id] = _literal(value)
-    return _Signature(module, node.name, names, defaulted)
+    return _Signature(module, node.name, names, defaulted, set(names))
 
 
 def _collect_definitions(scan: _Scan, module: str, tree: ast.Module) -> None:
+    # Each dataclass's init fields, for dataclasses in the same module
+    # that derive from it.
+    fields: Dict[str, List[str]] = {}
+
     def visit(body: Iterable[ast.stmt], prefix: str, in_class: bool) -> None:
         for node in body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -236,7 +308,12 @@ def _collect_definitions(scan: _Scan, module: str, tree: ast.Module) -> None:
                 visit(node.body, f"{owner}.", False)
             elif isinstance(node, ast.ClassDef):
                 if _is_dataclass(node):
-                    scan.by_name[node.name].append(_dataclass_signature(module, node))
+                    inherited = [
+                        f for b in node.bases for f in fields.get(getattr(b, "id", ""), [])
+                    ]
+                    signature = _dataclass_signature(module, node, inherited)
+                    fields[node.name] = signature.positional
+                    scan.by_name[node.name].append(signature)
                 visit(node.body, f"{prefix}{node.name}.", True)
 
     visit(tree.body, "", False)
@@ -326,8 +403,12 @@ def _record_call(
             passed.append((None, keyword.arg, keyword.value))
         else:
             passed.extend((None, k, v) for k, v in _literal_keys(keyword.value))
+    positions = starred_from if starred_from is not None else len(call.args)
+    keywords = [keyword for _, keyword, _ in passed if keyword is not None]
     for name in _callee_names(call, bases):
         for signature in scan.by_name.get(name, []):
+            if not signature.binds(positions, keywords):
+                continue
             hits: List[Tuple[str, ast.expr]] = []
             for index, keyword, value in passed:
                 if keyword is not None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -45,16 +45,13 @@ __all__ = ["forge_advertising_data", "SmartphoneInjectionAttack"]
 COMPANY_ID = 0x0059
 
 
-def forge_advertising_data(
-    psdu: bytes, ble_channel: int, padding_bytes: Optional[int] = None
-) -> bytes:
+def forge_advertising_data(psdu: bytes, ble_channel: int) -> bytes:
     """Build the AD structures that inject *psdu* on *ble_channel*.
 
     Returns the advertising-data bytes to pass to the smartphone API.
     Raises ``ValueError`` when the frame is too large for one AUX_ADV_IND.
     """
-    if padding_bytes is None:
-        padding_bytes = SmartphoneBle.aux_data_offset_bytes() + 4
+    padding_bytes = SmartphoneBle.aux_data_offset_bytes() + 4
     msk_bits = frame_to_msk_bits(psdu)
     padded = np.concatenate(
         [np.zeros(8 * padding_bytes, dtype=np.uint8), msk_bits]

@@ -17,7 +17,7 @@ Everything is event-driven on the simulation scheduler; the attack keeps a
 timestamped log so benches/tests can assert the workflow.
 
 Robustness model: every stage that waits on the environment is bounded.
-Stages 1 and 2 get ``max_stage_retries`` re-attempts with exponential
+Stages 1 and 2 get :data:`MAX_STAGE_RETRIES` re-attempts with exponential
 backoff (scan repeats, eavesdrop windows double); a global watchdog caps
 the whole workflow.  Exhausting a budget terminates in
 :attr:`AttackPhase.FAILED` with a structured :class:`StageDiagnosis` — the
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from repro.core.firmware import ScanResult, WazaBeeFirmware
 from repro.core.rx import DecodedFrame
@@ -56,6 +56,20 @@ AT_INJECTION_DELAY_S = 0.01
 AT_INJECTION_REPEATS = 3
 #: The reading every spoofed sensor report carries.
 FAKE_VALUE = 99
+#: The channels the active scan visits, in order.
+SCAN_CHANNELS = ZIGBEE_CHANNELS
+#: Gap between spoofed sensor reports (and before the first one).
+FAKE_REPORT_INTERVAL_S = 2.0
+#: How many spoofed reports complete the attack.
+FAKE_REPORT_COUNT = 5
+#: The first eavesdropping window; each retry doubles it.
+EAVESDROP_TIMEOUT_S = 6.0
+#: Re-attempts of the scanning and eavesdropping stages.
+MAX_STAGE_RETRIES = 1
+#: Backoff before the first scan retry; it doubles per attempt.
+RETRY_BACKOFF_S = 0.1
+#: The watchdog that caps the whole workflow.
+MAX_ATTACK_DURATION_S = 120.0
 
 
 class AttackPhase(Enum):
@@ -101,26 +115,12 @@ class TrackerAttack:
     def __init__(
         self,
         firmware: WazaBeeFirmware,
-        channels: Sequence[int] = ZIGBEE_CHANNELS,
         target_pan_id: Optional[int] = None,
         dos_channel: int = 26,
-        fake_report_interval_s: float = 2.0,
-        fake_report_count: int = 5,
-        eavesdrop_timeout_s: float = 6.0,
-        max_stage_retries: int = 1,
-        retry_backoff_s: float = 0.1,
-        max_attack_duration_s: Optional[float] = 120.0,
     ):
         self.firmware = firmware
-        self.channels = list(channels)
         self.target_pan_id = target_pan_id
         self.dos_channel = dos_channel
-        self.fake_report_interval_s = fake_report_interval_s
-        self.fake_report_count = fake_report_count
-        self.eavesdrop_timeout_s = eavesdrop_timeout_s
-        self.max_stage_retries = max_stage_retries
-        self.retry_backoff_s = retry_backoff_s
-        self.max_attack_duration_s = max_attack_duration_s
 
         self.phase = AttackPhase.IDLE
         self.trace = _current_bus()
@@ -145,10 +145,9 @@ class TrackerAttack:
         """Start the attack; phases advance via scheduled callbacks."""
         self._on_complete = on_complete
         self._started_at = self.scheduler.now
-        if self.max_attack_duration_s is not None:
-            self._watchdog = self.scheduler.schedule(
-                self.max_attack_duration_s, self._watchdog_fired
-            )
+        self._watchdog = self.scheduler.schedule(
+            MAX_ATTACK_DURATION_S, self._watchdog_fired
+        )
         self._enter(AttackPhase.SCANNING, "starting active scan")
         self._start_scan()
 
@@ -178,7 +177,7 @@ class TrackerAttack:
 
     def _stage_backoff(self, attempt: int) -> float:
         """Exponential backoff before re-attempting a stage (doubles)."""
-        return self.retry_backoff_s * (2 ** max(attempt - 1, 0))
+        return RETRY_BACKOFF_S * (2 ** max(attempt - 1, 0))
 
     def _finish(self) -> None:
         if self._watchdog is not None:
@@ -205,9 +204,9 @@ class TrackerAttack:
             return
         self.firmware.stop_sniffer()
         self._fail(
-            f"watchdog expired after {self.max_attack_duration_s}s in stage "
+            f"watchdog expired after {MAX_ATTACK_DURATION_S}s in stage "
             f"{self.phase.value}",
-            suggestion="raise max_attack_duration_s or inspect the stalled stage",
+            suggestion="raise MAX_ATTACK_DURATION_S or inspect the stalled stage",
         )
 
     # -- stage 1 → 2 ---------------------------------------------------------
@@ -216,7 +215,7 @@ class TrackerAttack:
             self.stage_attempts.get(AttackPhase.SCANNING, 0) + 1
         )
         self.firmware.active_scan(
-            self.channels, dwell_s=SCAN_DWELL_S, on_complete=self._scanned
+            list(SCAN_CHANNELS), dwell_s=SCAN_DWELL_S, on_complete=self._scanned
         )
 
     def _scanned(self, results: List[ScanResult]) -> None:
@@ -228,7 +227,7 @@ class TrackerAttack:
                 break
         if self.network is None:
             attempt = self.stage_attempts[AttackPhase.SCANNING]
-            if attempt <= self.max_stage_retries:
+            if attempt <= MAX_STAGE_RETRIES:
                 backoff = self._stage_backoff(attempt)
                 self._log(
                     f"scan attempt {attempt} found nothing; retrying in "
@@ -237,7 +236,7 @@ class TrackerAttack:
                 self.scheduler.schedule(backoff, self._start_scan)
                 return
             self._fail(
-                f"no network found on channels {self.channels}",
+                f"no network found on channels {list(SCAN_CHANNELS)}",
                 suggestion="widen the channel list",
             )
             return
@@ -251,7 +250,7 @@ class TrackerAttack:
         )
         self.stage_attempts[AttackPhase.EAVESDROPPING] = 1
         self.firmware.start_sniffer(self.network.channel, self._sniffed)
-        self.scheduler.schedule(self.eavesdrop_timeout_s, self._eavesdrop_timeout)
+        self.scheduler.schedule(EAVESDROP_TIMEOUT_S, self._eavesdrop_timeout)
 
     # -- stage 2 → 3 ---------------------------------------------------------
     def _sniffed(self, frame: MacFrame, _decoded: DecodedFrame) -> None:
@@ -271,11 +270,11 @@ class TrackerAttack:
         if self.phase is not AttackPhase.EAVESDROPPING or self.sensor_address:
             return
         attempt = self.stage_attempts[AttackPhase.EAVESDROPPING]
-        if attempt <= self.max_stage_retries:
+        if attempt <= MAX_STAGE_RETRIES:
             # The sniffer keeps running; double the listening window — the
             # sensor may simply report at a long period.
             self.stage_attempts[AttackPhase.EAVESDROPPING] = attempt + 1
-            window = self.eavesdrop_timeout_s * (2**attempt)
+            window = EAVESDROP_TIMEOUT_S * (2**attempt)
             self._log(
                 f"eavesdrop window {attempt} elapsed without sensor traffic; "
                 f"extending by {window:.3f}s"
@@ -285,7 +284,7 @@ class TrackerAttack:
         self.firmware.stop_sniffer()
         self._fail(
             "eavesdropping timed out without seeing sensor traffic",
-            suggestion="increase eavesdrop_timeout_s or max_stage_retries",
+            suggestion="increase EAVESDROP_TIMEOUT_S or MAX_STAGE_RETRIES",
         )
 
     # -- stage 3 → 4 ---------------------------------------------------------
@@ -312,7 +311,7 @@ class TrackerAttack:
             lambda: self._enter(AttackPhase.SPOOFING, "starting fake data injection"),
         )
         self.scheduler.schedule(
-            spoof_start + self.fake_report_interval_s, self._send_fake_report
+            spoof_start + FAKE_REPORT_INTERVAL_S, self._send_fake_report
         )
 
     def _send_at_command(self, repeat: int) -> None:
@@ -350,8 +349,8 @@ class TrackerAttack:
         self.firmware.send_frame(frame, self.network.channel)
         self.fake_reports_sent += 1
         self._log(f"spoofed reading #{self.fake_reports_sent} value={FAKE_VALUE}")
-        if self.fake_reports_sent >= self.fake_report_count:
+        if self.fake_reports_sent >= FAKE_REPORT_COUNT:
             self._enter(AttackPhase.DONE, "attack complete")
             self._finish()
             return
-        self.scheduler.schedule(self.fake_report_interval_s, self._send_fake_report)
+        self.scheduler.schedule(FAKE_REPORT_INTERVAL_S, self._send_fake_report)

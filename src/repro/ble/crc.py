@@ -38,4 +38,4 @@ def ble_crc24_bits(pdu: bytes, init: int = ADVERTISING_CRC_INIT) -> np.ndarray:
         if init == ADVERTISING_CRC_INIT
         else CrcEngine(width=24, polynomial=BLE_CRC24_POLY, init=init)
     )
-    return engine.digest_bits(pdu, order="msb")
+    return engine.digest_bits(pdu)

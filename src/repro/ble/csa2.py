@@ -89,11 +89,11 @@ class Csa2Session:
     """Stateful per-event channel selection for an advertising set, over
     :data:`ALL_DATA_CHANNELS`."""
 
-    def __init__(self, access_address: int, initial_counter: int = 0):
+    def __init__(self, access_address: int):
         self.access_address = access_address
-        self.counter = initial_counter
+        self.counter = 0
         # Validate eagerly so construction fails fast.
-        csa2_select(initial_counter, access_address, ALL_DATA_CHANNELS)
+        csa2_select(0, access_address, ALL_DATA_CHANNELS)
 
     def next_channel(self) -> Tuple[int, int]:
         """Advance one event; return ``(event_counter, channel)``."""

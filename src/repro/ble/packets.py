@@ -81,7 +81,7 @@ class PduType(Enum):
 
 def access_address_bits(access_address: int) -> np.ndarray:
     """Access Address as 32 on-air bits (LSB of the value first)."""
-    return int_to_bits(access_address, 32, order="lsb")
+    return int_to_bits(access_address, 32)
 
 
 def preamble_bits(access_address: int, phy: PhyMode) -> np.ndarray:
@@ -257,7 +257,6 @@ class ExtendedAdvertisingPdu:
     advertiser_address: Optional[bytes] = None
     adi: Optional[Adi] = None
     aux_ptr: Optional[AuxPtr] = None
-    tx_power: Optional[int] = None
     adv_mode: int = 0  # 00 = non-connectable, non-scannable
     adv_data: bytes = b""
 
@@ -275,9 +274,6 @@ class ExtendedAdvertisingPdu:
         if self.aux_ptr is not None:
             flags |= _FLAG_AUXPTR
             body += self.aux_ptr.to_bytes()
-        if self.tx_power is not None:
-            flags |= _FLAG_TXPOWER
-            body += np.int8(self.tx_power).tobytes()
         if flags:
             return bytes([flags]) + body
         return b""
@@ -346,7 +342,7 @@ class ExtendedAdvertisingPdu:
             if flags & _FLAG_SYNCINFO:
                 take(18)
             if flags & _FLAG_TXPOWER:
-                result.tx_power = int(np.frombuffer(take(1), dtype=np.int8)[0])
+                take(1)
         result.adv_data = bytes(payload[1 + ext_len :])
         return result
 
@@ -372,22 +368,16 @@ def assemble_on_air_bits(
     channel: int,
     phy: PhyMode = PhyMode.LE_1M,
     access_address: int = ADVERTISING_ACCESS_ADDRESS,
-    whitening: bool = True,
-    include_crc: bool = True,
     crc_init: int = ADVERTISING_CRC_INIT,
 ) -> OnAirPacket:
-    """Build the complete on-air bit sequence for a PDU.
-
-    ``whitening=False`` and ``include_crc=False`` model the radio
-    configuration freedoms that WazaBee's TX primitive requires (§IV-D).
-    """
-    parts = [preamble_bits(access_address, phy), access_address_bits(access_address)]
-    body = bytes_to_bits(pdu)
-    if include_crc:
-        body = np.concatenate([body, ble_crc24_bits(pdu, init=crc_init)])
-    if whitening:
-        body = whiten(body, channel)
-    parts.append(body)
+    """Build the complete on-air bit sequence for a PDU: preamble, Access
+    Address, then the PDU and its CRC-24, whitened for *channel*."""
+    body = np.concatenate([bytes_to_bits(pdu), ble_crc24_bits(pdu, init=crc_init)])
+    parts = [
+        preamble_bits(access_address, phy),
+        access_address_bits(access_address),
+        whiten(body, channel),
+    ]
     return OnAirPacket(
         bits=np.concatenate(parts),
         access_address=access_address,

@@ -126,14 +126,10 @@ class BleRadioPeripheral:
             raise ValueError("access address must be 32-bit")
         self._access_address = access_address
 
-    def set_whitening(self, enabled: bool, channel: Optional[int] = None) -> None:
+    def set_whitening(self, enabled: bool) -> None:
         if not enabled and not self.capabilities.can_disable_whitening:
             raise CapabilityError(f"{self.name}: whitening cannot be disabled")
         self._whitening_enabled = enabled
-        if channel is not None:
-            if not 0 <= channel <= 39:
-                raise ValueError("whitening channel out of range")
-            self._whitening_channel = channel
 
     def set_crc_enabled(self, enabled: bool) -> None:
         if not enabled and not self.capabilities.can_disable_crc:
@@ -274,8 +270,6 @@ class BleRadioPeripheral:
             channel=channel,
             phy=phy,
             access_address=access_address,
-            whitening=True,
-            include_crc=True,
         )
         signal = self._modulator().modulate(packet.bits)
         return self.transceiver.transmit(signal)

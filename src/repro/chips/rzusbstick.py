@@ -163,8 +163,7 @@ class RzUsbStick(Dot15d4Radio):
     def __init__(
         self,
         medium: RfMedium,
-        name: str = "RZUSBStick",
         position: Tuple[float, float] = (0.0, 0.0),
         rng: Optional[np.random.Generator] = None,
     ):
-        super().__init__(medium, name=name, position=position, rng=rng)
+        super().__init__(medium, name="RZUSBStick", position=position, rng=rng)

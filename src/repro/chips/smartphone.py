@@ -98,7 +98,6 @@ class SmartphoneBle:
         self.advertiser_address = advertiser_address
         self._advertising = False
         self._adv_data = b""
-        self._interval_s = MIN_ADVERTISING_INTERVAL_S
         self._csa2 = Csa2Session(ADVERTISING_ACCESS_ADDRESS)
         self._adi = Adi(did=0x123, sid=1)
         self.events: List[AdvertisingEvent] = []
@@ -110,10 +109,10 @@ class SmartphoneBle:
     def start_extended_advertising(
         self,
         adv_data: bytes,
-        interval_s: float = MIN_ADVERTISING_INTERVAL_S,
         event_callback: Optional[Callable[[AdvertisingEvent], None]] = None,
     ) -> None:
-        """Begin extended advertising with LE 1M primary / LE 2M secondary.
+        """Begin extended advertising with LE 1M primary / LE 2M secondary,
+        one event per :data:`MIN_ADVERTISING_INTERVAL_S`.
 
         *adv_data* must already be a sequence of AD structures (use
         :func:`repro.ble.packets.manufacturer_data`).
@@ -122,12 +121,7 @@ class SmartphoneBle:
             raise ValueError(
                 "advertising data exceeds what a single AUX_ADV_IND carries"
             )
-        if interval_s < MIN_ADVERTISING_INTERVAL_S:
-            raise ValueError(
-                f"Android rejects intervals below {MIN_ADVERTISING_INTERVAL_S}s"
-            )
         self._adv_data = bytes(adv_data)
-        self._interval_s = interval_s
         self._event_callback = event_callback
         if not self._advertising:
             self._advertising = True
@@ -172,7 +166,7 @@ class SmartphoneBle:
         self._scheduler.schedule(aux_delay, lambda: self._transmit_aux(channel))
         if self._event_callback is not None:
             self._event_callback(event)
-        self._scheduler.schedule(self._interval_s, self._advertising_event)
+        self._scheduler.schedule(MIN_ADVERTISING_INTERVAL_S, self._advertising_event)
 
     def _transmit_aux(self, channel: int) -> None:
         if not self._advertising:

@@ -13,7 +13,7 @@ API), which is why Scenario A needs the whitening pre-inversion trick.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Protocol, runtime_checkable
+from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -42,8 +42,8 @@ class LowLevelRadio(Protocol):
     def set_access_address(self, access_address: int) -> None:
         """Program the sync word used for TX framing and RX correlation."""
 
-    def set_whitening(self, enabled: bool, channel: Optional[int] = None) -> None:
-        """Enable/disable whitening; *channel* selects the LFSR seed."""
+    def set_whitening(self, enabled: bool) -> None:
+        """Enable/disable whitening; the tuned BLE channel seeds the LFSR."""
 
     def set_crc_enabled(self, enabled: bool) -> None:
         """Enable/disable hardware CRC generation/checking."""

@@ -24,7 +24,7 @@ overlap in symbol rate fail to synchronise at all and score BER 0.5 —
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -154,14 +154,12 @@ def cross_demodulation_ber(
 
 
 def similarity_matrix(
-    schemes: Sequence[ModulationScheme] = REFERENCE_SCHEMES,
-    num_bits: int = 2048,
-    snr_db: Optional[float] = None,
+    num_bits: int = 2048, snr_db: Optional[float] = None
 ) -> Dict[Tuple[str, str], float]:
-    """Pairwise cross-demodulation BER over a set of schemes."""
+    """Pairwise cross-demodulation BER over :data:`REFERENCE_SCHEMES`."""
     matrix: Dict[Tuple[str, str], float] = {}
-    for tx in schemes:
-        for rx in schemes:
+    for tx in REFERENCE_SCHEMES:
+        for rx in REFERENCE_SCHEMES:
             matrix[(tx.name, rx.name)] = cross_demodulation_ber(
                 tx, rx, num_bits=num_bits, snr_db=snr_db
             )

@@ -222,21 +222,17 @@ _last_parse: Tuple[bytes, dict] = (b"", {})
 # ---------------------------------------------------------------------------
 
 
-def build_beacon_request(sequence_number: int = 0) -> MacFrame:
+def build_beacon_request() -> MacFrame:
     """Broadcast Beacon Request — the active-scan probe (§VI-C step 1)."""
     return MacFrame(
         frame_type=FrameType.COMMAND,
-        sequence_number=sequence_number,
+        sequence_number=0,
         destination=Address(pan_id=BROADCAST_PAN, address=BROADCAST_SHORT),
         payload=bytes([CommandId.BEACON_REQUEST]),
     )
 
 
-def build_beacon(
-    source: Address,
-    sequence_number: int = 0,
-    beacon_payload: bytes = b"",
-) -> MacFrame:
+def build_beacon(source: Address, sequence_number: int = 0) -> MacFrame:
     """A (non-beacon-enabled) beacon frame, as a PAN coordinator sends it in
     answer to a request."""
     # Beacon order = superframe order = 15; PAN coordinator; association
@@ -245,7 +241,6 @@ def build_beacon(
     payload = superframe.to_bytes(2, "little")
     payload += bytes([0x00])  # GTS: none
     payload += bytes([0x00])  # pending addresses: none
-    payload += beacon_payload
     return MacFrame(
         frame_type=FrameType.BEACON,
         sequence_number=sequence_number,

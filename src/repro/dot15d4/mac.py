@@ -104,7 +104,6 @@ class _PendingTx:
     """One outgoing frame moving through CSMA-CA / ACK-retry."""
 
     frame: MacFrame
-    ack_request: bool
     on_result: Optional[SendResultHandler] = None
     retries: int = field(default=0, init=False)
     nb: int = field(default=0, init=False)
@@ -178,27 +177,25 @@ class MacService:
         self,
         destination: Address,
         payload: bytes,
-        ack: bool = True,
         on_result: Optional[SendResultHandler] = None,
     ) -> int:
-        """Queue a data frame for CSMA-CA transmission.
+        """Queue a data frame, requesting an acknowledgement, for CSMA-CA
+        transmission.
 
         Returns the frame's sequence number immediately; the transmission
         itself proceeds through backoff / CCA / ACK-wait on the scheduler.
         *on_result* (if given) fires with ``(sequence, delivered)`` once the
-        frame is acknowledged, confirmed sent (no ACK requested), or
-        dropped.
+        frame is acknowledged or dropped.
         """
         frame = build_data(
             source=self.address,
             destination=destination,
             payload=payload,
             sequence_number=self.next_sequence(),
-            ack_request=ack,
         )
         if self.security is not None:
             frame = self.security.protect(frame)
-        self._enqueue(_PendingTx(frame=frame, ack_request=ack, on_result=on_result))
+        self._enqueue(_PendingTx(frame=frame, on_result=on_result))
         return frame.sequence_number
 
     def send_frame(self, frame: MacFrame) -> None:
@@ -254,12 +251,6 @@ class MacService:
         tx = self.radio.transmit_frame(pending.frame)
         self.stats.sent_frames += 1
         airtime = max(tx.end_time - self._scheduler.now, 0.0)
-        if not pending.ack_request:
-            # Confirm once the frame has left the antenna (half duplex).
-            self._scheduler.schedule(
-                airtime, lambda: self._finish_pending(pending, delivered=True)
-            )
-            return
         self._awaiting_seq = pending.frame.sequence_number
         self._ack_wait_handle = self._scheduler.schedule(
             airtime + ACK_WAIT_DURATION_S,

@@ -35,6 +35,7 @@ __all__ = [
     "SecurityError",
     "SecurityContext",
     "AUX_HEADER_SIZE",
+    "LEVEL",
 ]
 
 #: Auxiliary security header: security control (1) + frame counter (4).
@@ -66,6 +67,10 @@ class SecurityLevel(IntEnum):
         return int(self) >= 4
 
 
+#: The level every secured frame uses: encryption with a 64-bit MIC.
+LEVEL = SecurityLevel.ENC_MIC_64
+
+
 def _source_identifier(address: Address) -> bytes:
     """8-byte nonce source field derived from PAN id + short address."""
     return (
@@ -91,7 +96,6 @@ class SecurityContext:
     """Per-node security material and replay state."""
 
     key: bytes
-    level: SecurityLevel = SecurityLevel.ENC_MIC_64
     frame_counter: int = field(default=0, init=False)
     replay_state: Dict[Tuple[int, int], int] = field(
         default_factory=dict, init=False
@@ -100,8 +104,6 @@ class SecurityContext:
     def __post_init__(self) -> None:
         if len(self.key) != 16:
             raise SecurityError("network key must be 16 bytes (AES-128)")
-        if self.level is SecurityLevel.NONE:
-            raise SecurityError("use no context at all instead of level NONE")
 
     # -- outgoing -----------------------------------------------------------
     def protect(self, frame: MacFrame) -> MacFrame:
@@ -110,8 +112,8 @@ class SecurityContext:
             raise SecurityError("secured frames need a source address")
         counter = self.frame_counter
         self.frame_counter += 1
-        nonce = build_nonce(frame.source, counter, self.level)
-        aux = bytes([int(self.level)]) + counter.to_bytes(4, "big")
+        nonce = build_nonce(frame.source, counter, LEVEL)
+        aux = bytes([int(LEVEL)]) + counter.to_bytes(4, "big")
         secured = MacFrame(
             frame_type=frame.frame_type,
             sequence_number=frame.sequence_number,
@@ -129,8 +131,8 @@ class SecurityContext:
             nonce,
             frame.payload,
             aad=header + aux,
-            mic_length=self.level.mic_length,
-            encrypt=self.level.encrypted,
+            mic_length=LEVEL.mic_length,
+            encrypt=LEVEL.encrypted,
         )
         secured.payload = aux + protected
         return secured
@@ -153,10 +155,10 @@ class SecurityContext:
             level = SecurityLevel(level_value)
         except ValueError as exc:  # pragma: no cover - 3-bit value always valid
             raise SecurityError("bad security level") from exc
-        if level is not self.level:
+        if level is not LEVEL:
             raise SecurityError(
                 f"security level mismatch: frame {level.name}, "
-                f"context {self.level.name}"
+                f"context {LEVEL.name}"
             )
         counter = int.from_bytes(frame.payload[1:5], "big")
         key_id = (frame.source.pan_id, frame.source.address)

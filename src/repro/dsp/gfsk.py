@@ -62,6 +62,10 @@ __all__ = [
 ]
 
 
+#: Symbol periods the Gaussian shaping pulse spans.
+SPAN_SYMBOLS = 3
+
+
 @dataclass(frozen=True)
 class GfskConfig:
     """Static modem parameters.
@@ -73,7 +77,6 @@ class GfskConfig:
     samples_per_symbol: int = 8
     modulation_index: float = 0.5
     bt: Optional[float] = 0.5
-    span_symbols: int = 3
 
     def __post_init__(self) -> None:
         if self.samples_per_symbol < 2:
@@ -119,7 +122,7 @@ class WaveformCache:
         if config.bt is None:
             pulse = rectangular_pulse(sps)
         else:
-            pulse = gaussian_pulse(config.bt, sps, config.span_symbols)
+            pulse = gaussian_pulse(config.bt, sps, SPAN_SYMBOLS)
         if len(pulse) % sps != 0:
             raise ValueError(
                 "pulse length must be a whole number of symbol periods"
@@ -179,8 +182,9 @@ class WaveformCache:
                 segs[q], incs[q] = block(pattern, active, length)
             self._tail.append((segs, incs))
 
-    def synthesize(self, bits, initial_phase: float = 0.0) -> np.ndarray:
-        """Complex-baseband samples for *bits* (cache-stitched fast path).
+    def synthesize(self, bits) -> np.ndarray:
+        """Complex-baseband samples for *bits* (cache-stitched fast path),
+        starting at carrier phase 0.
 
         Output is sample-for-sample the modulator's ``full``-convolution
         layout: ``len(bits) * sps + pulse_len - 1`` samples.
@@ -220,9 +224,8 @@ class WaveformCache:
             tail_idx.append(q)
             increments[num_interior + span - 1 + t] = self._tail[t][1][q]
         starts = np.empty(num_blocks)
-        starts[0] = initial_phase
+        starts[0] = 0.0
         np.cumsum(increments[:-1], out=starts[1:])
-        starts[1:] += initial_phase
         # Stitch: gather each period's cached segment into the output and
         # rotate it by the running phase — one complex multiply per sample,
         # one cos/sin pair per symbol (instead of per-sample exp/cumsum).
@@ -314,7 +317,7 @@ class FskModulator:
             self._pulse = rectangular_pulse(config.samples_per_symbol)
         else:
             self._pulse = gaussian_pulse(
-                config.bt, config.samples_per_symbol, config.span_symbols
+                config.bt, config.samples_per_symbol, SPAN_SYMBOLS
             )
         self._cache: Optional[WaveformCache] = None
 
@@ -363,12 +366,13 @@ class FskModulator:
             self._cache = waveform_cache(self.config, self.symbol_rate)
         return self._cache
 
-    def modulate_direct(self, bits, initial_phase: float = 0.0) -> IQSignal:
-        """Cache-free reference synthesis (convolve → cumsum → ``exp``)."""
+    def modulate_direct(self, bits) -> IQSignal:
+        """Cache-free reference synthesis (convolve → cumsum → ``exp``),
+        starting at carrier phase 0."""
         freq = self.frequency_waveform(bits)
         # Phase advance per sample: 2π f Δt, accumulated.
         dphi = 2.0 * np.pi * freq / self.sample_rate
-        phase = initial_phase + np.cumsum(dphi)
+        phase = np.cumsum(dphi)
         samples = np.exp(1j * phase)
         return IQSignal(samples, self.sample_rate)
 
@@ -712,16 +716,11 @@ class SyncSearch:
         return SyncLocks(locked, starts, scores, means - template.mean)
 
     def lock(
-        self,
-        template: SyncTemplate,
-        threshold: float,
-        row: int = 0,
-        search_start: int = 0,
+        self, template: SyncTemplate, threshold: float
     ) -> Optional[Tuple[int, float, float]]:
         """The one-row call of :meth:`lock_rows`: ``(start, score, dc)``
-        of *row*'s first candidate at or after *search_start*, or
-        ``None``."""
-        locks = self.lock_rows(template, threshold, [row], [search_start])
+        of row 0's first candidate, or ``None``."""
+        locks = self.lock_rows(template, threshold, [0], [0])
         if not locks.rows:
             return None
         return int(locks.starts[0]), float(locks.scores[0]), float(locks.dcs[0])
@@ -828,23 +827,18 @@ class FskDemodulator:
         sync_bits,
         threshold: float = SYNC_THRESHOLD,
         power: Optional[PowerInput] = None,
-        search_start: int = 0,
     ) -> Optional[SyncResult]:
         """Search the discriminator output for a sync word.
 
         The one-row :class:`SyncSearch`: the first alignment of an NRZ
         template of *sync_bits* whose normalised score clears *threshold*
         (and the RSSI gate, when *power* is given), refined within two
-        symbols.  *search_start* skips the beginning of the capture —
-        receivers use it to re-arm the correlator after a sync that failed
-        to yield a frame.
+        symbols.
         """
         template = sync_template(
             sync_bits, self.config.samples_per_symbol, disc.dtype
         )
-        lock = SyncSearch(disc[None], power).lock(
-            template, threshold, 0, search_start
-        )
+        lock = SyncSearch(disc[None], power).lock(template, threshold)
         if lock is None:
             return None
         start, score, dc = lock

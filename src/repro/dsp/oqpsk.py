@@ -232,13 +232,11 @@ class OqpskDemodulator:
         sync_chips,
         sync_start_index: int,
         max_chips: int,
-        threshold: float = SYNC_THRESHOLD,
-        search_start: int = 0,
-        front_end: Optional[SyncSearch] = None,
     ) -> Optional[Tuple[np.ndarray, ChipSyncResult]]:
         """Acquire *sync_chips* and decode the chips that follow.
 
-        The one-row call of :meth:`receive_chip_rows`.
+        The one-row call of :meth:`receive_chip_rows`, from the start of
+        *sig*'s front end.
 
         Parameters
         ----------
@@ -252,13 +250,6 @@ class OqpskDemodulator:
             — needed because the chip↔rotation mapping depends on parity.
         max_chips:
             Maximum number of chips to decode after the sync pattern.
-        search_start:
-            Discriminator sample index to resume the pattern search from
-            (used to re-arm after a sync that produced no frame).
-        front_end:
-            A previously computed :meth:`front_end` result for *sig*;
-            when given, the discriminator, power and RSSI gate are not
-            recomputed.
 
         Returns
         -------
@@ -266,16 +257,8 @@ class OqpskDemodulator:
         where *chips* are the decoded chips following the pattern (up to
         *max_chips*, limited by the capture length).
         """
-        if front_end is None:
-            front_end = self.front_end(sig)
         found = self.receive_chip_rows(
-            front_end,
-            [0],
-            [search_start],
-            sync_chips,
-            sync_start_index,
-            max_chips,
-            threshold,
+            self.front_end(sig), [0], [0], sync_chips, sync_start_index, max_chips
         )
         if not found.rows or not found.counts[0]:
             return None

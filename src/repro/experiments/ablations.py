@@ -19,7 +19,7 @@ Each function isolates one knob the paper discusses:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -46,16 +46,32 @@ __all__ = [
 ABLATION_CHANNEL = 14
 #: The frame the whitening check encodes.
 WHITENING_PSDU = b"\x01\x02\x03\x04\x05\x06\x07"
-#: Seeds the random chips of the BT and modulation-index sweeps.
+#: Seeds the random chips of the BT and modulation-index sweeps and the
+#: chip flips of the Hamming sweep.
 SWEEP_SEED = 0
+#: The BT products of the Gaussian sweep (``None``: unfiltered MSK).
+BT_VALUES: Tuple[Optional[float], ...] = (0.3, 0.5, 1.0, None)
+#: The modulation indices of the sweep, across BLE's [0.45, 0.55] window.
+H_VALUES = (0.45, 0.48, 0.5, 0.52, 0.55)
+#: Random chips per point of the BT and modulation-index sweeps.
+SWEEP_CHIPS = 8192
+#: The synthetic chip error rates of the Hamming sweep.
+CHIP_ERROR_RATES = (0.0, 0.05, 0.1, 0.2, 0.3)
+#: Random symbols decoded per chip error rate.
+HAMMING_TRIALS = 3000
+#: Frames per radio of the ESB fallback comparison, and its bench seed.
+FALLBACK_FRAMES = 40
+FALLBACK_SEED = 3
+#: Frames per data rate of the data-rate requirement check, and its
+#: bench seed.
+DATA_RATE_FRAMES = 10
+DATA_RATE_SEED = 2
 
 
-def _chip_error_rate(
-    bt: Optional[float], modulation_index: float, num_chips: int
-) -> float:
+def _chip_error_rate(bt: Optional[float], modulation_index: float) -> float:
     """Chip error rate of GFSK TX → ideal MSK RX, no channel noise."""
     rng = np.random.default_rng(SWEEP_SEED)
-    chips = rng.integers(0, 2, num_chips).astype(np.uint8)
+    chips = rng.integers(0, 2, SWEEP_CHIPS).astype(np.uint8)
     transitions = chips_to_transitions(chips, previous_chip=0)
     modulator = FskModulator(
         GfskConfig(samples_per_symbol=8, modulation_index=modulation_index, bt=bt),
@@ -78,32 +94,20 @@ def _chip_error_rate(
     return float(np.count_nonzero(recovered != chips[:n]) / n)
 
 
-def gaussian_bt_sweep(
-    bt_values: Sequence[Optional[float]] = (0.3, 0.5, 0.7, 1.0, None),
-    num_chips: int = 4096,
-) -> Dict[str, float]:
+def gaussian_bt_sweep() -> Dict[str, float]:
     """Chip error rate vs Gaussian BT (``None`` = unfiltered MSK)."""
     return {
-        ("MSK" if bt is None else f"BT={bt}"): _chip_error_rate(
-            bt, 0.5, num_chips
-        )
-        for bt in bt_values
+        ("MSK" if bt is None else f"BT={bt}"): _chip_error_rate(bt, 0.5)
+        for bt in BT_VALUES
     }
 
 
-def modulation_index_sweep(
-    h_values: Sequence[float] = (0.45, 0.48, 0.5, 0.52, 0.55),
-    num_chips: int = 4096,
-) -> Dict[float, float]:
+def modulation_index_sweep() -> Dict[float, float]:
     """Chip error rate vs modulation index at BT = 0.5."""
-    return {h: _chip_error_rate(0.5, h, num_chips) for h in h_values}
+    return {h: _chip_error_rate(0.5, h) for h in H_VALUES}
 
 
-def hamming_threshold_sweep(
-    chip_error_rates: Sequence[float] = (0.0, 0.05, 0.1, 0.2, 0.3),
-    trials: int = 2000,
-    seed: int = 0,
-) -> Dict[float, float]:
+def hamming_threshold_sweep() -> Dict[float, float]:
     """Symbol decode accuracy vs synthetic chip error rate.
 
     Flips each of the 31 MSK bits of a random symbol independently and asks
@@ -112,9 +116,10 @@ def hamming_threshold_sweep(
     exact matching) is load-bearing.
     """
     table = default_table()
-    rng = np.random.default_rng(seed)
+    trials = HAMMING_TRIALS
+    rng = np.random.default_rng(SWEEP_SEED)
     results: Dict[float, float] = {}
-    for rate in chip_error_rates:
+    for rate in CHIP_ERROR_RATES:
         symbols = np.empty(trials, dtype=np.int64)
         blocks = np.empty((trials, table.matrix.shape[1]), dtype=np.uint8)
         for i in range(trials):
@@ -135,17 +140,16 @@ class FallbackComparison:
     frames: int
 
 
-def esb_fallback_comparison(frames: int = 50, seed: int = 0) -> FallbackComparison:
+def esb_fallback_comparison() -> FallbackComparison:
     """Reception success of nRF52832 (LE 2M) vs nRF51822 (ESB fallback)."""
     from repro.chips import Nrf51822, Nrf52832
 
-    if frames < 1:
-        raise ValueError("frames must be >= 1")
+    frames = FALLBACK_FRAMES
     src = Address(pan_id=0x1234, address=1)
     dst = Address(pan_id=0x1234, address=2)
     rates = {}
     for label, factory in (("le2m", Nrf52832), ("esb", Nrf51822)):
-        bench = build_bench(factory, "rx", ABLATION_CHANNEL, seed=seed)
+        bench = build_bench(factory, "rx", ABLATION_CHANNEL, seed=FALLBACK_SEED)
         cell = ChannelResult(channel=ABLATION_CHANNEL)
         for i in range(frames):
             frame = build_data(
@@ -180,7 +184,7 @@ class DataRateCheck:
     frames: int
 
 
-def data_rate_requirement_check(frames: int = 10, seed: int = 0) -> DataRateCheck:
+def data_rate_requirement_check() -> DataRateCheck:
     """§IV-D requirement 1: the 2 Mbit/s data rate is load-bearing.
 
     Transmits WazaBee frames from an LE 2M radio and from an LE 1M radio
@@ -190,13 +194,12 @@ def data_rate_requirement_check(frames: int = 10, seed: int = 0) -> DataRateChec
     """
     from repro.chips import Nrf52832
 
-    if frames < 1:
-        raise ValueError("frames must be >= 1")
+    frames = DATA_RATE_FRAMES
     src = Address(pan_id=0x1234, address=1)
     dst = Address(pan_id=0x1234, address=2)
     results = {}
     for label, use_2m in (("le2m", True), ("le1m", False)):
-        bench = build_bench(Nrf52832, "tx", ABLATION_CHANNEL, seed=seed)
+        bench = build_bench(Nrf52832, "tx", ABLATION_CHANNEL, seed=DATA_RATE_SEED)
         if not use_2m:
             bench.chip.set_data_rate_1m()  # violate the requirement
         cell = ChannelResult(channel=ABLATION_CHANNEL)

@@ -17,7 +17,7 @@ then check whether a BLE receiver accepts the result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -38,6 +38,9 @@ __all__ = ["SymmetricPivotResult", "attempt_symmetric_pivot"]
 
 #: The BLE channel index the target packet is whitened for.
 BLE_CHANNEL = 8
+#: The PDU of the target BLE packet: a non-connectable advertisement
+#: carrying one Flags AD structure.
+TARGET_PDU = AdvNonconnInd(bytes(6), b"\x02\x01\x06").to_pdu()
 
 
 @dataclass
@@ -72,7 +75,7 @@ def _best_symbol_for_segment(
     return best_symbol, best_distance
 
 
-def attempt_symmetric_pivot(pdu: Optional[bytes] = None) -> SymmetricPivotResult:
+def attempt_symmetric_pivot() -> SymmetricPivotResult:
     """Try to synthesise a BLE LE 2M packet out of DSSS PN sequences.
 
     Returns how close the reachable chip streams get (Hamming match against
@@ -80,9 +83,9 @@ def attempt_symmetric_pivot(pdu: Optional[bytes] = None) -> SymmetricPivotResult
     emission (sync + CRC).  A genuine WazaBee-style pivot needs ≈100%;
     the DSSS constraint caps this far lower.
     """
-    if pdu is None:
-        pdu = AdvNonconnInd(bytes(6), b"\x02\x01\x06").to_pdu()
-    packet = assemble_on_air_bits(pdu, channel=BLE_CHANNEL, phy=PhyMode.LE_2M)
+    packet = assemble_on_air_bits(
+        TARGET_PDU, channel=BLE_CHANNEL, phy=PhyMode.LE_2M
+    )
     target = packet.bits
 
     # Greedy symbol-by-symbol search over the reachable chip streams.
@@ -111,14 +114,14 @@ def attempt_symmetric_pivot(pdu: Optional[bytes] = None) -> SymmetricPivotResult
     demod = ble_demodulator(PhyMode.LE_2M)
     sync_bits = access_address_bits(ADVERTISING_ACCESS_ADDRESS)
     result = demod.demodulate_packet(
-        signal, sync_bits, num_payload_bits=8 * (len(pdu) + 3)
+        signal, sync_bits, num_payload_bits=8 * (len(TARGET_PDU) + 3)
     )
     crc_ok = False
     if result is not None:
         bits, _sync = result
         try:
             decoded, crc_ok = parse_pdu_bits(bits, channel=BLE_CHANNEL)
-            crc_ok = crc_ok and decoded == pdu
+            crc_ok = crc_ok and decoded == TARGET_PDU
         except ValueError:
             crc_ok = False
     return SymmetricPivotResult(

@@ -75,9 +75,9 @@ class ChannelResult:
     """
 
     channel: int
-    valid: int = 0
-    corrupted: int = 0
-    lost: int = 0
+    valid: int = field(default=0, init=False)
+    corrupted: int = field(default=0, init=False)
+    lost: int = field(default=0, init=False)
     metrics: Dict[str, int] = field(default_factory=dict, init=False)
     trace_events: List[Dict] = field(default_factory=list, init=False)
 
@@ -285,8 +285,6 @@ def run_table3_wideband(
     channels: Sequence[int] = ZIGBEE_CHANNELS,
     chips: Sequence[str] = ("nRF52832", "CC1352-R1"),
     seed: int = 0,
-    grid=None,
-    dtype=None,
     workers: Optional[int] = None,
 ) -> Table3Result:
     """Regenerate Table III from wideband band captures, both primitives.
@@ -303,10 +301,9 @@ def run_table3_wideband(
     (``tests/phy/wideband_oracle.py``) that draw identical random
     streams.
 
-    The sweep defaults to the single-precision sweep raster
-    (:data:`repro.chips.wideband.SWEEP_GRID`); pass ``grid`` / ``dtype``
-    to run the 16 Msps double-precision configuration the differential
-    tests use.  Seeding is per (chip, primitive): ``seed ^
+    The sweep runs single precision on the sweep raster
+    (:data:`repro.chips.wideband.SWEEP_GRID`).  Seeding is per (chip,
+    primitive): ``seed ^
     crc32(chip/primitive/wideband)`` with one spawned stream per
     channel, drawn in chunks of :data:`CHUNK_SLOTS` slots; ``workers``
     (default: :func:`~repro.experiments.pool.default_workers`)
@@ -317,8 +314,6 @@ def run_table3_wideband(
     from repro.chips.wideband import SWEEP_GRID
 
     channels = _check_grid(chips, PRIMITIVES, channels, frames)
-    grid = grid if grid is not None else SWEEP_GRID
-    dtype = np.dtype(dtype if dtype is not None else np.complex64)
     tasks = [
         dict(
             chip_name=chip_name,
@@ -326,8 +321,8 @@ def run_table3_wideband(
             channels=channels,
             frames=frames,
             seed=seed,
-            grid=grid,
-            dtype=dtype,
+            grid=SWEEP_GRID,
+            dtype=np.dtype(np.complex64),
         )
         for chip_name in chips
         for primitive in PRIMITIVES

@@ -38,13 +38,18 @@ from __future__ import annotations
 import bisect
 import zlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.dsp.impairments import apply_frequency_offset
 from repro.dsp.signal import IQSignal
-from repro.faults.plan import BURST_POWER_DBM, DropoutWindow, FaultPlan
+from repro.faults.plan import (
+    BURST_POWER_DBM,
+    SAMPLE_DROPS_EVERY_NTH,
+    DropoutWindow,
+    FaultPlan,
+)
 from repro.obs import FAULT_INJECTED
 from repro.obs import metrics as _current_metrics
 from repro.obs import trace_bus as _current_bus
@@ -89,37 +94,25 @@ class _JammerSource:
 class _DropoutIndex:
     """The plan's dropout windows, indexed for :meth:`covers` by bisection.
 
-    One index per radio-name group (``None``: every radio): the window
-    starts in sorted order plus a running maximum of their ends.  A time
-    is covered iff some window starting at or before it ends after it,
-    i.e. iff the running maximum at its bisection point exceeds it —
-    exact for overlapping windows too.
+    The window starts in sorted order plus a running maximum of their
+    ends.  A time is covered iff some window starting at or before it
+    ends after it, i.e. iff the running maximum at its bisection point
+    exceeds it — exact for overlapping windows too.
     """
 
     def __init__(self, windows: Sequence[DropoutWindow]):
-        groups: Dict[Optional[str], list] = {}
+        windows = sorted(windows, key=lambda w: w.start_s)
+        self._starts = [w.start_s for w in windows]
+        self._ends: List[float] = []
+        reach = float("-inf")
         for window in windows:
-            groups.setdefault(window.radio_name, []).append(window)
-        self._groups: Dict[Optional[str], Tuple[list, list]] = {}
-        for name, members in groups.items():
-            members.sort(key=lambda w: w.start_s)
-            ends, reach = [], float("-inf")
-            for window in members:
-                reach = max(reach, window.end_s)
-                ends.append(reach)
-            self._groups[name] = ([w.start_s for w in members], ends)
+            reach = max(reach, window.end_s)
+            self._ends.append(reach)
 
-    def covers(self, time: float, radio_name: str) -> bool:
-        """Whether any window covers *time* for *radio_name*."""
-        for name in (None, radio_name):
-            group = self._groups.get(name)
-            if group is None:
-                continue
-            starts, ends = group
-            i = bisect.bisect_right(starts, time)
-            if i and ends[i - 1] > time:
-                return True
-        return False
+    def covers(self, time: float) -> bool:
+        """Whether any window covers *time*."""
+        i = bisect.bisect_right(self._starts, time)
+        return bool(i) and self._ends[i - 1] > time
 
 
 class FaultInjector:
@@ -194,7 +187,7 @@ class FaultInjector:
         """How many times *tx* should be delivered to *radio* (0, 1 or 2)."""
         count = self._delivery_counters.get(radio.name, 0) + 1
         self._delivery_counters[radio.name] = count
-        if self._dropouts.covers(tx.end_time, radio.name):
+        if self._dropouts.covers(tx.end_time):
             self.stats.deliveries_dropped += 1
             self._record("delivery_drop", rx=radio.name, tx_id=tx.identifier)
             return 0
@@ -210,7 +203,7 @@ class FaultInjector:
         """The sample-drop and truncation plans that hit a receiver's
         *count*-th capture (``None`` where the plan spares it)."""
         drops, trunc = self.plan.sample_drops, self.plan.truncation
-        if drops is not None and count % drops.every_nth:
+        if drops is not None and count % SAMPLE_DROPS_EVERY_NTH:
             drops = None
         if trunc is not None and count % trunc.every_nth:
             trunc = None

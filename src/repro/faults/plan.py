@@ -38,15 +38,14 @@ BURST_POWER_DBM = 10.0
 
 @dataclass(frozen=True)
 class DropoutWindow:
-    """Receiver deafness: deliveries ending inside [start_s, end_s) are lost.
+    """Receiver deafness: deliveries ending inside [start_s, end_s) are
+    lost, at every receiver.
 
-    ``radio_name`` limits the dropout to one receiver; ``None`` hits all.
     Models a radio mid-retune, a saturated front end, or a firmware stall.
     """
 
     start_s: float
     end_s: float
-    radio_name: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.end_s < self.start_s:
@@ -107,20 +106,24 @@ class CaptureTruncation:
             )
 
 
+#: Which of a receiver's captures :class:`SampleDrops` hits: every
+#: second one.
+SAMPLE_DROPS_EVERY_NTH = 2
+
+
 @dataclass(frozen=True)
 class SampleDrops:
-    """Every *every_nth* capture loses *num_gaps* windows of *gap_samples*.
+    """Every :data:`SAMPLE_DROPS_EVERY_NTH`-th capture loses *num_gaps*
+    windows of *gap_samples*.
 
     Gap positions are drawn from the plan RNG — deterministic for a given
     seed.  Models DMA underruns / sample clock glitches.
     """
 
-    every_nth: int = 2
     num_gaps: int = 3
     gap_samples: int = 64
 
     def __post_init__(self) -> None:
-        _check_every_nth(self.every_nth)
         if self.num_gaps < 0 or self.gap_samples < 0:
             raise ValueError(
                 f"num_gaps and gap_samples must be >= 0, got "
@@ -191,7 +194,7 @@ def _flaky_rx(channel: int, seed: int) -> FaultPlan:
         seed=seed,
         name="flaky-rx",
         truncation=CaptureTruncation(every_nth=3, keep_fraction=0.4),
-        sample_drops=SampleDrops(every_nth=2, num_gaps=4, gap_samples=96),
+        sample_drops=SampleDrops(num_gaps=4, gap_samples=96),
     )
 
 

@@ -143,39 +143,36 @@ class MetricsRegistry:
             for name in sorted(self._counters)
         }
 
-    def snapshot(self, include_timers: bool = True) -> Dict[str, object]:
+    def snapshot(self) -> Dict[str, object]:
         """Full registry dump.
 
         ``counters`` and ``gauges`` are deterministic under a fixed seed;
         ``timers`` carry wall-clock spans and vary run to run — callers
         embedding metrics in reproducible artefacts (Table III cells)
-        pass ``include_timers=False``.
+        take :meth:`counter_values` instead.
         """
-        snap: Dict[str, object] = {
+        return {
             "counters": self.counter_values(),
             "gauges": {
                 name: self._gauges[name].value for name in sorted(self._gauges)
             },
-        }
-        if include_timers:
-            snap["timers"] = {
+            "timers": {
                 name: self._timers[name].as_dict()
                 for name in sorted(self._timers)
-            }
-        return snap
+            },
+        }
 
-    def format(self, include_timers: bool = True) -> str:
+    def format(self) -> str:
         """Human-readable one-metric-per-line rendering (CLI ``--metrics``)."""
         lines: List[str] = []
         for name in sorted(self._counters):
             lines.append(f"{name:48s} {self._counters[name].value}")
         for name in sorted(self._gauges):
             lines.append(f"{name:48s} {self._gauges[name].value:g}")
-        if include_timers:
-            for name in sorted(self._timers):
-                timer = self._timers[name]
-                lines.append(
-                    f"{name:48s} n={timer.count} total={timer.total_s:.6f}s "
-                    f"mean={timer.mean_s * 1e3:.3f}ms max={timer.max_s * 1e3:.3f}ms"
-                )
+        for name in sorted(self._timers):
+            timer = self._timers[name]
+            lines.append(
+                f"{name:48s} n={timer.count} total={timer.total_s:.6f}s "
+                f"mean={timer.mean_s * 1e3:.3f}ms max={timer.max_s * 1e3:.3f}ms"
+            )
         return "\n".join(lines)

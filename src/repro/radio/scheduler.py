@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from repro.obs import metrics as _current_metrics
 
@@ -67,7 +67,7 @@ class Scheduler:
             return True
         return False
 
-    def run_until(self, time: float, max_events: Optional[int] = None) -> int:
+    def run_until(self, time: float) -> int:
         """Run events with timestamps <= *time*; returns the event count.
 
         The clock is advanced to *time* at the end even if the queue drains
@@ -88,11 +88,9 @@ class Scheduler:
             if not self.step():
                 break
             executed += 1
-            if max_events is not None and executed >= max_events:
-                return executed
         self.now = max(self.now, time)
         return executed
 
-    def run(self, duration: float, max_events: Optional[int] = None) -> int:
+    def run(self, duration: float) -> int:
         """Run for *duration* simulated seconds from now."""
-        return self.run_until(self.now + duration, max_events=max_events)
+        return self.run_until(self.now + duration)

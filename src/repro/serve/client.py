@@ -4,8 +4,8 @@ Protocol, from the client's side:
 
 1. connect to the Unix stream socket;
 2. send one JSON *hello* line choosing the stream format
-   (``jsonl``/``pcap``), the backpressure policy this session should run
-   under, and an optional session name;
+   (``jsonl``/``pcap``) and an optional session name (the session runs
+   under the service's default backpressure policy);
 3. read records — JSONL lines, or the pcap global header followed by
    pcap records.
 
@@ -33,7 +33,6 @@ class SnifferClient:
         self,
         path: str,
         fmt: str = "jsonl",
-        policy: Optional[str] = None,
         name: Optional[str] = None,
         timeout_s: float = 10.0,
     ):
@@ -42,8 +41,6 @@ class SnifferClient:
         self._sock.settimeout(timeout_s)
         self._sock.connect(path)
         hello: Dict[str, Any] = {"format": fmt}
-        if policy is not None:
-            hello["policy"] = policy
         if name is not None:
             hello["name"] = name
         self._sock.sendall((json.dumps(hello) + "\n").encode("utf-8"))
@@ -134,9 +131,8 @@ class SnifferClient:
 def subscribe(
     path: str,
     fmt: str = "jsonl",
-    policy: Optional[str] = None,
     name: Optional[str] = None,
     timeout_s: float = 10.0,
 ) -> SnifferClient:
     """Convenience constructor mirroring the server's ``attach_session``."""
-    return SnifferClient(path, fmt=fmt, policy=policy, name=name, timeout_s=timeout_s)
+    return SnifferClient(path, fmt=fmt, name=name, timeout_s=timeout_s)

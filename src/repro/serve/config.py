@@ -67,7 +67,6 @@ class ServeConfig:
     # -- spool / replay ----------------------------------------------------
     spool_path: Optional[str] = None
     replay_path: Optional[str] = None
-    drain_timeout_s: float = 5.0
 
     def validated(self) -> "ServeConfig":
         """Normalise and bounds-check; returns self (or a fixed copy)."""

@@ -40,6 +40,9 @@ from repro.serve.supervisor import Supervisor, monitor_sessions
 
 __all__ = ["SnifferServer"]
 
+#: How long shutdown waits for the stages, then for each session, to drain.
+DRAIN_TIMEOUT_S = 5.0
+
 
 class SnifferServer:
     """Long-running sniffer service: drive, broadcast, supervise, drain."""
@@ -127,7 +130,7 @@ class SnifferServer:
         Idempotent.
         """
         self.request_shutdown()
-        self.supervisor.join_all(self.config.drain_timeout_s)
+        self.supervisor.join_all(DRAIN_TIMEOUT_S)
         sessions = self.open_sessions()
         note = notice_record("drain", produced=self.frames_published)
         for session in sessions:
@@ -136,7 +139,7 @@ class SnifferServer:
             except SessionOverflow:
                 pass
         for session in sessions:
-            session.drain(self.config.drain_timeout_s)
+            session.drain(DRAIN_TIMEOUT_S)
         if self.spool is not None:
             self.spool.close()
         if self._listener is not None:

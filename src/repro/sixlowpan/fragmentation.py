@@ -25,10 +25,9 @@ MAX_FRAGMENT_PAYLOAD = 96
 REASSEMBLY_TIMEOUT_S = 60.0
 
 
-def fragment_datagram(
-    datagram: bytes, tag: int, max_fragment_payload: int = MAX_FRAGMENT_PAYLOAD
-) -> List[bytes]:
-    """Split *datagram* into link-sized fragments.
+def fragment_datagram(datagram: bytes, tag: int) -> List[bytes]:
+    """Split *datagram* into fragments of at most
+    :data:`MAX_FRAGMENT_PAYLOAD` bytes.
 
     Returns a single unfragmented payload (no FRAG header) when it fits.
     Offsets are in 8-byte units, so every fragment body except the last is
@@ -38,19 +37,17 @@ def fragment_datagram(
         raise ValueError("datagram exceeds the 11-bit size field")
     if not 0 <= tag <= 0xFFFF:
         raise ValueError("fragment tag is 16-bit")
-    if max_fragment_payload < 16:
-        raise ValueError("fragment payload budget too small")
-    if len(datagram) <= max_fragment_payload:
+    if len(datagram) <= MAX_FRAGMENT_PAYLOAD:
         return [datagram]
 
     size_tag = (len(datagram) & 0x7FF).to_bytes(2, "big")
     size_tag = bytes([FRAG1_DISPATCH | size_tag[0]]) + size_tag[1:]
     size_tag += tag.to_bytes(2, "big")
 
-    first_body = (max_fragment_payload - _HEADER1_SIZE) // 8 * 8
+    first_body = (MAX_FRAGMENT_PAYLOAD - _HEADER1_SIZE) // 8 * 8
     fragments = [size_tag + datagram[:first_body]]
     offset = first_body
-    body_budget = (max_fragment_payload - _HEADERN_SIZE) // 8 * 8
+    body_budget = (MAX_FRAGMENT_PAYLOAD - _HEADERN_SIZE) // 8 * 8
     while offset < len(datagram):
         body = datagram[offset : offset + body_budget]
         header = bytes(

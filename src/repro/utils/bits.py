@@ -55,22 +55,20 @@ def parse_bitstring(text: str) -> np.ndarray:
     return np.frombuffer(cleaned.encode("ascii"), dtype=np.uint8) - ord("0")
 
 
-def bytes_to_bits(data: bytes, order: str = "lsb") -> np.ndarray:
-    """Expand *data* into a bit array, one byte → eight bits."""
-    _check_order(order)
+def bytes_to_bits(data: bytes) -> np.ndarray:
+    """Expand *data* into a bit array, one byte → eight bits, least
+    significant bit first."""
     raw = np.frombuffer(bytes(data), dtype=np.uint8)
-    bitorder = "little" if order == "lsb" else "big"
-    return np.unpackbits(raw, bitorder=bitorder)
+    return np.unpackbits(raw, bitorder="little")
 
 
-def bits_to_bytes(bits: BitsLike, order: str = "lsb") -> bytes:
-    """Pack a bit array back into bytes.  Length must be a multiple of 8."""
-    _check_order(order)
+def bits_to_bytes(bits: BitsLike) -> bytes:
+    """Pack a bit array (least significant bit of each byte first) back
+    into bytes.  Length must be a multiple of 8."""
     arr = as_bit_array(bits)
     if arr.size % 8:
         raise ValueError(f"bit count {arr.size} is not a multiple of 8")
-    bitorder = "little" if order == "lsb" else "big"
-    return np.packbits(arr, bitorder=bitorder).tobytes()
+    return np.packbits(arr, bitorder="little").tobytes()
 
 
 def pack_bits(bits: BitsLike) -> bytes:
@@ -83,19 +81,15 @@ def pack_bits(bits: BitsLike) -> bytes:
     return bits_to_bytes(arr)
 
 
-def int_to_bits(value: int, width: int, order: str = "lsb") -> np.ndarray:
-    """Encode *value* as *width* bits."""
-    _check_order(order)
+def int_to_bits(value: int, width: int) -> np.ndarray:
+    """Encode *value* as *width* bits, least significant first."""
     if value < 0:
         raise ValueError("value must be non-negative")
     if width < 0:
         raise ValueError("width must be non-negative")
     if value >> width:
         raise ValueError(f"value {value:#x} does not fit in {width} bits")
-    positions = np.arange(width)
-    if order == "msb":
-        positions = positions[::-1]
-    return ((value >> positions) & 1).astype(np.uint8)
+    return ((value >> np.arange(width)) & 1).astype(np.uint8)
 
 
 def bits_to_int(bits: BitsLike, order: str = "lsb") -> int:

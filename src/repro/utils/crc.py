@@ -42,29 +42,16 @@ class CrcEngine:
         with bit ``i`` standing for the x^i term.
     init:
         Initial register value.
-    reflect_output:
-        If true, the final register is bit-reversed before being returned.
-        802.15.4 effectively transmits the register LSB-first which we model
-        via :meth:`digest_bits`.
-    xor_out:
-        Value XORed into the register at the end.
+
+    The final register is the CRC: no output reflection, no final XOR.
     """
 
-    def __init__(
-        self,
-        width: int,
-        polynomial: int,
-        init: int = 0,
-        reflect_output: bool = False,
-        xor_out: int = 0,
-    ):
+    def __init__(self, width: int, polynomial: int, init: int = 0):
         if width <= 0:
             raise ValueError("width must be positive")
         self.width = width
         self.polynomial = polynomial & ((1 << width) - 1)
         self.init = init & ((1 << width) - 1)
-        self.reflect_output = reflect_output
-        self.xor_out = xor_out & ((1 << width) - 1)
         self._table = self._build_table() if width >= 8 else None
 
     # -- core ----------------------------------------------------------------
@@ -79,9 +66,7 @@ class CrcEngine:
             reg = (reg << 1) & mask
             if feedback:
                 reg ^= self.polynomial
-        if self.reflect_output:
-            reg = int(f"{reg:0{self.width}b}"[::-1], 2)
-        return reg ^ self.xor_out
+        return reg
 
     def _build_table(self):
         """256-entry transform of eight zero-input register steps.
@@ -107,10 +92,10 @@ class CrcEngine:
         """CRC of *data* transmitted LSB-first per byte (radio convention).
 
         Byte-wise table-driven; bit-exact with
-        ``compute_bits(bytes_to_bits(data, order="lsb"))``.
+        ``compute_bits(bytes_to_bits(data))``.
         """
         if self._table is None:
-            return self.compute_bits(bytes_to_bits(data, order="lsb"))
+            return self.compute_bits(bytes_to_bits(data))
         table = self._table
         shift = self.width - 8
         mask = (1 << self.width) - 1
@@ -120,23 +105,12 @@ class CrcEngine:
             # byte, folded into the register's top byte.
             idx = ((reg >> shift) & 0xFF) ^ _REV8[byte]
             reg = ((reg << 8) & mask) ^ table[idx]
-        if self.reflect_output:
-            reg = int(f"{reg:0{self.width}b}"[::-1], 2)
-        return reg ^ self.xor_out
+        return reg
 
     # -- helpers ---------------------------------------------------------------
-    def digest_bits(self, data: bytes, order: str = "msb") -> np.ndarray:
-        """CRC of *data* as a bit array in transmission order.
-
-        ``order`` selects whether the register is shifted out MSB-first
-        (BLE's convention for its CRC24) or LSB-first.
-        """
+    def digest_bits(self, data: bytes) -> np.ndarray:
+        """CRC of *data* as a bit array in transmission order: the register
+        shifted out MSB-first (BLE's convention for its CRC24)."""
         value = self.compute(data)
-        width = self.width
-        if order == "msb":
-            positions = np.arange(width - 1, -1, -1)
-        elif order == "lsb":
-            positions = np.arange(width)
-        else:
-            raise ValueError("order must be 'msb' or 'lsb'")
+        positions = np.arange(self.width - 1, -1, -1)
         return ((value >> positions) & 1).astype(np.uint8)

@@ -40,11 +40,10 @@ def environment(quiet_medium, scheduler):
 
 
 class TestScanRetries:
-    def test_scan_retries_before_failing(self, quiet_medium, scheduler):
+    def test_scan_retries_before_failing(self, quiet_medium, scheduler, tune):
         firmware = make_firmware(quiet_medium, scheduler)
-        attack = TrackerAttack(
-            firmware, channels=(11,), max_stage_retries=2, retry_backoff_s=0.05
-        )
+        tune(SCAN_CHANNELS=(11,), MAX_STAGE_RETRIES=2, RETRY_BACKOFF_S=0.05)
+        attack = TrackerAttack(firmware)
         attack.run()
         scheduler.run(2.0)
         assert attack.phase is AttackPhase.FAILED
@@ -54,18 +53,17 @@ class TestScanRetries:
 
     def test_backoff_doubles_between_attempts(self, quiet_medium, scheduler):
         firmware = make_firmware(quiet_medium, scheduler)
-        attack = TrackerAttack(
-            firmware, channels=(11,), max_stage_retries=2, retry_backoff_s=0.1
-        )
+        attack = TrackerAttack(firmware)
         assert attack._stage_backoff(1) == pytest.approx(0.1)
         assert attack._stage_backoff(2) == pytest.approx(0.2)
         assert attack._stage_backoff(3) == pytest.approx(0.4)
 
 
 class TestDiagnosis:
-    def test_scan_failure_produces_diagnosis(self, quiet_medium, scheduler):
+    def test_scan_failure_produces_diagnosis(self, quiet_medium, scheduler, tune):
         firmware = make_firmware(quiet_medium, scheduler)
-        attack = TrackerAttack(firmware, channels=(11, 12))
+        tune(SCAN_CHANNELS=(11, 12))
+        attack = TrackerAttack(firmware)
         attack.run()
         scheduler.run(2.0)
         assert attack.phase is AttackPhase.FAILED
@@ -78,7 +76,7 @@ class TestDiagnosis:
         assert str(diagnosis)
 
     def test_eavesdrop_failure_produces_diagnosis(
-        self, quiet_medium, scheduler
+        self, quiet_medium, scheduler, tune
     ):
         coordinator = CoordinatorNode(
             quiet_medium, address=COORD, position=(3, 0),
@@ -86,7 +84,8 @@ class TestDiagnosis:
         )
         coordinator.start()
         firmware = make_firmware(quiet_medium, scheduler)
-        attack = TrackerAttack(firmware, channels=(14,), eavesdrop_timeout_s=0.5)
+        tune(SCAN_CHANNELS=(14,), EAVESDROP_TIMEOUT_S=0.5)
+        attack = TrackerAttack(firmware)
         attack.run()
         scheduler.run(5.0)
         assert attack.phase is AttackPhase.FAILED
@@ -94,12 +93,10 @@ class TestDiagnosis:
         assert attack.diagnosis.attempts == 2
         assert "timed out" in attack.diagnosis.reason
 
-    def test_successful_attack_has_no_diagnosis(self, environment):
+    def test_successful_attack_has_no_diagnosis(self, environment, tune):
         _, _, firmware, sched = environment
-        attack = TrackerAttack(
-            firmware, channels=(14,), fake_report_count=1,
-            fake_report_interval_s=0.5,
-        )
+        tune(SCAN_CHANNELS=(14,), FAKE_REPORT_COUNT=1, FAKE_REPORT_INTERVAL_S=0.5)
+        attack = TrackerAttack(firmware)
         attack.run()
         sched.run(10.0)
         assert attack.phase is AttackPhase.DONE
@@ -107,7 +104,9 @@ class TestDiagnosis:
 
 
 class TestEavesdropRetry:
-    def test_extended_window_catches_slow_sensor(self, quiet_medium, scheduler):
+    def test_extended_window_catches_slow_sensor(
+        self, quiet_medium, scheduler, tune
+    ):
         """A sensor slower than one eavesdrop window is still caught by the
         doubled retry window instead of failing the attack."""
         coordinator = CoordinatorNode(
@@ -125,13 +124,9 @@ class TestEavesdropRetry:
         coordinator.start()
         sensor.start()
         firmware = make_firmware(quiet_medium, scheduler)
-        attack = TrackerAttack(
-            firmware,
-            channels=(14,),
-            eavesdrop_timeout_s=1.0,
-            fake_report_count=1,
-            fake_report_interval_s=0.5,
-        )
+        tune(SCAN_CHANNELS=(14,), EAVESDROP_TIMEOUT_S=1.0, FAKE_REPORT_COUNT=1,
+             FAKE_REPORT_INTERVAL_S=0.5)
+        attack = TrackerAttack(firmware)
         attack.run()
         scheduler.run(10.0)
         assert attack.phase is AttackPhase.DONE
@@ -140,7 +135,7 @@ class TestEavesdropRetry:
 
 
 class TestWatchdog:
-    def test_watchdog_bounds_a_stalled_stage(self, quiet_medium, scheduler):
+    def test_watchdog_bounds_a_stalled_stage(self, quiet_medium, scheduler, tune):
         coordinator = CoordinatorNode(
             quiet_medium, address=COORD, position=(3, 0),
             rng=np.random.default_rng(1),
@@ -149,13 +144,9 @@ class TestWatchdog:
         firmware = make_firmware(quiet_medium, scheduler)
         # Eavesdropping would wait ~30s across retries; the watchdog caps
         # the whole workflow first.
-        attack = TrackerAttack(
-            firmware,
-            channels=(14,),
-            eavesdrop_timeout_s=10.0,
-            max_stage_retries=1,
-            max_attack_duration_s=2.0,
-        )
+        tune(SCAN_CHANNELS=(14,), EAVESDROP_TIMEOUT_S=10.0,
+             MAX_ATTACK_DURATION_S=2.0)
+        attack = TrackerAttack(firmware)
         done = []
         attack.run(on_complete=done.append)
         scheduler.run(60.0)
@@ -164,22 +155,12 @@ class TestWatchdog:
         assert "watchdog" in attack.diagnosis.reason
         assert attack.diagnosis.stage is AttackPhase.EAVESDROPPING
 
-    def test_watchdog_cancelled_on_success(self, environment):
+    def test_watchdog_cancelled_on_success(self, environment, tune):
         _, _, firmware, sched = environment
-        attack = TrackerAttack(
-            firmware, channels=(14,), fake_report_count=1,
-            fake_report_interval_s=0.5, max_attack_duration_s=30.0,
-        )
+        tune(SCAN_CHANNELS=(14,), FAKE_REPORT_COUNT=1, FAKE_REPORT_INTERVAL_S=0.5,
+             MAX_ATTACK_DURATION_S=30.0)
+        attack = TrackerAttack(firmware)
         attack.run()
         sched.run(10.0)
         assert attack.phase is AttackPhase.DONE
-        assert attack._watchdog is None
-
-    def test_watchdog_disabled_when_none(self, quiet_medium, scheduler):
-        firmware = make_firmware(quiet_medium, scheduler)
-        attack = TrackerAttack(
-            firmware, channels=(11,), max_attack_duration_s=None
-        )
-        attack.run()
-        scheduler.run(2.0)
         assert attack._watchdog is None

@@ -56,13 +56,6 @@ class TestForging:
         with pytest.raises(ValueError):
             forge_advertising_data(big, ble_channel=8)
 
-    def test_padding_override(self):
-        ad_default = forge_advertising_data(forged_frame().to_bytes(), 8)
-        ad_other = forge_advertising_data(
-            forged_frame().to_bytes(), 8, padding_bytes=20
-        )
-        assert ad_default != ad_other
-
 
 class TestAttack:
     def test_unreachable_channel_rejected(self, quiet_medium):

@@ -37,16 +37,11 @@ def environment(quiet_medium, scheduler):
 
 
 class TestFullChain:
-    def test_all_phases_complete(self, environment):
+    def test_all_phases_complete(self, environment, tune):
         coordinator, sensor, firmware, sched = environment
-        attack = TrackerAttack(
-            firmware,
-            channels=(11, 12, 13, 14),
-            target_pan_id=PAN,
-            dos_channel=26,
-            fake_report_interval_s=1.0,
-            fake_report_count=3,
-        )
+        tune(SCAN_CHANNELS=(11, 12, 13, 14), FAKE_REPORT_INTERVAL_S=1.0,
+             FAKE_REPORT_COUNT=3)
+        attack = TrackerAttack(firmware, target_pan_id=PAN, dos_channel=26)
         done = []
         attack.run(on_complete=done.append)
         sched.run(20.0)
@@ -61,12 +56,10 @@ class TestFullChain:
         fake = [e for e in coordinator.display if e.value == FAKE_VALUE]
         assert len(fake) == 3
 
-    def test_log_records_all_phases(self, environment):
+    def test_log_records_all_phases(self, environment, tune):
         _, _, firmware, sched = environment
-        attack = TrackerAttack(
-            firmware, channels=(14,), fake_report_count=1,
-            fake_report_interval_s=0.5,
-        )
+        tune(SCAN_CHANNELS=(14,), FAKE_REPORT_COUNT=1, FAKE_REPORT_INTERVAL_S=0.5)
+        attack = TrackerAttack(firmware)
         attack.run()
         sched.run(10.0)
         phases = {entry.phase for entry in attack.log}
@@ -78,12 +71,10 @@ class TestFullChain:
             AttackPhase.DONE,
         } <= phases
 
-    def test_legitimate_traffic_stops_after_dos(self, environment):
+    def test_legitimate_traffic_stops_after_dos(self, environment, tune):
         coordinator, sensor, firmware, sched = environment
-        attack = TrackerAttack(
-            firmware, channels=(14,), fake_report_count=2,
-            fake_report_interval_s=1.0,
-        )
+        tune(SCAN_CHANNELS=(14,), FAKE_REPORT_COUNT=2, FAKE_REPORT_INTERVAL_S=1.0)
+        attack = TrackerAttack(firmware)
         attack.run()
         sched.run(15.0)
         dos_time = next(
@@ -97,24 +88,26 @@ class TestFullChain:
 
 
 class TestFailureModes:
-    def test_no_network_fails(self, quiet_medium, scheduler):
+    def test_no_network_fails(self, quiet_medium, scheduler, tune):
         tracker = Nrf51822(quiet_medium, rng=np.random.default_rng(1))
         firmware = WazaBeeFirmware(tracker, scheduler)
-        attack = TrackerAttack(firmware, channels=(11, 12))
+        tune(SCAN_CHANNELS=(11, 12))
+        attack = TrackerAttack(firmware)
         done = []
         attack.run(on_complete=done.append)
         scheduler.run(2.0)
         assert done and done[0].phase is AttackPhase.FAILED
         assert "no network" in attack.log[-1].message
 
-    def test_wrong_pan_filtered(self, environment):
+    def test_wrong_pan_filtered(self, environment, tune):
         _, _, firmware, sched = environment
-        attack = TrackerAttack(firmware, channels=(14,), target_pan_id=0x9999)
+        tune(SCAN_CHANNELS=(14,))
+        attack = TrackerAttack(firmware, target_pan_id=0x9999)
         attack.run()
         sched.run(2.0)
         assert attack.phase is AttackPhase.FAILED
 
-    def test_eavesdrop_timeout(self, quiet_medium, scheduler):
+    def test_eavesdrop_timeout(self, quiet_medium, scheduler, tune):
         """A coordinator alone (no sensor traffic) stalls stage 2."""
         coordinator = CoordinatorNode(
             quiet_medium, address=COORD, position=(3, 0),
@@ -123,9 +116,8 @@ class TestFailureModes:
         coordinator.start()
         tracker = Nrf51822(quiet_medium, rng=np.random.default_rng(2))
         firmware = WazaBeeFirmware(tracker, scheduler)
-        attack = TrackerAttack(
-            firmware, channels=(14,), eavesdrop_timeout_s=1.0
-        )
+        tune(SCAN_CHANNELS=(14,), EAVESDROP_TIMEOUT_S=1.0)
+        attack = TrackerAttack(firmware)
         attack.run()
         scheduler.run(5.0)
         assert attack.phase is AttackPhase.FAILED

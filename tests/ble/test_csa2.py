@@ -74,7 +74,8 @@ class TestSession:
             assert channel == csa2_select(counter, ADV_AA, range(37))
 
     def test_counter_wraparound(self):
-        session = Csa2Session(ADV_AA, initial_counter=0xFFFF)
+        session = Csa2Session(ADV_AA)
+        session.counter = 0xFFFF
         counter, _ = session.next_channel()
         assert counter == 0xFFFF
         counter, _ = session.next_channel()

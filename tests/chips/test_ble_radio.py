@@ -47,8 +47,8 @@ class TestRawPath:
         tx, rx = chip_pair
         configure_raw(tx)
         configure_raw(rx)
-        tx.set_whitening(True, channel=8)
-        rx.set_whitening(True, channel=8)
+        tx.set_whitening(True)
+        rx.set_whitening(True)
         payload = rng.integers(0, 2, 160).astype(np.uint8)
         got = []
         rx.arm_receiver(payload.size, got.append)

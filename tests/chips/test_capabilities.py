@@ -28,7 +28,7 @@ class TestDescriptors:
         assert not chip.capabilities.can_disable_whitening
         with pytest.raises(CapabilityError):
             chip.set_whitening(False)
-        chip.set_whitening(True, channel=8)  # enabling is always fine
+        chip.set_whitening(True)  # enabling is always fine
 
     def test_nrf51822_needs_esb_fallback(self, quiet_medium):
         chip = Nrf51822(quiet_medium)
@@ -88,8 +88,3 @@ class TestGatingBehaviour:
         chip = Nrf52832(quiet_medium)
         with pytest.raises(ValueError):
             chip.set_access_address(1 << 32)
-
-    def test_whitening_channel_validated(self, quiet_medium):
-        chip = Nrf52832(quiet_medium)
-        with pytest.raises(ValueError):
-            chip.set_whitening(True, channel=40)

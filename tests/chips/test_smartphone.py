@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ble.packets import ExtendedAdvertisingPdu, PhyMode
-from repro.chips.smartphone import (
-    MIN_ADVERTISING_INTERVAL_S,
-    SmartphoneBle,
-)
+from repro.chips.smartphone import MIN_ADVERTISING_INTERVAL_S, SmartphoneBle
 from repro.core.radio_api import LowLevelRadio
 
 
@@ -21,9 +18,13 @@ class TestApiSurface:
         """The unrooted phone must not satisfy the WazaBee radio interface."""
         assert not isinstance(phone, LowLevelRadio)
 
-    def test_interval_floor_enforced(self, phone):
-        with pytest.raises(ValueError):
-            phone.start_extended_advertising(b"", interval_s=0.01)
+    def test_interval_floor_enforced(self, phone, scheduler):
+        """The app gets Android's smallest interval and no other."""
+        phone.start_extended_advertising(b"")
+        scheduler.run(0.35)
+        times = [event.time for event in phone.events]
+        gaps = {round(b - a, 9) for a, b in zip(times, times[1:])}
+        assert gaps == {MIN_ADVERTISING_INTERVAL_S}
 
     def test_oversized_data_rejected(self, phone):
         with pytest.raises(ValueError):
@@ -37,7 +38,7 @@ class TestApiSurface:
 
 class TestAdvertisingEvents:
     def test_events_scheduled_at_interval(self, phone, scheduler):
-        phone.start_extended_advertising(b"\x02\x01\x06", interval_s=0.1)
+        phone.start_extended_advertising(b"\x02\x01\x06")
         scheduler.run(1.05)
         assert len(phone.events) == 11  # t = 0.0 .. 1.0
 

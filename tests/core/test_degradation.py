@@ -67,7 +67,7 @@ class _FakeRadio:
     def set_crc_enabled(self, enabled):
         pass
 
-    def set_whitening(self, enabled, channel=None):
+    def set_whitening(self, enabled):
         if self.whitening_error is not None:
             raise self.whitening_error
         self.whitening_enabled = enabled

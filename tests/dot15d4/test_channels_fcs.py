@@ -16,10 +16,13 @@ from repro.dot15d4.fcs import (
 )
 from repro.utils.crc import CrcEngine
 
-#: The bit-serial reference engine for the FCS (CRC-16/KERMIT).
-FCS_REFERENCE = CrcEngine(
-    width=16, polynomial=FCS_POLY, init=0x0000, reflect_output=True
-)
+_FCS_ENGINE = CrcEngine(width=16, polynomial=FCS_POLY, init=0x0000)
+
+
+def fcs_reference(data):
+    """The FCS (CRC-16/KERMIT) from the generic engine, whose register
+    comes out unreflected."""
+    return int(f"{_FCS_ENGINE.compute(data):016b}"[::-1], 2)
 
 
 class TestChannels:
@@ -80,10 +83,10 @@ class TestFcs:
 
     @given(st.binary(max_size=300))
     def test_matches_bit_serial_engine(self, data):
-        assert compute_fcs(data) == FCS_REFERENCE.compute(data)
+        assert compute_fcs(data) == fcs_reference(data)
 
     def test_matches_bit_serial_engine_on_every_byte(self):
         for value in range(256):
             data = bytes([value, 0xA5, value ^ 0xFF])
-            assert compute_fcs(data) == FCS_REFERENCE.compute(data)
-            assert compute_fcs(bytearray(data)) == FCS_REFERENCE.compute(data)
+            assert compute_fcs(data) == fcs_reference(data)
+            assert compute_fcs(bytearray(data)) == fcs_reference(data)

@@ -6,7 +6,7 @@ import pytest
 from repro.chips.rzusbstick import Dot15d4Radio
 from repro.dot15d4.frames import Address
 from repro.dot15d4.mac import MAX_FRAME_RETRIES, MacService
-from repro.faults import DropoutWindow, FaultInjector, FaultPlan
+from repro.faults import FaultInjector, FaultPlan
 
 PAN = 0x1234
 ADDR_A = Address(pan_id=PAN, address=0x0001)
@@ -59,7 +59,7 @@ class TestCsma:
         mac_b.on_data(got.append)
         results = []
         mac_a.send_data(
-            ADDR_B, b"deferred", ack=False,
+            ADDR_B, b"deferred",
             on_result=lambda seq, ok: results.append(ok),
         )
         sched.run(0.2)
@@ -75,7 +75,7 @@ class TestCsma:
         occupy_channel(quiet_medium, until_s=0.05, frame_gap_s=2e-3)
         results = []
         mac_a.send_data(
-            ADDR_B, b"never", ack=False,
+            ADDR_B, b"never",
             on_result=lambda seq, ok: results.append(ok),
         )
         sched.run(0.1)
@@ -86,7 +86,7 @@ class TestCsma:
 
     def test_clear_channel_transmits_without_backoff_penalty(self, pair):
         mac_a, mac_b, sched = pair
-        mac_a.send_data(ADDR_B, b"clear", ack=False)
+        mac_a.send_data(ADDR_B, b"clear")
         sched.run(0.01)
         assert mac_a.stats.csma_backoffs == 0
         assert mac_a.stats.sent_frames == 1
@@ -96,7 +96,7 @@ class TestCsma:
         got = []
         mac_b.on_data(lambda f: got.append(bytes(f.payload)))
         for i in range(4):
-            mac_a.send_data(ADDR_B, b"msg-%d" % i, ack=True)
+            mac_a.send_data(ADDR_B, b"msg-%d" % i)
         sched.run(0.1)
         assert got == [b"msg-0", b"msg-1", b"msg-2", b"msg-3"]
 
@@ -107,7 +107,7 @@ class TestRetransmission:
         mac_b.stop()  # receiver off: no ACK will ever come
         results = []
         seq = mac_a.send_data(
-            ADDR_B, b"void", ack=True,
+            ADDR_B, b"void",
             on_result=lambda s, ok: results.append((s, ok)),
         )
         sched.run(0.5)
@@ -124,12 +124,16 @@ class TestRetransmission:
         """Drop ACK deliveries to the sender for a while: the sender must
         retransmit, and the receiver must re-acknowledge the duplicate
         (ACK-before-duplicate-rejection) so the exchange converges."""
-        injector = FaultInjector(
-            FaultPlan(
-                dropouts=(DropoutWindow(start_s=0.0, end_s=4e-3, radio_name="a"),)
-            )
-        )
-        quiet_medium.install_fault_injector(injector)
+
+        class AckLoss(FaultInjector):
+            """Loses every delivery to radio "a" ending in the first 4 ms."""
+
+            def delivery_count(self, radio, tx):
+                if radio.name == "a" and tx.end_time < 4e-3:
+                    return 0
+                return super().delivery_count(radio, tx)
+
+        quiet_medium.install_fault_injector(AckLoss(FaultPlan()))
         radio_a = Dot15d4Radio(
             quiet_medium, name="a", position=(0, 0), rng=np.random.default_rng(1)
         )
@@ -144,7 +148,7 @@ class TestRetransmission:
         mac_b.on_data(got.append)
         results = []
         mac_a.send_data(
-            ADDR_B, b"persist", ack=True,
+            ADDR_B, b"persist",
             on_result=lambda s, ok: results.append(ok),
         )
         scheduler.run(0.5)
@@ -160,7 +164,7 @@ class TestRetransmission:
         mac_a, mac_b, sched = pair
         results = []
         mac_a.send_data(
-            ADDR_B, b"ok", ack=True, on_result=lambda s, ok: results.append(ok)
+            ADDR_B, b"ok", on_result=lambda s, ok: results.append(ok)
         )
         sched.run(0.05)
         assert results == [True]

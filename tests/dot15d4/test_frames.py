@@ -83,7 +83,7 @@ class TestCodec:
         assert parsed.source is None and parsed.destination is None
 
     def test_beacon_request_layout(self):
-        frame = build_beacon_request(3)
+        frame = build_beacon_request()
         parsed = MacFrame.parse(frame.to_bytes())
         assert parsed.frame_type is FrameType.COMMAND
         assert parsed.payload == bytes([CommandId.BEACON_REQUEST])
@@ -92,13 +92,13 @@ class TestCodec:
         assert parsed.source is None
 
     def test_beacon_roundtrip(self):
-        beacon = build_beacon(SRC, beacon_payload=b"net")
+        beacon = build_beacon(SRC)
         parsed = MacFrame.parse(beacon.to_bytes())
         assert parsed.frame_type is FrameType.BEACON
-        # Superframe spec (2 bytes), GTS and pending-address fields, then
-        # the application payload.
+        # Superframe spec (2 bytes), GTS and pending-address fields, and
+        # no application payload.
         superframe = int.from_bytes(parsed.payload[0:2], "little")
-        assert parsed.payload[4:] == b"net"
+        assert parsed.payload[2:] == bytes(2)
         assert superframe & (1 << 15)  # association permit
         assert superframe & (1 << 14)  # PAN coordinator
 

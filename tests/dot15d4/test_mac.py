@@ -51,7 +51,7 @@ class TestDataExchange:
         mac_a, mac_b, sched = pair
         got = []
         mac_b.on_data(got.append)
-        mac_a.send_data(ADDR_B, b"hello", ack=False)
+        mac_a.send_data(ADDR_B, b"hello")
         sched.run(0.01)
         assert len(got) == 1
         assert got[0].payload == b"hello"
@@ -61,7 +61,7 @@ class TestDataExchange:
         mac_a, mac_b, sched = pair
         results = []
         seq = mac_a.send_data(
-            ADDR_B, b"ping", ack=True, on_result=lambda *r: results.append(r)
+            ADDR_B, b"ping", on_result=lambda *r: results.append(r)
         )
         sched.run(0.01)
         assert results == [(seq, True)]
@@ -70,7 +70,7 @@ class TestDataExchange:
 
     def test_no_ack_when_not_requested(self, pair):
         mac_a, mac_b, sched = pair
-        mac_a.send_data(ADDR_B, b"x", ack=False)
+        mac_a.send_frame(build_data(ADDR_A, ADDR_B, b"x", 1, ack_request=False))
         sched.run(0.01)
         assert mac_b.stats.acks_sent == 0
 
@@ -79,7 +79,7 @@ class TestDataExchange:
         got = []
         mac_b.on_data(got.append)
         other = Address(pan_id=PAN, address=0x0099)
-        mac_a.send_data(other, b"not for b", ack=False)
+        mac_a.send_data(other, b"not for b")
         sched.run(0.01)
         assert got == []
 
@@ -88,7 +88,7 @@ class TestDataExchange:
         got = []
         mac_b.on_data(got.append)
         foreign = Address(pan_id=0x9999, address=ADDR_B.address)
-        mac_a.send_data(foreign, b"foreign", ack=False)
+        mac_a.send_data(foreign, b"foreign")
         sched.run(0.01)
         assert got == []
 
@@ -97,7 +97,7 @@ class TestDataExchange:
         got = []
         mac_b.on_data(got.append)
         broadcast = Address(pan_id=0xFFFF, address=0xFFFF)
-        mac_a.send_data(broadcast, b"to all", ack=False)
+        mac_a.send_frame(build_data(ADDR_A, broadcast, b"to all", 1))
         sched.run(0.01)
         assert len(got) == 1
 
@@ -160,7 +160,7 @@ class TestFcsCheckedOnce:
         mac_a, mac_b, sched = pair
         got = []
         mac_b.on_data(got.append)
-        mac_a.send_data(ADDR_B, b"good", ack=False)
+        mac_a.send_frame(build_data(ADDR_A, ADDR_B, b"good", 1, ack_request=False))
         sched.run(0.01)
         assert [frame.payload for frame in got] == [b"good"]
         assert mac_b.stats.fcs_failures == 0
@@ -171,7 +171,6 @@ class TestBeacons:
     def test_coordinator_answers_beacon_request(self, pair):
         mac_a, mac_b, sched = pair
         mac_b.is_coordinator = True
-        mac_b.beacon_payload = b"home"
         frames = sniff(mac_a)
         mac_a.send_frame(build_beacon_request())
         sched.run(0.05)

@@ -44,7 +44,7 @@ def test_alternating_psdus_parse_correctly():
         build_data(SRC, DST, b"one", sequence_number=1),
         build_data(DST, SRC, b"two", sequence_number=2),
         build_ack(3),
-        build_beacon_request(4),
+        build_beacon_request(),
     ]
     for _round in range(3):
         for frame in frames:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.chips.rzusbstick import Dot15d4Radio
 from repro.dot15d4.frames import Address, build_data
+from repro.dot15d4 import security
 from repro.dot15d4.mac import MacService
 from repro.dot15d4.security import (
     AUX_HEADER_SIZE,
@@ -36,10 +37,6 @@ class TestContext:
         with pytest.raises(SecurityError):
             SecurityContext(key=bytes(8))
 
-    def test_level_none_rejected(self):
-        with pytest.raises(SecurityError):
-            SecurityContext(key=KEY, level=SecurityLevel.NONE)
-
     def test_protect_roundtrip(self):
         sender = SecurityContext(key=KEY)
         receiver = SecurityContext(key=KEY)
@@ -51,12 +48,13 @@ class TestContext:
         assert receiver.unprotect(secured) == b"reading"
 
     def test_payload_actually_encrypted(self):
-        sender = SecurityContext(key=KEY, level=SecurityLevel.ENC_MIC_64)
+        sender = SecurityContext(key=KEY)
         secured = sender.protect(build_data(SRC, DST, b"secret-reading", sequence_number=1))
         assert b"secret-reading" not in secured.payload
 
-    def test_mic_only_level_leaves_plaintext(self):
-        sender = SecurityContext(key=KEY, level=SecurityLevel.MIC_64)
+    def test_mic_only_level_leaves_plaintext(self, monkeypatch):
+        monkeypatch.setattr(security, "LEVEL", SecurityLevel.MIC_64)
+        sender = SecurityContext(key=KEY)
         secured = sender.protect(build_data(SRC, DST, b"visible", sequence_number=1))
         assert b"visible" in secured.payload
 
@@ -98,12 +96,14 @@ class TestContext:
         with pytest.raises(SecurityError):
             receiver.unprotect(forged)
 
-    def test_level_mismatch_rejected(self):
-        sender = SecurityContext(key=KEY, level=SecurityLevel.MIC_32)
-        receiver = SecurityContext(key=KEY, level=SecurityLevel.ENC_MIC_64)
-        secured = sender.protect(build_data(SRC, DST, b"x", sequence_number=1))
+    def test_level_mismatch_rejected(self, monkeypatch):
+        monkeypatch.setattr(security, "LEVEL", SecurityLevel.MIC_32)
+        secured = SecurityContext(key=KEY).protect(
+            build_data(SRC, DST, b"x", sequence_number=1)
+        )
+        monkeypatch.undo()
         with pytest.raises(SecurityError):
-            receiver.unprotect(secured)
+            SecurityContext(key=KEY).unprotect(secured)
 
     def test_unsecured_frame_rejected(self):
         receiver = SecurityContext(key=KEY)
@@ -147,7 +147,7 @@ class TestMacIntegration:
         mac_a, mac_b, sched = secured_pair
         got = []
         mac_b.on_data(got.append)
-        mac_a.send_data(DST, b"protected reading", ack=False)
+        mac_a.send_data(DST, b"protected reading")
         sched.run(0.01)
         assert len(got) == 1
         assert got[0].payload == b"protected reading"
@@ -181,7 +181,7 @@ class TestMacIntegration:
         mac_c.start()
         got = []
         mac_c.on_data(got.append)
-        mac_a.send_data(DST, b"secret", ack=False)
+        mac_a.send_data(DST, b"secret")
         quiet_medium.scheduler.run(0.01)
         assert got == []
         assert mac_c.stats.security_failures == 1

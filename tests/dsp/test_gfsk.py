@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.dsp import gfsk
 from repro.dsp.gfsk import (
     CLIP_LEVEL,
+    SYNC_THRESHOLD,
     FskDemodulator,
     FskModulator,
     GfskConfig,
+    SyncSearch,
     WaveformCache,
     clear_waveform_caches,
     lazy_capture_power,
@@ -174,8 +177,11 @@ class TestDemodulator:
         sig = mod.modulate(bits)
         disc = dem.discriminate(sig)
         first = dem.find_sync(disc, SYNC)
-        later = dem.find_sync(disc, SYNC, search_start=first.start + 8)
-        assert later.start > first.start
+        template = sync_template(SYNC, 8, disc.dtype)
+        later = SyncSearch(disc[None]).lock_rows(
+            template, SYNC_THRESHOLD, [0], [first.start + 8]
+        )
+        assert later.starts[0] > first.start
 
     def test_soft_symbols_bounds_checked(self):
         _, dem = make_modem()
@@ -205,31 +211,27 @@ class TestWaveformCache:
     direct convolve→cumsum→exp synthesis."""
 
     @settings(max_examples=30, deadline=None)
-    @given(
-        bits=st.lists(st.integers(0, 1), min_size=4, max_size=96),
-        phase=st.floats(-np.pi, np.pi, allow_nan=False),
-    )
-    def test_matches_direct_modulator(self, bits, phase):
+    @given(bits=st.lists(st.integers(0, 1), min_size=4, max_size=96))
+    def test_matches_direct_modulator(self, bits):
         config = GfskConfig(samples_per_symbol=8, modulation_index=0.5, bt=0.5)
         cache = WaveformCache(config, 2e6)
         direct = FskModulator(config, 2e6)
         bits = np.array(bits, dtype=np.uint8)
-        fast = cache.synthesize(bits, initial_phase=phase)
-        ref = direct.modulate_direct(bits, initial_phase=phase).samples
+        fast = cache.synthesize(bits)
+        ref = direct.modulate_direct(bits).samples
         assert fast.shape == ref.shape
         assert np.max(np.abs(fast - ref)) <= 1e-9
 
     @pytest.mark.parametrize("sps,bt,span", [(4, 0.5, 3), (8, 0.3, 4), (8, None, 3), (10, 0.5, 2)])
-    def test_matches_direct_across_configs(self, sps, bt, span):
+    def test_matches_direct_across_configs(self, sps, bt, span, monkeypatch):
         rng = np.random.default_rng(5)
-        config = GfskConfig(
-            samples_per_symbol=sps, modulation_index=0.5, bt=bt, span_symbols=span
-        )
+        monkeypatch.setattr(gfsk, "SPAN_SYMBOLS", span)
+        config = GfskConfig(samples_per_symbol=sps, modulation_index=0.5, bt=bt)
         cache = WaveformCache(config, 1e6)
         direct = FskModulator(config, 1e6)
         bits = rng.integers(0, 2, 257).astype(np.uint8)
-        fast = cache.synthesize(bits, initial_phase=0.7)
-        ref = direct.modulate_direct(bits, initial_phase=0.7).samples
+        fast = cache.synthesize(bits)
+        ref = direct.modulate_direct(bits).samples
         assert np.max(np.abs(fast - ref)) <= 1e-9
 
     def test_minimum_length_enforced(self):

@@ -175,15 +175,11 @@ class TestFrontEndReuse:
             sig, SYNC, sync_start_index=32, max_chips=payload.size
         )
         front_end = dem.front_end(sig)
-        shared_a = dem.receive_chips(
-            sig, SYNC, sync_start_index=32, max_chips=payload.size,
-            front_end=front_end,
+        shared_a, shared_b = (
+            dem.receive_chip_rows(front_end, [0], [0], SYNC, 32, payload.size)
+            for _ in range(2)
         )
-        shared_b = dem.receive_chips(
-            sig, SYNC, sync_start_index=32, max_chips=payload.size,
-            front_end=front_end,
-        )
-        assert baseline is not None and shared_a is not None
-        assert np.array_equal(baseline[0], shared_a[0])
-        assert np.array_equal(shared_a[0], shared_b[0])
-        assert baseline[1].sync.start == shared_a[1].sync.start
+        assert baseline is not None and shared_a.rows
+        assert np.array_equal(baseline[0], shared_a.chips[0, : shared_a.counts[0]])
+        assert np.array_equal(shared_a.chips, shared_b.chips)
+        assert baseline[1].sync.start == shared_a.syncs[0].start

@@ -30,6 +30,15 @@ from repro.phy.batch import MAX_FRAME_CHIPS, SYNC_CHIPS, SYNC_START_INDEX
 from repro.phy.ieee802154 import Ppdu
 from tests.dsp import sync_oracle
 
+
+def _lock(search, template, threshold, row, start):
+    """``(start, score, dc)`` of *row*'s first lock at or after *start*,
+    or ``None``: :meth:`SyncSearch.lock` of any row and start."""
+    locks = search.lock_rows(template, threshold, [row], [start])
+    if not locks.rows:
+        return None
+    return int(locks.starts[0]), float(locks.scores[0]), float(locks.dcs[0])
+
 RATE = 2e6
 SYNC = np.random.default_rng(7).integers(0, 2, 64).astype(np.uint8)
 
@@ -310,7 +319,7 @@ class TestOracleEquivalence:
         # Re-arms share one search, in the drawn (not sorted) order.
         for start in case["starts"]:
             for row in range(case["rows"]):
-                got = search.lock(template, case["threshold"], row, start)
+                got = _lock(search, template, case["threshold"], row, start)
                 want = sync_oracle.lock(
                     disc, reference, template, case["threshold"], row, start
                 )
@@ -353,7 +362,7 @@ class TestOracleEquivalence:
         search = SyncSearch(disc, power)
         for start in (first + 30, 0, 2500, first + 5, disc.shape[-1] - 130):
             want = sync_oracle.lock(disc, power, template, 0.45, 0, start)
-            assert search.lock(template, 0.45, 0, start) == want
+            assert _lock(search, template, 0.45, 0, start) == want
 
 
 class TestExactPercentileGate:
@@ -394,22 +403,22 @@ class TestExactPercentileGate:
 
 
 class TestNegativeSearchStart:
-    def test_find_sync_rejects_negative_start(self):
+    def test_lock_rows_rejects_negative_start(self):
         mod, dem = _modem(8)
         bits = np.concatenate([np.zeros(20, np.uint8), SYNC])
-        samples = mod.modulate_direct(bits)
-        disc = dem.discriminate(samples)
-        assert dem.find_sync(disc, SYNC) is not None
+        disc = dem.discriminate(mod.modulate_direct(bits))[None]
+        template = sync_template(SYNC, 8, disc.dtype)
+        search = SyncSearch(disc)
+        assert search.lock(template, 0.45) is not None
         for start in (-3, -100000):
             with pytest.raises(ValueError, match="search_start"):
-                dem.find_sync(disc, SYNC, search_start=start)
+                search.lock_rows(template, 0.45, [0], [start])
 
-    def test_receive_chips_rejects_negative_start(self):
+    def test_receive_chip_rows_rejects_negative_start(self):
         mod = OqpskModulator(samples_per_chip=2)
         dem = OqpskDemodulator(samples_per_chip=2)
-        chips = Ppdu(bytes(range(12))).to_chips()
-        sig = mod.modulate(chips)
-        args = (sig, SYNC_CHIPS, SYNC_START_INDEX, MAX_FRAME_CHIPS)
-        assert dem.receive_chips(*args) is not None
+        sig = mod.modulate(Ppdu(bytes(range(12))).to_chips())
+        args = (SYNC_CHIPS, SYNC_START_INDEX, MAX_FRAME_CHIPS)
+        assert dem.receive_chips(sig, *args) is not None
         with pytest.raises(ValueError, match="search_start"):
-            dem.receive_chips(*args, search_start=-1)
+            dem.receive_chip_rows(dem.front_end(sig), [0], [-1], *args)

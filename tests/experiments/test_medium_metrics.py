@@ -45,7 +45,7 @@ def test_small_campaign_exports_pool_and_scan_totals(monkeypatch):
     )
     assert result.ledger["medium.deliveries.duplicated"] > 0
     (medium,) = media
-    gauges = medium.metrics.snapshot(include_timers=False)["gauges"]
+    gauges = medium.metrics.snapshot()["gauges"]
     pool = medium.buffer_pool
     assert pool.hits > 0 and pool.misses > 0
     assert gauges["medium.pool.hits"] == pool.hits

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.similarity import similarity_matrix
+from repro.experiments import ablations
 from repro.experiments.ablations import (
     gaussian_bt_sweep,
     modulation_index_sweep,
@@ -82,15 +83,17 @@ def test_similarity_matrix():
     ]
 
 
-def test_modulation_sweeps():
-    assert gaussian_bt_sweep(num_chips=1024) == {
+def test_modulation_sweeps(monkeypatch):
+    monkeypatch.setattr(ablations, "SWEEP_CHIPS", 1024)
+    monkeypatch.setattr(ablations, "BT_VALUES", (0.3, 0.5, 0.7, 1.0, None))
+    assert gaussian_bt_sweep() == {
         "BT=0.3": 0.0,
         "BT=0.5": 0.0,
         "BT=0.7": 0.0,
         "BT=1.0": 0.0,
         "MSK": 0.0,
     }
-    assert modulation_index_sweep(num_chips=1024) == {
+    assert modulation_index_sweep() == {
         0.45: 0.0,
         0.48: 0.0,
         0.5: 0.0,

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.experiments import ablations
 from repro.experiments.ablations import (
     DataRateCheck,
     data_rate_requirement_check,
 )
+from repro.experiments import symmetric
 from repro.experiments.symmetric import attempt_symmetric_pivot
 from repro.obs import scoped
 
@@ -22,16 +24,18 @@ class TestSymmetricPivot:
         # Enough symbols to cover the whole target packet.
         assert len(result.symbols_used) * 32 >= result.target_bits
 
-    def test_custom_pdu(self):
-        result = attempt_symmetric_pivot(pdu=b"\x02\x03\x01\x02\x03")
+    def test_custom_pdu(self, monkeypatch):
+        monkeypatch.setattr(symmetric, "TARGET_PDU", b"\x02\x03\x01\x02\x03")
+        result = attempt_symmetric_pivot()
         assert result.target_bits > 0
         assert not result.crc_ok
 
 
 class TestDataRateRequirement:
-    def test_le2m_works_le1m_does_not(self):
+    def test_le2m_works_le1m_does_not(self, monkeypatch):
+        monkeypatch.setattr(ablations, "DATA_RATE_FRAMES", 5)
         with scoped() as (_bus, registry):
-            check = data_rate_requirement_check(frames=5, seed=2)
+            check = data_rate_requirement_check()
         assert check.le2m_received == check.frames
         assert check.le1m_received == 0
         # Pinned: a change to how the bench is built or driven must not
@@ -47,9 +51,10 @@ class TestDataRateRequirement:
             "tx.frames": 10,
         }
 
-    def test_more_than_256_frames_wrap_the_one_byte_counter(self):
+    def test_more_than_256_frames_wrap_the_one_byte_counter(self, monkeypatch):
         # Frame 256's payload byte and sequence number wrap to 0.
-        check = data_rate_requirement_check(frames=257, seed=2)
+        monkeypatch.setattr(ablations, "DATA_RATE_FRAMES", 257)
+        check = data_rate_requirement_check()
         assert check == DataRateCheck(
             le2m_received=257, le1m_received=0, frames=257
         )

@@ -69,7 +69,8 @@ class TestCells:
         assert result.valid + result.corrupted + result.lost == 8
 
     def test_valid_rate(self):
-        cell = ChannelResult(channel=11, valid=98, corrupted=1, lost=1)
+        cell = ChannelResult(channel=11)
+        cell.valid, cell.corrupted, cell.lost = 98, 1, 1
         assert cell.valid_rate == pytest.approx(0.98)
         assert ChannelResult(channel=11).valid_rate == 0.0
 

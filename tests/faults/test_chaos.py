@@ -42,7 +42,7 @@ CHAOS_PLAN = FaultPlan(
             duration_s=5.8e-3,
         ),
     ),
-    dropouts=(DropoutWindow(start_s=0.0, end_s=8e-3, radio_name="b"),),
+    dropouts=(DropoutWindow(start_s=0.0, end_s=8e-3),),
 )
 
 
@@ -80,7 +80,6 @@ def run_exchange(fault_plan=None, num_frames=5, seed=0, single_shot=False):
         mac_a.send_data(
             ADDR_B,
             b"frame-%d" % index,
-            ack=True,
             on_result=lambda seq, ok: (
                 results.append((seq, ok)),
                 send_next(index + 1),

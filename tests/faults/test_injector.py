@@ -6,6 +6,7 @@ import pytest
 from repro.chips.rzusbstick import Dot15d4Radio
 from repro.dot15d4.frames import Address, build_data
 from repro.dot15d4.mac import MacService
+from repro.faults import injector as injector_module
 from repro.faults import (
     CaptureTruncation,
     CfoStep,
@@ -103,20 +104,6 @@ class TestDeliveryFaults:
         assert got == []
         assert injector.stats.deliveries_dropped >= 1
 
-    def test_dropout_scoped_to_named_radio(self, quiet_medium, scheduler):
-        injector = FaultInjector(
-            FaultPlan(
-                dropouts=(DropoutWindow(start_s=0.0, end_s=1.0, radio_name="c"),)
-            )
-        )
-        quiet_medium.install_fault_injector(injector)
-        mac_a, mac_b = make_pair(quiet_medium)
-        got = []
-        mac_b.on_data(got.append)
-        send_once(mac_a, b"fine")
-        scheduler.run(0.01)
-        assert len(got) == 1
-
     def test_duplication_exercises_mac_duplicate_rejection(
         self, quiet_medium, scheduler
     ):
@@ -150,12 +137,10 @@ class TestCaptureFaults:
         assert got == []
         assert injector.stats.captures_truncated >= 1
 
-    def test_sample_drops_counted(self, quiet_medium, scheduler):
+    def test_sample_drops_counted(self, quiet_medium, scheduler, monkeypatch):
+        monkeypatch.setattr(injector_module, "SAMPLE_DROPS_EVERY_NTH", 1)
         injector = FaultInjector(
-            FaultPlan(
-                seed=11,
-                sample_drops=SampleDrops(every_nth=1, num_gaps=2, gap_samples=32),
-            )
+            FaultPlan(seed=11, sample_drops=SampleDrops(num_gaps=2, gap_samples=32))
         )
         quiet_medium.install_fault_injector(injector)
         mac_a, mac_b = make_pair(quiet_medium)

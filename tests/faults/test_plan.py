@@ -35,27 +35,18 @@ class TestFaultPlan:
             plan.seed = 5
 
 
-def _covers(window: DropoutWindow, time: float, radio_name: str) -> bool:
+def _covers(window: DropoutWindow, time: float) -> bool:
     """The one-window rule the dropout index must agree with."""
-    if not window.start_s <= time < window.end_s:
-        return False
-    return window.radio_name is None or window.radio_name == radio_name
+    return window.start_s <= time < window.end_s
 
 
 class TestDropoutWindow:
     def test_covers_inside_half_open_interval(self):
         index = _DropoutIndex([DropoutWindow(start_s=1.0, end_s=2.0)])
-        assert index.covers(1.0, "any")
-        assert index.covers(1.5, "any")
-        assert not index.covers(2.0, "any")
-        assert not index.covers(0.9, "any")
-
-    def test_named_radio_scoping(self):
-        index = _DropoutIndex(
-            [DropoutWindow(start_s=0.0, end_s=1.0, radio_name="rx1")]
-        )
-        assert index.covers(0.5, "rx1")
-        assert not index.covers(0.5, "rx2")
+        assert index.covers(1.0)
+        assert index.covers(1.5)
+        assert not index.covers(2.0)
+        assert not index.covers(0.9)
 
 
 class TestValidation:
@@ -63,7 +54,7 @@ class TestValidation:
         "build",
         [
             lambda: DeliveryDuplication(every_nth=0),
-            lambda: SampleDrops(every_nth=0),
+            lambda: DeliveryDuplication(every_nth=-2),
             lambda: CaptureTruncation(every_nth=0),
             lambda: CaptureTruncation(every_nth=-2),
         ],
@@ -77,7 +68,7 @@ class TestValidation:
             DropoutWindow(start_s=2.0, end_s=1.0)
         # An empty window is legal: it covers nothing.
         empty = _DropoutIndex([DropoutWindow(start_s=1.0, end_s=1.0)])
-        assert not empty.covers(1.0, "rx")
+        assert not empty.covers(1.0)
 
     @pytest.mark.parametrize("fraction", [-0.1, 1.5])
     def test_keep_fraction_outside_unit_interval_rejected(self, fraction):
@@ -96,19 +87,15 @@ class TestValidation:
             SampleDrops(**kwargs)
 
 
-_RADIOS = ("rx1", "rx2", "rx3")
-
-
 @st.composite
 def _windows(draw):
-    """Overlapping, radio-specific and global windows on a coarse grid
-    (shared endpoints exercise the half-open boundaries)."""
+    """Overlapping windows on a coarse grid (shared endpoints exercise the
+    half-open boundaries)."""
     windows = []
     for _ in range(draw(st.integers(0, 12))):
         start = draw(st.integers(0, 20)) / 4
         length = draw(st.integers(0, 12)) / 4
-        name = draw(st.sampled_from((None, *_RADIOS)))
-        windows.append(DropoutWindow(start, start + length, radio_name=name))
+        windows.append(DropoutWindow(start, start + length))
     return windows
 
 
@@ -118,21 +105,20 @@ class TestDropoutIndex:
     @given(
         windows=_windows(),
         times=st.lists(st.integers(-1, 34).map(lambda t: t / 4), max_size=20),
-        radio=st.sampled_from(_RADIOS),
     )
-    def test_index_equals_covers_scan(self, windows, times, radio):
+    def test_index_equals_covers_scan(self, windows, times):
         index = _DropoutIndex(windows)
         for time in times:
-            expected = any(_covers(w, time, radio) for w in windows)
-            assert index.covers(time, radio) == expected
+            expected = any(_covers(w, time) for w in windows)
+            assert index.covers(time) == expected
 
     def test_nested_windows(self):
         # A long window followed by a short one inside it: the running
         # maximum of the ends keeps the long one's reach.
         windows = [DropoutWindow(0.0, 10.0), DropoutWindow(2.0, 3.0)]
         index = _DropoutIndex(windows)
-        assert index.covers(5.0, "rx")
-        assert not index.covers(10.0, "rx")
+        assert index.covers(5.0)
+        assert not index.covers(10.0)
 
 
 class TestProfiles:

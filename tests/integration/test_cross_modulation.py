@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.chips import Cc1352R1, Nrf51822, Nrf52832, RzUsbStick
+from repro.chips.rzusbstick import Dot15d4Radio
 from repro.core.firmware import WazaBeeFirmware
 from repro.dot15d4.channels import ZIGBEE_CHANNELS
 from repro.dot15d4.frames import Address, MacFrame, build_data
@@ -155,13 +156,13 @@ class TestRobustness:
         a receiver placed between them."""
         scheduler = Scheduler()
         medium = RfMedium(scheduler)
-        a = RzUsbStick(
+        a = Dot15d4Radio(
             medium, name="a", position=(0, 0), rng=np.random.default_rng(1)
         )
-        b = RzUsbStick(
+        b = Dot15d4Radio(
             medium, name="b", position=(0, 4), rng=np.random.default_rng(2)
         )
-        rx = RzUsbStick(
+        rx = Dot15d4Radio(
             medium, name="rx", position=(0, 2), rng=np.random.default_rng(3)
         )
         for radio in (a, b, rx):

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.dsp.oqpsk import oqpsk_modems
+from repro.dsp.oqpsk import ChipSyncResult, oqpsk_modems
 from repro.dsp.signal import IQSignal
 from repro.errors import DecodeError
 from repro.phy.batch import (
@@ -60,18 +60,19 @@ def decode_oracle(
     front_end = demodulator.front_end(capture)
     search_start = 0
     for _attempt in range(RESYNC_ATTEMPTS):
-        result = demodulator.receive_chips(
-            capture,
-            sync_chips=SYNC_CHIPS,
-            sync_start_index=SYNC_START_INDEX,
-            max_chips=MAX_FRAME_CHIPS,
-            threshold=SYNC_THRESHOLD,
-            search_start=search_start,
-            front_end=front_end,
+        found = demodulator.receive_chip_rows(
+            front_end,
+            [0],
+            [search_start],
+            SYNC_CHIPS,
+            SYNC_START_INDEX,
+            MAX_FRAME_CHIPS,
+            SYNC_THRESHOLD,
         )
-        if result is None:
+        if not found.rows or not found.counts[0]:
             return None
-        chips, info = result
+        chips = found.chips[0, : found.counts[0]]
+        info = ChipSyncResult(found.chip_index, found.syncs[0])
         frame = _decode_chips(chips, info)
         if frame is not None:
             return frame

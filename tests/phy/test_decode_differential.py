@@ -109,6 +109,6 @@ def test_decoy_rows_are_re_armed():
         )
         for i, frame in enumerate(decode_chip_frames(stack, spc)):
             assert frame == decode_oracle(stack[i], spc)
-            first = front.lock(template, SYNC_THRESHOLD, i)
+            first = front.lock_rows(template, SYNC_THRESHOLD, [i], [0]).starts
             rearmed += frame is not None and first[0] < frame.sync_start
     assert rearmed >= 9

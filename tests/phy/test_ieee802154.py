@@ -212,15 +212,17 @@ class TestCodebookOracle:
         demod = OqpskDemodulator(samples_per_chip=2)
         rows = []
         for snr_db in (12.0, 4.0, 1.0):
-            found = demod.receive_chips(
-                awgn(clean, snr_db, rng=rng),
+            found = demod.receive_chip_rows(
+                demod.front_end(awgn(clean, snr_db, rng=rng)),
+                [0],
+                [0],
                 SYNC_CHIPS,
                 SYNC_START_INDEX,
                 MAX_FRAME_CHIPS,
                 threshold=0.2,
             )
-            assert found is not None
-            got = found[0]
+            assert found.rows
+            got = found.chips[0, : found.counts[0]]
             rows.append(got[: got.size // 32 * 32].reshape(-1, 32))
         blocks = np.concatenate(rows)
         assert int32_nearest(PN_MATRIX, blocks)[1].max() > 0

@@ -76,11 +76,3 @@ class TestScheduling:
     def test_step_returns_false_when_empty(self):
         assert Scheduler().step() is False
 
-    def test_max_events(self):
-        sched = Scheduler()
-        fired = []
-        for i in range(5):
-            sched.schedule(0.1 * (i + 1), lambda i=i: fired.append(i))
-        executed = sched.run(1.0, max_events=3)
-        assert executed == 3
-        assert fired == [0, 1, 2]

@@ -255,7 +255,7 @@ class TestKeyedRandomness:
         fault cadence (sample-drop every-2nd keyed per name)."""
         plan = FaultPlan(
             seed=5,
-            sample_drops=SampleDrops(every_nth=2, num_gaps=1, gap_samples=8),
+            sample_drops=SampleDrops(num_gaps=1, gap_samples=8),
         )
 
         def world(with_bystander: bool):

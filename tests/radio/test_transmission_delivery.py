@@ -20,6 +20,7 @@ from repro.chips.rzusbstick import Dot15d4Radio
 from repro.dot15d4.frames import Address, build_data
 from repro.dot15d4.mac import MacService
 from repro.dsp.signal import IQSignal
+from repro.faults import injector as injector_module
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
     CaptureTruncation,
@@ -261,7 +262,7 @@ class TestFaultedStacks:
     PLAN = FaultPlan(
         seed=4,
         truncation=CaptureTruncation(every_nth=3, keep_fraction=0.4),
-        sample_drops=SampleDrops(every_nth=2, num_gaps=2, gap_samples=40),
+        sample_drops=SampleDrops(num_gaps=2, gap_samples=40),
         duplication=DeliveryDuplication(every_nth=2),
         cfo_steps=(CfoStep(at_s=1e-3, offset_hz=15e3),),
     )
@@ -299,10 +300,11 @@ class TestFaultedStacks:
         # Every capture is faulted and every delivery repeated, so the
         # rows the hand-out sends back were all transformed, and each
         # repeat follows a rolled-back row of its receiver.
+        monkeypatch.setattr(injector_module, "SAMPLE_DROPS_EVERY_NTH", 1)
         plan = FaultPlan(
             seed=4,
             truncation=CaptureTruncation(every_nth=1, keep_fraction=0.7),
-            sample_drops=SampleDrops(every_nth=1, num_gaps=2, gap_samples=40),
+            sample_drops=SampleDrops(num_gaps=2, gap_samples=40),
             duplication=DeliveryDuplication(every_nth=1),
             cfo_steps=(CfoStep(at_s=0.0, offset_hz=15e3),),
         )

@@ -38,7 +38,6 @@ def _config(**overrides):
         queue_depth=256,
         stall_timeout_s=2.0,
         idle_timeout_s=0.0,  # tests attach consumers that may start quiet
-        drain_timeout_s=10.0,
     )
     defaults.update(overrides)
     return ServeConfig(**defaults)
@@ -292,7 +291,6 @@ class TestReplay:
                     socket_path=None,
                     replay_path=spool_path,
                     idle_timeout_s=0.0,
-                    drain_timeout_s=10.0,
                 )
             )
             replayed = CollectingSink()
@@ -352,7 +350,6 @@ class TestReplay:
                     socket_path=None,
                     replay_path=torn_path,
                     idle_timeout_s=0.0,
-                    drain_timeout_s=10.0,
                 )
             )
             replayed = CollectingSink()

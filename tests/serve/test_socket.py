@@ -15,7 +15,6 @@ def _server(tmp_path, **overrides):
         rate_fps=100.0,  # paced, so clients connect before production ends
         seed=7,  # loss-free world: exact ledger counts assume no decode loss
         idle_timeout_s=0.0,
-        drain_timeout_s=10.0,
     )
     defaults.update(overrides)
     return SnifferServer(ServeConfig(**defaults))
@@ -152,15 +151,16 @@ class TestSocketTransport:
             server = _server(tmp_path, frames=5, rate_fps=50.0)
             release = _hold_world(server)
             server.start()
-            with subscribe(
-                server.config.socket_path,
-                fmt="jsonl",
-                policy="block",
-                name="chooser",
-            ) as client:
+            # The hello line may name a policy; the Python client never
+            # does, so this client speaks the protocol by hand.
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as client:
+                client.settimeout(10.0)
+                client.connect(server.config.socket_path)
+                client.sendall(
+                    b'{"format": "jsonl", "policy": "block", "name": "chooser"}\n'
+                )
                 _wait_attached(server, 1)
                 release.set()
-                list(client.frames(2))
-            _wait_done(server)
+                _wait_done(server)
             ledger = server.shutdown()
             assert ledger["sessions"]["chooser"]["policy"] == "block"

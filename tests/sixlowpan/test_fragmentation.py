@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.sixlowpan import fragmentation
 from repro.sixlowpan.fragmentation import (
     FRAG1_DISPATCH,
     FRAGN_DISPATCH,
@@ -10,6 +11,14 @@ from repro.sixlowpan.fragmentation import (
     Reassembler,
     fragment_datagram,
 )
+
+
+def fragment_at(datagram, tag, budget):
+    """``fragment_datagram`` under a :data:`MAX_FRAGMENT_PAYLOAD` of
+    *budget* bytes."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fragmentation, "MAX_FRAGMENT_PAYLOAD", budget)
+        return fragment_datagram(datagram, tag=tag)
 
 
 def frag1(size, tag, body):
@@ -31,18 +40,18 @@ class TestFragmentation:
 
     def test_large_datagram_fragments(self):
         datagram = bytes(range(256))
-        fragments = fragment_datagram(datagram, tag=7, max_fragment_payload=64)
+        fragments = fragment_at(datagram, 7, 64)
         assert len(fragments) > 2
         assert fragments[0][0] & 0b11111000 == FRAG1_DISPATCH
         for fragment in fragments[1:]:
             assert fragment[0] & 0b11111000 == FRAGN_DISPATCH
 
     def test_fragment_sizes_respect_budget(self):
-        fragments = fragment_datagram(bytes(500), tag=1, max_fragment_payload=80)
+        fragments = fragment_at(bytes(500), 1, 80)
         assert all(len(f) <= 80 for f in fragments)
 
     def test_offsets_are_multiples_of_eight(self):
-        fragments = fragment_datagram(bytes(300), tag=1, max_fragment_payload=64)
+        fragments = fragment_at(bytes(300), 1, 64)
         for fragment in fragments[1:]:
             assert fragment[4] * 8 % 8 == 0
 
@@ -51,14 +60,12 @@ class TestFragmentation:
             fragment_datagram(bytes(3000), tag=1)
         with pytest.raises(ValueError):
             fragment_datagram(b"x", tag=1 << 16)
-        with pytest.raises(ValueError):
-            fragment_datagram(bytes(100), tag=1, max_fragment_payload=8)
 
 
 class TestReassembly:
     def test_roundtrip(self):
         datagram = bytes(range(200))
-        fragments = fragment_datagram(datagram, tag=3, max_fragment_payload=64)
+        fragments = fragment_at(datagram, 3, 64)
         reassembler = Reassembler()
         results = [reassembler.accept(0x10, f, 0.0) for f in fragments]
         assert results[-1] == datagram
@@ -68,7 +75,7 @@ class TestReassembly:
 
     def test_out_of_order(self):
         datagram = bytes(range(200))
-        fragments = fragment_datagram(datagram, tag=3, max_fragment_payload=64)
+        fragments = fragment_at(datagram, 3, 64)
         reassembler = Reassembler()
         results = [
             reassembler.accept(0x10, f, 0.0)
@@ -79,8 +86,8 @@ class TestReassembly:
     def test_interleaved_senders(self):
         a = bytes([1]) * 150
         b = bytes([2]) * 150
-        fa = fragment_datagram(a, tag=1, max_fragment_payload=64)
-        fb = fragment_datagram(b, tag=1, max_fragment_payload=64)
+        fa = fragment_at(a, 1, 64)
+        fb = fragment_at(b, 1, 64)
         reassembler = Reassembler()
         outputs = []
         for x, y in zip(fa, fb):
@@ -89,7 +96,7 @@ class TestReassembly:
         assert a in outputs and b in outputs
 
     def test_missing_fragment_stays_pending(self):
-        fragments = fragment_datagram(bytes(300), tag=9, max_fragment_payload=64)
+        fragments = fragment_at(bytes(300), 9, 64)
         reassembler = Reassembler()
         for fragment in fragments[:-1]:
             assert reassembler.accept(0x10, fragment, 0.0) is None
@@ -97,7 +104,7 @@ class TestReassembly:
         assert reassembler.completed == 0
 
     def test_partial_older_than_the_timeout_is_dropped(self):
-        fragments = fragment_datagram(bytes(300), tag=9, max_fragment_payload=64)
+        fragments = fragment_at(bytes(300), 9, 64)
         reassembler = Reassembler()
         for fragment in fragments[:-1]:
             assert reassembler.accept(0x10, fragment, 1.0) is None
@@ -154,7 +161,7 @@ class TestReassembly:
         # (IPHC: 011xxxxx) — without one, a raw payload whose first byte
         # collides with the FRAG dispatch space would be ambiguous.
         datagram = b"\x78" + body
-        fragments = fragment_datagram(datagram, tag=tag, max_fragment_payload=72)
+        fragments = fragment_at(datagram, tag, 72)
         reassembler = Reassembler()
         result = None
         for fragment in fragments:

@@ -4,12 +4,14 @@ the defs no non-test code names and the imports no code uses.
 The script is loaded by path and run on small fixture modules: one whose
 calls set some knobs by keyword, by position, through a literal ``**``
 dict and by pass-through, and leave the others alone; one whose calls
-pass some knobs only their literal defaults; one whose overrides call
+pass some knobs only their literal defaults; one whose calls reach only
+the same-named defs their arguments bind to; one whose overrides call
 themselves on ``super()``; a library plus a user of it that names some
 of its defs directly, by attribute or by string, and the others only in
 ``__all__``, an import or their own body;
-a module that uses some of its imports and not others; and a tree with a
-module that does not parse.
+a module that uses some of its imports and not others; a tree whose
+only call of a setting is under ``tests/``; and a tree with a module
+that does not parse.
 """
 
 import importlib.util
@@ -175,6 +177,82 @@ def test_a_literal_equal_to_the_default_sets_no_knob(tmp_path):
         ("defaults", "pulse", "span"),
         # 1 is not the literal True, and SPAN is a name, not a literal.
     ]
+
+
+BINDING = textwrap.dedent(
+    '''
+    from dataclasses import dataclass, field
+
+    class Radio:
+        def start(self, channel, handler):
+            pass
+
+    class Beacon:
+        def start(self, interval_s=1.0):
+            pass
+
+        def stop(self, flush=False):
+            pass
+
+    class Relay:
+        def stop(self, *args, drain=False, **kwargs):
+            pass
+
+    @dataclass
+    class Frame:
+        psdu: bytes
+        ok: bool = False
+
+    @dataclass
+    class Locked(Frame):
+        start: int = 0
+
+    def run(radio, handler):
+        radio.start(14, handler)
+        radio.stop(0, 1, drain=True)
+        Locked(b"", start=3)
+    '''
+)
+
+
+def test_a_call_reaches_only_the_defs_its_arguments_bind_to(tmp_path):
+    knob_scan = _load()
+    path = tmp_path / "binding.py"
+    path.write_text(BINDING)
+    # Two positional arguments are one too many for Beacon.start, and
+    # Beacon.stop takes neither two positions nor ``drain``; Relay.stop
+    # takes both through *args and **kwargs.  Locked binds Frame's psdu
+    # by position before its own start.
+    assert knob_scan.scan([("binding", path)], [path]) == [
+        ("binding", "Beacon.start", "interval_s"),
+        ("binding", "Beacon.stop", "flush"),
+        ("binding", "Frame", "ok"),
+    ]
+
+
+def test_a_call_only_under_tests_sets_no_knob(tmp_path, monkeypatch, capsys):
+    knob_scan = _load()
+    for name in ("src", "tests", "scripts"):
+        (tmp_path / name).mkdir()
+    (tmp_path / "src" / "radio.py").write_text(
+        "def tune(channel=11):\n    pass\n"
+    )
+    (tmp_path / "tests" / "test_radio.py").write_text(
+        "from radio import tune\n\ntune(channel=26)\n"
+    )
+    monkeypatch.setattr(knob_scan, "ROOT", tmp_path)
+    monkeypatch.setattr(knob_scan, "KEPT", {"radio.tune": "kept on purpose"})
+    monkeypatch.setattr(knob_scan, "KEPT_KNOBS", {})
+    assert knob_scan.main() == 1
+    assert "    tune: channel: NOT KEPT: no call sets it" in (
+        capsys.readouterr().out.splitlines()
+    )
+    # The same call outside tests/ sets it.
+    (tmp_path / "scripts" / "use.py").write_text(
+        "from radio import tune\n\ntune(channel=26)\n"
+    )
+    monkeypatch.setattr(knob_scan, "KEPT", {})
+    assert knob_scan.main() == 0
 
 
 OVERRIDES = textwrap.dedent(

